@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 usage, 3 infeasible, 4 timeout without a solution,
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -42,19 +41,6 @@ def _fail(code: int, exc: BaseException) -> int:
     doc = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(doc), file=sys.stderr)
     return code
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NISQC_THREADS", "").strip()
-    if not raw:
-        return max(1, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"NISQC_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise UsageError("NISQC_THREADS must be >= 1")
-    return cap
 
 
 def _stem(path: str) -> str:
@@ -175,7 +161,6 @@ def cmd_compare(args) -> int:
     for v in variants:
         if v not in ALL_VARIANTS:
             raise UsageError(f"unknown variant {v!r}; choose from {', '.join(ALL_VARIANTS)}")
-    cap = _thread_cap()
     c = _load_circuit(args.circuit)
     m = _load_machine(args.calibration)
     tables = build_tables(m)
@@ -194,8 +179,7 @@ def cmd_compare(args) -> int:
         except (Infeasible, SolverTimeout) as exc:
             return exc
 
-    with concurrent.futures.ThreadPoolExecutor(min(cap, len(variants))) as pool:
-        results = list(pool.map(run_safe, variants))
+    results = [run_safe(v) for v in variants]
     rows = [r for r in results if isinstance(r, EvalReport)]
     first_error = next((r for r in results if not isinstance(r, EvalReport)), None)
     if first_error is not None:
@@ -226,7 +210,6 @@ def cmd_bench(args) -> int:
     for v in variants:
         if v not in ALL_VARIANTS:
             raise UsageError(f"unknown variant {v!r}; choose from {', '.join(ALL_VARIANTS)}")
-    cap = _thread_cap()
     tasks = []
     for nq, ng in sizes:
         side = math.isqrt(nq - 1) + 1
@@ -252,8 +235,7 @@ def cmd_bench(args) -> int:
         cc = expand(sol, c, m)
         return _evaluate_record(cc, benchmark, args.trials, args.seed, dt, sol.optimal)
 
-    with concurrent.futures.ThreadPoolExecutor(min(cap, len(tasks))) as pool:
-        rows = list(pool.map(run, tasks))
+    rows = [run(task) for task in tasks]
     csv_path, json_path = write_report(rows, args.out or "bench")
     print(f"wrote {csv_path} and {json_path}: {len(rows)} rows")
     return 0

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
-from .machine import GridMachine, path_reliability
+from .machine import GridMachine, hop_duration, path_duration, path_reliability
 from .optimal import Placement, Solution, Variant
 
 
@@ -48,11 +48,6 @@ class CompiledCircuit:
         return self.eps_strict if self.count_return_swaps else self.eps_route
 
 
-def _walk_duration(m: GridMachine, cells: tuple[int, ...], hop) -> int:
-    swap = sum(hop(cells[i], cells[i + 1]) for i in range(len(cells) - 2))
-    return 6 * swap + hop(cells[-2], cells[-1])
-
-
 def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     """Turn a Solution into a physical stream: forward SWAPs (3 CNOTs each)
     along each route, the gate itself, then return SWAPs restoring the
@@ -62,7 +57,7 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     static = sol.variant == Variant.T_SMT.value
 
     def hop(u: int, v: int) -> int:
-        return m.static_tau_cnot if static else m.edge_between(u, v).cnot_duration
+        return hop_duration(m, u, v, static)
 
     phys: list[PhysGate] = []
     swap_count = 0
@@ -82,15 +77,15 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
         route = sol.gate_routes[g.id]
         eps_route[g.id] = path_reliability(route, m)
         eps_strict[g.id] = path_reliability(route, m, count_return_swaps=True)
-        if _walk_duration(m, route, hop) == d:
+        if path_duration(m, route, static) == d:
             cells, control_moves = route, True
-        elif _walk_duration(m, route[::-1], hop) == d:
+        elif path_duration(m, route[::-1], static) == d:
             cells, control_moves = route[::-1], False
         else:
             raise CodegenError(
                 f"inconsistent schedule: CNOT {g.id} cannot walk its route in "
-                f"{d} timeslots (control walk takes {_walk_duration(m, route, hop)}, "
-                f"target walk {_walk_duration(m, route[::-1], hop)})")
+                f"{d} timeslots (control walk takes {path_duration(m, route, static)}, "
+                f"target walk {path_duration(m, route[::-1], static)})")
         t = s
         for i in range(len(cells) - 2):
             u, v, e = cells[i], cells[i + 1], hop(cells[i], cells[i + 1])
@@ -227,7 +222,7 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         kind = GateKind(entry["kind"])
         ops = tuple(entry["hw_operands"])
         if kind is GateKind.CNOT:
-            dur = m.static_tau_cnot if static else m.edge_between(*ops).cnot_duration
+            dur = hop_duration(m, *ops, static)
         elif kind is GateKind.MEASURE:
             dur = m.qubits[ops[0]].readout_duration
         else:

@@ -22,7 +22,6 @@ from .optimal import (
     Infeasible,
     ProblemConfig,
     _InfeasibleSchedule,
-    _junction_choices,
     _Scorer,
 )
 
@@ -227,11 +226,8 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     argmax: list = []
     leaves: list[LeafRecord] = []
     for cells in itertools.permutations(range(ncells), nq):
-        choices = [
-            _junction_choices(m, tables, cfg,
-                              cells[g.operands[0]], cells[g.operands[1]])
-            for g in cnots
-        ]
+        choices = [scorer.junction_choices(cells[g.operands[0]], cells[g.operands[1]])
+                   for g in cnots]
         for combo in itertools.product(*choices):
             try:
                 obj, makespan = scorer.leaf(cells, combo)

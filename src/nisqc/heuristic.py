@@ -4,10 +4,10 @@ ordered edge placement, and the shared best-path compile pipeline."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .circuit import Circuit, GateKind, build_program_graph, predecessor_lists
+from .circuit import Circuit, GateKind, build_program_graph
 from .machine import DerivedTables, GridMachine, path_duration
 from .optimal import (
     Infeasible,
@@ -16,8 +16,10 @@ from .optimal import (
     Routing,
     Schedule,
     Solution,
+    _dag_lists,
     _InfeasibleSchedule,
-    _list_schedule,
+    _schedule_gates,
+    objective,
 )
 
 
@@ -147,9 +149,14 @@ def greedy_edge_map(pg, m: GridMachine, t: DerivedTables) -> Placement:
             if best is None or score > best[0] + 1e-15 \
                     or (abs(score - best[0]) <= 1e-15 and (u, v) < best[1:]):
                 best = (score, u, v)
-        placed[qa], placed[qb] = best[1], best[2]
-        free.remove(best[1])
-        free.remove(best[2])
+        if best is None:
+            # no two free cells are adjacent: take the best free readout cells
+            u, v = [cl for cl in _readout_order(m) if cl in free][:2]
+        else:
+            u, v = best[1:]
+        placed[qa], placed[qb] = u, v
+        free.remove(u)
+        free.remove(v)
 
     edges = sorted(pg.edges.items(), key=lambda kv: (-kv[1], kv[0]))
     if edges:
@@ -189,53 +196,27 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
                            variant_label: str) -> Solution:
     """Best-path routing + earliest-ready scheduling for a fixed placement."""
     bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
-    n = len(c.gates)
-    preds = predecessor_lists(c)
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for g2, ps in enumerate(preds):
-        for g1 in ps:
-            succs[g1].append(g2)
-    durs = [0] * n
-    gcells: list[tuple[int, ...]] = [()] * n
-    deadlines = [0] * n
     gate_routes: dict[int, tuple[int, ...]] = {}
     gate_eps: dict[int, float] = {}
     for g in c.gates:
-        i = g.id
         if g.kind is GateKind.CNOT:
-            a, b = cells[g.operands[0]], cells[g.operands[1]]
-            route, eps = bp[(a, b)]
-            gate_routes[i] = route
-            gate_eps[i] = float(eps)
-            durs[i] = path_duration(m, route)
-            gcells[i] = route
-            deadlines[i] = min(m.qubits[a].t2, m.qubits[b].t2)
-        else:
-            cell = cells[g.operands[0]]
-            if g.kind is GateKind.MEASURE:
-                durs[i] = m.qubits[cell].readout_duration
-                gate_eps[i] = 1.0 - m.qubits[cell].readout_error
-            else:
-                durs[i] = m.single_qubit_duration
-            gcells[i] = (cell,)
-            deadlines[i] = m.qubits[cell].t2
+            gate_routes[g.id], eps = bp[(cells[g.operands[0]], cells[g.operands[1]])]
+            gate_eps[g.id] = float(eps)
+        elif g.kind is GateKind.MEASURE:
+            gate_eps[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
+    routes = list(gate_routes.values())   # in CNOT order
     try:
-        starts = _list_schedule(n, durs, gcells, deadlines, preds, succs)
+        starts, durs = _schedule_gates(c, m, cells,
+                                       lambda k, a, b: (path_duration(m, routes[k]), routes[k]),
+                                       *_dag_lists(c))
     except _InfeasibleSchedule as exc:
         raise Infeasible(str(exc)) from exc
-    sum_ro = sum_cx = 0.0
-    for gid in sorted(gate_eps):
-        if gid in gate_routes:
-            sum_cx += math.log(gate_eps[gid])
-        else:
-            sum_ro += math.log(gate_eps[gid])
-    objective_value = cfg.omega * sum_ro + (1.0 - cfg.omega) * sum_cx
-    return Solution(
+    sol = Solution(
         placement=Placement(loc={q: m.pos(cl) for q, cl in enumerate(cells)}),
         routes=RouteAssignment(junction={}, rect={}),
         schedule=Schedule(start={g.id: starts[g.id] for g in c.gates},
                           dur={g.id: durs[g.id] for g in c.gates}),
-        objective_value=objective_value,
+        objective_value=0.0,
         optimal=False,
         variant=variant_label,
         routing=Routing.BEST_PATH.value,
@@ -244,6 +225,7 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
         gate_eps=gate_eps,
         gate_routes=gate_routes,
     )
+    return replace(sol, objective_value=objective(sol))
 
 
 def heuristic_compile(c: Circuit, m: GridMachine, t: DerivedTables,

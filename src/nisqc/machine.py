@@ -83,6 +83,7 @@ class DerivedTables:
     delta: np.ndarray = field(repr=False)
     readout_rel: np.ndarray = field(repr=False)
     cnot_rel: dict[tuple[int, int, int], float] = field(repr=False)
+    cnot_dur: dict[tuple[int, int, int], int] = field(repr=False)
     cnot_rel_return: dict[tuple[int, int, int], float] = field(repr=False)
     junctions: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
     best_paths: dict[tuple[int, int], tuple[tuple[int, ...], float]] = field(repr=False)
@@ -239,16 +240,27 @@ def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> 
     rel = 1.0
     for i in range(len(path) - 1):
         a, b = path[i], path[i + 1]
-        if manhattan(m.pos(a), m.pos(b)) != 1:
+        e = m.edge_map.get((a, b) if a < b else (b, a))
+        if e is None:
             raise ValueError(f"cells {a} and {b} not adjacent")
-        r = 1.0 - m.edge_between(a, b).cnot_error
+        r = 1.0 - e.cnot_error
         rel *= r if i == len(path) - 2 else r ** swap_exp
     return rel
 
 
-def path_duration(m: GridMachine, cells) -> int:
+def hop_duration(m: GridMachine, u: int, v: int, static: bool = False) -> int:
+    """Timeslots of one physical CNOT on edge (u, v); the static model charges
+    the machine-wide tau on every edge."""
+    return m.static_tau_cnot if static else m.edge_between(u, v).cnot_duration
+
+
+def path_duration(m: GridMachine, cells, static: bool = False) -> int:
     """Timeslots to walk a route: 6x each swap edge (round trip), 1x the final CNOT edge."""
-    durs = [m.edge_between(cells[i], cells[i + 1]).cnot_duration for i in range(len(cells) - 1)]
+    if static:
+        durs = [m.static_tau_cnot] * (len(cells) - 1)
+    else:
+        durs = [m.edge_between(cells[i], cells[i + 1]).cnot_duration
+                for i in range(len(cells) - 1)]
     return 6 * sum(durs[:-1]) + durs[-1]
 
 
@@ -311,16 +323,9 @@ def _best_path_search(m: GridMachine, swap_exp: int) -> dict[tuple[int, int], tu
     return result
 
 
-def canonical_junction(m: GridMachine, c: int, t: int) -> int:
-    """Junction whose route minimizes walk duration (either direction); ties pick the lower cell."""
-    best = None
-    for jp in one_bend_junctions(m.pos(c), m.pos(t)):
-        j = m.cell_id(jp)
-        cells = route_cells(m, c, t, j)
-        dur = min(path_duration(m, cells), path_duration(m, cells[::-1]))
-        if best is None or (dur, j) < best:
-            best = (dur, j)
-    return best[1]
+def canonical_junction(t: DerivedTables, a: int, b: int) -> int:
+    """Junction whose route walks fastest (either direction); ties pick the lower cell."""
+    return min(t.junctions[(a, b)], key=lambda j: (t.cnot_dur[(a, b, j)], j))
 
 
 def build_tables(m: GridMachine) -> DerivedTables:
@@ -329,22 +334,23 @@ def build_tables(m: GridMachine) -> DerivedTables:
     delta = np.zeros((n, n), dtype=np.int64)
     junctions: dict[tuple[int, int], tuple[int, ...]] = {}
     cnot_rel: dict[tuple[int, int, int], float] = {}
+    cnot_dur: dict[tuple[int, int, int], int] = {}
     cnot_rel_return: dict[tuple[int, int, int], float] = {}
     for c in range(n):
         for t in range(n):
             if c == t:
                 continue
+            js = sorted([m.cell_id(jp) for jp in one_bend_junctions(m.pos(c), m.pos(t))])
             best_dur = None
-            js = []
-            for jp in one_bend_junctions(m.pos(c), m.pos(t)):
-                j = m.cell_id(jp)
-                js.append(j)
+            for j in js:
+                key = (c, t, j)
                 cells = route_cells(m, c, t, j)
-                dur = min(path_duration(m, cells), path_duration(m, cells[::-1]))
+                # the control or the target may walk, whichever is faster
+                dur = cnot_dur[key] = min(path_duration(m, cells), path_duration(m, cells[::-1]))
                 best_dur = dur if best_dur is None else min(best_dur, dur)
-                cnot_rel[(c, t, j)] = path_reliability(cells, m)
-                cnot_rel_return[(c, t, j)] = path_reliability(cells, m, count_return_swaps=True)
-            junctions[(c, t)] = tuple(sorted(js))
+                cnot_rel[key] = path_reliability(cells, m)
+                cnot_rel_return[key] = path_reliability(cells, m, count_return_swaps=True)
+            junctions[(c, t)] = tuple(js)
             delta[c, t] = best_dur
     readout_rel = np.array([1.0 - q.readout_error for q in m.qubits])
     return DerivedTables(
@@ -352,6 +358,7 @@ def build_tables(m: GridMachine) -> DerivedTables:
         delta=delta,
         readout_rel=readout_rel,
         cnot_rel=cnot_rel,
+        cnot_dur=cnot_dur,
         cnot_rel_return=cnot_rel_return,
         junctions=junctions,
         best_paths=_best_path_search(m, swap_exp=3),

@@ -8,7 +8,7 @@ import itertools
 import math
 import time
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind, build_dag, build_program_graph, predecessor_lists
@@ -195,36 +195,91 @@ def _rect_cells(m: GridMachine, a: int, b: int) -> tuple[int, ...]:
     return tuple(m.cell_id((x, y)) for x in range(lx, rx + 1) for y in range(ly, ry + 1))
 
 
-class _Scorer:
-    """Shared leaf evaluator: the exact solver and the brute-force enumerator both
-    score a (placement, junctions) assignment through this one code path, so their
-    objectives agree bitwise."""
+def _dag_lists(c: Circuit) -> tuple[list[list[int]], list[list[int]]]:
+    """Predecessor and successor gate ids per gate."""
+    preds = predecessor_lists(c)
+    succs: list[list[int]] = [[] for _ in preds]
+    for g2, ps in enumerate(preds):
+        for g1 in ps:
+            succs[g1].append(g2)
+    return preds, succs
 
-    def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
-        self.c, self.m, self.tables, self.cfg = c, m, tables, cfg
-        self.n_gates = len(c.gates)
-        self.preds = predecessor_lists(c)
-        self.succs: list[list[int]] = [[] for _ in range(self.n_gates)]
-        for g2, ps in enumerate(self.preds):
-            for g1 in ps:
-                self.succs[g1].append(g2)
-        self.cnot_ids = [g.id for g in c.gates if g.kind is GateKind.CNOT]
-        self.measure_ids = [g.id for g in c.gates if g.kind is GateKind.MEASURE]
+
+def _schedule_gates(c: Circuit, m: GridMachine, cells, cnot_cost, preds, succs,
+                    static: bool = False) -> tuple[list[int], list[int]]:
+    """Starts and durations of a placed circuit under the canonical scheduler.
+
+    cnot_cost(k, a, b) gives the k-th CNOT's (duration, occupied cells) between
+    cells a and b; every other gate holds its own cell. Deadlines are the
+    endpoints' T2, or the machine-wide coherence bound under the static model.
+    Raises _InfeasibleSchedule.
+    """
+    n = len(c.gates)
+    durs = [0] * n
+    gc: list[tuple[int, ...]] = [()] * n
+    dl = [m.static_coherence_bound - 1] * n
+    k = 0
+    for g in c.gates:
+        i = g.id
+        if g.kind is GateKind.CNOT:
+            a, b = cells[g.operands[0]], cells[g.operands[1]]
+            durs[i], gc[i] = cnot_cost(k, a, b)
+            k += 1
+            if not static:
+                dl[i] = min(m.qubits[a].t2, m.qubits[b].t2)
+        else:
+            cell = cells[g.operands[0]]
+            durs[i] = m.qubits[cell].readout_duration if g.kind is GateKind.MEASURE \
+                else m.single_qubit_duration
+            gc[i] = (cell,)
+            if not static:
+                dl[i] = m.qubits[cell].t2
+    return _list_schedule(n, durs, gc, dl, preds, succs), durs
+
+
+class _CostModel:
+    """The cost of a routed CNOT under one problem config, read from the
+    machine's tables: the solver, the enumerator, the verifier and the
+    per-gate views all price a CNOT here."""
+
+    def __init__(self, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
+        self.m, self.tables, self.cfg = m, tables, cfg
         self.ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel
-        self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
-        self.ro_dur = [q.readout_duration for q in m.qubits]
-        self.t2 = [q.t2 for q in m.qubits]
         self.delta = tables.delta.tolist()
         self.static = cfg.variant is Variant.T_SMT
         self.one_bend = cfg.routing is Routing.ONE_BEND
-        self.mt_deadline = m.static_coherence_bound - 1
-        self._region: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
         self._ln_ec: dict[tuple[int, int, int], float] = {}
 
-    def cnot_duration(self, a: int, b: int) -> int:
+    def cnot_duration(self, a: int, b: int, j: int | None = None) -> int:
+        """Timeslots of the CNOT a -> b routed through junction j: the static
+        formula for t-smt, else the faster walk of that junction's route.
+        Without a junction, the fastest junction's: a lower bound."""
+        if j is not None and (a, b, j) not in self.tables.cnot_dur:
+            raise ValueError(f"junction {self.m.pos(j)} not legal for a CNOT "
+                             f"from {self.m.pos(a)} to {self.m.pos(b)}")
         if self.static:
             return static_cnot_duration(manhattan(self.m.pos(a), self.m.pos(b)), self.m)
-        return self.delta[a][b]
+        if j is None:
+            return self.delta[a][b]
+        return self.tables.cnot_dur[(a, b, j)]
+
+    def cnot_cost(self, a: int, b: int, j: int) -> tuple[int, tuple[int, ...]]:
+        """(duration, occupied cells): the route under one-bend routing, the
+        bounding rectangle under rectangle reservation."""
+        key = (a, b, j)
+        cost = self._cost.get(key)
+        if cost is None:
+            region = route_cells(self.m, a, b, j) if self.one_bend else _rect_cells(self.m, a, b)
+            cost = self._cost[key] = (self.cnot_duration(a, b, j), region)
+        return cost
+
+    def junction_choices(self, a: int, b: int) -> tuple[int, ...]:
+        # Rectangle reservation does not search junctions; expansion later walks
+        # the canonical one.
+        if self.one_bend:
+            return self.tables.junctions[(a, b)]
+        return (canonical_junction(self.tables, a, b),)
 
     def ln_ec(self, key: tuple[int, int, int]) -> float:
         v = self._ln_ec.get(key)
@@ -232,38 +287,27 @@ class _Scorer:
             v = self._ln_ec[key] = math.log(self.ec[key])
         return v
 
-    def _cnot_region(self, a: int, b: int, j: int) -> tuple[int, ...]:
-        key = (a, b, j)
-        region = self._region.get(key)
-        if region is None:
-            if self.one_bend:
-                region = route_cells(self.m, a, b, j)
-            else:
-                region = _rect_cells(self.m, a, b)
-            self._region[key] = region
-        return region
+
+class _Scorer(_CostModel):
+    """Shared leaf evaluator: the exact solver and the brute-force enumerator both
+    score a (placement, junctions) assignment through this one code path, so their
+    objectives agree bitwise."""
+
+    def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
+        super().__init__(m, tables, cfg)
+        self.c = c
+        self.n_gates = len(c.gates)
+        self.preds, self.succs = _dag_lists(c)
+        self.cnot_ids = [g.id for g in c.gates if g.kind is GateKind.CNOT]
+        self.measure_ids = [g.id for g in c.gates if g.kind is GateKind.MEASURE]
+        self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
+        self.ro_dur = [q.readout_duration for q in m.qubits]
 
     def schedule_arrays(self, cells, junctions):
         """Starts and durations for one assignment; raises _InfeasibleSchedule."""
-        durs = [0] * self.n_gates
-        gc: list[tuple[int, ...]] = [()] * self.n_gates
-        dl = [0] * self.n_gates
-        ji = 0
-        for g in self.c.gates:
-            i = g.id
-            if g.kind is GateKind.CNOT:
-                a, b = cells[g.operands[0]], cells[g.operands[1]]
-                durs[i] = self.cnot_duration(a, b)
-                gc[i] = self._cnot_region(a, b, junctions[ji])
-                ji += 1
-                dl[i] = self.mt_deadline if self.static else min(self.t2[a], self.t2[b])
-            else:
-                cell = cells[g.operands[0]]
-                durs[i] = self.ro_dur[cell] if g.kind is GateKind.MEASURE else self.m.single_qubit_duration
-                gc[i] = (cell,)
-                dl[i] = self.mt_deadline if self.static else self.t2[cell]
-        starts = _list_schedule(self.n_gates, durs, gc, dl, self.preds, self.succs)
-        return starts, durs
+        return _schedule_gates(self.c, self.m, cells,
+                               lambda k, a, b: self.cnot_cost(a, b, junctions[k]),
+                               self.preds, self.succs, self.static)
 
     def log_objective(self, cells, junctions) -> float:
         """The weighted log-reliability sum, accumulated in gate-id order."""
@@ -287,8 +331,9 @@ class _Scorer:
 
 
 def gate_duration(g: Gate, p: Placement, cfg: ProblemConfig, m: GridMachine,
-                  t: DerivedTables) -> int:
-    """Duration in timeslots of one gate under the variant's duration model."""
+                  t: DerivedTables, routes: RouteAssignment | None = None) -> int:
+    """Duration in timeslots of one gate under the variant's duration model; a
+    CNOT without a junction in `routes` walks the canonical one."""
     if g.kind is GateKind.MEASURE:
         return m.qubits[p.cell(m, g.operands[0])].readout_duration
     if g.kind is not GateKind.CNOT:
@@ -296,9 +341,9 @@ def gate_duration(g: Gate, p: Placement, cfg: ProblemConfig, m: GridMachine,
     a, b = p.cell(m, g.operands[0]), p.cell(m, g.operands[1])
     if a == b:
         raise ValueError(f"CNOT {g.id} operands mapped to the same cell {a}")
-    if cfg.variant is Variant.T_SMT:
-        return static_cnot_duration(manhattan(p.loc[g.operands[0]], p.loc[g.operands[1]]), m)
-    return int(t.delta[a, b])
+    jpos = routes.junction.get(g.id) if routes is not None else None
+    j = canonical_junction(t, a, b) if jpos is None else m.cell_id(jpos)
+    return _CostModel(m, t, cfg).cnot_duration(a, b, j)
 
 
 def gate_reliability(g: Gate, p: Placement, routes: RouteAssignment, t: DerivedTables) -> float:
@@ -336,34 +381,16 @@ def objective(sol: Solution, cfg: ProblemConfig | None = None) -> float:
     return omega * sum_ro + (1.0 - omega) * sum_cx
 
 
-def _junction_choices(m: GridMachine, tables: DerivedTables, cfg: ProblemConfig,
-                      a: int, b: int) -> tuple[int, ...]:
-    # Rectangle reservation does not search junctions; expansion later walks
-    # the canonical one.
-    if cfg.routing is Routing.ONE_BEND:
-        return tables.junctions[(a, b)]
-    return (canonical_junction(m, a, b),)
-
-
 def canonical_schedule(c: Circuit, p: Placement, routes: RouteAssignment,
                        cfg: ProblemConfig, m: GridMachine, t: DerivedTables) -> Schedule:
-    """Deterministic schedule for a fixed placement and route assignment."""
+    """Deterministic schedule for a fixed placement and route assignment; a CNOT
+    without a junction in `routes` walks the canonical one."""
     cells = p.cells(m)
-    junctions = []
-    for g in c.gates:
-        if g.kind is not GateKind.CNOT:
-            continue
-        if g.id in routes.junction:
-            junctions.append(m.cell_id(routes.junction[g.id]))
-        else:
-            junctions.append(canonical_junction(m, cells[g.operands[0]], cells[g.operands[1]]))
-    scorer = _Scorer(c, m, t, cfg)
-    try:
-        starts, durs = scorer.schedule_arrays(cells, tuple(junctions))
-    except _InfeasibleSchedule as exc:
-        raise Infeasible(str(exc)) from exc
-    return Schedule(start={g.id: starts[g.id] for g in c.gates},
-                    dur={g.id: durs[g.id] for g in c.gates})
+    junctions = tuple(
+        m.cell_id(routes.junction[g.id]) if g.id in routes.junction
+        else canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
+        for g in c.gates if g.kind is GateKind.CNOT)
+    return solution_from_assignment(c, m, cfg, cells, junctions, tables=t).schedule
 
 
 def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
@@ -377,10 +404,6 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
         starts, durs = scorer.schedule_arrays(cells, junctions)
     except _InfeasibleSchedule as exc:
         raise Infeasible(str(exc)) from exc
-    if cfg.variant is Variant.R_SMT_STAR:
-        obj = scorer.log_objective(cells, junctions)
-    else:
-        obj = float(max((starts[i] + durs[i] for i in range(scorer.n_gates)), default=0))
     junction_pos: dict[int, tuple[int, int]] = {}
     rect: dict[int, tuple[int, int, int, int]] = {}
     gate_routes: dict[int, tuple[int, ...]] = {}
@@ -398,12 +421,12 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
             gate_eps[g.id] = scorer.ec[(a, b, j)]
         elif g.kind is GateKind.MEASURE:
             gate_eps[g.id] = float(tables.readout_rel[cells[g.operands[0]]])
-    return Solution(
+    sol = Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
         routes=RouteAssignment(junction=junction_pos, rect=rect),
         schedule=Schedule(start={g.id: starts[g.id] for g in c.gates},
                           dur={g.id: durs[g.id] for g in c.gates}),
-        objective_value=obj,
+        objective_value=0.0,
         optimal=optimal,
         variant=cfg.variant.value,
         routing=cfg.routing.value,
@@ -412,6 +435,7 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
         gate_eps=gate_eps,
         gate_routes=gate_routes,
     )
+    return replace(sol, objective_value=objective(sol, cfg))
 
 
 def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
@@ -504,7 +528,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
     def do_leaf():
         cells = tuple(cell_of)
-        cand = [_junction_choices(m, tables, cfg, cells[qa], cells[qb]) for qa, qb in cnot_ops]
+        cand = [scorer.junction_choices(cells[qa], cells[qb]) for qa, qb in cnot_ops]
         for combo in itertools.product(*cand):
             leaf_tick[0] += 1
             if leaf_tick[0] % 256 == 0:
@@ -594,9 +618,15 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     if missing:
         return v + [f"gates {missing} unscheduled"]
 
-    ec = tables.cnot_rel_return if flag else tables.cnot_rel
     occupied: dict[int, tuple[int, ...]] = {}
     is_static = variant == Variant.T_SMT.value
+    model = None
+    if routing != Routing.BEST_PATH.value:
+        try:
+            model = _CostModel(m, tables, cfg or ProblemConfig(
+                variant, routing, omega=omega, count_return_swaps=flag))
+        except ValueError as exc:
+            return v + [f"solution config rejected: {exc}"]
 
     for g in c.gates:
         if g.kind is GateKind.CNOT:
@@ -604,7 +634,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             if a == b:
                 v.append(f"CNOT {g.id} endpoints share cell {a}")
                 continue
-            if routing == Routing.BEST_PATH.value:
+            if model is None:
                 route = sol.gate_routes.get(g.id, ())
                 if not route or route[0] != a or route[-1] != b:
                     v.append(f"CNOT {g.id} route does not join its endpoints")
@@ -621,36 +651,23 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                 if j not in tables.junctions[(a, b)]:
                     v.append(f"CNOT {g.id} junction {jpos} illegal for its endpoints")
                     continue
-                if is_static:
-                    expect_dur = static_cnot_duration(manhattan(m.pos(a), m.pos(b)), m)
-                else:
-                    expect_dur = int(tables.delta[a, b])
-                expect_eps = ec[(a, b, j)]
-                occupied[g.id] = route_cells(m, a, b, j) if routing == Routing.ONE_BEND.value \
-                    else _rect_cells(m, a, b)
-            if dur[g.id] != expect_dur:
-                v.append(f"gate {g.id} duration {dur[g.id]} != expected {expect_dur}")
-            if abs(sol.gate_eps.get(g.id, -1.0) - expect_eps) > 1e-12:
-                v.append(f"gate {g.id} reliability inconsistent with tables")
-            deadline_ok = start[g.id] + dur[g.id] <= m.static_coherence_bound - 1 if is_static \
-                else start[g.id] + dur[g.id] <= min(m.qubits[a].t2, m.qubits[b].t2)
-            if not deadline_ok:
-                v.append(f"gate {g.id} breaks its coherence deadline")
+                expect_dur, occupied[g.id] = model.cnot_cost(a, b, j)
+                expect_eps = model.ec[(a, b, j)]
+            own = (a, b)
         else:
             cell = cells[g.operands[0]]
             expect_dur = m.qubits[cell].readout_duration if g.kind is GateKind.MEASURE \
                 else m.single_qubit_duration
-            if dur[g.id] != expect_dur:
-                v.append(f"gate {g.id} duration {dur[g.id]} != expected {expect_dur}")
-            occupied[g.id] = (cell,)
-            deadline_ok = start[g.id] + dur[g.id] <= m.static_coherence_bound - 1 if is_static \
-                else start[g.id] + dur[g.id] <= m.qubits[cell].t2
-            if not deadline_ok:
-                v.append(f"gate {g.id} breaks its coherence deadline")
-            if g.kind is GateKind.MEASURE:
-                expect_eps = float(tables.readout_rel[cell])
-                if abs(sol.gate_eps.get(g.id, -1.0) - expect_eps) > 1e-12:
-                    v.append(f"gate {g.id} readout reliability inconsistent")
+            expect_eps = float(tables.readout_rel[cell]) if g.kind is GateKind.MEASURE else None
+            occupied[g.id] = own = (cell,)
+        if dur[g.id] != expect_dur:
+            v.append(f"gate {g.id} duration {dur[g.id]} != expected {expect_dur}")
+        if expect_eps is not None and abs(sol.gate_eps.get(g.id, -1.0) - expect_eps) > 1e-12:
+            v.append(f"gate {g.id} reliability inconsistent with tables")
+        deadline = m.static_coherence_bound - 1 if is_static \
+            else min(m.qubits[cl].t2 for cl in own)
+        if start[g.id] + dur[g.id] > deadline:
+            v.append(f"gate {g.id} breaks its coherence deadline")
 
     for g1, g2 in sorted(build_dag(c).edges):
         if start[g2] < start[g1] + dur[g1]:
@@ -741,12 +758,36 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
 
     bboxes: dict[int, list[tuple[str, str, str, str]]] = {}
 
+    def junction_switch(i: int, qa: int, qb: int, value) -> str:
+        # ite switch on CNOT i's (control, target, junction) cells; value maps a
+        # tables key to its SMT literal. A corner matching an endpoint means
+        # colinear cells: either corner walks the same straight route.
+        entries = []
+        for a in cells:
+            pa = m.pos(a)
+            for b in cells:
+                if a == b:
+                    continue
+                pb = m.pos(b)
+                legal = tables.junctions[(a, b)]
+                for jpos in {(pa[0], pb[1]), (pb[0], pa[1])}:
+                    jc = m.cell_id(jpos)
+                    entries.append((f"(and (= cq{qa} {a}) (= cq{qb} {b}) (= cj{i} {jc}))",
+                                    value((a, b, jc if jc in legal else legal[0]))))
+        return _ite_chain(entries[:-1], entries[-1][1])
+
     for g in c.gates:
         i = g.id
         add(f"(declare-const t{i} Int)")
         add(f"(assert (>= t{i} 0))")
         if g.kind is GateKind.CNOT:
             qa, qb = g.operands
+            if one_bend:
+                add(f"(declare-const jx{i} Int)")
+                add(f"(declare-const jy{i} Int)")
+                add(f"(assert (or (and (= jx{i} qx{qa}) (= jy{i} qy{qb})) "
+                    f"(and (= jx{i} qx{qb}) (= jy{i} qy{qa}))))")
+                add(f"(define-fun cj{i} () Int (+ (* {my} jx{i}) jy{i}))")
             if is_static or uniform_edge_dur:
                 tau = m.static_tau_cnot if is_static else next(iter(edge_durs), m.static_tau_cnot)
                 add(f"(define-fun dx{i} () Int (ite (<= qx{qa} qx{qb}) "
@@ -754,6 +795,9 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
                 add(f"(define-fun dy{i} () Int (ite (<= qy{qa} qy{qb}) "
                     f"(- qy{qb} qy{qa}) (- qy{qa} qy{qb})))")
                 add(f"(define-fun d{i} () Int (- (* {6 * tau} (+ dx{i} dy{i})) {5 * tau}))")
+            elif one_bend:
+                add(f"(define-fun d{i} () Int "
+                    f"{junction_switch(i, qa, qb, lambda k: str(tables.cnot_dur[k]))})")
             else:
                 entries = []
                 for a in cells:
@@ -763,11 +807,6 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
                                             str(int(tables.delta[a, b]))))
                 add(f"(define-fun d{i} () Int {_ite_chain(entries[:-1], entries[-1][1])})")
             if one_bend:
-                add(f"(declare-const jx{i} Int)")
-                add(f"(declare-const jy{i} Int)")
-                add(f"(assert (or (and (= jx{i} qx{qa}) (= jy{i} qy{qb})) "
-                    f"(and (= jx{i} qx{qb}) (= jy{i} qy{qa}))))")
-                add(f"(define-fun cj{i} () Int (+ (* {my} jx{i}) jy{i}))")
                 for snum, (px, py) in ((1, (f"qx{qa}", f"qy{qa}")), (2, (f"qx{qb}", f"qy{qb}"))):
                     add(f"(define-fun r{i}s{snum}lx () Int (ite (<= {px} jx{i}) {px} jx{i}))")
                     add(f"(define-fun r{i}s{snum}rx () Int (ite (<= {px} jx{i}) jx{i} {px}))")
@@ -833,24 +872,8 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
                 ro_terms.append(f"lnro{i}")
             elif g.kind is GateKind.CNOT:
                 qa, qb = g.operands
-                entries = []
-                for a in cells:
-                    pa = m.pos(a)
-                    for b in cells:
-                        if a == b:
-                            continue
-                        pb = m.pos(b)
-                        legal = tables.junctions[(a, b)]
-                        for jpos in {(pa[0], pb[1]), (pb[0], pa[1])}:
-                            jc = m.cell_id(jpos)
-                            # a corner matching an endpoint means colinear cells:
-                            # either corner walks the same straight route
-                            eps = ec[(a, b, jc)] if jc in legal else ec[(a, b, legal[0])]
-                            entries.append(
-                                (f"(and (= cq{qa} {a}) (= cq{qb} {b}) (= cj{i} {jc}))",
-                                 _smt_real(math.log(eps))))
-                add(f"(define-fun lnec{i} () Real "
-                    f"{_ite_chain(entries[:-1], entries[-1][1])})")
+                lnec = junction_switch(i, qa, qb, lambda k: _smt_real(math.log(ec[k])))
+                add(f"(define-fun lnec{i} () Real {lnec})")
                 cx_terms.append(f"lnec{i}")
         sum_ro = "0.0" if not ro_terms else ro_terms[0] if len(ro_terms) == 1 \
             else "(+ " + " ".join(ro_terms) + ")"

@@ -85,7 +85,8 @@ def bv_fanin(nq):
 
 
 def pool_instances():
-    """>=200 instances across 2x2 / 2x3 / 3x2 synthetic calibrations."""
+    """>=200 instances across 2x2 / 2x3 / 3x2 synthetic calibrations, plus
+    2x3 / 3x2 ones with jittered edge durations."""
     out = []
     for seed in range(60):
         out.append((f"2x2-r3-{seed}", capped_random(3, 8, seed, 5, 2), "2x2"))
@@ -106,6 +107,14 @@ def pool_instances():
     out.append(("2x3-fanin4", bv_fanin(4), "2x3"))
     out.append(("3x2-fanin3", bv_fanin(3), "3x2"))
     out.append(("3x2-fanin4", bv_fanin(4), "3x2"))
+    # Jittered edge durations: the two junctions of a bent route take
+    # different times to walk. Toffoli's triangle and a 5-qubit fan-in force
+    # a bent route on these grids.
+    for mkey in ("2x3j", "3x2j"):
+        out.append((f"{mkey}-toffoli", gen_toffoli(), mkey))
+        out.append((f"{mkey}-fanin5", bv_fanin(5), mkey))
+        for seed in range(6):
+            out.append((f"{mkey}-r3-{seed}", capped_random(3, 8, 4000 + seed, 5, 2), mkey))
     return out
 
 
@@ -141,6 +150,8 @@ def pool():
         "2x2": load_calibration(synth_calibration(2, 2, 41)),
         "2x3": load_calibration(synth_calibration(2, 3, 42)),
         "3x2": load_calibration(synth_calibration(3, 2, 43)),
+        "2x3j": load_calibration(synth_calibration(2, 3, 44, jitter_durations=True)),
+        "3x2j": load_calibration(synth_calibration(3, 2, 47, jitter_durations=True)),
     }
     tables = {key: build_tables(m) for key, m in machines.items()}
     res = PoolResults(0, 0, [], [], [], [], [], 0.0)

@@ -188,23 +188,6 @@ class TestCompare:
         assert code == 2
         assert "qiskit" in json.loads(stderr)["message"]
 
-    def test_thread_cap_is_validated(self, tmp_path, capsys, bv4, monkeypatch):
-        monkeypatch.setenv("NISQC_THREADS", "many")
-        cal = uniform_cal(tmp_path, 3, 3)
-        code, _, stderr = run(capsys, "compare", bv4, cal)
-        assert code == 2
-        assert "NISQC_THREADS" in json.loads(stderr)["message"]
-
-    def test_thread_cap_respected(self, tmp_path, capsys, bv4, monkeypatch):
-        monkeypatch.setenv("NISQC_THREADS", "2")
-        cal = uniform_cal(tmp_path, 3, 3)
-        out = str(tmp_path / "cmp3")
-        code, _, _ = run(capsys, "compare", bv4, cal,
-                         "--variants", "greedy-v,greedy-e",
-                         "--trials", "500", "--out", out)
-        assert code == 0
-        assert len(list(csv.DictReader(open(out + ".csv")))) == 2
-
 
 class TestBench:
     def test_row_count_is_sizes_times_variants(self, tmp_path, capsys):

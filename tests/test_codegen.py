@@ -17,7 +17,7 @@ from nisqc.codegen import (
     record_to_json,
     to_record,
 )
-from nisqc.machine import build_tables, canonical_junction, load_calibration
+from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
 from nisqc.optimal import (
     ProblemConfig,
     Schedule,
@@ -50,7 +50,7 @@ def assigned(c, m, cells, variant="t-smt-star", **cfg_over):
     cfg = ProblemConfig(variant=variant, **cfg_over)
     t = build_tables(m)
     junctions = tuple(
-        canonical_junction(m, cells[g.operands[0]], cells[g.operands[1]])
+        canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
         for g in c.gates if g.kind is GateKind.CNOT)
     return solution_from_assignment(c, m, cfg, cells, junctions, tables=t)
 
@@ -173,6 +173,26 @@ class TestExpandConsistency:
                 cc = expand(sol, c, m)
                 assert cc.makespan == sol.schedule.makespan
                 assert cc.objective_value == sol.objective_value
+
+    @pytest.mark.parametrize("variant", ["t-smt-star", "r-smt-star"])
+    def test_jittered_one_bend_solution_expands(self, variant):
+        # Both solves here weigh a bent CNOT route whose junctions take
+        # different times to walk; a solution priced at the faster junction's
+        # time while routed through the slower one cannot expand.
+        m = load_calibration(synth_calibration(3, 3, 13, jitter_durations=True))
+        t = build_tables(m)
+        c = gen_random(4, 12, 13)
+        cfg = ProblemConfig(variant=variant, routing="1bp")
+        sol = solve_exact(c, m, cfg, tables=t)
+        if variant == "r-smt-star":
+            # the most reliable route is the slower junction's
+            cells = sol.placement.cells(m)
+            assert any(sol.schedule.dur[g] > t.delta[cells[c.gates[g].operands[0]],
+                                                      cells[c.gates[g].operands[1]]]
+                       for g in sol.routes.junction)
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+        cc = expand(sol, c, m)
+        assert cc.makespan == sol.schedule.makespan
 
     def test_tampered_duration_raises(self):
         m = line_machine(3)

@@ -43,11 +43,11 @@ def udoc(mx, my, **over):
 
 def assigned(c, m, cells, variant="t-smt-star", **cfg_over):
     cfg = ProblemConfig(variant=variant, **cfg_over)
+    t = build_tables(m)
     junctions = tuple(
-        canonical_junction(m, cells[g.operands[0]], cells[g.operands[1]])
+        canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
         for g in c.gates if g.kind is GateKind.CNOT)
-    return solution_from_assignment(c, m, cfg, cells, junctions,
-                                    tables=build_tables(m))
+    return solution_from_assignment(c, m, cfg, cells, junctions, tables=t)
 
 
 def toffoli_with_inputs(a, b):

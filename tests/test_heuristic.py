@@ -4,6 +4,7 @@ every compiled schedule must satisfy the same verifier as the exact solver."""
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from nisqc.circuit import build_circuit, build_program_graph, gen_bv, gen_random, gen_toffoli
@@ -17,7 +18,7 @@ from nisqc.heuristic import (
     greedy_vertex_map,
     heuristic_compile,
 )
-from nisqc.machine import build_tables, load_calibration
+from nisqc.machine import build_tables, load_calibration, synth_calibration
 from nisqc.optimal import Infeasible, ProblemConfig, check_solution, solve_exact
 
 
@@ -115,6 +116,23 @@ class TestGreedyEdge:
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
         p = greedy_edge_map(build_program_graph(c), m, t)
         assert [m.cell_id(p.loc[q]) for q in range(4)] == [0, 1, 13, 14]
+
+    @pytest.mark.parametrize("seed", [1, 6, 9, 12])
+    def test_full_occupancy_without_a_free_edge(self, seed):
+        # Three disjoint CNOT pairs fill a 2x3 grid; after the first pairs no
+        # two free cells may be adjacent, so a pair seeds on readout cells.
+        m = load_calibration(synth_calibration(2, 3, seed))
+        t = build_tables(m)
+        rng = np.random.default_rng(seed)
+        perm = [int(q) for q in rng.permutation(6)]
+        ops = []
+        for k in range(3):
+            ops += [("cx", (perm[2 * k], perm[2 * k + 1]))] * int(rng.integers(1, 4))
+        c = build_circuit(6, 0, ops)
+        sol = heuristic_compile(c, m, t, HeuristicConfig(policy="greedy-e"))
+        assert len(set(sol.placement.loc.values())) == 6
+        assert check_solution(sol, c, m, tables=t) == []
+        expand(sol, c, m)
 
     def test_bv4_stays_swap_free_on_uniform_grid(self):
         m, t = machine(3, 3)

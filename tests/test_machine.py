@@ -179,6 +179,23 @@ class TestTables:
                 cands += [total - 5 * durs[-1], total - 5 * durs[0]]
             assert t.delta[a, b] == min(cands)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_junction_durations(self, shape, seed):
+        m = load_calibration(jittered_doc(*shape, seed))
+        t = build_tables(m)
+        assert t.cnot_dur.keys() == t.cnot_rel.keys()
+        for (a, b, j), dur in t.cnot_dur.items():
+            route = route_cells(m, a, b, j)
+            assert dur == min(path_duration(m, route), path_duration(m, route[::-1]))
+        differ = 0
+        for (a, b), js in t.junctions.items():
+            durs = {j: t.cnot_dur[(a, b, j)] for j in js}
+            differ += len(set(durs.values())) > 1
+            assert t.delta[a, b] == min(durs.values())
+            assert canonical_junction(t, a, b) == min(js, key=lambda j: (durs[j], j))
+        assert differ > 0   # jitter makes some bent routes' junctions differ
+
     def test_adjacent_cnot_rel(self, m33):
         t = build_tables(m33)
         assert t.junctions[(0, 1)] == (0,)
@@ -263,7 +280,7 @@ class TestTables:
         m = load_calibration(doc)
         c, t = m.cell_id((0, 0)), m.cell_id((1, 1))
         # Route through (1,0) avoids the slow edge entirely.
-        assert canonical_junction(m, c, t) == m.cell_id((1, 0))
+        assert canonical_junction(build_tables(m), c, t) == m.cell_id((1, 0))
 
     def test_path_duration_walk(self):
         doc = uniform_doc(1, 3, cnot_duration=2)

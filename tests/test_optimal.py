@@ -3,15 +3,18 @@ permutation enumerator with its own quadratic scheduler."""
 
 import itertools
 import math
+import re
 
 import pytest
 
 from nisqc.circuit import GateKind, build_circuit, build_dag, gen_bv, gen_random, gen_toffoli
+from nisqc.codegen import CodegenError, expand
 from nisqc.machine import (
     build_tables,
     canonical_junction,
     load_calibration,
     manhattan,
+    path_duration,
     route_cells,
     static_cnot_duration,
 )
@@ -49,6 +52,14 @@ def place(m, *cells):
     return Placement(loc={q: m.pos(c) for q, c in enumerate(cells)})
 
 
+def slow_corner_machine():
+    """2x2 grid whose (0,0)-(0,1) edge is slow: the CNOT (0,0) -> (1,1) walks
+    in 21 timeslots through junction (0,1) and in 14 through (1,0)."""
+    doc = udoc(2, 2)
+    doc["edges"] = [{"a": [0, 0], "b": [0, 1], "cnot_duration": 9}]
+    return load_calibration(doc)
+
+
 # ---------------------------------------------------------------- oracle ---
 
 def naive_starts(c, m, cfg, tables, cells, junctions):
@@ -59,12 +70,13 @@ def naive_starts(c, m, cfg, tables, cells, junctions):
     for g in c.gates:
         if g.kind is GateKind.CNOT:
             a, b = cells[g.operands[0]], cells[g.operands[1]]
+            route = route_cells(m, a, b, junctions[ji])
             if static:
                 durs[g.id] = static_cnot_duration(manhattan(m.pos(a), m.pos(b)), m)
             else:
-                durs[g.id] = int(tables.delta[a, b])
+                durs[g.id] = min(path_duration(m, route), path_duration(m, route[::-1]))
             if cfg.routing is Routing.ONE_BEND:
-                regions[g.id] = set(route_cells(m, a, b, junctions[ji]))
+                regions[g.id] = set(route)
             else:
                 (ax, ay), (bx, by) = m.pos(a), m.pos(b)
                 regions[g.id] = {m.cell_id((x, y))
@@ -117,7 +129,7 @@ def oracle_best(c, m, cfg):
         for g in cnots:
             a, b = cells[g.operands[0]], cells[g.operands[1]]
             choices.append(tables.junctions[(a, b)] if cfg.routing is Routing.ONE_BEND
-                           else (canonical_junction(m, a, b),))
+                           else (canonical_junction(tables, a, b),))
         for combo in itertools.product(*choices):
             got = naive_starts(c, m, cfg, tables, cells, combo)
             if got is None:
@@ -199,6 +211,16 @@ class TestGateDuration:
         p = place(m, 0, 4)
         got = gate_duration(c.gates[0], p, ProblemConfig(Variant.T_SMT_STAR), m, t)
         assert got == int(t.delta[0, 4])
+
+    def test_one_bend_uses_the_junction(self):
+        m = slow_corner_machine()
+        t = build_tables(m)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        p = place(m, 0, 3)
+        cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
+        slow = RouteAssignment({0: (0, 1)}, {})
+        assert gate_duration(c.gates[0], p, cfg, m, t, slow) == 21
+        assert gate_duration(c.gates[0], p, cfg, m, t) == int(t.delta[0, 3]) == 14
 
     def test_measure_and_single(self):
         m = load_calibration(udoc(2, 2))
@@ -331,6 +353,15 @@ class TestCanonicalSchedule:
         s = canonical_schedule(c, p, routes, cfg, m, t)
         assert s.start[1] >= s.start[0] + s.dur[0] or s.start[0] >= s.start[1] + s.dur[1]
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_illegal_junction_rejected(self, variant):
+        m = load_calibration(udoc(2, 2))
+        t = build_tables(m)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        cfg = ProblemConfig(variant, Routing.ONE_BEND)
+        with pytest.raises(ValueError, match="not legal"):
+            canonical_schedule(c, place(m, 0, 1), RouteAssignment({0: (1, 1)}, {}), cfg, m, t)
+
     def test_coherence_infeasible(self):
         m = load_calibration(udoc(1, 2, t2=5))
         t = build_tables(m)
@@ -347,7 +378,7 @@ class TestCanonicalSchedule:
             c = gen_random(4, 10, seed=seed)
             cells = (0, 2, 3, 5)
             junctions = tuple(
-                canonical_junction(m, cells[g.operands[0]], cells[g.operands[1]])
+                canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
                 for g in c.gates if g.kind is GateKind.CNOT)
             got = naive_starts(c, m, cfg, t, cells, junctions)
             assert got is not None
@@ -486,9 +517,10 @@ class TestCheckSolution:
         cfg = ProblemConfig(Variant.T_SMT)
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
         cells = (0, 2, 1, 7)  # rects share cell (0,1)
+        t = build_tables(m)
         sol = solution_from_assignment(c, m, cfg, cells,
-                                       (canonical_junction(m, 0, 2),
-                                        canonical_junction(m, 1, 7)))
+                                       (canonical_junction(t, 0, 2),
+                                        canonical_junction(t, 1, 7)), tables=t)
         start = dict(sol.schedule.start)
         start[0] = start[1] = 0
         bad = dataclasses.replace(sol, schedule=type(sol.schedule)(
@@ -512,6 +544,25 @@ class TestCheckSolution:
         bad = dataclasses.replace(
             sol, routes=RouteAssignment(junction=junction, rect=dict(sol.routes.rect)))
         assert any("junction" in v for v in check_solution(bad, c, m, cfg))
+
+    def test_one_bend_duration_follows_the_junction(self):
+        import dataclasses
+        m = slow_corner_machine()
+        t = build_tables(m)
+        cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        slow = m.cell_id((0, 1))
+        sol = solution_from_assignment(c, m, cfg, (0, 3), (slow,), tables=t)
+        assert sol.schedule.dur[0] == t.cnot_dur[(0, 3, slow)] == 21
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+        expand(sol, c, m)
+        # priced at the faster junction's duration: too short to walk
+        short = dataclasses.replace(sol, schedule=type(sol.schedule)(
+            start=dict(sol.schedule.start), dur={0: int(t.delta[0, 3])}))
+        assert any("duration" in v for v in check_solution(short, c, m, cfg, tables=t))
+        assert any("duration" in v for v in check_solution(short, c, m))
+        with pytest.raises(CodegenError):
+            expand(short, c, m)
 
     def test_objective_consistency(self):
         import dataclasses
@@ -543,6 +594,20 @@ class TestEmitSmtlib:
         assert "(maximize obj)" in text
         assert "lnec" in text and "lnro" in text
         assert "jx" in text and "jy" in text
+
+    def test_one_bend_durations_keyed_by_junction(self):
+        m = slow_corner_machine()
+        t = build_tables(m)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        text = emit_smtlib(c, m, ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND))
+        assert text.index("(define-fun cj0 ") < text.index("(define-fun d0 ")
+        d0 = next(line for line in text.splitlines() if line.startswith("(define-fun d0 "))
+        cases = re.findall(r"\(= cq0 (\d+)\) \(= cq1 (\d+)\) \(= cj0 (\d+)\)\) (\d+)", d0)
+        assert ("0", "3", "1", "21") in cases and ("0", "3", "2", "14") in cases
+        for a, b, j, dur in cases:
+            a, b, j = int(a), int(b), int(j)
+            legal = j if j in t.junctions[(a, b)] else t.junctions[(a, b)][0]
+            assert int(dur) == t.cnot_dur[(a, b, legal)]
 
 
 def _z3_objective(text):
