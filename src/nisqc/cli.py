@@ -192,6 +192,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _check_circuit_size(nq: int, ng: int) -> None:
+    if nq < 2:
+        raise UsageError(f"{nq} qubits: a circuit needs at least 2")
+    if ng < 0:
+        raise UsageError(f"{ng} gates: the gate count cannot be negative")
+
+
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
     sizes = []
     for part in text.split(","):
@@ -201,6 +208,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
             sizes.append((int(nq), int(ng)))
         except ValueError as exc:
             raise UsageError(f"bad --sizes entry {part!r}; expected QUBITS:GATES") from exc
+        _check_circuit_size(*sizes[-1])
     return sizes
 
 
@@ -243,11 +251,13 @@ def cmd_bench(args) -> int:
 
 def cmd_gen_circuit(args) -> int:
     if args.kind == "bv":
+        _check_circuit_size(args.qubits, 0)
         secret = args.secret if args.secret is not None else "1" * (args.qubits - 1)
         c = gen_bv(args.qubits, secret)
     elif args.kind == "toffoli":
         c = gen_toffoli()
     else:
+        _check_circuit_size(args.qubits, args.gates)
         c = gen_random(args.qubits, args.gates, args.seed)
     text = to_qasm(c)
     if args.out:

@@ -82,7 +82,6 @@ class Placement:
 @dataclass(frozen=True)
 class RouteAssignment:
     junction: dict[int, tuple[int, int]]
-    rect: dict[int, tuple[int, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -398,44 +397,60 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
                              optimal: bool = True) -> Solution:
     """Materialize a full Solution from placement cells (by qubit id) and junction
     cells (by CNOT order)."""
-    tables = tables if tables is not None else build_tables(m)
-    scorer = _Scorer(c, m, tables, cfg)
+    model = _CostModel(m, tables if tables is not None else build_tables(m), cfg)
+    return _build_solution(
+        c, m, cfg, cells, junctions,
+        lambda k, a, b: (route_cells(m, a, b, junctions[k]), model.ec[(a, b, junctions[k])]),
+        lambda k, a, b: model.cnot_cost(a, b, junctions[k]),
+        variant=cfg.variant.value, routing=cfg.routing.value, optimal=optimal)
+
+
+def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_route,
+                    cnot_cost, *, variant: str, routing: str, optimal: bool) -> Solution:
+    """The one place a Solution is assembled, for the exact solver and the
+    greedy mappers alike.
+
+    cells are placement cells by qubit id and junctions the junction cells by
+    CNOT order (none for best-path routes). cnot_route(k, a, b) gives the k-th
+    CNOT's (route, reliability) between cells a and b, and cnot_cost(k, a, b)
+    its (duration, occupied cells) for the canonical scheduler; a readout's
+    reliability is its cell's. cfg supplies omega and count_return_swaps. The
+    objective is recomputed from the result. Raises Infeasible.
+    """
     try:
-        starts, durs = scorer.schedule_arrays(cells, junctions)
+        starts, durs = _schedule_gates(c, m, cells, cnot_cost, *_dag_lists(c),
+                                       static=variant == Variant.T_SMT.value)
     except _InfeasibleSchedule as exc:
         raise Infeasible(str(exc)) from exc
-    junction_pos: dict[int, tuple[int, int]] = {}
-    rect: dict[int, tuple[int, int, int, int]] = {}
+    junction: dict[int, tuple[int, int]] = {}
     gate_routes: dict[int, tuple[int, ...]] = {}
     gate_eps: dict[int, float] = {}
-    ji = 0
+    k = 0
     for g in c.gates:
         if g.kind is GateKind.CNOT:
             a, b = cells[g.operands[0]], cells[g.operands[1]]
-            j = junctions[ji]
-            ji += 1
-            junction_pos[g.id] = m.pos(j)
-            (ax, ay), (bx, by) = m.pos(a), m.pos(b)
-            rect[g.id] = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-            gate_routes[g.id] = route_cells(m, a, b, j)
-            gate_eps[g.id] = scorer.ec[(a, b, j)]
+            route, eps = cnot_route(k, a, b)
+            gate_routes[g.id], gate_eps[g.id] = route, float(eps)
+            if junctions:
+                junction[g.id] = m.pos(junctions[k])
+            k += 1
         elif g.kind is GateKind.MEASURE:
-            gate_eps[g.id] = float(tables.readout_rel[cells[g.operands[0]]])
+            gate_eps[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
     sol = Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
-        routes=RouteAssignment(junction=junction_pos, rect=rect),
+        routes=RouteAssignment(junction=junction),
         schedule=Schedule(start={g.id: starts[g.id] for g in c.gates},
                           dur={g.id: durs[g.id] for g in c.gates}),
         objective_value=0.0,
         optimal=optimal,
-        variant=cfg.variant.value,
-        routing=cfg.routing.value,
+        variant=variant,
+        routing=routing,
         omega=cfg.omega,
         count_return_swaps=cfg.count_return_swaps,
         gate_eps=gate_eps,
         gate_routes=gate_routes,
     )
-    return replace(sol, objective_value=objective(sol, cfg))
+    return replace(sol, objective_value=objective(sol))
 
 
 def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
@@ -673,14 +688,25 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
         if start[g2] < start[g1] + dur[g1]:
             v.append(f"dependency violated: gate {g2} starts before gate {g1} finishes")
 
-    ids = sorted(occupied)
-    for i, g1 in enumerate(ids):
-        set1 = set(occupied[g1])
-        for g2 in ids[i + 1:]:
-            if set1.isdisjoint(occupied[g2]):
-                continue
-            if start[g1] < start[g2] + dur[g2] and start[g2] < start[g1] + dur[g1]:
-                v.append(f"gates {g1} and {g2} overlap in space and time")
+    # Two gates clash when they share a cell and s1 < e2 and s2 < e1. On one
+    # cell, sorted by start, a gate can clash only with the later-sorted gates
+    # that start before its end. Both inequalities are still tested, so
+    # durations of 0 or below give the same pairs as testing every pair.
+    by_cell: dict[int, list[tuple[int, int, int]]] = {}
+    for g, region in occupied.items():
+        for cell in set(region):
+            by_cell.setdefault(cell, []).append((start[g], start[g] + dur[g], g))
+    clashes: set[tuple[int, int]] = set()
+    for ivs in by_cell.values():
+        ivs.sort()
+        for i, (s1, e1, g1) in enumerate(ivs):
+            for k in range(i + 1, len(ivs)):
+                s2, e2, g2 = ivs[k]
+                if s2 >= e1:
+                    break
+                if s1 < e2:
+                    clashes.add((min(g1, g2), max(g1, g2)))
+    v += [f"gates {g1} and {g2} overlap in space and time" for g1, g2 in sorted(clashes)]
 
     expect_obj = objective(sol, cfg)
     tol = 1e-9 if variant == Variant.R_SMT_STAR.value or routing == Routing.BEST_PATH.value else 0.0

@@ -207,6 +207,15 @@ class TestBench:
                 assert d["optimal"] is True
 
 
+    @pytest.mark.parametrize("sizes", ["0:4", "1:4", "4:-1", "2:4,1:4"])
+    def test_sizes_it_cannot_run_exit_2(self, tmp_path, capsys, sizes):
+        code, _, stderr = run(capsys, "bench", "--sizes", sizes, "--variants", "greedy-v",
+                              "--out", str(tmp_path / "bench"))
+        assert code == 2
+        assert json.loads(stderr)["error"] == "UsageError"
+        assert not (tmp_path / "bench.csv").exists()
+
+
 class TestGenerators:
     def test_gen_circuit_stdout_is_qasm(self, capsys):
         code, stdout, _ = run(capsys, "gen-circuit", "bv", "--qubits", "5",
@@ -214,6 +223,15 @@ class TestGenerators:
         assert code == 0
         assert stdout.startswith("OPENQASM 2.0;")
         assert stdout.count("cx ") == 2
+
+    @pytest.mark.parametrize("argv", [("random", "--qubits", "1"),
+                                      ("random", "--qubits", "3", "--gates", "-2"),
+                                      ("bv", "--qubits", "1")])
+    def test_gen_circuit_rejects_degenerate_sizes(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "gen-circuit", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "UsageError"
 
     def test_gen_cal_matches_library_synth(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -1,6 +1,8 @@
 """Greedy mapper tests: placements are pinned on hand-built calibrations and
 every compiled schedule must satisfy the same verifier as the exact solver."""
 
+import hashlib
+import json
 import random
 import statistics
 
@@ -36,6 +38,23 @@ def udoc(mx, my, **over):
 def machine(mx, my, **over):
     m = load_calibration(udoc(mx, my, **over))
     return m, build_tables(m)
+
+
+def disjoint_pairs(seed):
+    """Three disjoint CNOT pairs over six qubits, each repeated 1-3 times."""
+    rng = np.random.default_rng(seed)
+    perm = [int(q) for q in rng.permutation(6)]
+    ops = []
+    for k in range(3):
+        ops += [("cx", (perm[2 * k], perm[2 * k + 1]))] * int(rng.integers(1, 4))
+    return build_circuit(6, 0, ops)
+
+
+@pytest.fixture(scope="module")
+def big():
+    """128 qubits and 2048 gates on a uniform 12x12 grid."""
+    m, t = machine(12, 12, t2=10 ** 6)
+    return m, t, gen_random(128, 2048, seed=1)
 
 
 class TestConfig:
@@ -123,12 +142,7 @@ class TestGreedyEdge:
         # two free cells may be adjacent, so a pair seeds on readout cells.
         m = load_calibration(synth_calibration(2, 3, seed))
         t = build_tables(m)
-        rng = np.random.default_rng(seed)
-        perm = [int(q) for q in rng.permutation(6)]
-        ops = []
-        for k in range(3):
-            ops += [("cx", (perm[2 * k], perm[2 * k + 1]))] * int(rng.integers(1, 4))
-        c = build_circuit(6, 0, ops)
+        c = disjoint_pairs(seed)
         sol = heuristic_compile(c, m, t, HeuristicConfig(policy="greedy-e"))
         assert len(set(sol.placement.loc.values())) == 6
         assert check_solution(sol, c, m, tables=t) == []
@@ -219,11 +233,56 @@ class TestQuality:
                 random_objs.append(sol.objective_value)
         assert statistics.median(greedy_objs) >= statistics.median(random_objs)
 
-    def test_large_instance_compiles(self):
-        m, t = machine(12, 12, t2=10 ** 6)
-        c = gen_random(128, 2048, seed=1)
+    def test_large_instance_compiles(self, big):
+        m, t, c = big
         for policy in ("greedy-v", "greedy-e"):
             sol = heuristic_compile(c, m, t, HeuristicConfig(policy=policy))
             assert len(sol.schedule.start) == 2048
             assert sol.objective_value < 0.0
             assert sol.makespan > 0
+
+
+def golden_cases(big):
+    """(machine, tables, circuit) over a fixed seeded sweep of grid shapes."""
+    for seed in range(4):
+        m = load_calibration(synth_calibration(1, 7, seed))
+        yield m, build_tables(m), gen_random(3 + seed, 6 * (seed + 1), seed)
+    for seed in (1, 6, 9):
+        m = load_calibration(synth_calibration(2, 3, seed))
+        yield m, build_tables(m), disjoint_pairs(seed)
+    for n in (3, 4, 5, 6):
+        for seed in range(3):
+            m = load_calibration(synth_calibration(n, n, 10 * n + seed,
+                                                   jitter_durations=True))
+            t = build_tables(m)
+            # sparse circuits leave several components and isolated qubits
+            yield m, t, gen_random(n * n, 2 * n, seed)
+            yield m, t, gen_random(n + seed, 8 * n, seed)
+    yield big
+
+
+class TestGoldenPlacements:
+    def test_placements_are_pinned(self, big):
+        cells = []
+        for m, t, c in golden_cases(big):
+            pg = build_program_graph(c)
+            for mapper in (greedy_vertex_map, greedy_edge_map):
+                p = mapper(pg, m, t)
+                cells.append([m.cell_id(p.loc[q]) for q in range(c.num_qubits)])
+        digest = hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+        assert digest == "37c60cea93f799016b99f140904b485944c9c4ae1b3b43b093f7ba1443b25c2b"
+
+    def test_frontier_ranks_pick_different_next_qubits(self):
+        # Qubit 2 (degree 3) and qubit 5 (two CNOTs with qubit 1) both join
+        # the placed set only through qubit 1, so whichever is placed first
+        # takes the lower-numbered free neighbour of 1's cell. greedy-v ranks
+        # by degree and places 2 first; greedy-e ranks by the heavier edge
+        # into the placed set and places 5 first.
+        m, t = machine(3, 3)
+        ops = [("cx", (0, 1))] * 3 + [("cx", (1, 5))] * 2 \
+            + [("cx", (1, 2)), ("cx", (2, 3)), ("cx", (2, 4))]
+        pg = build_program_graph(build_circuit(6, 0, ops))
+        pv = greedy_vertex_map(pg, m, t)
+        assert [m.cell_id(pv.loc[q]) for q in range(6)] == [1, 4, 3, 0, 6, 5]
+        pe = greedy_edge_map(pg, m, t)
+        assert [m.cell_id(pe.loc[q]) for q in range(6)] == [0, 1, 4, 3, 5, 2]

@@ -218,7 +218,7 @@ class TestGateDuration:
         c = build_circuit(2, 0, [("cx", (0, 1))])
         p = place(m, 0, 3)
         cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
-        slow = RouteAssignment({0: (0, 1)}, {})
+        slow = RouteAssignment({0: (0, 1)})
         assert gate_duration(c.gates[0], p, cfg, m, t, slow) == 21
         assert gate_duration(c.gates[0], p, cfg, m, t) == int(t.delta[0, 3]) == 14
 
@@ -246,7 +246,7 @@ class TestGateReliability:
         t = build_tables(m)
         c = build_circuit(2, 1, [("h", (0,)), ("cx", (0, 1)), ("measure", (1,), 0)])
         p = place(m, 0, 3)
-        routes = RouteAssignment(junction={1: m.pos(1)}, rect={})
+        routes = RouteAssignment(junction={1: m.pos(1)})
         assert gate_reliability(c.gates[0], p, routes, t) == 1.0
         assert abs(gate_reliability(c.gates[1], p, routes, t) - 0.6561) < 1e-12
         assert abs(gate_reliability(c.gates[2], p, routes, t) - 0.93) < 1e-12
@@ -257,7 +257,7 @@ class TestGateReliability:
         c = build_circuit(2, 0, [("cx", (0, 1))])
         p = place(m, 0, 3)
         for j in (1, 2):
-            routes = RouteAssignment(junction={0: m.pos(j)}, rect={})
+            routes = RouteAssignment(junction={0: m.pos(j)})
             assert abs(gate_reliability(c.gates[0], p, routes, t) - 0.6561) < 1e-12
 
     def test_adjacent(self):
@@ -265,7 +265,7 @@ class TestGateReliability:
         t = build_tables(m)
         c = build_circuit(2, 0, [("cx", (0, 1))])
         p = place(m, 0, 1)
-        routes = RouteAssignment(junction={0: m.pos(0)}, rect={})
+        routes = RouteAssignment(junction={0: m.pos(0)})
         assert abs(gate_reliability(c.gates[0], p, routes, t) - 0.9) < 1e-12
 
     def test_illegal_junction(self):
@@ -273,7 +273,7 @@ class TestGateReliability:
         t = build_tables(m)
         c = build_circuit(2, 0, [("cx", (0, 1))])
         p = place(m, 0, 1)
-        routes = RouteAssignment(junction={0: m.pos(3)}, rect={})
+        routes = RouteAssignment(junction={0: m.pos(3)})
         with pytest.raises(ValueError):
             gate_reliability(c.gates[0], p, routes, t)
 
@@ -315,7 +315,7 @@ class TestCanonicalSchedule:
         t = build_tables(m)
         c = build_circuit(2, 1, [("cx", (0, 1)), ("measure", (1,), 0)])
         cfg = ProblemConfig(Variant.T_SMT_STAR)
-        s = canonical_schedule(c, place(m, 0, 1), RouteAssignment({}, {}), cfg, m, t)
+        s = canonical_schedule(c, place(m, 0, 1), RouteAssignment({}), cfg, m, t)
         assert s.start == {0: 0, 1: 2} and s.dur == {0: 2, 1: 3}
         assert s.makespan == 5
 
@@ -324,7 +324,7 @@ class TestCanonicalSchedule:
         t = build_tables(m)
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
         cfg = ProblemConfig(Variant.T_SMT)
-        s = canonical_schedule(c, place(m, 0, 1, 2, 3), RouteAssignment({}, {}), cfg, m, t)
+        s = canonical_schedule(c, place(m, 0, 1, 2, 3), RouteAssignment({}), cfg, m, t)
         assert s.start == {0: 0, 1: 0}
 
     def test_overlapping_rectangles_serialize(self):
@@ -334,7 +334,7 @@ class TestCanonicalSchedule:
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
         p = Placement(loc={0: (0, 0), 1: (0, 2), 2: (0, 1), 3: (2, 1)})
         cfg = ProblemConfig(Variant.T_SMT)
-        s = canonical_schedule(c, p, RouteAssignment({}, {}), cfg, m, t)
+        s = canonical_schedule(c, p, RouteAssignment({}), cfg, m, t)
         d = static_cnot_duration(2, m)
         assert s.dur == {0: d, 1: d}
         assert s.start == {0: 0, 1: d}
@@ -349,7 +349,7 @@ class TestCanonicalSchedule:
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
         p = Placement(loc={0: (0, 0), 1: (0, 2), 2: (0, 1), 3: (2, 1)})
         cfg = ProblemConfig(Variant.T_SMT, Routing.ONE_BEND)
-        routes = RouteAssignment(junction={0: (0, 0), 1: (0, 1)}, rect={})
+        routes = RouteAssignment(junction={0: (0, 0), 1: (0, 1)})
         s = canonical_schedule(c, p, routes, cfg, m, t)
         assert s.start[1] >= s.start[0] + s.dur[0] or s.start[0] >= s.start[1] + s.dur[1]
 
@@ -360,7 +360,7 @@ class TestCanonicalSchedule:
         c = build_circuit(2, 0, [("cx", (0, 1))])
         cfg = ProblemConfig(variant, Routing.ONE_BEND)
         with pytest.raises(ValueError, match="not legal"):
-            canonical_schedule(c, place(m, 0, 1), RouteAssignment({0: (1, 1)}, {}), cfg, m, t)
+            canonical_schedule(c, place(m, 0, 1), RouteAssignment({0: (1, 1)}), cfg, m, t)
 
     def test_coherence_infeasible(self):
         m = load_calibration(udoc(1, 2, t2=5))
@@ -368,7 +368,7 @@ class TestCanonicalSchedule:
         c = build_circuit(1, 1, [("measure", (0,), 0)])
         cfg = ProblemConfig(Variant.T_SMT_STAR)
         with pytest.raises(Infeasible):
-            canonical_schedule(c, place(m, 0), RouteAssignment({}, {}), cfg, m, t)
+            canonical_schedule(c, place(m, 0), RouteAssignment({}), cfg, m, t)
 
     def test_matches_naive_policy_on_random_instances(self):
         m = load_calibration(udoc(2, 3))
@@ -385,7 +385,7 @@ class TestCanonicalSchedule:
             p = Placement(loc={q: m.pos(cells[q]) for q in range(4)})
             jpos = {g.id: m.pos(junctions[i]) for i, g in
                     enumerate(g for g in c.gates if g.kind is GateKind.CNOT)}
-            s = canonical_schedule(c, p, RouteAssignment(jpos, {}), cfg, m, t)
+            s = canonical_schedule(c, p, RouteAssignment(jpos), cfg, m, t)
             assert s.start == got[0] and s.dur == got[1]
 
 
@@ -528,6 +528,55 @@ class TestCheckSolution:
         msgs = check_solution(bad, c, m, cfg)
         assert any("0" in v and "1" in v and "overlap" in v for v in msgs)
 
+    def test_zero_durations_follow_the_pairwise_rule(self):
+        import dataclasses
+        m = load_calibration(udoc(1, 2))
+        cfg = ProblemConfig(Variant.T_SMT_STAR)
+        c = build_circuit(2, 0, [("h", (0,)), ("x", (0,)), ("h", (1,))])
+        sol = solution_from_assignment(c, m, cfg, (0, 1), ())
+
+        def overlaps(start, dur):
+            bad = dataclasses.replace(sol, schedule=type(sol.schedule)(start=start, dur=dur))
+            return [v for v in check_solution(bad, c, m, cfg) if "overlap" in v]
+
+        # two empty intervals at one instant never clash
+        assert overlaps({0: 3, 1: 3, 2: 0}, {0: 0, 1: 0, 2: 1}) == []
+        # an empty interval strictly inside a busy one does
+        assert overlaps({0: 2, 1: 3, 2: 0}, {0: 3, 1: 0, 2: 1}) == \
+            ["gates 0 and 1 overlap in space and time"]
+        assert overlaps({0: 2, 1: 2, 2: 0}, {0: 3, 1: 0, 2: 1}) == []
+
+    def test_overlaps_match_the_pairwise_rule(self):
+        # Tampered schedules, with durations of 0 and below among them: the
+        # verifier reports each clashing pair once, in sorted order, exactly as
+        # a test of every pair of gates sharing a cell does.
+        import dataclasses
+        import random
+        m = load_calibration(udoc(3, 3))
+        t = build_tables(m)
+        cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
+        c = gen_random(6, 40, 4)
+        cells = (4, 0, 8, 2, 6, 1)
+        junctions = tuple(canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
+                          for g in c.gates if g.kind is GateKind.CNOT)
+        sol = solution_from_assignment(c, m, cfg, cells, junctions, tables=t)
+        region = {g.id: set(sol.gate_routes.get(g.id, (cells[g.operands[0]],)))
+                  for g in c.gates}
+        rng = random.Random(7)
+        flagged = 0
+        for _ in range(30):
+            start = {g: rng.randrange(12) for g in region}
+            dur = {g: rng.choice((-1, 0, 0, 1, 2, 5)) for g in region}
+            bad = dataclasses.replace(sol, schedule=type(sol.schedule)(start=start, dur=dur))
+            expect = [f"gates {g1} and {g2} overlap in space and time"
+                      for g1, g2 in itertools.combinations(sorted(region), 2)
+                      if region[g1] & region[g2]
+                      and start[g1] < start[g2] + dur[g2] and start[g2] < start[g1] + dur[g1]]
+            got = [v for v in check_solution(bad, c, m, cfg, tables=t) if "overlap" in v]
+            assert got == expect
+            flagged += len(got)
+        assert flagged > 0
+
     def test_junction_legality(self):
         import dataclasses
         c, m, cfg, sol = self.good()
@@ -542,7 +591,7 @@ class TestCheckSolution:
                        if cell not in t.junctions[(a, b)])
         junction[gid] = m.pos(illegal)
         bad = dataclasses.replace(
-            sol, routes=RouteAssignment(junction=junction, rect=dict(sol.routes.rect)))
+            sol, routes=RouteAssignment(junction=junction))
         assert any("junction" in v for v in check_solution(bad, c, m, cfg))
 
     def test_one_bend_duration_follows_the_junction(self):
