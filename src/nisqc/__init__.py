@@ -23,6 +23,7 @@ from .machine import (
     HardwareEdge,
     HardwareQubit,
     build_tables,
+    cnot_walk,
     load_calibration,
     manhattan,
     one_bend_junctions,

@@ -16,6 +16,7 @@ from .circuit import Circuit, ParseError, gen_bv, gen_random, gen_toffoli, parse
 from .codegen import CodegenError, CompiledCircuit, emit_qasm, expand, from_record, to_record
 from .evaluate import (
     EvalReport,
+    SimulationCapExceeded,
     _atomic_write,
     equivalence_check,
     monte_carlo_success,
@@ -91,10 +92,10 @@ def _compile_one(c: Circuit, m: GridMachine, tables, variant: str, args) -> Solu
 
 
 def _equivalence_or_none(c: Circuit, cc: CompiledCircuit):
-    active = {cell for pg in cc.expanded for cell in pg.hw_operands}
-    if c.num_qubits > 14 or len(active) > 14:
+    try:
+        return equivalence_check(c, cc).passed
+    except SimulationCapExceeded:
         return None
-    return equivalence_check(c, cc).passed
 
 
 def _evaluate_record(cc: CompiledCircuit, benchmark: str, trials: int, seed: int,

@@ -4,6 +4,7 @@ machine-readable compilation record."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
@@ -49,16 +50,14 @@ class CompiledCircuit:
 
 
 def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
-    """Turn a Solution into a physical stream: forward SWAPs (3 CNOTs each)
-    along each route, the gate itself, then return SWAPs restoring the
-    placement. Raises CodegenError when a route cannot be walked in exactly
-    the scheduled duration or the expansion overlaps itself.
+    """Turn a Solution into a physical stream. Each CNOT's stored walk is
+    walked as given: its first cell's qubit moves by forward SWAPs (3 CNOTs
+    each) to the walk's last edge, the CNOT runs there, and return SWAPs
+    restore the placement. Per-gate reliabilities are those of the walk.
+    Raises CodegenError when a walk takes other than its scheduled duration
+    or the expansion overlaps itself.
     """
     static = sol.variant == Variant.T_SMT.value
-
-    def hop(u: int, v: int) -> int:
-        return hop_duration(m, u, v, static)
-
     phys: list[PhysGate] = []
     swap_count = 0
     eps_route: dict[int, float] = {}
@@ -74,37 +73,24 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
         if g.kind is not GateKind.CNOT:
             phys.append(PhysGate(g.kind, (cell,), s, d))
             continue
-        route = sol.gate_routes[g.id]
-        eps_route[g.id] = path_reliability(route, m)
-        eps_strict[g.id] = path_reliability(route, m, count_return_swaps=True)
-        if path_duration(m, route, static) == d:
-            cells, control_moves = route, True
-        elif path_duration(m, route[::-1], static) == d:
-            cells, control_moves = route[::-1], False
-        else:
-            raise CodegenError(
-                f"inconsistent schedule: CNOT {g.id} cannot walk its route in "
-                f"{d} timeslots (control walk takes {path_duration(m, route, static)}, "
-                f"target walk {path_duration(m, route[::-1], static)})")
+        walk = sol.gate_routes[g.id]
+        eps_route[g.id] = path_reliability(walk, m)
+        eps_strict[g.id] = path_reliability(walk, m, count_return_swaps=True)
+        if path_duration(m, walk, static) != d:
+            raise CodegenError(f"inconsistent schedule: CNOT {g.id} walks its route in "
+                               f"{path_duration(m, walk, static)} timeslots, not {d}")
+        # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
+        # last edge, the CNOT runs there in its own direction, the SWAPs undo
+        swaps = list(zip(walk, walk[1:-1]))
+        cx = (walk[-2], walk[-1]) if walk[0] == cell else (walk[-1], walk[-2])
         t = s
-        for i in range(len(cells) - 2):
-            u, v, e = cells[i], cells[i + 1], hop(cells[i], cells[i + 1])
-            phys.append(PhysGate(GateKind.CNOT, (u, v), t, e))
-            phys.append(PhysGate(GateKind.CNOT, (v, u), t + e, e))
-            phys.append(PhysGate(GateKind.CNOT, (u, v), t + 2 * e, e))
-            t += 3 * e
-            swap_count += 1
-        e = hop(cells[-2], cells[-1])
-        pair = (cells[-2], cells[-1]) if control_moves else (cells[-1], cells[-2])
-        phys.append(PhysGate(GateKind.CNOT, pair, t, e))
-        t += e
-        for i in range(len(cells) - 3, -1, -1):
-            u, v, e = cells[i], cells[i + 1], hop(cells[i], cells[i + 1])
-            phys.append(PhysGate(GateKind.CNOT, (v, u), t, e))
-            phys.append(PhysGate(GateKind.CNOT, (u, v), t + e, e))
-            phys.append(PhysGate(GateKind.CNOT, (v, u), t + 2 * e, e))
-            t += 3 * e
-            swap_count += 1
+        for u, v, n in [(u, v, 3) for u, v in swaps] + [(*cx, 1)] \
+                + [(v, u, 3) for u, v in reversed(swaps)]:
+            e = hop_duration(m, u, v, static)
+            for k in range(n):
+                phys.append(PhysGate(GateKind.CNOT, (v, u) if k % 2 else (u, v), t, e))
+                t += e
+        swap_count += 2 * len(swaps)
 
     busy: dict[int, list[tuple[int, int, int]]] = {}
     for idx, pg in enumerate(phys):
@@ -124,16 +110,13 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
             f"inconsistent schedule: expanded makespan {makespan} != "
             f"scheduled {sol.schedule.makespan}")
     eps = eps_strict if sol.count_return_swaps else eps_route
-    reliability = 1.0
-    for gid in sorted(eps):
-        reliability *= eps[gid]
     return CompiledCircuit(
         source=c,
         placement=sol.placement,
         expanded=tuple(phys),
         makespan=makespan,
         swap_count=swap_count,
-        reliability=reliability,
+        reliability=math.prod(eps[gid] for gid in sorted(eps)),
         variant=sol.variant,
         routing=sol.routing,
         omega=sol.omega,
@@ -175,7 +158,9 @@ def to_record(cc: CompiledCircuit) -> dict:
     Keys placement/variant/objective/makespan/swap_count/reliability/gates form
     the stable documented surface; measure gates additionally carry "clbit",
     and the config/eps/routes/source echoes make the record self-contained for
-    later evaluation.
+    later evaluation. gate_routes lists each CNOT's walk, the moving qubit's
+    cell first; eps_route and eps_strict are that walk's reliabilities, so
+    each equals the product of 1 - error over the CNOTs emitted for its gate.
     """
     gates = []
     for pg in cc.expanded:
@@ -211,39 +196,47 @@ def record_to_json(cc: CompiledCircuit) -> str:
 
 
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
-    """Rebuild a CompiledCircuit from a record produced by to_record."""
+    """Rebuild a CompiledCircuit from a record produced by to_record. Raises
+    ValueError for a missing key, a record for another cell count, a gate off
+    the grid or a CNOT on non-adjacent cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    source = parse_circuit(doc["source_qasm"])
-    variant = doc["variant"]
-    static = variant == Variant.T_SMT.value
-    phys = []
-    for entry in doc["gates"]:
-        kind = GateKind(entry["kind"])
-        ops = tuple(entry["hw_operands"])
-        if kind is GateKind.CNOT:
-            dur = hop_duration(m, *ops, static)
-        elif kind is GateKind.MEASURE:
-            dur = m.qubits[ops[0]].readout_duration
-        else:
-            dur = m.single_qubit_duration
-        phys.append(PhysGate(kind, ops, entry["start"], dur, entry.get("clbit")))
-    return CompiledCircuit(
-        source=source,
-        placement=Placement(loc={int(q): tuple(pos)
-                                 for q, pos in doc["placement"].items()}),
-        expanded=tuple(phys),
-        makespan=doc["makespan"],
-        swap_count=doc["swap_count"],
-        reliability=doc["reliability"],
-        variant=variant,
-        routing=doc["config"]["routing"],
-        omega=doc["config"]["omega"],
-        count_return_swaps=doc["config"]["count_return_swaps"],
-        objective_value=doc["objective"],
-        optimal=doc.get("optimal", False),
-        num_cells=doc["config"]["num_cells"],
-        gate_routes={int(g): tuple(r) for g, r in doc["gate_routes"].items()},
-        eps_route={int(g): e for g, e in doc["eps_route"].items()},
-        eps_strict={int(g): e for g, e in doc["eps_strict"].items()},
-    )
+    try:
+        config = doc["config"]
+        if config["num_cells"] != m.num_cells:
+            raise ValueError(f"record is for {config['num_cells']} cells, "
+                             f"the machine has {m.num_cells}")
+        static = doc["variant"] == Variant.T_SMT.value
+        phys = []
+        for entry in doc["gates"]:
+            kind = GateKind(entry["kind"])
+            ops = tuple(entry["hw_operands"])
+            if kind is GateKind.CNOT:
+                dur = hop_duration(m, *ops, static)
+            elif not 0 <= ops[0] < m.num_cells:
+                raise ValueError(f"{kind.value} on cell {ops[0]}, off the {m.mx}x{m.my} grid")
+            elif kind is GateKind.MEASURE:
+                dur = m.qubits[ops[0]].readout_duration
+            else:
+                dur = m.single_qubit_duration
+            phys.append(PhysGate(kind, ops, entry["start"], dur, entry.get("clbit")))
+        return CompiledCircuit(
+            source=parse_circuit(doc["source_qasm"]),
+            placement=Placement(loc={int(q): tuple(pos) for q, pos in doc["placement"].items()}),
+            expanded=tuple(phys),
+            makespan=doc["makespan"],
+            swap_count=doc["swap_count"],
+            reliability=doc["reliability"],
+            variant=doc["variant"],
+            routing=config["routing"],
+            omega=config["omega"],
+            count_return_swaps=config["count_return_swaps"],
+            objective_value=doc["objective"],
+            optimal=doc.get("optimal", False),
+            num_cells=config["num_cells"],
+            gate_routes={int(g): tuple(r) for g, r in doc["gate_routes"].items()},
+            eps_route={int(g): e for g, e in doc["eps_route"].items()},
+            eps_strict={int(g): e for g, e in doc["eps_strict"].items()},
+        )
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

@@ -40,6 +40,10 @@ _GATE_MATRIX = {
 _MAX_SIM_QUBITS = 14
 
 
+class SimulationCapExceeded(ValueError):
+    """The statevector oracle would need more than its qubit cap."""
+
+
 def _apply_single(state: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
     view = state.reshape(1 << (n - 1 - q), 2, 1 << q)
     a = view[:, 0, :].copy()
@@ -72,7 +76,7 @@ def statevector_sim(c: Circuit) -> dict[str, float]:
     """
     n = c.num_qubits
     if n > _MAX_SIM_QUBITS:
-        raise ValueError(f"{n} qubits exceed the {_MAX_SIM_QUBITS}-qubit simulation cap")
+        raise SimulationCapExceeded(f"{n} qubits exceed the {_MAX_SIM_QUBITS}-qubit simulation cap")
     init = np.zeros(1 << n, dtype=complex)
     init[0] = 1.0
     branches: list[tuple[np.ndarray, dict[int, int]]] = [(init, {})]
@@ -111,8 +115,8 @@ def compiled_as_circuit(cc: CompiledCircuit) -> Circuit:
     """Reinterpret the physical stream as a logical circuit on its active cells."""
     active = sorted({cell for pg in cc.expanded for cell in pg.hw_operands})
     if len(active) > _MAX_SIM_QUBITS:
-        raise ValueError(f"{len(active)} active cells exceed the "
-                         f"{_MAX_SIM_QUBITS}-qubit simulation cap")
+        raise SimulationCapExceeded(f"{len(active)} active cells exceed the "
+                                    f"{_MAX_SIM_QUBITS}-qubit simulation cap")
     index = {cell: i for i, cell in enumerate(active)}
     ordered = sorted(range(len(cc.expanded)), key=lambda i: (cc.expanded[i].start, i))
     ops = []
@@ -129,10 +133,12 @@ def equivalence_check(source: Circuit, cc: CompiledCircuit) -> EquivalenceResult
     SWAP chains move state between cells, and every expanded MEASURE already
     targets the measured qubit's home cell with the source clbit, so simulating
     the stream literally (time order) yields a distribution directly comparable
-    to the source's.
+    to the source's. Raises SimulationCapExceeded, before simulating, when
+    either side is over the cap.
     """
+    compiled = compiled_as_circuit(cc)
     want = statevector_sim(source)
-    got = statevector_sim(compiled_as_circuit(cc))
+    got = statevector_sim(compiled)
     keys = set(want) | set(got)
     diffs = [abs(want.get(k, 0.0) - got.get(k, 0.0)) for k in keys]
     tv = 0.5 * sum(diffs)
@@ -142,10 +148,7 @@ def equivalence_check(source: Circuit, cc: CompiledCircuit) -> EquivalenceResult
 def reliability_score(cc: CompiledCircuit, count_return_swaps: bool = False) -> float:
     """Product of per-gate success probabilities over routed CNOTs and readouts."""
     eps = cc.eps_strict if count_return_swaps else cc.eps_route
-    score = 1.0
-    for gid in sorted(eps):
-        score *= eps[gid]
-    return score
+    return math.prod(eps[gid] for gid in sorted(eps))
 
 
 def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int, *,

@@ -228,6 +228,17 @@ def route_cells(m: GridMachine, c: int, t: int, junction: int) -> tuple[int, ...
     return tuple(first + second[1:])
 
 
+def cnot_walk(m: GridMachine, a: int, b: int, junction: int) -> tuple[int, ...]:
+    """The CNOT a -> b's walk along the route through junction: its cells in
+    walk order, the moving qubit's first and the CNOT edge last. The faster
+    walk (see path_duration) runs its CNOT over the slower end edge; on a tie
+    the control walks."""
+    route = route_cells(m, a, b, junction)
+    first = m.edge_between(route[0], route[1]).cnot_duration
+    last = m.edge_between(route[-2], route[-1]).cnot_duration
+    return route[::-1] if first > last else route
+
+
 def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> float:
     """Success probability of a routed CNOT walking the given cell sequence.
 
@@ -250,17 +261,16 @@ def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> 
 
 def hop_duration(m: GridMachine, u: int, v: int, static: bool = False) -> int:
     """Timeslots of one physical CNOT on edge (u, v); the static model charges
-    the machine-wide tau on every edge."""
-    return m.static_tau_cnot if static else m.edge_between(u, v).cnot_duration
+    the machine-wide tau on every edge. Raises ValueError off an edge."""
+    e = m.edge_map.get((u, v) if u < v else (v, u))
+    if e is None:
+        raise ValueError(f"cells {u} and {v} not adjacent")
+    return m.static_tau_cnot if static else e.cnot_duration
 
 
 def path_duration(m: GridMachine, cells, static: bool = False) -> int:
     """Timeslots to walk a route: 6x each swap edge (round trip), 1x the final CNOT edge."""
-    if static:
-        durs = [m.static_tau_cnot] * (len(cells) - 1)
-    else:
-        durs = [m.edge_between(cells[i], cells[i + 1]).cnot_duration
-                for i in range(len(cells) - 1)]
+    durs = [hop_duration(m, u, v, static) for u, v in zip(cells, cells[1:])]
     return 6 * sum(durs[:-1]) + durs[-1]
 
 
@@ -341,17 +351,14 @@ def build_tables(m: GridMachine) -> DerivedTables:
             if c == t:
                 continue
             js = sorted([m.cell_id(jp) for jp in one_bend_junctions(m.pos(c), m.pos(t))])
-            best_dur = None
             for j in js:
                 key = (c, t, j)
-                cells = route_cells(m, c, t, j)
-                # the control or the target may walk, whichever is faster
-                dur = cnot_dur[key] = min(path_duration(m, cells), path_duration(m, cells[::-1]))
-                best_dur = dur if best_dur is None else min(best_dur, dur)
-                cnot_rel[key] = path_reliability(cells, m)
-                cnot_rel_return[key] = path_reliability(cells, m, count_return_swaps=True)
+                walk = cnot_walk(m, c, t, j)
+                cnot_dur[key] = path_duration(m, walk)
+                cnot_rel[key] = path_reliability(walk, m)
+                cnot_rel_return[key] = path_reliability(walk, m, count_return_swaps=True)
             junctions[(c, t)] = tuple(js)
-            delta[c, t] = best_dur
+            delta[c, t] = min(cnot_dur[(c, t, j)] for j in js)
     readout_rel = np.array([1.0 - q.readout_error for q in m.qubits])
     return DerivedTables(
         machine=m,

@@ -17,10 +17,10 @@ from .machine import (
     GridMachine,
     build_tables,
     canonical_junction,
+    cnot_walk,
     manhattan,
     path_duration,
     path_reliability,
-    route_cells,
     static_cnot_duration,
 )
 
@@ -106,7 +106,7 @@ class Solution:
     omega: float
     count_return_swaps: bool
     gate_eps: dict[int, float] = field(repr=False)
-    gate_routes: dict[int, tuple[int, ...]] = field(repr=False)
+    gate_routes: dict[int, tuple[int, ...]] = field(repr=False)  # CNOT walks, mover first
 
     @property
     def makespan(self) -> int:
@@ -264,13 +264,14 @@ class _CostModel:
         return self.tables.cnot_dur[(a, b, j)]
 
     def cnot_cost(self, a: int, b: int, j: int) -> tuple[int, tuple[int, ...]]:
-        """(duration, occupied cells): the route under one-bend routing, the
+        """(duration, occupied cells): the walk under one-bend routing, the
         bounding rectangle under rectangle reservation."""
         key = (a, b, j)
         cost = self._cost.get(key)
         if cost is None:
-            region = route_cells(self.m, a, b, j) if self.one_bend else _rect_cells(self.m, a, b)
-            cost = self._cost[key] = (self.cnot_duration(a, b, j), region)
+            dur = self.cnot_duration(a, b, j)   # rejects an illegal junction
+            region = cnot_walk(self.m, a, b, j) if self.one_bend else _rect_cells(self.m, a, b)
+            cost = self._cost[key] = (dur, region)
         return cost
 
     def junction_choices(self, a: int, b: int) -> tuple[int, ...]:
@@ -400,7 +401,7 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
     model = _CostModel(m, tables if tables is not None else build_tables(m), cfg)
     return _build_solution(
         c, m, cfg, cells, junctions,
-        lambda k, a, b: (route_cells(m, a, b, junctions[k]), model.ec[(a, b, junctions[k])]),
+        lambda k, a, b: (cnot_walk(m, a, b, junctions[k]), model.ec[(a, b, junctions[k])]),
         lambda k, a, b: model.cnot_cost(a, b, junctions[k]),
         variant=cfg.variant.value, routing=cfg.routing.value, optimal=optimal)
 
@@ -412,7 +413,7 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_rout
 
     cells are placement cells by qubit id and junctions the junction cells by
     CNOT order (none for best-path routes). cnot_route(k, a, b) gives the k-th
-    CNOT's (route, reliability) between cells a and b, and cnot_cost(k, a, b)
+    CNOT's (walk, reliability) between cells a and b, and cnot_cost(k, a, b)
     its (duration, occupied cells) for the canonical scheduler; a readout's
     reliability is its cell's. cfg supplies omega and count_return_swaps. The
     objective is recomputed from the result. Raises Infeasible.
@@ -501,7 +502,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
     cell_of = [-1] * nq
     used = [False] * ncells
-    incumbent: list = [None]  # [(objective, key, cells, junctions)]
+    incumbent: list = [None]  # [(objective, (cells, junctions))]
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
     leaf_tick = [0]
 
@@ -529,17 +530,11 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             fin[i] = f
         return max(fin, default=0)
 
-    def consider(obj, key, cells, junctions):
+    def consider(obj, key):
         inc = incumbent[0]
-        if inc is None:
-            incumbent[0] = (obj, key, cells, junctions)
-            return
-        if maximize:
-            take = obj > inc[0] or (obj == inc[0] and key < inc[1])
-        else:
-            take = obj < inc[0] or (obj == inc[0] and key < inc[1])
-        if take:
-            incumbent[0] = (obj, key, cells, junctions)
+        if inc is None or (obj > inc[0] if maximize else obj < inc[0]) \
+                or (obj == inc[0] and key < inc[1]):
+            incumbent[0] = (obj, key)
 
     def do_leaf():
         cells = tuple(cell_of)
@@ -552,7 +547,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 obj, _ = scorer.leaf(cells, combo)
             except _InfeasibleSchedule:
                 continue
-            consider(obj, (cells, combo), cells, combo)
+            consider(obj, (cells, combo))
 
     def rec(k, sum_ro, n_ro_open, sum_cx, n_cx_open):
         check_time()
@@ -599,8 +594,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         if timed_out:
             raise SolverTimeout(f"no feasible solution within {cfg.time_limit} s")
         raise Infeasible("every placement violates a coherence deadline")
-    return solution_from_assignment(c, m, cfg, inc[2], inc[3],
-                                    tables=tables, optimal=not timed_out)
+    return solution_from_assignment(c, m, cfg, *inc[1], tables=tables, optimal=not timed_out)
 
 
 def check_solution(sol: Solution, c: Circuit, m: GridMachine,
@@ -635,11 +629,9 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
 
     occupied: dict[int, tuple[int, ...]] = {}
     is_static = variant == Variant.T_SMT.value
-    model = None
-    if routing != Routing.BEST_PATH.value:
+    if routing != Routing.BEST_PATH.value and cfg is None:
         try:
-            model = _CostModel(m, tables, cfg or ProblemConfig(
-                variant, routing, omega=omega, count_return_swaps=flag))
+            ProblemConfig(variant, routing, omega=omega, count_return_swaps=flag)
         except ValueError as exc:
             return v + [f"solution config rejected: {exc}"]
 
@@ -649,25 +641,27 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             if a == b:
                 v.append(f"CNOT {g.id} endpoints share cell {a}")
                 continue
-            if model is None:
-                route = sol.gate_routes.get(g.id, ())
-                if not route or route[0] != a or route[-1] != b:
-                    v.append(f"CNOT {g.id} route does not join its endpoints")
-                    continue
-                expect_dur = path_duration(m, route)
-                expect_eps = path_reliability(route, m, count_return_swaps=flag)
-                occupied[g.id] = route
-            else:
+            walk = tuple(sol.gate_routes.get(g.id, ()))
+            if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
+                v.append(f"CNOT {g.id} route does not join its endpoints")
+                continue
+            if routing != Routing.BEST_PATH.value:
                 jpos = sol.routes.junction.get(g.id)
-                if jpos is None:
-                    v.append(f"CNOT {g.id} missing junction")
+                legal = (canonical_junction(tables, a, b),) if routing == Routing.RR.value \
+                    else tables.junctions[(a, b)]
+                if jpos is None or m.cell_id(jpos) not in legal:
+                    v.append(f"CNOT {g.id} junction {jpos} illegal under {routing} routing")
                     continue
-                j = m.cell_id(jpos)
-                if j not in tables.junctions[(a, b)]:
-                    v.append(f"CNOT {g.id} junction {jpos} illegal for its endpoints")
+                if walk != cnot_walk(m, a, b, m.cell_id(jpos)):
+                    v.append(f"CNOT {g.id} route is not the walk of junction {jpos}")
                     continue
-                expect_dur, occupied[g.id] = model.cnot_cost(a, b, j)
-                expect_eps = model.ec[(a, b, j)]
+            try:
+                expect_eps = path_reliability(walk, m, count_return_swaps=flag)
+            except ValueError as exc:
+                v.append(f"CNOT {g.id} route is not a grid walk: {exc}")
+                continue
+            expect_dur = path_duration(m, walk, is_static)
+            occupied[g.id] = _rect_cells(m, a, b) if routing == Routing.RR.value else walk
             own = (a, b)
         else:
             cell = cells[g.operands[0]]

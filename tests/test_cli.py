@@ -141,6 +141,28 @@ class TestEvaluate:
         assert docs[0]["optimal"] is True
 
 
+    def test_record_for_another_grid_exits_1(self, tmp_path, capsys):
+        circ, big, small = (str(tmp_path / n) for n in ("bv5.qasm", "c33.json", "c22.json"))
+        assert run(capsys, "gen-circuit", "bv", "--qubits", "5", "--out", circ)[0] == 0
+        assert run(capsys, "gen-cal", "--mx", "3", "--my", "3", "--out", big)[0] == 0
+        assert run(capsys, "gen-cal", "--mx", "2", "--my", "2", "--out", small)[0] == 0
+        out = str(tmp_path / "bv5-e")
+        assert run(capsys, "compile", "--variant", "greedy-e", circ, big, "--out", out)[0] == 0
+        code, stdout, stderr = run(capsys, "evaluate", out + ".json", small,
+                                   "--out", str(tmp_path / "rep"))
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr)["error"] == "ValueError"
+        assert not (tmp_path / "rep.csv").exists()
+
+    def test_empty_record_exits_1(self, tmp_path, capsys):
+        rec = tmp_path / "empty.json"
+        rec.write_text("{}")
+        code, stdout, stderr = run(capsys, "evaluate", str(rec), uniform_cal(tmp_path, 2, 2),
+                                   "--out", str(tmp_path / "rep"))
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr)["error"] == "ValueError"
+
+
 class TestCompare:
     def test_two_variants_two_rows(self, tmp_path, capsys, bv4):
         cal = uniform_cal(tmp_path, 3, 3)

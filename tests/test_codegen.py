@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nisqc.circuit import GateKind, build_circuit, gen_bv, gen_random, parse_circuit
+from nisqc.circuit import GateKind, build_circuit, gen_bv, gen_random, gen_toffoli, parse_circuit
 from nisqc.codegen import (
     CodegenError,
     CompiledCircuit,
@@ -17,6 +17,7 @@ from nisqc.codegen import (
     record_to_json,
     to_record,
 )
+from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
 from nisqc.optimal import (
     ProblemConfig,
@@ -228,6 +229,80 @@ class TestExpandConsistency:
         assert quiet.expanded == cc.expanded
 
 
+def clean_slow_line():
+    """1x3 line: edge (0,1) takes 4 timeslots at error 0.01, edge (1,2) takes
+    2 at error 0.20. A CNOT between cells 0 and 2 walks the qubit at cell 2,
+    over the fast noisy edge, in 16 timeslots instead of 26."""
+    doc = udoc(1, 3)
+    doc["edges"] = [
+        {"a": [0, 0], "b": [0, 1], "cnot_duration": 4, "cnot_error": 0.01},
+        {"a": [0, 1], "b": [0, 2], "cnot_duration": 2, "cnot_error": 0.20},
+    ]
+    return load_calibration(doc)
+
+
+def jittered(mx, my, seed):
+    return load_calibration(synth_calibration(mx, my, seed, jitter_durations=True))
+
+
+EXACT_COMBOS = (("t-smt", "rr"), ("t-smt", "1bp"), ("t-smt-star", "rr"),
+                ("t-smt-star", "1bp"), ("r-smt-star", "1bp"))
+# every case places some CNOT where the target's walk is the faster one
+WALK_CASES = {
+    "1x3-toffoli": (clean_slow_line, gen_toffoli),
+    "2x3j-toffoli": (lambda: jittered(2, 3, 1), gen_toffoli),
+    "3x3j-toffoli": (lambda: jittered(3, 3, 2), gen_toffoli),
+    "3x3j-random": (lambda: jittered(3, 3, 13), lambda: gen_random(4, 12, 13)),
+}
+
+
+class TestRecordedReliability:
+    def test_target_walk_is_scored(self):
+        m = clean_slow_line()
+        c = one_cnot()
+        sol = assigned(c, m, (0, 2), routing="1bp")
+        assert sol.gate_routes[0] == (2, 1, 0)
+        assert sol.schedule.dur[0] == 16
+        cc = expand(sol, c, m)
+        assert cc.expanded[3] == PhysGate(GateKind.CNOT, (0, 1), 6, 4)
+        assert cc.eps_strict[0] == pytest.approx(0.8 ** 6 * 0.99, abs=1e-12)   # 0.2595
+        assert cc.eps_route[0] == pytest.approx(0.8 ** 3 * 0.99, abs=1e-12)
+        assert sol.gate_eps[0] == cc.eps_route[0]
+
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_eps_strict_is_the_emitted_product(self, case):
+        # Each physical CNOT belongs to the one routed CNOT whose walk holds
+        # its cells while it runs; the record's eps_strict of that gate is the
+        # product of 1 - error over those physical CNOTs.
+        make_machine, make_circuit = WALK_CASES[case]
+        m, c = make_machine(), make_circuit()
+        t = build_tables(m)
+        sols = [solve_exact(c, m, ProblemConfig(variant=v, routing=r), tables=t)
+                for v, r in EXACT_COMBOS]
+        sols += [heuristic_compile(c, m, t, HeuristicConfig(policy=p))
+                 for p in ("greedy-v", "greedy-e")]
+        target_walks = 0
+        for sol in sols:
+            cc = expand(sol, c, m)
+            eps_strict = to_record(cc)["eps_strict"]
+            start, dur = sol.schedule.start, sol.schedule.dur
+            emitted = {g: 1.0 for g in cc.gate_routes}
+            for pg in cc.expanded:
+                if pg.kind is not GateKind.CNOT:
+                    continue
+                owners = [g for g, walk in cc.gate_routes.items()
+                          if set(pg.hw_operands) <= set(walk)
+                          and start[g] <= pg.start < start[g] + dur[g]]
+                assert len(owners) == 1, (sol.variant, pg)
+                emitted[owners[0]] *= 1.0 - m.edge_between(*pg.hw_operands).cnot_error
+            for g, rel in emitted.items():
+                assert abs(eps_strict[str(g)] - rel) <= 1e-12, (sol.variant, sol.routing, g)
+            cells = sol.placement.cells(m)
+            target_walks += sum(walk[0] != cells[c.gates[g].operands[0]]
+                                for g, walk in cc.gate_routes.items())
+        assert target_walks > 0
+
+
 class TestEmitQasm:
     def test_reparses_with_matching_gate_count(self):
         m = load_calibration(udoc(3, 3))
@@ -296,6 +371,23 @@ class TestRecord:
         assert back.eps_route == cc.eps_route
         assert back.eps_strict == cc.eps_strict
         assert to_record(back) == json.loads(text)
+
+    @pytest.mark.parametrize("tamper", ["missing key", "off the grid", "not adjacent",
+                                        "cell count"])
+    def test_from_record_rejects_with_value_error(self, tamper):
+        m = line_machine(3)
+        c = build_circuit(2, 1, [("cx", (0, 1)), ("measure", (1,), 0)])
+        rec = to_record(expand(assigned(c, m, (0, 2)), c, m))
+        if tamper == "missing key":
+            del rec["source_qasm"]
+        elif tamper == "off the grid":
+            rec["gates"][-1]["hw_operands"] = [3]
+        elif tamper == "not adjacent":
+            rec["gates"][0]["hw_operands"] = [0, 2]
+        else:
+            rec["config"]["num_cells"] = 9
+        with pytest.raises(ValueError):
+            from_record(rec, m)
 
     def test_from_record_accepts_dict(self):
         m = line_machine(3)

@@ -9,6 +9,7 @@ from nisqc.machine import (
     CalibrationError,
     build_tables,
     canonical_junction,
+    cnot_walk,
     load_calibration,
     manhattan,
     one_bend_junctions,
@@ -187,7 +188,14 @@ class TestTables:
         assert t.cnot_dur.keys() == t.cnot_rel.keys()
         for (a, b, j), dur in t.cnot_dur.items():
             route = route_cells(m, a, b, j)
+            walk = cnot_walk(m, a, b, j)
             assert dur == min(path_duration(m, route), path_duration(m, route[::-1]))
+            # the control walks unless the target's walk is strictly faster
+            assert walk == (route[::-1] if path_duration(m, route[::-1]) < path_duration(m, route)
+                            else route)
+            assert dur == path_duration(m, walk)
+            assert t.cnot_rel[(a, b, j)] == path_reliability(walk, m)
+            assert t.cnot_rel_return[(a, b, j)] == path_reliability(walk, m, count_return_swaps=True)
         differ = 0
         for (a, b), js in t.junctions.items():
             durs = {j: t.cnot_dur[(a, b, j)] for j in js}
@@ -281,6 +289,18 @@ class TestTables:
         c, t = m.cell_id((0, 0)), m.cell_id((1, 1))
         # Route through (1,0) avoids the slow edge entirely.
         assert canonical_junction(build_tables(m), c, t) == m.cell_id((1, 0))
+
+    def test_cnot_walk_moves_the_faster_qubit(self):
+        doc = uniform_doc(1, 3, cnot_duration=2)
+        doc["edges"] = [{"a": [0, 0], "b": [0, 1], "cnot_duration": 4, "cnot_error": 0.01},
+                        {"a": [0, 1], "b": [0, 2], "cnot_error": 0.20}]
+        m = load_calibration(doc)
+        t = build_tables(m)
+        assert cnot_walk(m, 0, 2, 0) == (2, 1, 0)    # the target walks
+        assert cnot_walk(m, 2, 0, 2) == (2, 1, 0)    # the control walks
+        assert cnot_walk(m, 0, 1, 0) == (0, 1)       # a tie: the control walks
+        assert t.cnot_dur[(0, 2, 0)] == 6 * 2 + 4
+        assert t.cnot_rel_return[(0, 2, 0)] == pytest.approx(0.8 ** 6 * 0.99, abs=1e-12)
 
     def test_path_duration_walk(self):
         doc = uniform_doc(1, 3, cnot_duration=2)

@@ -17,6 +17,7 @@ from nisqc.machine import (
     path_duration,
     route_cells,
     static_cnot_duration,
+    synth_calibration,
 )
 from nisqc.optimal import (
     Infeasible,
@@ -612,6 +613,36 @@ class TestCheckSolution:
         assert any("duration" in v for v in check_solution(short, c, m))
         with pytest.raises(CodegenError):
             expand(short, c, m)
+
+    def test_route_must_be_its_junctions_walk(self):
+        # A CNOT's stored route is what expand walks, so a route through the
+        # other junction is flagged even though its junction entry is legal.
+        import dataclasses
+        m = load_calibration(synth_calibration(3, 3, 5))
+        t = build_tables(m)
+        cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        sol = solution_from_assignment(c, m, cfg, (0, 4), (1,), tables=t)
+        assert sol.gate_routes[0] == (0, 1, 4)
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+        bad = dataclasses.replace(sol, gate_routes={0: route_cells(m, 0, 4, 3)})
+        assert any("walk of junction" in v for v in check_solution(bad, c, m, cfg, tables=t))
+        assert any("walk of junction" in v for v in check_solution(bad, c, m))
+        # the claimed reliability is not what the tampered route would run at
+        assert sol.gate_eps[0] == pytest.approx(0.9214, abs=1e-4)
+        assert expand(bad, c, m).eps_route[0] == pytest.approx(0.8507, abs=1e-4)
+
+    def test_rectangle_reservation_walks_the_canonical_junction(self):
+        m = slow_corner_machine()
+        t = build_tables(m)
+        cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.RR)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        fast, slow = canonical_junction(t, 0, 3), m.cell_id((0, 1))
+        assert fast != slow
+        assert check_solution(solution_from_assignment(c, m, cfg, (0, 3), (fast,), tables=t),
+                              c, m, cfg, tables=t) == []
+        sol = solution_from_assignment(c, m, cfg, (0, 3), (slow,), tables=t)
+        assert any("illegal under rr" in v for v in check_solution(sol, c, m, cfg, tables=t))
 
     def test_objective_consistency(self):
         import dataclasses
