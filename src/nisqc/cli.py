@@ -91,6 +91,11 @@ def _compile_one(c: Circuit, m: GridMachine, tables, variant: str, args) -> Solu
     return solve_exact(c, m, cfg, tables=tables)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise UsageError(f"--trials {trials}: at least 1 trial is needed")
+
+
 def _equivalence_or_none(c: Circuit, cc: CompiledCircuit):
     try:
         return equivalence_check(c, cc).passed
@@ -141,6 +146,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_trials(args.trials)
     doc = json.loads(_read(args.record))
     m = _load_machine(args.calibration)
     cc = from_record(doc, m)
@@ -156,6 +162,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_trials(args.trials)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise UsageError("--variants needs at least one variant")
@@ -214,6 +221,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_bench(args) -> int:
+    _check_trials(args.trials)
     sizes = _parse_sizes(args.sizes)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
@@ -270,10 +278,11 @@ def cmd_gen_circuit(args) -> int:
 
 
 def cmd_gen_cal(args) -> int:
-    if args.mx < 1 or args.my < 1:
-        raise UsageError(f"grid {args.mx}x{args.my} must be at least 1x1")
-    doc = synth_calibration(args.mx, args.my, args.seed, t2=args.t2,
-                            jitter_durations=args.jitter_durations)
+    try:
+        doc = synth_calibration(args.mx, args.my, args.seed, t2=args.t2,
+                                jitter_durations=args.jitter_durations)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)

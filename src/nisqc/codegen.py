@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
-from .machine import GridMachine, hop_duration, path_duration, path_reliability
-from .optimal import Placement, Solution, Variant
+from .machine import GridMachine, hop_duration, path_duration
+from .optimal import Placement, Solution, Variant, _gate_reliabilities
 
 
 class CodegenError(ValueError):
@@ -27,22 +27,42 @@ class PhysGate:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
+    """A compiled program. Its constructor, and nothing else, derives the
+    fields after `optimal` from the walks and the stream on machine m; it
+    raises ValueError when a walk does not join its gate's placed cells."""
+    m: InitVar[GridMachine]
     source: Circuit
     placement: Placement
     expanded: tuple[PhysGate, ...]
-    makespan: int
-    swap_count: int
-    reliability: float
+    gate_routes: dict[int, tuple[int, ...]] = field(repr=False)
     variant: str
     routing: str
     omega: float
     count_return_swaps: bool
     objective_value: float
     optimal: bool
-    num_cells: int
-    gate_routes: dict[int, tuple[int, ...]] = field(repr=False)
-    eps_route: dict[int, float] = field(repr=False)
-    eps_strict: dict[int, float] = field(repr=False)
+    num_cells: int = field(init=False)
+    makespan: int = field(init=False)
+    swap_count: int = field(init=False)
+    reliability: float = field(init=False)
+    eps_route: dict[int, float] = field(init=False, repr=False)
+    eps_strict: dict[int, float] = field(init=False, repr=False)
+
+    def __post_init__(self, m: GridMachine):
+        cells = {q: m.cell_id(pos) for q, pos in self.placement.loc.items()}
+        eps_route = _gate_reliabilities(self.source, cells, self.gate_routes, m, False)
+        eps_strict = _gate_reliabilities(self.source, cells, self.gate_routes, m, True)
+        eps = eps_strict if self.count_return_swaps else eps_route
+        derived = {
+            "num_cells": m.num_cells,
+            "makespan": max((pg.start + pg.dur for pg in self.expanded), default=0),
+            "swap_count": sum(2 * (len(walk) - 2) for walk in self.gate_routes.values()),
+            "reliability": math.prod(eps[gid] for gid in sorted(eps)),
+            "eps_route": eps_route,
+            "eps_strict": eps_strict,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def per_gate_eps(self) -> dict[int, float]:
@@ -59,23 +79,17 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     """
     static = sol.variant == Variant.T_SMT.value
     phys: list[PhysGate] = []
-    swap_count = 0
-    eps_route: dict[int, float] = {}
-    eps_strict: dict[int, float] = {}
     for g in c.gates:
         s = sol.schedule.start[g.id]
         d = sol.schedule.dur[g.id]
         cell = m.cell_id(sol.placement.loc[g.operands[0]])
         if g.kind is GateKind.MEASURE:
             phys.append(PhysGate(g.kind, (cell,), s, d, g.classical_target))
-            eps_route[g.id] = eps_strict[g.id] = 1.0 - m.qubits[cell].readout_error
             continue
         if g.kind is not GateKind.CNOT:
             phys.append(PhysGate(g.kind, (cell,), s, d))
             continue
         walk = sol.gate_routes[g.id]
-        eps_route[g.id] = path_reliability(walk, m)
-        eps_strict[g.id] = path_reliability(walk, m, count_return_swaps=True)
         if path_duration(m, walk, static) != d:
             raise CodegenError(f"inconsistent schedule: CNOT {g.id} walks its route in "
                                f"{path_duration(m, walk, static)} timeslots, not {d}")
@@ -90,7 +104,6 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
             for k in range(n):
                 phys.append(PhysGate(GateKind.CNOT, (v, u) if k % 2 else (u, v), t, e))
                 t += e
-        swap_count += 2 * len(swaps)
 
     busy: dict[int, list[tuple[int, int, int]]] = {}
     for idx, pg in enumerate(phys):
@@ -104,30 +117,14 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
                     f"inconsistent schedule: expanded gates {i1} and {i2} "
                     f"overlap on cell {cell}")
 
-    makespan = max((pg.start + pg.dur for pg in phys), default=0)
-    if makespan != sol.schedule.makespan:
+    cc = CompiledCircuit(m, c, sol.placement, tuple(phys), dict(sol.gate_routes),
+                         sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
+                         sol.objective_value, sol.optimal)
+    if cc.makespan != sol.schedule.makespan:
         raise CodegenError(
-            f"inconsistent schedule: expanded makespan {makespan} != "
+            f"inconsistent schedule: expanded makespan {cc.makespan} != "
             f"scheduled {sol.schedule.makespan}")
-    eps = eps_strict if sol.count_return_swaps else eps_route
-    return CompiledCircuit(
-        source=c,
-        placement=sol.placement,
-        expanded=tuple(phys),
-        makespan=makespan,
-        swap_count=swap_count,
-        reliability=math.prod(eps[gid] for gid in sorted(eps)),
-        variant=sol.variant,
-        routing=sol.routing,
-        omega=sol.omega,
-        count_return_swaps=sol.count_return_swaps,
-        objective_value=sol.objective_value,
-        optimal=sol.optimal,
-        num_cells=m.num_cells,
-        gate_routes=dict(sol.gate_routes),
-        eps_route=eps_route,
-        eps_strict=eps_strict,
-    )
+    return cc
 
 
 def emit_qasm(cc: CompiledCircuit) -> str:
@@ -161,6 +158,10 @@ def to_record(cc: CompiledCircuit) -> dict:
     later evaluation. gate_routes lists each CNOT's walk, the moving qubit's
     cell first; eps_route and eps_strict are that walk's reliabilities, so
     each equals the product of 1 - error over the CNOTs emitted for its gate.
+    makespan, swap_count, reliability, eps_route and eps_strict are written
+    for readers only: from_record reads placement, variant, objective,
+    optimal, gates, config, gate_routes and source_qasm, and derives the rest
+    on the machine it is given.
     """
     gates = []
     for pg in cc.expanded:
@@ -196,9 +197,12 @@ def record_to_json(cc: CompiledCircuit) -> str:
 
 
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
-    """Rebuild a CompiledCircuit from a record produced by to_record. Raises
-    ValueError for a missing key, a record for another cell count, a gate off
-    the grid or a CNOT on non-adjacent cells."""
+    """Rebuild a CompiledCircuit from a record produced by to_record, scored
+    on m: gate durations, reliabilities, makespan and swap count are derived
+    from the record's stream and walks on m, not read from the record.
+    Raises ValueError for a missing key, a record for another cell count, a
+    gate or placed qubit off the grid, a CNOT on non-adjacent cells or a
+    route that does not join its CNOT's placed cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -206,6 +210,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         if config["num_cells"] != m.num_cells:
             raise ValueError(f"record is for {config['num_cells']} cells, "
                              f"the machine has {m.num_cells}")
+        placement = Placement(loc={int(q): tuple(pos) for q, pos in doc["placement"].items()})
+        for q, (x, y) in placement.loc.items():
+            if not (0 <= x < m.mx and 0 <= y < m.my):
+                raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
         static = doc["variant"] == Variant.T_SMT.value
         phys = []
         for entry in doc["gates"]:
@@ -221,22 +229,9 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
                 dur = m.single_qubit_duration
             phys.append(PhysGate(kind, ops, entry["start"], dur, entry.get("clbit")))
         return CompiledCircuit(
-            source=parse_circuit(doc["source_qasm"]),
-            placement=Placement(loc={int(q): tuple(pos) for q, pos in doc["placement"].items()}),
-            expanded=tuple(phys),
-            makespan=doc["makespan"],
-            swap_count=doc["swap_count"],
-            reliability=doc["reliability"],
-            variant=doc["variant"],
-            routing=config["routing"],
-            omega=config["omega"],
-            count_return_swaps=config["count_return_swaps"],
-            objective_value=doc["objective"],
-            optimal=doc.get("optimal", False),
-            num_cells=config["num_cells"],
-            gate_routes={int(g): tuple(r) for g, r in doc["gate_routes"].items()},
-            eps_route={int(g): e for g, e in doc["eps_route"].items()},
-            eps_strict={int(g): e for g, e in doc["eps_strict"].items()},
-        )
+            m, parse_circuit(doc["source_qasm"]), placement, tuple(phys),
+            {int(g): tuple(r) for g, r in doc["gate_routes"].items()},
+            doc["variant"], config["routing"], config["omega"],
+            config["count_return_swaps"], doc["objective"], doc.get("optimal", False))
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

@@ -157,8 +157,9 @@ def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int, *,
     """Estimate end-to-end success probability by Bernoulli sampling.
 
     Default model: each routed CNOT (swaps included) and each readout is one
-    event with its recorded ε. per_physical_gate instead draws one event per
-    expanded CNOT/readout with per-edge ε (requires the machine).
+    event with its ε in cc.per_gate_eps, derived on the machine cc was built
+    or read on. per_physical_gate instead draws one event per expanded
+    CNOT/readout with per-edge ε (requires the machine).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

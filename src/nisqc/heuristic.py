@@ -159,7 +159,7 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
         route = bp[(a, b)][0]
         return path_duration(m, route), route
 
-    return _build_solution(c, m, cfg, cells, (), lambda _k, a, b: bp[(a, b)], cnot_cost,
+    return _build_solution(c, m, cfg, cells, (), lambda _k, a, b: bp[(a, b)][0], cnot_cost,
                            variant=variant_label, routing=Routing.BEST_PATH.value,
                            optimal=False)
 

@@ -381,6 +381,8 @@ def synth_calibration(mx: int, my: int, seed: int, *,
     """Seeded synthetic calibration document mimicking day-to-day drift."""
     if mx < 1 or my < 1:
         raise ValueError(f"grid {mx}x{my} must be at least 1x1")
+    if t2 < 1:
+        raise ValueError(f"t2 = {t2} must be a positive timeslot count")
     rng = np.random.default_rng(seed)
     doc = {
         "grid": {"mx": mx, "my": my},

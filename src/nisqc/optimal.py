@@ -66,6 +66,8 @@ class ProblemConfig:
             raise ValueError("best-path routing belongs to the heuristic mappers")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega = {self.omega} outside [0, 1]")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(f"time_limit = {self.time_limit} must be > 0 seconds")
 
 
 @dataclass(frozen=True)
@@ -401,9 +403,29 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
     model = _CostModel(m, tables if tables is not None else build_tables(m), cfg)
     return _build_solution(
         c, m, cfg, cells, junctions,
-        lambda k, a, b: (cnot_walk(m, a, b, junctions[k]), model.ec[(a, b, junctions[k])]),
+        lambda k, a, b: cnot_walk(m, a, b, junctions[k]),
         lambda k, a, b: model.cnot_cost(a, b, junctions[k]),
         variant=cfg.variant.value, routing=cfg.routing.value, optimal=optimal)
+
+
+def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...]],
+                        m: GridMachine, count_return_swaps: bool) -> dict[int, float]:
+    """Per-gate success probabilities on m, the one place they are computed:
+    a CNOT's is the path_reliability of its stored walk, a readout's is
+    1 - its cell's readout error. cells are placement cells by qubit id.
+    Raises ValueError when a walk does not join its gate's placed cells."""
+    eps: dict[int, float] = {}
+    for g in c.gates:
+        if g.kind is GateKind.CNOT:
+            a, b = cells[g.operands[0]], cells[g.operands[1]]
+            walk = gate_routes.get(g.id, ())
+            if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
+                raise ValueError(f"CNOT {g.id} route {list(walk)} does not join "
+                                 f"its cells {a} and {b}")
+            eps[g.id] = path_reliability(walk, m, count_return_swaps=count_return_swaps)
+        elif g.kind is GateKind.MEASURE:
+            eps[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
+    return eps
 
 
 def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_route,
@@ -413,10 +435,10 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_rout
 
     cells are placement cells by qubit id and junctions the junction cells by
     CNOT order (none for best-path routes). cnot_route(k, a, b) gives the k-th
-    CNOT's (walk, reliability) between cells a and b, and cnot_cost(k, a, b)
-    its (duration, occupied cells) for the canonical scheduler; a readout's
-    reliability is its cell's. cfg supplies omega and count_return_swaps. The
-    objective is recomputed from the result. Raises Infeasible.
+    CNOT's walk between cells a and b, and cnot_cost(k, a, b) its (duration,
+    occupied cells) for the canonical scheduler. cfg supplies omega and
+    count_return_swaps. Gate reliabilities come from _gate_reliabilities and
+    the objective is recomputed from the result. Raises Infeasible.
     """
     try:
         starts, durs = _schedule_gates(c, m, cells, cnot_cost, *_dag_lists(c),
@@ -425,18 +447,13 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_rout
         raise Infeasible(str(exc)) from exc
     junction: dict[int, tuple[int, int]] = {}
     gate_routes: dict[int, tuple[int, ...]] = {}
-    gate_eps: dict[int, float] = {}
     k = 0
     for g in c.gates:
         if g.kind is GateKind.CNOT:
-            a, b = cells[g.operands[0]], cells[g.operands[1]]
-            route, eps = cnot_route(k, a, b)
-            gate_routes[g.id], gate_eps[g.id] = route, float(eps)
+            gate_routes[g.id] = cnot_route(k, cells[g.operands[0]], cells[g.operands[1]])
             if junctions:
                 junction[g.id] = m.pos(junctions[k])
             k += 1
-        elif g.kind is GateKind.MEASURE:
-            gate_eps[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
     sol = Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
         routes=RouteAssignment(junction=junction),
@@ -448,7 +465,7 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_rout
         routing=routing,
         omega=cfg.omega,
         count_return_swaps=cfg.count_return_swaps,
-        gate_eps=gate_eps,
+        gate_eps=_gate_reliabilities(c, cells, gate_routes, m, cfg.count_return_swaps),
         gate_routes=gate_routes,
     )
     return replace(sol, objective_value=objective(sol))
@@ -503,7 +520,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     cell_of = [-1] * nq
     used = [False] * ncells
     incumbent: list = [None]  # [(objective, (cells, junctions))]
-    deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
+    deadline = time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
     leaf_tick = [0]
 
     def check_time():

@@ -110,6 +110,16 @@ class TestCompile:
         assert code == 4
         assert json.loads(stderr)["error"] == "SolverTimeout"
 
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_time_limit_not_above_zero_exits_2(self, tmp_path, capsys, bv4, limit):
+        cal = uniform_cal(tmp_path, 3, 3)
+        code, stdout, stderr = run(capsys, "compile", "--variant", "t-smt-star",
+                                   "--time-limit", limit, bv4, cal,
+                                   "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "UsageError"
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_calibration_exits_1(self, tmp_path, capsys, bv4):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"defaults": {}}))
@@ -153,6 +163,26 @@ class TestEvaluate:
         assert (code, stdout) == (1, "")
         assert json.loads(stderr)["error"] == "ValueError"
         assert not (tmp_path / "rep.csv").exists()
+
+    def test_scores_on_the_calibration_given(self, tmp_path, capsys):
+        # one greedy-e record, scored on the day it was compiled for and on
+        # another: each row prices the record's own walks on its calibration
+        circ, out = str(tmp_path / "bv5.qasm"), str(tmp_path / "bv5-e")
+        assert run(capsys, "gen-circuit", "bv", "--qubits", "5", "--out", circ)[0] == 0
+        rows = {}
+        for seed in ("0", "7"):
+            cal, rep = str(tmp_path / f"c{seed}.json"), str(tmp_path / f"rep{seed}")
+            assert run(capsys, "gen-cal", "--mx", "3", "--my", "3", "--seed", seed,
+                       "--out", cal)[0] == 0
+            if seed == "0":
+                assert run(capsys, "compile", "--variant", "greedy-e", circ, cal,
+                           "--out", out)[0] == 0
+            assert run(capsys, "evaluate", out + ".json", cal, "--out", rep)[0] == 0
+            row = next(csv.DictReader(open(rep + ".csv")))
+            rows[seed] = [row[k] for k in ("reliability", "mc_success", "stderr",
+                                           "makespan", "swaps")]
+        assert rows == {"0": ["0.486069998020987", "0.48819", "0.0015806977063942363", "58", "4"],
+                        "7": ["0.5820641579210737", "0.58375", "0.0015588006206696224", "58", "4"]}
 
     def test_empty_record_exits_1(self, tmp_path, capsys):
         rec = tmp_path / "empty.json"
@@ -238,6 +268,20 @@ class TestBench:
         assert not (tmp_path / "bench.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare", "bench"])
+def test_trials_below_one_exit_2(tmp_path, capsys, bv4, command):
+    cal = uniform_cal(tmp_path, 3, 3)
+    record = str(tmp_path / "bv4-v")
+    assert run(capsys, "compile", "--variant", "greedy-v", bv4, cal, "--out", record)[0] == 0
+    inputs = {"evaluate": (record + ".json", cal), "compare": (bv4, cal),
+              "bench": ("--sizes", "4:16")}[command]
+    code, stdout, stderr = run(capsys, command, *inputs, "--trials", "0",
+                               "--out", str(tmp_path / "rep"))
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr)["error"] == "UsageError"
+    assert not (tmp_path / "rep.csv").exists()
+
+
 class TestGenerators:
     def test_gen_circuit_stdout_is_qasm(self, capsys):
         code, stdout, _ = run(capsys, "gen-circuit", "bv", "--qubits", "5",
@@ -268,3 +312,11 @@ class TestGenerators:
         assert json.loads(stderr)["error"] == "UsageError"
         with pytest.raises(ValueError, match="at least 1x1"):
             synth_calibration(0, 2, 1)
+
+    @pytest.mark.parametrize("t2", [0, -5])
+    def test_gen_cal_rejects_t2_its_loader_rejects(self, capsys, t2):
+        code, stdout, stderr = run(capsys, "gen-cal", "--mx", "2", "--my", "2", "--t2", str(t2))
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "UsageError"
+        with pytest.raises(ValueError, match="positive timeslot count"):
+            synth_calibration(2, 2, 1, t2=t2)

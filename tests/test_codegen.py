@@ -2,6 +2,7 @@
 streams, and every compiled artifact must re-parse and round-trip."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -17,11 +18,14 @@ from nisqc.codegen import (
     record_to_json,
     to_record,
 )
+from nisqc.evaluate import equivalence_check
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
 from nisqc.optimal import (
+    Infeasible,
     ProblemConfig,
     Schedule,
+    SolverTimeout,
     check_solution,
     solution_from_assignment,
     solve_exact,
@@ -373,7 +377,8 @@ class TestRecord:
         assert to_record(back) == json.loads(text)
 
     @pytest.mark.parametrize("tamper", ["missing key", "off the grid", "not adjacent",
-                                        "cell count"])
+                                        "cell count", "placement off the grid",
+                                        "route off its cells"])
     def test_from_record_rejects_with_value_error(self, tamper):
         m = line_machine(3)
         c = build_circuit(2, 1, [("cx", (0, 1)), ("measure", (1,), 0)])
@@ -384,6 +389,10 @@ class TestRecord:
             rec["gates"][-1]["hw_operands"] = [3]
         elif tamper == "not adjacent":
             rec["gates"][0]["hw_operands"] = [0, 2]
+        elif tamper == "placement off the grid":
+            rec["placement"]["0"] = [-1, 0]
+        elif tamper == "route off its cells":
+            rec["gate_routes"]["0"] = [0, 1]
         else:
             rec["config"]["num_cells"] = 9
         with pytest.raises(ValueError):
@@ -395,3 +404,71 @@ class TestRecord:
         cc = expand(assigned(c, m, (0, 2)), c, m)
         back = from_record(to_record(cc), m)
         assert back.expanded == cc.expanded
+
+    def test_from_record_derives_makespan_on_the_machine_given(self):
+        # the same record read on another day's durations ends one slot later
+        c = gen_random(8, 24, 2)
+        m, other = jittered(3, 3, 1), jittered(3, 3, 0)
+        sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(policy="greedy-e"))
+        cc = expand(sol, c, m)
+        back = from_record(record_to_json(cc), other)
+        assert back.makespan == max(pg.start + pg.dur for pg in back.expanded)
+        assert (cc.makespan, back.makespan) == (28, 29)
+
+
+def pipeline_machines():
+    """Seeded calibrations at the edges: 1xN lines and small grids, with and
+    without jittered durations, and one whose T2 is shorter than a readout."""
+    machines = {}
+    for mx, my in ((1, 2), (1, 5), (2, 3), (3, 3)):
+        for jitter in (False, True):
+            doc = synth_calibration(mx, my, 10 * mx + my, jitter_durations=jitter)
+            machines[f"{mx}x{my}" + "-jitter" * jitter] = load_calibration(doc)
+    machines["2x3-tight-t2"] = load_calibration(synth_calibration(2, 3, 23, t2=8))
+    return machines
+
+
+PIPELINE_MACHINES = pipeline_machines()
+
+
+class TestPipelineRoundTrip:
+    """Every variant, on every edge-case machine, at full occupancy and below,
+    under both extreme readout weights and both return-swap settings, either
+    reports no solution or gives a solution that verifies, expands, keeps the
+    source's semantics and reads back from its record as the same object."""
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_MACHINES))
+    def test_compile_verify_expand_round_trip(self, name):
+        m = PIPELINE_MACHINES[name]
+        t = build_tables(m)
+        n = m.num_cells
+        circuits = [gen_bv(min(n, 4), "1" * (min(n, 4) - 1)), gen_random(n, 24, n)]
+        if n >= 3:
+            circuits.append(gen_toffoli())
+        outcomes = {"solved": 0, "no solution": 0}
+        for ci, c in enumerate(circuits):
+            exact = ci != 1 or n <= 6   # the exact search at 9 of 9 cells is too slow
+            for omega, flag in itertools.product((0.0, 1.0), (False, True)):
+                cfgs = [HeuristicConfig(policy=p, omega=omega, count_return_swaps=flag)
+                        for p in ("greedy-v", "greedy-e")]
+                if exact:
+                    cfgs += [ProblemConfig(variant=v, routing=r, omega=omega,
+                                           count_return_swaps=flag, time_limit=10.0)
+                             for v, r in EXACT_COMBOS]
+                for cfg in cfgs:
+                    exact_cfg = cfg if isinstance(cfg, ProblemConfig) else None
+                    try:
+                        sol = solve_exact(c, m, cfg, tables=t) if exact_cfg \
+                            else heuristic_compile(c, m, t, cfg)
+                    except (Infeasible, SolverTimeout):
+                        outcomes["no solution"] += 1
+                        continue
+                    assert check_solution(sol, c, m, exact_cfg, tables=t) == [], (cfg, ci)
+                    cc = expand(sol, c, m)
+                    assert equivalence_check(c, cc).passed, (cfg, ci)
+                    assert from_record(record_to_json(cc), m) == cc, (cfg, ci)
+                    outcomes["solved"] += 1
+        if name.endswith("tight-t2"):
+            assert outcomes["no solution"] > 0
+        else:
+            assert outcomes["no solution"] == 0 and outcomes["solved"] > 0
