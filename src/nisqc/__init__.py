@@ -13,7 +13,6 @@ from .circuit import (
     gen_random,
     gen_toffoli,
     parse_circuit,
-    to_json,
     to_qasm,
 )
 from .machine import (
@@ -26,7 +25,6 @@ from .machine import (
     cnot_walk,
     load_calibration,
     manhattan,
-    one_bend_junctions,
     path_reliability,
     static_cnot_duration,
     synth_calibration,
@@ -47,11 +45,9 @@ from .evaluate import (
     EquivalenceResult,
     LeafRecord,
     brute_force_optimal,
-    compiled_as_circuit,
     equivalence_check,
     monte_carlo_success,
     reliability_score,
-    statevector_sim,
     write_report,
 )
 from .heuristic import (
@@ -72,11 +68,8 @@ from .optimal import (
     Solution,
     SolverTimeout,
     Variant,
-    canonical_schedule,
     check_solution,
     emit_smtlib,
-    gate_duration,
-    gate_reliability,
     objective,
     solve_exact,
 )

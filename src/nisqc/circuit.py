@@ -196,20 +196,28 @@ def _parse_json(text: str) -> Circuit:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
         raise ParseError("circuit JSON needs num_qubits and gates", 1, 1)
-    num_qubits = int(doc["num_qubits"])
-    num_clbits = int(doc.get("num_clbits", 0))
-    kind_by_name = {k.value: k for k in GateKind}
-    ops: list[tuple[GateKind, tuple[int, ...], int | None]] = []
-    for i, entry in enumerate(doc["gates"]):
-        name = entry.get("kind")
-        if name not in kind_by_name:
-            raise ParseError(f"unknown gate kind '{name}' at gates[{i}]", 1, 1)
-        kind = kind_by_name[name]
-        operands = tuple(int(q) for q in entry["operands"])
-        if len(operands) != kind.n_qubits:
-            raise ParseError(f"gate '{name}' takes {kind.n_qubits} operand(s) at gates[{i}]", 1, 1)
-        clbit = entry.get("clbit")
-        ops.append((kind, operands, None if clbit is None else int(clbit)))
+    try:
+        num_qubits = int(doc["num_qubits"])
+        num_clbits = int(doc.get("num_clbits", 0))
+        kind_by_name = {k.value: k for k in GateKind}
+        ops: list[tuple[GateKind, tuple[int, ...], int | None]] = []
+        for i, entry in enumerate(doc["gates"]):
+            if not isinstance(entry, dict):
+                raise ParseError(f"gates[{i}] is not an object", 1, 1)
+            name = entry.get("kind")
+            if name not in kind_by_name:
+                raise ParseError(f"unknown gate kind '{name}' at gates[{i}]", 1, 1)
+            kind = kind_by_name[name]
+            operands = tuple(int(q) for q in entry["operands"])
+            if len(operands) != kind.n_qubits:
+                raise ParseError(f"gate '{name}' takes {kind.n_qubits} operand(s) at gates[{i}]",
+                                 1, 1)
+            clbit = entry.get("clbit")
+            ops.append((kind, operands, None if clbit is None else int(clbit)))
+    except ParseError:
+        raise
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed circuit JSON: {type(exc).__name__}: {exc}", 1, 1) from exc
     return build_circuit(num_qubits, num_clbits, ops)
 
 

@@ -96,6 +96,13 @@ def _check_trials(trials: int) -> None:
         raise UsageError(f"--trials {trials}: at least 1 trial is needed")
 
 
+def _check_time_limit(limit: float | None) -> None:
+    # Checked for every variant, before any compile: bench's default variant
+    # list mixes greedy and exact ones, and only the exact ones use the value.
+    if limit is not None and not limit > 0:
+        raise UsageError(f"--time-limit {limit}: must be > 0 seconds")
+
+
 def _equivalence_or_none(c: Circuit, cc: CompiledCircuit):
     try:
         return equivalence_check(c, cc).passed
@@ -124,6 +131,7 @@ def _evaluate_record(cc: CompiledCircuit, benchmark: str, trials: int, seed: int
 # ----------------------------------------------------------- subcommands ---
 
 def cmd_compile(args) -> int:
+    _check_time_limit(args.time_limit)
     c = _load_circuit(args.circuit)
     m = _load_machine(args.calibration)
     tables = build_tables(m)
@@ -163,6 +171,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_trials(args.trials)
+    _check_time_limit(args.time_limit)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise UsageError("--variants needs at least one variant")
@@ -222,6 +231,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 def cmd_bench(args) -> int:
     _check_trials(args.trials)
+    _check_time_limit(args.time_limit)
     sizes = _parse_sizes(args.sizes)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
@@ -300,7 +310,8 @@ def _add_shared_compile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count-return-swaps", action="store_true",
                    help="score the SWAPs that restore the placement too")
     p.add_argument("--time-limit", type=float, default=None, metavar="S",
-                   help=f"exact-solver budget in seconds (default {DEFAULT_EXACT_TIME_LIMIT:g})")
+                   help="solver budget in seconds, > 0; checked for every variant, used "
+                        f"by the exact ones (default {DEFAULT_EXACT_TIME_LIMIT:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:

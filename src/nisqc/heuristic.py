@@ -9,8 +9,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, build_program_graph
-from .machine import DerivedTables, GridMachine, path_duration
+from .circuit import Circuit, build_program_graph
+from .machine import DerivedTables, GridMachine
 from .optimal import Placement, Routing, Solution, _build_solution
 
 
@@ -154,14 +154,9 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
                            variant_label: str) -> Solution:
     """Best-path routing + earliest-ready scheduling for a fixed placement."""
     bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
-
-    def cnot_cost(_k: int, a: int, b: int) -> tuple[int, tuple[int, ...]]:
-        route = bp[(a, b)][0]
-        return path_duration(m, route), route
-
-    return _build_solution(c, m, cfg, cells, (), lambda _k, a, b: bp[(a, b)][0], cnot_cost,
-                           variant=variant_label, routing=Routing.BEST_PATH.value,
-                           optimal=False)
+    walks = [bp[(cells[g.operands[0]], cells[g.operands[1]])][0] for g in c.cnot_gates()]
+    return _build_solution(c, m, cfg, cells, (), walks, variant=variant_label,
+                           routing=Routing.BEST_PATH.value, optimal=False)
 
 
 def heuristic_compile(c: Circuit, m: GridMachine, t: DerivedTables,

@@ -129,9 +129,18 @@ def load_calibration(doc) -> GridMachine:
 
     Every grid-adjacent pair gets an edge; the document's qubit and edge
     entries override the defaults section, which overrides library defaults.
+    Raises CalibrationError for any document it cannot read, a malformed
+    entry (a missing key, a value of the wrong type) included.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    try:
+        return _machine_from_doc(json.loads(doc) if isinstance(doc, str) else doc)
+    except CalibrationError:
+        raise
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise CalibrationError(f"malformed calibration: {type(exc).__name__}: {exc}") from exc
+
+
+def _machine_from_doc(doc) -> GridMachine:
     if not isinstance(doc, dict) or "grid" not in doc:
         raise CalibrationError("calibration document needs a grid section")
     grid = doc["grid"]

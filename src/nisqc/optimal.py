@@ -11,7 +11,7 @@ from bisect import insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .circuit import Circuit, Gate, GateKind, build_dag, build_program_graph, predecessor_lists
+from .circuit import Circuit, GateKind, build_dag, build_program_graph, predecessor_lists
 from .machine import (
     DerivedTables,
     GridMachine,
@@ -73,9 +73,6 @@ class ProblemConfig:
 @dataclass(frozen=True)
 class Placement:
     loc: dict[int, tuple[int, int]]
-
-    def cell(self, m: GridMachine, q: int) -> int:
-        return m.cell_id(self.loc[q])
 
     def cells(self, m: GridMachine) -> tuple[int, ...]:
         return tuple(m.cell_id(self.loc[q]) for q in sorted(self.loc))
@@ -189,11 +186,17 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     return starts
 
 
-def _rect_cells(m: GridMachine, a: int, b: int) -> tuple[int, ...]:
-    (ax, ay), (bx, by) = m.pos(a), m.pos(b)
-    lx, rx = min(ax, bx), max(ax, bx)
-    ly, ry = min(ay, by), max(ay, by)
-    return tuple(m.cell_id((x, y)) for x in range(lx, rx + 1) for y in range(ly, ry + 1))
+def _walk_cost(m: GridMachine, walk, routing: str, static: bool) -> tuple[int, tuple[int, ...]]:
+    """The one rule that prices a routed CNOT, given its walk: (duration,
+    reserved cells). It lasts the path_duration of the walk, and it reserves
+    the bounding rectangle of the walk's ends under rectangle reservation and
+    the walk's own cells under every other routing."""
+    dur = path_duration(m, walk, static)
+    if routing != Routing.RR:
+        return dur, walk
+    (ax, ay), (bx, by) = m.pos(walk[0]), m.pos(walk[-1])
+    return dur, tuple(m.cell_id((x, y)) for x in range(min(ax, bx), max(ax, bx) + 1)
+                      for y in range(min(ay, by), max(ay, by) + 1))
 
 
 def _dag_lists(c: Circuit) -> tuple[list[list[int]], list[list[int]]]:
@@ -238,42 +241,42 @@ def _schedule_gates(c: Circuit, m: GridMachine, cells, cnot_cost, preds, succs,
     return _list_schedule(n, durs, gc, dl, preds, succs), durs
 
 
-class _CostModel:
-    """The cost of a routed CNOT under one problem config, read from the
-    machine's tables: the solver, the enumerator, the verifier and the
-    per-gate views all price a CNOT here."""
+class _Scorer:
+    """Shared leaf evaluator: the exact solver and the brute-force enumerator both
+    score a (placement, junctions) assignment through this one code path, so their
+    objectives agree bitwise. It takes the circuit, the machine, its tables and
+    the problem config; a CNOT is priced by _walk_cost of its junction's
+    cnot_walk, and its reliability is read from the tables."""
 
-    def __init__(self, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
-        self.m, self.tables, self.cfg = m, tables, cfg
+    def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
+        self.c, self.m, self.tables, self.cfg = c, m, tables, cfg
         self.ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel
         self.delta = tables.delta.tolist()
         self.static = cfg.variant is Variant.T_SMT
         self.one_bend = cfg.routing is Routing.ONE_BEND
         self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
         self._ln_ec: dict[tuple[int, int, int], float] = {}
+        self.n_gates = len(c.gates)
+        self.preds, self.succs = _dag_lists(c)
+        self.cnot_ids = [g.id for g in c.gates if g.kind is GateKind.CNOT]
+        self.measure_ids = [g.id for g in c.gates if g.kind is GateKind.MEASURE]
+        self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
+        self.ro_dur = [q.readout_duration for q in m.qubits]
 
-    def cnot_duration(self, a: int, b: int, j: int | None = None) -> int:
-        """Timeslots of the CNOT a -> b routed through junction j: the static
-        formula for t-smt, else the faster walk of that junction's route.
-        Without a junction, the fastest junction's: a lower bound."""
-        if j is not None and (a, b, j) not in self.tables.cnot_dur:
-            raise ValueError(f"junction {self.m.pos(j)} not legal for a CNOT "
-                             f"from {self.m.pos(a)} to {self.m.pos(b)}")
+    def cnot_duration(self, a: int, b: int) -> int:
+        """A lower bound on the timeslots of the CNOT a -> b over its junctions:
+        the static formula for t-smt, else the fastest junction's walk."""
         if self.static:
             return static_cnot_duration(manhattan(self.m.pos(a), self.m.pos(b)), self.m)
-        if j is None:
-            return self.delta[a][b]
-        return self.tables.cnot_dur[(a, b, j)]
+        return self.delta[a][b]
 
     def cnot_cost(self, a: int, b: int, j: int) -> tuple[int, tuple[int, ...]]:
-        """(duration, occupied cells): the walk under one-bend routing, the
-        bounding rectangle under rectangle reservation."""
+        """_walk_cost of the CNOT a -> b's walk through the legal junction j."""
         key = (a, b, j)
         cost = self._cost.get(key)
         if cost is None:
-            dur = self.cnot_duration(a, b, j)   # rejects an illegal junction
-            region = cnot_walk(self.m, a, b, j) if self.one_bend else _rect_cells(self.m, a, b)
-            cost = self._cost[key] = (dur, region)
+            cost = self._cost[key] = _walk_cost(self.m, cnot_walk(self.m, a, b, j),
+                                                self.cfg.routing, self.static)
         return cost
 
     def junction_choices(self, a: int, b: int) -> tuple[int, ...]:
@@ -288,22 +291,6 @@ class _CostModel:
         if v is None:
             v = self._ln_ec[key] = math.log(self.ec[key])
         return v
-
-
-class _Scorer(_CostModel):
-    """Shared leaf evaluator: the exact solver and the brute-force enumerator both
-    score a (placement, junctions) assignment through this one code path, so their
-    objectives agree bitwise."""
-
-    def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
-        super().__init__(m, tables, cfg)
-        self.c = c
-        self.n_gates = len(c.gates)
-        self.preds, self.succs = _dag_lists(c)
-        self.cnot_ids = [g.id for g in c.gates if g.kind is GateKind.CNOT]
-        self.measure_ids = [g.id for g in c.gates if g.kind is GateKind.MEASURE]
-        self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
-        self.ro_dur = [q.readout_duration for q in m.qubits]
 
     def schedule_arrays(self, cells, junctions):
         """Starts and durations for one assignment; raises _InfeasibleSchedule."""
@@ -332,36 +319,6 @@ class _Scorer(_CostModel):
         return float(makespan), makespan
 
 
-def gate_duration(g: Gate, p: Placement, cfg: ProblemConfig, m: GridMachine,
-                  t: DerivedTables, routes: RouteAssignment | None = None) -> int:
-    """Duration in timeslots of one gate under the variant's duration model; a
-    CNOT without a junction in `routes` walks the canonical one."""
-    if g.kind is GateKind.MEASURE:
-        return m.qubits[p.cell(m, g.operands[0])].readout_duration
-    if g.kind is not GateKind.CNOT:
-        return m.single_qubit_duration
-    a, b = p.cell(m, g.operands[0]), p.cell(m, g.operands[1])
-    if a == b:
-        raise ValueError(f"CNOT {g.id} operands mapped to the same cell {a}")
-    jpos = routes.junction.get(g.id) if routes is not None else None
-    j = canonical_junction(t, a, b) if jpos is None else m.cell_id(jpos)
-    return _CostModel(m, t, cfg).cnot_duration(a, b, j)
-
-
-def gate_reliability(g: Gate, p: Placement, routes: RouteAssignment, t: DerivedTables) -> float:
-    """Per-gate success probability: E^R for readout, junction-routed E^C for CNOT, 1 otherwise."""
-    m = t.machine
-    if g.kind is GateKind.MEASURE:
-        return float(t.readout_rel[p.cell(m, g.operands[0])])
-    if g.kind is not GateKind.CNOT:
-        return 1.0
-    a, b = p.cell(m, g.operands[0]), p.cell(m, g.operands[1])
-    j = m.cell_id(routes.junction[g.id])
-    if j not in t.junctions[(a, b)]:
-        raise ValueError(f"junction {routes.junction[g.id]} not legal for CNOT {g.id}")
-    return t.cnot_rel[(a, b, j)]
-
-
 def objective(sol: Solution, cfg: ProblemConfig | None = None) -> float:
     """Recompute the objective from the solution's own schedule and gate reliabilities.
 
@@ -383,29 +340,22 @@ def objective(sol: Solution, cfg: ProblemConfig | None = None) -> float:
     return omega * sum_ro + (1.0 - omega) * sum_cx
 
 
-def canonical_schedule(c: Circuit, p: Placement, routes: RouteAssignment,
-                       cfg: ProblemConfig, m: GridMachine, t: DerivedTables) -> Schedule:
-    """Deterministic schedule for a fixed placement and route assignment; a CNOT
-    without a junction in `routes` walks the canonical one."""
-    cells = p.cells(m)
-    junctions = tuple(
-        m.cell_id(routes.junction[g.id]) if g.id in routes.junction
-        else canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
-        for g in c.gates if g.kind is GateKind.CNOT)
-    return solution_from_assignment(c, m, cfg, cells, junctions, tables=t).schedule
-
-
 def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
                              cells, junctions, *, tables: DerivedTables | None = None,
                              optimal: bool = True) -> Solution:
     """Materialize a full Solution from placement cells (by qubit id) and junction
-    cells (by CNOT order)."""
-    model = _CostModel(m, tables if tables is not None else build_tables(m), cfg)
-    return _build_solution(
-        c, m, cfg, cells, junctions,
-        lambda k, a, b: cnot_walk(m, a, b, junctions[k]),
-        lambda k, a, b: model.cnot_cost(a, b, junctions[k]),
-        variant=cfg.variant.value, routing=cfg.routing.value, optimal=optimal)
+    cells (by CNOT order): each CNOT walks its junction's cnot_walk. Raises
+    ValueError for a junction not legal for its CNOT, and Infeasible."""
+    tables = tables if tables is not None else build_tables(m)
+    walks = []
+    for g, j in zip(c.cnot_gates(), junctions):
+        a, b = cells[g.operands[0]], cells[g.operands[1]]
+        if j not in tables.junctions.get((a, b), ()):
+            raise ValueError(f"junction {m.pos(j)} not legal for a CNOT "
+                             f"from {m.pos(a)} to {m.pos(b)}")
+        walks.append(cnot_walk(m, a, b, j))
+    return _build_solution(c, m, cfg, cells, junctions, walks, variant=cfg.variant.value,
+                           routing=cfg.routing.value, optimal=optimal)
 
 
 def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...]],
@@ -428,32 +378,27 @@ def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...
     return eps
 
 
-def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, cnot_route,
-                    cnot_cost, *, variant: str, routing: str, optimal: bool) -> Solution:
+def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, walks, *,
+                    variant: str, routing: str, optimal: bool) -> Solution:
     """The one place a Solution is assembled, for the exact solver and the
-    greedy mappers alike.
+    greedy mappers alike: a function of the placement and the CNOT walks.
 
-    cells are placement cells by qubit id and junctions the junction cells by
-    CNOT order (none for best-path routes). cnot_route(k, a, b) gives the k-th
-    CNOT's walk between cells a and b, and cnot_cost(k, a, b) its (duration,
-    occupied cells) for the canonical scheduler. cfg supplies omega and
-    count_return_swaps. Gate reliabilities come from _gate_reliabilities and
-    the objective is recomputed from the result. Raises Infeasible.
+    cells are placement cells by qubit id, junctions the junction cells by
+    CNOT order (none for best-path routes) and walks the CNOTs' walks in the
+    same order, the moving qubit's cell first. Each walk is priced by
+    _walk_cost for the canonical scheduler, gate reliabilities come from
+    _gate_reliabilities, and the objective is recomputed from the result. cfg
+    supplies omega and count_return_swaps. Raises Infeasible.
     """
+    static = variant == Variant.T_SMT.value
     try:
-        starts, durs = _schedule_gates(c, m, cells, cnot_cost, *_dag_lists(c),
-                                       static=variant == Variant.T_SMT.value)
+        starts, durs = _schedule_gates(c, m, cells,
+                                       lambda k, _a, _b: _walk_cost(m, walks[k], routing, static),
+                                       *_dag_lists(c), static=static)
     except _InfeasibleSchedule as exc:
         raise Infeasible(str(exc)) from exc
-    junction: dict[int, tuple[int, int]] = {}
-    gate_routes: dict[int, tuple[int, ...]] = {}
-    k = 0
-    for g in c.gates:
-        if g.kind is GateKind.CNOT:
-            gate_routes[g.id] = cnot_route(k, cells[g.operands[0]], cells[g.operands[1]])
-            if junctions:
-                junction[g.id] = m.pos(junctions[k])
-            k += 1
+    junction = {g.id: m.pos(j) for g, j in zip(c.cnot_gates(), junctions)}
+    gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
     sol = Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
         routes=RouteAssignment(junction=junction),
@@ -677,8 +622,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             except ValueError as exc:
                 v.append(f"CNOT {g.id} route is not a grid walk: {exc}")
                 continue
-            expect_dur = path_duration(m, walk, is_static)
-            occupied[g.id] = _rect_cells(m, a, b) if routing == Routing.RR.value else walk
+            expect_dur, occupied[g.id] = _walk_cost(m, walk, routing, is_static)
             own = (a, b)
         else:
             cell = cells[g.operands[0]]

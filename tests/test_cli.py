@@ -1,11 +1,15 @@
 """CLI tests: every subcommand is driven in-process through main(argv) and
 checked on its files, stdout summary, and exit code."""
 
+import copy
 import csv
 import json
+import random
 
 import pytest
 
+from nisqc.circuit import gen_bv, to_json
+from nisqc import cli
 from nisqc.cli import main
 from nisqc.machine import synth_calibration
 
@@ -119,6 +123,21 @@ class TestCompile:
         assert (code, stdout) == (2, "")
         assert json.loads(stderr)["error"] == "UsageError"
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("argv", [("compile", "--variant", "greedy-v"),
+                                      ("compare", "--variants", "greedy-v"),
+                                      ("compare", "--variants", "greedy-v,t-smt")])
+    def test_greedy_time_limit_not_above_zero_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      bv4, argv):
+        # the value is rejected before any variant compiles
+        monkeypatch.setattr(cli, "heuristic_compile", lambda *a: pytest.fail("compiled"))
+        cal = uniform_cal(tmp_path, 3, 3)
+        command, *flags = argv
+        code, stdout, stderr = run(capsys, command, bv4, cal, *flags, "--time-limit", "0",
+                                   "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "UsageError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bv4.qasm", "cal.json"]
 
     def test_bad_calibration_exits_1(self, tmp_path, capsys, bv4):
         bad = tmp_path / "bad.json"
@@ -320,3 +339,87 @@ class TestGenerators:
         assert json.loads(stderr)["error"] == "UsageError"
         with pytest.raises(ValueError, match="positive timeslot count"):
             synth_calibration(2, 2, 1, t2=t2)
+
+
+# ------------------------------------------------------- malformed inputs ---
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _scalar_paths(doc, path=()):
+    """Paths to every number and string in a JSON document."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _scalar_paths(v, path + (k,))]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _scalar_paths(v, path + (i,))]
+    return [path]
+
+
+def _malformed(doc, required, rng):
+    """A copy of doc with one required key dropped, or one number or string
+    replaced by a value of another type that no reader can take for it."""
+    doc = copy.deepcopy(doc)
+    if rng.random() < 0.5:
+        path = rng.choice(required)
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        path = rng.choice(_scalar_paths(doc))
+        parent = _at(doc, path[:-1])
+        old = parent[path[-1]]
+        parent[path[-1]] = rng.choice([v for v in (None, "x", 1, [1], {"v": 1})
+                                       if not isinstance(v, type(old))])
+    return doc
+
+
+def _compile_exits_1(tmp_path, capsys, circuit_doc, cal_doc, error):
+    # fresh file names per case: on some file systems truncating a file costs
+    # far more than creating one
+    case = len(list(tmp_path.iterdir()))
+    circuit, cal = tmp_path / f"c{case}.json", tmp_path / f"cal{case}.json"
+    circuit.write_text(json.dumps(circuit_doc))
+    cal.write_text(json.dumps(cal_doc))
+    code, stdout, stderr = run(capsys, "compile", str(circuit), str(cal),
+                               "--variant", "greedy-v", "--out", str(tmp_path / "x"))
+    lines = stderr.splitlines()
+    assert (code, stdout, len(lines)) == (1, "", 1), (circuit_doc, cal_doc, stderr)
+    assert json.loads(lines[0])["error"] == error
+    assert not (tmp_path / "x.json").exists()
+
+
+VALID_CIRCUIT = json.loads(to_json(gen_bv(3, "11")))
+VALID_CAL = synth_calibration(2, 2, 3)
+
+
+class TestMalformedInputs:
+    def test_missing_keys_name_the_loader(self, tmp_path, capsys):
+        no_y = copy.deepcopy(VALID_CAL)
+        del no_y["qubits"][1]["y"]
+        no_b = copy.deepcopy(VALID_CAL)
+        del no_b["edges"][2]["b"]
+        no_operands = copy.deepcopy(VALID_CIRCUIT)
+        del no_operands["gates"][0]["operands"]
+        _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, no_y, "CalibrationError")
+        _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, no_b, "CalibrationError")
+        _compile_exits_1(tmp_path, capsys, no_operands, VALID_CAL, "ParseError")
+
+    def test_infinite_duration_is_a_calibration_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(VALID_CAL)
+        doc["defaults"]["t2"] = float("inf")
+        _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, doc, "CalibrationError")
+
+    def test_seeded_sweep(self, tmp_path, capsys):
+        rng = random.Random(11)
+        cal_required = [("grid",), ("grid", "mx"), ("grid", "my")]
+        cal_required += [("qubits", i, k) for i in range(4) for k in ("x", "y")]
+        cal_required += [("edges", i, k) for i in range(4) for k in ("a", "b")]
+        circ_required = [("num_qubits",), ("num_clbits",), ("gates",)]
+        for i, g in enumerate(VALID_CIRCUIT["gates"]):
+            circ_required += [("gates", i, k) for k in g]
+        for _ in range(40):
+            _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT,
+                             _malformed(VALID_CAL, cal_required, rng), "CalibrationError")
+            _compile_exits_1(tmp_path, capsys, _malformed(VALID_CIRCUIT, circ_required, rng),
+                             VALID_CAL, "ParseError")

@@ -204,6 +204,20 @@ class TestTables:
             assert canonical_junction(t, a, b) == min(js, key=lambda j: (durs[j], j))
         assert differ > 0   # jitter makes some bent routes' junctions differ
 
+    @pytest.mark.parametrize("shape", [(1, 5), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_walk_duration_is_the_static_formula_and_the_table_entry(self, shape, jitter):
+        # A routed CNOT is priced as path_duration of its walk under every
+        # variant, so that must equal the static formula and the table entry.
+        m = load_calibration(jittered_doc(*shape, 9, jitter_durations=jitter))
+        t = build_tables(m)
+        for (a, b), js in t.junctions.items():
+            static = static_cnot_duration(manhattan(m.pos(a), m.pos(b)), m)
+            for j in js:
+                walk = cnot_walk(m, a, b, j)
+                assert path_duration(m, walk, static=True) == static
+                assert path_duration(m, walk) == t.cnot_dur[(a, b, j)]
+
     def test_adjacent_cnot_rel(self, m33):
         t = build_tables(m33)
         assert t.junctions[(0, 1)] == (0,)

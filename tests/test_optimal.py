@@ -27,11 +27,8 @@ from nisqc.optimal import (
     Routing,
     SolverTimeout,
     Variant,
-    canonical_schedule,
     check_solution,
     emit_smtlib,
-    gate_duration,
-    gate_reliability,
     objective,
     solution_from_assignment,
     solve_exact,
@@ -47,10 +44,6 @@ def udoc(mx, my, **over):
     }
     d.update(over)
     return {"grid": {"mx": mx, "my": my}, "defaults": d}
-
-
-def place(m, *cells):
-    return Placement(loc={q: m.pos(c) for q, c in enumerate(cells)})
 
 
 def slow_corner_machine():
@@ -188,57 +181,63 @@ class TestProblemConfig:
             ProblemConfig(Variant.R_SMT_STAR, omega=1.5)
 
 
+def one_cnot(m, t, cfg, a, b, j=None):
+    """The checked Solution of one CNOT from cell a to cell b, routed through
+    junction j (the canonical junction when None)."""
+    c = build_circuit(2, 0, [("cx", (0, 1))])
+    j = canonical_junction(t, a, b) if j is None else j
+    sol = solution_from_assignment(c, m, cfg, (a, b), (j,), tables=t)
+    assert check_solution(sol, c, m, cfg, tables=t) == []
+    return sol
+
+
+def canonical_junctions(c, t, cells):
+    """Each CNOT's canonical junction, in CNOT order."""
+    return tuple(canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
+                 for g in c.gates if g.kind is GateKind.CNOT)
+
+
 class TestGateDuration:
     def test_adjacent_cnot_any_variant(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 1)
         for v in Variant:
-            cfg = ProblemConfig(v)
-            assert gate_duration(c.gates[0], p, cfg, m, t) == 2
+            assert one_cnot(m, t, ProblemConfig(v), 0, 1).schedule.dur[0] == 2
 
     def test_static_distance_four(self):
         m = load_calibration(udoc(1, 5))
         t = build_tables(m)
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 4)
-        assert gate_duration(c.gates[0], p, ProblemConfig(Variant.T_SMT), m, t) == 38
+        assert one_cnot(m, t, ProblemConfig(Variant.T_SMT), 0, 4).schedule.dur[0] == 38
 
     def test_star_uses_delta(self):
         m = load_calibration(udoc(1, 5))
         t = build_tables(m)
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 4)
-        got = gate_duration(c.gates[0], p, ProblemConfig(Variant.T_SMT_STAR), m, t)
+        got = one_cnot(m, t, ProblemConfig(Variant.T_SMT_STAR), 0, 4).schedule.dur[0]
         assert got == int(t.delta[0, 4])
 
     def test_one_bend_uses_the_junction(self):
         m = slow_corner_machine()
         t = build_tables(m)
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 3)
         cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
-        slow = RouteAssignment({0: (0, 1)})
-        assert gate_duration(c.gates[0], p, cfg, m, t, slow) == 21
-        assert gate_duration(c.gates[0], p, cfg, m, t) == int(t.delta[0, 3]) == 14
+        slow = m.cell_id((0, 1))
+        assert one_cnot(m, t, cfg, 0, 3, slow).schedule.dur[0] == 21
+        assert one_cnot(m, t, cfg, 0, 3).schedule.dur[0] == int(t.delta[0, 3]) == 14
 
     def test_measure_and_single(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         c = build_circuit(1, 1, [("h", (0,)), ("measure", (0,), 0)])
-        p = place(m, 3)
         cfg = ProblemConfig(Variant.T_SMT)
-        assert gate_duration(c.gates[0], p, cfg, m, t) == 1
-        assert gate_duration(c.gates[1], p, cfg, m, t) == 12
+        sol = solution_from_assignment(c, m, cfg, (3,), (), tables=t)
+        assert sol.schedule.dur == {0: 1, 1: 12}
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_same_cell_rejected(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = Placement(loc={0: (0, 0), 1: (0, 0)})
-        with pytest.raises(ValueError):
-            gate_duration(c.gates[0], p, ProblemConfig(Variant.T_SMT), m, t)
+        with pytest.raises(ValueError, match="not legal"):
+            solution_from_assignment(c, m, ProblemConfig(Variant.T_SMT), (0, 0), (0,), tables=t)
 
 
 class TestGateReliability:
@@ -246,37 +245,33 @@ class TestGateReliability:
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         c = build_circuit(2, 1, [("h", (0,)), ("cx", (0, 1)), ("measure", (1,), 0)])
-        p = place(m, 0, 3)
-        routes = RouteAssignment(junction={1: m.pos(1)})
-        assert gate_reliability(c.gates[0], p, routes, t) == 1.0
-        assert abs(gate_reliability(c.gates[1], p, routes, t) - 0.6561) < 1e-12
-        assert abs(gate_reliability(c.gates[2], p, routes, t) - 0.93) < 1e-12
+        cfg = ProblemConfig(Variant.R_SMT_STAR)
+        sol = solution_from_assignment(c, m, cfg, (0, 3), (1,), tables=t)
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+        assert sorted(sol.gate_eps) == [1, 2]   # a single-qubit gate scores 1
+        assert abs(sol.gate_eps[1] - 0.6561) < 1e-12
+        assert abs(sol.gate_eps[2] - 0.93) < 1e-12
 
     def test_both_junctions_same_uniform_value(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 3)
+        cfg = ProblemConfig(Variant.R_SMT_STAR)
         for j in (1, 2):
-            routes = RouteAssignment(junction={0: m.pos(j)})
-            assert abs(gate_reliability(c.gates[0], p, routes, t) - 0.6561) < 1e-12
+            assert abs(one_cnot(m, t, cfg, 0, 3, j).gate_eps[0] - 0.6561) < 1e-12
 
     def test_adjacent(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 1)
-        routes = RouteAssignment(junction={0: m.pos(0)})
-        assert abs(gate_reliability(c.gates[0], p, routes, t) - 0.9) < 1e-12
+        sol = one_cnot(m, t, ProblemConfig(Variant.R_SMT_STAR), 0, 1, 0)
+        assert abs(sol.gate_eps[0] - 0.9) < 1e-12
 
     def test_illegal_junction(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         c = build_circuit(2, 0, [("cx", (0, 1))])
-        p = place(m, 0, 1)
-        routes = RouteAssignment(junction={0: m.pos(3)})
-        with pytest.raises(ValueError):
-            gate_reliability(c.gates[0], p, routes, t)
+        with pytest.raises(ValueError, match="not legal"):
+            solution_from_assignment(c, m, ProblemConfig(Variant.R_SMT_STAR), (0, 1), (3,),
+                                     tables=t)
 
 
 def three_cnot_four_readout():
@@ -316,31 +311,40 @@ class TestCanonicalSchedule:
         t = build_tables(m)
         c = build_circuit(2, 1, [("cx", (0, 1)), ("measure", (1,), 0)])
         cfg = ProblemConfig(Variant.T_SMT_STAR)
-        s = canonical_schedule(c, place(m, 0, 1), RouteAssignment({}), cfg, m, t)
+        sol = solution_from_assignment(c, m, cfg, (0, 1), canonical_junctions(c, t, (0, 1)),
+                                       tables=t)
+        s = sol.schedule
         assert s.start == {0: 0, 1: 2} and s.dur == {0: 2, 1: 3}
         assert s.makespan == 5
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_disjoint_rectangles_parallel(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
         cfg = ProblemConfig(Variant.T_SMT)
-        s = canonical_schedule(c, place(m, 0, 1, 2, 3), RouteAssignment({}), cfg, m, t)
-        assert s.start == {0: 0, 1: 0}
+        cells = (0, 1, 2, 3)
+        sol = solution_from_assignment(c, m, cfg, cells, canonical_junctions(c, t, cells),
+                                       tables=t)
+        assert sol.schedule.start == {0: 0, 1: 0}
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_overlapping_rectangles_serialize(self):
         # both CNOTs span column x=1 of a 3x3 grid, so RR forces one after the other
         m = load_calibration(udoc(3, 3))
         t = build_tables(m)
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
-        p = Placement(loc={0: (0, 0), 1: (0, 2), 2: (0, 1), 3: (2, 1)})
+        cells = (0, 2, 1, 7)   # (0,0), (0,2), (0,1), (2,1)
         cfg = ProblemConfig(Variant.T_SMT)
-        s = canonical_schedule(c, p, RouteAssignment({}), cfg, m, t)
+        sol = solution_from_assignment(c, m, cfg, cells, canonical_junctions(c, t, cells),
+                                       tables=t)
+        s = sol.schedule
         d = static_cnot_duration(2, m)
         assert s.dur == {0: d, 1: d}
         assert s.start == {0: 0, 1: d}
         # any schedule with both starts inside [0, d) would overlap in time and space
         assert s.start[1] >= s.start[0] + s.dur[0]
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_one_bend_routes_can_pass(self):
         # same placement under 1BP: route of gate 0 is row 0, gate 1 is column 1
@@ -348,11 +352,31 @@ class TestCanonicalSchedule:
         m = load_calibration(udoc(3, 3))
         t = build_tables(m)
         c = build_circuit(4, 0, [("cx", (0, 1)), ("cx", (2, 3))])
-        p = Placement(loc={0: (0, 0), 1: (0, 2), 2: (0, 1), 3: (2, 1)})
         cfg = ProblemConfig(Variant.T_SMT, Routing.ONE_BEND)
-        routes = RouteAssignment(junction={0: (0, 0), 1: (0, 1)})
-        s = canonical_schedule(c, p, routes, cfg, m, t)
+        sol = solution_from_assignment(c, m, cfg, (0, 2, 1, 7),
+                                       (m.cell_id((0, 0)), m.cell_id((0, 1))), tables=t)
+        s = sol.schedule
         assert s.start[1] >= s.start[0] + s.dur[0] or s.start[0] >= s.start[1] + s.dur[1]
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+
+    def test_rectangle_reservation_holds_the_cells_off_the_walk(self):
+        # The CNOT (0,0) -> (1,1) walks through (0,1); under rr it also holds
+        # the rectangle's other corner (1,0), so a gate there waits for it.
+        import dataclasses
+        m = load_calibration(udoc(2, 2))
+        t = build_tables(m)
+        c = build_circuit(3, 0, [("cx", (0, 1)), ("h", (2,))])
+        rr_cfg = ProblemConfig(Variant.T_SMT, Routing.RR)
+        rr = solution_from_assignment(c, m, rr_cfg, (0, 3, 2), (1,), tables=t)
+        walk = solution_from_assignment(c, m, ProblemConfig(Variant.T_SMT, Routing.ONE_BEND),
+                                        (0, 3, 2), (1,), tables=t)
+        assert rr.gate_routes[0] == walk.gate_routes[0] == (0, 1, 3)
+        assert rr.schedule.start == {0: 0, 1: rr.schedule.dur[0]}
+        assert walk.schedule.start == {0: 0, 1: 0}
+        assert check_solution(rr, c, m, rr_cfg, tables=t) == []
+        bad = dataclasses.replace(rr, schedule=walk.schedule)
+        assert "gates 0 and 1 overlap in space and time" in check_solution(bad, c, m, rr_cfg,
+                                                                           tables=t)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_illegal_junction_rejected(self, variant):
@@ -361,7 +385,7 @@ class TestCanonicalSchedule:
         c = build_circuit(2, 0, [("cx", (0, 1))])
         cfg = ProblemConfig(variant, Routing.ONE_BEND)
         with pytest.raises(ValueError, match="not legal"):
-            canonical_schedule(c, place(m, 0, 1), RouteAssignment({0: (1, 1)}), cfg, m, t)
+            solution_from_assignment(c, m, cfg, (0, 1), (m.cell_id((1, 1)),), tables=t)
 
     def test_coherence_infeasible(self):
         m = load_calibration(udoc(1, 2, t2=5))
@@ -369,7 +393,7 @@ class TestCanonicalSchedule:
         c = build_circuit(1, 1, [("measure", (0,), 0)])
         cfg = ProblemConfig(Variant.T_SMT_STAR)
         with pytest.raises(Infeasible):
-            canonical_schedule(c, place(m, 0), RouteAssignment({}), cfg, m, t)
+            solution_from_assignment(c, m, cfg, (0,), (), tables=t)
 
     def test_matches_naive_policy_on_random_instances(self):
         m = load_calibration(udoc(2, 3))
@@ -378,16 +402,12 @@ class TestCanonicalSchedule:
         for seed in range(30):
             c = gen_random(4, 10, seed=seed)
             cells = (0, 2, 3, 5)
-            junctions = tuple(
-                canonical_junction(t, cells[g.operands[0]], cells[g.operands[1]])
-                for g in c.gates if g.kind is GateKind.CNOT)
+            junctions = canonical_junctions(c, t, cells)
             got = naive_starts(c, m, cfg, t, cells, junctions)
             assert got is not None
-            p = Placement(loc={q: m.pos(cells[q]) for q in range(4)})
-            jpos = {g.id: m.pos(junctions[i]) for i, g in
-                    enumerate(g for g in c.gates if g.kind is GateKind.CNOT)}
-            s = canonical_schedule(c, p, RouteAssignment(jpos), cfg, m, t)
-            assert s.start == got[0] and s.dur == got[1]
+            sol = solution_from_assignment(c, m, cfg, cells, junctions, tables=t)
+            assert sol.schedule.start == got[0] and sol.schedule.dur == got[1]
+            assert check_solution(sol, c, m, cfg, tables=t) == []
 
 
 class TestSolveExact:
