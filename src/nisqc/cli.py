@@ -12,8 +12,8 @@ import os
 import sys
 import time
 
-from .circuit import Circuit, ParseError, gen_bv, gen_random, gen_toffoli, parse_circuit, to_qasm
-from .codegen import CodegenError, CompiledCircuit, emit_qasm, expand, from_record, to_record
+from .circuit import Circuit, gen_bv, gen_random, gen_toffoli, parse_circuit, to_qasm
+from .codegen import CompiledCircuit, emit_qasm, expand, from_record, to_record
 from .evaluate import (
     EvalReport,
     SimulationCapExceeded,
@@ -24,7 +24,7 @@ from .evaluate import (
     write_report,
 )
 from .heuristic import HeuristicConfig, heuristic_compile
-from .machine import CalibrationError, GridMachine, build_tables, load_calibration, synth_calibration
+from .machine import GridMachine, build_tables, load_calibration, synth_calibration
 from .optimal import Infeasible, ProblemConfig, Solution, SolverTimeout, emit_smtlib, solve_exact
 
 EXACT_VARIANTS = ("t-smt", "t-smt-star", "r-smt-star")
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
         return _fail(3, exc)
     except SolverTimeout as exc:
         return _fail(4, exc)
-    except (CalibrationError, ParseError, CodegenError, OSError, ValueError) as exc:
+    except Exception as exc:   # CalibrationError, ParseError, OSError and every other fault
         return _fail(1, exc)
 
 

@@ -162,6 +162,9 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
 def heuristic_compile(c: Circuit, m: GridMachine, t: DerivedTables,
                       cfg: HeuristicConfig) -> Solution:
     """Greedy placement, fixed best-reliability routes, earliest-ready schedule."""
+    # checked before the program graph allocates per declared qubit
+    if c.num_qubits > m.num_cells:
+        raise ValueError(f"{c.num_qubits} program qubits exceed {m.num_cells} hardware cells")
     pg = build_program_graph(c)
     if cfg.policy is GreedyPolicy.VERTEX:
         p = greedy_vertex_map(pg, m, t)

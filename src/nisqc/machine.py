@@ -283,63 +283,58 @@ def path_duration(m: GridMachine, cells, static: bool = False) -> int:
     return 6 * sum(durs[:-1]) + durs[-1]
 
 
-def _best_path_search(m: GridMachine, swap_exp: int) -> dict[tuple[int, int], tuple[tuple[int, ...], float]]:
-    # Most-reliable simple path per ordered pair. The last edge is scored once
-    # while interior edges are scored swap_exp times, so a single global
-    # Dijkstra cannot be optimal; instead, per target t, search from each
-    # neighbor u on the graph without t and append the closing edge (u, t).
+def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
+    # Most-reliable simple path per ordered pair, at swap exponents 3 and 6;
+    # fac maps each directed edge to (r, r**3, r**6, duration), r = 1 - error.
+    # The last edge is scored once while interior edges are scored swap_exp
+    # times, so a single global Dijkstra cannot be optimal; instead, per target
+    # t, search from each neighbor u on the graph without t and append the
+    # closing edge (u, t). One search at exponent 3 serves exponent 6 too:
+    # doubling is exact in binary floating point, so 2.0 * dist is the
+    # exponent-6 distance bit for bit, with the same heap order and pred tree.
     n = m.num_cells
-    log_w = {}
-    for e in m.edges:
-        w = -math.log(1.0 - e.cnot_error)
-        log_w[e.endpoints] = w
-        log_w[e.endpoints[::-1]] = w
-    result: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
-    best_cost = [[math.inf] * n for _ in range(n)]
-    best_via: list[list[int]] = [[-1] * n for _ in range(n)]
-    preds: dict[tuple[int, int], list[int]] = {}
-
+    adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
+    tables: tuple[dict, dict] = ({}, {})
     for t in range(n):
-        for u in sorted(m.adjacency[t]):
-            close_w = log_w[(u, t)]
+        best3, best6 = [math.inf] * n, [math.inf] * n
+        via3, via6 = [-1] * n, [-1] * n
+        preds = {}
+        for u in m.adjacency[t]:
+            close_w = -math.log(fac[(u, t)][0])
             dist = [math.inf] * n
-            pred = [-1] * n
+            pred = preds[u] = [-1] * n
             dist[u] = 0.0
             heap = [(0.0, u)]
             while heap:
                 d, v = heapq.heappop(heap)
                 if d > dist[v]:
                     continue
-                for w_ in m.adjacency[v]:
-                    if w_ == t:
-                        continue
-                    nd = d + swap_exp * log_w[(v, w_)]
-                    if nd < dist[w_]:
+                for w_, wt in adj[v]:
+                    nd = d + wt
+                    if nd < dist[w_] and w_ != t:
                         dist[w_] = nd
                         pred[w_] = v
                         heapq.heappush(heap, (nd, w_))
-            preds[(t, u)] = pred
-            for s in range(n):
-                if s == t or dist[s] == math.inf:
+            for s, d in enumerate(dist):
+                cost3, cost6 = d + close_w, 2.0 * d + close_w
+                if cost3 < best3[s] - 1e-15:
+                    best3[s], via3[s] = cost3, u
+                if cost6 < best6[s] - 1e-15:
+                    best6[s], via6[s] = cost6, u
+        # pred chains point from u outward: walk s -> u, then close at t,
+        # multiplying the per-edge factors in walk order as path_reliability does.
+        for k, (table, via) in enumerate(zip(tables, (via3, via6))):
+            for s, u in enumerate(via):
+                if u == -1:
                     continue
-                cost = dist[s] + close_w
-                if cost < best_cost[t][s] - 1e-15:
-                    best_cost[t][s] = cost
-                    best_via[t][s] = u
-
-    for t in range(n):
-        for s in range(n):
-            if s == t or best_via[t][s] == -1:
-                continue
-            u = best_via[t][s]
-            pred = preds[(t, u)]
-            seq = [s]
-            while seq[-1] != u:
-                seq.append(pred[seq[-1]])
-            # pred chains point from u outward, so walk s -> u then close at t.
-            path = tuple(seq) + (t,)
-            result[(s, t)] = (path, path_reliability(path, m, count_return_swaps=swap_exp == 6))
-    return result
+                pred, path, rel = preds[u], [s], 1.0
+                while path[-1] != u:
+                    v = path[-1]
+                    rel *= fac[(v, pred[v])][k + 1]
+                    path.append(pred[v])
+                path.append(t)
+                table[(s, t)] = (tuple(path), rel * fac[(u, t)][0])
+    return tables
 
 
 def canonical_junction(t: DerivedTables, a: int, b: int) -> int:
@@ -348,38 +343,61 @@ def canonical_junction(t: DerivedTables, a: int, b: int) -> int:
 
 
 def build_tables(m: GridMachine) -> DerivedTables:
-    """Precompute everything the mappers look up per hardware-cell pair."""
-    n = m.num_cells
+    """Precompute everything the mappers look up per hardware-cell pair.
+
+    One sweep per source cell prices every one-bend walk that starts there:
+    it runs out along the cell's row and column and turns at each corner onto
+    the other axis, carrying running products of r, r**3 and r**6 (r = 1 -
+    cnot_error) and a running duration sum in walk order, so every entry is
+    bitwise the path_reliability and path_duration of its cnot_walk. One
+    search per closing edge serves the best paths of both swap exponents.
+    """
+    n, mx, my = m.num_cells, m.mx, m.my
+    fac: dict[tuple[int, int], tuple[float, float, float, int]] = {}
+    for e in m.edges:
+        r = 1.0 - e.cnot_error
+        fac[e.endpoints] = fac[e.endpoints[::-1]] = (r, r ** 3, r ** 6, e.cnot_duration)
+    junctions, cnot_rel, cnot_dur, cnot_rel_return = {}, {}, {}, {}
+    # A leg walks on from cell a along (dx, dy) with the running state of the
+    # walk from s. Each cell e it reaches ends the walk s -> corner -> e; a
+    # straight walk (corner None) turns at every cell it reaches. The walk is
+    # cnot_walk of (s, e, .) unless its first edge is the slower end edge, and
+    # also of (e, s, .) when its last edge is the slower one.
+    for s in range(n):
+        legs = [(None, s, dx, dy, 1.0, 1.0, 0, 0)
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        while legs:
+            corner, a, dx, dy, p3, p6, dsum, first = legs.pop()
+            x, y = a // my + dx, a % my + dy
+            while 0 <= x < mx and 0 <= y < my:
+                e = x * my + y
+                r, r3, r6, d = fac[(a, e)]
+                first = first or d
+                entry = (p3 * r, p6 * r, 6 * dsum + d)
+                if first <= d:
+                    key = (s, e, s if corner is None else corner)
+                    cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = entry
+                if d > first:
+                    key = (e, s, e if corner is None else corner)
+                    cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = entry
+                p3, p6, dsum = p3 * r3, p6 * r6, dsum + d
+                if corner is None:
+                    junctions[(s, e)] = (s,)
+                    legs += [(e, e, dy, dx, p3, p6, dsum, first),
+                             (e, e, -dy, -dx, p3, p6, dsum, first)]
+                elif dx == 0:
+                    # the first leg ran along x, so the other corner is (sx, ey)
+                    k = s - s % my + y
+                    junctions[(s, e)] = (corner, k) if corner < k else (k, corner)
+                a, x, y = e, x + dx, y + dy
     delta = np.zeros((n, n), dtype=np.int64)
-    junctions: dict[tuple[int, int], tuple[int, ...]] = {}
-    cnot_rel: dict[tuple[int, int, int], float] = {}
-    cnot_dur: dict[tuple[int, int, int], int] = {}
-    cnot_rel_return: dict[tuple[int, int, int], float] = {}
-    for c in range(n):
-        for t in range(n):
-            if c == t:
-                continue
-            js = sorted([m.cell_id(jp) for jp in one_bend_junctions(m.pos(c), m.pos(t))])
-            for j in js:
-                key = (c, t, j)
-                walk = cnot_walk(m, c, t, j)
-                cnot_dur[key] = path_duration(m, walk)
-                cnot_rel[key] = path_reliability(walk, m)
-                cnot_rel_return[key] = path_reliability(walk, m, count_return_swaps=True)
-            junctions[(c, t)] = tuple(js)
-            delta[c, t] = min(cnot_dur[(c, t, j)] for j in js)
-    readout_rel = np.array([1.0 - q.readout_error for q in m.qubits])
+    for (c, t), js in junctions.items():
+        delta[c, t] = min(cnot_dur[(c, t, j)] for j in js)
+    best_paths, best_paths_return = _best_paths(m, fac)
     return DerivedTables(
-        machine=m,
-        delta=delta,
-        readout_rel=readout_rel,
-        cnot_rel=cnot_rel,
-        cnot_dur=cnot_dur,
-        cnot_rel_return=cnot_rel_return,
-        junctions=junctions,
-        best_paths=_best_path_search(m, swap_exp=3),
-        best_paths_return=_best_path_search(m, swap_exp=6),
-    )
+        machine=m, delta=delta, readout_rel=np.array([1.0 - q.readout_error for q in m.qubits]),
+        cnot_rel=cnot_rel, cnot_dur=cnot_dur, cnot_rel_return=cnot_rel_return,
+        junctions=junctions, best_paths=best_paths, best_paths_return=best_paths_return)
 
 
 def synth_calibration(mx: int, my: int, seed: int, *,

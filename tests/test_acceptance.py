@@ -137,6 +137,7 @@ class PoolResults:
     n_instances: int
     n_solutions: int
     objective_mismatches: list
+    tie_rule_mismatches: list
     verifier_violations: list
     argmax_mismatches: list
     equivalence_failures: list
@@ -154,7 +155,7 @@ def pool():
         "3x2j": load_calibration(synth_calibration(3, 2, 47, jitter_durations=True)),
     }
     tables = {key: build_tables(m) for key, m in machines.items()}
-    res = PoolResults(0, 0, [], [], [], [], [], 0.0)
+    res = PoolResults(0, 0, [], [], [], [], [], [], 0.0)
     t0 = time.perf_counter()
     for label, c, mkey in pool_instances():
         m, t = machines[mkey], tables[mkey]
@@ -168,6 +169,11 @@ def pool():
             if sol.objective_value != bf.objective_value:
                 res.objective_mismatches.append(
                     (label, variant, routing, sol.objective_value, bf.objective_value))
+            # ties keep the lexicographically smallest (cells, junctions) key
+            key = (sol.placement.cells(m),
+                   tuple(m.cell_id(sol.routes.junction[g.id]) for g in c.cnot_gates()))
+            if sol.optimal and key != min(bf.argmax):
+                res.tie_rule_mismatches.append((label, variant, routing, key, min(bf.argmax)))
             bad = check_solution(sol, c, m, cfg, tables=t)
             if bad:
                 res.verifier_violations.append((label, variant, routing, bad))
@@ -202,6 +208,7 @@ def pool():
 def test_criterion_01_exact_solver_matches_enumeration(pool):
     assert pool.n_instances >= 200
     assert pool.objective_mismatches == []
+    assert pool.tie_rule_mismatches == []
     assert pool.verifier_violations == []
     assert pool.elapsed_s < 300.0
 

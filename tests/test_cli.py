@@ -341,6 +341,32 @@ class TestGenerators:
             synth_calibration(2, 2, 1, t2=t2)
 
 
+class TestErrorsAreOneJsonLine:
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("missing")],
+                             ids=["RuntimeError", "KeyError"])
+    def test_unexpected_exception_exits_1(self, tmp_path, capsys, monkeypatch, bv4, exc):
+        def explode(_args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_compile", explode)
+        code, stdout, stderr = run(capsys, "compile", bv4, uniform_cal(tmp_path, 2, 2),
+                                   "--variant", "greedy-v")
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        assert json.loads(lines[0]) == {"error": type(exc).__name__, "message": str(exc)}
+
+    @pytest.mark.parametrize("variant", ["greedy-v", "greedy-e"])
+    def test_oversized_register_exits_1(self, tmp_path, capsys, variant):
+        circuit = tmp_path / "big.qasm"
+        circuit.write_text("OPENQASM 2.0;\nqreg q[300000];\ncreg c[1];\ncx q[0],q[1];\n")
+        code, stdout, stderr = run(capsys, "compile", str(circuit), uniform_cal(tmp_path, 2, 2),
+                                   "--variant", variant, "--out", str(tmp_path / "x"))
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": "300000 program qubits exceed 4 hardware cells"}
+        assert not (tmp_path / "x.json").exists()
+
+
 # ------------------------------------------------------- malformed inputs ---
 
 def _at(doc, path):

@@ -5,11 +5,19 @@ import hashlib
 import json
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nisqc.circuit import build_circuit, build_program_graph, gen_bv, gen_random, gen_toffoli
+from nisqc.circuit import (
+    build_circuit,
+    build_program_graph,
+    gen_bv,
+    gen_random,
+    gen_toffoli,
+    parse_circuit,
+)
 from nisqc.codegen import expand
 from nisqc.evaluate import reliability_score
 from nisqc.heuristic import (
@@ -216,6 +224,22 @@ class TestCompileWithPlacement:
         with pytest.raises(ValueError, match="exceed"):
             heuristic_compile(gen_bv(4, "111"), m, t,
                               HeuristicConfig(policy="greedy-v"))
+        for greedy_map in (greedy_vertex_map, greedy_edge_map):
+            with pytest.raises(ValueError, match="4 program qubits exceed 3 hardware cells"):
+                greedy_map(build_program_graph(gen_bv(4, "111")), m, t)
+
+    @pytest.mark.parametrize("policy", ["greedy-v", "greedy-e"])
+    def test_oversized_register_rejected_before_allocating(self, policy):
+        c = parse_circuit("OPENQASM 2.0;\nqreg q[300000];\ncreg c[1];\ncx q[0],q[1];\n")
+        m, t = machine(2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="300000 program qubits exceed 4 hardware cells"):
+                heuristic_compile(c, m, t, HeuristicConfig(policy=policy))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestQuality:

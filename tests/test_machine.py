@@ -1,6 +1,9 @@
 """Hardware model: calibration loading, distance/duration formulas, derived tables."""
 
+import gc
+import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -218,6 +221,17 @@ class TestTables:
                 assert path_duration(m, walk, static=True) == static
                 assert path_duration(m, walk) == t.cnot_dur[(a, b, j)]
 
+    def test_build_leaves_no_reference_cycles(self):
+        # a cycle would keep every dropped table alive until a full collection
+        m = load_calibration(jittered_doc(4, 4, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            build_tables(m)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_adjacent_cnot_rel(self, m33):
         t = build_tables(m33)
         assert t.junctions[(0, 1)] == (0,)
@@ -322,6 +336,114 @@ class TestTables:
         m = load_calibration(doc)
         assert path_duration(m, (0, 1, 2)) == 6 * 2 + 5
         assert path_duration(m, (2, 1, 0)) == 6 * 5 + 2
+
+
+def reference_best_paths(m, swap_exp):
+    """The best-path search build_tables used to run once per swap exponent."""
+    n = m.num_cells
+    log_w = {}
+    for e in m.edges:
+        w = -math.log(1.0 - e.cnot_error)
+        log_w[e.endpoints] = w
+        log_w[e.endpoints[::-1]] = w
+    result = {}
+    best_cost = [[math.inf] * n for _ in range(n)]
+    best_via = [[-1] * n for _ in range(n)]
+    preds = {}
+    for t in range(n):
+        for u in sorted(m.adjacency[t]):
+            close_w = log_w[(u, t)]
+            dist = [math.inf] * n
+            pred = [-1] * n
+            dist[u] = 0.0
+            heap = [(0.0, u)]
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > dist[v]:
+                    continue
+                for w_ in m.adjacency[v]:
+                    if w_ == t:
+                        continue
+                    nd = d + swap_exp * log_w[(v, w_)]
+                    if nd < dist[w_]:
+                        dist[w_] = nd
+                        pred[w_] = v
+                        heapq.heappush(heap, (nd, w_))
+            preds[(t, u)] = pred
+            for s in range(n):
+                if s == t or dist[s] == math.inf:
+                    continue
+                cost = dist[s] + close_w
+                if cost < best_cost[t][s] - 1e-15:
+                    best_cost[t][s] = cost
+                    best_via[t][s] = u
+    for t in range(n):
+        for s in range(n):
+            if s == t or best_via[t][s] == -1:
+                continue
+            u = best_via[t][s]
+            pred = preds[(t, u)]
+            seq = [s]
+            while seq[-1] != u:
+                seq.append(pred[seq[-1]])
+            path = tuple(seq) + (t,)
+            result[(s, t)] = (path, path_reliability(path, m, count_return_swaps=swap_exp == 6))
+    return result
+
+
+def reference_tables(m):
+    """Every DerivedTables field by the per-key derivation: each (c, t, j)
+    priced by walking its cnot_walk, and one best-path search per exponent."""
+    n = m.num_cells
+    delta = np.zeros((n, n), dtype=np.int64)
+    junctions, cnot_rel, cnot_dur, cnot_rel_return = {}, {}, {}, {}
+    for c, t in itertools.permutations(range(n), 2):
+        js = sorted(m.cell_id(jp) for jp in one_bend_junctions(m.pos(c), m.pos(t)))
+        for j in js:
+            walk = cnot_walk(m, c, t, j)
+            cnot_dur[(c, t, j)] = path_duration(m, walk)
+            cnot_rel[(c, t, j)] = path_reliability(walk, m)
+            cnot_rel_return[(c, t, j)] = path_reliability(walk, m, count_return_swaps=True)
+        junctions[(c, t)] = tuple(js)
+        delta[c, t] = min(cnot_dur[(c, t, j)] for j in js)
+    return {"delta": delta,
+            "readout_rel": np.array([1.0 - q.readout_error for q in m.qubits]),
+            "cnot_rel": cnot_rel, "cnot_dur": cnot_dur, "cnot_rel_return": cnot_rel_return,
+            "junctions": junctions,
+            "best_paths": reference_best_paths(m, 3),
+            "best_paths_return": reference_best_paths(m, 6)}
+
+
+ORACLE_SHAPES = [(1, 1), (1, 5), (5, 1), (2, 2), (2, 8), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5)]
+
+
+class TestTablesOracle:
+    """build_tables equals the per-key derivation exactly, keys and values:
+    the best-path tie-breaks feed the greedy placements."""
+
+    @staticmethod
+    def assert_equal(m):
+        got = build_tables(m)
+        for name, want in reference_tables(m).items():
+            value = getattr(got, name)
+            if isinstance(want, np.ndarray):
+                assert value.dtype == want.dtype and np.array_equal(value, want), name
+            else:
+                assert value == want, name
+                assert [type(v) for v in value.values()] == [type(want[k]) for k in value], name
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("kind", ["uniform", "synth", "synth-jittered"])
+    def test_small_grids(self, shape, kind):
+        mx, my = shape
+        if kind == "uniform":
+            doc = uniform_doc(mx, my)
+        else:
+            doc = jittered_doc(mx, my, 3 * mx + my, jitter_durations=kind == "synth-jittered")
+        self.assert_equal(load_calibration(doc))
+
+    def test_hardware_scale_grid(self):
+        self.assert_equal(load_calibration(jittered_doc(12, 12, 1)))
 
 
 class TestSynthCalibration:
