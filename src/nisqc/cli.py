@@ -139,13 +139,11 @@ def cmd_compile(args) -> int:
     sol = _compile_one(c, m, tables, args.variant, args)
     dt = time.perf_counter() - t0
     cc = expand(sol, c, m)
-    rec = to_record(cc)
-    rec["compile_time_s"] = dt
     stem = args.out or f"{_stem(args.circuit)}-{args.variant}"
     if stem.endswith((".json", ".qasm")):
         stem = stem[:-5]
     record_path, qasm_path = stem + ".json", stem + ".qasm"
-    _atomic_write(record_path, json.dumps(rec, indent=2) + "\n")
+    _atomic_write(record_path, json.dumps({**to_record(cc), "compile_time_s": dt}) + "\n")
     _atomic_write(qasm_path, emit_qasm(cc))
     print(f"wrote {record_path} and {qasm_path}: objective={cc.objective_value!r} "
           f"optimal={str(cc.optimal).lower()} swaps={cc.swap_count} "
@@ -397,7 +395,3 @@ def main(argv=None) -> int:
         return _fail(4, exc)
     except Exception as exc:   # CalibrationError, ParseError, OSError and every other fault
         return _fail(1, exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

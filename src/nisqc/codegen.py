@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
 from .machine import GridMachine, hop_duration, path_duration
@@ -16,8 +17,7 @@ class CodegenError(ValueError):
     """Expansion found a schedule the physical stream cannot realize."""
 
 
-@dataclass(frozen=True)
-class PhysGate:
+class PhysGate(NamedTuple):
     kind: GateKind
     hw_operands: tuple[int, ...]
     start: int
@@ -193,16 +193,18 @@ def to_record(cc: CompiledCircuit) -> dict:
 
 
 def record_to_json(cc: CompiledCircuit) -> str:
-    return json.dumps(to_record(cc), indent=2) + "\n"
+    """The record as one line of compact JSON."""
+    return json.dumps(to_record(cc)) + "\n"
 
 
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     """Rebuild a CompiledCircuit from a record produced by to_record, scored
     on m: gate durations, reliabilities, makespan and swap count are derived
     from the record's stream and walks on m, not read from the record.
-    Raises ValueError for a missing key, a record for another cell count, a
-    gate or placed qubit off the grid, a CNOT on non-adjacent cells or a
-    route that does not join its CNOT's placed cells."""
+    Raises ValueError for a missing key, another cell count, an omega outside
+    [0, 1], a start not an int >= 0, a gate or placed qubit off the grid, a
+    measure off the source's clbits, a CNOT on non-adjacent cells or a route
+    that does not join its CNOT's placed cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -210,26 +212,34 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         if config["num_cells"] != m.num_cells:
             raise ValueError(f"record is for {config['num_cells']} cells, "
                              f"the machine has {m.num_cells}")
+        if not 0.0 <= config["omega"] <= 1.0:
+            raise ValueError(f"omega = {config['omega']} outside [0, 1]")
         placement = Placement(loc={int(q): tuple(pos) for q, pos in doc["placement"].items()})
         for q, (x, y) in placement.loc.items():
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
+        source = parse_circuit(doc["source_qasm"])
         static = doc["variant"] == Variant.T_SMT.value
         phys = []
         for entry in doc["gates"]:
             kind = GateKind(entry["kind"])
             ops = tuple(entry["hw_operands"])
+            start, clbit = entry["start"], entry.get("clbit")
+            if type(start) is not int or start < 0:
+                raise ValueError(f"{kind.value} starts at {start!r}, not a timeslot >= 0")
             if kind is GateKind.CNOT:
                 dur = hop_duration(m, *ops, static)
             elif not 0 <= ops[0] < m.num_cells:
                 raise ValueError(f"{kind.value} on cell {ops[0]}, off the {m.mx}x{m.my} grid")
             elif kind is GateKind.MEASURE:
+                if type(clbit) is not int or not 0 <= clbit < source.num_clbits:
+                    raise ValueError(f"measure into clbit {clbit!r}, off c[{source.num_clbits}]")
                 dur = m.qubits[ops[0]].readout_duration
             else:
                 dur = m.single_qubit_duration
-            phys.append(PhysGate(kind, ops, entry["start"], dur, entry.get("clbit")))
+            phys.append(PhysGate(kind, ops, start, dur, clbit))
         return CompiledCircuit(
-            m, parse_circuit(doc["source_qasm"]), placement, tuple(phys),
+            m, source, placement, tuple(phys),
             {int(g): tuple(r) for g, r in doc["gate_routes"].items()},
             doc["variant"], config["routing"], config["omega"],
             config["count_return_swaps"], doc["objective"], doc.get("optimal", False))

@@ -7,7 +7,8 @@ import heapq
 import itertools
 import math
 import time
-from bisect import insort
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -128,13 +129,13 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     Among ready gates (all predecessors committed) the one with the smallest
     (earliest conflict-free start, gate id) commits next. A gate exclusively
     occupies each of its cells for [start, start + dur): half-open, so a gate
-    may begin exactly when the previous one ends.
+    may begin exactly when the previous one ends. Each probe of a cell starts
+    at a bisection of its end times, sorted since its intervals never overlap.
     """
     starts = [0] * n_gates
     est = [0] * n_gates
     pending = [len(p) for p in preds]
-    busy: dict[int, list[tuple[int, int]]] = {}
-    cellver: dict[int, int] = {}
+    busy: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     heap: list[tuple[int, int, int]] = []
 
     def fit(g: int) -> int:
@@ -144,12 +145,14 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
         while moved:
             moved = False
             for cell in gcells[g]:
-                for a, b in busy.get(cell, ()):
-                    if a >= s + d:
-                        break
-                    if b > s:
-                        s = b
-                        moved = True
+                if cell not in busy:
+                    continue
+                begins, ends = busy[cell]
+                i = bisect_right(ends, s)
+                while i < len(begins) and begins[i] < s + d:
+                    s = ends[i]
+                    moved = True
+                    i += 1
         if s + d > deadlines[g]:
             raise _InfeasibleSchedule(g)
         return s
@@ -157,7 +160,8 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     def stamp(g: int) -> int:
         total = 0
         for cell in gcells[g]:
-            total += cellver.get(cell, 0)
+            if cell in busy:
+                total += len(busy[cell][0])
         return total
 
     for g in range(n_gates):
@@ -174,8 +178,10 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
         committed += 1
         end = s + durs[g]
         for cell in gcells[g]:
-            insort(busy.setdefault(cell, []), (s, end))
-            cellver[cell] = cellver.get(cell, 0) + 1
+            begins, ends = busy[cell]
+            i = bisect_right(begins, s)
+            begins.insert(i, s)
+            ends.insert(i, end)
         for nxt in succs[g]:
             if end > est[nxt]:
                 est[nxt] = end

@@ -4,14 +4,21 @@ checked on its files, stdout summary, and exit code."""
 import copy
 import csv
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from nisqc.circuit import gen_bv, to_json
+import nisqc
+from nisqc.circuit import gen_bv, parse_circuit, to_json
 from nisqc import cli
 from nisqc.cli import main
-from nisqc.machine import synth_calibration
+from nisqc.codegen import expand, to_record
+from nisqc.heuristic import HeuristicConfig, heuristic_compile
+from nisqc.machine import build_tables, load_calibration, synth_calibration
 
 
 def run(capsys, *argv):
@@ -54,6 +61,19 @@ class TestCompile:
         assert rec["variant"] == "r-smt-star"
         assert (tmp_path / "bv4-r.qasm").read_text().splitlines()[3] == "OPENQASM 2.0;"
         assert "optimal=true" in stdout
+
+    def test_record_is_one_json_line(self, tmp_path, capsys, bv4):
+        cal = uniform_cal(tmp_path, 3, 3)
+        out = str(tmp_path / "bv4-e")
+        assert run(capsys, "compile", "--variant", "greedy-e", bv4, cal, "--out", out)[0] == 0
+        text = (tmp_path / "bv4-e.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        rec = json.loads(text)
+        c = parse_circuit((tmp_path / "bv4.qasm").read_text())
+        m = load_calibration((tmp_path / "cal.json").read_text())
+        cc = expand(heuristic_compile(c, m, build_tables(m), HeuristicConfig("greedy-e")), c, m)
+        assert list(rec)[-1] == "compile_time_s" and rec["compile_time_s"] >= 0
+        assert rec == {**to_record(cc), "compile_time_s": rec["compile_time_s"]}
 
     def test_reliability_variant_rejects_rectangle_routing(self, tmp_path, capsys, bv4):
         cal = uniform_cal(tmp_path, 3, 3)
@@ -341,6 +361,18 @@ class TestGenerators:
             synth_calibration(2, 2, 1, t2=t2)
 
 
+def test_python_dash_m_runs_the_cli():
+    # the package's own parent directory goes first on the path, so this
+    # runs the checkout's nisqc whether or not it is installed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nisqc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "nisqc", "gen-cal", "--mx", "2", "--my", "2",
+                           "--seed", "0"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == synth_calibration(2, 2, 0)
+
+
 class TestErrorsAreOneJsonLine:
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("missing")],
                              ids=["RuntimeError", "KeyError"])
@@ -449,3 +481,46 @@ class TestMalformedInputs:
                              _malformed(VALID_CAL, cal_required, rng), "CalibrationError")
             _compile_exits_1(tmp_path, capsys, _malformed(VALID_CIRCUIT, circ_required, rng),
                              VALID_CAL, "ParseError")
+
+    def test_seeded_record_sweep(self, tmp_path, capsys):
+        # a record with a required key dropped, a start that is not a
+        # timeslot, a measure off the register or an omega outside [0, 1]
+        # is refused before it is scored
+        circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
+        circuit.write_text(json.dumps(VALID_CIRCUIT))
+        cal.write_text(json.dumps(VALID_CAL))
+        assert run(capsys, "compile", str(circuit), str(cal), "--variant", "greedy-v",
+                   "--out", str(tmp_path / "r"))[0] == 0
+        valid = json.loads((tmp_path / "r.json").read_text())
+        measures = [i for i, g in enumerate(valid["gates"]) if g["kind"] == "measure"]
+        required = [(k,) for k in ("placement", "variant", "objective", "gates", "config",
+                                   "gate_routes", "source_qasm")]
+        required += [("config", k) for k in ("routing", "omega", "count_return_swaps",
+                                             "num_cells")]
+        required += [("gates", i, k) for i in range(len(valid["gates"]))
+                     for k in ("kind", "hw_operands", "start")]
+        required += [("gates", i, "clbit") for i in measures]
+        bad = {"start": [math.nan, -5, 1.5, True, None, "0", math.inf],
+               "clbit": [-3, VALID_CIRCUIT["num_clbits"], 1.5, True, None, "0"],
+               "omega": [math.nan, -0.5, 1.5, math.inf, None, "0.5"]}
+        rng = random.Random(12)
+        for case in range(60):
+            doc = copy.deepcopy(valid)
+            what = rng.choice(["drop", "start", "clbit", "omega"])
+            if what == "drop":
+                path = rng.choice(required)
+                del _at(doc, path[:-1])[path[-1]]
+            elif what == "start":
+                rng.choice(doc["gates"])["start"] = rng.choice(bad["start"])
+            elif what == "clbit":
+                doc["gates"][rng.choice(measures)]["clbit"] = rng.choice(bad["clbit"])
+            else:
+                doc["config"]["omega"] = rng.choice(bad["omega"])
+            record, rep = tmp_path / f"rec{case}.json", tmp_path / f"rep{case}"
+            record.write_text(json.dumps(doc))
+            code, stdout, stderr = run(capsys, "evaluate", str(record), str(cal),
+                                       "--trials", "10", "--out", str(rep))
+            lines = stderr.splitlines()
+            assert (code, stdout, len(lines)) == (1, "", 1), (what, doc, stderr)
+            assert json.loads(lines[0])["error"] == "ValueError"
+            assert not (tmp_path / f"rep{case}.csv").exists()

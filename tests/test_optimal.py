@@ -1,9 +1,12 @@
 """Exact solver tests: every optimum is cross-checked against a test-local
 permutation enumerator with its own quadratic scheduler."""
 
+import heapq
 import itertools
 import math
+import random
 import re
+from bisect import insort
 
 import pytest
 
@@ -19,6 +22,13 @@ from nisqc.machine import (
     static_cnot_duration,
     synth_calibration,
 )
+from nisqc import optimal
+from nisqc.heuristic import (
+    GreedyPolicy,
+    HeuristicConfig,
+    compile_with_placement,
+    heuristic_compile,
+)
 from nisqc.optimal import (
     Infeasible,
     Placement,
@@ -27,6 +37,7 @@ from nisqc.optimal import (
     Routing,
     SolverTimeout,
     Variant,
+    _InfeasibleSchedule,
     check_solution,
     emit_smtlib,
     objective,
@@ -741,3 +752,116 @@ class TestSmtCrossCheck:
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         sol = solve_exact(c, m, cfg)
         assert abs(_z3_objective(emit_smtlib(c, m, cfg)) - sol.objective_value) < 1e-9
+
+
+# ------------------------------------------------------- scheduler oracle ---
+
+def linear_scan_schedule(n_gates, durs, gcells, deadlines, preds, succs):
+    """The list scheduler as it was before its probes bisected: each probe
+    scans a cell's sorted (start, end) intervals from the first one."""
+    starts = [0] * n_gates
+    est = [0] * n_gates
+    pending = [len(p) for p in preds]
+    busy = {}
+    cellver = {}
+    heap = []
+
+    def fit(g):
+        s = est[g]
+        d = durs[g]
+        moved = True
+        while moved:
+            moved = False
+            for cell in gcells[g]:
+                for a, b in busy.get(cell, ()):
+                    if a >= s + d:
+                        break
+                    if b > s:
+                        s = b
+                        moved = True
+        if s + d > deadlines[g]:
+            raise _InfeasibleSchedule(g)
+        return s
+
+    def stamp(g):
+        total = 0
+        for cell in gcells[g]:
+            total += cellver.get(cell, 0)
+        return total
+
+    for g in range(n_gates):
+        if pending[g] == 0:
+            heapq.heappush(heap, (fit(g), g, stamp(g)))
+    committed = 0
+    while heap:
+        s, g, st = heapq.heappop(heap)
+        if stamp(g) != st:
+            heapq.heappush(heap, (fit(g), g, stamp(g)))
+            continue
+        starts[g] = s
+        committed += 1
+        end = s + durs[g]
+        for cell in gcells[g]:
+            insort(busy.setdefault(cell, []), (s, end))
+            cellver[cell] = cellver.get(cell, 0) + 1
+        for nxt in succs[g]:
+            if end > est[nxt]:
+                est[nxt] = end
+            pending[nxt] -= 1
+            if pending[nxt] == 0:
+                heapq.heappush(heap, (fit(nxt), nxt, stamp(nxt)))
+    assert committed == n_gates
+    return starts
+
+
+class TestSchedulerOracle:
+    def test_bisected_probes_match_linear_scan(self, monkeypatch):
+        """Every schedule that greedy and exact compiles ask for, on a seeded
+        pool, gets the linear scan's starts, or its infeasible gate id."""
+        bisected = optimal._list_schedule
+        seen = {"feasible": 0, "infeasible": 0}
+
+        def both(*args):
+            try:
+                want = linear_scan_schedule(*args)
+            except _InfeasibleSchedule as exc:
+                with pytest.raises(_InfeasibleSchedule) as got:
+                    bisected(*args)
+                assert got.value.gate_id == exc.gate_id
+                seen["infeasible"] += 1
+                raise
+            assert bisected(*args) == want
+            seen["feasible"] += 1
+            return want
+
+        monkeypatch.setattr(optimal, "_list_schedule", both)
+        grids = [(1, 6), (2, 8), (3, 3), (4, 4)]
+        cals = [{}, {"jitter_durations": True}, {"t2": 40}]
+        for (mx, my), over, seed in itertools.product(grids, cals, (1, 2)):
+            m = load_calibration(synth_calibration(mx, my, seed, **over))
+            t = build_tables(m)
+            c = gen_random(6, 40, seed)
+            for policy, ret in itertools.product(GreedyPolicy, (False, True)):
+                try:
+                    heuristic_compile(c, m, t, HeuristicConfig(policy, count_return_swaps=ret))
+                except Infeasible:
+                    pass
+            rng = random.Random(seed)
+            for _ in range(10):
+                cells = tuple(rng.sample(range(m.num_cells), 6))
+                try:
+                    compile_with_placement(c, m, t, cells, HeuristicConfig(GreedyPolicy.VERTEX),
+                                           "greedy-v")
+                except Infeasible:
+                    pass
+            small = gen_random(3, 6, seed)
+            for variant, routing in ((Variant.T_SMT_STAR, Routing.RR),
+                                     (Variant.R_SMT_STAR, Routing.ONE_BEND)):
+                try:
+                    solve_exact(small, m, ProblemConfig(variant, routing), tables=t)
+                except Infeasible:
+                    pass
+        m = load_calibration(synth_calibration(12, 12, 2, t2=10 ** 6))
+        heuristic_compile(gen_random(128, 2048, 1), m, build_tables(m),
+                          HeuristicConfig(GreedyPolicy.EDGE))
+        assert seen["infeasible"] >= 50 and seen["feasible"] >= 10_000
