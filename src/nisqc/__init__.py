@@ -62,7 +62,6 @@ from .optimal import (
     Infeasible,
     Placement,
     ProblemConfig,
-    RouteAssignment,
     Routing,
     Schedule,
     Solution,

@@ -9,8 +9,19 @@ from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
+from .heuristic import GreedyPolicy, HeuristicConfig
 from .machine import GridMachine, hop_duration, path_duration
-from .optimal import Placement, Solution, Variant, _gate_reliabilities
+from .optimal import (
+    Placement,
+    ProblemConfig,
+    Routing,
+    Solution,
+    Variant,
+    _clashes,
+    _gate_reliabilities,
+)
+
+_KIND = {kind.value: kind for kind in GateKind}
 
 
 class CodegenError(ValueError):
@@ -106,16 +117,13 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
                 t += e
 
     busy: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, pg in enumerate(phys):
-        for cell in pg.hw_operands:
-            busy.setdefault(cell, []).append((pg.start, pg.start + pg.dur, idx))
-    for cell, spans in busy.items():
-        spans.sort()
-        for (a1, b1, i1), (a2, b2, i2) in zip(spans, spans[1:]):
-            if a2 < b1:
-                raise CodegenError(
-                    f"inconsistent schedule: expanded gates {i1} and {i2} "
-                    f"overlap on cell {cell}")
+    for idx, (_kind, ops, s, d, _clbit) in enumerate(phys):
+        span = (s, s + d, idx)
+        for cell in ops:
+            busy.setdefault(cell, []).append(span)
+    for cell, i1, i2 in _clashes(busy):
+        raise CodegenError(f"inconsistent schedule: expanded gates {i1} and {i2} "
+                           f"overlap on cell {cell}")
 
     cc = CompiledCircuit(m, c, sol.placement, tuple(phys), dict(sol.gate_routes),
                          sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
@@ -201,10 +209,13 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     """Rebuild a CompiledCircuit from a record produced by to_record, scored
     on m: gate durations, reliabilities, makespan and swap count are derived
     from the record's stream and walks on m, not read from the record.
-    Raises ValueError for a missing key, another cell count, an omega outside
-    [0, 1], a start not an int >= 0, a gate or placed qubit off the grid, a
-    measure off the source's clbits, a CNOT on non-adjacent cells or a route
-    that does not join its CNOT's placed cells."""
+    Raises ValueError for a missing key, another cell count, a variant,
+    routing, omega or count_return_swaps that ProblemConfig (HeuristicConfig
+    and best-path routing for a greedy variant) refuses, an objective not a
+    finite number, an optimal or count_return_swaps not a bool, an unknown
+    gate kind, a start not an int >= 0, a gate or placed qubit off the grid,
+    a measure off the source's clbits, a CNOT on non-adjacent cells or a
+    route that does not join its CNOT's placed cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -212,17 +223,29 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         if config["num_cells"] != m.num_cells:
             raise ValueError(f"record is for {config['num_cells']} cells, "
                              f"the machine has {m.num_cells}")
-        if not 0.0 <= config["omega"] <= 1.0:
-            raise ValueError(f"omega = {config['omega']} outside [0, 1]")
+        variant, routing = doc["variant"], config["routing"]
+        omega, flag = config["omega"], config["count_return_swaps"]
+        objective, optimal = doc["objective"], doc.get("optimal", False)
+        if type(objective) not in (int, float) or not math.isfinite(objective):
+            raise ValueError(f"objective {objective!r} is not a finite number")
+        if type(optimal) is not bool or type(flag) is not bool:
+            raise ValueError(f"optimal and count_return_swaps must be bools, "
+                             f"not {optimal!r} and {flag!r}")
+        if variant in (GreedyPolicy.VERTEX.value, GreedyPolicy.EDGE.value):
+            HeuristicConfig(variant, omega, flag)
+            if routing != Routing.BEST_PATH.value:
+                raise ValueError(f"{variant} routes by best path, not {routing!r}")
+        else:
+            ProblemConfig(variant, Routing(routing), omega, flag)
         placement = Placement(loc={int(q): tuple(pos) for q, pos in doc["placement"].items()})
         for q, (x, y) in placement.loc.items():
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
         source = parse_circuit(doc["source_qasm"])
-        static = doc["variant"] == Variant.T_SMT.value
+        static = variant == Variant.T_SMT.value
         phys = []
         for entry in doc["gates"]:
-            kind = GateKind(entry["kind"])
+            kind = _KIND[entry["kind"]]
             ops = tuple(entry["hw_operands"])
             start, clbit = entry["start"], entry.get("clbit")
             if type(start) is not int or start < 0:
@@ -241,7 +264,6 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         return CompiledCircuit(
             m, source, placement, tuple(phys),
             {int(g): tuple(r) for g, r in doc["gate_routes"].items()},
-            doc["variant"], config["routing"], config["omega"],
-            config["count_return_swaps"], doc["objective"], doc.get("optimal", False))
+            variant, routing, omega, flag, objective, optimal)
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

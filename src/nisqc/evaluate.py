@@ -151,29 +151,14 @@ def reliability_score(cc: CompiledCircuit, count_return_swaps: bool = False) -> 
     return math.prod(eps[gid] for gid in sorted(eps))
 
 
-def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int, *,
-                        m: GridMachine | None = None,
-                        per_physical_gate: bool = False) -> tuple[float, float]:
-    """Estimate end-to-end success probability by Bernoulli sampling.
-
-    Default model: each routed CNOT (swaps included) and each readout is one
-    event with its ε in cc.per_gate_eps, derived on the machine cc was built
-    or read on. per_physical_gate instead draws one event per expanded
-    CNOT/readout with per-edge ε (requires the machine).
+def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int) -> tuple[float, float]:
+    """Estimate end-to-end success probability by Bernoulli sampling: each
+    routed CNOT (swaps included) and each readout is one event with its ε in
+    cc.per_gate_eps, derived on the machine cc was built or read on.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if per_physical_gate:
-        if m is None:
-            raise ValueError("per-physical-gate mode needs the machine")
-        eps = []
-        for pg in cc.expanded:
-            if pg.kind is GateKind.CNOT:
-                eps.append(1.0 - m.edge_between(*pg.hw_operands).cnot_error)
-            elif pg.kind is GateKind.MEASURE:
-                eps.append(1.0 - m.qubits[pg.hw_operands[0]].readout_error)
-    else:
-        eps = [cc.per_gate_eps[g] for g in sorted(cc.per_gate_eps)]
+    eps = [cc.per_gate_eps[g] for g in sorted(cc.per_gate_eps)]
     if not eps:
         return 1.0, 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -155,7 +155,7 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
     """Best-path routing + earliest-ready scheduling for a fixed placement."""
     bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
     walks = [bp[(cells[g.operands[0]], cells[g.operands[1]])][0] for g in c.cnot_gates()]
-    return _build_solution(c, m, cfg, cells, (), walks, variant=variant_label,
+    return _build_solution(c, m, cfg, cells, walks, variant=variant_label,
                            routing=Routing.BEST_PATH.value, optimal=False)
 
 

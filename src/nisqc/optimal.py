@@ -80,11 +80,6 @@ class Placement:
 
 
 @dataclass(frozen=True)
-class RouteAssignment:
-    junction: dict[int, tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class Schedule:
     start: dict[int, int]
     dur: dict[int, int]
@@ -97,7 +92,6 @@ class Schedule:
 @dataclass(frozen=True)
 class Solution:
     placement: Placement
-    routes: RouteAssignment
     schedule: Schedule
     objective_value: float
     optimal: bool
@@ -360,7 +354,7 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
             raise ValueError(f"junction {m.pos(j)} not legal for a CNOT "
                              f"from {m.pos(a)} to {m.pos(b)}")
         walks.append(cnot_walk(m, a, b, j))
-    return _build_solution(c, m, cfg, cells, junctions, walks, variant=cfg.variant.value,
+    return _build_solution(c, m, cfg, cells, walks, variant=cfg.variant.value,
                            routing=cfg.routing.value, optimal=optimal)
 
 
@@ -384,14 +378,13 @@ def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...
     return eps
 
 
-def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, walks, *,
+def _build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
                     variant: str, routing: str, optimal: bool) -> Solution:
     """The one place a Solution is assembled, for the exact solver and the
     greedy mappers alike: a function of the placement and the CNOT walks.
 
-    cells are placement cells by qubit id, junctions the junction cells by
-    CNOT order (none for best-path routes) and walks the CNOTs' walks in the
-    same order, the moving qubit's cell first. Each walk is priced by
+    cells are placement cells by qubit id and walks the CNOTs' walks in
+    CNOT order, the moving qubit's cell first. Each walk is priced by
     _walk_cost for the canonical scheduler, gate reliabilities come from
     _gate_reliabilities, and the objective is recomputed from the result. cfg
     supplies omega and count_return_swaps. Raises Infeasible.
@@ -403,11 +396,9 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, junctions, walks, *,
                                        *_dag_lists(c), static=static)
     except _InfeasibleSchedule as exc:
         raise Infeasible(str(exc)) from exc
-    junction = {g.id: m.pos(j) for g, j in zip(c.cnot_gates(), junctions)}
     gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
     sol = Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
-        routes=RouteAssignment(junction=junction),
         schedule=Schedule(start={g.id: starts[g.id] for g in c.gates},
                           dur={g.id: durs[g.id] for g in c.gates}),
         objective_value=0.0,
@@ -565,6 +556,22 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     return solution_from_assignment(c, m, cfg, *inc[1], tables=tables, optimal=not timed_out)
 
 
+def _clashes(by_cell: dict[int, list[tuple[int, int, int]]]):
+    """Yield (cell, id1, id2) for every two (start, end, id) intervals on one
+    cell that clash: s1 < e2 and s2 < e1. Sorts each cell's list in place.
+    Sorted by start, an interval can clash only with the later-sorted ones
+    that start before its end. Both inequalities are still tested, so
+    durations of 0 or below give the same pairs as testing every pair."""
+    for cell, ivs in by_cell.items():
+        ivs.sort()
+        n = len(ivs)
+        for k, (s1, e1, g1) in enumerate(ivs, 1):
+            while k < n and ivs[k][0] < e1:
+                if s1 < ivs[k][1]:
+                    yield cell, g1, ivs[k][2]
+                k += 1
+
+
 def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                    cfg: ProblemConfig | None = None,
                    tables: DerivedTables | None = None) -> list[str]:
@@ -614,14 +621,11 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                 v.append(f"CNOT {g.id} route does not join its endpoints")
                 continue
             if routing != Routing.BEST_PATH.value:
-                jpos = sol.routes.junction.get(g.id)
                 legal = (canonical_junction(tables, a, b),) if routing == Routing.RR.value \
                     else tables.junctions[(a, b)]
-                if jpos is None or m.cell_id(jpos) not in legal:
-                    v.append(f"CNOT {g.id} junction {jpos} illegal under {routing} routing")
-                    continue
-                if walk != cnot_walk(m, a, b, m.cell_id(jpos)):
-                    v.append(f"CNOT {g.id} route is not the walk of junction {jpos}")
+                if all(walk != cnot_walk(m, a, b, j) for j in legal):
+                    v.append(f"CNOT {g.id} route is not the walk of a junction "
+                             f"legal under {routing} routing")
                     continue
             try:
                 expect_eps = path_reliability(walk, m, count_return_swaps=flag)
@@ -649,24 +653,11 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
         if start[g2] < start[g1] + dur[g1]:
             v.append(f"dependency violated: gate {g2} starts before gate {g1} finishes")
 
-    # Two gates clash when they share a cell and s1 < e2 and s2 < e1. On one
-    # cell, sorted by start, a gate can clash only with the later-sorted gates
-    # that start before its end. Both inequalities are still tested, so
-    # durations of 0 or below give the same pairs as testing every pair.
     by_cell: dict[int, list[tuple[int, int, int]]] = {}
     for g, region in occupied.items():
         for cell in set(region):
             by_cell.setdefault(cell, []).append((start[g], start[g] + dur[g], g))
-    clashes: set[tuple[int, int]] = set()
-    for ivs in by_cell.values():
-        ivs.sort()
-        for i, (s1, e1, g1) in enumerate(ivs):
-            for k in range(i + 1, len(ivs)):
-                s2, e2, g2 = ivs[k]
-                if s2 >= e1:
-                    break
-                if s1 < e2:
-                    clashes.add((min(g1, g2), max(g1, g2)))
+    clashes = {(min(g1, g2), max(g1, g2)) for _cell, g1, g2 in _clashes(by_cell)}
     v += [f"gates {g1} and {g2} overlap in space and time" for g1, g2 in sorted(clashes)]
 
     expect_obj = objective(sol, cfg)

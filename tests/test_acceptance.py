@@ -27,6 +27,7 @@ from nisqc.evaluate import (
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import (
     build_tables,
+    cnot_walk,
     load_calibration,
     path_reliability,
     route_cells,
@@ -169,11 +170,14 @@ def pool():
             if sol.objective_value != bf.objective_value:
                 res.objective_mismatches.append(
                     (label, variant, routing, sol.objective_value, bf.objective_value))
-            # ties keep the lexicographically smallest (cells, junctions) key
-            key = (sol.placement.cells(m),
-                   tuple(m.cell_id(sol.routes.junction[g.id]) for g in c.cnot_gates()))
-            if sol.optimal and key != min(bf.argmax):
-                res.tie_rule_mismatches.append((label, variant, routing, key, min(bf.argmax)))
+            # ties keep the lexicographically smallest (cells, junctions) key;
+            # a CNOT's walk fixes its junction, so the keys compare as walks
+            cells, junctions = min(bf.argmax)
+            want = (cells, tuple(cnot_walk(m, cells[g.operands[0]], cells[g.operands[1]], j)
+                                 for g, j in zip(c.cnot_gates(), junctions)))
+            key = (sol.placement.cells(m), tuple(sol.gate_routes[g.id] for g in c.cnot_gates()))
+            if sol.optimal and key != want:
+                res.tie_rule_mismatches.append((label, variant, routing, key, want))
             bad = check_solution(sol, c, m, cfg, tables=t)
             if bad:
                 res.verifier_violations.append((label, variant, routing, bad))

@@ -484,8 +484,9 @@ class TestMalformedInputs:
 
     def test_seeded_record_sweep(self, tmp_path, capsys):
         # a record with a required key dropped, a start that is not a
-        # timeslot, a measure off the register or an omega outside [0, 1]
-        # is refused before it is scored
+        # timeslot, a measure off the register, an unknown gate kind, or a
+        # config, objective or optimal flag that compile would not accept is
+        # refused before it is scored; every bad value is tried once
         circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
         circuit.write_text(json.dumps(VALID_CIRCUIT))
         cal.write_text(json.dumps(VALID_CAL))
@@ -501,21 +502,30 @@ class TestMalformedInputs:
                      for k in ("kind", "hw_operands", "start")]
         required += [("gates", i, "clbit") for i in measures]
         bad = {"start": [math.nan, -5, 1.5, True, None, "0", math.inf],
+               "kind": ["bogus", ["cx"], None],
                "clbit": [-3, VALID_CIRCUIT["num_clbits"], 1.5, True, None, "0"],
-               "omega": [math.nan, -0.5, 1.5, math.inf, None, "0.5"]}
+               "omega": [math.nan, -0.5, 1.5, math.inf, None, "0.5"],
+               "routing": ["rr", "1bp", "bogus", None, ["path"]],
+               "count_return_swaps": ["no", 0, 1, None],
+               "variant": ["bogus", "t-smt", "r-smt-star", None, ["greedy-v"]],
+               "objective": ["x", math.nan, math.inf, None, True],
+               "optimal": ["yes", 1, None]}
         rng = random.Random(12)
-        for case in range(60):
+        cases = [("drop", None)] * 40 + [(what, value) for what, values in bad.items()
+                                         for value in values]
+        for case, (what, value) in enumerate(cases):
             doc = copy.deepcopy(valid)
-            what = rng.choice(["drop", "start", "clbit", "omega"])
             if what == "drop":
                 path = rng.choice(required)
                 del _at(doc, path[:-1])[path[-1]]
-            elif what == "start":
-                rng.choice(doc["gates"])["start"] = rng.choice(bad["start"])
+            elif what in ("start", "kind"):
+                rng.choice(doc["gates"])[what] = value
             elif what == "clbit":
-                doc["gates"][rng.choice(measures)]["clbit"] = rng.choice(bad["clbit"])
+                doc["gates"][rng.choice(measures)]["clbit"] = value
+            elif what in doc["config"]:
+                doc["config"][what] = value
             else:
-                doc["config"]["omega"] = rng.choice(bad["omega"])
+                doc[what] = value
             record, rep = tmp_path / f"rec{case}.json", tmp_path / f"rep{case}"
             record.write_text(json.dumps(doc))
             code, stdout, stderr = run(capsys, "evaluate", str(record), str(cal),

@@ -194,7 +194,7 @@ class TestExpandConsistency:
             cells = sol.placement.cells(m)
             assert any(sol.schedule.dur[g] > t.delta[cells[c.gates[g].operands[0]],
                                                       cells[c.gates[g].operands[1]]]
-                       for g in sol.routes.junction)
+                       for g in sol.gate_routes)
         assert check_solution(sol, c, m, cfg, tables=t) == []
         cc = expand(sol, c, m)
         assert cc.makespan == sol.schedule.makespan

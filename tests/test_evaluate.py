@@ -209,16 +209,6 @@ class TestMonteCarlo:
         p, se = monte_carlo_success(cc, 100_000, seed=11)
         assert abs(p - 0.999 ** 101) <= 3 * se
 
-    def test_per_physical_gate_mode(self):
-        m = load_calibration(udoc(1, 3))
-        c = build_circuit(2, 0, [("cx", (0, 1))])
-        cc = expand(assigned(c, m, (0, 2)), c, m)
-        p, se = monte_carlo_success(cc, 200_000, seed=17,
-                                    m=m, per_physical_gate=True)
-        assert abs(p - 0.9 ** 7) <= 3 * se
-        with pytest.raises(ValueError, match="machine"):
-            monte_carlo_success(cc, 100, seed=1, per_physical_gate=True)
-
     def test_rejects_zero_trials(self):
         m = load_calibration(udoc(1, 2))
         c = build_circuit(1, 0, [])

@@ -15,6 +15,7 @@ from nisqc.codegen import CodegenError, expand
 from nisqc.machine import (
     build_tables,
     canonical_junction,
+    cnot_walk,
     load_calibration,
     manhattan,
     path_duration,
@@ -33,7 +34,6 @@ from nisqc.optimal import (
     Infeasible,
     Placement,
     ProblemConfig,
-    RouteAssignment,
     Routing,
     SolverTimeout,
     Variant,
@@ -160,11 +160,17 @@ def oracle_best(c, m, cfg):
     return best
 
 
-def solution_key(sol, m):
-    cells = tuple(m.cell_id(sol.placement.loc[q]) for q in sorted(sol.placement.loc))
-    junctions = tuple(m.cell_id(sol.routes.junction[g])
-                      for g in sorted(sol.routes.junction))
-    return cells, junctions
+def solution_key(sol, c, m):
+    """A solution's (cells, junctions) key, each junction read back from its
+    CNOT's walk: a walk is the cnot_walk of exactly one legal junction."""
+    t = build_tables(m)
+    cells = sol.placement.cells(m)
+    junctions = []
+    for g in c.cnot_gates():
+        a, b = cells[g.operands[0]], cells[g.operands[1]]
+        junctions += [j for j in t.junctions[(a, b)]
+                      if cnot_walk(m, a, b, j) == sol.gate_routes[g.id]]
+    return cells, tuple(junctions)
 
 
 # ----------------------------------------------------------------- tests ---
@@ -437,7 +443,7 @@ class TestSolveExact:
             sol = solve_exact(c, m, cfg)
             want = oracle_best(c, m, cfg)
             assert sol.objective_value == want[0]
-            assert solution_key(sol, m) == want[1]
+            assert solution_key(sol, c, m) == want[1]
             assert sol.optimal
             assert check_solution(sol, c, m, cfg) == []
 
@@ -448,7 +454,7 @@ class TestSolveExact:
         sol = solve_exact(c, m, cfg)
         want = oracle_best(c, m, cfg)
         assert sol.objective_value == want[0]
-        assert solution_key(sol, m) == want[1]
+        assert solution_key(sol, c, m) == want[1]
         assert check_solution(sol, c, m, cfg) == []
 
     def test_hub_qubit_gets_high_degree_cell(self):
@@ -610,21 +616,24 @@ class TestCheckSolution:
         assert flagged > 0
 
     def test_junction_legality(self):
+        # A staircase joins the CNOT's cells on the grid but bends twice, so
+        # it is the walk of no junction legal under either routing.
         import dataclasses
-        c, m, cfg, sol = self.good()
-        if not sol.routes.junction:
-            pytest.skip("no CNOT in solution")
-        gid = min(sol.routes.junction)
-        junction = dict(sol.routes.junction)
-        a = m.cell_id(sol.placement.loc[c.gates[gid].operands[0]])
-        b = m.cell_id(sol.placement.loc[c.gates[gid].operands[1]])
+        m = load_calibration(udoc(2, 3))
         t = build_tables(m)
-        illegal = next(cell for cell in range(m.num_cells)
-                       if cell not in t.junctions[(a, b)])
-        junction[gid] = m.pos(illegal)
-        bad = dataclasses.replace(
-            sol, routes=RouteAssignment(junction=junction))
-        assert any("junction" in v for v in check_solution(bad, c, m, cfg))
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        a, b = m.cell_id((0, 0)), m.cell_id((1, 2))
+        stair = tuple(m.cell_id(p) for p in ((0, 0), (0, 1), (1, 1), (1, 2)))
+        for cfg in (ProblemConfig(Variant.R_SMT_STAR, Routing.ONE_BEND),
+                    ProblemConfig(Variant.T_SMT_STAR, Routing.RR)):
+            sol = solution_from_assignment(c, m, cfg, (a, b), (canonical_junction(t, a, b),),
+                                           tables=t)
+            assert check_solution(sol, c, m, cfg, tables=t) == []
+            bad = dataclasses.replace(sol, gate_routes={0: stair})
+            want = (f"CNOT 0 route is not the walk of a junction legal under "
+                    f"{cfg.routing.value} routing")
+            assert want in check_solution(bad, c, m, cfg, tables=t)
+            assert want in check_solution(bad, c, m)
 
     def test_one_bend_duration_follows_the_junction(self):
         import dataclasses
@@ -646,8 +655,10 @@ class TestCheckSolution:
             expand(short, c, m)
 
     def test_route_must_be_its_junctions_walk(self):
-        # A CNOT's stored route is what expand walks, so a route through the
-        # other junction is flagged even though its junction entry is legal.
+        # A CNOT's stored route is what expand walks: a route through the
+        # other legal junction no longer earns the stored reliability, and
+        # the first junction's route walked by the other qubit is the walk
+        # of no legal junction.
         import dataclasses
         m = load_calibration(synth_calibration(3, 3, 5))
         t = build_tables(m)
@@ -657,8 +668,11 @@ class TestCheckSolution:
         assert sol.gate_routes[0] == (0, 1, 4)
         assert check_solution(sol, c, m, cfg, tables=t) == []
         bad = dataclasses.replace(sol, gate_routes={0: route_cells(m, 0, 4, 3)})
-        assert any("walk of junction" in v for v in check_solution(bad, c, m, cfg, tables=t))
-        assert any("walk of junction" in v for v in check_solution(bad, c, m))
+        assert any("reliability" in v for v in check_solution(bad, c, m, cfg, tables=t))
+        assert any("reliability" in v for v in check_solution(bad, c, m))
+        mover = dataclasses.replace(sol, gate_routes={0: (4, 1, 0)})
+        for got in (check_solution(mover, c, m, cfg, tables=t), check_solution(mover, c, m)):
+            assert any("walk of a junction legal under 1bp" in v for v in got)
         # the claimed reliability is not what the tampered route would run at
         assert sol.gate_eps[0] == pytest.approx(0.9214, abs=1e-4)
         assert expand(bad, c, m).eps_route[0] == pytest.approx(0.8507, abs=1e-4)
@@ -673,7 +687,8 @@ class TestCheckSolution:
         assert check_solution(solution_from_assignment(c, m, cfg, (0, 3), (fast,), tables=t),
                               c, m, cfg, tables=t) == []
         sol = solution_from_assignment(c, m, cfg, (0, 3), (slow,), tables=t)
-        assert any("illegal under rr" in v for v in check_solution(sol, c, m, cfg, tables=t))
+        assert any("walk of a junction legal under rr" in v
+                   for v in check_solution(sol, c, m, cfg, tables=t))
 
     def test_objective_consistency(self):
         import dataclasses
