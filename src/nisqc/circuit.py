@@ -107,13 +107,17 @@ def build_circuit(num_qubits: int, num_clbits: int,
     return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
 
 
-_RE_QREG = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_RE_CREG = re.compile(r"creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_RE_1Q = re.compile(r"([A-Za-z]+)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+# OpenQASM is ASCII: under re.ASCII, \d takes no other script's digits (which
+# int() would read) and \s no Unicode spaces.
+_RE_QREG = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
+_RE_CREG = re.compile(r"creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
+_RE_1Q = re.compile(r"([A-Za-z]+)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
 _RE_CX = re.compile(
-    r"cx\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*,\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+    r"cx\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*,\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$",
+    re.ASCII)
 _RE_MEASURE = re.compile(
-    r"measure\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+    r"measure\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$",
+    re.ASCII)
 
 
 def _parse_qasm(text: str) -> Circuit:

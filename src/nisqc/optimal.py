@@ -12,7 +12,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .circuit import Circuit, GateKind, build_dag, build_program_graph, predecessor_lists
+from .circuit import (
+    Circuit,
+    GateKind,
+    build_circuit,
+    build_dag,
+    build_program_graph,
+    predecessor_lists,
+)
 from .machine import (
     DerivedTables,
     GridMachine,
@@ -199,6 +206,77 @@ def _walk_cost(m: GridMachine, walk, routing: str, static: bool) -> tuple[int, t
                       for y in range(min(ay, by), max(ay, by) + 1))
 
 
+def _cnot_floor(m: GridMachine, tables: DerivedTables, static: bool) -> list[list[int]]:
+    """Per (a, b) cell pair, the fewest timeslots the CNOT a -> b takes over
+    its legal junctions: the static formula, which every junction's walk
+    takes, under the static model, and delta otherwise; 0 when a == b."""
+    if not static:
+        return tables.delta.tolist()
+    pos = [m.pos(a) for a in range(m.num_cells)]
+    return [[static_cnot_duration(manhattan(pa, pb), m) if pa != pb else 0 for pb in pos]
+            for pa in pos]
+
+
+def _folded_rows(c: Circuit, preds, sq_dur: int) -> tuple[list[tuple], int]:
+    """The circuit's DAG for _critical_path, folded onto its CNOTs and
+    readouts. A single-qubit gate lasts sq_dur on every cell, so each path
+    through such gates folds into a weight.
+
+    Returns one row per CNOT or readout, in gate order, and the longest path
+    of single-qubit gates alone. A row (is_cnot, x, head, into, tail) is
+    CNOT number x or a readout of qubit x; it starts no earlier than head,
+    nor than w after row u ends for each (u, w) in into, and the circuit
+    lasts at least tail after it ends.
+    """
+    rows: list[list] = []
+    via: list[dict[int, int]] = []  # per gate: {row u: longest path from u's end to its end}
+    lead: list[int] = []  # per gate: longest path to its end through no row, 0 for a row
+    is_sink = [True] * len(c.gates)
+    k = 0
+    for g in c.gates:
+        into: dict[int, int] = {}
+        head = 0
+        for p in preds[g.id]:
+            is_sink[p] = False
+            head = max(head, lead[p])
+            for u, w in via[p].items():
+                into[u] = max(into.get(u, 0), w)
+        if g.kind is GateKind.CNOT or g.kind is GateKind.MEASURE:
+            is_cnot = g.kind is GateKind.CNOT
+            via.append({len(rows): 0})
+            lead.append(0)
+            rows.append([is_cnot, k if is_cnot else g.operands[0], head, tuple(into.items()), 0])
+            k += is_cnot
+        else:
+            via.append({u: w + sq_dur for u, w in into.items()})
+            lead.append(head + sq_dur)
+    const_path = 0
+    for i in range(len(c.gates)):
+        if is_sink[i]:
+            const_path = max(const_path, lead[i])
+            for u, w in via[i].items():
+                rows[u][4] = max(rows[u][4], w)
+    return [tuple(r) for r in rows], const_path
+
+
+def _critical_path(rows, const_path: int, cx_durs, ro_durs) -> int:
+    """Longest path through a DAG folded by _folded_rows, with CNOT k
+    lasting cx_durs[k] and a readout of qubit q ro_durs[q]: no schedule of
+    the circuit at those durations is shorter."""
+    fin: list[int] = []
+    best = const_path
+    for is_cnot, x, head, into, tail in rows:
+        f = head
+        for u, w in into:
+            if fin[u] + w > f:
+                f = fin[u] + w
+        f += cx_durs[x] if is_cnot else ro_durs[x]
+        fin.append(f)
+        if f + tail > best:
+            best = f + tail
+    return best
+
+
 def _dag_lists(c: Circuit) -> tuple[list[list[int]], list[list[int]]]:
     """Predecessor and successor gate ids per gate."""
     preds = predecessor_lists(c)
@@ -251,7 +329,6 @@ class _Scorer:
     def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
         self.c, self.m, self.tables, self.cfg = c, m, tables, cfg
         self.ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel
-        self.delta = tables.delta.tolist()
         self.static = cfg.variant is Variant.T_SMT
         self.one_bend = cfg.routing is Routing.ONE_BEND
         self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
@@ -262,13 +339,6 @@ class _Scorer:
         self.measure_ids = [g.id for g in c.gates if g.kind is GateKind.MEASURE]
         self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
         self.ro_dur = [q.readout_duration for q in m.qubits]
-
-    def cnot_duration(self, a: int, b: int) -> int:
-        """A lower bound on the timeslots of the CNOT a -> b over its junctions:
-        the static formula for t-smt, else the fastest junction's walk."""
-        if self.static:
-            return static_cnot_duration(manhattan(self.m.pos(a), self.m.pos(b)), self.m)
-        return self.delta[a][b]
 
     def cnot_cost(self, a: int, b: int, j: int) -> tuple[int, tuple[int, ...]]:
         """_walk_cost of the CNOT a -> b's walk through the legal junction j."""
@@ -317,6 +387,70 @@ class _Scorer:
         if self.cfg.variant is Variant.R_SMT_STAR:
             return self.log_objective(cells, junctions), makespan
         return float(makespan), makespan
+
+
+class _LoneQubits:
+    """Leaves that differ only in the cells of qubits no CNOT touches (lone
+    qubits) share one schedule of the other qubits' gates.
+
+    A lone qubit runs its own chain of gates on its own cell. When no CNOT
+    reserves that cell, nothing waits on the chain and nothing holds it up:
+    the canonical scheduler runs its gates back to back from timeslot 0 and
+    schedules every other gate exactly as if the lone qubits were absent. So
+    such a leaf's makespan is the larger of that shared schedule's and the
+    chains' ends, and it is feasible when both are.
+    """
+
+    def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
+        degree = build_program_graph(c).vertex_degree
+        self.lone = [q for q in range(c.num_qubits) if degree.get(q, 0) == 0]
+        self.busy = [q for q in range(c.num_qubits) if degree.get(q, 0) > 0]
+        lone = set(self.lone)
+        self.m = m
+        self.rest = _Scorer(build_circuit(c.num_qubits, c.num_clbits,
+                                          [(g.kind, g.operands, g.classical_target)
+                                           for g in c.gates if g.operands[0] not in lone]),
+                            m, tables, cfg)
+        self.cnot_ops = [self.rest.c.gates[i].operands for i in self.rest.cnot_ids]
+        self.n_single = [0] * c.num_qubits
+        self.n_readout = [0] * c.num_qubits
+        for g in c.gates:
+            if g.kind is GateKind.MEASURE:
+                self.n_readout[g.operands[0]] += 1
+            elif g.kind is not GateKind.CNOT:
+                self.n_single[g.operands[0]] += 1
+        # (busy qubits' cells, junctions) -> (cells the CNOTs reserve, the
+        # shared schedule's makespan or None when it is infeasible)
+        self._runs: dict = {}
+
+    def leaf(self, cells, junctions) -> tuple[bool, int] | None:
+        """(feasible, makespan) of the assignment through the shared
+        schedule, or None when a CNOT reserves a lone qubit's cell."""
+        key = (tuple(cells[q] for q in self.busy), junctions)
+        run = self._runs.get(key)
+        if run is None:
+            reserved = set()
+            for (qa, qb), j in zip(self.cnot_ops, junctions):
+                reserved.update(self.rest.cnot_cost(cells[qa], cells[qb], j)[1])
+            try:
+                span = self.rest.leaf(cells, junctions)[1]
+            except _InfeasibleSchedule:
+                span = None
+            run = self._runs[key] = (reserved, span)
+        reserved, span = run
+        if any(cells[q] in reserved for q in self.lone):
+            return None
+        if span is None:
+            return False, 0
+        m = self.m
+        for q in self.lone:
+            cell = cells[q]
+            end = (self.n_single[q] * m.single_qubit_duration
+                   + self.n_readout[q] * m.qubits[cell].readout_duration)
+            if end > (m.static_coherence_bound - 1 if self.rest.static else m.qubits[cell].t2):
+                return False, 0
+            span = max(span, end)
+        return True, span
 
 
 def objective(sol: Solution, cfg: ProblemConfig | None = None) -> float:
@@ -420,10 +554,23 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     Placements extend qubit by qubit in descending program-graph degree order;
     complete assignments are scored by the canonical scheduler. Reliability
     pruning bounds unplaced readouts/CNOTs by the machine-wide best entries;
-    duration pruning uses a critical-path bound with unplaced CNOTs at
-    distance 1. Ties on the objective keep the lexicographically smallest
-    (placement cells, junction cells) key, so the result is deterministic and
-    matches the brute-force enumerator exactly.
+    duration pruning uses a critical-path bound with placed CNOTs at their
+    pair's fastest junction and unplaced ones at the fastest edge. Ties on
+    the objective keep the lexicographically smallest (placement cells,
+    junction cells) key, so the result is deterministic and matches the
+    brute-force enumerator exactly.
+
+    A junction combo of a complete placement is scheduled only when it can
+    replace the incumbent: its bound must beat the incumbent's objective, or
+    equal it with a smaller key. The bound is the objective itself under
+    r-smt-star, which needs no schedule, and under the duration variants the
+    critical path at the combo's own CNOT durations, which no makespan is
+    below. Skipped combos still count toward the clock read every 256 combos,
+    so the clock is read at the same points as if every combo were
+    scheduled, and a time limit stops the search with the same incumbent.
+    Under the duration variants, combos that differ only in the cells of
+    qubits without CNOTs share one schedule of the other qubits' gates
+    (_LoneQubits), which gives each of them its exact makespan.
     """
     nq, ncells = c.num_qubits, m.num_cells
     if nq > ncells:
@@ -469,49 +616,73 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         if deadline is not None and time.monotonic() > deadline:
             raise _SearchTimeout()
 
+    lone = _LoneQubits(c, m, tables, cfg) \
+        if not maximize and 0 in pg.vertex_degree.values() else None
+    cx_floor = _cnot_floor(m, tables, scorer.static)
+    rows, const_path = _folded_rows(c, scorer.preds, m.single_qubit_duration)
+
     def time_bound() -> int:
-        # Critical path with optimistic durations for unplaced work.
-        fin = [0] * scorer.n_gates
-        for g in c.gates:
-            i = g.id
-            if g.kind is GateKind.CNOT:
-                a, b = cell_of[g.operands[0]], cell_of[g.operands[1]]
-                d = scorer.cnot_duration(a, b) if a >= 0 and b >= 0 else opt_cx_dur
-            elif g.kind is GateKind.MEASURE:
-                cell = cell_of[g.operands[0]]
-                d = scorer.ro_dur[cell] if cell >= 0 else min_ro_dur
-            else:
-                d = m.single_qubit_duration
-            f = d
-            for p_ in scorer.preds[i]:
-                if fin[p_] + d > f:
-                    f = fin[p_] + d
-            fin[i] = f
-        return max(fin, default=0)
+        # Placed CNOTs at their pair's floor, unplaced ones at the fastest
+        # edge; unplaced readouts at the fastest cell's.
+        return _critical_path(rows, const_path,
+                              [cx_floor[cell_of[qa]][cell_of[qb]]
+                               if cell_of[qa] >= 0 and cell_of[qb] >= 0 else opt_cx_dur
+                               for qa, qb in cnot_ops],
+                              [scorer.ro_dur[cell] if cell >= 0 else min_ro_dur
+                               for cell in cell_of])
 
-    def consider(obj, key):
+    def beats(obj, key) -> bool:
         inc = incumbent[0]
-        if inc is None or (obj > inc[0] if maximize else obj < inc[0]) \
-                or (obj == inc[0] and key < inc[1]):
-            incumbent[0] = (obj, key)
+        return inc is None or (obj > inc[0] if maximize else obj < inc[0]) \
+            or (obj == inc[0] and key < inc[1])
 
-    def do_leaf():
+    def do_leaf(node_lb):
         cells = tuple(cell_of)
-        cand = [scorer.junction_choices(cells[qa], cells[qb]) for qa, qb in cnot_ops]
+        pairs = [(cells[qa], cells[qb]) for qa, qb in cnot_ops]
+        cand = [scorer.junction_choices(a, b) for a, b in pairs]
+        if not maximize:
+            # With every CNOT at its pair's floor, as always under rr and
+            # t-smt, each combo's critical path is the node's bound.
+            at_floor = all(scorer.cnot_cost(a, b, j)[0] == cx_floor[a][b]
+                           for (a, b), js in zip(pairs, cand) for j in js)
+            ro_durs = [scorer.ro_dur[cell] for cell in cells]
         for combo in itertools.product(*cand):
             leaf_tick[0] += 1
             if leaf_tick[0] % 256 == 0:
                 check_time()
+            key = (cells, combo)
+            # Schedule only a combo whose bound beats the incumbent: the
+            # objective itself under r-smt-star, which needs no schedule, and
+            # the critical path at the combo's own durations, which no
+            # makespan is below, under the duration variants.
+            if maximize:
+                bound = scorer.log_objective(cells, combo)
+            elif at_floor:
+                bound = node_lb
+            else:
+                bound = _critical_path(rows, const_path,
+                                       [scorer.cnot_cost(a, b, j)[0]
+                                        for (a, b), j in zip(pairs, combo)], ro_durs)
+            if not beats(bound, key):
+                continue
+            # A leaf that differs from another only in lone qubits' cells
+            # reuses its schedule of the other qubits.
+            shared = lone.leaf(cells, combo) if lone is not None else None
+            if shared is not None:
+                if shared[0] and beats(float(shared[1]), key):
+                    incumbent[0] = (float(shared[1]), key)
+                continue
             try:
                 obj, _ = scorer.leaf(cells, combo)
             except _InfeasibleSchedule:
                 continue
-            consider(obj, (cells, combo))
+            if beats(obj, key):
+                incumbent[0] = (obj, key)
 
-    def rec(k, sum_ro, n_ro_open, sum_cx, n_cx_open):
+    def rec(k, sum_ro, n_ro_open, sum_cx, n_cx_open, lb):
         check_time()
         if k == nq:
-            do_leaf()
+            do_leaf(lb)
             return
         q = order[k]
         for cell in range(ncells):
@@ -535,17 +706,18 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                     + (1.0 - omega) * (s_cx + c_open * best_ln_cx)
                 inc = incumbent[0]
                 if inc is None or bound >= inc[0] - 1e-9:
-                    rec(k + 1, s_ro, r_open, s_cx, c_open)
+                    rec(k + 1, s_ro, r_open, s_cx, c_open, 0)
             else:
+                b = time_bound()
                 inc = incumbent[0]
-                if inc is None or time_bound() <= inc[0]:
-                    rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open)
+                if inc is None or b <= inc[0]:
+                    rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open, b)
             used[cell] = False
             cell_of[q] = -1
 
     timed_out = False
     try:
-        rec(0, 0.0, len(scorer.measure_ids), 0.0, len(scorer.cnot_ids))
+        rec(0, 0.0, len(scorer.measure_ids), 0.0, len(scorer.cnot_ids), 0)
     except _SearchTimeout:
         timed_out = True
     inc = incumbent[0]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -398,6 +399,17 @@ class TestErrorsAreOneJsonLine:
                                         "message": "300000 program qubits exceed 4 hardware cells"}
         assert not (tmp_path / "x.json").exists()
 
+    def test_non_ascii_digit_exits_1(self, tmp_path, capsys):
+        # int() reads the Arabic-Indic two, but QASM digits are ASCII
+        circuit = tmp_path / "two.qasm"
+        circuit.write_text("OPENQASM 2.0;\nqreg q[٢];\ncx q[0],q[1];\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "compile", str(circuit), uniform_cal(tmp_path, 2, 2),
+                                   "--variant", "greedy-v", "--out", str(tmp_path / "x"))
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        assert json.loads(lines[0])["error"] == "ParseError"
+        assert not (tmp_path / "x.json").exists()
+
 
 # ------------------------------------------------------- malformed inputs ---
 
@@ -481,6 +493,52 @@ class TestMalformedInputs:
                              _malformed(VALID_CAL, cal_required, rng), "CalibrationError")
             _compile_exits_1(tmp_path, capsys, _malformed(VALID_CIRCUIT, circ_required, rng),
                              VALID_CAL, "ParseError")
+
+    def test_seeded_qasm_sweep(self, tmp_path, capsys, bv4):
+        # a bv4 program with one seeded fault: a dropped ';', a renamed
+        # register, an index set out of range, an unknown gate, a digit of
+        # another script, a cut at a random byte or a second qreg. Every case
+        # ends in a documented exit code, and a failure prints one JSON line
+        # and writes no record; all but the cut and the index are ParseErrors.
+        lines = open(bv4).read().splitlines(keepends=True)
+        cal = uniform_cal(tmp_path, 2, 3)
+        rng = random.Random(13)
+        faults = ["semicolon", "register", "index", "gate", "digit", "cut", "qreg"]
+        for case in range(60):
+            fault = faults[case % len(faults)]
+            text = list(lines)
+            i = rng.randrange(1, len(text))   # any statement but the header
+            if fault == "semicolon":
+                text[i] = text[i].replace(";", "", 1)
+            elif fault == "register":
+                text[i] = re.sub(r"\b[qc]\[", lambda m: "r" + m.group()[1:], text[i], count=1)
+            elif fault == "index":
+                text[i] = re.sub(r"\[[0-9]+\]", f"[{rng.choice([3, 4, 9, 10 ** 6])}]", text[i],
+                                 count=1)
+            elif fault == "gate":
+                i = rng.randrange(3, len(text))
+                text[i] = rng.choice(["ccx", "u3", "swap", "rx"]) + text[i][text[i].index(" "):]
+            elif fault == "digit":
+                text[i] = re.sub("[0-9]", rng.choice(["٢", "２", "३"]), text[i],
+                                 count=1)
+            elif fault == "qreg":
+                text.insert(i, "qreg q[4];\n")
+            text = "".join(text)
+            if fault == "cut":
+                text = text[:rng.randrange(len(text))]
+            circuit = tmp_path / f"m{case}.qasm"
+            circuit.write_text(text, encoding="utf-8")
+            for variant in ("greedy-e", "t-smt-star"):
+                out = tmp_path / f"m{case}-{variant}"
+                code, stdout, stderr = run(capsys, "compile", str(circuit), cal,
+                                           "--variant", variant, "--out", str(out))
+                assert code in (0, 1, 2, 3, 4), (fault, text, stderr)
+                if fault not in ("cut", "index"):
+                    assert code == 1 and json.loads(stderr)["error"] == "ParseError", (fault, text)
+                if code:
+                    assert stdout == "" and len(stderr.splitlines()) == 1, (fault, text, stderr)
+                    assert "error" in json.loads(stderr)
+                assert (code == 0) == os.path.exists(f"{out}.json"), (fault, text)
 
     def test_seeded_record_sweep(self, tmp_path, capsys):
         # a record with a required key dropped, a start that is not a

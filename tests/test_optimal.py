@@ -1,6 +1,7 @@
 """Exact solver tests: every optimum is cross-checked against a test-local
 permutation enumerator with its own quadratic scheduler."""
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -10,7 +11,15 @@ from bisect import insort
 
 import pytest
 
-from nisqc.circuit import GateKind, build_circuit, build_dag, gen_bv, gen_random, gen_toffoli
+from nisqc.circuit import (
+    GateKind,
+    build_circuit,
+    build_dag,
+    gen_bv,
+    gen_random,
+    gen_toffoli,
+    predecessor_lists,
+)
 from nisqc.codegen import CodegenError, expand
 from nisqc.machine import (
     build_tables,
@@ -24,6 +33,7 @@ from nisqc.machine import (
     synth_calibration,
 )
 from nisqc import optimal
+from nisqc.evaluate import brute_force_optimal
 from nisqc.heuristic import (
     GreedyPolicy,
     HeuristicConfig,
@@ -158,6 +168,13 @@ def oracle_best(c, m, cfg):
             elif not maximize and (obj < best[0] or (obj == best[0] and key < best[1])):
                 best = (obj, key)
     return best
+
+
+def with_readouts(c, qubits):
+    """c followed by a readout of each of qubits into its own clbit."""
+    ops = [(g.kind, g.operands) for g in c.gates]
+    ops += [(GateKind.MEASURE, (q,), q) for q in qubits]
+    return build_circuit(c.num_qubits, c.num_qubits, ops)
 
 
 def solution_key(sol, c, m):
@@ -425,6 +442,134 @@ class TestCanonicalSchedule:
             sol = solution_from_assignment(c, m, cfg, cells, junctions, tables=t)
             assert sol.schedule.start == got[0] and sol.schedule.dur == got[1]
             assert check_solution(sol, c, m, cfg, tables=t) == []
+
+
+class TestCriticalPath:
+    def test_folded_rows_match_the_gate_by_gate_longest_path(self):
+        """The bound folded onto CNOTs and readouts equals the longest path
+        taken gate by gate, whatever the durations."""
+        circuits = [build_circuit(2, 0, []), build_circuit(2, 0, [("h", (0,)), ("x", (0,))]),
+                    gen_toffoli(), gen_bv(6, "10110")]
+        circuits += [gen_random(5, 30, s) for s in range(4)]
+        circuits += [with_readouts(gen_random(6, 24, s), range(s % 6)) for s in range(8)]
+        rng = random.Random(7)
+        for c in circuits:
+            preds = predecessor_lists(c)
+            n_cx = sum(g.kind is GateKind.CNOT for g in c.gates)
+            for _ in range(5):
+                sq = rng.randint(0, 3)
+                cx = [rng.randint(1, 40) for _ in range(n_cx)]
+                ro = [rng.randint(1, 20) for _ in range(c.num_qubits)]
+                fin, k = [], 0
+                for g in c.gates:
+                    if g.kind is GateKind.CNOT:
+                        d, k = cx[k], k + 1
+                    else:
+                        d = ro[g.operands[0]] if g.kind is GateKind.MEASURE else sq
+                    fin.append(d + max((fin[p] for p in preds[g.id]), default=0))
+                rows, const_path = optimal._folded_rows(c, preds, sq)
+                assert optimal._critical_path(rows, const_path, cx, ro) == max(fin, default=0)
+
+
+def with_lone_qubits(c, extra):
+    """c on `extra` more qubits, each running only H, T and a readout."""
+    n = c.num_qubits + extra
+    ops = [(g.kind, g.operands, g.classical_target) for g in c.gates]
+    for q in range(c.num_qubits, n):
+        ops += [(GateKind.H, (q,), None), (GateKind.T, (q,), None), (GateKind.MEASURE, (q,), q)]
+    return build_circuit(n, n, ops)
+
+
+def _leaf_pool(circuits, seed):
+    """(scorer, cells, junctions) for random placements and junctions of each
+    circuit on plain, jittered and short-lived 2x8 ladders, under the three
+    duration variant/routing pairs: 25 leaves per circuit and setting."""
+    rng = random.Random(seed)
+    for over in ({}, {"jitter_durations": True}, {"t2": 40}):
+        m = load_calibration(synth_calibration(2, 8, seed, **over))
+        t = build_tables(m)
+        for variant, routing in ((Variant.T_SMT, Routing.RR), (Variant.T_SMT_STAR, Routing.RR),
+                                 (Variant.T_SMT_STAR, Routing.ONE_BEND)):
+            for c in circuits:
+                scorer = optimal._Scorer(c, m, t, ProblemConfig(variant, routing))
+                for _ in range(25):
+                    cells = tuple(rng.sample(range(m.num_cells), c.num_qubits))
+                    junctions = tuple(rng.choice(scorer.junction_choices(cells[g.operands[0]],
+                                                                         cells[g.operands[1]]))
+                                      for g in c.cnot_gates())
+                    yield scorer, cells, junctions
+
+
+class TestLoneQubits:
+    def test_shared_schedule_gives_each_leaf_its_own(self):
+        """Where no CNOT reserves a lone qubit's cell, the shared schedule
+        gives the leaf's own feasibility and makespan; elsewhere it gives
+        nothing."""
+        circuits = [gen_bv(6, "10010"), gen_bv(5, "0001"),
+                    with_lone_qubits(gen_random(4, 16, 3), 2),
+                    with_lone_qubits(with_readouts(gen_random(3, 12, 4), range(3)), 1),
+                    with_lone_qubits(build_circuit(2, 0, [("cx", (0, 1))]), 3)]
+        seen = {"shared": 0, "infeasible": 0, "reserved": 0}
+        rng = random.Random(9)
+        last = lone = None
+        for scorer, cells, junctions in _leaf_pool(circuits, 6):
+            if scorer is not last:
+                last, lone = scorer, optimal._LoneQubits(scorer.c, scorer.m, scorer.tables,
+                                                         scorer.cfg)
+            reserved = {cell for g, j in zip(scorer.c.cnot_gates(), junctions)
+                        for cell in scorer.cnot_cost(cells[g.operands[0]],
+                                                     cells[g.operands[1]], j)[1]}
+            # The leaf, then two that move its lone qubits to other free
+            # cells and so reuse its shared schedule.
+            free = [cell for cell in range(scorer.m.num_cells) if cell not in cells]
+            for _ in range(3):
+                got = lone.leaf(cells, junctions)
+                if any(cells[q] in reserved for q in lone.lone):
+                    assert got is None
+                    seen["reserved"] += 1
+                else:
+                    try:
+                        want = (True, scorer.leaf(cells, junctions)[1])
+                        seen["shared"] += 1
+                    except _InfeasibleSchedule:
+                        want = (False, 0)
+                        seen["infeasible"] += 1
+                    assert got == want
+                moved = list(cells)
+                for q, cell in zip(lone.lone, rng.sample(free, len(lone.lone))):
+                    moved[q] = cell
+                cells = tuple(moved)
+        assert min(seen.values()) >= 30, seen
+
+    def test_solver_matches_the_enumerator(self):
+        """Exact solves of circuits with lone qubits reach the enumerator's
+        optimum and its smallest key on plain, jittered and short-lived 2x3
+        grids, or find no schedule where it finds none."""
+        circuits = [with_lone_qubits(build_circuit(2, 0, [("cx", (0, 1)), ("h", (1,)),
+                                                          ("cx", (1, 0))]), 2),
+                    gen_bv(4, "010"),
+                    with_lone_qubits(with_readouts(gen_random(2, 6, 1), range(2)), 1)]
+        solved = infeasible = 0
+        for over in ({}, {"jitter_durations": True}, {"t2": 16}):
+            m = load_calibration(synth_calibration(2, 3, 8, **over))
+            t = build_tables(m)
+            for c in circuits:
+                for variant, routing in ((Variant.T_SMT, Routing.RR),
+                                         (Variant.T_SMT_STAR, Routing.RR),
+                                         (Variant.T_SMT_STAR, Routing.ONE_BEND)):
+                    cfg = ProblemConfig(variant, routing)
+                    try:
+                        bf = brute_force_optimal(c, m, cfg, tables=t)
+                    except Infeasible:
+                        with pytest.raises(Infeasible):
+                            solve_exact(c, m, cfg, tables=t)
+                        infeasible += 1
+                        continue
+                    sol = solve_exact(c, m, cfg, tables=t)
+                    assert sol.objective_value == bf.objective_value
+                    assert solution_key(sol, c, m) == min(bf.argmax)
+                    solved += 1
+        assert solved >= 20 and infeasible >= 3, (solved, infeasible)
 
 
 class TestSolveExact:
@@ -831,8 +976,9 @@ def linear_scan_schedule(n_gates, durs, gcells, deadlines, preds, succs):
 
 class TestSchedulerOracle:
     def test_bisected_probes_match_linear_scan(self, monkeypatch):
-        """Every schedule that greedy and exact compiles ask for, on a seeded
-        pool, gets the linear scan's starts, or its infeasible gate id."""
+        """Every schedule that greedy compiles, exact solves and the
+        enumerator ask for, on a seeded pool, gets the linear scan's starts,
+        or its infeasible gate id."""
         bisected = optimal._list_schedule
         seen = {"feasible": 0, "infeasible": 0}
 
@@ -870,13 +1016,71 @@ class TestSchedulerOracle:
                 except Infeasible:
                     pass
             small = gen_random(3, 6, seed)
-            for variant, routing in ((Variant.T_SMT_STAR, Routing.RR),
-                                     (Variant.R_SMT_STAR, Routing.ONE_BEND)):
+            # The enumerator schedules every leaf the pruned search skips.
+            for solve, variant, routing in ((solve_exact, Variant.T_SMT_STAR, Routing.RR),
+                                            (solve_exact, Variant.R_SMT_STAR, Routing.ONE_BEND),
+                                            (brute_force_optimal, Variant.T_SMT_STAR, Routing.RR)):
                 try:
-                    solve_exact(small, m, ProblemConfig(variant, routing), tables=t)
+                    solve(small, m, ProblemConfig(variant, routing), tables=t)
                 except Infeasible:
                     pass
         m = load_calibration(synth_calibration(12, 12, 2, t2=10 ** 6))
         heuristic_compile(gen_random(128, 2048, 1), m, build_tables(m),
                           HeuristicConfig(GreedyPolicy.EDGE))
         assert seen["infeasible"] >= 50 and seen["feasible"] >= 10_000
+
+
+class _ReadClock:
+    """Stands in for the time module of nisqc.optimal: every read advances
+    the clock by one, so a time limit of N is a budget of N clock reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return float(self.reads)
+
+
+def _budget_pool():
+    """Twelve small circuits on a 2x8 ladder, six on a plain and six on a
+    jittered-duration calibration."""
+    bv5, bv6, bv7, bv8 = (gen_bv(5, "1011"), gen_bv(6, "11010"), gen_bv(7, "101101"),
+                          gen_bv(8, "1110011"))
+    rand5 = with_readouts(gen_random(5, 20, 1), range(5))
+    rand6 = with_readouts(gen_random(6, 24, 2), range(6))
+    plain = load_calibration(synth_calibration(2, 8, 1))
+    jittered = load_calibration(synth_calibration(2, 8, 9, jitter_durations=True))
+    return ([(plain, c) for c in (bv5, bv6, bv7, rand5, rand6, gen_toffoli())]
+            + [(jittered, c) for c in (bv6, bv7, bv8, rand5, rand6, gen_toffoli())])
+
+
+class TestBudgetGolden:
+    # sha256 of every solve's (cells, walks, objective, optimal) and the
+    # number of clock reads all solves made, at a budget of 400 reads each.
+    DIGEST = "dd920c21f3c9a55d26542e1d43e2f7ea1d60230f4dcd2d39ecfa41bea84f9cf5"
+    READS = 16714
+
+    def test_budget_limited_solves_are_pinned(self, monkeypatch):
+        """Solves cut by their budget of clock reads return what they
+        returned before, after the same number of reads. A change to where
+        the search reads its clock changes what a budget buys: such a change
+        (ROADMAP Open item 2) must update DIGEST and READS on purpose."""
+        clock = _ReadClock()
+        monkeypatch.setattr(optimal, "time", clock)
+        h = hashlib.sha256()
+        proved = 0
+        for m, c in _budget_pool():
+            t = build_tables(m)
+            for variant, routing in ((Variant.T_SMT, Routing.RR),
+                                     (Variant.T_SMT_STAR, Routing.RR),
+                                     (Variant.T_SMT_STAR, Routing.ONE_BEND),
+                                     (Variant.R_SMT_STAR, Routing.ONE_BEND)):
+                sol = solve_exact(c, m, ProblemConfig(variant, routing, time_limit=400),
+                                  tables=t)
+                walks = [sol.gate_routes[g.id] for g in c.cnot_gates()]
+                h.update(repr((sol.placement.cells(m), walks, sol.objective_value,
+                               sol.optimal)).encode())
+                proved += sol.optimal
+        assert 0 < proved < 48
+        assert (h.hexdigest(), clock.reads) == (self.DIGEST, self.READS)
