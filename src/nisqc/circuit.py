@@ -120,6 +120,14 @@ _RE_MEASURE = re.compile(
     re.ASCII)
 
 
+def _qasm_int(digits: str, line: int, col: int) -> int:
+    # int() refuses a string of more digits than sys.get_int_max_str_digits()
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"integer of {len(digits)} digits is too long", line, col) from exc
+
+
 def _parse_qasm(text: str) -> Circuit:
     qreg: str | None = None
     creg: str | None = None
@@ -142,13 +150,13 @@ def _parse_qasm(text: str) -> Circuit:
         if m:
             if qreg is not None:
                 raise ParseError("duplicate qreg declaration", lineno, col)
-            qreg, num_qubits = m.group(1), int(m.group(2))
+            qreg, num_qubits = m.group(1), _qasm_int(m.group(2), lineno, col)
             continue
         m = _RE_CREG.match(stmt)
         if m:
             if creg is not None:
                 raise ParseError("duplicate creg declaration", lineno, col)
-            creg, num_clbits = m.group(1), int(m.group(2))
+            creg, num_clbits = m.group(1), _qasm_int(m.group(2), lineno, col)
             continue
         m = _RE_CX.match(stmt)
         if m:
@@ -156,7 +164,8 @@ def _parse_qasm(text: str) -> Circuit:
                 raise ParseError("gate before qreg declaration", lineno, col)
             if m.group(1) != qreg or m.group(3) != qreg:
                 raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
-            ops.append((GateKind.CNOT, (int(m.group(2)), int(m.group(4))), None))
+            ops.append((GateKind.CNOT, (_qasm_int(m.group(2), lineno, col),
+                                         _qasm_int(m.group(4), lineno, col)), None))
             gate_locs.append((lineno, col))
             continue
         m = _RE_MEASURE.match(stmt)
@@ -167,7 +176,8 @@ def _parse_qasm(text: str) -> Circuit:
                 raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
             if creg is None or m.group(3) != creg:
                 raise ParseError(f"unknown classical register '{m.group(3)}'", lineno, col)
-            ops.append((GateKind.MEASURE, (int(m.group(2)),), int(m.group(4))))
+            ops.append((GateKind.MEASURE, (_qasm_int(m.group(2), lineno, col),),
+                        _qasm_int(m.group(4), lineno, col)))
             gate_locs.append((lineno, col))
             continue
         m = _RE_1Q.match(stmt)
@@ -179,7 +189,7 @@ def _parse_qasm(text: str) -> Circuit:
                 raise ParseError("gate before qreg declaration", lineno, col)
             if m.group(2) != qreg:
                 raise ParseError(f"unknown register '{m.group(2)}'", lineno, col)
-            ops.append((_SINGLE_QUBIT_NAMES[name], (int(m.group(3)),), None))
+            ops.append((_SINGLE_QUBIT_NAMES[name], (_qasm_int(m.group(3), lineno, col),), None))
             gate_locs.append((lineno, col))
             continue
         raise ParseError(f"cannot parse statement '{stmt}'", lineno, col)
@@ -198,6 +208,8 @@ def _parse_json(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError as exc:   # a number past int()'s digit limit
+        raise ParseError(f"invalid JSON: {exc}", 1, 1) from exc
     if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
         raise ParseError("circuit JSON needs num_qubits and gates", 1, 1)
     try:

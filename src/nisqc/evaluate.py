@@ -30,11 +30,11 @@ _GATE_MATRIX = {
     GateKind.H: np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+}
+# A diagonal gate diag(1, phase) scales the |1> half of the state in place.
+_PHASE = {
+    GateKind.Z: -1.0, GateKind.S: 1j, GateKind.SDG: -1j,
+    GateKind.T: np.exp(1j * math.pi / 4), GateKind.TDG: np.exp(-1j * math.pi / 4),
 }
 
 _MAX_SIM_QUBITS = 14
@@ -44,8 +44,12 @@ class SimulationCapExceeded(ValueError):
     """The statevector oracle would need more than its qubit cap."""
 
 
-def _apply_single(state: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
+def _apply_single(state: np.ndarray, n: int, q: int, kind: GateKind) -> None:
     view = state.reshape(1 << (n - 1 - q), 2, 1 << q)
+    if kind in _PHASE:
+        view[:, 1, :] *= _PHASE[kind]
+        return
+    mat = _GATE_MATRIX[kind]
     a = view[:, 0, :].copy()
     b = view[:, 1, :].copy()
     view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
@@ -71,21 +75,32 @@ def _project(state: np.ndarray, n: int, q: int, bit: int) -> np.ndarray:
 def statevector_sim(c: Circuit) -> dict[str, float]:
     """Exact output distribution over classical bitstrings (clbit 0 leftmost).
 
-    Measurements branch the state instead of sampling, so the result is the
-    exact joint marginal on the classical register. Unwritten clbits read 0.
+    A measurement whose qubit a later gate touches branches the state instead
+    of sampling. Any other measurement is deferred: it records which qubit its
+    clbit reads, and at the end each branch's |psi|^2, summed over the other
+    qubits, gives the joint outcomes of the deferred clbits. A later
+    measurement into the same clbit drops the deferred entry, so the last
+    write wins. The result is the exact joint marginal on the classical
+    register. Unwritten clbits read 0.
     """
     n = c.num_qubits
     if n > _MAX_SIM_QUBITS:
         raise SimulationCapExceeded(f"{n} qubits exceed the {_MAX_SIM_QUBITS}-qubit simulation cap")
+    last = {q: i for i, g in enumerate(c.gates) for q in g.operands}
     init = np.zeros(1 << n, dtype=complex)
     init[0] = 1.0
     branches: list[tuple[np.ndarray, dict[int, int]]] = [(init, {})]
-    for g in c.gates:
+    deferred: dict[int, int] = {}  # clbit -> qubit measured by its last gate
+    for i, g in enumerate(c.gates):
         if g.kind is GateKind.CNOT:
             for state, _ in branches:
                 _apply_cnot(state, n, g.operands[0], g.operands[1])
         elif g.kind is GateKind.MEASURE:
             q = g.operands[0]
+            if last[q] == i:
+                deferred[g.classical_target] = q
+                continue
+            deferred.pop(g.classical_target, None)
             split: list[tuple[np.ndarray, dict[int, int]]] = []
             for state, bits in branches:
                 for bit in (0, 1):
@@ -94,14 +109,20 @@ def statevector_sim(c: Circuit) -> dict[str, float]:
                         split.append((proj, {**bits, g.classical_target: bit}))
             branches = split
         else:
-            mat = _GATE_MATRIX[g.kind]
             for state, _ in branches:
-                _apply_single(state, n, g.operands[0], mat)
+                _apply_single(state, n, g.operands[0], g.kind)
+    # Qubit q is axis n-1-q; the summed marginal keeps the deferred qubits'
+    # axes in that order, highest qubit first.
+    read = sorted(set(deferred.values()), reverse=True)
+    other = tuple(n - 1 - q for q in range(n) if q not in read)
     dist: dict[str, float] = {}
     for state, bits in branches:
-        p = float(np.vdot(state, state).real)
-        key = "".join(str(bits.get(i, 0)) for i in range(c.num_clbits))
-        dist[key] = dist.get(key, 0.0) + p
+        marginal = (state.real ** 2 + state.imag ** 2).reshape([2] * n).sum(axis=other)
+        for idx in np.argwhere(marginal > 1e-30):
+            outcome = dict(zip(read, idx.tolist()))
+            merged = {**bits, **{cb: outcome[q] for cb, q in deferred.items()}}
+            key = "".join(str(merged.get(k, 0)) for k in range(c.num_clbits))
+            dist[key] = dist.get(key, 0.0) + float(marginal[tuple(idx)])
     return dist
 
 
@@ -154,7 +175,9 @@ def reliability_score(cc: CompiledCircuit, count_return_swaps: bool = False) -> 
 def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int) -> tuple[float, float]:
     """Estimate end-to-end success probability by Bernoulli sampling: each
     routed CNOT (swaps included) and each readout is one event with its ε in
-    cc.per_gate_eps, derived on the machine cc was built or read on.
+    cc.per_gate_eps, derived on the machine cc was built or read on. A trial
+    succeeds when every event does, so the hit count is one draw from
+    Binomial(trials, ∏ε).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -162,16 +185,7 @@ def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int) -> tuple[fl
     if not eps:
         return 1.0, 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    fail = 1.0 - np.asarray(eps)
-    hits = 0
-    chunk = max(1, min(trials, 10_000_000 // len(eps)))
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        u = rng.random((rows, len(eps)))
-        hits += int(np.all(u >= fail, axis=1).sum())
-        done += rows
-    p = hits / trials
+    p = int(rng.binomial(trials, math.prod(eps))) / trials
     return p, math.sqrt(p * (1.0 - p) / trials)
 
 

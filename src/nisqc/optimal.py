@@ -672,8 +672,14 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 if shared[0] and beats(float(shared[1]), key):
                     incumbent[0] = (float(shared[1]), key)
                 continue
+            # Under r-smt-star the bound is bitwise the leaf's objective, so
+            # the schedule only decides feasibility.
             try:
-                obj, _ = scorer.leaf(cells, combo)
+                if maximize:
+                    scorer.schedule_arrays(cells, combo)
+                    obj = bound
+                else:
+                    obj, _ = scorer.leaf(cells, combo)
             except _InfeasibleSchedule:
                 continue
             if beats(obj, key):

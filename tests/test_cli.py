@@ -221,8 +221,8 @@ class TestEvaluate:
             row = next(csv.DictReader(open(rep + ".csv")))
             rows[seed] = [row[k] for k in ("reliability", "mc_success", "stderr",
                                            "makespan", "swaps")]
-        assert rows == {"0": ["0.486069998020987", "0.48819", "0.0015806977063942363", "58", "4"],
-                        "7": ["0.5820641579210737", "0.58375", "0.0015588006206696224", "58", "4"]}
+        assert rows == {"0": ["0.486069998020987", "0.48529", "0.0015804544153502182", "58", "4"],
+                        "7": ["0.5820641579210737", "0.58283", "0.0015592921185589312", "58", "4"]}
 
     def test_empty_record_exits_1(self, tmp_path, capsys):
         rec = tmp_path / "empty.json"
@@ -399,6 +399,15 @@ class TestErrorsAreOneJsonLine:
                                         "message": "300000 program qubits exceed 4 hardware cells"}
         assert not (tmp_path / "x.json").exists()
 
+    def test_json_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        circuit = tmp_path / "big.json"
+        circuit.write_text('{"num_qubits": ' + "9" * 5000 + ', "gates": []}')
+        code, stdout, stderr = run(capsys, "compile", str(circuit), uniform_cal(tmp_path, 2, 2),
+                                   "--variant", "greedy-v", "--out", str(tmp_path / "x"))
+        assert (code, stdout, len(stderr.splitlines())) == (1, "", 1)
+        assert json.loads(stderr)["error"] == "ParseError"
+        assert not (tmp_path / "x.json").exists()
+
     def test_non_ascii_digit_exits_1(self, tmp_path, capsys):
         # int() reads the Arabic-Indic two, but QASM digits are ASCII
         circuit = tmp_path / "two.qasm"
@@ -497,13 +506,14 @@ class TestMalformedInputs:
     def test_seeded_qasm_sweep(self, tmp_path, capsys, bv4):
         # a bv4 program with one seeded fault: a dropped ';', a renamed
         # register, an index set out of range, an unknown gate, a digit of
-        # another script, a cut at a random byte or a second qreg. Every case
-        # ends in a documented exit code, and a failure prints one JSON line
-        # and writes no record; all but the cut and the index are ParseErrors.
+        # another script, a cut at a random byte, a second qreg or an integer
+        # of 5,000 digits, past what int() reads. Every case ends in a
+        # documented exit code, and a failure prints one JSON line and writes
+        # no record; all but the cut and the index are ParseErrors.
         lines = open(bv4).read().splitlines(keepends=True)
         cal = uniform_cal(tmp_path, 2, 3)
         rng = random.Random(13)
-        faults = ["semicolon", "register", "index", "gate", "digit", "cut", "qreg"]
+        faults = ["semicolon", "register", "index", "gate", "digit", "cut", "qreg", "long"]
         for case in range(60):
             fault = faults[case % len(faults)]
             text = list(lines)
@@ -523,6 +533,8 @@ class TestMalformedInputs:
                                  count=1)
             elif fault == "qreg":
                 text.insert(i, "qreg q[4];\n")
+            elif fault == "long":
+                text[i] = re.sub(r"\[[0-9]+\]", "[" + "9" * 5000 + "]", text[i], count=1)
             text = "".join(text)
             if fault == "cut":
                 text = text[:rng.randrange(len(text))]
@@ -535,6 +547,8 @@ class TestMalformedInputs:
                 assert code in (0, 1, 2, 3, 4), (fault, text, stderr)
                 if fault not in ("cut", "index"):
                     assert code == 1 and json.loads(stderr)["error"] == "ParseError", (fault, text)
+                if fault == "long":
+                    assert json.loads(stderr)["message"].startswith(f"line {i + 1}, column 1:")
                 if code:
                     assert stdout == "" and len(stderr.splitlines()) == 1, (fault, text, stderr)
                     assert "error" in json.loads(stderr)

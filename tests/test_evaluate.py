@@ -6,13 +6,17 @@ import csv
 import dataclasses
 import json
 import math
+import random
+import time
 
+import numpy as np
 import pytest
 
 from nisqc.circuit import GateKind, build_circuit, gen_bv, gen_random
 from nisqc.codegen import expand
 from nisqc.evaluate import (
     EvalReport,
+    _apply_single,
     brute_force_optimal,
     compiled_as_circuit,
     equivalence_check,
@@ -62,7 +66,71 @@ def toffoli_with_inputs(a, b):
     return build_circuit(3, 3, ops)
 
 
+def random_measured_circuit(rng):
+    """1-6 qubits, some put in superposition first, and up to six
+    mid-circuit measurements into up to four clbits, so clbits are rewritten
+    and some are never written; each qubit may end in a measurement."""
+    n, nc = rng.randint(1, 6), rng.randint(1, 4)
+    ops, n_mid = [("h", (q,)) for q in range(n) if rng.random() < 0.6], 0
+    for _ in range(rng.randint(0, 14)):
+        r = rng.random()
+        if r < 0.35 and n_mid < 6:
+            ops.append(("measure", (rng.randrange(n),), rng.randrange(nc)))
+            n_mid += 1
+        elif r < 0.6 and n > 1:
+            ops.append(("cx", tuple(rng.sample(range(n), 2))))
+        else:
+            ops.append((rng.choice(["h", "x", "y", "z", "s", "sdg", "t", "tdg"]),
+                        (rng.randrange(n),)))
+    ops += [("measure", (q,), rng.randrange(nc)) for q in range(n) if rng.random() < 0.3]
+    return n, nc, ops
+
+
 class TestStatevector:
+    def test_deferred_measurements_match_forced_branching(self):
+        # z; z right after a measurement is the identity, but it makes every
+        # measurement one whose qubit a later gate touches, so every one
+        # branches; the plain circuit defers its terminal measurements
+        rng = random.Random(17)
+        for _ in range(300):
+            n, nc, ops = random_measured_circuit(rng)
+            forced = []
+            for op in ops:
+                forced.append(op)
+                if op[0] == "measure":
+                    forced += [("z", op[1]), ("z", op[1])]
+            got = statevector_sim(build_circuit(n, nc, ops))
+            want = statevector_sim(build_circuit(n, nc, forced))
+            assert {k for k, v in got.items() if v > 1e-12} == \
+                {k for k, v in want.items() if v > 1e-12}, ops
+            for k in set(got) | set(want):
+                assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-12, ops
+
+    def test_measurement_before_a_gate_collapses(self):
+        # deferred to the end, the measurement would read H H |0> = |0>
+        c = build_circuit(1, 1, [("h", (0,)), ("measure", (0,), 0), ("h", (0,))])
+        assert statevector_sim(c) == pytest.approx({"0": 0.5, "1": 0.5}, abs=1e-12)
+
+    def test_later_measurement_overwrites_a_deferred_clbit(self):
+        # q0's measurement is terminal and deferred; q1's is not, and it
+        # writes the same clbit last
+        c = build_circuit(2, 1, [("x", (0,)), ("measure", (0,), 0),
+                                 ("measure", (1,), 0), ("h", (1,))])
+        assert statevector_sim(c) == pytest.approx({"0": 1.0})
+
+    def test_diagonal_gates_scale_the_one_half(self):
+        # diag(phase, 1) is the conjugate of diag(1, phase) up to a global
+        # phase, which no distribution tells apart, so compare states
+        phases = {GateKind.Z: -1, GateKind.S: 1j, GateKind.SDG: -1j,
+                  GateKind.T: np.exp(1j * math.pi / 4), GateKind.TDG: np.exp(-1j * math.pi / 4)}
+        rng = np.random.default_rng(5)
+        for kind, phase in phases.items():
+            for q in range(3):
+                state = rng.normal(size=8) + 1j * rng.normal(size=8)
+                want = state * np.array([phase if (i >> q) & 1 else 1 for i in range(8)])
+                _apply_single(state, 3, q, kind)
+                assert np.allclose(state, want, rtol=0, atol=1e-15), (kind, q)
+
     def test_bv_is_deterministic_on_its_hidden_string(self):
         for s in ("111", "101", "010"):
             dist = statevector_sim(gen_bv(4, s))
@@ -202,12 +270,21 @@ class TestMonteCarlo:
             monte_carlo_success(cc, 50_000, seed=3)
 
     def test_chunked_draws_stay_calibrated(self):
-        # 101 scored gates forces multiple sampling chunks at 1e5 trials
+        # 101 scored gates: the draw's success probability is their product
         m = load_calibration(udoc(1, 2, cnot_error=0.001, t2=10_000))
         c = build_circuit(2, 0, [("cx", (0, 1))] * 101)
         cc = expand(assigned(c, m, (0, 1)), c, m)
         p, se = monte_carlo_success(cc, 100_000, seed=11)
         assert abs(p - 0.999 ** 101) <= 3 * se
+
+    def test_a_billion_trials_is_one_draw(self):
+        m = load_calibration(udoc(3, 3))
+        c = gen_bv(4, "111")
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        t0 = time.perf_counter()
+        p, se = monte_carlo_success(cc, 10 ** 9, seed=2)
+        assert time.perf_counter() - t0 < 0.5
+        assert abs(p - reliability_score(cc)) <= 3 * se
 
     def test_rejects_zero_trials(self):
         m = load_calibration(udoc(1, 2))
