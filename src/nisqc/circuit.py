@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     id: int
     kind: GateKind
     operands: tuple[int, ...]
@@ -118,6 +118,10 @@ _RE_CX = re.compile(
 _RE_MEASURE = re.compile(
     r"measure\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$",
     re.ASCII)
+# A statement is the first of these that matches; its first word picks the
+# one to try before that order.
+_RE_STATEMENTS = (_RE_QREG, _RE_CREG, _RE_CX, _RE_MEASURE, _RE_1Q)
+_RE_BY_WORD = {"qreg": _RE_QREG, "creg": _RE_CREG, "cx": _RE_CX, "measure": _RE_MEASURE}
 
 
 def _qasm_int(digits: str, line: int, col: int) -> int:
@@ -146,53 +150,46 @@ def _parse_qasm(text: str) -> Circuit:
         stmt = line[:-1].strip()
         if stmt.startswith("OPENQASM"):
             continue
-        m = _RE_QREG.match(stmt)
-        if m:
+        rx = _RE_BY_WORD.get(stmt.split(None, 1)[0] if stmt else "", _RE_1Q)
+        m = rx.match(stmt)
+        if m is None:
+            for rx in _RE_STATEMENTS:
+                m = rx.match(stmt)
+                if m:
+                    break
+            else:
+                raise ParseError(f"cannot parse statement '{stmt}'", lineno, col)
+        if rx is _RE_QREG:
             if qreg is not None:
                 raise ParseError("duplicate qreg declaration", lineno, col)
             qreg, num_qubits = m.group(1), _qasm_int(m.group(2), lineno, col)
-            continue
-        m = _RE_CREG.match(stmt)
-        if m:
+        elif rx is _RE_CREG:
             if creg is not None:
                 raise ParseError("duplicate creg declaration", lineno, col)
             creg, num_clbits = m.group(1), _qasm_int(m.group(2), lineno, col)
-            continue
-        m = _RE_CX.match(stmt)
-        if m:
+        else:
+            if rx is _RE_1Q and m.group(1) not in _SINGLE_QUBIT_NAMES:
+                raise ParseError(f"unknown gate kind '{m.group(1)}'", lineno, col)
             if qreg is None:
                 raise ParseError("gate before qreg declaration", lineno, col)
-            if m.group(1) != qreg or m.group(3) != qreg:
-                raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
-            ops.append((GateKind.CNOT, (_qasm_int(m.group(2), lineno, col),
-                                         _qasm_int(m.group(4), lineno, col)), None))
+            if rx is _RE_CX:
+                if m.group(1) != qreg or m.group(3) != qreg:
+                    raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
+                ops.append((GateKind.CNOT, (_qasm_int(m.group(2), lineno, col),
+                                             _qasm_int(m.group(4), lineno, col)), None))
+            elif rx is _RE_MEASURE:
+                if m.group(1) != qreg:
+                    raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
+                if creg is None or m.group(3) != creg:
+                    raise ParseError(f"unknown classical register '{m.group(3)}'", lineno, col)
+                ops.append((GateKind.MEASURE, (_qasm_int(m.group(2), lineno, col),),
+                            _qasm_int(m.group(4), lineno, col)))
+            else:
+                if m.group(2) != qreg:
+                    raise ParseError(f"unknown register '{m.group(2)}'", lineno, col)
+                ops.append((_SINGLE_QUBIT_NAMES[m.group(1)],
+                            (_qasm_int(m.group(3), lineno, col),), None))
             gate_locs.append((lineno, col))
-            continue
-        m = _RE_MEASURE.match(stmt)
-        if m:
-            if qreg is None:
-                raise ParseError("gate before qreg declaration", lineno, col)
-            if m.group(1) != qreg:
-                raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
-            if creg is None or m.group(3) != creg:
-                raise ParseError(f"unknown classical register '{m.group(3)}'", lineno, col)
-            ops.append((GateKind.MEASURE, (_qasm_int(m.group(2), lineno, col),),
-                        _qasm_int(m.group(4), lineno, col)))
-            gate_locs.append((lineno, col))
-            continue
-        m = _RE_1Q.match(stmt)
-        if m:
-            name = m.group(1)
-            if name not in _SINGLE_QUBIT_NAMES:
-                raise ParseError(f"unknown gate kind '{name}'", lineno, col)
-            if qreg is None:
-                raise ParseError("gate before qreg declaration", lineno, col)
-            if m.group(2) != qreg:
-                raise ParseError(f"unknown register '{m.group(2)}'", lineno, col)
-            ops.append((_SINGLE_QUBIT_NAMES[name], (_qasm_int(m.group(3), lineno, col),), None))
-            gate_locs.append((lineno, col))
-            continue
-        raise ParseError(f"cannot parse statement '{stmt}'", lineno, col)
 
     if qreg is None:
         raise ParseError("missing qreg declaration", 1, 1)
@@ -288,10 +285,19 @@ def build_dag(c: Circuit) -> DependencyDag:
 
 
 def predecessor_lists(c: Circuit) -> list[list[int]]:
-    """Direct DAG predecessors per gate id, each list sorted ascending."""
-    preds: list[list[int]] = [[] for _ in c.gates]
-    for g1, g2 in sorted(build_dag(c).edges):
-        preds[g2].append(g1)
+    """Direct DAG predecessors per gate id, each list sorted ascending: the
+    last writers of the gate's qubits, as in build_dag."""
+    preds: list[list[int]] = []
+    last: dict[int, int] = {}
+    for g in c.gates:
+        ps = []
+        for q in g.operands:
+            p = last.get(q)
+            if p is not None and p not in ps:
+                ps.append(p)
+            last[q] = g.id
+        ps.sort()
+        preds.append(ps)
     return preds
 
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
 from .heuristic import GreedyPolicy, HeuristicConfig
-from .machine import GridMachine, hop_duration, path_duration
+from .machine import GridMachine, hop_duration
 from .optimal import (
     Placement,
     ProblemConfig,
@@ -19,9 +19,8 @@ from .optimal import (
     Variant,
     _clashes,
     _gate_reliabilities,
+    _schedule_walks,
 )
-
-_KIND = {kind.value: kind for kind in GateKind}
 
 
 class CodegenError(ValueError):
@@ -61,8 +60,7 @@ class CompiledCircuit:
 
     def __post_init__(self, m: GridMachine):
         cells = {q: m.cell_id(pos) for q, pos in self.placement.loc.items()}
-        eps_route = _gate_reliabilities(self.source, cells, self.gate_routes, m, False)
-        eps_strict = _gate_reliabilities(self.source, cells, self.gate_routes, m, True)
+        eps_route, eps_strict = _gate_reliabilities(self.source, cells, self.gate_routes, m)
         eps = eps_strict if self.count_return_swaps else eps_route
         derived = {
             "num_cells": m.num_cells,
@@ -89,41 +87,52 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     or the expansion overlaps itself.
     """
     static = sol.variant == Variant.T_SMT.value
+    cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
+    start, dur = sol.schedule.start, sol.schedule.dur
     phys: list[PhysGate] = []
+    windows: dict[int, list[tuple[int, int, int]]] = {}   # per cell: (start, end, gate id)
+    cnot = GateKind.CNOT
     for g in c.gates:
-        s = sol.schedule.start[g.id]
-        d = sol.schedule.dur[g.id]
-        cell = m.cell_id(sol.placement.loc[g.operands[0]])
-        if g.kind is GateKind.MEASURE:
+        s, d = start[g.id], dur[g.id]
+        cell = cells[g.operands[0]]
+        if g.kind is not cnot:
+            windows.setdefault(cell, []).append((s, s + d, g.id))
             phys.append(PhysGate(g.kind, (cell,), s, d, g.classical_target))
             continue
-        if g.kind is not GateKind.CNOT:
-            phys.append(PhysGate(g.kind, (cell,), s, d))
-            continue
         walk = sol.gate_routes[g.id]
-        if path_duration(m, walk, static) != d:
+        hops = [hop_duration(m, u, v, static) for u, v in zip(walk, walk[1:])]
+        took = 6 * sum(hops[:-1]) + hops[-1]   # path_duration of the walk
+        if took != d:
             raise CodegenError(f"inconsistent schedule: CNOT {g.id} walks its route in "
-                               f"{path_duration(m, walk, static)} timeslots, not {d}")
+                               f"{took} timeslots, not {d}")
+        for x in set(walk):
+            windows.setdefault(x, []).append((s, s + d, g.id))
         # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
         # last edge, the CNOT runs there in its own direction, the SWAPs undo
-        swaps = list(zip(walk, walk[1:-1]))
-        cx = (walk[-2], walk[-1]) if walk[0] == cell else (walk[-1], walk[-2])
+        swaps = list(zip(walk, walk[1:-1], hops))
         t = s
-        for u, v, n in [(u, v, 3) for u, v in swaps] + [(*cx, 1)] \
-                + [(v, u, 3) for u, v in reversed(swaps)]:
-            e = hop_duration(m, u, v, static)
-            for k in range(n):
-                phys.append(PhysGate(GateKind.CNOT, (v, u) if k % 2 else (u, v), t, e))
-                t += e
-
-    busy: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, (_kind, ops, s, d, _clbit) in enumerate(phys):
-        span = (s, s + d, idx)
-        for cell in ops:
-            busy.setdefault(cell, []).append(span)
-    for cell, i1, i2 in _clashes(busy):
-        raise CodegenError(f"inconsistent schedule: expanded gates {i1} and {i2} "
-                           f"overlap on cell {cell}")
+        for u, v, e in swaps:
+            phys += (PhysGate(cnot, (u, v), t, e), PhysGate(cnot, (v, u), t + e, e),
+                     PhysGate(cnot, (u, v), t + 2 * e, e))
+            t += 3 * e
+        phys.append(PhysGate(cnot, (walk[-2], walk[-1]) if walk[0] == cell
+                             else (walk[-1], walk[-2]), t, hops[-1]))
+        t += hops[-1]
+        for u, v, e in reversed(swaps):
+            phys += (PhysGate(cnot, (v, u), t, e), PhysGate(cnot, (u, v), t + e, e),
+                     PhysGate(cnot, (v, u), t + 2 * e, e))
+            t += 3 * e
+    # A gate's physical gates run one after another inside its window, on its
+    # own cell or its walk's, so the stream can overlap itself only where two
+    # windows do; only then are the physical gates' intervals compared.
+    if next(_clashes(windows), None):
+        busy: dict[int, list[tuple[int, int, int]]] = {}
+        for idx, (_kind, ops, s, d, _clbit) in enumerate(phys):
+            for cell in ops:
+                busy.setdefault(cell, []).append((s, s + d, idx))
+        for cell, i1, i2 in _clashes(busy):
+            raise CodegenError(f"inconsistent schedule: expanded gates {i1} and {i2} "
+                               f"overlap on cell {cell}")
 
     cc = CompiledCircuit(m, c, sol.placement, tuple(phys), dict(sol.gate_routes),
                          sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
@@ -160,24 +169,16 @@ def emit_qasm(cc: CompiledCircuit) -> str:
 def to_record(cc: CompiledCircuit) -> dict:
     """JSON-ready compilation record.
 
-    Keys placement/variant/objective/makespan/swap_count/reliability/gates form
-    the stable documented surface; measure gates additionally carry "clbit",
-    and the config/eps/routes/source echoes make the record self-contained for
-    later evaluation. gate_routes lists each CNOT's walk, the moving qubit's
-    cell first; eps_route and eps_strict are that walk's reliabilities, so
-    each equals the product of 1 - error over the CNOTs emitted for its gate.
-    makespan, swap_count, reliability, eps_route and eps_strict are written
-    for readers only: from_record reads placement, variant, objective,
-    optimal, gates, config, gate_routes and source_qasm, and derives the rest
-    on the machine it is given.
+    Keys placement/variant/objective/makespan/swap_count/reliability form the
+    stable documented surface, and the config/eps/routes/source echoes make
+    the record self-contained for later evaluation. gate_routes lists each
+    CNOT's walk, the moving qubit's cell first; eps_route and eps_strict are
+    that walk's reliabilities, so each equals the product of 1 - error over
+    the CNOTs emitted for its gate. The physical stream is not written: it is
+    in the .qasm file, and from_record rebuilds it from the walks. makespan,
+    swap_count, reliability, eps_route and eps_strict are written for readers
+    only.
     """
-    gates = []
-    for pg in cc.expanded:
-        entry = {"kind": pg.kind.value, "hw_operands": list(pg.hw_operands),
-                 "start": pg.start}
-        if pg.kind is GateKind.MEASURE:
-            entry["clbit"] = pg.clbit
-        gates.append(entry)
     return {
         "placement": {str(q): list(pos) for q, pos in sorted(cc.placement.loc.items())},
         "variant": cc.variant,
@@ -186,7 +187,6 @@ def to_record(cc: CompiledCircuit) -> dict:
         "swap_count": cc.swap_count,
         "reliability": cc.reliability,
         "optimal": cc.optimal,
-        "gates": gates,
         "config": {
             "routing": cc.routing,
             "omega": cc.omega,
@@ -206,16 +206,19 @@ def record_to_json(cc: CompiledCircuit) -> str:
 
 
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
-    """Rebuild a CompiledCircuit from a record produced by to_record, scored
-    on m: gate durations, reliabilities, makespan and swap count are derived
-    from the record's stream and walks on m, not read from the record.
-    Raises ValueError for a missing key, another cell count, a variant,
-    routing, omega or count_return_swaps that ProblemConfig (HeuristicConfig
-    and best-path routing for a greedy variant) refuses, an objective not a
-    finite number, an optimal or count_return_swaps not a bool, an unknown
-    gate kind, a start not an int >= 0, a gate or placed qubit off the grid,
-    a measure off the source's clbits, a CNOT on non-adjacent cells or a
-    route that does not join its CNOT's placed cells."""
+    """Rebuild a CompiledCircuit from a record produced by to_record, on m:
+    the source is parsed from source_qasm, the record's walks are scheduled
+    on m by the canonical scheduler and expanded, so the stream, its
+    durations, reliabilities, makespan and swap count are m's. Only the
+    record's objective and optimal flag are kept as written. The "gates" key
+    of older records is ignored.
+    Raises Infeasible when a gate misses its T2 deadline on m, and ValueError
+    for a missing key, another cell count, a variant, routing, omega or
+    count_return_swaps that ProblemConfig (HeuristicConfig and best-path
+    routing for a greedy variant) refuses, an objective not a finite number,
+    an optimal or count_return_swaps not a bool, a placed qubit off the grid
+    or on another's cell, or a route that is not a walk over m's edges joining its CNOT's placed
+    cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -241,29 +244,16 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         for q, (x, y) in placement.loc.items():
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
+        if len(set(placement.loc.values())) != len(placement.loc):
+            raise ValueError("placement puts two qubits on one cell")
         source = parse_circuit(doc["source_qasm"])
-        static = variant == Variant.T_SMT.value
-        phys = []
-        for entry in doc["gates"]:
-            kind = _KIND[entry["kind"]]
-            ops = tuple(entry["hw_operands"])
-            start, clbit = entry["start"], entry.get("clbit")
-            if type(start) is not int or start < 0:
-                raise ValueError(f"{kind.value} starts at {start!r}, not a timeslot >= 0")
-            if kind is GateKind.CNOT:
-                dur = hop_duration(m, *ops, static)
-            elif not 0 <= ops[0] < m.num_cells:
-                raise ValueError(f"{kind.value} on cell {ops[0]}, off the {m.mx}x{m.my} grid")
-            elif kind is GateKind.MEASURE:
-                if type(clbit) is not int or not 0 <= clbit < source.num_clbits:
-                    raise ValueError(f"measure into clbit {clbit!r}, off c[{source.num_clbits}]")
-                dur = m.qubits[ops[0]].readout_duration
-            else:
-                dur = m.single_qubit_duration
-            phys.append(PhysGate(kind, ops, start, dur, clbit))
-        return CompiledCircuit(
-            m, source, placement, tuple(phys),
-            {int(g): tuple(r) for g, r in doc["gate_routes"].items()},
-            variant, routing, omega, flag, objective, optimal)
+        cells = {q: m.cell_id(pos) for q, pos in placement.loc.items()}
+        cnots = source.cnot_gates()
+        walks = [tuple(doc["gate_routes"][str(g.id)]) for g in cnots]
+        schedule = _schedule_walks(source, m, cells, walks, variant, routing)
+        # expand reads no gate_eps: CompiledCircuit derives both kinds on m
+        sol = Solution(placement, schedule, objective, optimal, variant, routing, omega, flag,
+                       gate_eps={}, gate_routes=dict(zip((g.id for g in cnots), walks)))
+        return expand(sol, source, m)
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

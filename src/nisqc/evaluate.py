@@ -26,11 +26,6 @@ from .optimal import (
 )
 
 _SQRT2 = 1.0 / math.sqrt(2.0)
-_GATE_MATRIX = {
-    GateKind.H: np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
 # A diagonal gate diag(1, phase) scales the |1> half of the state in place.
 _PHASE = {
     GateKind.Z: -1.0, GateKind.S: 1j, GateKind.SDG: -1j,
@@ -46,14 +41,25 @@ class SimulationCapExceeded(ValueError):
 
 def _apply_single(state: np.ndarray, n: int, q: int, kind: GateKind) -> None:
     view = state.reshape(1 << (n - 1 - q), 2, 1 << q)
+    zero, one = view[:, 0, :], view[:, 1, :]
     if kind in _PHASE:
-        view[:, 1, :] *= _PHASE[kind]
+        one *= _PHASE[kind]
         return
-    mat = _GATE_MATRIX[kind]
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :].copy()
-    view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-    view[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
+    # one temporary per gate: (zero, one) becomes H: (zero + one, zero - one)
+    # / sqrt(2); X: (one, zero); Y: (-i one, i zero)
+    if kind is GateKind.H:
+        diff = zero - one
+        zero += one
+        zero *= _SQRT2
+        np.multiply(diff, _SQRT2, out=one)
+        return
+    was = zero.copy()
+    if kind is GateKind.X:
+        zero[...] = one
+        one[...] = was
+    else:
+        np.multiply(one, -1j, out=zero)
+        np.multiply(was, 1j, out=one)
 
 
 def _apply_cnot(state: np.ndarray, n: int, ctrl: int, tgt: int) -> None:

@@ -248,24 +248,34 @@ def cnot_walk(m: GridMachine, a: int, b: int, junction: int) -> tuple[int, ...]:
     return route[::-1] if first > last else route
 
 
-def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> float:
-    """Success probability of a routed CNOT walking the given cell sequence.
+def path_reliabilities(path, m: GridMachine) -> tuple[float, float]:
+    """Success probabilities of a routed CNOT walking the given cell sequence,
+    without and with its return swaps counted.
 
     The last edge carries the CNOT itself; every earlier edge carries a
     3-CNOT forward swap, squared when return swaps are counted too.
     """
     if len(path) < 2:
         raise ValueError("path needs at least one edge")
-    swap_exp = 6 if count_return_swaps else 3
-    rel = 1.0
+    route = strict = 1.0
     for i in range(len(path) - 1):
         a, b = path[i], path[i + 1]
         e = m.edge_map.get((a, b) if a < b else (b, a))
         if e is None:
             raise ValueError(f"cells {a} and {b} not adjacent")
         r = 1.0 - e.cnot_error
-        rel *= r if i == len(path) - 2 else r ** swap_exp
-    return rel
+        if i == len(path) - 2:
+            route *= r
+            strict *= r
+        else:
+            route *= r ** 3
+            strict *= r ** 6
+    return route, strict
+
+
+def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> float:
+    """One of path_reliabilities: with return swaps counted if asked."""
+    return path_reliabilities(path, m)[count_return_swaps]
 
 
 def hop_duration(m: GridMachine, u: int, v: int, static: bool = False) -> int:

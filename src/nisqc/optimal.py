@@ -28,6 +28,7 @@ from .machine import (
     cnot_walk,
     manhattan,
     path_duration,
+    path_reliabilities,
     path_reliability,
     static_cnot_duration,
 )
@@ -493,12 +494,14 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
 
 
 def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...]],
-                        m: GridMachine, count_return_swaps: bool) -> dict[int, float]:
-    """Per-gate success probabilities on m, the one place they are computed:
-    a CNOT's is the path_reliability of its stored walk, a readout's is
-    1 - its cell's readout error. cells are placement cells by qubit id.
-    Raises ValueError when a walk does not join its gate's placed cells."""
-    eps: dict[int, float] = {}
+                        m: GridMachine) -> tuple[dict[int, float], dict[int, float]]:
+    """Per-gate success probabilities on m, the one place they are computed,
+    without and with return swaps counted: a CNOT's are the
+    path_reliabilities of its stored walk, a readout's is 1 - its cell's
+    readout error in both. cells are placement cells by qubit id. Raises
+    ValueError when a walk does not join its gate's placed cells."""
+    route: dict[int, float] = {}
+    strict: dict[int, float] = {}
     for g in c.gates:
         if g.kind is GateKind.CNOT:
             a, b = cells[g.operands[0]], cells[g.operands[1]]
@@ -506,10 +509,27 @@ def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...
             if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
                 raise ValueError(f"CNOT {g.id} route {list(walk)} does not join "
                                  f"its cells {a} and {b}")
-            eps[g.id] = path_reliability(walk, m, count_return_swaps=count_return_swaps)
+            route[g.id], strict[g.id] = path_reliabilities(walk, m)
         elif g.kind is GateKind.MEASURE:
-            eps[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
-    return eps
+            route[g.id] = strict[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
+    return route, strict
+
+
+def _schedule_walks(c: Circuit, m: GridMachine, cells, walks, variant: str,
+                    routing: str) -> Schedule:
+    """The canonical schedule of a placed circuit whose CNOTs take the given
+    walks, in CNOT order, each priced by _walk_cost. cells are placement
+    cells by qubit id. Raises Infeasible, and ValueError for a walk that
+    leaves the grid's edges."""
+    static = variant == Variant.T_SMT.value
+    try:
+        starts, durs = _schedule_gates(c, m, cells,
+                                       lambda k, _a, _b: _walk_cost(m, walks[k], routing, static),
+                                       *_dag_lists(c), static=static)
+    except _InfeasibleSchedule as exc:
+        raise Infeasible(str(exc)) from exc
+    return Schedule(start={g.id: starts[g.id] for g in c.gates},
+                    dur={g.id: durs[g.id] for g in c.gates})
 
 
 def _build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
@@ -518,30 +538,23 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
     greedy mappers alike: a function of the placement and the CNOT walks.
 
     cells are placement cells by qubit id and walks the CNOTs' walks in
-    CNOT order, the moving qubit's cell first. Each walk is priced by
-    _walk_cost for the canonical scheduler, gate reliabilities come from
-    _gate_reliabilities, and the objective is recomputed from the result. cfg
-    supplies omega and count_return_swaps. Raises Infeasible.
+    CNOT order, the moving qubit's cell first. They are scheduled by
+    _schedule_walks, gate reliabilities come from _gate_reliabilities, and
+    the objective is recomputed from the result. cfg supplies omega and
+    count_return_swaps. Raises Infeasible.
     """
-    static = variant == Variant.T_SMT.value
-    try:
-        starts, durs = _schedule_gates(c, m, cells,
-                                       lambda k, _a, _b: _walk_cost(m, walks[k], routing, static),
-                                       *_dag_lists(c), static=static)
-    except _InfeasibleSchedule as exc:
-        raise Infeasible(str(exc)) from exc
+    schedule = _schedule_walks(c, m, cells, walks, variant, routing)
     gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
     sol = Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
-        schedule=Schedule(start={g.id: starts[g.id] for g in c.gates},
-                          dur={g.id: durs[g.id] for g in c.gates}),
+        schedule=schedule,
         objective_value=0.0,
         optimal=optimal,
         variant=variant,
         routing=routing,
         omega=cfg.omega,
         count_return_swaps=cfg.count_return_swaps,
-        gate_eps=_gate_reliabilities(c, cells, gate_routes, m, cfg.count_return_swaps),
+        gate_eps=_gate_reliabilities(c, cells, gate_routes, m)[cfg.count_return_swaps],
         gate_routes=gate_routes,
     )
     return replace(sol, objective_value=objective(sol))

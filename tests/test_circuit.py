@@ -13,6 +13,7 @@ from nisqc.circuit import (
     gen_random,
     gen_toffoli,
     parse_circuit,
+    predecessor_lists,
     to_json,
     to_qasm,
 )
@@ -146,6 +147,17 @@ class TestDag:
         assert all(a < b for a, b in edges)
         for a, b in edges:
             assert set(c.gates[a].operands) & set(c.gates[b].operands)
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_predecessor_lists_match_the_dag(self, seed):
+        # built from each qubit's last writer, they are build_dag's edges
+        # grouped by their head, each list ascending
+        for c in (gen_random(2 + seed % 5, 40 + 10 * seed, seed), gen_bv(5, "1011")):
+            want = [[] for _ in c.gates]
+            for g1, g2 in sorted(build_dag(c).edges):
+                want[g2].append(g1)
+            assert predecessor_lists(c) == want
 
 
 class TestProgramGraph:

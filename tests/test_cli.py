@@ -103,9 +103,14 @@ class TestCompile:
         code, stdout, _ = run(capsys, "compile", "--variant", "greedy-e",
                               circ, cal, "--out", out)
         assert code == 0
-        rec = json.loads((tmp_path / "big-e.json").read_text())
+        text = (tmp_path / "big-e.json").read_text()
+        rec = json.loads(text)
         assert rec["optimal"] is False
-        assert len(rec["gates"]) >= 2048
+        # the record holds the walks, not the physical stream: that is the .qasm's
+        assert len(text) < 100_000
+        qasm = (tmp_path / "big-e.qasm").read_text().splitlines()
+        assert sum(ln.startswith(("cx ", "h ", "x ", "y ", "z ", "s ", "t "))
+                   for ln in qasm) >= 2048
 
     def test_emit_smtlib(self, tmp_path, capsys, bv4):
         cal = uniform_cal(tmp_path, 3, 3)
@@ -223,6 +228,18 @@ class TestEvaluate:
                                            "makespan", "swaps")]
         assert rows == {"0": ["0.486069998020987", "0.48529", "0.0015804544153502182", "58", "4"],
                         "7": ["0.5820641579210737", "0.58283", "0.0015592921185589312", "58", "4"]}
+
+    def test_deadline_missed_on_the_calibration_given_exits_3(self, tmp_path, capsys):
+        # the record's walks are rescheduled on CAL, whose T2 the stream outlasts
+        circ, out = str(tmp_path / "bv5.qasm"), str(tmp_path / "bv5-e")
+        assert run(capsys, "gen-circuit", "bv", "--qubits", "5", "--out", circ)[0] == 0
+        loose, tight = uniform_cal(tmp_path, 3, 3), uniform_cal(tmp_path, 3, 3, "t.json", t2=12)
+        assert run(capsys, "compile", "--variant", "greedy-e", circ, loose, "--out", out)[0] == 0
+        code, stdout, stderr = run(capsys, "evaluate", out + ".json", tight,
+                                   "--out", str(tmp_path / "rep"))
+        assert (code, stdout) == (3, "")
+        assert json.loads(stderr)["error"] == "Infeasible"
+        assert not (tmp_path / "rep.csv").exists()
 
     def test_empty_record_exits_1(self, tmp_path, capsys):
         rec = tmp_path / "empty.json"
@@ -555,27 +572,23 @@ class TestMalformedInputs:
                 assert (code == 0) == os.path.exists(f"{out}.json"), (fault, text)
 
     def test_seeded_record_sweep(self, tmp_path, capsys):
-        # a record with a required key dropped, a start that is not a
-        # timeslot, a measure off the register, an unknown gate kind, or a
-        # config, objective or optimal flag that compile would not accept is
-        # refused before it is scored; every bad value is tried once
+        # a record with a required key dropped, a walk that is not one over
+        # the grid's edges between its CNOT's cells, or a config, objective
+        # or optimal flag that compile would not accept is refused before it
+        # is scored; every bad value is tried once
         circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
         circuit.write_text(json.dumps(VALID_CIRCUIT))
         cal.write_text(json.dumps(VALID_CAL))
         assert run(capsys, "compile", str(circuit), str(cal), "--variant", "greedy-v",
                    "--out", str(tmp_path / "r"))[0] == 0
         valid = json.loads((tmp_path / "r.json").read_text())
-        measures = [i for i, g in enumerate(valid["gates"]) if g["kind"] == "measure"]
-        required = [(k,) for k in ("placement", "variant", "objective", "gates", "config",
+        required = [(k,) for k in ("placement", "variant", "objective", "config",
                                    "gate_routes", "source_qasm")]
         required += [("config", k) for k in ("routing", "omega", "count_return_swaps",
                                              "num_cells")]
-        required += [("gates", i, k) for i in range(len(valid["gates"]))
-                     for k in ("kind", "hw_operands", "start")]
-        required += [("gates", i, "clbit") for i in measures]
-        bad = {"start": [math.nan, -5, 1.5, True, None, "0", math.inf],
-               "kind": ["bogus", ["cx"], None],
-               "clbit": [-3, VALID_CIRCUIT["num_clbits"], 1.5, True, None, "0"],
+        required += [("placement", q) for q in valid["placement"]]
+        required += [("gate_routes", g) for g in valid["gate_routes"]]
+        bad = {"walk": [[], [0], None, 7, "01", [0, 4], [0, 3], [[0], [1]], [0, None]],
                "omega": [math.nan, -0.5, 1.5, math.inf, None, "0.5"],
                "routing": ["rr", "1bp", "bogus", None, ["path"]],
                "count_return_swaps": ["no", 0, 1, None],
@@ -590,10 +603,8 @@ class TestMalformedInputs:
             if what == "drop":
                 path = rng.choice(required)
                 del _at(doc, path[:-1])[path[-1]]
-            elif what in ("start", "kind"):
-                rng.choice(doc["gates"])[what] = value
-            elif what == "clbit":
-                doc["gates"][rng.choice(measures)]["clbit"] = value
+            elif what == "walk":
+                doc["gate_routes"][rng.choice(sorted(doc["gate_routes"]))] = value
             elif what in doc["config"]:
                 doc["config"][what] = value
             else:

@@ -353,11 +353,10 @@ class TestRecord:
         sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"))
         rec = to_record(expand(sol, c, m))
         for key in ("placement", "variant", "objective", "makespan",
-                    "swap_count", "reliability", "gates"):
+                    "swap_count", "reliability"):
             assert key in rec
-        for entry in rec["gates"]:
-            assert set(entry) >= {"kind", "hw_operands", "start"}
-            assert (entry["kind"] == "measure") == ("clbit" in entry)
+        # the physical stream is the .qasm file's; from_record rebuilds it
+        assert "gates" not in rec
 
     def test_json_round_trip(self):
         m = load_calibration(udoc(3, 3))
@@ -386,9 +385,9 @@ class TestRecord:
         if tamper == "missing key":
             del rec["source_qasm"]
         elif tamper == "off the grid":
-            rec["gates"][-1]["hw_operands"] = [3]
+            rec["gate_routes"]["0"] = [0, 1, 2, 3]
         elif tamper == "not adjacent":
-            rec["gates"][0]["hw_operands"] = [0, 2]
+            rec["gate_routes"]["0"] = [0, 2]
         elif tamper == "placement off the grid":
             rec["placement"]["0"] = [-1, 0]
         elif tamper == "route off its cells":
@@ -396,6 +395,16 @@ class TestRecord:
         else:
             rec["config"]["num_cells"] = 9
         with pytest.raises(ValueError):
+            from_record(rec, m)
+
+    def test_from_record_rejects_two_qubits_on_one_cell(self):
+        # qubit 1 has no CNOT, so only the shared cell is wrong with the record
+        m = load_calibration(synth_calibration(3, 3, 0))
+        c = gen_bv(4, "101")
+        rec = to_record(expand(heuristic_compile(c, m, build_tables(m),
+                                                 HeuristicConfig(policy="greedy-e")), c, m))
+        rec["placement"]["1"] = rec["placement"]["0"]
+        with pytest.raises(ValueError, match="one cell"):
             from_record(rec, m)
 
     def test_from_record_accepts_dict(self):
@@ -406,14 +415,61 @@ class TestRecord:
         assert back.expanded == cc.expanded
 
     def test_from_record_derives_makespan_on_the_machine_given(self):
-        # the same record read on another day's durations ends one slot later
+        # the same record read on another day's durations is rescheduled there
         c = gen_random(8, 24, 2)
         m, other = jittered(3, 3, 1), jittered(3, 3, 0)
         sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(policy="greedy-e"))
         cc = expand(sol, c, m)
         back = from_record(record_to_json(cc), other)
         assert back.makespan == max(pg.start + pg.dur for pg in back.expanded)
-        assert (cc.makespan, back.makespan) == (28, 29)
+        assert (cc.makespan, back.makespan) == (28, 33)
+
+    @pytest.mark.parametrize("seeds", [(1, 0, 2), (2, 1, 0), (5, 3, 4)])
+    def test_from_record_on_another_calibration_runs(self, seeds):
+        # a stream read on slower CNOTs no longer keeps the old start times:
+        # no two physical gates share a cell at once, and it ends at its
+        # rebuilt makespan
+        circuit_seed, day, other_day = seeds
+        c = gen_random(8, 24, circuit_seed)
+        m, other = jittered(3, 3, day), jittered(3, 3, other_day)
+        cc = expand(heuristic_compile(c, m, build_tables(m),
+                                      HeuristicConfig(policy="greedy-e")), c, m)
+        back = from_record(record_to_json(cc), other)
+        by_cell = {}
+        for pg in back.expanded:
+            for cell in pg.hw_operands:
+                by_cell.setdefault(cell, []).append((pg.start, pg.start + pg.dur))
+        for spans in by_cell.values():
+            spans.sort()
+            assert all(e1 <= s2 for (_s1, e1), (s2, _e2) in zip(spans, spans[1:]))
+        assert back.makespan == max(pg.start + pg.dur for pg in back.expanded)
+        assert back.placement == cc.placement and back.gate_routes == cc.gate_routes
+        if seeds == (1, 0, 2):
+            assert (cc.makespan, back.makespan) == (8, 9)
+
+    def test_from_record_raises_infeasible_past_t2(self):
+        c = gen_random(4, 12, 3)
+        m, tight = line_machine(4), line_machine(4, t2=6)
+        cc = expand(heuristic_compile(c, m, build_tables(m),
+                                      HeuristicConfig(policy="greedy-v")), c, m)
+        assert cc.makespan > 6
+        with pytest.raises(Infeasible):
+            from_record(record_to_json(cc), tight)
+
+    def test_legacy_record_with_gates_loads(self):
+        # records written before the stream was dropped still carry "gates";
+        # the key is ignored and the stream is rebuilt
+        m = load_calibration(udoc(3, 3))
+        c = gen_bv(4, "111")
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        rec = to_record(cc)
+        rec["gates"] = [{"kind": pg.kind.value, "hw_operands": list(pg.hw_operands),
+                         "start": pg.start, **({"clbit": pg.clbit} if pg.clbit is not None
+                                               else {})}
+                        for pg in cc.expanded]
+        assert from_record(json.dumps(rec), m) == cc
+        rec["gates"] = "not read"
+        assert from_record(rec, m) == cc
 
 
 def pipeline_machines():

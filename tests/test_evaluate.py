@@ -131,6 +131,21 @@ class TestStatevector:
                 _apply_single(state, 3, q, kind)
                 assert np.allclose(state, want, rtol=0, atol=1e-15), (kind, q)
 
+    def test_h_x_y_match_their_matrices(self):
+        s = 1 / math.sqrt(2)
+        mats = {GateKind.H: np.array([[s, s], [s, -s]]), GateKind.X: np.array([[0, 1], [1, 0]]),
+                GateKind.Y: np.array([[0, -1j], [1j, 0]])}
+        rng = np.random.default_rng(8)
+        for kind, mat in mats.items():
+            for n in (1, 3, 5):
+                for q in range(n):
+                    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                    # qubit q is axis n-1-q of the (2,)*n view
+                    want = np.moveaxis(np.tensordot(mat, np.moveaxis(
+                        state.reshape([2] * n), n - 1 - q, 0), axes=1), 0, n - 1 - q)
+                    _apply_single(state, n, q, kind)
+                    assert np.allclose(state, want.reshape(-1), rtol=0, atol=1e-12), (kind, n, q)
+
     def test_bv_is_deterministic_on_its_hidden_string(self):
         for s in ("111", "101", "010"):
             dist = statevector_sim(gen_bv(4, s))
