@@ -138,7 +138,10 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     est = [0] * n_gates
     pending = [len(p) for p in preds]
     busy: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    # A queued (start, gate, n) is stale when a commit numbered above n, the
+    # commits made before it was queued, reserved one of the gate's cells.
     heap: list[tuple[int, int, int]] = []
+    last: dict[int, int] = {}  # per cell, the number of the last commit there
 
     def fit(g: int) -> int:
         s = est[g]
@@ -159,37 +162,33 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
             raise _InfeasibleSchedule(g)
         return s
 
-    def stamp(g: int) -> int:
-        total = 0
-        for cell in gcells[g]:
-            if cell in busy:
-                total += len(busy[cell][0])
-        return total
-
     for g in range(n_gates):
         if pending[g] == 0:
-            heapq.heappush(heap, (fit(g), g, stamp(g)))
+            heapq.heappush(heap, (fit(g), g, 0))
     committed = 0
     while heap:
-        s, g, st = heapq.heappop(heap)
-        if stamp(g) != st:
-            # A commit touched this gate's cells since it was queued; refit.
-            heapq.heappush(heap, (fit(g), g, stamp(g)))
-            continue
-        starts[g] = s
-        committed += 1
-        end = s + durs[g]
+        s, g, queued = heapq.heappop(heap)
         for cell in gcells[g]:
-            begins, ends = busy[cell]
-            i = bisect_right(begins, s)
-            begins.insert(i, s)
-            ends.insert(i, end)
-        for nxt in succs[g]:
-            if end > est[nxt]:
-                est[nxt] = end
-            pending[nxt] -= 1
-            if pending[nxt] == 0:
-                heapq.heappush(heap, (fit(nxt), nxt, stamp(nxt)))
+            if last.get(cell, 0) > queued:
+                # A commit touched this gate's cells since it was queued; refit.
+                heapq.heappush(heap, (fit(g), g, committed))
+                break
+        else:
+            starts[g] = s
+            committed += 1
+            end = s + durs[g]
+            for cell in gcells[g]:
+                begins, ends = busy[cell]
+                i = bisect_right(begins, s)
+                begins.insert(i, s)
+                ends.insert(i, end)
+                last[cell] = committed
+            for nxt in succs[g]:
+                if end > est[nxt]:
+                    est[nxt] = end
+                pending[nxt] -= 1
+                if pending[nxt] == 0:
+                    heapq.heappush(heap, (fit(nxt), nxt, committed))
     assert committed == n_gates
     return starts
 
@@ -334,6 +333,7 @@ class _Scorer:
         self.one_bend = cfg.routing is Routing.ONE_BEND
         self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
         self._ln_ec: dict[tuple[int, int, int], float] = {}
+        self._choices: dict[tuple[int, int], tuple[int, ...]] = {}
         self.n_gates = len(c.gates)
         self.preds, self.succs = _dag_lists(c)
         self.cnot_ids = [g.id for g in c.gates if g.kind is GateKind.CNOT]
@@ -351,11 +351,13 @@ class _Scorer:
         return cost
 
     def junction_choices(self, a: int, b: int) -> tuple[int, ...]:
-        # Rectangle reservation does not search junctions; expansion later walks
-        # the canonical one.
-        if self.one_bend:
-            return self.tables.junctions[(a, b)]
-        return (canonical_junction(self.tables, a, b),)
+        choices = self._choices.get((a, b))
+        if choices is None:
+            # Rectangle reservation does not search junctions; expansion later
+            # walks the canonical one.
+            choices = self._choices[(a, b)] = self.tables.junctions[(a, b)] if self.one_bend \
+                else (canonical_junction(self.tables, a, b),)
+        return choices
 
     def ln_ec(self, key: tuple[int, int, int]) -> float:
         v = self._ln_ec.get(key)
@@ -568,7 +570,9 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     complete assignments are scored by the canonical scheduler. Reliability
     pruning bounds unplaced readouts/CNOTs by the machine-wide best entries;
     duration pruning uses a critical-path bound with placed CNOTs at their
-    pair's fastest junction and unplaced ones at the fastest edge. Ties on
+    pair's fastest junction and unplaced ones at the fastest edge. Its
+    durations are kept in place, only the new qubit's change from child to
+    child, and children whose new durations agree share one bound. Ties on
     the objective keep the lexicographically smallest (placement cells,
     junction cells) key, so the result is deterministic and matches the
     brute-force enumerator exactly.
@@ -578,7 +582,9 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     equal it with a smaller key. The bound is the objective itself under
     r-smt-star, which needs no schedule, and under the duration variants the
     critical path at the combo's own CNOT durations, which no makespan is
-    below. Skipped combos still count toward the clock read every 256 combos,
+    below. A placement whose node bound equals the incumbent's objective and
+    whose key is larger is skipped whole, since no combo of it can win.
+    Skipped combos still count toward the clock read every 256 combos,
     so the clock is read at the same points as if every combo were
     scheduled, and a time limit stops the search with the same incumbent.
     Under the duration variants, combos that differ only in the cells of
@@ -634,15 +640,11 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     cx_floor = _cnot_floor(m, tables, scorer.static)
     rows, const_path = _folded_rows(c, scorer.preds, m.single_qubit_duration)
 
-    def time_bound() -> int:
-        # Placed CNOTs at their pair's floor, unplaced ones at the fastest
-        # edge; unplaced readouts at the fastest cell's.
-        return _critical_path(rows, const_path,
-                              [cx_floor[cell_of[qa]][cell_of[qb]]
-                               if cell_of[qa] >= 0 and cell_of[qb] >= 0 else opt_cx_dur
-                               for qa, qb in cnot_ops],
-                              [scorer.ro_dur[cell] if cell >= 0 else min_ro_dur
-                               for cell in cell_of])
+    # The node bound's durations, kept in place as qubits are placed and
+    # unplaced: placed CNOTs at their pair's floor, unplaced ones at the
+    # fastest edge; unplaced readouts at the fastest cell's.
+    cx_durs = [opt_cx_dur] * len(cnot_ops)
+    ro_durs = [min_ro_dur] * nq
 
     def beats(obj, key) -> bool:
         inc = incumbent[0]
@@ -651,6 +653,17 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
     def do_leaf(node_lb):
         cells = tuple(cell_of)
+        inc = incumbent[0]
+        if not maximize and inc is not None and node_lb == inc[0] and cells > inc[1][0]:
+            # Every combo's bound is at least the node's and its key larger
+            # than the incumbent's, so none can win: tick them all at once,
+            # reading the clock at each multiple of 256 they cross.
+            n = math.prod(len(scorer.junction_choices(cells[qa], cells[qb]))
+                          for qa, qb in cnot_ops) if scorer.one_bend else 1
+            for _ in range(leaf_tick[0] // 256, (leaf_tick[0] + n) // 256):
+                check_time()
+            leaf_tick[0] += n
+            return
         pairs = [(cells[qa], cells[qb]) for qa, qb in cnot_ops]
         cand = [scorer.junction_choices(a, b) for a, b in pairs]
         if not maximize:
@@ -704,6 +717,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             do_leaf(lb)
             return
         q = order[k]
+        memo: dict[tuple[int, ...], int] = {}  # the node bound by q's durations
         for cell in range(ncells):
             if used[cell]:
                 continue
@@ -727,10 +741,22 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 if inc is None or bound >= inc[0] - 1e-9:
                     rec(k + 1, s_ro, r_open, s_cx, c_open, 0)
             else:
-                b = time_bound()
+                ro_durs[q] = scorer.ro_dur[cell]
+                for ci in incident[q]:
+                    qa, qb = cnot_ops[ci]
+                    if cell_of[qa] >= 0 and cell_of[qb] >= 0:
+                        cx_durs[ci] = cx_floor[cell_of[qa]][cell_of[qb]]
+                # Only q's entries differ between the children of one node.
+                key = (ro_durs[q], *[cx_durs[ci] for ci in incident[q]])
+                b = memo.get(key)
+                if b is None:
+                    b = memo[key] = _critical_path(rows, const_path, cx_durs, ro_durs)
                 inc = incumbent[0]
                 if inc is None or b <= inc[0]:
                     rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open, b)
+                for ci in incident[q]:
+                    cx_durs[ci] = opt_cx_dur
+                ro_durs[q] = min_ro_dur
             used[cell] = False
             cell_of[q] = -1
 

@@ -1055,6 +1055,31 @@ def _budget_pool():
             + [(jittered, c) for c in (bv6, bv7, bv8, rand5, rand6, gen_toffoli())])
 
 
+EXACT_VARIANTS = ((Variant.T_SMT, Routing.RR), (Variant.T_SMT_STAR, Routing.RR),
+                  (Variant.T_SMT_STAR, Routing.ONE_BEND), (Variant.R_SMT_STAR, Routing.ONE_BEND))
+
+
+def _pinned_solves(monkeypatch, pool, budget, variants=EXACT_VARIANTS):
+    """sha256 of every solve's (cells, walks, objective, optimal) over the
+    (machine, circuit) pool under each variant/routing pair, at a budget of
+    `budget` clock reads each; the number of clock reads all solves made; and
+    the number of solves that proved their optimum."""
+    clock = _ReadClock()
+    monkeypatch.setattr(optimal, "time", clock)
+    h = hashlib.sha256()
+    proved = 0
+    for m, c in pool:
+        t = build_tables(m)
+        for variant, routing in variants:
+            sol = solve_exact(c, m, ProblemConfig(variant, routing, time_limit=budget),
+                              tables=t)
+            walks = [sol.gate_routes[g.id] for g in c.cnot_gates()]
+            h.update(repr((sol.placement.cells(m), walks, sol.objective_value,
+                           sol.optimal)).encode())
+            proved += sol.optimal
+    return h.hexdigest(), clock.reads, proved
+
+
 class TestBudgetGolden:
     # sha256 of every solve's (cells, walks, objective, optimal) and the
     # number of clock reads all solves made, at a budget of 400 reads each.
@@ -1066,21 +1091,73 @@ class TestBudgetGolden:
         returned before, after the same number of reads. A change to where
         the search reads its clock changes what a budget buys: such a change
         (ROADMAP Open item 2) must update DIGEST and READS on purpose."""
-        clock = _ReadClock()
-        monkeypatch.setattr(optimal, "time", clock)
-        h = hashlib.sha256()
-        proved = 0
-        for m, c in _budget_pool():
-            t = build_tables(m)
-            for variant, routing in ((Variant.T_SMT, Routing.RR),
-                                     (Variant.T_SMT_STAR, Routing.RR),
-                                     (Variant.T_SMT_STAR, Routing.ONE_BEND),
-                                     (Variant.R_SMT_STAR, Routing.ONE_BEND)):
-                sol = solve_exact(c, m, ProblemConfig(variant, routing, time_limit=400),
-                                  tables=t)
-                walks = [sol.gate_routes[g.id] for g in c.cnot_gates()]
-                h.update(repr((sol.placement.cells(m), walks, sol.objective_value,
-                               sol.optimal)).encode())
-                proved += sol.optimal
+        digest, reads, proved = _pinned_solves(monkeypatch, _budget_pool(), 400)
         assert 0 < proved < 48
-        assert (h.hexdigest(), clock.reads) == (self.DIGEST, self.READS)
+        assert (digest, reads) == (self.DIGEST, self.READS)
+
+
+def varied_readouts(mx, my, seed):
+    """A jittered-duration calibration whose cells' readouts last from 2 to
+    24 timeslots, so cells whose CNOTs are equally fast differ in readout."""
+    doc = synth_calibration(mx, my, seed, jitter_durations=True)
+    rng = random.Random(seed)
+    for q in doc["qubits"]:
+        q["readout_duration"] = rng.randint(2, 24)
+    return load_calibration(doc)
+
+
+class TestReadoutDurations:
+    """The duration variants' node bound prices each placed readout at its
+    own cell's duration, kept in place as the search places qubits."""
+    DIGEST = "b96dbf291d2678e510c095ecc2271512f85de89f8906e76dd8c9eec09e176b58"
+    READS = 7986
+
+    def test_budget_limited_solves_are_pinned(self, monkeypatch):
+        """Budget-limited solves on ladders with jittered CNOTs and readouts
+        of unequal length return what they returned before, after the same
+        number of clock reads."""
+        pool = [(m, c) for m in (varied_readouts(2, 8, 3), varied_readouts(2, 8, 4))
+                for c in (gen_bv(6, "10110"), with_readouts(gen_random(5, 20, 3), range(5)),
+                          with_lone_qubits(gen_bv(4, "111"), 1), gen_toffoli())]
+        digest, reads, proved = _pinned_solves(monkeypatch, pool, 400)
+        assert 0 < proved < 32
+        assert (digest, reads) == (self.DIGEST, self.READS)
+
+    def test_solver_matches_the_enumerator(self):
+        """Unlimited solves on 2x3 grids reach the enumerator's optimum and
+        its smallest key under every variant/routing pair."""
+        circuits = [gen_bv(4, "011"), gen_toffoli(),
+                    with_readouts(gen_random(3, 8, 5), range(3)),
+                    with_lone_qubits(with_readouts(gen_random(2, 6, 1), range(2)), 2)]
+        solved = 0
+        for seed in (1, 2, 3):
+            m = varied_readouts(2, 3, seed)
+            t = build_tables(m)
+            for c, (variant, routing) in itertools.product(circuits, EXACT_VARIANTS):
+                cfg = ProblemConfig(variant, routing)
+                bf = brute_force_optimal(c, m, cfg, tables=t)
+                sol = solve_exact(c, m, cfg, tables=t)
+                assert sol.objective_value == bf.objective_value
+                assert solution_key(sol, c, m) == min(bf.argmax)
+                solved += 1
+        assert solved == 48
+
+
+class TestBudgetGoldenWideLeaves:
+    """Circuits of at least 9 CNOTs under one-bend routing, whose leaves
+    have hundreds of junction combos: a leaf the node bound rules out whole
+    still reads the clock at every 256th combo it skips."""
+    DIGEST = "ec5586be5565a0172523a1e60f5406a4af3d8bf460f485de5b0cdff0728784af"
+    READS = 4713
+
+    def test_budget_limited_solves_are_pinned(self, monkeypatch):
+        circuits = [with_readouts(gen_random(n, 64, seed), range(n))
+                    for n, seed in ((4, 1), (4, 3), (4, 4), (5, 1), (5, 3))]
+        assert all(len(c.cnot_gates()) >= 9 for c in circuits)
+        pool = [(load_calibration(synth_calibration(3, 3, 5, **over)), c)
+                for over in ({}, {"jitter_durations": True}) for c in circuits]
+        digest, reads, proved = _pinned_solves(
+            monkeypatch, pool, 400,
+            ((Variant.T_SMT, Routing.ONE_BEND), (Variant.T_SMT_STAR, Routing.ONE_BEND)))
+        assert 0 < proved < 20
+        assert (digest, reads) == (self.DIGEST, self.READS)
