@@ -566,27 +566,25 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 tables: DerivedTables | None = None) -> Solution:
     """Branch-and-bound over injective placements and junction assignments.
 
-    Placements extend qubit by qubit in descending program-graph degree order;
-    complete assignments are scored by the canonical scheduler. Reliability
-    pruning bounds unplaced readouts/CNOTs by the machine-wide best entries;
-    duration pruning uses a critical-path bound with placed CNOTs at their
-    pair's fastest junction and unplaced ones at the fastest edge. Its
-    durations are kept in place, only the new qubit's change from child to
-    child, and children whose new durations agree share one bound. Ties on
-    the objective keep the lexicographically smallest (placement cells,
-    junction cells) key, so the result is deterministic and matches the
-    brute-force enumerator exactly.
+    Placements extend qubit by qubit in descending program-graph degree order
+    (then qubit id), each over the free cells in ascending order; junction
+    combos follow itertools.product. Complete assignments are scored by the
+    canonical scheduler. Reliability pruning bounds unplaced readouts/CNOTs
+    by the machine-wide best entries; duration pruning uses a critical-path
+    bound with placed CNOTs at their pair's fastest junction and unplaced
+    ones at the fastest edge. Its durations are kept in place, only the new
+    qubit's change from child to child, and children whose new durations
+    agree share one bound. A leaf replaces the incumbent only when it is
+    strictly better, so ties go to the first optimum in search order and the
+    result is deterministic.
 
-    A junction combo of a complete placement is scheduled only when it can
-    replace the incumbent: its bound must beat the incumbent's objective, or
-    equal it with a smaller key. The bound is the objective itself under
-    r-smt-star, which needs no schedule, and under the duration variants the
-    critical path at the combo's own CNOT durations, which no makespan is
-    below. A placement whose node bound equals the incumbent's objective and
-    whose key is larger is skipped whole, since no combo of it can win.
-    Skipped combos still count toward the clock read every 256 combos,
-    so the clock is read at the same points as if every combo were
-    scheduled, and a time limit stops the search with the same incumbent.
+    A junction combo of a complete placement is scheduled only when its
+    bound beats the incumbent's objective. The bound is the objective itself
+    under r-smt-star, which needs no schedule, and under the duration
+    variants the critical path at the combo's own CNOT durations, which no
+    makespan is below. A duration node descends only when its bound is below
+    the incumbent's objective. The clock is read once per node and once per
+    junction combo, so a time limit holds to within one leaf evaluation.
     Under the duration variants, combos that differ only in the cells of
     qubits without CNOTs share one schedule of the other qubits' gates
     (_LoneQubits), which gives each of them its exact makespan.
@@ -629,7 +627,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     used = [False] * ncells
     incumbent: list = [None]  # [(objective, (cells, junctions))]
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
-    leaf_tick = [0]
 
     def check_time():
         if deadline is not None and time.monotonic() > deadline:
@@ -646,24 +643,12 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     cx_durs = [opt_cx_dur] * len(cnot_ops)
     ro_durs = [min_ro_dur] * nq
 
-    def beats(obj, key) -> bool:
+    def beats(obj) -> bool:
         inc = incumbent[0]
-        return inc is None or (obj > inc[0] if maximize else obj < inc[0]) \
-            or (obj == inc[0] and key < inc[1])
+        return inc is None or (obj > inc[0] if maximize else obj < inc[0])
 
     def do_leaf(node_lb):
         cells = tuple(cell_of)
-        inc = incumbent[0]
-        if not maximize and inc is not None and node_lb == inc[0] and cells > inc[1][0]:
-            # Every combo's bound is at least the node's and its key larger
-            # than the incumbent's, so none can win: tick them all at once,
-            # reading the clock at each multiple of 256 they cross.
-            n = math.prod(len(scorer.junction_choices(cells[qa], cells[qb]))
-                          for qa, qb in cnot_ops) if scorer.one_bend else 1
-            for _ in range(leaf_tick[0] // 256, (leaf_tick[0] + n) // 256):
-                check_time()
-            leaf_tick[0] += n
-            return
         pairs = [(cells[qa], cells[qb]) for qa, qb in cnot_ops]
         cand = [scorer.junction_choices(a, b) for a, b in pairs]
         if not maximize:
@@ -673,10 +658,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                            for (a, b), js in zip(pairs, cand) for j in js)
             ro_durs = [scorer.ro_dur[cell] for cell in cells]
         for combo in itertools.product(*cand):
-            leaf_tick[0] += 1
-            if leaf_tick[0] % 256 == 0:
-                check_time()
-            key = (cells, combo)
+            check_time()
             # Schedule only a combo whose bound beats the incumbent: the
             # objective itself under r-smt-star, which needs no schedule, and
             # the critical path at the combo's own durations, which no
@@ -689,14 +671,14 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 bound = _critical_path(rows, const_path,
                                        [scorer.cnot_cost(a, b, j)[0]
                                         for (a, b), j in zip(pairs, combo)], ro_durs)
-            if not beats(bound, key):
+            if not beats(bound):
                 continue
             # A leaf that differs from another only in lone qubits' cells
             # reuses its schedule of the other qubits.
             shared = lone.leaf(cells, combo) if lone is not None else None
             if shared is not None:
-                if shared[0] and beats(float(shared[1]), key):
-                    incumbent[0] = (float(shared[1]), key)
+                if shared[0] and beats(float(shared[1])):
+                    incumbent[0] = (float(shared[1]), (cells, combo))
                 continue
             # Under r-smt-star the bound is bitwise the leaf's objective, so
             # the schedule only decides feasibility.
@@ -708,8 +690,8 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                     obj, _ = scorer.leaf(cells, combo)
             except _InfeasibleSchedule:
                 continue
-            if beats(obj, key):
-                incumbent[0] = (obj, key)
+            if beats(obj):
+                incumbent[0] = (obj, (cells, combo))
 
     def rec(k, sum_ro, n_ro_open, sum_cx, n_cx_open, lb):
         check_time()
@@ -752,7 +734,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 if b is None:
                     b = memo[key] = _critical_path(rows, const_path, cx_durs, ro_durs)
                 inc = incumbent[0]
-                if inc is None or b <= inc[0]:
+                if inc is None or b < inc[0]:
                     rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open, b)
                 for ci in incident[q]:
                     cx_durs[ci] = opt_cx_dur

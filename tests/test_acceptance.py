@@ -36,6 +36,8 @@ from nisqc.machine import (
 )
 from nisqc.optimal import ProblemConfig, check_solution, solve_exact
 
+from search_order import first_in_search_order
+
 
 def udoc(mx, my, **over):
     d = {
@@ -170,9 +172,9 @@ def pool():
             if sol.objective_value != bf.objective_value:
                 res.objective_mismatches.append(
                     (label, variant, routing, sol.objective_value, bf.objective_value))
-            # ties keep the lexicographically smallest (cells, junctions) key;
-            # a CNOT's walk fixes its junction, so the keys compare as walks
-            cells, junctions = min(bf.argmax)
+            # ties go to the first optimum in search order; a CNOT's walk
+            # fixes its junction, so the keys compare as walks
+            cells, junctions = first_in_search_order(c, bf.argmax)
             want = (cells, tuple(cnot_walk(m, cells[g.operands[0]], cells[g.operands[1]], j)
                                  for g, j in zip(c.cnot_gates(), junctions)))
             key = (sol.placement.cells(m), tuple(sol.gate_routes[g.id] for g in c.cnot_gates()))

@@ -55,6 +55,8 @@ from nisqc.optimal import (
     solve_exact,
 )
 
+from search_order import first_in_search_order
+
 
 def udoc(mx, my, **over):
     d = {
@@ -133,12 +135,14 @@ def naive_starts(c, m, cfg, tables, cells, junctions):
 
 
 def oracle_best(c, m, cfg):
-    """Exhaustive (placement, junctions) sweep with the naive scheduler."""
+    """Exhaustive (placement, junctions) sweep with the naive scheduler: the
+    optimum and, among the assignments that reach it, the first in the exact
+    solver's search order."""
     tables = build_tables(m)
     ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel
     maximize = cfg.variant is Variant.R_SMT_STAR
     cnots = [g for g in c.gates if g.kind is GateKind.CNOT]
-    best = None
+    best, ties = None, []
     for cells in itertools.permutations(range(m.num_cells), c.num_qubits):
         choices = []
         for g in cnots:
@@ -160,14 +164,11 @@ def oracle_best(c, m, cfg):
                 obj = cfg.omega * sum_ro + (1.0 - cfg.omega) * sum_cx
             else:
                 obj = float(max((starts[g] + durs[g] for g in starts), default=0))
-            key = (cells, combo)
-            if best is None:
-                best = (obj, key)
-            elif maximize and (obj > best[0] or (obj == best[0] and key < best[1])):
-                best = (obj, key)
-            elif not maximize and (obj < best[0] or (obj == best[0] and key < best[1])):
-                best = (obj, key)
-    return best
+            if best is None or (obj > best if maximize else obj < best):
+                best, ties = obj, [(cells, combo)]
+            elif obj == best:
+                ties.append((cells, combo))
+    return best, first_in_search_order(c, ties)
 
 
 def with_readouts(c, qubits):
@@ -543,8 +544,9 @@ class TestLoneQubits:
 
     def test_solver_matches_the_enumerator(self):
         """Exact solves of circuits with lone qubits reach the enumerator's
-        optimum and its smallest key on plain, jittered and short-lived 2x3
-        grids, or find no schedule where it finds none."""
+        optimum, and among its ties the first in search order, on plain,
+        jittered and short-lived 2x3 grids, or find no schedule where it
+        finds none."""
         circuits = [with_lone_qubits(build_circuit(2, 0, [("cx", (0, 1)), ("h", (1,)),
                                                           ("cx", (1, 0))]), 2),
                     gen_bv(4, "010"),
@@ -567,7 +569,7 @@ class TestLoneQubits:
                         continue
                     sol = solve_exact(c, m, cfg, tables=t)
                     assert sol.objective_value == bf.objective_value
-                    assert solution_key(sol, c, m) == min(bf.argmax)
+                    assert solution_key(sol, c, m) == first_in_search_order(c, bf.argmax)
                     solved += 1
         assert solved >= 20 and infeasible >= 3, (solved, infeasible)
 
@@ -1083,14 +1085,15 @@ def _pinned_solves(monkeypatch, pool, budget, variants=EXACT_VARIANTS):
 class TestBudgetGolden:
     # sha256 of every solve's (cells, walks, objective, optimal) and the
     # number of clock reads all solves made, at a budget of 400 reads each.
-    DIGEST = "dd920c21f3c9a55d26542e1d43e2f7ea1d60230f4dcd2d39ecfa41bea84f9cf5"
-    READS = 16714
+    DIGEST = "c41a447a6bff4582ca63d1e6b51733994bcb9c2e820aff5b2351d720124dd684"
+    READS = 10946
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
         """Solves cut by their budget of clock reads return what they
         returned before, after the same number of reads. A change to where
-        the search reads its clock changes what a budget buys: such a change
-        (ROADMAP Open item 2) must update DIGEST and READS on purpose."""
+        the search reads its clock, or to which leaves it visits, changes
+        what a budget buys: such a change must update DIGEST and READS on
+        purpose."""
         digest, reads, proved = _pinned_solves(monkeypatch, _budget_pool(), 400)
         assert 0 < proved < 48
         assert (digest, reads) == (self.DIGEST, self.READS)
@@ -1109,8 +1112,8 @@ def varied_readouts(mx, my, seed):
 class TestReadoutDurations:
     """The duration variants' node bound prices each placed readout at its
     own cell's duration, kept in place as the search places qubits."""
-    DIGEST = "b96dbf291d2678e510c095ecc2271512f85de89f8906e76dd8c9eec09e176b58"
-    READS = 7986
+    DIGEST = "baf804f3e5f07f986047cd1d68ce3606e443d1c8ebd3b7503f5481741c29a74c"
+    READS = 7131
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
         """Budget-limited solves on ladders with jittered CNOTs and readouts
@@ -1124,8 +1127,9 @@ class TestReadoutDurations:
         assert (digest, reads) == (self.DIGEST, self.READS)
 
     def test_solver_matches_the_enumerator(self):
-        """Unlimited solves on 2x3 grids reach the enumerator's optimum and
-        its smallest key under every variant/routing pair."""
+        """Unlimited solves on 2x3 grids reach the enumerator's optimum, and
+        among its ties the first in search order, under every variant/routing
+        pair."""
         circuits = [gen_bv(4, "011"), gen_toffoli(),
                     with_readouts(gen_random(3, 8, 5), range(3)),
                     with_lone_qubits(with_readouts(gen_random(2, 6, 1), range(2)), 2)]
@@ -1138,26 +1142,73 @@ class TestReadoutDurations:
                 bf = brute_force_optimal(c, m, cfg, tables=t)
                 sol = solve_exact(c, m, cfg, tables=t)
                 assert sol.objective_value == bf.objective_value
-                assert solution_key(sol, c, m) == min(bf.argmax)
+                assert solution_key(sol, c, m) == first_in_search_order(c, bf.argmax)
                 solved += 1
         assert solved == 48
 
 
+def _wide_leaf_pool():
+    """Circuits of at least 9 CNOTs, with a readout of every qubit, on a
+    plain and a jittered-duration 3x3 grid: under one-bend routing their
+    leaves have hundreds of junction combos."""
+    circuits = [with_readouts(gen_random(n, 64, seed), range(n))
+                for n, seed in ((4, 1), (4, 3), (4, 4), (5, 1), (5, 3))]
+    assert all(len(c.cnot_gates()) >= 9 for c in circuits)
+    return [(load_calibration(synth_calibration(3, 3, 5, **over)), c)
+            for over in ({}, {"jitter_durations": True}) for c in circuits]
+
+
 class TestBudgetGoldenWideLeaves:
     """Circuits of at least 9 CNOTs under one-bend routing, whose leaves
-    have hundreds of junction combos: a leaf the node bound rules out whole
-    still reads the clock at every 256th combo it skips."""
-    DIGEST = "ec5586be5565a0172523a1e60f5406a4af3d8bf460f485de5b0cdff0728784af"
-    READS = 4713
+    have hundreds of junction combos: a wide leaf reads the clock once per
+    combo, whether it schedules the combo or its bound rules it out."""
+    DIGEST = "2089d4a4b1dd32abd5640f25d4d2b605cc0e0782f35cee102b7b9ad400fe0f63"
+    READS = 5435
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
-        circuits = [with_readouts(gen_random(n, 64, seed), range(n))
-                    for n, seed in ((4, 1), (4, 3), (4, 4), (5, 1), (5, 3))]
-        assert all(len(c.cnot_gates()) >= 9 for c in circuits)
-        pool = [(load_calibration(synth_calibration(3, 3, 5, **over)), c)
-                for over in ({}, {"jitter_durations": True}) for c in circuits]
         digest, reads, proved = _pinned_solves(
-            monkeypatch, pool, 400,
+            monkeypatch, _wide_leaf_pool(), 400,
             ((Variant.T_SMT, Routing.ONE_BEND), (Variant.T_SMT_STAR, Routing.ONE_BEND)))
         assert 0 < proved < 20
         assert (digest, reads) == (self.DIGEST, self.READS)
+
+
+class _ScheduleCountingClock(_ReadClock):
+    """A _ReadClock that also stands in for optimal._list_schedule and keeps
+    the most schedules made between two clock reads."""
+
+    def __init__(self, list_schedule):
+        super().__init__()
+        self._list_schedule = list_schedule
+        self.schedules = self.since_read = self.most = 0
+
+    def list_schedule(self, *args):
+        self.schedules += 1
+        self.since_read += 1
+        return self._list_schedule(*args)
+
+    def monotonic(self) -> float:
+        self.most = max(self.most, self.since_read)
+        self.since_read = 0
+        return super().monotonic()
+
+
+class TestTimeLimit:
+    def test_clock_reads_are_at_most_one_schedule_apart(self, monkeypatch):
+        """A time limit holds to within one leaf evaluation: between two
+        clock reads the search schedules at most one assignment, on leaves
+        with hundreds of junction combos too."""
+        clock = _ScheduleCountingClock(optimal._list_schedule)
+        monkeypatch.setattr(optimal, "time", clock)
+        monkeypatch.setattr(optimal, "_list_schedule", clock.list_schedule)
+        variants = [(v, Routing.ONE_BEND) for v in (Variant.T_SMT, Variant.T_SMT_STAR,
+                                                    Variant.R_SMT_STAR)]
+        for m, c in _wide_leaf_pool():
+            t = build_tables(m)
+            for variant, routing in variants + [(Variant.T_SMT_STAR, Routing.RR)]:
+                # The search's reads start at its deadline; the schedule of
+                # the returned solution comes after its last read.
+                clock.since_read = 0
+                solve_exact(c, m, ProblemConfig(variant, routing, time_limit=400), tables=t)
+        assert clock.schedules > 1000
+        assert clock.most == 1
