@@ -67,9 +67,6 @@ class Circuit:
     def cnot_gates(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.kind is GateKind.CNOT)
 
-    def measure_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.kind is GateKind.MEASURE)
-
 
 @dataclass(frozen=True)
 class DependencyDag:

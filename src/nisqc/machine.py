@@ -101,15 +101,6 @@ def static_cnot_duration(d: int, m: GridMachine) -> int:
     return 2 * (d - 1) * m.static_tau_swap + m.static_tau_cnot
 
 
-def one_bend_junctions(c: tuple[int, int], t: tuple[int, int]) -> list[tuple[int, int]]:
-    """Corner cells of the 1 or 2 axis-aligned single-bend routes from c to t."""
-    if c == t:
-        raise ValueError("no route between identical cells")
-    if c[0] == t[0] or c[1] == t[1]:
-        return [c]
-    return [(c[0], t[1]), (t[0], c[1])]
-
-
 def _probability(value, name: str) -> float:
     p = float(value)
     if not 0.0 <= p < 1.0:

@@ -578,6 +578,16 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     strictly better, so ties go to the first optimum in search order and the
     result is deterministic.
 
+    Before the search, the greedy-e placement (heuristic.greedy_edge_map on
+    the best-path table), each CNOT at its best legal junction, is scored as
+    a leaf: the seed. Until the first incumbent it bounds the search
+    non-strictly: a node descends when its bound is at least as good as the
+    seed, and the first leaf at least as good as the seed becomes the
+    incumbent. From then on the strict rules hold, so the first optimum in
+    search order is still the answer. When the time limit expires before
+    any incumbent, the seed is returned with optimal=False; SolverTimeout
+    is raised only when the seed misses a coherence deadline too.
+
     A junction combo of a complete placement is scheduled only when its
     bound beats the incumbent's objective. The bound is the objective itself
     under r-smt-star, which needs no schedule, and under the duration
@@ -643,9 +653,31 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     cx_durs = [opt_cx_dur] * len(cnot_ops)
     ro_durs = [min_ro_dur] * nq
 
+    # The seed: the greedy-e placement with each CNOT at its best legal
+    # junction, the most reliable under r-smt-star and the fastest otherwise.
+    from .heuristic import greedy_edge_map
+    loc = greedy_edge_map(pg, m, tables).loc
+    seed_cells = tuple(m.cell_id(loc[q]) for q in range(nq))
+
+    def best_junction(a: int, b: int) -> int:
+        # max and min keep the first of tied junctions
+        js = scorer.junction_choices(a, b)
+        if maximize:
+            return max(js, key=lambda j: scorer.ln_ec((a, b, j)))
+        return min(js, key=lambda j: scorer.cnot_cost(a, b, j)[0])
+
+    seed_combo = tuple(best_junction(seed_cells[qa], seed_cells[qb]) for qa, qb in cnot_ops)
+    try:
+        seed = (scorer.leaf(seed_cells, seed_combo)[0], (seed_cells, seed_combo))
+    except _InfeasibleSchedule:
+        seed = None
+
     def beats(obj) -> bool:
         inc = incumbent[0]
-        return inc is None or (obj > inc[0] if maximize else obj < inc[0])
+        if inc is None:
+            # Before the first incumbent, matching the seed is enough.
+            return seed is None or (obj >= seed[0] if maximize else obj <= seed[0])
+        return obj > inc[0] if maximize else obj < inc[0]
 
     def do_leaf(node_lb):
         cells = tuple(cell_of)
@@ -719,8 +751,8 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                         c_open -= 1
                 bound = omega * (s_ro + r_open * best_ln_ro) \
                     + (1.0 - omega) * (s_cx + c_open * best_ln_cx)
-                inc = incumbent[0]
-                if inc is None or bound >= inc[0] - 1e-9:
+                ref = incumbent[0] or seed
+                if ref is None or bound >= ref[0] - 1e-9:
                     rec(k + 1, s_ro, r_open, s_cx, c_open, 0)
             else:
                 ro_durs[q] = scorer.ro_dur[cell]
@@ -733,8 +765,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                 b = memo.get(key)
                 if b is None:
                     b = memo[key] = _critical_path(rows, const_path, cx_durs, ro_durs)
-                inc = incumbent[0]
-                if inc is None or b < inc[0]:
+                if beats(b):
                     rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open, b)
                 for ci in incident[q]:
                     cx_durs[ci] = opt_cx_dur
@@ -747,7 +778,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         rec(0, 0.0, len(scorer.measure_ids), 0.0, len(scorer.cnot_ids), 0)
     except _SearchTimeout:
         timed_out = True
-    inc = incumbent[0]
+    inc = incumbent[0] or seed
     if inc is None:
         if timed_out:
             raise SolverTimeout(f"no feasible solution within {cfg.time_limit} s")

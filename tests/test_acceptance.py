@@ -443,9 +443,10 @@ def test_criterion_12_heuristic_scales_and_exact_degrades_gracefully():
     assert dt < 5.0
     assert len(sol.schedule.start) == 2048
 
+    # Neither variant proves this instance in 30 s on a 2-vCPU machine.
     m = load_calibration(udoc(4, 4))
     t = build_tables(m)
-    c = gen_random(12, 48, seed=8)
+    c = gen_random(14, 64, seed=8)
     for variant in ("t-smt-star", "r-smt-star"):
         cfg = ProblemConfig(variant=variant, time_limit=1.0)
         t0 = time.perf_counter()

@@ -190,8 +190,9 @@ class TestGenerators:
     def test_bv_shape(self):
         c = gen_bv(4, "111")
         assert len(c.cnot_gates()) == 3
-        assert len(c.measure_gates()) == 3
-        assert {g.operands[0] for g in c.measure_gates()} == {0, 1, 2}
+        measures = [g for g in c.gates if g.kind is GateKind.MEASURE]
+        assert len(measures) == 3
+        assert {g.operands[0] for g in measures} == {0, 1, 2}
 
     def test_bv_zero_string(self):
         assert gen_bv(4, "000").cnot_gates() == ()

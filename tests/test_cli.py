@@ -133,12 +133,21 @@ class TestCompile:
         assert json.loads(stderr)["error"] == "Infeasible"
 
     def test_timeout_without_solution_exits_4(self, tmp_path, capsys, bv4):
-        cal = uniform_cal(tmp_path, 3, 3)
+        # Every placement misses T2, the greedy seed included, so the search
+        # has nothing to return when the limit expires.
+        cal = uniform_cal(tmp_path, 3, 3, name="tight.json", t2=5)
         code, _, stderr = run(capsys, "compile", "--variant", "r-smt-star",
                               "--time-limit", "1e-9", bv4, cal,
                               "--out", str(tmp_path / "x"))
         assert code == 4
         assert json.loads(stderr)["error"] == "SolverTimeout"
+
+    def test_timeout_with_feasible_seed_exits_0(self, tmp_path, capsys, bv4):
+        cal = uniform_cal(tmp_path, 3, 3)
+        code, _, _ = run(capsys, "compile", "--variant", "r-smt-star",
+                         "--time-limit", "1e-9", bv4, cal, "--out", str(tmp_path / "x"))
+        assert code == 0
+        assert json.loads((tmp_path / "x.json").read_text())["optimal"] is False
 
     @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
     def test_time_limit_not_above_zero_exits_2(self, tmp_path, capsys, bv4, limit):

@@ -15,13 +15,22 @@ from nisqc.machine import (
     cnot_walk,
     load_calibration,
     manhattan,
-    one_bend_junctions,
     path_duration,
     path_reliability,
     route_cells,
     static_cnot_duration,
     synth_calibration,
 )
+
+
+def one_bend_junctions(c: tuple[int, int], t: tuple[int, int]) -> list[tuple[int, int]]:
+    """Oracle for the one-bend junction table: the corner cells of the 1 or 2
+    axis-aligned single-bend routes from c to t."""
+    if c == t:
+        raise ValueError("no route between identical cells")
+    if c[0] == t[0] or c[1] == t[1]:
+        return [c]
+    return [(c[0], t[1]), (t[0], c[1])]
 
 
 def uniform_doc(mx, my, cnot_error=0.1, readout_error=0.07, cnot_duration=2, t2=1000):

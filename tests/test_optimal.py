@@ -15,6 +15,7 @@ from nisqc.circuit import (
     GateKind,
     build_circuit,
     build_dag,
+    build_program_graph,
     gen_bv,
     gen_random,
     gen_toffoli,
@@ -38,6 +39,7 @@ from nisqc.heuristic import (
     GreedyPolicy,
     HeuristicConfig,
     compile_with_placement,
+    greedy_edge_map,
     heuristic_compile,
 )
 from nisqc.optimal import (
@@ -640,14 +642,34 @@ class TestSolveExact:
             solve_exact(gen_bv(4, "101"), m, ProblemConfig(Variant.T_SMT))
 
     def test_infeasible_vs_timeout(self):
+        # The greedy seed misses the readout's deadline too, so a search cut
+        # before it proves anything has nothing to return.
         tight = load_calibration(udoc(1, 2, t2=5))
         c = build_circuit(1, 1, [("measure", (0,), 0)])
         with pytest.raises(Infeasible):
             solve_exact(c, tight, ProblemConfig(Variant.T_SMT_STAR))
-        m = load_calibration(udoc(2, 3))
         with pytest.raises(SolverTimeout):
-            solve_exact(gen_bv(4, "111"), m,
-                        ProblemConfig(Variant.T_SMT, time_limit=1e-9))
+            solve_exact(c, tight, ProblemConfig(Variant.T_SMT_STAR, time_limit=1e-9))
+
+    def test_timeout_returns_the_greedy_seed(self):
+        """A limit that expires before the first node returns the greedy-e
+        placement, unproved, as a valid solution no better than the optimum,
+        under every variant/routing pair."""
+        m = load_calibration(udoc(2, 3))
+        t = build_tables(m)
+        c = gen_bv(4, "111")
+        greedy = greedy_edge_map(build_program_graph(c), m, t)
+        for variant, routing in EXACT_VARIANTS:
+            sol = solve_exact(c, m, ProblemConfig(variant, routing, time_limit=1e-9), tables=t)
+            assert sol.optimal is False
+            assert sol.placement == greedy
+            assert check_solution(sol, c, m) == []
+            best = solve_exact(c, m, ProblemConfig(variant, routing), tables=t)
+            assert best.optimal is True
+            if variant is Variant.R_SMT_STAR:
+                assert best.objective_value >= sol.objective_value
+            else:
+                assert best.objective_value <= sol.objective_value
 
     def test_deterministic(self):
         m = load_calibration(udoc(2, 3))
@@ -1085,8 +1107,8 @@ def _pinned_solves(monkeypatch, pool, budget, variants=EXACT_VARIANTS):
 class TestBudgetGolden:
     # sha256 of every solve's (cells, walks, objective, optimal) and the
     # number of clock reads all solves made, at a budget of 400 reads each.
-    DIGEST = "c41a447a6bff4582ca63d1e6b51733994bcb9c2e820aff5b2351d720124dd684"
-    READS = 10946
+    DIGEST = "9ffece7fca2d6a7ff3bc1e31b974c05c4ad0a3dea4c060160b805fb79ed9e748"
+    READS = 8913
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
         """Solves cut by their budget of clock reads return what they
@@ -1112,8 +1134,8 @@ def varied_readouts(mx, my, seed):
 class TestReadoutDurations:
     """The duration variants' node bound prices each placed readout at its
     own cell's duration, kept in place as the search places qubits."""
-    DIGEST = "baf804f3e5f07f986047cd1d68ce3606e443d1c8ebd3b7503f5481741c29a74c"
-    READS = 7131
+    DIGEST = "83b1fbc8ceec24ceccbb247f56aaf118c5f611b2d58fe35a97e14296f68eedc1"
+    READS = 5176
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
         """Budget-limited solves on ladders with jittered CNOTs and readouts
@@ -1147,6 +1169,65 @@ class TestReadoutDurations:
         assert solved == 48
 
 
+def sweep_instances(n, seed):
+    """n seeded (machine, circuit, omega, count_return_swaps) instances at
+    the edges: 1xN, 2x2, 2x3 and 3x2 grids, every cell occupied in every
+    other instance, plain or jittered CNOT durations, T2 from tight to
+    ample, omega at 0, 0.5 or 1, and return swaps scored or not."""
+    rng = random.Random(seed)
+    for i in range(n):
+        mx, my = rng.choice(((1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2)))
+        nq = mx * my if i % 2 == 0 else rng.randint(2, mx * my - 1)
+        m = load_calibration(synth_calibration(
+            mx, my, rng.randrange(10 ** 6), t2=rng.choice((16, 30, 60, 1000)),
+            jitter_durations=rng.random() < 0.5))
+        ops = []
+        for _ in range(rng.randint(1, 3)):
+            ops.append((GateKind.CNOT, tuple(rng.sample(range(nq), 2))))
+            ops += [(GateKind.H, (rng.randrange(nq),)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(ops)
+        c = with_readouts(build_circuit(nq, 0, ops), rng.sample(range(nq), rng.randint(0, nq)))
+        yield m, c, rng.choice((0.0, 0.5, 1.0)), rng.random() < 0.5
+
+
+class TestEdgeSweep:
+    def test_solver_matches_the_enumerator_at_the_edges(self):
+        """On 200 seeded edge instances under every variant/routing pair, the
+        solver and the enumerator agree on infeasibility, the optimum and,
+        among its ties, the first in search order, and check_solution
+        accepts the solver's answer."""
+        mismatches = []
+        feasible = 0
+        for i, (m, c, omega, crs) in enumerate(sweep_instances(200, 16)):
+            t = build_tables(m)
+            for variant, routing in EXACT_VARIANTS:
+                cfg = ProblemConfig(variant, routing, omega=omega, count_return_swaps=crs)
+                case = (i, variant.value, routing.value)
+                try:
+                    bf = brute_force_optimal(c, m, cfg, tables=t)
+                except Infeasible:
+                    bf = None
+                try:
+                    sol = solve_exact(c, m, cfg, tables=t)
+                except Infeasible:
+                    sol = None
+                if (bf is None) != (sol is None):
+                    mismatches.append((case, "infeasible", bf is None, sol is None))
+                if bf is None or sol is None:
+                    continue
+                feasible += 1
+                if sol.objective_value != bf.objective_value:
+                    mismatches.append((case, "objective", sol.objective_value, bf.objective_value))
+                if solution_key(sol, c, m) != first_in_search_order(c, bf.argmax):
+                    mismatches.append((case, "search order"))
+                bad = check_solution(sol, c, m, cfg, tables=t)
+                if bad:
+                    mismatches.append((case, "check_solution", bad))
+        assert mismatches == []
+        # the sweep must reach both sides of the deadlines
+        assert 200 < feasible < 800
+
+
 def _wide_leaf_pool():
     """Circuits of at least 9 CNOTs, with a readout of every qubit, on a
     plain and a jittered-duration 3x3 grid: under one-bend routing their
@@ -1162,8 +1243,8 @@ class TestBudgetGoldenWideLeaves:
     """Circuits of at least 9 CNOTs under one-bend routing, whose leaves
     have hundreds of junction combos: a wide leaf reads the clock once per
     combo, whether it schedules the combo or its bound rules it out."""
-    DIGEST = "2089d4a4b1dd32abd5640f25d4d2b605cc0e0782f35cee102b7b9ad400fe0f63"
-    READS = 5435
+    DIGEST = "85d16d2e338bfc9356ad409f8c5c28a13acfb8ecb4129fd17d688a6f5962d31d"
+    READS = 5035
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
         digest, reads, proved = _pinned_solves(
