@@ -69,7 +69,6 @@ from .optimal import (
     Variant,
     check_solution,
     emit_smtlib,
-    objective,
     solve_exact,
 )
 

@@ -251,9 +251,8 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         cnots = source.cnot_gates()
         walks = [tuple(doc["gate_routes"][str(g.id)]) for g in cnots]
         schedule = _schedule_walks(source, m, cells, walks, variant, routing)
-        # expand reads no gate_eps: CompiledCircuit derives both kinds on m
         sol = Solution(placement, schedule, objective, optimal, variant, routing, omega, flag,
-                       gate_eps={}, gate_routes=dict(zip((g.id for g in cnots), walks)))
+                       gate_routes=dict(zip((g.id for g in cnots), walks)))
         return expand(sol, source, m)
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

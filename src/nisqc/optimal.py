@@ -9,7 +9,7 @@ import math
 import time
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .circuit import (
@@ -107,7 +107,6 @@ class Solution:
     routing: str
     omega: float
     count_return_swaps: bool
-    gate_eps: dict[int, float] = field(repr=False)
     gate_routes: dict[int, tuple[int, ...]] = field(repr=False)  # CNOT walks, mover first
 
     @property
@@ -319,12 +318,22 @@ def _schedule_gates(c: Circuit, m: GridMachine, cells, cnot_cost, preds, succs,
     return _list_schedule(n, durs, gc, dl, preds, succs), durs
 
 
+def _weighted_log_sum(omega: float, ln_ro, ln_cx) -> float:
+    """The reliability objective, the one place it is summed: omega times the
+    sum of the readouts' ln reliabilities plus 1 - omega times the CNOTs'.
+    math.fsum is exactly rounded, so the value does not depend on the order
+    of the terms, and so not on the order of commuting gates."""
+    return omega * math.fsum(ln_ro) + (1.0 - omega) * math.fsum(ln_cx)
+
+
 class _Scorer:
     """Shared leaf evaluator: the exact solver and the brute-force enumerator both
-    score a (placement, junctions) assignment through this one code path, so their
-    objectives agree bitwise. It takes the circuit, the machine, its tables and
-    the problem config; a CNOT is priced by _walk_cost of its junction's
-    cnot_walk, and its reliability is read from the tables."""
+    score a (placement, junctions) assignment through this one code path. It
+    takes the circuit, the machine, its tables and the problem config; a CNOT
+    is priced by _walk_cost of its junction's cnot_walk, and its reliability
+    is read from the tables. Its objective is _weighted_log_sum of these ln
+    reliabilities, so it is bitwise the value that _build_solution and
+    check_solution compute from the walks."""
 
     def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
         self.c, self.m, self.tables, self.cfg = c, m, tables, cfg
@@ -336,8 +345,8 @@ class _Scorer:
         self._choices: dict[tuple[int, int], tuple[int, ...]] = {}
         self.n_gates = len(c.gates)
         self.preds, self.succs = _dag_lists(c)
-        self.cnot_ids = [g.id for g in c.gates if g.kind is GateKind.CNOT]
-        self.measure_ids = [g.id for g in c.gates if g.kind is GateKind.MEASURE]
+        self.cnot_ops = [g.operands for g in c.gates if g.kind is GateKind.CNOT]
+        self.measured = [g.operands[0] for g in c.gates if g.kind is GateKind.MEASURE]
         self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
         self.ro_dur = [q.readout_duration for q in m.qubits]
 
@@ -372,16 +381,11 @@ class _Scorer:
                                self.preds, self.succs, self.static)
 
     def log_objective(self, cells, junctions) -> float:
-        """The weighted log-reliability sum, accumulated in gate-id order."""
-        sum_ro = 0.0
-        for i in self.measure_ids:
-            sum_ro += self.ln_ro[cells[self.c.gates[i].operands[0]]]
-        sum_cx = 0.0
-        for ji, i in enumerate(self.cnot_ids):
-            g = self.c.gates[i]
-            sum_cx += self.ln_ec((cells[g.operands[0]], cells[g.operands[1]], junctions[ji]))
-        w = self.cfg.omega
-        return w * sum_ro + (1.0 - w) * sum_cx
+        """The reliability objective of one assignment."""
+        ln_ec = self.ln_ec
+        return _weighted_log_sum(
+            self.cfg.omega, [self.ln_ro[cells[q]] for q in self.measured],
+            [ln_ec((cells[qa], cells[qb], j)) for (qa, qb), j in zip(self.cnot_ops, junctions)])
 
     def leaf(self, cells, junctions):
         """(objective, makespan) for one assignment; raises _InfeasibleSchedule."""
@@ -414,7 +418,6 @@ class _LoneQubits:
                                           [(g.kind, g.operands, g.classical_target)
                                            for g in c.gates if g.operands[0] not in lone]),
                             m, tables, cfg)
-        self.cnot_ops = [self.rest.c.gates[i].operands for i in self.rest.cnot_ids]
         self.n_single = [0] * c.num_qubits
         self.n_readout = [0] * c.num_qubits
         for g in c.gates:
@@ -433,7 +436,7 @@ class _LoneQubits:
         run = self._runs.get(key)
         if run is None:
             reserved = set()
-            for (qa, qb), j in zip(self.cnot_ops, junctions):
+            for (qa, qb), j in zip(self.rest.cnot_ops, junctions):
                 reserved.update(self.rest.cnot_cost(cells[qa], cells[qb], j)[1])
             try:
                 span = self.rest.leaf(cells, junctions)[1]
@@ -454,27 +457,6 @@ class _LoneQubits:
                 return False, 0
             span = max(span, end)
         return True, span
-
-
-def objective(sol: Solution, cfg: ProblemConfig | None = None) -> float:
-    """Recompute the objective from the solution's own schedule and gate reliabilities.
-
-    Duration variants score the makespan; every reliability-driven solution
-    (the exact reliability variant and both greedy mappers) scores the weighted
-    log-reliability sum.
-    """
-    variant = cfg.variant.value if cfg is not None else sol.variant
-    if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
-        return float(sol.schedule.makespan)
-    omega = cfg.omega if cfg is not None else sol.omega
-    sum_ro = 0.0
-    sum_cx = 0.0
-    for g, eps in sorted(sol.gate_eps.items()):
-        if g in sol.gate_routes:
-            sum_cx += math.log(eps)
-        else:
-            sum_ro += math.log(eps)
-    return omega * sum_ro + (1.0 - omega) * sum_cx
 
 
 def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
@@ -541,25 +523,32 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
 
     cells are placement cells by qubit id and walks the CNOTs' walks in
     CNOT order, the moving qubit's cell first. They are scheduled by
-    _schedule_walks, gate reliabilities come from _gate_reliabilities, and
-    the objective is recomputed from the result. cfg supplies omega and
-    count_return_swaps. Raises Infeasible.
+    _schedule_walks. Duration variants score the makespan; every other
+    variant (the exact reliability variant and both greedy mappers) scores
+    _weighted_log_sum of the ln reliabilities _gate_reliabilities derives
+    from the walks. cfg supplies omega and count_return_swaps. Raises
+    Infeasible.
     """
     schedule = _schedule_walks(c, m, cells, walks, variant, routing)
     gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
-    sol = Solution(
+    if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
+        value = float(schedule.makespan)
+    else:
+        eps = _gate_reliabilities(c, cells, gate_routes, m)[cfg.count_return_swaps]
+        value = _weighted_log_sum(cfg.omega,
+                                  [math.log(e) for g, e in eps.items() if g not in gate_routes],
+                                  [math.log(eps[g]) for g in gate_routes])
+    return Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
         schedule=schedule,
-        objective_value=0.0,
+        objective_value=value,
         optimal=optimal,
         variant=variant,
         routing=routing,
         omega=cfg.omega,
         count_return_swaps=cfg.count_return_swaps,
-        gate_eps=_gate_reliabilities(c, cells, gate_routes, m)[cfg.count_return_swaps],
         gate_routes=gate_routes,
     )
-    return replace(sol, objective_value=objective(sol))
 
 
 def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
@@ -610,15 +599,15 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     omega = cfg.omega
 
     n_meas = [0] * nq
-    for i in scorer.measure_ids:
-        n_meas[c.gates[i].operands[0]] += 1
-    cnot_ops = [(c.gates[i].operands[0], c.gates[i].operands[1]) for i in scorer.cnot_ids]
+    for q in scorer.measured:
+        n_meas[q] += 1
+    cnot_ops = scorer.cnot_ops
     incident: list[list[int]] = [[] for _ in range(nq)]
     for ci, (qa, qb) in enumerate(cnot_ops):
         incident[qa].append(ci)
         incident[qb].append(ci)
 
-    best_ln_ro = max(scorer.ln_ro) if scorer.measure_ids else 0.0
+    best_ln_ro = max(scorer.ln_ro) if scorer.measured else 0.0
     min_edge_err = min(e.cnot_error for e in m.edges) if m.edges else 0.0
     best_ln_cx = math.log(1.0 - min_edge_err)
     min_edge_dur = min((e.cnot_duration for e in m.edges), default=m.static_tau_cnot)
@@ -775,7 +764,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
     timed_out = False
     try:
-        rec(0, 0.0, len(scorer.measure_ids), 0.0, len(scorer.cnot_ids), 0)
+        rec(0, 0.0, len(scorer.measured), 0.0, len(cnot_ops), 0)
     except _SearchTimeout:
         timed_out = True
     inc = incumbent[0] or seed
@@ -805,7 +794,10 @@ def _clashes(by_cell: dict[int, list[tuple[int, int, int]]]):
 def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                    cfg: ProblemConfig | None = None,
                    tables: DerivedTables | None = None) -> list[str]:
-    """Independent re-verification of every constraint; returns violations (empty = valid)."""
+    """Independent re-verification of every constraint; returns violations (empty = valid).
+    The objective must equal, exactly, the makespan or _weighted_log_sum of
+    each walk's path_reliability and each measured cell's readout_rel; it is
+    not recomputed when a CNOT's walk is rejected."""
     v: list[str] = []
     variant = cfg.variant.value if cfg is not None else sol.variant
     routing = cfg.routing.value if cfg is not None else sol.routing
@@ -833,6 +825,8 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
         return v + [f"gates {missing} unscheduled"]
 
     occupied: dict[int, tuple[int, ...]] = {}
+    ln_ro: list[float] = []
+    ln_cx: list[float] = []
     is_static = variant == Variant.T_SMT.value
     if routing != Routing.BEST_PATH.value and cfg is None:
         try:
@@ -858,7 +852,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                              f"legal under {routing} routing")
                     continue
             try:
-                expect_eps = path_reliability(walk, m, count_return_swaps=flag)
+                ln_cx.append(math.log(path_reliability(walk, m, count_return_swaps=flag)))
             except ValueError as exc:
                 v.append(f"CNOT {g.id} route is not a grid walk: {exc}")
                 continue
@@ -866,14 +860,14 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             own = (a, b)
         else:
             cell = cells[g.operands[0]]
-            expect_dur = m.qubits[cell].readout_duration if g.kind is GateKind.MEASURE \
-                else m.single_qubit_duration
-            expect_eps = float(tables.readout_rel[cell]) if g.kind is GateKind.MEASURE else None
+            if g.kind is GateKind.MEASURE:
+                expect_dur = m.qubits[cell].readout_duration
+                ln_ro.append(math.log(float(tables.readout_rel[cell])))
+            else:
+                expect_dur = m.single_qubit_duration
             occupied[g.id] = own = (cell,)
         if dur[g.id] != expect_dur:
             v.append(f"gate {g.id} duration {dur[g.id]} != expected {expect_dur}")
-        if expect_eps is not None and abs(sol.gate_eps.get(g.id, -1.0) - expect_eps) > 1e-12:
-            v.append(f"gate {g.id} reliability inconsistent with tables")
         deadline = m.static_coherence_bound - 1 if is_static \
             else min(m.qubits[cl].t2 for cl in own)
         if start[g.id] + dur[g.id] > deadline:
@@ -890,9 +884,13 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     clashes = {(min(g1, g2), max(g1, g2)) for _cell, g1, g2 in _clashes(by_cell)}
     v += [f"gates {g1} and {g2} overlap in space and time" for g1, g2 in sorted(clashes)]
 
-    expect_obj = objective(sol, cfg)
-    tol = 1e-9 if variant == Variant.R_SMT_STAR.value or routing == Routing.BEST_PATH.value else 0.0
-    if abs(sol.objective_value - expect_obj) > tol:
+    if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
+        expect_obj = float(sol.schedule.makespan)
+    elif len(ln_cx) == len(c.cnot_gates()):
+        expect_obj = _weighted_log_sum(omega, ln_ro, ln_cx)
+    else:
+        return v
+    if sol.objective_value != expect_obj:
         v.append(f"objective {sol.objective_value} != recomputed {expect_obj}")
     return v
 

@@ -122,7 +122,9 @@ def pool_instances():
 
 
 def leaf_product_objective(tables, c, omega, cells, junctions):
-    """exp-domain counterpart of the weighted log objective, same gate order."""
+    """exp-domain counterpart of the weighted log objective: the same ε,
+    multiplied in gate order, so it agrees with the log sum to within
+    rounding and its argmax is compared with a relative tolerance."""
     prod_ro = prod_cx = 1.0
     ji = 0
     for g in c.gates:

@@ -4,6 +4,7 @@ streams, and every compiled artifact must re-parse and round-trip."""
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -271,7 +272,11 @@ class TestRecordedReliability:
         assert cc.expanded[3] == PhysGate(GateKind.CNOT, (0, 1), 6, 4)
         assert cc.eps_strict[0] == pytest.approx(0.8 ** 6 * 0.99, abs=1e-12)   # 0.2595
         assert cc.eps_route[0] == pytest.approx(0.8 ** 3 * 0.99, abs=1e-12)
-        assert sol.gate_eps[0] == cc.eps_route[0]
+        # the reliability variant scores the same walk
+        rel = assigned(c, m, (0, 2), variant="r-smt-star")
+        assert rel.gate_routes == sol.gate_routes
+        assert rel.objective_value == 0.5 * math.log(cc.eps_route[0])
+        assert check_solution(rel, c, m) == []
 
     @pytest.mark.parametrize("case", sorted(WALK_CASES))
     def test_eps_strict_is_the_emitted_product(self, case):

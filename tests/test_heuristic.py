@@ -197,20 +197,18 @@ class TestCompileWithPlacement:
         c = gen_bv(4, "111")
         cfg = HeuristicConfig(policy="greedy-v", omega=0.8)
         sol = heuristic_compile(c, m, t, cfg)
-        sum_ro = sum_cx = 0.0
-        for gid in sorted(sol.gate_eps):
-            if gid in sol.gate_routes:
-                sum_cx += math.log(sol.gate_eps[gid])
-            else:
-                sum_ro += math.log(sol.gate_eps[gid])
-        assert sol.objective_value == 0.8 * sum_ro + 0.2 * sum_cx
+        eps = expand(sol, c, m).eps_route
+        ln_ro = [math.log(e) for gid, e in eps.items() if gid not in sol.gate_routes]
+        ln_cx = [math.log(eps[gid]) for gid in sol.gate_routes]
+        assert len(ln_ro) == 3 and len(ln_cx) == 3
+        assert sol.objective_value == 0.8 * math.fsum(ln_ro) + 0.2 * math.fsum(ln_cx)
 
     def test_count_return_swaps_routes_by_strict_reliability(self):
         m, t = machine(1, 4)
         c = build_circuit(2, 0, [("cx", (0, 1))])
         cfg = HeuristicConfig(policy="greedy-v", count_return_swaps=True)
         sol = compile_with_placement(c, m, t, (0, 3), cfg, "greedy-v")
-        assert sol.gate_eps[0] == pytest.approx(0.9 ** 13, abs=1e-15)
+        assert expand(sol, c, m).eps_strict[0] == pytest.approx(0.9 ** 13, abs=1e-15)
         assert check_solution(sol, c, m, tables=t) == []
 
     def test_coherence_violation_raises(self):

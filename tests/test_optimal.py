@@ -52,7 +52,6 @@ from nisqc.optimal import (
     _InfeasibleSchedule,
     check_solution,
     emit_smtlib,
-    objective,
     solution_from_assignment,
     solve_exact,
 )
@@ -218,13 +217,15 @@ class TestProblemConfig:
             ProblemConfig(Variant.R_SMT_STAR, omega=1.5)
 
 
+ONE_CX = build_circuit(2, 0, [("cx", (0, 1))])
+
+
 def one_cnot(m, t, cfg, a, b, j=None):
-    """The checked Solution of one CNOT from cell a to cell b, routed through
+    """The checked Solution of ONE_CX from cell a to cell b, routed through
     junction j (the canonical junction when None)."""
-    c = build_circuit(2, 0, [("cx", (0, 1))])
     j = canonical_junction(t, a, b) if j is None else j
-    sol = solution_from_assignment(c, m, cfg, (a, b), (j,), tables=t)
-    assert check_solution(sol, c, m, cfg, tables=t) == []
+    sol = solution_from_assignment(ONE_CX, m, cfg, (a, b), (j,), tables=t)
+    assert check_solution(sol, ONE_CX, m, cfg, tables=t) == []
     return sol
 
 
@@ -278,6 +279,7 @@ class TestGateDuration:
 
 
 class TestGateReliability:
+    # Per-gate reliabilities are read from the walks, by expand.
     def test_values(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
@@ -285,22 +287,24 @@ class TestGateReliability:
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         sol = solution_from_assignment(c, m, cfg, (0, 3), (1,), tables=t)
         assert check_solution(sol, c, m, cfg, tables=t) == []
-        assert sorted(sol.gate_eps) == [1, 2]   # a single-qubit gate scores 1
-        assert abs(sol.gate_eps[1] - 0.6561) < 1e-12
-        assert abs(sol.gate_eps[2] - 0.93) < 1e-12
+        eps = expand(sol, c, m).eps_route
+        assert sorted(eps) == [1, 2]   # a single-qubit gate scores 1
+        assert abs(eps[1] - 0.6561) < 1e-12
+        assert abs(eps[2] - 0.93) < 1e-12
 
     def test_both_junctions_same_uniform_value(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         for j in (1, 2):
-            assert abs(one_cnot(m, t, cfg, 0, 3, j).gate_eps[0] - 0.6561) < 1e-12
+            eps = expand(one_cnot(m, t, cfg, 0, 3, j), ONE_CX, m).eps_route
+            assert abs(eps[0] - 0.6561) < 1e-12
 
     def test_adjacent(self):
         m = load_calibration(udoc(2, 2))
         t = build_tables(m)
         sol = one_cnot(m, t, ProblemConfig(Variant.R_SMT_STAR), 0, 1, 0)
-        assert abs(sol.gate_eps[0] - 0.9) < 1e-12
+        assert abs(expand(sol, ONE_CX, m).eps_route[0] - 0.9) < 1e-12
 
     def test_illegal_junction(self):
         m = load_calibration(udoc(2, 2))
@@ -322,11 +326,13 @@ class TestObjective:
         # 3 CNOTs at 0.9 and 4 readouts at 0.93 with omega 0.5
         m = load_calibration(udoc(3, 3))
         cfg = ProblemConfig(Variant.R_SMT_STAR)
-        sol = solve_exact(three_cnot_four_readout(), m, cfg)
+        c = three_cnot_four_readout()
+        sol = solve_exact(c, m, cfg)
         want = 0.5 * 4 * math.log(0.93) + 0.5 * 3 * math.log(0.9)
         assert abs(want - -0.30318215915641026) < 1e-14
         assert abs(sol.objective_value - want) < 1e-12
-        assert abs(objective(sol, cfg) - sol.objective_value) < 1e-15
+        # the verifier's sum of the walks' reliabilities is bitwise the solver's
+        assert check_solution(sol, c, m, cfg) == []
 
     def test_omega_one_ignores_cnots(self):
         m = load_calibration(udoc(3, 3))
@@ -334,12 +340,33 @@ class TestObjective:
         sol = solve_exact(three_cnot_four_readout(), m, cfg)
         assert abs(sol.objective_value - 4 * math.log(0.93)) < 1e-12
 
+    def test_does_not_depend_on_gate_order(self):
+        # The same placement and walks with the readouts listed in another
+        # order: each sum is exactly rounded, so the objective is bitwise
+        # equal. Sums taken term by term in gate order differ by ulps on
+        # seeds 5, 6, 8 and 10.
+        base = gen_random(7, 16, 3)
+        c1 = with_readouts(base, range(7))
+        c2 = with_readouts(base, (3, 6, 0, 5, 1, 4, 2))
+        cells = (4, 0, 8, 2, 6, 1, 3)
+        cfg = ProblemConfig(Variant.R_SMT_STAR)
+        for seed in range(12):
+            m = load_calibration(synth_calibration(3, 3, seed))
+            t = build_tables(m)
+            junctions = canonical_junctions(c1, t, cells)
+            s1, s2 = (solution_from_assignment(c, m, cfg, cells, junctions, tables=t)
+                      for c in (c1, c2))
+            assert s1.gate_routes == s2.gate_routes
+            assert s1.objective_value == s2.objective_value, seed
+            assert check_solution(s2, c2, m, cfg, tables=t) == []
+
     def test_single_gate_duration(self):
         m = load_calibration(udoc(1, 2))
         cfg = ProblemConfig(Variant.T_SMT)
-        sol = solve_exact(build_circuit(1, 0, [("h", (0,))]), m, cfg)
+        c = build_circuit(1, 0, [("h", (0,))])
+        sol = solve_exact(c, m, cfg)
         assert sol.objective_value == 1.0 == float(sol.makespan)
-        assert objective(sol, cfg) == 1.0
+        assert check_solution(sol, c, m, cfg) == []
 
 
 class TestCanonicalSchedule:
@@ -824,10 +851,11 @@ class TestCheckSolution:
             expand(short, c, m)
 
     def test_route_must_be_its_junctions_walk(self):
-        # A CNOT's stored route is what expand walks: a route through the
-        # other legal junction no longer earns the stored reliability, and
-        # the first junction's route walked by the other qubit is the walk
-        # of no legal junction.
+        # A CNOT's stored route is what expand walks, and the objective is
+        # recomputed from it. A route through the other legal junction is a
+        # sound duration solution, but under r-smt-star it no longer earns
+        # the claimed objective; the first junction's route walked by the
+        # other qubit is the walk of no legal junction.
         import dataclasses
         m = load_calibration(synth_calibration(3, 3, 5))
         t = build_tables(m)
@@ -836,15 +864,29 @@ class TestCheckSolution:
         sol = solution_from_assignment(c, m, cfg, (0, 4), (1,), tables=t)
         assert sol.gate_routes[0] == (0, 1, 4)
         assert check_solution(sol, c, m, cfg, tables=t) == []
-        bad = dataclasses.replace(sol, gate_routes={0: route_cells(m, 0, 4, 3)})
-        assert any("reliability" in v for v in check_solution(bad, c, m, cfg, tables=t))
-        assert any("reliability" in v for v in check_solution(bad, c, m))
+        other = route_cells(m, 0, 4, 3)
+        assert other == (0, 3, 4)
+        bad = dataclasses.replace(sol, gate_routes={0: other})
+        assert check_solution(bad, c, m, cfg, tables=t) == []
+        assert check_solution(bad, c, m) == []
+        assert expand(sol, c, m).eps_route[0] == pytest.approx(0.9214, abs=1e-4)
+        assert expand(bad, c, m).eps_route[0] == pytest.approx(0.8507, abs=1e-4)
+        r_cfg = ProblemConfig(Variant.R_SMT_STAR)
+        r_sol = solution_from_assignment(c, m, r_cfg, (0, 4), (1,), tables=t)
+        assert r_sol.objective_value == 0.5 * math.log(expand(r_sol, c, m).eps_route[0])
+        r_bad = dataclasses.replace(r_sol, gate_routes={0: other})
+        want = (f"objective {r_sol.objective_value} != recomputed "
+                f"{0.5 * math.log(expand(r_bad, c, m).eps_route[0])}")
+        assert r_sol.objective_value == pytest.approx(-0.0409, abs=1e-4)
+        assert check_solution(r_bad, c, m, r_cfg, tables=t) == [want]
+        assert check_solution(r_bad, c, m) == [want]
         mover = dataclasses.replace(sol, gate_routes={0: (4, 1, 0)})
         for got in (check_solution(mover, c, m, cfg, tables=t), check_solution(mover, c, m)):
             assert any("walk of a junction legal under 1bp" in v for v in got)
-        # the claimed reliability is not what the tampered route would run at
-        assert sol.gate_eps[0] == pytest.approx(0.9214, abs=1e-4)
-        assert expand(bad, c, m).eps_route[0] == pytest.approx(0.8507, abs=1e-4)
+        # a rejected walk has no reliability, so the objective is not recomputed
+        r_mover = dataclasses.replace(r_sol, gate_routes={0: (4, 1, 0)})
+        assert check_solution(r_mover, c, m, r_cfg, tables=t) == \
+            ["CNOT 0 route is not the walk of a junction legal under 1bp routing"]
 
     def test_rectangle_reservation_walks_the_canonical_junction(self):
         m = slow_corner_machine()
@@ -864,6 +906,24 @@ class TestCheckSolution:
         c, m, cfg, sol = self.good()
         bad = dataclasses.replace(sol, objective_value=sol.objective_value + 0.5)
         assert any("objective" in v for v in check_solution(bad, c, m, cfg))
+
+    def test_objective_off_by_one_ulp_is_rejected(self):
+        # The solver, the mappers and the verifier sum the same reliabilities
+        # through one exactly rounded sum, so the objective is compared exactly.
+        import dataclasses
+        m = load_calibration(synth_calibration(3, 3, 2))
+        t = build_tables(m)
+        c = gen_bv(5, "1011")
+        for sol in (solve_exact(c, m, ProblemConfig(Variant.R_SMT_STAR), tables=t),
+                    heuristic_compile(c, m, t, HeuristicConfig(GreedyPolicy.EDGE)),
+                    heuristic_compile(c, m, t, HeuristicConfig(GreedyPolicy.VERTEX, omega=0.3,
+                                                               count_return_swaps=True))):
+            assert check_solution(sol, c, m, tables=t) == []
+            for to in (-math.inf, math.inf):
+                off = dataclasses.replace(
+                    sol, objective_value=math.nextafter(sol.objective_value, to))
+                assert check_solution(off, c, m, tables=t) == \
+                    [f"objective {off.objective_value} != recomputed {sol.objective_value}"]
 
 
 class TestEmitSmtlib:
@@ -1107,7 +1167,7 @@ def _pinned_solves(monkeypatch, pool, budget, variants=EXACT_VARIANTS):
 class TestBudgetGolden:
     # sha256 of every solve's (cells, walks, objective, optimal) and the
     # number of clock reads all solves made, at a budget of 400 reads each.
-    DIGEST = "9ffece7fca2d6a7ff3bc1e31b974c05c4ad0a3dea4c060160b805fb79ed9e748"
+    DIGEST = "fb86b4a675ffa73dd9bab7ecd18b453a3a5110c61c7155eb2f10d778830bf0ce"
     READS = 8913
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
@@ -1134,7 +1194,7 @@ def varied_readouts(mx, my, seed):
 class TestReadoutDurations:
     """The duration variants' node bound prices each placed readout at its
     own cell's duration, kept in place as the search places qubits."""
-    DIGEST = "83b1fbc8ceec24ceccbb247f56aaf118c5f611b2d58fe35a97e14296f68eedc1"
+    DIGEST = "c4df02d7c5832338ecd8f2aa1ff4665db409417445798ff200c21e912b272525"
     READS = 5176
 
     def test_budget_limited_solves_are_pinned(self, monkeypatch):
