@@ -293,9 +293,11 @@ def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
     # closing edge (u, t). One search at exponent 3 serves exponent 6 too:
     # doubling is exact in binary floating point, so 2.0 * dist is the
     # exponent-6 distance bit for bit, with the same heap order and pred tree.
+    # Every distance is >= 0 (a zero-error edge weighs -0.0), so dist[t] = -1
+    # keeps t out of the search without a test in the inner loop.
     n = m.num_cells
     adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
-    tables: tuple[dict, dict] = ({}, {})
+    table3, table6 = {}, {}
     for t in range(n):
         best3, best6 = [math.inf] * n, [math.inf] * n
         via3, via6 = [-1] * n, [-1] * n
@@ -303,6 +305,7 @@ def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
         for u in m.adjacency[t]:
             close_w = -math.log(fac[(u, t)][0])
             dist = [math.inf] * n
+            dist[t] = -1.0
             pred = preds[u] = [-1] * n
             dist[u] = 0.0
             heap = [(0.0, u)]
@@ -312,30 +315,42 @@ def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
                     continue
                 for w_, wt in adj[v]:
                     nd = d + wt
-                    if nd < dist[w_] and w_ != t:
+                    if nd < dist[w_]:
                         dist[w_] = nd
                         pred[w_] = v
                         heapq.heappush(heap, (nd, w_))
+            dist[t] = math.inf
             for s, d in enumerate(dist):
                 cost3, cost6 = d + close_w, 2.0 * d + close_w
                 if cost3 < best3[s] - 1e-15:
                     best3[s], via3[s] = cost3, u
                 if cost6 < best6[s] - 1e-15:
                     best6[s], via6[s] = cost6, u
-        # pred chains point from u outward: walk s -> u, then close at t,
-        # multiplying the per-edge factors in walk order as path_reliability does.
-        for k, (table, via) in enumerate(zip(tables, (via3, via6))):
-            for s, u in enumerate(via):
-                if u == -1:
-                    continue
-                pred, path, rel = preds[u], [s], 1.0
-                while path[-1] != u:
-                    v = path[-1]
-                    rel *= fac[(v, pred[v])][k + 1]
-                    path.append(pred[v])
-                path.append(t)
-                table[(s, t)] = (tuple(path), rel * fac[(u, t)][0])
-    return tables
+
+        def walk(s: int, u: int) -> tuple[tuple[int, ...], float, float]:
+            # pred chains point from u outward: walk s -> u, then close at t,
+            # multiplying r**3 and r**6 side by side in walk order, as
+            # path_reliability does.
+            pred, path, p3, p6, v = preds[u], [s], 1.0, 1.0, s
+            while v != u:
+                _, r3, r6, _ = fac[(v, pred[v])]
+                p3, p6, v = p3 * r3, p6 * r6, pred[v]
+                path.append(v)
+            path.append(t)
+            r = fac[(u, t)][0]
+            return tuple(path), p3 * r, p6 * r
+
+        # Both exponents almost always close at the same u, and then one walk
+        # serves both tables.
+        for s, u in enumerate(via3):
+            if u == -1:
+                continue
+            path, rel3, rel6 = walk(s, u)
+            table3[(s, t)] = (path, rel3)
+            if via6[s] != u:
+                path, _, rel6 = walk(s, via6[s])
+            table6[(s, t)] = (path, rel6)
+    return table3, table6
 
 
 def canonical_junction(t: DerivedTables, a: int, b: int) -> int:
@@ -350,8 +365,11 @@ def build_tables(m: GridMachine) -> DerivedTables:
     it runs out along the cell's row and column and turns at each corner onto
     the other axis, carrying running products of r, r**3 and r**6 (r = 1 -
     cnot_error) and a running duration sum in walk order, so every entry is
-    bitwise the path_reliability and path_duration of its cnot_walk. One
-    search per closing edge serves the best paths of both swap exponents.
+    bitwise the path_reliability and path_duration of its cnot_walk; delta,
+    the least duration over a pair's junctions, is kept as the sweep writes
+    them. One search per closing edge serves the best paths of both swap
+    exponents, and one walk down a source's predecessor chain serves both
+    tables' entries whenever both exponents close at the same neighbour.
     """
     n, mx, my = m.num_cells, m.mx, m.my
     fac: dict[tuple[int, int], tuple[float, float, float, int]] = {}
@@ -359,12 +377,15 @@ def build_tables(m: GridMachine) -> DerivedTables:
         r = 1.0 - e.cnot_error
         fac[e.endpoints] = fac[e.endpoints[::-1]] = (r, r ** 3, r ** 6, e.cnot_duration)
     junctions, cnot_rel, cnot_dur, cnot_rel_return = {}, {}, {}, {}
+    # delta[c][t], the least cnot_dur over (c, t)'s junctions, kept as written
+    delta = [[0 if c == t else math.inf for t in range(n)] for c in range(n)]
     # A leg walks on from cell a along (dx, dy) with the running state of the
     # walk from s. Each cell e it reaches ends the walk s -> corner -> e; a
     # straight walk (corner None) turns at every cell it reaches. The walk is
     # cnot_walk of (s, e, .) unless its first edge is the slower end edge, and
     # also of (e, s, .) when its last edge is the slower one.
     for s in range(n):
+        delta_s = delta[s]
         legs = [(None, s, dx, dy, 1.0, 1.0, 0, 0)
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
         while legs:
@@ -374,13 +395,18 @@ def build_tables(m: GridMachine) -> DerivedTables:
                 e = x * my + y
                 r, r3, r6, d = fac[(a, e)]
                 first = first or d
-                entry = (p3 * r, p6 * r, 6 * dsum + d)
+                dur = 6 * dsum + d
+                entry = (p3 * r, p6 * r, dur)
                 if first <= d:
                     key = (s, e, s if corner is None else corner)
                     cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = entry
+                    if dur < delta_s[e]:
+                        delta_s[e] = dur
                 if d > first:
                     key = (e, s, e if corner is None else corner)
                     cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = entry
+                    if dur < delta[e][s]:
+                        delta[e][s] = dur
                 p3, p6, dsum = p3 * r3, p6 * r6, dsum + d
                 if corner is None:
                     junctions[(s, e)] = (s,)
@@ -391,12 +417,10 @@ def build_tables(m: GridMachine) -> DerivedTables:
                     k = s - s % my + y
                     junctions[(s, e)] = (corner, k) if corner < k else (k, corner)
                 a, x, y = e, x + dx, y + dy
-    delta = np.zeros((n, n), dtype=np.int64)
-    for (c, t), js in junctions.items():
-        delta[c, t] = min(cnot_dur[(c, t, j)] for j in js)
     best_paths, best_paths_return = _best_paths(m, fac)
     return DerivedTables(
-        machine=m, delta=delta, readout_rel=np.array([1.0 - q.readout_error for q in m.qubits]),
+        machine=m, delta=np.array(delta, dtype=np.int64),
+        readout_rel=np.array([1.0 - q.readout_error for q in m.qubits]),
         cnot_rel=cnot_rel, cnot_dur=cnot_dur, cnot_rel_return=cnot_rel_return,
         junctions=junctions, best_paths=best_paths, best_paths_return=best_paths_return)
 

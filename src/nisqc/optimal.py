@@ -7,8 +7,6 @@ import heapq
 import itertools
 import math
 import time
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -130,13 +128,18 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     Among ready gates (all predecessors committed) the one with the smallest
     (earliest conflict-free start, gate id) commits next. A gate exclusively
     occupies each of its cells for [start, start + dur): half-open, so a gate
-    may begin exactly when the previous one ends. Each probe of a cell starts
-    at a bisection of its end times, sorted since its intervals never overlap.
+    may begin exactly when the previous one ends. Commits come in
+    nondecreasing start order: a successor's fit starts at or after the end
+    of the gate just committed, and a refit only moves later, since
+    reservations are only ever added. So every reservation on a cell begins
+    at or before any start still to be chosen, and, every duration being at
+    least one timeslot, a start is free on a cell exactly when it is at or
+    after the end of the cell's last reservation.
     """
     starts = [0] * n_gates
     est = [0] * n_gates
     pending = [len(p) for p in preds]
-    busy: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    free: dict[int, int] = {}  # per cell, the end of its last reservation
     # A queued (start, gate, n) is stale when a commit numbered above n, the
     # commits made before it was queued, reserved one of the gate's cells.
     heap: list[tuple[int, int, int]] = []
@@ -144,20 +147,11 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
 
     def fit(g: int) -> int:
         s = est[g]
-        d = durs[g]
-        moved = True
-        while moved:
-            moved = False
-            for cell in gcells[g]:
-                if cell not in busy:
-                    continue
-                begins, ends = busy[cell]
-                i = bisect_right(ends, s)
-                while i < len(begins) and begins[i] < s + d:
-                    s = ends[i]
-                    moved = True
-                    i += 1
-        if s + d > deadlines[g]:
+        for cell in gcells[g]:
+            f = free.get(cell, 0)
+            if f > s:
+                s = f
+        if s + durs[g] > deadlines[g]:
             raise _InfeasibleSchedule(g)
         return s
 
@@ -177,10 +171,7 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
             committed += 1
             end = s + durs[g]
             for cell in gcells[g]:
-                begins, ends = busy[cell]
-                i = bisect_right(begins, s)
-                begins.insert(i, s)
-                ends.insert(i, end)
+                free[cell] = end
                 last[cell] = committed
             for nxt in succs[g]:
                 if end > est[nxt]:

@@ -1001,8 +1001,9 @@ class TestSmtCrossCheck:
 # ------------------------------------------------------- scheduler oracle ---
 
 def linear_scan_schedule(n_gates, durs, gcells, deadlines, preds, succs):
-    """The list scheduler as it was before its probes bisected: each probe
-    scans a cell's sorted (start, end) intervals from the first one."""
+    """The list scheduler as it was before it kept one free-from time per
+    cell: each probe scans a cell's sorted (start, end) intervals from the
+    first one."""
     starts = [0] * n_gates
     est = [0] * n_gates
     pending = [len(p) for p in preds]
@@ -1058,24 +1059,34 @@ def linear_scan_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     return starts
 
 
+def assert_matches_linear_scan(schedule, args):
+    """schedule(*args) gives the linear scan's starts, which it returns, or
+    raises _InfeasibleSchedule for the linear scan's gate id, which it re-raises."""
+    try:
+        want = linear_scan_schedule(*args)
+    except _InfeasibleSchedule as exc:
+        with pytest.raises(_InfeasibleSchedule) as got:
+            schedule(*args)
+        assert got.value.gate_id == exc.gate_id
+        raise
+    assert schedule(*args) == want
+    return want
+
+
 class TestSchedulerOracle:
     def test_bisected_probes_match_linear_scan(self, monkeypatch):
         """Every schedule that greedy compiles, exact solves and the
         enumerator ask for, on a seeded pool, gets the linear scan's starts,
         or its infeasible gate id."""
-        bisected = optimal._list_schedule
+        schedule = optimal._list_schedule
         seen = {"feasible": 0, "infeasible": 0}
 
         def both(*args):
             try:
-                want = linear_scan_schedule(*args)
-            except _InfeasibleSchedule as exc:
-                with pytest.raises(_InfeasibleSchedule) as got:
-                    bisected(*args)
-                assert got.value.gate_id == exc.gate_id
+                want = assert_matches_linear_scan(schedule, args)
+            except _InfeasibleSchedule:
                 seen["infeasible"] += 1
                 raise
-            assert bisected(*args) == want
             seen["feasible"] += 1
             return want
 
@@ -1112,6 +1123,30 @@ class TestSchedulerOracle:
         heuristic_compile(gen_random(128, 2048, 1), m, build_tables(m),
                           HeuristicConfig(GreedyPolicy.EDGE))
         assert seen["infeasible"] >= 50 and seen["feasible"] >= 10_000
+
+    def test_random_dags_match_linear_scan(self):
+        """Seeded DAGs wider than any compile asks for: predecessors from any
+        earlier gate, 1-5 cells per gate out of 1-12, durations 1-12, and a
+        deadline on about a third of the gates."""
+        rng = random.Random(18)
+        seen = {"feasible": 0, "infeasible": 0}
+        for _ in range(3000):
+            n, n_cells = rng.randint(1, 24), rng.randint(1, 12)
+            preds = [sorted(rng.sample(range(g), rng.randint(0, min(g, 3)))) for g in range(n)]
+            succs = [[g for g in range(n) if p in preds[g]] for p in range(n)]
+            durs = [rng.randint(1, 12) for _ in range(n)]
+            gcells = [tuple(rng.sample(range(n_cells), rng.randint(1, min(5, n_cells))))
+                      for _ in range(n)]
+            deadlines = [rng.randint(d, sum(durs)) if rng.random() < 1 / 3 else 10 ** 9
+                         for d in durs]
+            try:
+                assert_matches_linear_scan(optimal._list_schedule,
+                                           (n, durs, gcells, deadlines, preds, succs))
+            except _InfeasibleSchedule:
+                seen["infeasible"] += 1
+            else:
+                seen["feasible"] += 1
+        assert min(seen.values()) >= 500
 
 
 class _ReadClock:
