@@ -121,6 +121,11 @@ _RE_STATEMENTS = (_RE_QREG, _RE_CREG, _RE_CX, _RE_MEASURE, _RE_1Q)
 _RE_BY_WORD = {"qreg": _RE_QREG, "creg": _RE_CREG, "cx": _RE_CX, "measure": _RE_MEASURE}
 
 
+def _column(raw: str) -> int:
+    """1-based column of a source line's first non-blank character."""
+    return len(raw) - len(raw.lstrip()) + 1
+
+
 def _qasm_int(digits: str, line: int, col: int) -> int:
     # int() refuses a string of more digits than sys.get_int_max_str_digits()
     try:
@@ -134,20 +139,26 @@ def _parse_qasm(text: str) -> Circuit:
     creg: str | None = None
     num_qubits = 0
     num_clbits = 0
-    ops: list[tuple[GateKind, tuple[int, ...], int | None]] = []
-    gate_locs: list[tuple[int, int]] = []
+    gates: list[Gate] = []
+    # (gate id, line) of each gate _validate_gate refuses; the conditions
+    # below are its own. It runs after the loop, so that a syntax error on
+    # any line wins over an earlier out-of-range operand.
+    bad: list[tuple[int, int]] = []
+    new = tuple.__new__   # a Gate without NamedTuple's Python-level __new__
+    one_qubit, by_word = _SINGLE_QUBIT_NAMES, _RE_BY_WORD
+    cnot, measure = GateKind.CNOT, GateKind.MEASURE
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
-        col = len(raw) - len(raw.lstrip()) + 1
         if not line.endswith(";"):
-            raise ParseError("statement must end with ';'", lineno, col + len(line))
+            raise ParseError("statement must end with ';'", lineno, _column(raw) + len(line))
         stmt = line[:-1].strip()
         if stmt.startswith("OPENQASM"):
             continue
-        rx = _RE_BY_WORD.get(stmt.split(None, 1)[0] if stmt else "", _RE_1Q)
+        rx = by_word.get(stmt.split(None, 1)[0] if stmt else "", _RE_1Q)
         m = rx.match(stmt)
         if m is None:
             for rx in _RE_STATEMENTS:
@@ -155,45 +166,71 @@ def _parse_qasm(text: str) -> Circuit:
                 if m:
                     break
             else:
-                raise ParseError(f"cannot parse statement '{stmt}'", lineno, col)
-        if rx is _RE_QREG:
-            if qreg is not None:
-                raise ParseError("duplicate qreg declaration", lineno, col)
-            qreg, num_qubits = m.group(1), _qasm_int(m.group(2), lineno, col)
-        elif rx is _RE_CREG:
-            if creg is not None:
-                raise ParseError("duplicate creg declaration", lineno, col)
-            creg, num_clbits = m.group(1), _qasm_int(m.group(2), lineno, col)
-        else:
-            if rx is _RE_1Q and m.group(1) not in _SINGLE_QUBIT_NAMES:
-                raise ParseError(f"unknown gate kind '{m.group(1)}'", lineno, col)
-            if qreg is None:
-                raise ParseError("gate before qreg declaration", lineno, col)
-            if rx is _RE_CX:
-                if m.group(1) != qreg or m.group(3) != qreg:
-                    raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
-                ops.append((GateKind.CNOT, (_qasm_int(m.group(2), lineno, col),
-                                             _qasm_int(m.group(4), lineno, col)), None))
+                raise ParseError(f"cannot parse statement '{stmt}'", lineno, _column(raw))
+        groups = m.groups()
+        gid = len(gates)
+        try:
+            if rx is _RE_1Q:
+                name, reg, q = groups
+                kind = one_qubit.get(name)
+                if kind is None:
+                    raise ParseError(f"unknown gate kind '{name}'", lineno, _column(raw))
+                if qreg is None:
+                    raise ParseError("gate before qreg declaration", lineno, _column(raw))
+                if reg != qreg:
+                    raise ParseError(f"unknown register '{reg}'", lineno, _column(raw))
+                q = int(q)
+                if q >= num_qubits:
+                    bad.append((gid, lineno))
+                gates.append(new(Gate, (gid, kind, (q,), None)))
+            elif rx is _RE_CX:
+                reg_a, a, reg_b, b = groups
+                if qreg is None:
+                    raise ParseError("gate before qreg declaration", lineno, _column(raw))
+                if reg_a != qreg or reg_b != qreg:
+                    raise ParseError(f"unknown register '{reg_a}'", lineno, _column(raw))
+                a, b = int(a), int(b)
+                if a >= num_qubits or b >= num_qubits or a == b:
+                    bad.append((gid, lineno))
+                gates.append(new(Gate, (gid, cnot, (a, b), None)))
             elif rx is _RE_MEASURE:
-                if m.group(1) != qreg:
-                    raise ParseError(f"unknown register '{m.group(1)}'", lineno, col)
-                if creg is None or m.group(3) != creg:
-                    raise ParseError(f"unknown classical register '{m.group(3)}'", lineno, col)
-                ops.append((GateKind.MEASURE, (_qasm_int(m.group(2), lineno, col),),
-                            _qasm_int(m.group(4), lineno, col)))
+                reg, q, reg_c, clbit = groups
+                if qreg is None:
+                    raise ParseError("gate before qreg declaration", lineno, _column(raw))
+                if reg != qreg:
+                    raise ParseError(f"unknown register '{reg}'", lineno, _column(raw))
+                if creg is None or reg_c != creg:
+                    raise ParseError(f"unknown classical register '{reg_c}'", lineno,
+                                     _column(raw))
+                q, clbit = int(q), int(clbit)
+                if q >= num_qubits or clbit >= num_clbits:
+                    bad.append((gid, lineno))
+                gates.append(new(Gate, (gid, measure, (q,), clbit)))
+            elif rx is _RE_QREG:
+                if qreg is not None:
+                    raise ParseError("duplicate qreg declaration", lineno, _column(raw))
+                qreg, num_qubits = groups[0], int(groups[1])
             else:
-                if m.group(2) != qreg:
-                    raise ParseError(f"unknown register '{m.group(2)}'", lineno, col)
-                ops.append((_SINGLE_QUBIT_NAMES[m.group(1)],
-                            (_qasm_int(m.group(3), lineno, col),), None))
-            gate_locs.append((lineno, col))
+                if creg is not None:
+                    raise ParseError("duplicate creg declaration", lineno, _column(raw))
+                creg, num_clbits = groups[0], int(groups[1])
+        except ParseError:
+            raise
+        except ValueError:
+            # int() refused a digit group (names start with a letter or '_');
+            # the first such group, in the order read, is the one reported
+            for digits in groups:
+                if digits.isdigit():
+                    _qasm_int(digits, lineno, _column(raw))
+            raise
 
     if qreg is None:
         raise ParseError("missing qreg declaration", 1, 1)
-    gates = []
-    for i, ((kind, operands, clbit), (lineno, col)) in enumerate(zip(ops, gate_locs)):
-        _validate_gate(kind, operands, num_qubits, clbit, num_clbits, lineno, col)
-        gates.append(Gate(id=i, kind=kind, operands=operands, classical_target=clbit))
+    if bad:
+        gid, lineno = bad[0]
+        _id, kind, operands, clbit = gates[gid]
+        _validate_gate(kind, operands, num_qubits, clbit, num_clbits, lineno,
+                       _column(lines[lineno - 1]))
     return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
 
 

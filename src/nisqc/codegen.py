@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
@@ -25,6 +26,9 @@ from .optimal import (
 
 class CodegenError(ValueError):
     """Expansion found a schedule the physical stream cannot realize."""
+
+
+_QASM_NAMES = {k: k.value for k in GateKind}
 
 
 class PhysGate(NamedTuple):
@@ -64,7 +68,7 @@ class CompiledCircuit:
         eps = eps_strict if self.count_return_swaps else eps_route
         derived = {
             "num_cells": m.num_cells,
-            "makespan": max((pg.start + pg.dur for pg in self.expanded), default=0),
+            "makespan": max((s + d for _kind, _ops, s, d, _clbit in self.expanded), default=0),
             "swap_count": sum(2 * (len(walk) - 2) for walk in self.gate_routes.values()),
             "reliability": math.prod(eps[gid] for gid in sorted(eps)),
             "eps_route": eps_route,
@@ -87,40 +91,49 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     or the expansion overlaps itself.
     """
     static = sol.variant == Variant.T_SMT.value
+    tau, edge_map = m.static_tau_cnot, m.edge_map
     cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
-    start, dur = sol.schedule.start, sol.schedule.dur
+    start, dur, routes = sol.schedule.start, sol.schedule.dur, sol.gate_routes
     phys: list[PhysGate] = []
     windows: dict[int, list[tuple[int, int, int]]] = {}   # per cell: (start, end, gate id)
     cnot = GateKind.CNOT
-    for g in c.gates:
-        s, d = start[g.id], dur[g.id]
-        cell = cells[g.operands[0]]
-        if g.kind is not cnot:
-            windows.setdefault(cell, []).append((s, s + d, g.id))
-            phys.append(PhysGate(g.kind, (cell,), s, d, g.classical_target))
+    new = tuple.__new__   # a PhysGate without NamedTuple's Python-level __new__
+    for gid, kind, operands, clbit in c.gates:
+        s, d = start[gid], dur[gid]
+        cell = cells[operands[0]]
+        if kind is not cnot:
+            windows.setdefault(cell, []).append((s, s + d, gid))
+            phys.append(new(PhysGate, (kind, (cell,), s, d, clbit)))
             continue
-        walk = sol.gate_routes[g.id]
-        hops = [hop_duration(m, u, v, static) for u, v in zip(walk, walk[1:])]
+        walk = routes[gid]
+        hops = []   # hop_duration of each edge of the walk
+        for u, v in zip(walk, walk[1:]):
+            edge = edge_map.get((u, v) if u < v else (v, u))
+            if edge is None:
+                hop_duration(m, u, v)   # raises: not an edge
+            hops.append(tau if static else edge.cnot_duration)
         took = 6 * sum(hops[:-1]) + hops[-1]   # path_duration of the walk
         if took != d:
-            raise CodegenError(f"inconsistent schedule: CNOT {g.id} walks its route in "
+            raise CodegenError(f"inconsistent schedule: CNOT {gid} walks its route in "
                                f"{took} timeslots, not {d}")
         for x in set(walk):
-            windows.setdefault(x, []).append((s, s + d, g.id))
+            windows.setdefault(x, []).append((s, s + d, gid))
         # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
         # last edge, the CNOT runs there in its own direction, the SWAPs undo
         swaps = list(zip(walk, walk[1:-1], hops))
         t = s
         for u, v, e in swaps:
-            phys += (PhysGate(cnot, (u, v), t, e), PhysGate(cnot, (v, u), t + e, e),
-                     PhysGate(cnot, (u, v), t + 2 * e, e))
+            phys += (new(PhysGate, (cnot, (u, v), t, e, None)),
+                     new(PhysGate, (cnot, (v, u), t + e, e, None)),
+                     new(PhysGate, (cnot, (u, v), t + 2 * e, e, None)))
             t += 3 * e
-        phys.append(PhysGate(cnot, (walk[-2], walk[-1]) if walk[0] == cell
-                             else (walk[-1], walk[-2]), t, hops[-1]))
+        phys.append(new(PhysGate, (cnot, (walk[-2], walk[-1]) if walk[0] == cell
+                                   else (walk[-1], walk[-2]), t, hops[-1], None)))
         t += hops[-1]
         for u, v, e in reversed(swaps):
-            phys += (PhysGate(cnot, (v, u), t, e), PhysGate(cnot, (u, v), t + e, e),
-                     PhysGate(cnot, (v, u), t + 2 * e, e))
+            phys += (new(PhysGate, (cnot, (v, u), t, e, None)),
+                     new(PhysGate, (cnot, (u, v), t + e, e, None)),
+                     new(PhysGate, (cnot, (v, u), t + 2 * e, e, None)))
             t += 3 * e
     # A gate's physical gates run one after another inside its window, on its
     # own cell or its walk's, so the stream can overlap itself only where two
@@ -156,13 +169,14 @@ def emit_qasm(cc: CompiledCircuit) -> str:
     ]
     if cc.source.num_clbits:
         lines.append(f"creg c[{cc.source.num_clbits}];")
-    for pg in sorted(cc.expanded, key=lambda p: (p.start, p.hw_operands)):
-        if pg.kind is GateKind.CNOT:
-            lines.append(f"cx qh[{pg.hw_operands[0]}],qh[{pg.hw_operands[1]}];")
-        elif pg.kind is GateKind.MEASURE:
-            lines.append(f"measure qh[{pg.hw_operands[0]}] -> c[{pg.clbit}];")
+    cnot, measure, append = GateKind.CNOT, GateKind.MEASURE, lines.append
+    for kind, ops, _s, _d, clbit in sorted(cc.expanded, key=itemgetter(2, 1)):  # start, cells
+        if kind is cnot:
+            append(f"cx qh[{ops[0]}],qh[{ops[1]}];")
+        elif kind is measure:
+            append(f"measure qh[{ops[0]}] -> c[{clbit}];")
         else:
-            lines.append(f"{pg.kind.value} qh[{pg.hw_operands[0]}];")
+            append(f"{_QASM_NAMES[kind]} qh[{ops[0]}];")
     return "\n".join(lines) + "\n"
 
 
@@ -216,9 +230,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     for a missing key, another cell count, a variant, routing, omega or
     count_return_swaps that ProblemConfig (HeuristicConfig and best-path
     routing for a greedy variant) refuses, an objective not a finite number,
-    an optimal or count_return_swaps not a bool, a placed qubit off the grid
-    or on another's cell, or a route that is not a walk over m's edges joining its CNOT's placed
-    cells."""
+    an optimal or count_return_swaps not a bool, a placement not a JSON
+    object, a source_qasm not a string, a placed qubit off the grid or on
+    another's cell, or a route that is not a walk over m's edges joining its
+    CNOT's placed cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -240,13 +255,18 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
                 raise ValueError(f"{variant} routes by best path, not {routing!r}")
         else:
             ProblemConfig(variant, Routing(routing), omega, flag)
-        placement = Placement(loc={int(q): tuple(pos) for q, pos in doc["placement"].items()})
+        loc, source_qasm = doc["placement"], doc["source_qasm"]
+        if not isinstance(loc, dict):
+            raise ValueError(f"placement must be a JSON object, not {loc!r}")
+        if not isinstance(source_qasm, str):
+            raise ValueError(f"source_qasm must be a string, not {source_qasm!r}")
+        placement = Placement(loc={int(q): tuple(pos) for q, pos in loc.items()})
         for q, (x, y) in placement.loc.items():
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
         if len(set(placement.loc.values())) != len(placement.loc):
             raise ValueError("placement puts two qubits on one cell")
-        source = parse_circuit(doc["source_qasm"])
+        source = parse_circuit(source_qasm)
         cells = {q: m.cell_id(pos) for q, pos in placement.loc.items()}
         cnots = source.cnot_gates()
         walks = [tuple(doc["gate_routes"][str(g.id)]) for g in cnots]

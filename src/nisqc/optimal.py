@@ -135,15 +135,17 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     at or before any start still to be chosen, and, every duration being at
     least one timeslot, a start is free on a cell exactly when it is at or
     after the end of the cell's last reservation.
+
+    A queued (start, gate) is stale exactly when one of the gate's cells is
+    now free only from after that start: otherwise a refit would give the
+    same start and push the same entry back. So the free-from times alone
+    tell a stale entry, and it is refitted when it pops.
     """
     starts = [0] * n_gates
     est = [0] * n_gates
     pending = [len(p) for p in preds]
     free: dict[int, int] = {}  # per cell, the end of its last reservation
-    # A queued (start, gate, n) is stale when a commit numbered above n, the
-    # commits made before it was queued, reserved one of the gate's cells.
-    heap: list[tuple[int, int, int]] = []
-    last: dict[int, int] = {}  # per cell, the number of the last commit there
+    heap: list[tuple[int, int]] = []
 
     def fit(g: int) -> int:
         s = est[g]
@@ -157,29 +159,26 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
 
     for g in range(n_gates):
         if pending[g] == 0:
-            heapq.heappush(heap, (fit(g), g, 0))
-    committed = 0
+            heapq.heappush(heap, (fit(g), g))
     while heap:
-        s, g, queued = heapq.heappop(heap)
+        s, g = heapq.heappop(heap)
         for cell in gcells[g]:
-            if last.get(cell, 0) > queued:
-                # A commit touched this gate's cells since it was queued; refit.
-                heapq.heappush(heap, (fit(g), g, committed))
+            if free.get(cell, 0) > s:
+                heapq.heappush(heap, (fit(g), g))
                 break
         else:
             starts[g] = s
-            committed += 1
             end = s + durs[g]
             for cell in gcells[g]:
                 free[cell] = end
-                last[cell] = committed
             for nxt in succs[g]:
                 if end > est[nxt]:
                     est[nxt] = end
                 pending[nxt] -= 1
                 if pending[nxt] == 0:
-                    heapq.heappush(heap, (fit(nxt), nxt, committed))
-    assert committed == n_gates
+                    heapq.heappush(heap, (fit(nxt), nxt))
+    # every gate was queued once ready, and left the heap only by committing
+    assert not any(pending), "a gate never became ready"
     return starts
 
 

@@ -107,6 +107,64 @@ class TestParse:
             parse_circuit('{"num_qubits": 1, "gates": [{"kind": "rx", "operands": [0]}]}',
                           format="json")
 
+    # Every message the QASM reader raises, at the (line, column) it is
+    # reported: the column is that of the statement's first non-blank
+    # character, or just past the statement for a missing ';'. L and M are
+    # past int()'s default limit of 4300 digits.
+    L, M = "9" * 5000, "8" * 4400
+    POSITIONS = [
+        ("qreg q[1];\n\n   h q[0]  // no semicolon\n", 3, 10, "statement must end with ';'"),
+        ("qreg q[1];\n  h q[0];;\n", 2, 3, "cannot parse statement 'h q[0];'"),
+        ("qreg q[1];\n;\n", 2, 1, "cannot parse statement ''"),
+        ("// c\nqreg q[1];\n  h q[0] q;\n", 3, 3, "cannot parse statement 'h q[0] q'"),
+        ("qreg q[1];\n\t qreg r[2];\n", 2, 3, "duplicate qreg declaration"),
+        ("qreg q[1];\ncreg c[1];\n// x\n  creg d[1];\n", 4, 3, "duplicate creg declaration"),
+        (f"  qreg q[{L}];\n", 1, 3, "integer of 5000 digits is too long"),
+        (f"qreg q[1];\n\n creg c[{L}];\n", 3, 2, "integer of 5000 digits is too long"),
+        (f"qreg q[1];\n   h q[{L}];\n", 2, 4, "integer of 5000 digits is too long"),
+        (f"qreg q[1];\n  cx q[{M}],q[{L}];\n", 2, 3, "integer of 4400 digits is too long"),
+        (f"qreg q[1];\n  cx q[0], q[{L}];\n", 2, 3, "integer of 5000 digits is too long"),
+        (f"qreg q[1];\ncreg c[1];\n    measure q[{L}] -> c[0];\n", 3, 5,
+         "integer of 5000 digits is too long"),
+        (f"qreg q[1];\ncreg c[1];\n    measure q[0] -> c[{L}];\n", 3, 5,
+         "integer of 5000 digits is too long"),
+        ("qreg q[1];\n   rx q[0];\n", 2, 4, "unknown gate kind 'rx'"),
+        ("  cx q[0];\n", 1, 3, "unknown gate kind 'cx'"),
+        ("\n  h q[0];\nqreg q[1];\n", 2, 3, "gate before qreg declaration"),
+        ("\n\tcx q[0],q[1];\n", 2, 2, "gate before qreg declaration"),
+        ("measure q[0] -> c[0];\n", 1, 1, "gate before qreg declaration"),
+        ("qreg q[1];\n // c\n  h r[0];\n", 3, 3, "unknown register 'r'"),
+        ("qreg q[2];\n  cx q[0],r[1];\n", 2, 3, "unknown register 'q'"),
+        ("qreg q[2];\n  cx r[0],q[1];\n", 2, 3, "unknown register 'r'"),
+        ("qreg q[1];\ncreg c[1];\n measure r[0] -> c[0];\n", 3, 2, "unknown register 'r'"),
+        ("qreg q[1];\n  measure q[0] -> c[0];\n", 2, 3, "unknown classical register 'c'"),
+        ("qreg q[1];\ncreg c[1];\n   measure q[0] -> d[0];\n", 3, 4,
+         "unknown classical register 'd'"),
+        ("", 1, 1, "missing qreg declaration"),
+        ("// only a comment\n\n", 1, 1, "missing qreg declaration"),
+        ("OPENQASM 2.0;\n", 1, 1, "missing qreg declaration"),
+        ("qreg q[2];\nh q[0];\n\n    h q[2];\n", 4, 5,
+         "operand q[2] out of range (register size 2)"),
+        ("qreg q[2];\n   cx q[1],q[2];\n", 2, 4, "operand q[2] out of range (register size 2)"),
+        ("qreg q[2];\ncreg c[2];\n  measure q[3] -> c[0];\n", 3, 3,
+         "operand q[3] out of range (register size 2)"),
+        ("qreg q[2];\n\n\t\tcx q[1],q[1];\n", 3, 3, "CNOT operands distinct"),
+        ("qreg q[2];\ncreg c[2];\n // m\n  measure q[1] -> c[2];\n", 4, 3,
+         "classical bit 2 out of range (register size 2)"),
+        # operands are checked after every line has been read, first gate first
+        ("qreg q[1];\nh q[5];\nfoo;\n", 3, 1, "cannot parse statement 'foo'"),
+        ("qreg q[1];\n  h q[5];\n  cx q[0],q[0];\n", 2, 3,
+         "operand q[5] out of range (register size 1)"),
+    ]
+
+    @pytest.mark.parametrize("text, line, column, message", POSITIONS,
+                             ids=[str(i) for i in range(len(POSITIONS))])
+    def test_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("circuit", [

@@ -603,7 +603,9 @@ class TestMalformedInputs:
                "count_return_swaps": ["no", 0, 1, None],
                "variant": ["bogus", "t-smt", "r-smt-star", None, ["greedy-v"]],
                "objective": ["x", math.nan, math.inf, None, True],
-               "optimal": ["yes", 1, None]}
+               "optimal": ["yes", 1, None],
+               "placement": [[], "x", 7, None],
+               "source_qasm": [7, [], {}, None]}
         rng = random.Random(12)
         cases = [("drop", None)] * 40 + [(what, value) for what, values in bad.items()
                                          for value in values]

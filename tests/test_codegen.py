@@ -2,6 +2,7 @@
 streams, and every compiled artifact must re-parse and round-trip."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -533,3 +534,34 @@ class TestPipelineRoundTrip:
             assert outcomes["no solution"] > 0
         else:
             assert outcomes["no solution"] == 0 and outcomes["solved"] > 0
+
+
+class TestGoldenAtScale:
+    """A 64-qubit, 1024-gate circuit on a 12x12 grid under both greedy
+    mappers: sha256 of the emitted QASM, the record and the repr of the
+    physical stream, pinned so that a change to expand, emit_qasm or the
+    record that alters one byte of output at size fails here."""
+
+    # policy: (emit_qasm, record_to_json, repr(expanded))
+    GOLDEN = {
+        "greedy-v": ("efe8194d7a2efc05e3d3675215383a79e6186cfc052a1d86d508668cf326290d",
+                     "03e6de82f60f1e6f71118a3b8a8c4d5947d8a63c5fecdeb8bd50bd1fee31223a",
+                     "5fbb3fe0a16a41b03f66c73b48bde12aa81610dee6d50a38b6388a424287d2a8"),
+        "greedy-e": ("864901328e84a8aa29b136c439800982bc8e8257c357ce3738e1e67a4fa3d31b",
+                     "2943aef7f04d063e0120a8ed5e7b3121f835e5c217c9781782e3722ba8505cf2",
+                     "817fc71e1d7d424f80ce923f3f7b1ebac8e8524dcfc1bbecb488a3818cd875b8"),
+    }
+
+    def test_outputs_are_pinned(self):
+        m = load_calibration(synth_calibration(12, 12, 5, t2=10 ** 6))
+        t = build_tables(m)
+        c = gen_random(64, 1024, 11)
+        for policy, golden in self.GOLDEN.items():
+            cc = expand(heuristic_compile(c, m, t, HeuristicConfig(policy)), c, m)
+            record = record_to_json(cc)
+            digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                            for text in (emit_qasm(cc), record, repr(cc.expanded)))
+            assert digests == golden, policy
+            back = from_record(record, m)
+            assert (back.expanded, back.placement, back.makespan, back.swap_count) == \
+                (cc.expanded, cc.placement, cc.makespan, cc.swap_count), policy
