@@ -11,15 +11,15 @@ from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
 from .heuristic import GreedyPolicy, HeuristicConfig
-from .machine import GridMachine, hop_duration
+from .machine import GridMachine, price_walk
 from .optimal import (
     Placement,
     ProblemConfig,
     Routing,
     Solution,
     Variant,
+    _check_joins,
     _clashes,
-    _gate_reliabilities,
     _schedule_walks,
 )
 
@@ -41,9 +41,10 @@ class PhysGate(NamedTuple):
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A compiled program. Its constructor, and nothing else, derives the
-    fields after `optimal` from the walks and the stream on machine m; it
-    raises ValueError when a walk does not join its gate's placed cells."""
+    """A compiled program. eps_route and eps_strict are each gate's success
+    probability on machine m, without and with return swaps counted, as
+    expand prices them; the constructor, and nothing else, derives the
+    fields after them from the walks, the stream and those probabilities."""
     m: InitVar[GridMachine]
     source: Circuit
     placement: Placement
@@ -55,24 +56,20 @@ class CompiledCircuit:
     count_return_swaps: bool
     objective_value: float
     optimal: bool
+    eps_route: dict[int, float] = field(repr=False)
+    eps_strict: dict[int, float] = field(repr=False)
     num_cells: int = field(init=False)
     makespan: int = field(init=False)
     swap_count: int = field(init=False)
     reliability: float = field(init=False)
-    eps_route: dict[int, float] = field(init=False, repr=False)
-    eps_strict: dict[int, float] = field(init=False, repr=False)
 
     def __post_init__(self, m: GridMachine):
-        cells = {q: m.cell_id(pos) for q, pos in self.placement.loc.items()}
-        eps_route, eps_strict = _gate_reliabilities(self.source, cells, self.gate_routes, m)
-        eps = eps_strict if self.count_return_swaps else eps_route
+        eps = self.per_gate_eps
         derived = {
             "num_cells": m.num_cells,
             "makespan": max((s + d for _kind, _ops, s, d, _clbit in self.expanded), default=0),
             "swap_count": sum(2 * (len(walk) - 2) for walk in self.gate_routes.values()),
             "reliability": math.prod(eps[gid] for gid in sorted(eps)),
-            "eps_route": eps_route,
-            "eps_strict": eps_strict,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -86,36 +83,31 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     """Turn a Solution into a physical stream. Each CNOT's stored walk is
     walked as given: its first cell's qubit moves by forward SWAPs (3 CNOTs
     each) to the walk's last edge, the CNOT runs there, and return SWAPs
-    restore the placement. Per-gate reliabilities are those of the walk.
-    Raises CodegenError when a walk takes other than its scheduled duration
-    or the expansion overlaps itself.
+    restore the placement. Each walk is priced once, by price_walk, for its
+    hop durations and its reliabilities; a readout's are 1 - its cell's
+    readout error. Raises ValueError for a walk off the grid's edges or one
+    that does not join its CNOT's placed cells, and CodegenError when a walk
+    takes other than its scheduled duration or the expansion overlaps itself.
     """
     static = sol.variant == Variant.T_SMT.value
-    tau, edge_map = m.static_tau_cnot, m.edge_map
     cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
     start, dur, routes = sol.schedule.start, sol.schedule.dur, sol.gate_routes
     phys: list[PhysGate] = []
     windows: dict[int, list[tuple[int, int, int]]] = {}   # per cell: (start, end, gate id)
-    cnot = GateKind.CNOT
+    eps_route, eps_strict = {}, {}   # per gate id
+    cnot, measure = GateKind.CNOT, GateKind.MEASURE
     new = tuple.__new__   # a PhysGate without NamedTuple's Python-level __new__
     for gid, kind, operands, clbit in c.gates:
         s, d = start[gid], dur[gid]
         cell = cells[operands[0]]
         if kind is not cnot:
+            if kind is measure:
+                eps_route[gid] = eps_strict[gid] = 1.0 - m.qubits[cell].readout_error
             windows.setdefault(cell, []).append((s, s + d, gid))
             phys.append(new(PhysGate, (kind, (cell,), s, d, clbit)))
             continue
         walk = routes[gid]
-        hops = []   # hop_duration of each edge of the walk
-        for u, v in zip(walk, walk[1:]):
-            edge = edge_map.get((u, v) if u < v else (v, u))
-            if edge is None:
-                hop_duration(m, u, v)   # raises: not an edge
-            hops.append(tau if static else edge.cnot_duration)
-        took = 6 * sum(hops[:-1]) + hops[-1]   # path_duration of the walk
-        if took != d:
-            raise CodegenError(f"inconsistent schedule: CNOT {gid} walks its route in "
-                               f"{took} timeslots, not {d}")
+        hops, eps_route[gid], eps_strict[gid] = price_walk(m, walk, static)
         for x in set(walk):
             windows.setdefault(x, []).append((s, s + d, gid))
         # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
@@ -135,6 +127,10 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
                      new(PhysGate, (cnot, (u, v), t + e, e, None)),
                      new(PhysGate, (cnot, (v, u), t + 2 * e, e, None)))
             t += 3 * e
+        if t - s != d:   # the walk took 6 * sum(hops[:-1]) + hops[-1]
+            raise CodegenError(f"inconsistent schedule: CNOT {gid} walks its route in "
+                               f"{t - s} timeslots, not {d}")
+        _check_joins(gid, walk, cell, cells[operands[1]])
     # A gate's physical gates run one after another inside its window, on its
     # own cell or its walk's, so the stream can overlap itself only where two
     # windows do; only then are the physical gates' intervals compared.
@@ -149,7 +145,7 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
 
     cc = CompiledCircuit(m, c, sol.placement, tuple(phys), dict(sol.gate_routes),
                          sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
-                         sol.objective_value, sol.optimal)
+                         sol.objective_value, sol.optimal, eps_route, eps_strict)
     if cc.makespan != sol.schedule.makespan:
         raise CodegenError(
             f"inconsistent schedule: expanded makespan {cc.makespan} != "
@@ -231,9 +227,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     count_return_swaps that ProblemConfig (HeuristicConfig and best-path
     routing for a greedy variant) refuses, an objective not a finite number,
     an optimal or count_return_swaps not a bool, a placement not a JSON
-    object, a source_qasm not a string, a placed qubit off the grid or on
-    another's cell, or a route that is not a walk over m's edges joining its
-    CNOT's placed cells."""
+    object, a source_qasm not a string, a placed qubit's coordinates not two
+    integers, a placed qubit off the grid or on another's cell, a route's
+    cells not integers, or a route that is not a walk over m's edges joining
+    its CNOT's placed cells."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -262,6 +259,8 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
             raise ValueError(f"source_qasm must be a string, not {source_qasm!r}")
         placement = Placement(loc={int(q): tuple(pos) for q, pos in loc.items()})
         for q, (x, y) in placement.loc.items():
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"placement {q}: {[x, y]!r} is not two integers")
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
         if len(set(placement.loc.values())) != len(placement.loc):
@@ -270,7 +269,11 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         cells = {q: m.cell_id(pos) for q, pos in placement.loc.items()}
         cnots = source.cnot_gates()
         walks = [tuple(doc["gate_routes"][str(g.id)]) for g in cnots]
-        schedule = _schedule_walks(source, m, cells, walks, variant, routing)
+        for g, walk in zip(cnots, walks):
+            if not set(map(type, walk)) <= {int}:
+                raise ValueError(f"gate_routes {g.id}: {list(walk)!r} is not a list of "
+                                 f"integer cells")
+        schedule = _schedule_walks(source, m, cells, walks, variant, routing)[0]
         sol = Solution(placement, schedule, objective, optimal, variant, routing, omega, flag,
                        gate_routes=dict(zip((g.id for g in cnots), walks)))
         return expand(sol, source, m)

@@ -231,7 +231,7 @@ def route_cells(m: GridMachine, c: int, t: int, junction: int) -> tuple[int, ...
 def cnot_walk(m: GridMachine, a: int, b: int, junction: int) -> tuple[int, ...]:
     """The CNOT a -> b's walk along the route through junction: its cells in
     walk order, the moving qubit's first and the CNOT edge last. The faster
-    walk (see path_duration) runs its CNOT over the slower end edge; on a tie
+    walk (see price_walk) runs its CNOT over the slower end edge; on a tie
     the control walks."""
     route = route_cells(m, a, b, junction)
     first = m.edge_between(route[0], route[1]).cnot_duration
@@ -239,49 +239,39 @@ def cnot_walk(m: GridMachine, a: int, b: int, junction: int) -> tuple[int, ...]:
     return route[::-1] if first > last else route
 
 
-def path_reliabilities(path, m: GridMachine) -> tuple[float, float]:
-    """Success probabilities of a routed CNOT walking the given cell sequence,
-    without and with its return swaps counted.
+def price_walk(m: GridMachine, walk, static: bool = False) -> tuple[list[int], float, float]:
+    """The one rule that prices a routed CNOT walking the given cells: each
+    hop's duration in timeslots, and the CNOT's success probability without
+    and with its return swaps counted.
 
-    The last edge carries the CNOT itself; every earlier edge carries a
-    3-CNOT forward swap, squared when return swaps are counted too.
+    The last hop carries the CNOT itself; every earlier hop carries a 3-CNOT
+    forward swap and, with return swaps, a 3-CNOT swap back. So the walk
+    lasts 6 * sum(hops[:-1]) + hops[-1], and its reliabilities multiply, in
+    walk order, r**3 (r**6) per swap hop and r on the CNOT hop, r = 1 -
+    cnot_error. The static model charges the machine-wide tau on every hop.
+    Raises ValueError for a walk of fewer than two cells or off an edge.
     """
-    if len(path) < 2:
+    if len(walk) < 2:
         raise ValueError("path needs at least one edge")
+    edge_map, tau = m.edge_map, m.static_tau_cnot
+    hops: list[int] = []
     route = strict = 1.0
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        e = m.edge_map.get((a, b) if a < b else (b, a))
-        if e is None:
-            raise ValueError(f"cells {a} and {b} not adjacent")
-        r = 1.0 - e.cnot_error
-        if i == len(path) - 2:
-            route *= r
-            strict *= r
-        else:
+    r = None   # the last hop's; a hop is a swap hop once another follows it
+    for u, v in zip(walk, walk[1:]):
+        if r is not None:
             route *= r ** 3
             strict *= r ** 6
-    return route, strict
+        e = edge_map.get((u, v) if u < v else (v, u))
+        if e is None:
+            raise ValueError(f"cells {u} and {v} not adjacent")
+        hops.append(tau if static else e.cnot_duration)
+        r = 1.0 - e.cnot_error
+    return hops, route * r, strict * r
 
 
 def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> float:
-    """One of path_reliabilities: with return swaps counted if asked."""
-    return path_reliabilities(path, m)[count_return_swaps]
-
-
-def hop_duration(m: GridMachine, u: int, v: int, static: bool = False) -> int:
-    """Timeslots of one physical CNOT on edge (u, v); the static model charges
-    the machine-wide tau on every edge. Raises ValueError off an edge."""
-    e = m.edge_map.get((u, v) if u < v else (v, u))
-    if e is None:
-        raise ValueError(f"cells {u} and {v} not adjacent")
-    return m.static_tau_cnot if static else e.cnot_duration
-
-
-def path_duration(m: GridMachine, cells, static: bool = False) -> int:
-    """Timeslots to walk a route: 6x each swap edge (round trip), 1x the final CNOT edge."""
-    durs = [hop_duration(m, u, v, static) for u, v in zip(cells, cells[1:])]
-    return 6 * sum(durs[:-1]) + durs[-1]
+    """price_walk's reliability of the walk, with return swaps counted if asked."""
+    return price_walk(m, path)[1 + count_return_swaps]
 
 
 def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
@@ -330,7 +320,7 @@ def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
         def walk(s: int, u: int) -> tuple[tuple[int, ...], float, float]:
             # pred chains point from u outward: walk s -> u, then close at t,
             # multiplying r**3 and r**6 side by side in walk order, as
-            # path_reliability does.
+            # price_walk does.
             pred, path, p3, p6, v = preds[u], [s], 1.0, 1.0, s
             while v != u:
                 _, r3, r6, _ = fac[(v, pred[v])]
@@ -365,11 +355,11 @@ def build_tables(m: GridMachine) -> DerivedTables:
     it runs out along the cell's row and column and turns at each corner onto
     the other axis, carrying running products of r, r**3 and r**6 (r = 1 -
     cnot_error) and a running duration sum in walk order, so every entry is
-    bitwise the path_reliability and path_duration of its cnot_walk; delta,
-    the least duration over a pair's junctions, is kept as the sweep writes
-    them. One search per closing edge serves the best paths of both swap
-    exponents, and one walk down a source's predecessor chain serves both
-    tables' entries whenever both exponents close at the same neighbour.
+    bitwise the price_walk of its cnot_walk; delta, the least duration over
+    a pair's junctions, is kept as the sweep writes them. One search per
+    closing edge serves the best paths of both swap exponents, and one walk
+    down a source's predecessor chain serves both tables' entries whenever
+    both exponents close at the same neighbour.
     """
     n, mx, my = m.num_cells, m.mx, m.my
     fac: dict[tuple[int, int], tuple[float, float, float, int]] = {}

@@ -25,9 +25,7 @@ from .machine import (
     canonical_junction,
     cnot_walk,
     manhattan,
-    path_duration,
-    path_reliabilities,
-    path_reliability,
+    price_walk,
     static_cnot_duration,
 )
 
@@ -122,7 +120,7 @@ class _SearchTimeout(Exception):
     pass
 
 
-def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
+def _list_schedule(n_cells, durs, gcells, deadlines, preds, succs):
     """Deterministic list scheduler shared by every variant.
 
     Among ready gates (all predecessors committed) the one with the smallest
@@ -141,16 +139,17 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     same start and push the same entry back. So the free-from times alone
     tell a stale entry, and it is refitted when it pops.
     """
+    n_gates = len(durs)
     starts = [0] * n_gates
     est = [0] * n_gates
     pending = [len(p) for p in preds]
-    free: dict[int, int] = {}  # per cell, the end of its last reservation
+    free = [0] * n_cells  # per cell, the end of its last reservation
     heap: list[tuple[int, int]] = []
 
     def fit(g: int) -> int:
         s = est[g]
         for cell in gcells[g]:
-            f = free.get(cell, 0)
+            f = free[cell]
             if f > s:
                 s = f
         if s + durs[g] > deadlines[g]:
@@ -163,7 +162,7 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     while heap:
         s, g = heapq.heappop(heap)
         for cell in gcells[g]:
-            if free.get(cell, 0) > s:
+            if free[cell] > s:
                 heapq.heappush(heap, (fit(g), g))
                 break
         else:
@@ -182,17 +181,20 @@ def _list_schedule(n_gates, durs, gcells, deadlines, preds, succs):
     return starts
 
 
-def _walk_cost(m: GridMachine, walk, routing: str, static: bool) -> tuple[int, tuple[int, ...]]:
-    """The one rule that prices a routed CNOT, given its walk: (duration,
-    reserved cells). It lasts the path_duration of the walk, and it reserves
-    the bounding rectangle of the walk's ends under rectangle reservation and
-    the walk's own cells under every other routing."""
-    dur = path_duration(m, walk, static)
+def _walk_cost(m: GridMachine, walk, routing: str,
+               static: bool) -> tuple[int, tuple[int, ...], float, float]:
+    """A routed CNOT that takes the given walk, priced once by price_walk:
+    (duration, reserved cells, eps_route, eps_strict). It reserves the
+    bounding rectangle of the walk's ends under rectangle reservation and
+    the walk's own cells under every other routing. Raises ValueError for a
+    walk off the grid's edges."""
+    hops, eps_route, eps_strict = price_walk(m, walk, static)
+    dur = 6 * sum(hops[:-1]) + hops[-1]
     if routing != Routing.RR:
-        return dur, walk
+        return dur, walk, eps_route, eps_strict
     (ax, ay), (bx, by) = m.pos(walk[0]), m.pos(walk[-1])
     return dur, tuple(m.cell_id((x, y)) for x in range(min(ax, bx), max(ax, bx) + 1)
-                      for y in range(min(ay, by), max(ay, by) + 1))
+                      for y in range(min(ay, by), max(ay, by) + 1)), eps_route, eps_strict
 
 
 def _cnot_floor(m: GridMachine, tables: DerivedTables, static: bool) -> list[list[int]]:
@@ -276,36 +278,35 @@ def _dag_lists(c: Circuit) -> tuple[list[list[int]], list[list[int]]]:
     return preds, succs
 
 
-def _schedule_gates(c: Circuit, m: GridMachine, cells, cnot_cost, preds, succs,
+def _schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
                     static: bool = False) -> tuple[list[int], list[int]]:
-    """Starts and durations of a placed circuit under the canonical scheduler.
+    """Starts and durations of a placed circuit under the canonical scheduler:
+    the one builder of its arrays.
 
-    cnot_cost(k, a, b) gives the k-th CNOT's (duration, occupied cells) between
-    cells a and b; every other gate holds its own cell. Deadlines are the
-    endpoints' T2, or the machine-wide coherence bound under the static model.
-    Raises _InfeasibleSchedule.
+    cnot_costs lists each CNOT's (duration, reserved cells), in CNOT order;
+    every other gate holds its own cell. Deadlines are the endpoints' T2, or
+    the machine-wide coherence bound under the static model. Raises
+    _InfeasibleSchedule.
     """
     n = len(c.gates)
     durs = [0] * n
     gc: list[tuple[int, ...]] = [()] * n
     dl = [m.static_coherence_bound - 1] * n
-    k = 0
-    for g in c.gates:
-        i = g.id
-        if g.kind is GateKind.CNOT:
-            a, b = cells[g.operands[0]], cells[g.operands[1]]
-            durs[i], gc[i] = cnot_cost(k, a, b)
-            k += 1
+    qubits, costs = m.qubits, iter(cnot_costs)
+    cnot, measure = GateKind.CNOT, GateKind.MEASURE
+    for i, kind, operands, _clbit in c.gates:
+        if kind is cnot:
+            durs[i], gc[i] = next(costs)
             if not static:
-                dl[i] = min(m.qubits[a].t2, m.qubits[b].t2)
+                dl[i] = min(qubits[cells[operands[0]]].t2, qubits[cells[operands[1]]].t2)
         else:
-            cell = cells[g.operands[0]]
-            durs[i] = m.qubits[cell].readout_duration if g.kind is GateKind.MEASURE \
+            cell = cells[operands[0]]
+            durs[i] = qubits[cell].readout_duration if kind is measure \
                 else m.single_qubit_duration
             gc[i] = (cell,)
             if not static:
-                dl[i] = m.qubits[cell].t2
-    return _list_schedule(n, durs, gc, dl, preds, succs), durs
+                dl[i] = qubits[cell].t2
+    return _list_schedule(m.num_cells, durs, gc, dl, preds, succs), durs
 
 
 def _weighted_log_sum(omega: float, ln_ro, ln_cx) -> float:
@@ -320,8 +321,9 @@ class _Scorer:
     """Shared leaf evaluator: the exact solver and the brute-force enumerator both
     score a (placement, junctions) assignment through this one code path. It
     takes the circuit, the machine, its tables and the problem config; a CNOT
-    is priced by _walk_cost of its junction's cnot_walk, and its reliability
-    is read from the tables. Its objective is _weighted_log_sum of these ln
+    is priced by _walk_cost of its junction's cnot_walk, once per (cells,
+    junction), and its reliability is read from the tables, which hold
+    price_walk's. Its objective is _weighted_log_sum of these ln
     reliabilities, so it is bitwise the value that _build_solution and
     check_solution compute from the walks."""
 
@@ -341,12 +343,13 @@ class _Scorer:
         self.ro_dur = [q.readout_duration for q in m.qubits]
 
     def cnot_cost(self, a: int, b: int, j: int) -> tuple[int, tuple[int, ...]]:
-        """_walk_cost of the CNOT a -> b's walk through the legal junction j."""
+        """(duration, reserved cells) of the CNOT a -> b's walk through the
+        legal junction j, by _walk_cost."""
         key = (a, b, j)
         cost = self._cost.get(key)
         if cost is None:
             cost = self._cost[key] = _walk_cost(self.m, cnot_walk(self.m, a, b, j),
-                                                self.cfg.routing, self.static)
+                                                self.cfg.routing, self.static)[:2]
         return cost
 
     def junction_choices(self, a: int, b: int) -> tuple[int, ...]:
@@ -366,8 +369,10 @@ class _Scorer:
 
     def schedule_arrays(self, cells, junctions):
         """Starts and durations for one assignment; raises _InfeasibleSchedule."""
+        cost = self.cnot_cost
         return _schedule_gates(self.c, self.m, cells,
-                               lambda k, a, b: self.cnot_cost(a, b, junctions[k]),
+                               [cost(cells[qa], cells[qb], j)
+                                for (qa, qb), j in zip(self.cnot_ops, junctions)],
                                self.preds, self.succs, self.static)
 
     def log_objective(self, cells, junctions) -> float:
@@ -467,43 +472,41 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
                            routing=cfg.routing.value, optimal=optimal)
 
 
-def _gate_reliabilities(c: Circuit, cells, gate_routes: dict[int, tuple[int, ...]],
-                        m: GridMachine) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-gate success probabilities on m, the one place they are computed,
-    without and with return swaps counted: a CNOT's are the
-    path_reliabilities of its stored walk, a readout's is 1 - its cell's
-    readout error in both. cells are placement cells by qubit id. Raises
-    ValueError when a walk does not join its gate's placed cells."""
-    route: dict[int, float] = {}
-    strict: dict[int, float] = {}
-    for g in c.gates:
-        if g.kind is GateKind.CNOT:
-            a, b = cells[g.operands[0]], cells[g.operands[1]]
-            walk = gate_routes.get(g.id, ())
-            if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
-                raise ValueError(f"CNOT {g.id} route {list(walk)} does not join "
-                                 f"its cells {a} and {b}")
-            route[g.id], strict[g.id] = path_reliabilities(walk, m)
-        elif g.kind is GateKind.MEASURE:
-            route[g.id] = strict[g.id] = 1.0 - m.qubits[cells[g.operands[0]]].readout_error
-    return route, strict
+def _check_joins(gid: int, walk, a: int, b: int) -> None:
+    """Raise ValueError unless CNOT gid's walk runs between its placed cells
+    a and b, either way."""
+    if (walk[0], walk[-1]) not in ((a, b), (b, a)):
+        raise ValueError(f"CNOT {gid} route {list(walk)} does not join its cells {a} and {b}")
 
 
 def _schedule_walks(c: Circuit, m: GridMachine, cells, walks, variant: str,
-                    routing: str) -> Schedule:
+                    routing: str) -> tuple[Schedule, dict[int, float], dict[int, float]]:
     """The canonical schedule of a placed circuit whose CNOTs take the given
-    walks, in CNOT order, each priced by _walk_cost. cells are placement
-    cells by qubit id. Raises Infeasible, and ValueError for a walk that
-    leaves the grid's edges."""
+    walks, in CNOT order, and each gate's success probabilities on m without
+    and with return swaps counted: (schedule, eps_route, eps_strict). Each
+    walk is priced once, by _walk_cost; a readout's probabilities are 1 - its
+    cell's readout error. cells are placement cells by qubit id. Raises
+    Infeasible, and ValueError for a walk that leaves the grid's edges or
+    does not join its CNOT's placed cells."""
     static = variant == Variant.T_SMT.value
+    costs: list[tuple[int, tuple[int, ...]]] = []
+    eps_route, eps_strict = {}, {}   # per gate id
+    cnot, measure, walk_of = GateKind.CNOT, GateKind.MEASURE, iter(walks)
+    for gid, kind, operands, _clbit in c.gates:
+        if kind is cnot:
+            walk = next(walk_of)
+            dur, reserved, eps_route[gid], eps_strict[gid] = _walk_cost(m, walk, routing, static)
+            _check_joins(gid, walk, cells[operands[0]], cells[operands[1]])
+            costs.append((dur, reserved))
+        elif kind is measure:
+            eps_route[gid] = eps_strict[gid] = 1.0 - m.qubits[cells[operands[0]]].readout_error
     try:
-        starts, durs = _schedule_gates(c, m, cells,
-                                       lambda k, _a, _b: _walk_cost(m, walks[k], routing, static),
-                                       *_dag_lists(c), static=static)
+        starts, durs = _schedule_gates(c, m, cells, costs, *_dag_lists(c), static=static)
     except _InfeasibleSchedule as exc:
         raise Infeasible(str(exc)) from exc
-    return Schedule(start={g.id: starts[g.id] for g in c.gates},
-                    dur={g.id: durs[g.id] for g in c.gates})
+    # gate ids are positions in c.gates
+    return Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs))), \
+        eps_route, eps_strict
 
 
 def _build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
@@ -515,16 +518,16 @@ def _build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
     CNOT order, the moving qubit's cell first. They are scheduled by
     _schedule_walks. Duration variants score the makespan; every other
     variant (the exact reliability variant and both greedy mappers) scores
-    _weighted_log_sum of the ln reliabilities _gate_reliabilities derives
-    from the walks. cfg supplies omega and count_return_swaps. Raises
+    _weighted_log_sum of the ln reliabilities _schedule_walks derives from
+    the walks. cfg supplies omega and count_return_swaps. Raises
     Infeasible.
     """
-    schedule = _schedule_walks(c, m, cells, walks, variant, routing)
+    schedule, eps_route, eps_strict = _schedule_walks(c, m, cells, walks, variant, routing)
     gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
     if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
         value = float(schedule.makespan)
     else:
-        eps = _gate_reliabilities(c, cells, gate_routes, m)[cfg.count_return_swaps]
+        eps = eps_strict if cfg.count_return_swaps else eps_route
         value = _weighted_log_sum(cfg.omega,
                                   [math.log(e) for g, e in eps.items() if g not in gate_routes],
                                   [math.log(eps[g]) for g in gate_routes])
@@ -785,9 +788,11 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                    cfg: ProblemConfig | None = None,
                    tables: DerivedTables | None = None) -> list[str]:
     """Independent re-verification of every constraint; returns violations (empty = valid).
-    The objective must equal, exactly, the makespan or _weighted_log_sum of
-    each walk's path_reliability and each measured cell's readout_rel; it is
-    not recomputed when a CNOT's walk is rejected."""
+    Each CNOT's walk is priced once, by _walk_cost, for its duration, its
+    reserved cells and its reliability. The objective must equal, exactly,
+    the makespan or _weighted_log_sum of each walk's reliability and each
+    measured cell's readout_rel; it is not recomputed when a CNOT's walk is
+    rejected."""
     v: list[str] = []
     variant = cfg.variant.value if cfg is not None else sol.variant
     routing = cfg.routing.value if cfg is not None else sol.routing
@@ -814,7 +819,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     if missing:
         return v + [f"gates {missing} unscheduled"]
 
-    occupied: dict[int, tuple[int, ...]] = {}
+    by_cell: dict[int, list[tuple[int, int, int]]] = {}   # reservations per cell
     ln_ro: list[float] = []
     ln_cx: list[float] = []
     is_static = variant == Variant.T_SMT.value
@@ -824,53 +829,54 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
         except ValueError as exc:
             return v + [f"solution config rejected: {exc}"]
 
-    for g in c.gates:
-        if g.kind is GateKind.CNOT:
-            a, b = cells[g.operands[0]], cells[g.operands[1]]
+    qubits, cnot, measure = m.qubits, GateKind.CNOT, GateKind.MEASURE
+    for gid, kind, operands, _clbit in c.gates:
+        if kind is cnot:
+            a, b = cells[operands[0]], cells[operands[1]]
             if a == b:
-                v.append(f"CNOT {g.id} endpoints share cell {a}")
+                v.append(f"CNOT {gid} endpoints share cell {a}")
                 continue
-            walk = tuple(sol.gate_routes.get(g.id, ()))
+            walk = tuple(sol.gate_routes.get(gid, ()))
             if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
-                v.append(f"CNOT {g.id} route does not join its endpoints")
+                v.append(f"CNOT {gid} route does not join its endpoints")
                 continue
             if routing != Routing.BEST_PATH.value:
                 legal = (canonical_junction(tables, a, b),) if routing == Routing.RR.value \
                     else tables.junctions[(a, b)]
                 if all(walk != cnot_walk(m, a, b, j) for j in legal):
-                    v.append(f"CNOT {g.id} route is not the walk of a junction "
+                    v.append(f"CNOT {gid} route is not the walk of a junction "
                              f"legal under {routing} routing")
                     continue
             try:
-                ln_cx.append(math.log(path_reliability(walk, m, count_return_swaps=flag)))
+                expect_dur, region, *eps = _walk_cost(m, walk, routing, is_static)
             except ValueError as exc:
-                v.append(f"CNOT {g.id} route is not a grid walk: {exc}")
+                v.append(f"CNOT {gid} route is not a grid walk: {exc}")
                 continue
-            expect_dur, occupied[g.id] = _walk_cost(m, walk, routing, is_static)
-            own = (a, b)
+            ln_cx.append(math.log(eps[flag]))
+            region = set(region)
+            t2 = min(qubits[a].t2, qubits[b].t2)
         else:
-            cell = cells[g.operands[0]]
-            if g.kind is GateKind.MEASURE:
-                expect_dur = m.qubits[cell].readout_duration
+            cell = cells[operands[0]]
+            if kind is measure:
+                expect_dur = qubits[cell].readout_duration
                 ln_ro.append(math.log(float(tables.readout_rel[cell])))
             else:
                 expect_dur = m.single_qubit_duration
-            occupied[g.id] = own = (cell,)
-        if dur[g.id] != expect_dur:
-            v.append(f"gate {g.id} duration {dur[g.id]} != expected {expect_dur}")
-        deadline = m.static_coherence_bound - 1 if is_static \
-            else min(m.qubits[cl].t2 for cl in own)
-        if start[g.id] + dur[g.id] > deadline:
-            v.append(f"gate {g.id} breaks its coherence deadline")
+            region = (cell,)
+            t2 = qubits[cell].t2
+        s, d = start[gid], dur[gid]
+        if d != expect_dur:
+            v.append(f"gate {gid} duration {d} != expected {expect_dur}")
+        if s + d > (m.static_coherence_bound - 1 if is_static else t2):
+            v.append(f"gate {gid} breaks its coherence deadline")
+        for cell in region:
+            by_cell.setdefault(cell, []).append((s, s + d, gid))
 
-    for g1, g2 in sorted(build_dag(c).edges):
-        if start[g2] < start[g1] + dur[g1]:
-            v.append(f"dependency violated: gate {g2} starts before gate {g1} finishes")
+    late = [(g1, g2) for g2, ps in enumerate(predecessor_lists(c)) for g1 in ps
+            if start[g2] < start[g1] + dur[g1]]
+    v += [f"dependency violated: gate {g2} starts before gate {g1} finishes"
+          for g1, g2 in sorted(late)]
 
-    by_cell: dict[int, list[tuple[int, int, int]]] = {}
-    for g, region in occupied.items():
-        for cell in set(region):
-            by_cell.setdefault(cell, []).append((start[g], start[g] + dur[g], g))
     clashes = {(min(g1, g2), max(g1, g2)) for _cell, g1, g2 in _clashes(by_cell)}
     v += [f"gates {g1} and {g2} overlap in space and time" for g1, g2 in sorted(clashes)]
 

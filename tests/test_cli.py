@@ -582,9 +582,10 @@ class TestMalformedInputs:
 
     def test_seeded_record_sweep(self, tmp_path, capsys):
         # a record with a required key dropped, a walk that is not one over
-        # the grid's edges between its CNOT's cells, or a config, objective
-        # or optimal flag that compile would not accept is refused before it
-        # is scored; every bad value is tried once
+        # the grid's edges between its CNOT's cells, cells or coordinates
+        # that equal the right ones but are not JSON integers, or a config,
+        # objective or optimal flag that compile would not accept is refused
+        # before it is scored; every bad value is tried once
         circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
         circuit.write_text(json.dumps(VALID_CIRCUIT))
         cal.write_text(json.dumps(VALID_CAL))
@@ -605,7 +606,11 @@ class TestMalformedInputs:
                "objective": ["x", math.nan, math.inf, None, True],
                "optimal": ["yes", 1, None],
                "placement": [[], "x", 7, None],
-               "source_qasm": [7, [], {}, None]}
+               "source_qasm": [7, [], {}, None],
+               # every route cell or placement coordinate that the type can
+               # equal, retyped: [0, 2] becomes [0.0, 2.0] or [False, 2]
+               "route cells": [float, bool],
+               "placement cells": [bool]}
         rng = random.Random(12)
         cases = [("drop", None)] * 40 + [(what, value) for what, values in bad.items()
                                          for value in values]
@@ -616,6 +621,10 @@ class TestMalformedInputs:
                 del _at(doc, path[:-1])[path[-1]]
             elif what == "walk":
                 doc["gate_routes"][rng.choice(sorted(doc["gate_routes"]))] = value
+            elif what in ("route cells", "placement cells"):
+                lists = doc["gate_routes" if what == "route cells" else "placement"]
+                for key, cells in lists.items():
+                    lists[key] = [value(x) if value(x) == x else x for x in cells]
             elif what in doc["config"]:
                 doc["config"][what] = value
             else:

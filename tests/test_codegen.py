@@ -26,8 +26,10 @@ from nisqc.machine import build_tables, canonical_junction, load_calibration, sy
 from nisqc.optimal import (
     Infeasible,
     ProblemConfig,
+    Routing,
     Schedule,
     SolverTimeout,
+    Variant,
     check_solution,
     solution_from_assignment,
     solve_exact,
@@ -565,3 +567,36 @@ class TestGoldenAtScale:
             back = from_record(record, m)
             assert (back.expanded, back.placement, back.makespan, back.swap_count) == \
                 (cc.expanded, cc.placement, cc.makespan, cc.swap_count), policy
+
+
+class TestGoldenSmallExact:
+    """Exact solves on 2x3 and 3x3 grids, plain and with jittered
+    durations, under every variant/routing pair: the static t-smt model
+    and rectangle reservation among them, with return swaps scored or not.
+    sha256 of each solve's starts, repr(expanded) and record, pinned so that
+    a change to how a walk is priced, scheduled, expanded or recorded that
+    alters one byte of them fails here; from_record rebuilds each stream."""
+    DIGEST = "cb3167693008e9e7549273e738240d111e5ca39506bf0b0d19f01d9d9f268105"
+    PAIRS = ((Variant.T_SMT, Routing.RR), (Variant.T_SMT, Routing.ONE_BEND),
+             (Variant.T_SMT_STAR, Routing.RR), (Variant.T_SMT_STAR, Routing.ONE_BEND),
+             (Variant.R_SMT_STAR, Routing.ONE_BEND))
+
+    def test_schedules_streams_and_records_are_pinned(self):
+        h = hashlib.sha256()
+        solves = 0
+        for seed, jitter in ((1, False), (2, True)):
+            for mx, my in ((2, 3), (3, 3)):
+                m = load_calibration(synth_calibration(mx, my, seed, jitter_durations=jitter))
+                t = build_tables(m)
+                for c, ((variant, routing), crs) in itertools.product(
+                        (gen_bv(4, "101"), gen_toffoli(), gen_random(4, 12, seed)),
+                        itertools.product(self.PAIRS, (False, True))):
+                    sol = solve_exact(c, m, ProblemConfig(variant, routing,
+                                                          count_return_swaps=crs), tables=t)
+                    cc = expand(sol, c, m)
+                    record = record_to_json(cc)
+                    h.update(repr((sorted(sol.schedule.start.items()), repr(cc.expanded),
+                                   record)).encode())
+                    assert from_record(record, m).expanded == cc.expanded
+                    solves += 1
+        assert (h.hexdigest(), solves) == (self.DIGEST, 120)

@@ -4,6 +4,7 @@ import gc
 import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from nisqc.machine import (
     cnot_walk,
     load_calibration,
     manhattan,
-    path_duration,
     path_reliability,
+    price_walk,
     route_cells,
     static_cnot_duration,
     synth_calibration,
@@ -31,6 +32,13 @@ def one_bend_junctions(c: tuple[int, int], t: tuple[int, int]) -> list[tuple[int
     if c[0] == t[0] or c[1] == t[1]:
         return [c]
     return [(c[0], t[1]), (t[0], c[1])]
+
+
+def walk_duration(m, walk, static=False):
+    """Timeslots to walk a route, from price_walk's hops: 6x each swap hop
+    (there and back), 1x the final CNOT hop."""
+    hops = price_walk(m, walk, static)[0]
+    return 6 * sum(hops[:-1]) + hops[-1]
 
 
 def uniform_doc(mx, my, cnot_error=0.1, readout_error=0.07, cnot_duration=2, t2=1000):
@@ -161,6 +169,79 @@ class TestPathReliability:
             path_reliability((0, 5), m33)
 
 
+def reference_price(m, walk, static=False):
+    """price_walk hop by hop, in walk order: each hop's duration (tau under
+    the static model), and r**3 and r**6 on a swap hop, r on the CNOT hop,
+    multiplied into the two products, r = 1 - cnot_error."""
+    if len(walk) < 2:
+        raise ValueError("path needs at least one edge")
+    hops, route, strict = [], 1.0, 1.0
+    for i in range(len(walk) - 1):
+        u, v = walk[i], walk[i + 1]
+        e = m.edge_map.get((min(u, v), max(u, v)))
+        if e is None:
+            raise ValueError(f"cells {u} and {v} not adjacent")
+        hops.append(m.static_tau_cnot if static else e.cnot_duration)
+        r = 1.0 - e.cnot_error
+        if i == len(walk) - 2:
+            route, strict = route * r, strict * r
+        else:
+            route, strict = route * r ** 3, strict * r ** 6
+    return hops, route, strict
+
+
+def random_walk(m, rng, hops):
+    """A simple walk of `hops` hops from a random cell, or shorter where it
+    runs out of unvisited neighbours."""
+    walk = [rng.randrange(m.num_cells)]
+    while len(walk) <= hops:
+        nxt = [w for w in m.adjacency[walk[-1]] if w not in walk]
+        if not nxt:
+            break
+        walk.append(rng.choice(nxt))
+    return tuple(walk)
+
+
+class TestPriceWalkOracle:
+    """price_walk, the one rule that prices a routed CNOT, against the
+    per-hop reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["plain", "jittered", "all-zero"])
+    def test_seeded_walks_match_the_reference(self, kind):
+        rng = random.Random(f"walks-{kind}")
+        walks = off_edge = 0
+        for shape in ((1, 9), (2, 8), (3, 3), (4, 4), (3, 5)):
+            doc = jittered_doc(*shape, sum(shape), jitter_durations=kind == "jittered")
+            if kind == "all-zero":
+                for e in doc["edges"]:
+                    e["cnot_error"] = 0.0
+            m = load_calibration(doc)
+            for _ in range(100):
+                walk = random_walk(m, rng, rng.randint(1, 8))
+                for static in (False, True):
+                    hops, route, strict = price_walk(m, walk, static)
+                    want = reference_price(m, walk, static)
+                    assert hops == want[0] and all(type(h) is int for h in hops)
+                    assert (route.hex(), strict.hex()) == (want[1].hex(), want[2].hex())
+                walks += 1
+                # a jump to a cell off the last one's edges, somewhere along the walk
+                i = rng.randrange(1, len(walk) + 1)
+                far = [x for x in range(m.num_cells) if x not in m.adjacency[walk[i - 1]]]
+                bad = walk[:i] + (rng.choice(far),) + walk[i:]
+                with pytest.raises(ValueError) as want_exc:
+                    reference_price(m, bad)
+                with pytest.raises(ValueError) as got_exc:
+                    price_walk(m, bad)
+                assert str(got_exc.value) == str(want_exc.value)
+                assert "not adjacent" in str(got_exc.value)
+                off_edge += 1
+            for cell in range(m.num_cells):
+                for walk in ((cell,), ()):
+                    with pytest.raises(ValueError, match="at least one edge"):
+                        price_walk(m, walk)
+        assert walks == off_edge == 500
+
+
 def jittered_doc(mx, my, seed, jitter_durations=True):
     return synth_calibration(mx, my, seed, jitter_durations=jitter_durations)
 
@@ -201,11 +282,11 @@ class TestTables:
         for (a, b, j), dur in t.cnot_dur.items():
             route = route_cells(m, a, b, j)
             walk = cnot_walk(m, a, b, j)
-            assert dur == min(path_duration(m, route), path_duration(m, route[::-1]))
+            assert dur == min(walk_duration(m, route), walk_duration(m, route[::-1]))
             # the control walks unless the target's walk is strictly faster
-            assert walk == (route[::-1] if path_duration(m, route[::-1]) < path_duration(m, route)
+            assert walk == (route[::-1] if walk_duration(m, route[::-1]) < walk_duration(m, route)
                             else route)
-            assert dur == path_duration(m, walk)
+            assert dur == walk_duration(m, walk)
             assert t.cnot_rel[(a, b, j)] == path_reliability(walk, m)
             assert t.cnot_rel_return[(a, b, j)] == path_reliability(walk, m, count_return_swaps=True)
         differ = 0
@@ -219,7 +300,7 @@ class TestTables:
     @pytest.mark.parametrize("shape", [(1, 5), (3, 4), (4, 4)])
     @pytest.mark.parametrize("jitter", [False, True])
     def test_walk_duration_is_the_static_formula_and_the_table_entry(self, shape, jitter):
-        # A routed CNOT is priced as path_duration of its walk under every
+        # A routed CNOT is priced by price_walk of its walk under every
         # variant, so that must equal the static formula and the table entry.
         m = load_calibration(jittered_doc(*shape, 9, jitter_durations=jitter))
         t = build_tables(m)
@@ -227,8 +308,8 @@ class TestTables:
             static = static_cnot_duration(manhattan(m.pos(a), m.pos(b)), m)
             for j in js:
                 walk = cnot_walk(m, a, b, j)
-                assert path_duration(m, walk, static=True) == static
-                assert path_duration(m, walk) == t.cnot_dur[(a, b, j)]
+                assert walk_duration(m, walk, static=True) == static
+                assert walk_duration(m, walk) == t.cnot_dur[(a, b, j)]
 
     def test_build_leaves_no_reference_cycles(self):
         # a cycle would keep every dropped table alive until a full collection
@@ -343,8 +424,10 @@ class TestTables:
         doc = uniform_doc(1, 3, cnot_duration=2)
         doc["edges"] = [{"a": [0, 1], "b": [0, 2], "cnot_duration": 5}]
         m = load_calibration(doc)
-        assert path_duration(m, (0, 1, 2)) == 6 * 2 + 5
-        assert path_duration(m, (2, 1, 0)) == 6 * 5 + 2
+        assert price_walk(m, (0, 1, 2))[0] == [2, 5]
+        assert price_walk(m, (2, 1, 0), static=True)[0] == [2, 2]
+        assert walk_duration(m, (0, 1, 2)) == 6 * 2 + 5
+        assert walk_duration(m, (2, 1, 0)) == 6 * 5 + 2
 
 
 def reference_best_paths(m, swap_exp):
@@ -410,7 +493,7 @@ def reference_tables(m):
         js = sorted(m.cell_id(jp) for jp in one_bend_junctions(m.pos(c), m.pos(t)))
         for j in js:
             walk = cnot_walk(m, c, t, j)
-            cnot_dur[(c, t, j)] = path_duration(m, walk)
+            cnot_dur[(c, t, j)] = walk_duration(m, walk)
             cnot_rel[(c, t, j)] = path_reliability(walk, m)
             cnot_rel_return[(c, t, j)] = path_reliability(walk, m, count_return_swaps=True)
         junctions[(c, t)] = tuple(js)

@@ -1,6 +1,7 @@
 """Exact solver tests: every optimum is cross-checked against a test-local
 permutation enumerator with its own quadratic scheduler."""
 
+import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -28,7 +29,6 @@ from nisqc.machine import (
     cnot_walk,
     load_calibration,
     manhattan,
-    path_duration,
     route_cells,
     static_cnot_duration,
     synth_calibration,
@@ -47,6 +47,7 @@ from nisqc.optimal import (
     Placement,
     ProblemConfig,
     Routing,
+    Schedule,
     SolverTimeout,
     Variant,
     _InfeasibleSchedule,
@@ -92,7 +93,8 @@ def naive_starts(c, m, cfg, tables, cells, junctions):
             if static:
                 durs[g.id] = static_cnot_duration(manhattan(m.pos(a), m.pos(b)), m)
             else:
-                durs[g.id] = min(path_duration(m, route), path_duration(m, route[::-1]))
+                hops = [m.edge_between(u, v).cnot_duration for u, v in zip(route, route[1:])]
+                durs[g.id] = 6 * sum(hops) - 5 * max(hops[0], hops[-1])
             if cfg.routing is Routing.ONE_BEND:
                 regions[g.id] = set(route)
             else:
@@ -926,6 +928,115 @@ class TestCheckSolution:
                     [f"objective {off.objective_value} != recomputed {sol.objective_value}"]
 
 
+def _mutants(sol, c, m, rng):
+    """Seeded mutations of a solution, one kind each and two in turn: starts
+    shifted, some past every deadline; a gate ending at or one timeslot
+    before the static coherence bound; a duration off by one; a gate moved
+    before its predecessor's end; a CNOT given another CNOT's walk; a walk
+    with a jump off the grid's edges, cut short, reversed or with its first
+    cell doubled; and an objective off by a little."""
+    preds = predecessor_lists(c)
+    late = [g for g, ps in enumerate(preds) if ps]
+    cnots = [g.id for g in c.cnot_gates()]
+
+    def with_schedule(s, start, dur):
+        return dataclasses.replace(s, schedule=Schedule(start, dur))
+
+    def shifted(s):
+        start = dict(s.schedule.start)
+        for g in rng.sample(sorted(start), min(3, len(start))):
+            start[g] = max(0, start[g] + rng.choice((-3, -2, -1, 1, 2, 3, 1000)))
+        return with_schedule(s, start, dict(s.schedule.dur))
+
+    def at_the_bound(s):
+        start = dict(s.schedule.start)
+        g = rng.choice(sorted(start))
+        start[g] = max(0, m.static_coherence_bound - s.schedule.dur[g] - rng.choice((0, 1)))
+        return with_schedule(s, start, dict(s.schedule.dur))
+
+    def wrong_duration(s):
+        dur = dict(s.schedule.dur)
+        dur[rng.choice(sorted(dur))] += rng.choice((-1, 1))
+        return with_schedule(s, dict(s.schedule.start), dur)
+
+    def broken_dependency(s):
+        start = dict(s.schedule.start)
+        if late:
+            g = rng.choice(late)
+            start[g] = start[rng.choice(preds[g])]
+        return with_schedule(s, start, dict(s.schedule.dur))
+
+    def foreign_walk(s):
+        routes = dict(s.gate_routes)
+        if len(cnots) > 1:
+            g, other = rng.sample(cnots, 2)
+            routes[g] = s.gate_routes[other]
+        return dataclasses.replace(s, gate_routes=routes)
+
+    def off_edge_walk(s):
+        routes = dict(s.gate_routes)
+        g = rng.choice(cnots)
+        walk = routes[g]
+        far = rng.choice([x for x in range(m.num_cells) if x not in walk] or [walk[0]])
+        routes[g] = rng.choice(((walk[0], far, walk[-1]), (walk[0], walk[-1]), walk[::-1],
+                                walk[:1] + walk))
+        return dataclasses.replace(s, gate_routes=routes)
+
+    def wrong_objective(s):
+        return dataclasses.replace(
+            s, objective_value=s.objective_value + rng.choice((-0.5, 1e-9, 1.0)))
+
+    kinds = [shifted, at_the_bound, wrong_duration, broken_dependency, foreign_walk,
+             off_edge_walk, wrong_objective]
+    for kind in kinds:
+        yield kind(sol)
+    for _ in range(3):
+        first, second = rng.sample(kinds, 2)
+        yield second(first(sol))
+
+
+class TestCheckSolutionGolden:
+    """check_solution's violation lists on a seeded mutation sweep, under
+    every exact variant/routing pair and both greedy mappers, with the
+    solution's config given and recovered from its echoes: each message
+    and its order, pinned so that a change to the checker that alters one
+    of them fails here."""
+    DIGEST = "c4ba1d219177d492bab9f8c9b82caff73427b2647090a4c140487376f11ca4c9"
+    LISTS = 2140
+
+    def test_violation_lists_are_pinned(self):
+        rng = random.Random(20)
+        h = hashlib.sha256()
+        lists = 0
+        for seed, over in ((1, {}), (2, {"jitter_durations": True}), (3, {"t2": 30})):
+            for mx, my in ((2, 3), (3, 3)):
+                m = load_calibration(synth_calibration(mx, my, seed, **over))
+                t = build_tables(m)
+                for c in (gen_bv(4, "101"), gen_toffoli(),
+                          with_readouts(gen_random(4, 12, seed), range(4))):
+                    sols = []
+                    for variant, routing in EXACT_VARIANTS + ((Variant.T_SMT, Routing.ONE_BEND),):
+                        cfg = ProblemConfig(variant, routing, count_return_swaps=seed == 2)
+                        try:
+                            sols.append((solve_exact(c, m, cfg, tables=t), cfg))
+                        except Infeasible:
+                            continue
+                    for policy in GreedyPolicy:
+                        try:
+                            sols.append((heuristic_compile(c, m, t, HeuristicConfig(policy)),
+                                         None))
+                        except Infeasible:
+                            continue
+                    for sol, cfg in sols:
+                        assert check_solution(sol, c, m, cfg, tables=t) == []
+                        for bad in _mutants(sol, c, m, rng):
+                            for got in (check_solution(bad, c, m, cfg, tables=t),
+                                        check_solution(bad, c, m)):
+                                h.update(repr(got).encode())
+                                lists += bool(got)
+        assert (h.hexdigest(), lists) == (self.DIGEST, self.LISTS)
+
+
 class TestEmitSmtlib:
     def test_bv4_variable_counts(self):
         m = load_calibration(udoc(2, 3))
@@ -1000,10 +1111,12 @@ class TestSmtCrossCheck:
 
 # ------------------------------------------------------- scheduler oracle ---
 
-def linear_scan_schedule(n_gates, durs, gcells, deadlines, preds, succs):
+def linear_scan_schedule(n_cells, durs, gcells, deadlines, preds, succs):
     """The list scheduler as it was before it kept one free-from time per
     cell: each probe scans a cell's sorted (start, end) intervals from the
-    first one."""
+    first one. Every cell is below n_cells."""
+    assert all(0 <= cell < n_cells for cells in gcells for cell in cells)
+    n_gates = len(durs)
     starts = [0] * n_gates
     est = [0] * n_gates
     pending = [len(p) for p in preds]
@@ -1141,7 +1254,7 @@ class TestSchedulerOracle:
                          for d in durs]
             try:
                 assert_matches_linear_scan(optimal._list_schedule,
-                                           (n, durs, gcells, deadlines, preds, succs))
+                                           (n_cells, durs, gcells, deadlines, preds, succs))
             except _InfeasibleSchedule:
                 seen["infeasible"] += 1
             else:
