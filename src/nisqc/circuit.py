@@ -156,7 +156,7 @@ def _parse_qasm(text: str) -> Circuit:
         if not line.endswith(";"):
             raise ParseError("statement must end with ';'", lineno, _column(raw) + len(line))
         stmt = line[:-1].strip()
-        if stmt.startswith("OPENQASM"):
+        if stmt.startswith("OPENQASM") or stmt == 'include "qelib1.inc"':
             continue
         rx = by_word.get(stmt.split(None, 1)[0] if stmt else "", _RE_1Q)
         m = rx.match(stmt)
@@ -306,33 +306,32 @@ def to_json(c: Circuit) -> str:
     return json.dumps({"num_qubits": c.num_qubits, "num_clbits": c.num_clbits, "gates": gates})
 
 
-def build_dag(c: Circuit) -> DependencyDag:
-    """Per-qubit last-writer chaining; every pair of touching gates is ordered."""
-    edges: set[tuple[int, int]] = set()
-    last: dict[int, int] = {}
-    for g in c.gates:
-        for q in g.operands:
-            if q in last:
-                edges.add((last[q], g.id))
-            last[q] = g.id
-    return DependencyDag(edges=frozenset(edges))
-
-
 def predecessor_lists(c: Circuit) -> list[list[int]]:
-    """Direct DAG predecessors per gate id, each list sorted ascending: the
-    last writers of the gate's qubits, as in build_dag."""
+    """The dependency rule: each gate's direct predecessors, by gate id, each
+    list sorted ascending. A gate follows the last earlier gate on each wire
+    it touches: each of its qubits, and the clbit it writes, keyed
+    ("c", clbit), so the later of two writes to one clbit stays later."""
     preds: list[list[int]] = []
-    last: dict[int, int] = {}
+    last: dict = {}
     for g in c.gates:
+        wires = g.operands if g.classical_target is None \
+            else (*g.operands, ("c", g.classical_target))
         ps = []
-        for q in g.operands:
-            p = last.get(q)
+        for w in wires:
+            p = last.get(w)
             if p is not None and p not in ps:
                 ps.append(p)
-            last[q] = g.id
+            last[w] = g.id
         ps.sort()
         preds.append(ps)
     return preds
+
+
+def build_dag(c: Circuit) -> DependencyDag:
+    """The edges of predecessor_lists: gates that share a qubit or write one
+    clbit are ordered."""
+    return DependencyDag(edges=frozenset((p, g) for g, ps in enumerate(predecessor_lists(c))
+                                         for p in ps))
 
 
 def build_program_graph(c: Circuit) -> ProgramGraph:

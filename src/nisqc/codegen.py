@@ -227,7 +227,8 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     count_return_swaps that ProblemConfig (HeuristicConfig and best-path
     routing for a greedy variant) refuses, an objective not a finite number,
     an optimal or count_return_swaps not a bool, a placement not a JSON
-    object, a source_qasm not a string, a placed qubit's coordinates not two
+    object, a placement key not a qubit number in canonical decimal, a
+    source_qasm not a string, a placed qubit's coordinates not two
     integers, a placed qubit off the grid or on another's cell, a route's
     cells not integers, or a route that is not a walk over m's edges joining
     its CNOT's placed cells."""
@@ -257,6 +258,9 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
             raise ValueError(f"placement must be a JSON object, not {loc!r}")
         if not isinstance(source_qasm, str):
             raise ValueError(f"source_qasm must be a string, not {source_qasm!r}")
+        for q in loc:
+            if not (q.isdecimal() and str(int(q)) == q):
+                raise ValueError(f"placement key {q!r} is not a qubit number")
         placement = Placement(loc={int(q): tuple(pos) for q, pos in loc.items()})
         for q, (x, y) in placement.loc.items():
             if type(x) is not int or type(y) is not int:

@@ -13,7 +13,6 @@ from enum import Enum
 from .circuit import (
     Circuit,
     GateKind,
-    build_circuit,
     build_dag,
     build_program_graph,
     predecessor_lists,
@@ -391,69 +390,6 @@ class _Scorer:
         return float(makespan), makespan
 
 
-class _LoneQubits:
-    """Leaves that differ only in the cells of qubits no CNOT touches (lone
-    qubits) share one schedule of the other qubits' gates.
-
-    A lone qubit runs its own chain of gates on its own cell. When no CNOT
-    reserves that cell, nothing waits on the chain and nothing holds it up:
-    the canonical scheduler runs its gates back to back from timeslot 0 and
-    schedules every other gate exactly as if the lone qubits were absent. So
-    such a leaf's makespan is the larger of that shared schedule's and the
-    chains' ends, and it is feasible when both are.
-    """
-
-    def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
-        degree = build_program_graph(c).vertex_degree
-        self.lone = [q for q in range(c.num_qubits) if degree.get(q, 0) == 0]
-        self.busy = [q for q in range(c.num_qubits) if degree.get(q, 0) > 0]
-        lone = set(self.lone)
-        self.m = m
-        self.rest = _Scorer(build_circuit(c.num_qubits, c.num_clbits,
-                                          [(g.kind, g.operands, g.classical_target)
-                                           for g in c.gates if g.operands[0] not in lone]),
-                            m, tables, cfg)
-        self.n_single = [0] * c.num_qubits
-        self.n_readout = [0] * c.num_qubits
-        for g in c.gates:
-            if g.kind is GateKind.MEASURE:
-                self.n_readout[g.operands[0]] += 1
-            elif g.kind is not GateKind.CNOT:
-                self.n_single[g.operands[0]] += 1
-        # (busy qubits' cells, junctions) -> (cells the CNOTs reserve, the
-        # shared schedule's makespan or None when it is infeasible)
-        self._runs: dict = {}
-
-    def leaf(self, cells, junctions) -> tuple[bool, int] | None:
-        """(feasible, makespan) of the assignment through the shared
-        schedule, or None when a CNOT reserves a lone qubit's cell."""
-        key = (tuple(cells[q] for q in self.busy), junctions)
-        run = self._runs.get(key)
-        if run is None:
-            reserved = set()
-            for (qa, qb), j in zip(self.rest.cnot_ops, junctions):
-                reserved.update(self.rest.cnot_cost(cells[qa], cells[qb], j)[1])
-            try:
-                span = self.rest.leaf(cells, junctions)[1]
-            except _InfeasibleSchedule:
-                span = None
-            run = self._runs[key] = (reserved, span)
-        reserved, span = run
-        if any(cells[q] in reserved for q in self.lone):
-            return None
-        if span is None:
-            return False, 0
-        m = self.m
-        for q in self.lone:
-            cell = cells[q]
-            end = (self.n_single[q] * m.single_qubit_duration
-                   + self.n_readout[q] * m.qubits[cell].readout_duration)
-            if end > (m.static_coherence_bound - 1 if self.rest.static else m.qubits[cell].t2):
-                return False, 0
-            span = max(span, end)
-        return True, span
-
-
 def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
                              cells, junctions, *, tables: DerivedTables | None = None,
                              optimal: bool = True) -> Solution:
@@ -577,9 +513,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     makespan is below. A duration node descends only when its bound is below
     the incumbent's objective. The clock is read once per node and once per
     junction combo, so a time limit holds to within one leaf evaluation.
-    Under the duration variants, combos that differ only in the cells of
-    qubits without CNOTs share one schedule of the other qubits' gates
-    (_LoneQubits), which gives each of them its exact makespan.
     """
     nq, ncells = c.num_qubits, m.num_cells
     if nq > ncells:
@@ -624,8 +557,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         if deadline is not None and time.monotonic() > deadline:
             raise _SearchTimeout()
 
-    lone = _LoneQubits(c, m, tables, cfg) \
-        if not maximize and 0 in pg.vertex_degree.values() else None
     cx_floor = _cnot_floor(m, tables, scorer.static)
     rows, const_path = _folded_rows(c, scorer.preds, m.single_qubit_duration)
 
@@ -686,13 +617,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                                        [scorer.cnot_cost(a, b, j)[0]
                                         for (a, b), j in zip(pairs, combo)], ro_durs)
             if not beats(bound):
-                continue
-            # A leaf that differs from another only in lone qubits' cells
-            # reuses its schedule of the other qubits.
-            shared = lone.leaf(cells, combo) if lone is not None else None
-            if shared is not None:
-                if shared[0] and beats(float(shared[1])):
-                    incumbent[0] = (float(shared[1]), (cells, combo))
                 continue
             # Under r-smt-star the bound is bitwise the leaf's objective, so
             # the schedule only decides feasibility.

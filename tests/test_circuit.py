@@ -7,6 +7,7 @@ from nisqc.circuit import (
     Circuit,
     GateKind,
     ParseError,
+    build_circuit,
     build_dag,
     build_program_graph,
     gen_bv,
@@ -57,6 +58,17 @@ def kahn_is_acyclic(num_gates, edges):
     return seen == num_gates
 
 
+def with_shared_clbits(c, seed):
+    """c with a readout into one of two clbits inserted at random, about one
+    per four gates, so most clbits are written more than once."""
+    rng = np.random.default_rng(seed)
+    ops = [(g.kind, g.operands, g.classical_target) for g in c.gates]
+    for _ in range(len(ops) // 4):
+        ops.insert(int(rng.integers(len(ops) + 1)),
+                   (GateKind.MEASURE, (int(rng.integers(c.num_qubits)),), int(rng.integers(2))))
+    return build_circuit(c.num_qubits, 2, ops)
+
+
 class TestParse:
     def test_bv4_text(self):
         c = parse_circuit(BV4_QASM)
@@ -89,6 +101,10 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         c = parse_circuit("// prep\nqreg q[1];\n\nh q[0]; // rotate\n")
         assert [g.kind for g in c.gates] == [GateKind.H]
+
+    def test_qelib1_include_is_skipped(self):
+        text = BV4_QASM.replace("OPENQASM 2.0;\n", 'OPENQASM 2.0;\ninclude "qelib1.inc";\n')
+        assert parse_circuit(text) == parse_circuit(BV4_QASM)
 
     def test_missing_semicolon(self):
         with pytest.raises(ParseError, match="';'"):
@@ -155,6 +171,11 @@ class TestParse:
         ("qreg q[1];\nh q[5];\nfoo;\n", 3, 1, "cannot parse statement 'foo'"),
         ("qreg q[1];\n  h q[5];\n  cx q[0],q[0];\n", 2, 3,
          "operand q[5] out of range (register size 1)"),
+        # include "qelib1.inc"; is the one include read, and skipped
+        ('OPENQASM 2.0;\n  include "other.inc";\nqreg q[1];\n', 2, 3,
+         "cannot parse statement 'include \"other.inc\"'"),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\n include qelib1.inc;\n', 3, 2,
+         "cannot parse statement 'include qelib1.inc'"),
     ]
 
     @pytest.mark.parametrize("text, line, column, message", POSITIONS,
@@ -199,23 +220,32 @@ class TestDag:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_acyclic_and_ordered(self, seed):
-        c = gen_random(5, 60, seed=seed)
+        c = with_shared_clbits(gen_random(5, 60, seed=seed), seed)
         edges = build_dag(c).edges
         assert kahn_is_acyclic(len(c.gates), edges)
         assert all(a < b for a, b in edges)
         for a, b in edges:
-            assert set(c.gates[a].operands) & set(c.gates[b].operands)
-
+            ga, gb = c.gates[a], c.gates[b]
+            assert set(ga.operands) & set(gb.operands) \
+                or ga.classical_target is not None and ga.classical_target == gb.classical_target
 
     @pytest.mark.parametrize("seed", range(8))
     def test_predecessor_lists_match_the_dag(self, seed):
-        # built from each qubit's last writer, they are build_dag's edges
-        # grouped by their head, each list ascending
-        for c in (gen_random(2 + seed % 5, 40 + 10 * seed, seed), gen_bv(5, "1011")):
-            want = [[] for _ in c.gates]
-            for g1, g2 in sorted(build_dag(c).edges):
-                want[g2].append(g1)
+        # each gate follows the last earlier gate on each of its qubits and
+        # on its clbit; build_dag's edges are the same pairs
+        for c in (gen_random(2 + seed % 5, 40 + 10 * seed, seed), gen_bv(5, "1011"),
+                  with_shared_clbits(gen_random(2 + seed % 5, 30, seed), seed)):
+            want = []
+            for g in c.gates:
+                earlier = c.gates[:g.id]
+                last = {max((h.id for h in earlier if q in h.operands), default=None)
+                        for q in g.operands}
+                if g.classical_target is not None:
+                    last.add(max((h.id for h in earlier
+                                  if h.classical_target == g.classical_target), default=None))
+                want.append(sorted(last - {None}))
             assert predecessor_lists(c) == want
+            assert build_dag(c).edges == {(p, g) for g, ps in enumerate(want) for p in ps}
 
 
 class TestProgramGraph:

@@ -258,6 +258,23 @@ class TestEvaluate:
         assert (code, stdout) == (1, "")
         assert json.loads(stderr)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("variant", ["greedy-v", "greedy-e", "t-smt", "t-smt-star",
+                                         "r-smt-star"])
+    def test_later_write_to_a_clbit_wins(self, tmp_path, capsys, variant):
+        # q0's readout is ready last but written first: every compile keeps
+        # it first, so c[0] ends as q1's 1
+        circuit, cal = tmp_path / "c.qasm", str(tmp_path / "cal.json")
+        circuit.write_text("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n" + "h q[0];\n" * 4
+                           + "measure q[0] -> c[0];\nx q[1];\nmeasure q[1] -> c[0];\n")
+        assert run(capsys, "gen-cal", "--mx", "2", "--my", "2", "--seed", "1",
+                   "--out", cal)[0] == 0
+        out = str(tmp_path / "r")
+        assert run(capsys, "compile", str(circuit), cal, "--variant", variant,
+                   "--out", out)[0] == 0
+        code, stdout, _ = run(capsys, "evaluate", out + ".json", cal,
+                              "--out", str(tmp_path / "rep"))
+        assert code == 0 and "equivalence=pass" in stdout
+
 
 class TestCompare:
     def test_two_variants_two_rows(self, tmp_path, capsys, bv4):
@@ -610,7 +627,11 @@ class TestMalformedInputs:
                # every route cell or placement coordinate that the type can
                # equal, retyped: [0, 2] becomes [0.0, 2.0] or [False, 2]
                "route cells": [float, bool],
-               "placement cells": [bool]}
+               "placement cells": [bool],
+               # a placement key read as a qubit by int() but not written
+               # as to_record writes one: (bad key, the key it replaces)
+               "placement keys": [(" 0", "0"), ("0_1", "1"), ("+1", "1"), ("01", "1"),
+                                  ("٠", "0"), ("-0", "0")]}
         rng = random.Random(12)
         cases = [("drop", None)] * 40 + [(what, value) for what, values in bad.items()
                                          for value in values]
@@ -621,6 +642,9 @@ class TestMalformedInputs:
                 del _at(doc, path[:-1])[path[-1]]
             elif what == "walk":
                 doc["gate_routes"][rng.choice(sorted(doc["gate_routes"]))] = value
+            elif what == "placement keys":
+                spelled, key = value
+                doc["placement"][spelled] = doc["placement"].pop(key)
             elif what in ("route cells", "placement cells"):
                 lists = doc["gate_routes" if what == "route cells" else "placement"]
                 for key, cells in lists.items():

@@ -34,7 +34,7 @@ from nisqc.machine import (
     synth_calibration,
 )
 from nisqc import optimal
-from nisqc.evaluate import brute_force_optimal
+from nisqc.evaluate import brute_force_optimal, equivalence_check
 from nisqc.heuristic import (
     GreedyPolicy,
     HeuristicConfig,
@@ -512,76 +512,20 @@ def with_lone_qubits(c, extra):
     return build_circuit(n, n, ops)
 
 
-def _leaf_pool(circuits, seed):
-    """(scorer, cells, junctions) for random placements and junctions of each
-    circuit on plain, jittered and short-lived 2x8 ladders, under the three
-    duration variant/routing pairs: 25 leaves per circuit and setting."""
-    rng = random.Random(seed)
-    for over in ({}, {"jitter_durations": True}, {"t2": 40}):
-        m = load_calibration(synth_calibration(2, 8, seed, **over))
-        t = build_tables(m)
-        for variant, routing in ((Variant.T_SMT, Routing.RR), (Variant.T_SMT_STAR, Routing.RR),
-                                 (Variant.T_SMT_STAR, Routing.ONE_BEND)):
-            for c in circuits:
-                scorer = optimal._Scorer(c, m, t, ProblemConfig(variant, routing))
-                for _ in range(25):
-                    cells = tuple(rng.sample(range(m.num_cells), c.num_qubits))
-                    junctions = tuple(rng.choice(scorer.junction_choices(cells[g.operands[0]],
-                                                                         cells[g.operands[1]]))
-                                      for g in c.cnot_gates())
-                    yield scorer, cells, junctions
-
-
-class TestLoneQubits:
-    def test_shared_schedule_gives_each_leaf_its_own(self):
-        """Where no CNOT reserves a lone qubit's cell, the shared schedule
-        gives the leaf's own feasibility and makespan; elsewhere it gives
-        nothing."""
-        circuits = [gen_bv(6, "10010"), gen_bv(5, "0001"),
-                    with_lone_qubits(gen_random(4, 16, 3), 2),
-                    with_lone_qubits(with_readouts(gen_random(3, 12, 4), range(3)), 1),
-                    with_lone_qubits(build_circuit(2, 0, [("cx", (0, 1))]), 3)]
-        seen = {"shared": 0, "infeasible": 0, "reserved": 0}
-        rng = random.Random(9)
-        last = lone = None
-        for scorer, cells, junctions in _leaf_pool(circuits, 6):
-            if scorer is not last:
-                last, lone = scorer, optimal._LoneQubits(scorer.c, scorer.m, scorer.tables,
-                                                         scorer.cfg)
-            reserved = {cell for g, j in zip(scorer.c.cnot_gates(), junctions)
-                        for cell in scorer.cnot_cost(cells[g.operands[0]],
-                                                     cells[g.operands[1]], j)[1]}
-            # The leaf, then two that move its lone qubits to other free
-            # cells and so reuse its shared schedule.
-            free = [cell for cell in range(scorer.m.num_cells) if cell not in cells]
-            for _ in range(3):
-                got = lone.leaf(cells, junctions)
-                if any(cells[q] in reserved for q in lone.lone):
-                    assert got is None
-                    seen["reserved"] += 1
-                else:
-                    try:
-                        want = (True, scorer.leaf(cells, junctions)[1])
-                        seen["shared"] += 1
-                    except _InfeasibleSchedule:
-                        want = (False, 0)
-                        seen["infeasible"] += 1
-                    assert got == want
-                moved = list(cells)
-                for q, cell in zip(lone.lone, rng.sample(free, len(lone.lone))):
-                    moved[q] = cell
-                cells = tuple(moved)
-        assert min(seen.values()) >= 30, seen
-
+class TestQubitsWithoutCnots:
     def test_solver_matches_the_enumerator(self):
-        """Exact solves of circuits with lone qubits reach the enumerator's
-        optimum, and among its ties the first in search order, on plain,
-        jittered and short-lived 2x3 grids, or find no schedule where it
-        finds none."""
+        """Exact solves of circuits with qubits that no CNOT touches reach
+        the enumerator's optimum, and among its ties the first in search
+        order, on plain, jittered and short-lived 2x3 grids, or find no
+        schedule where it finds none. In the last circuit such a qubit
+        measures into a clbit that a CNOT's qubit writes later, so that
+        readout waits for it."""
         circuits = [with_lone_qubits(build_circuit(2, 0, [("cx", (0, 1)), ("h", (1,)),
                                                           ("cx", (1, 0))]), 2),
                     gen_bv(4, "010"),
-                    with_lone_qubits(with_readouts(gen_random(2, 6, 1), range(2)), 1)]
+                    with_lone_qubits(with_readouts(gen_random(2, 6, 1), range(2)), 1),
+                    build_circuit(4, 1, [("h", (3,)), ("measure", (3,), 0), ("cx", (1, 0)),
+                                         ("measure", (2,), 0), ("cx", (1, 2)), ("cx", (2, 0))])]
         solved = infeasible = 0
         for over in ({}, {"jitter_durations": True}, {"t2": 16}):
             m = load_calibration(synth_calibration(2, 3, 8, **over))
@@ -746,6 +690,19 @@ class TestCheckSolution:
             start=start, dur=dict(sol.schedule.dur)))
         assert any("dependency" in v or "overlap" in v
                    for v in check_solution(bad, c, m, cfg))
+
+    def test_swapped_clbit_writes_break_a_dependency(self):
+        """Two readouts into one clbit run in program order: a schedule that
+        runs the later write first is reported."""
+        m = load_calibration(udoc(2, 2))
+        cfg = ProblemConfig(Variant.R_SMT_STAR)
+        c = build_circuit(2, 1, [("measure", (0,), 0), ("measure", (1,), 0)])
+        sol = solve_exact(c, m, cfg)
+        assert check_solution(sol, c, m, cfg) == []
+        dur = dict(sol.schedule.dur)
+        bad = dataclasses.replace(sol, schedule=Schedule(start={0: dur[1], 1: 0}, dur=dur))
+        assert check_solution(bad, c, m, cfg) == [
+            "dependency violated: gate 1 starts before gate 0 finishes"]
 
     def test_overlap_names_both_gates(self):
         import dataclasses
@@ -1434,6 +1391,62 @@ class TestEdgeSweep:
         assert mismatches == []
         # the sweep must reach both sides of the deadlines
         assert 200 < feasible < 800
+
+
+def shared_clbit_instances(n, seed):
+    """n seeded (machine, circuit) instances whose readouts share clbits:
+    2 to 5 qubits on 1xN to 2x4 grids with plain or jittered CNOT
+    durations, and 2 to 4 readouts into 1 or 2 clbits among one or two
+    CNOTs and up to four single-qubit gates, in random order. A later write
+    to a clbit is often ready before an earlier one."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        mx, my = rng.choice(((1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)))
+        nq = rng.randint(2, min(5, mx * my))
+        m = load_calibration(synth_calibration(mx, my, rng.randrange(10 ** 6),
+                                               jitter_durations=rng.random() < 0.5))
+        n_clbits = rng.randint(1, 2)
+        ops = [(GateKind.CNOT, tuple(rng.sample(range(nq), 2)), None)
+               for _ in range(rng.randint(1, 2))]
+        ops += [(rng.choice((GateKind.H, GateKind.X, GateKind.T)), (rng.randrange(nq),), None)
+                for _ in range(rng.randint(0, 4))]
+        ops += [(GateKind.MEASURE, (rng.randrange(nq),), rng.randrange(n_clbits))
+                for _ in range(rng.randint(n_clbits + 1, 4))]
+        rng.shuffle(ops)
+        yield m, build_circuit(nq, n_clbits, ops)
+
+
+class TestSharedClbitSweep:
+    def test_every_mapper_keeps_the_order_of_clbit_writes(self):
+        """On 40 seeded instances whose readouts share clbits, the solver
+        and the enumerator agree under every variant/routing pair, and every
+        exact solution and both greedy mappers' solutions pass
+        check_solution and compute the source's distribution, in which the
+        later write to a clbit wins."""
+        mismatches = []
+        for i, (m, c) in enumerate(shared_clbit_instances(40, 21)):
+            t = build_tables(m)
+            sols = []
+            for variant, routing in EXACT_VARIANTS:
+                cfg = ProblemConfig(variant, routing)
+                case = (i, variant.value, routing.value)
+                bf = brute_force_optimal(c, m, cfg, tables=t)
+                sol = solve_exact(c, m, cfg, tables=t)
+                if sol.objective_value != bf.objective_value:
+                    mismatches.append((case, "objective", sol.objective_value, bf.objective_value))
+                if solution_key(sol, c, m) != first_in_search_order(c, bf.argmax):
+                    mismatches.append((case, "search order"))
+                sols.append((case, sol))
+            for policy in GreedyPolicy:
+                sols.append(((i, policy.value), heuristic_compile(c, m, t,
+                                                                  HeuristicConfig(policy))))
+            for case, sol in sols:
+                bad = check_solution(sol, c, m, tables=t)
+                if bad:
+                    mismatches.append((case, "check_solution", bad))
+                if not equivalence_check(c, expand(sol, c, m)).passed:
+                    mismatches.append((case, "equivalence"))
+        assert mismatches == []
 
 
 def _wide_leaf_pool():
