@@ -45,6 +45,7 @@ from .evaluate import (
     EquivalenceResult,
     LeafRecord,
     brute_force_optimal,
+    check_solution,
     equivalence_check,
     monte_carlo_success,
     reliability_score,
@@ -58,18 +59,8 @@ from .heuristic import (
     greedy_vertex_map,
     heuristic_compile,
 )
-from .optimal import (
-    Infeasible,
-    Placement,
-    ProblemConfig,
-    Routing,
-    Schedule,
-    Solution,
-    SolverTimeout,
-    Variant,
-    check_solution,
-    emit_smtlib,
-    solve_exact,
-)
+from .optimal import SolverTimeout, solve_exact
+from .schedule import Infeasible, Placement, ProblemConfig, Routing, Schedule, Solution, Variant
+from .smtlib import emit_smtlib
 
 __version__ = "0.1.0"

@@ -282,17 +282,17 @@ def parse_circuit(text: str, format: str = "qasm") -> Circuit:
     raise ValueError(f"unknown circuit format '{format}'")
 
 
-def to_qasm(c: Circuit, qreg: str = "q", creg: str = "c") -> str:
-    lines = ["OPENQASM 2.0;", f"qreg {qreg}[{c.num_qubits}];"]
+def to_qasm(c: Circuit) -> str:
+    lines = ["OPENQASM 2.0;", f"qreg q[{c.num_qubits}];"]
     if c.num_clbits:
-        lines.append(f"creg {creg}[{c.num_clbits}];")
+        lines.append(f"creg c[{c.num_clbits}];")
     for g in c.gates:
         if g.kind is GateKind.CNOT:
-            lines.append(f"cx {qreg}[{g.operands[0]}],{qreg}[{g.operands[1]}];")
+            lines.append(f"cx q[{g.operands[0]}],q[{g.operands[1]}];")
         elif g.kind is GateKind.MEASURE:
-            lines.append(f"measure {qreg}[{g.operands[0]}] -> {creg}[{g.classical_target}];")
+            lines.append(f"measure q[{g.operands[0]}] -> c[{g.classical_target}];")
         else:
-            lines.append(f"{g.kind.value} {qreg}[{g.operands[0]}];")
+            lines.append(f"{g.kind.value} q[{g.operands[0]}];")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ from .codegen import CompiledCircuit, emit_qasm, expand, from_record, to_record
 from .evaluate import (
     EvalReport,
     SimulationCapExceeded,
-    _atomic_write,
+    atomic_write,
     equivalence_check,
     monte_carlo_success,
     reliability_score,
@@ -25,7 +25,9 @@ from .evaluate import (
 )
 from .heuristic import HeuristicConfig, heuristic_compile
 from .machine import GridMachine, build_tables, load_calibration, synth_calibration
-from .optimal import Infeasible, ProblemConfig, Solution, SolverTimeout, emit_smtlib, solve_exact
+from .optimal import SolverTimeout, solve_exact
+from .schedule import Infeasible, ProblemConfig, Solution
+from .smtlib import emit_smtlib
 
 EXACT_VARIANTS = ("t-smt", "t-smt-star", "r-smt-star")
 GREEDY_VARIANTS = ("greedy-v", "greedy-e")
@@ -36,6 +38,10 @@ DEFAULT_EXACT_TIME_LIMIT = 60.0
 
 class UsageError(ValueError):
     pass
+
+
+class EquivalenceError(Exception):
+    """The compiled stream's output distribution differs from its source's."""
 
 
 def _fail(code: int, exc: BaseException) -> int:
@@ -87,7 +93,7 @@ def _compile_one(c: Circuit, m: GridMachine, tables, variant: str, args) -> Solu
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if getattr(args, "emit_smtlib", None):
-        _atomic_write(args.emit_smtlib, emit_smtlib(c, m, cfg))
+        atomic_write(args.emit_smtlib, emit_smtlib(c, m, cfg))
     return solve_exact(c, m, cfg, tables=tables)
 
 
@@ -143,8 +149,8 @@ def cmd_compile(args) -> int:
     if stem.endswith((".json", ".qasm")):
         stem = stem[:-5]
     record_path, qasm_path = stem + ".json", stem + ".qasm"
-    _atomic_write(record_path, json.dumps({**to_record(cc), "compile_time_s": dt}) + "\n")
-    _atomic_write(qasm_path, emit_qasm(cc))
+    atomic_write(record_path, json.dumps({**to_record(cc), "compile_time_s": dt}) + "\n")
+    atomic_write(qasm_path, emit_qasm(cc))
     print(f"wrote {record_path} and {qasm_path}: objective={cc.objective_value!r} "
           f"optimal={str(cc.optimal).lower()} swaps={cc.swap_count} "
           f"makespan={cc.makespan} compile_time_s={dt:.3f}")
@@ -164,6 +170,9 @@ def cmd_evaluate(args) -> int:
     print(f"wrote {csv_path} and {json_path}: reliability={report.reliability!r} "
           f"mc_success={report.mc_success!r} stderr={report.stderr:.6f} "
           f"equivalence={eq}")
+    if report.equivalence_passed is False:
+        raise EquivalenceError(f"{args.record}: the compiled stream's output distribution "
+                               f"differs from its source's")
     return 0
 
 
@@ -278,7 +287,7 @@ def cmd_gen_circuit(args) -> int:
         c = gen_random(args.qubits, args.gates, args.seed)
     text = to_qasm(c)
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -293,7 +302,7 @@ def cmd_gen_cal(args) -> int:
         raise UsageError(str(exc)) from exc
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

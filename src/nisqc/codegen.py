@@ -12,15 +12,15 @@ from typing import NamedTuple
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
 from .heuristic import GreedyPolicy, HeuristicConfig
 from .machine import GridMachine, price_walk
-from .optimal import (
+from .schedule import (
     Placement,
     ProblemConfig,
     Routing,
     Solution,
     Variant,
-    _check_joins,
-    _clashes,
-    _schedule_walks,
+    check_joins,
+    clashes,
+    schedule_walks,
 )
 
 
@@ -130,16 +130,16 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
         if t - s != d:   # the walk took 6 * sum(hops[:-1]) + hops[-1]
             raise CodegenError(f"inconsistent schedule: CNOT {gid} walks its route in "
                                f"{t - s} timeslots, not {d}")
-        _check_joins(gid, walk, cell, cells[operands[1]])
+        check_joins(gid, walk, cell, cells[operands[1]])
     # A gate's physical gates run one after another inside its window, on its
     # own cell or its walk's, so the stream can overlap itself only where two
     # windows do; only then are the physical gates' intervals compared.
-    if next(_clashes(windows), None):
+    if next(clashes(windows), None):
         busy: dict[int, list[tuple[int, int, int]]] = {}
         for idx, (_kind, ops, s, d, _clbit) in enumerate(phys):
             for cell in ops:
                 busy.setdefault(cell, []).append((s, s + d, idx))
-        for cell, i1, i2 in _clashes(busy):
+        for cell, i1, i2 in clashes(busy):
             raise CodegenError(f"inconsistent schedule: expanded gates {i1} and {i2} "
                                f"overlap on cell {cell}")
 
@@ -277,7 +277,7 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
             if not set(map(type, walk)) <= {int}:
                 raise ValueError(f"gate_routes {g.id}: {list(walk)!r} is not a list of "
                                  f"integer cells")
-        schedule = _schedule_walks(source, m, cells, walks, variant, routing)[0]
+        schedule = schedule_walks(source, m, cells, walks, variant, routing)[0]
         sol = Solution(placement, schedule, objective, optimal, variant, routing, omega, flag,
                        gate_routes=dict(zip((g.id for g in cnots), walks)))
         return expand(sol, source, m)

@@ -1,6 +1,6 @@
 """Verification oracles: exact statevector simulation, equivalence checking,
-Monte Carlo success estimation, the brute-force optimality enumerator, and
-report emission."""
+Monte Carlo success estimation, the brute-force optimality enumerator, the
+solution checker, and report emission."""
 
 from __future__ import annotations
 
@@ -15,14 +15,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, build_circuit
+from .circuit import Circuit, GateKind, build_circuit, predecessor_lists
 from .codegen import CompiledCircuit
-from .machine import DerivedTables, GridMachine, build_tables
-from .optimal import (
+from .machine import DerivedTables, GridMachine, build_tables, canonical_junction, cnot_walk
+from .optimal import Scorer
+from .schedule import (
     Infeasible,
     ProblemConfig,
-    _InfeasibleSchedule,
-    _Scorer,
+    Routing,
+    Solution,
+    Variant,
+    clashes,
+    walk_cost,
+    weighted_log_sum,
 )
 
 _SQRT2 = 1.0 / math.sqrt(2.0)
@@ -39,43 +44,51 @@ class SimulationCapExceeded(ValueError):
     """The statevector oracle would need more than its qubit cap."""
 
 
-def _apply_single(state: np.ndarray, n: int, q: int, kind: GateKind) -> None:
+def _apply_single(state: np.ndarray, n: int, q: int, kind: GateKind, buf: np.ndarray) -> None:
+    """Apply a single-qubit gate in place. The arithmetic runs on copies in buf, complex
+    scratch of 1.5 states: a ufunc on the strided halves would allocate on every call."""
     view = state.reshape(1 << (n - 1 - q), 2, 1 << q)
     zero, one = view[:, 0, :], view[:, 1, :]
+    a, b, d = buf.reshape(3, *zero.shape)
+    b[...] = one
     if kind in _PHASE:
-        one *= _PHASE[kind]
+        b *= _PHASE[kind]
+        one[...] = b
         return
-    # one temporary per gate: (zero, one) becomes H: (zero + one, zero - one)
-    # / sqrt(2); X: (one, zero); Y: (-i one, i zero)
+    a[...] = zero
+    # (zero, one) becomes H: (a + b, a - b) / sqrt(2); X: (b, a); Y: (-i b, i a)
     if kind is GateKind.H:
-        diff = zero - one
-        zero += one
-        zero *= _SQRT2
-        np.multiply(diff, _SQRT2, out=one)
-        return
-    was = zero.copy()
-    if kind is GateKind.X:
-        zero[...] = one
-        one[...] = was
+        np.subtract(a, b, out=d)
+        b += a
+        b *= _SQRT2
+        np.multiply(d, _SQRT2, out=a)
+    elif kind is GateKind.Y:
+        b *= -1j
+        a *= 1j
+    zero[...] = b
+    one[...] = a
+
+
+def _apply_cnot(state: np.ndarray, n: int, ctrl: int, tgt: int, buf: np.ndarray) -> None:
+    """Apply a CNOT in place: swap the target's halves where the control is 1, through buf."""
+    hi, lo = max(ctrl, tgt), min(ctrl, tgt)
+    # qubit hi is axis 1 and qubit lo axis 3
+    view = state.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if ctrl > tgt:
+        t0, t1 = view[:, 1, :, 0], view[:, 1, :, 1]
     else:
-        np.multiply(one, -1j, out=zero)
-        np.multiply(was, 1j, out=one)
-
-
-def _apply_cnot(state: np.ndarray, n: int, ctrl: int, tgt: int) -> None:
-    view = state.reshape([2] * n)
-    sel: list = [slice(None)] * n
-    sel[n - 1 - ctrl] = 1
-    sub = view[tuple(sel)]
-    axis = (n - 1 - tgt) - (1 if n - 1 - ctrl < n - 1 - tgt else 0)
-    sub[...] = np.flip(sub, axis=axis)
+        t0, t1 = view[:, 0, :, 1], view[:, 1, :, 1]
+    a, b = buf[:2 * t0.size].reshape(2, *t0.shape)
+    a[...] = t0
+    b[...] = t1
+    t0[...] = b
+    t1[...] = a
 
 
 def _project(state: np.ndarray, n: int, q: int, bit: int) -> np.ndarray:
-    out = state.copy()
-    view = out.reshape(1 << (n - 1 - q), 2, 1 << q)
-    view[:, 1 - bit, :] = 0.0
-    return out
+    """Zero, in place, the amplitudes where qubit q reads other than bit."""
+    state.reshape(1 << (n - 1 - q), 2, 1 << q)[:, 1 - bit, :] = 0.0
+    return state
 
 
 def statevector_sim(c: Circuit) -> dict[str, float]:
@@ -93,14 +106,15 @@ def statevector_sim(c: Circuit) -> dict[str, float]:
     if n > _MAX_SIM_QUBITS:
         raise SimulationCapExceeded(f"{n} qubits exceed the {_MAX_SIM_QUBITS}-qubit simulation cap")
     last = {q: i for i, g in enumerate(c.gates) for q in g.operands}
-    init = np.zeros(1 << n, dtype=complex)
+    # one allocation: the state, then scratch for every gate and for |psi|^2
+    init, buf = np.split(np.zeros(5 << n >> 1 or 2, dtype=complex), [1 << n])
     init[0] = 1.0
     branches: list[tuple[np.ndarray, dict[int, int]]] = [(init, {})]
     deferred: dict[int, int] = {}  # clbit -> qubit measured by its last gate
     for i, g in enumerate(c.gates):
         if g.kind is GateKind.CNOT:
             for state, _ in branches:
-                _apply_cnot(state, n, g.operands[0], g.operands[1])
+                _apply_cnot(state, n, g.operands[0], g.operands[1], buf)
         elif g.kind is GateKind.MEASURE:
             q = g.operands[0]
             if last[q] == i:
@@ -109,21 +123,26 @@ def statevector_sim(c: Circuit) -> dict[str, float]:
             deferred.pop(g.classical_target, None)
             split: list[tuple[np.ndarray, dict[int, int]]] = []
             for state, bits in branches:
-                for bit in (0, 1):
-                    proj = _project(state, n, q, bit)
+                one = _project(state.copy(), n, q, 1)
+                for bit, proj in ((0, _project(state, n, q, 0)), (1, one)):
                     if float(np.vdot(proj, proj).real) > 1e-30:
                         split.append((proj, {**bits, g.classical_target: bit}))
             branches = split
         else:
             for state, _ in branches:
-                _apply_single(state, n, g.operands[0], g.kind)
+                _apply_single(state, n, g.operands[0], g.kind, buf)
     # Qubit q is axis n-1-q; the summed marginal keeps the deferred qubits'
     # axes in that order, highest qubit first.
     read = sorted(set(deferred.values()), reverse=True)
     other = tuple(n - 1 - q for q in range(n) if q not in read)
     dist: dict[str, float] = {}
+    probs = buf.view(float)[:1 << n]
     for state, bits in branches:
-        marginal = (state.real ** 2 + state.imag ** 2).reshape([2] * n).sum(axis=other)
+        # |psi|^2 into the scratch; the state is not needed after this
+        np.multiply(state.real, state.real, out=probs)
+        np.multiply(state.imag, state.imag, out=state.imag)
+        probs += state.imag
+        marginal = probs.reshape([2] * n).sum(axis=other)
         for idx in np.argwhere(marginal > 1e-30):
             outcome = dict(zip(read, idx.tolist()))
             merged = {**bits, **{cb: outcome[q] for cb, q in deferred.items()}}
@@ -228,7 +247,7 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         raise ValueError(f"instance too large: {size} assignments exceed the "
                          f"{_LEAF_BUDGET} enumeration budget")
     tables = tables if tables is not None else build_tables(m)
-    scorer = _Scorer(c, m, tables, cfg)
+    scorer = Scorer(c, m, tables, cfg)
     maximize = cfg.variant.value == "r-smt-star"
     cnots = [g for g in c.gates if g.kind is GateKind.CNOT]
     best = None
@@ -240,7 +259,7 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         for combo in itertools.product(*choices):
             try:
                 obj, makespan = scorer.leaf(cells, combo)
-            except _InfeasibleSchedule:
+            except Infeasible:
                 continue
             if collect_leaves:
                 leaves.append(LeafRecord(cells, combo, obj, makespan))
@@ -253,6 +272,113 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         raise Infeasible("every placement violates a coherence deadline")
     return BruteForceResult(best, tuple(argmax),
                             tuple(leaves) if collect_leaves else None)
+
+
+def check_solution(sol: Solution, c: Circuit, m: GridMachine,
+                   cfg: ProblemConfig | None = None,
+                   tables: DerivedTables | None = None) -> list[str]:
+    """Independent re-verification of every constraint; returns violations (empty = valid).
+    Each CNOT's walk is priced once, by walk_cost, for its duration, its
+    reserved cells and its reliability. The objective must equal, exactly,
+    the makespan or weighted_log_sum of each walk's reliability and each
+    measured cell's readout_rel; it is not recomputed when a CNOT's walk is
+    rejected."""
+    v: list[str] = []
+    variant = cfg.variant.value if cfg is not None else sol.variant
+    routing = cfg.routing.value if cfg is not None else sol.routing
+    flag = cfg.count_return_swaps if cfg is not None else sol.count_return_swaps
+    omega = cfg.omega if cfg is not None else sol.omega
+    loc = sol.placement.loc
+
+    for q in range(c.num_qubits):
+        if q not in loc:
+            v.append(f"qubit {q} unmapped")
+        else:
+            x, y = loc[q]
+            if not (0 <= x < m.mx and 0 <= y < m.my):
+                v.append(f"qubit {q} at {loc[q]} off the {m.mx}x{m.my} grid")
+    if len(set(loc.values())) != len(loc):
+        v.append("placement not injective")
+    if v:
+        return v
+
+    tables = tables if tables is not None else build_tables(m)
+    cells = {q: m.cell_id(loc[q]) for q in loc}
+    start, dur = sol.schedule.start, sol.schedule.dur
+    missing = [g.id for g in c.gates if g.id not in start or g.id not in dur]
+    if missing:
+        return v + [f"gates {missing} unscheduled"]
+
+    by_cell: dict[int, list[tuple[int, int, int]]] = {}   # reservations per cell
+    ln_ro: list[float] = []
+    ln_cx: list[float] = []
+    is_static = variant == Variant.T_SMT.value
+    if routing != Routing.BEST_PATH.value and cfg is None:
+        try:
+            ProblemConfig(variant, routing, omega=omega, count_return_swaps=flag)
+        except ValueError as exc:
+            return v + [f"solution config rejected: {exc}"]
+
+    qubits, cnot, measure = m.qubits, GateKind.CNOT, GateKind.MEASURE
+    for gid, kind, operands, _clbit in c.gates:
+        if kind is cnot:
+            a, b = cells[operands[0]], cells[operands[1]]
+            if a == b:
+                v.append(f"CNOT {gid} endpoints share cell {a}")
+                continue
+            walk = tuple(sol.gate_routes.get(gid, ()))
+            if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
+                v.append(f"CNOT {gid} route does not join its endpoints")
+                continue
+            if routing != Routing.BEST_PATH.value:
+                legal = (canonical_junction(tables, a, b),) if routing == Routing.RR.value \
+                    else tables.junctions[(a, b)]
+                if all(walk != cnot_walk(m, a, b, j) for j in legal):
+                    v.append(f"CNOT {gid} route is not the walk of a junction "
+                             f"legal under {routing} routing")
+                    continue
+            try:
+                expect_dur, region, *eps = walk_cost(m, walk, routing, is_static)
+            except ValueError as exc:
+                v.append(f"CNOT {gid} route is not a grid walk: {exc}")
+                continue
+            ln_cx.append(math.log(eps[flag]))
+            region = set(region)
+            t2 = min(qubits[a].t2, qubits[b].t2)
+        else:
+            cell = cells[operands[0]]
+            if kind is measure:
+                expect_dur = qubits[cell].readout_duration
+                ln_ro.append(math.log(float(tables.readout_rel[cell])))
+            else:
+                expect_dur = m.single_qubit_duration
+            region = (cell,)
+            t2 = qubits[cell].t2
+        s, d = start[gid], dur[gid]
+        if d != expect_dur:
+            v.append(f"gate {gid} duration {d} != expected {expect_dur}")
+        if s + d > (m.static_coherence_bound - 1 if is_static else t2):
+            v.append(f"gate {gid} breaks its coherence deadline")
+        for cell in region:
+            by_cell.setdefault(cell, []).append((s, s + d, gid))
+
+    late = [(g1, g2) for g2, ps in enumerate(predecessor_lists(c)) for g1 in ps
+            if start[g2] < start[g1] + dur[g1]]
+    v += [f"dependency violated: gate {g2} starts before gate {g1} finishes"
+          for g1, g2 in sorted(late)]
+
+    overlaps = {(min(g1, g2), max(g1, g2)) for _cell, g1, g2 in clashes(by_cell)}
+    v += [f"gates {g1} and {g2} overlap in space and time" for g1, g2 in sorted(overlaps)]
+
+    if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
+        expect_obj = float(sol.schedule.makespan)
+    elif len(ln_cx) == len(c.cnot_gates()):
+        expect_obj = weighted_log_sum(omega, ln_ro, ln_cx)
+    else:
+        return v
+    if sol.objective_value != expect_obj:
+        v.append(f"objective {sol.objective_value} != recomputed {expect_obj}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -274,7 +400,7 @@ _CSV_COLUMNS = ("benchmark", "variant", "reliability", "mc_success", "stderr",
                 "makespan", "swaps", "compile_time_s")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         f.write(text)
@@ -298,6 +424,6 @@ def write_report(reports: list[EvalReport], path: str) -> tuple[str, str]:
         writer.writerow([r.benchmark, r.variant, repr(r.reliability),
                          repr(r.mc_success), repr(r.stderr), r.makespan,
                          r.swaps, repr(r.compile_time_s)])
-    _atomic_write(csv_path, buf.getvalue())
-    _atomic_write(json_path, json.dumps([asdict(r) for r in reports], indent=2) + "\n")
+    atomic_write(csv_path, buf.getvalue())
+    atomic_write(json_path, json.dumps([asdict(r) for r in reports], indent=2) + "\n")
     return csv_path, json_path

@@ -11,7 +11,7 @@ from enum import Enum
 
 from .circuit import Circuit, build_program_graph
 from .machine import DerivedTables, GridMachine
-from .optimal import Placement, Routing, Solution, _build_solution
+from .schedule import Placement, Routing, Solution, build_solution
 
 
 class GreedyPolicy(str, Enum):
@@ -155,8 +155,8 @@ def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
     """Best-path routing + earliest-ready scheduling for a fixed placement."""
     bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
     walks = [bp[(cells[g.operands[0]], cells[g.operands[1]])][0] for g in c.cnot_gates()]
-    return _build_solution(c, m, cfg, cells, walks, variant=variant_label,
-                           routing=Routing.BEST_PATH.value, optimal=False)
+    return build_solution(c, m, cfg, cells, walks, variant=variant_label,
+                          routing=Routing.BEST_PATH.value, optimal=False)
 
 
 def heuristic_compile(c: Circuit, m: GridMachine, t: DerivedTables,

@@ -79,7 +79,6 @@ class GridMachine:
 
 @dataclass(frozen=True)
 class DerivedTables:
-    machine: "GridMachine" = field(repr=False)
     delta: np.ndarray = field(repr=False)
     readout_rel: np.ndarray = field(repr=False)
     cnot_rel: dict[tuple[int, int, int], float] = field(repr=False)
@@ -409,7 +408,7 @@ def build_tables(m: GridMachine) -> DerivedTables:
                 a, x, y = e, x + dx, y + dy
     best_paths, best_paths_return = _best_paths(m, fac)
     return DerivedTables(
-        machine=m, delta=np.array(delta, dtype=np.int64),
+        delta=np.array(delta, dtype=np.int64),
         readout_rel=np.array([1.0 - q.readout_error for q in m.qubits]),
         cnot_rel=cnot_rel, cnot_dur=cnot_dur, cnot_rel_return=cnot_rel_return,
         junctions=junctions, best_paths=best_paths, best_paths_return=best_paths_return)

@@ -1,0 +1,317 @@
+"""Problem types, the list scheduler, the routed-CNOT cost model and Solution
+assembly, shared by the exact and greedy mappers, expansion and verification."""
+
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .circuit import Circuit, GateKind, predecessor_lists
+from .machine import DerivedTables, GridMachine, build_tables, cnot_walk, price_walk
+
+
+class Variant(str, Enum):
+    T_SMT = "t-smt"
+    T_SMT_STAR = "t-smt-star"
+    R_SMT_STAR = "r-smt-star"
+
+
+class Routing(str, Enum):
+    RR = "rr"
+    ONE_BEND = "1bp"
+    BEST_PATH = "path"
+
+
+class Infeasible(Exception):
+    """No schedule meets the coherence deadlines."""
+
+
+@dataclass(frozen=True)
+class ProblemConfig:
+    variant: Variant
+    routing: Routing | None = None
+    omega: float = 0.5
+    count_return_swaps: bool = False
+    time_limit: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))
+        if self.routing is None:
+            default = Routing.ONE_BEND if self.variant is Variant.R_SMT_STAR else Routing.RR
+            object.__setattr__(self, "routing", default)
+        else:
+            object.__setattr__(self, "routing", Routing(self.routing))
+        if self.variant is Variant.R_SMT_STAR and self.routing is not Routing.ONE_BEND:
+            raise ValueError("reliability variant requires one-bend routing")
+        if self.routing is Routing.BEST_PATH:
+            raise ValueError("best-path routing belongs to the heuristic mappers")
+        if not 0.0 <= self.omega <= 1.0:
+            raise ValueError(f"omega = {self.omega} outside [0, 1]")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(f"time_limit = {self.time_limit} must be > 0 seconds")
+
+
+@dataclass(frozen=True)
+class Placement:
+    loc: dict[int, tuple[int, int]]
+
+    def cells(self, m: GridMachine) -> tuple[int, ...]:
+        return tuple(m.cell_id(self.loc[q]) for q in sorted(self.loc))
+
+
+@dataclass(frozen=True)
+class Schedule:
+    start: dict[int, int]
+    dur: dict[int, int]
+
+    @property
+    def makespan(self) -> int:
+        return max((self.start[g] + self.dur[g] for g in self.start), default=0)
+
+
+@dataclass(frozen=True)
+class Solution:
+    placement: Placement
+    schedule: Schedule
+    objective_value: float
+    optimal: bool
+    variant: str
+    routing: str
+    omega: float
+    count_return_swaps: bool
+    gate_routes: dict[int, tuple[int, ...]] = field(repr=False)  # CNOT walks, mover first
+
+    @property
+    def makespan(self) -> int:
+        return self.schedule.makespan
+
+
+def _list_schedule(n_cells, durs, gcells, deadlines, preds, succs):
+    """Deterministic list scheduler shared by every variant.
+
+    Among ready gates (all predecessors committed) the one with the smallest
+    (earliest conflict-free start, gate id) commits next. A gate exclusively
+    occupies each of its cells for [start, start + dur): half-open, so a gate
+    may begin exactly when the previous one ends. Commits come in
+    nondecreasing start order: a successor's fit starts at or after the end
+    of the gate just committed, and a refit only moves later, since
+    reservations are only ever added. So every reservation on a cell begins
+    at or before any start still to be chosen, and, every duration being at
+    least one timeslot, a start is free on a cell exactly when it is at or
+    after the end of the cell's last reservation.
+
+    A queued (start, gate) is stale exactly when one of the gate's cells is
+    now free only from after that start: otherwise a refit would give the
+    same start and push the same entry back. So the free-from times alone
+    tell a stale entry, and it is refitted when it pops.
+    """
+    n_gates = len(durs)
+    starts = [0] * n_gates
+    est = [0] * n_gates
+    pending = [len(p) for p in preds]
+    free = [0] * n_cells  # per cell, the end of its last reservation
+    heap: list[tuple[int, int]] = []
+
+    def fit(g: int) -> int:
+        s = est[g]
+        for cell in gcells[g]:
+            f = free[cell]
+            if f > s:
+                s = f
+        if s + durs[g] > deadlines[g]:
+            raise Infeasible(f"gate {g} cannot finish before its coherence deadline")
+        return s
+
+    for g in range(n_gates):
+        if pending[g] == 0:
+            heapq.heappush(heap, (fit(g), g))
+    while heap:
+        s, g = heapq.heappop(heap)
+        for cell in gcells[g]:
+            if free[cell] > s:
+                heapq.heappush(heap, (fit(g), g))
+                break
+        else:
+            starts[g] = s
+            end = s + durs[g]
+            for cell in gcells[g]:
+                free[cell] = end
+            for nxt in succs[g]:
+                if end > est[nxt]:
+                    est[nxt] = end
+                pending[nxt] -= 1
+                if pending[nxt] == 0:
+                    heapq.heappush(heap, (fit(nxt), nxt))
+    # every gate was queued once ready, and left the heap only by committing
+    assert not any(pending), "a gate never became ready"
+    return starts
+
+
+def walk_cost(m: GridMachine, walk, routing: str,
+              static: bool) -> tuple[int, tuple[int, ...], float, float]:
+    """A routed CNOT that takes the given walk, priced once by price_walk:
+    (duration, reserved cells, eps_route, eps_strict). It reserves the
+    bounding rectangle of the walk's ends under rectangle reservation and
+    the walk's own cells under every other routing. Raises ValueError for a
+    walk off the grid's edges."""
+    hops, eps_route, eps_strict = price_walk(m, walk, static)
+    dur = 6 * sum(hops[:-1]) + hops[-1]
+    if routing != Routing.RR:
+        return dur, walk, eps_route, eps_strict
+    (ax, ay), (bx, by) = m.pos(walk[0]), m.pos(walk[-1])
+    return dur, tuple(m.cell_id((x, y)) for x in range(min(ax, bx), max(ax, bx) + 1)
+                      for y in range(min(ay, by), max(ay, by) + 1)), eps_route, eps_strict
+
+
+def dag_lists(c: Circuit) -> tuple[list[list[int]], list[list[int]]]:
+    """Predecessor and successor gate ids per gate."""
+    preds = predecessor_lists(c)
+    succs: list[list[int]] = [[] for _ in preds]
+    for g2, ps in enumerate(preds):
+        for g1 in ps:
+            succs[g1].append(g2)
+    return preds, succs
+
+
+def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
+                   static: bool = False) -> tuple[list[int], list[int]]:
+    """Starts and durations of a placed circuit under the canonical scheduler:
+    the one builder of its arrays.
+
+    cnot_costs lists each CNOT's (duration, reserved cells), in CNOT order;
+    every other gate holds its own cell. Deadlines are the endpoints' T2, or
+    the machine-wide coherence bound under the static model. Raises
+    Infeasible.
+    """
+    n = len(c.gates)
+    durs = [0] * n
+    gc: list[tuple[int, ...]] = [()] * n
+    dl = [m.static_coherence_bound - 1] * n
+    qubits, costs = m.qubits, iter(cnot_costs)
+    cnot, measure = GateKind.CNOT, GateKind.MEASURE
+    for i, kind, operands, _clbit in c.gates:
+        if kind is cnot:
+            durs[i], gc[i] = next(costs)
+            if not static:
+                dl[i] = min(qubits[cells[operands[0]]].t2, qubits[cells[operands[1]]].t2)
+        else:
+            cell = cells[operands[0]]
+            durs[i] = qubits[cell].readout_duration if kind is measure \
+                else m.single_qubit_duration
+            gc[i] = (cell,)
+            if not static:
+                dl[i] = qubits[cell].t2
+    return _list_schedule(m.num_cells, durs, gc, dl, preds, succs), durs
+
+
+def weighted_log_sum(omega: float, ln_ro, ln_cx) -> float:
+    """The reliability objective, the one place it is summed: omega times the
+    sum of the readouts' ln reliabilities plus 1 - omega times the CNOTs'.
+    math.fsum is exactly rounded, so the value does not depend on the order
+    of the terms, and so not on the order of commuting gates."""
+    return omega * math.fsum(ln_ro) + (1.0 - omega) * math.fsum(ln_cx)
+
+
+def check_joins(gid: int, walk, a: int, b: int) -> None:
+    """Raise ValueError unless CNOT gid's walk runs between its placed cells
+    a and b, either way."""
+    if (walk[0], walk[-1]) not in ((a, b), (b, a)):
+        raise ValueError(f"CNOT {gid} route {list(walk)} does not join its cells {a} and {b}")
+
+
+def clashes(by_cell: dict[int, list[tuple[int, int, int]]]):
+    """Yield (cell, id1, id2) for every two (start, end, id) intervals on one
+    cell that clash: s1 < e2 and s2 < e1. Sorts each cell's list in place.
+    Sorted by start, an interval can clash only with the later-sorted ones
+    that start before its end. Both inequalities are still tested, so
+    durations of 0 or below give the same pairs as testing every pair."""
+    for cell, ivs in by_cell.items():
+        ivs.sort()
+        n = len(ivs)
+        for k, (s1, e1, g1) in enumerate(ivs, 1):
+            while k < n and ivs[k][0] < e1:
+                if s1 < ivs[k][1]:
+                    yield cell, g1, ivs[k][2]
+                k += 1
+
+
+def schedule_walks(c: Circuit, m: GridMachine, cells, walks, variant: str,
+                   routing: str) -> tuple[Schedule, dict[int, float], dict[int, float]]:
+    """The canonical schedule of a placed circuit whose CNOTs take the given
+    walks, in CNOT order, and each gate's success probabilities on m without
+    and with return swaps counted: (schedule, eps_route, eps_strict). Each
+    walk is priced once, by walk_cost; a readout's probabilities are 1 - its
+    cell's readout error. cells are placement cells by qubit id. Raises
+    Infeasible, and ValueError for a walk that leaves the grid's edges or
+    does not join its CNOT's placed cells."""
+    static = variant == Variant.T_SMT.value
+    costs: list[tuple[int, tuple[int, ...]]] = []
+    eps_route, eps_strict = {}, {}   # per gate id
+    cnot, measure, walk_of = GateKind.CNOT, GateKind.MEASURE, iter(walks)
+    for gid, kind, operands, _clbit in c.gates:
+        if kind is cnot:
+            walk = next(walk_of)
+            dur, reserved, eps_route[gid], eps_strict[gid] = walk_cost(m, walk, routing, static)
+            check_joins(gid, walk, cells[operands[0]], cells[operands[1]])
+            costs.append((dur, reserved))
+        elif kind is measure:
+            eps_route[gid] = eps_strict[gid] = 1.0 - m.qubits[cells[operands[0]]].readout_error
+    starts, durs = schedule_gates(c, m, cells, costs, *dag_lists(c), static=static)
+    # gate ids are positions in c.gates
+    return Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs))), \
+        eps_route, eps_strict
+
+
+def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
+                   variant: str, routing: str, optimal: bool) -> Solution:
+    """The one place a Solution is assembled, for the exact solver and the
+    greedy mappers alike: a function of the placement and the CNOT walks.
+
+    cells are placement cells by qubit id and walks the CNOTs' walks in
+    CNOT order, the moving qubit's cell first. They are scheduled by
+    schedule_walks. Duration variants score the makespan; every other
+    variant (the exact reliability variant and both greedy mappers) scores
+    weighted_log_sum of the ln reliabilities schedule_walks derives from
+    the walks. cfg supplies omega and count_return_swaps. Raises
+    Infeasible.
+    """
+    schedule, eps_route, eps_strict = schedule_walks(c, m, cells, walks, variant, routing)
+    gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
+    if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
+        value = float(schedule.makespan)
+    else:
+        eps = eps_strict if cfg.count_return_swaps else eps_route
+        value = weighted_log_sum(cfg.omega,
+                                 [math.log(e) for g, e in eps.items() if g not in gate_routes],
+                                 [math.log(eps[g]) for g in gate_routes])
+    return Solution(
+        placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
+        schedule=schedule,
+        objective_value=value,
+        optimal=optimal,
+        variant=variant,
+        routing=routing,
+        omega=cfg.omega,
+        count_return_swaps=cfg.count_return_swaps,
+        gate_routes=gate_routes,
+    )
+
+
+def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
+                             cells, junctions, *, tables: DerivedTables | None = None,
+                             optimal: bool = True) -> Solution:
+    """Materialize a full Solution from placement cells (by qubit id) and junction
+    cells (by CNOT order): each CNOT walks its junction's cnot_walk. Raises
+    ValueError for a junction not legal for its CNOT, and Infeasible."""
+    tables = tables if tables is not None else build_tables(m)
+    walks = []
+    for g, j in zip(c.cnot_gates(), junctions):
+        a, b = cells[g.operands[0]], cells[g.operands[1]]
+        if j not in tables.junctions.get((a, b), ()):
+            raise ValueError(f"junction {m.pos(j)} not legal for a CNOT "
+                             f"from {m.pos(a)} to {m.pos(b)}")
+        walks.append(cnot_walk(m, a, b, j))
+    return build_solution(c, m, cfg, cells, walks, variant=cfg.variant.value,
+                          routing=cfg.routing.value, optimal=optimal)

@@ -19,6 +19,7 @@ from nisqc.circuit import GateKind, build_circuit, gen_bv, gen_random, gen_toffo
 from nisqc.codegen import expand
 from nisqc.evaluate import (
     brute_force_optimal,
+    check_solution,
     equivalence_check,
     monte_carlo_success,
     reliability_score,
@@ -34,7 +35,8 @@ from nisqc.machine import (
     static_cnot_duration,
     synth_calibration,
 )
-from nisqc.optimal import ProblemConfig, check_solution, solve_exact
+from nisqc.optimal import solve_exact
+from nisqc.schedule import ProblemConfig
 
 from search_order import first_in_search_order
 

@@ -204,6 +204,22 @@ class TestEvaluate:
         assert docs[0]["equivalence_passed"] is True
         assert docs[0]["optimal"] is True
 
+    def test_failed_equivalence_writes_the_report_and_exits_1(self, tmp_path, capsys,
+                                                              monkeypatch, bv4):
+        cal = uniform_cal(tmp_path, 3, 3)
+        out = str(tmp_path / "bv4-e")
+        assert run(capsys, "compile", "--variant", "greedy-e", bv4, cal, "--out", out)[0] == 0
+        monkeypatch.setattr(cli, "equivalence_check",
+                            lambda c, cc: nisqc.EquivalenceResult(False, 0.5, 0.5))
+        code, stdout, stderr = run(capsys, "evaluate", out + ".json", cal,
+                                   "--out", str(tmp_path / "rep"))
+        assert code == 1
+        assert "equivalence=FAIL" in stdout
+        assert json.loads(stderr)["error"] == "EquivalenceError"
+        docs = json.loads((tmp_path / "rep.json").read_text())
+        assert docs[0]["equivalence_passed"] is False
+        assert len(list(csv.DictReader(open(tmp_path / "rep.csv")))) == 1
+
 
     def test_record_for_another_grid_exits_1(self, tmp_path, capsys):
         circ, big, small = (str(tmp_path / n) for n in ("bv5.qasm", "c33.json", "c22.json"))

@@ -20,19 +20,17 @@ from nisqc.codegen import (
     record_to_json,
     to_record,
 )
-from nisqc.evaluate import equivalence_check
+from nisqc.evaluate import check_solution, equivalence_check
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
-from nisqc.optimal import (
+from nisqc.optimal import SolverTimeout, solve_exact
+from nisqc.schedule import (
     Infeasible,
     ProblemConfig,
     Routing,
     Schedule,
-    SolverTimeout,
     Variant,
-    check_solution,
     solution_from_assignment,
-    solve_exact,
 )
 
 

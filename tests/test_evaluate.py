@@ -26,12 +26,8 @@ from nisqc.evaluate import (
     write_report,
 )
 from nisqc.machine import build_tables, canonical_junction, load_calibration
-from nisqc.optimal import (
-    Infeasible,
-    ProblemConfig,
-    solution_from_assignment,
-    solve_exact,
-)
+from nisqc.optimal import solve_exact
+from nisqc.schedule import Infeasible, ProblemConfig, solution_from_assignment
 
 
 def udoc(mx, my, **over):
@@ -128,7 +124,7 @@ class TestStatevector:
             for q in range(3):
                 state = rng.normal(size=8) + 1j * rng.normal(size=8)
                 want = state * np.array([phase if (i >> q) & 1 else 1 for i in range(8)])
-                _apply_single(state, 3, q, kind)
+                _apply_single(state, 3, q, kind, np.empty(12, complex))
                 assert np.allclose(state, want, rtol=0, atol=1e-15), (kind, q)
 
     def test_h_x_y_match_their_matrices(self):
@@ -143,7 +139,7 @@ class TestStatevector:
                     # qubit q is axis n-1-q of the (2,)*n view
                     want = np.moveaxis(np.tensordot(mat, np.moveaxis(
                         state.reshape([2] * n), n - 1 - q, 0), axes=1), 0, n - 1 - q)
-                    _apply_single(state, n, q, kind)
+                    _apply_single(state, n, q, kind, np.empty(3 << n >> 1, complex))
                     assert np.allclose(state, want.reshape(-1), rtol=0, atol=1e-12), (kind, n, q)
 
     def test_bv_is_deterministic_on_its_hidden_string(self):

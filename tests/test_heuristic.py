@@ -19,7 +19,7 @@ from nisqc.circuit import (
     parse_circuit,
 )
 from nisqc.codegen import expand
-from nisqc.evaluate import reliability_score
+from nisqc.evaluate import check_solution, reliability_score
 from nisqc.heuristic import (
     GreedyPolicy,
     HeuristicConfig,
@@ -29,7 +29,8 @@ from nisqc.heuristic import (
     heuristic_compile,
 )
 from nisqc.machine import build_tables, load_calibration, synth_calibration
-from nisqc.optimal import Infeasible, ProblemConfig, check_solution, solve_exact
+from nisqc.optimal import solve_exact
+from nisqc.schedule import Infeasible, ProblemConfig
 
 
 def udoc(mx, my, **over):

@@ -1,0 +1,59 @@
+"""The package's import structure: every nisqc module imports its siblings at
+the top, takes only their public names, and the layers below the exact search
+never import it."""
+
+import ast
+import time
+from pathlib import Path
+
+import nisqc.optimal
+from nisqc.optimal import solve_exact
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nisqc"
+# Modules the exact search builds on, so none of them may import it.
+BELOW_OPTIMAL = ("schedule", "heuristic", "codegen", "smtlib")
+
+
+def _sibling_imports(tree: ast.Module):
+    """(node, sibling module, imported names) for every import of a nisqc
+    module, relative or absolute, anywhere in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nisqc")):
+            path = (node.module or "").removeprefix("nisqc").lstrip(".")
+            names = [a.name for a in node.names]
+            if path:   # from .module import names
+                yield node, path.split(".")[0], names
+            else:      # from . import modules
+                yield from ((node, name, [name]) for name in names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("nisqc."):
+                    yield node, a.name.split(".")[1], []
+
+
+def _offences(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top_level = {id(node) for node in tree.body}
+    name = path.stem
+    found = []
+    for node, module, names in _sibling_imports(tree):
+        where = f"{name}.py:{node.lineno}"
+        if id(node) not in top_level:
+            found.append(f"{where}: imports nisqc.{module} inside a function or class")
+        found += [f"{where}: imports the private name {module}.{n}"
+                  for n in names if n.startswith("_")]
+        if name in BELOW_OPTIMAL and module == "optimal":
+            found.append(f"{where}: imports optimal from a layer below it")
+    return found
+
+
+def test_modules_import_only_public_names_at_the_top():
+    found = [o for path in sorted(SRC.glob("*.py")) for o in _offences(path)]
+    assert found == []
+
+
+def test_perfbench_clock_hook_is_the_solvers():
+    """perfbench swaps nisqc.optimal.time for a read-counting clock, so the
+    solver must read its clock through that module attribute."""
+    assert nisqc.optimal.time is time
+    assert solve_exact.__module__ == "nisqc.optimal"

@@ -34,7 +34,8 @@ from nisqc.machine import (
     synth_calibration,
 )
 from nisqc import optimal
-from nisqc.evaluate import brute_force_optimal, equivalence_check
+from nisqc import schedule as schedule_module
+from nisqc.evaluate import brute_force_optimal, check_solution, equivalence_check
 from nisqc.heuristic import (
     GreedyPolicy,
     HeuristicConfig,
@@ -42,20 +43,17 @@ from nisqc.heuristic import (
     greedy_edge_map,
     heuristic_compile,
 )
-from nisqc.optimal import (
+from nisqc.optimal import SolverTimeout, solve_exact
+from nisqc.schedule import (
     Infeasible,
     Placement,
     ProblemConfig,
     Routing,
     Schedule,
-    SolverTimeout,
     Variant,
-    _InfeasibleSchedule,
-    check_solution,
-    emit_smtlib,
     solution_from_assignment,
-    solve_exact,
 )
+from nisqc.smtlib import emit_smtlib
 
 from search_order import first_in_search_order
 
@@ -1095,7 +1093,7 @@ def linear_scan_schedule(n_cells, durs, gcells, deadlines, preds, succs):
                         s = b
                         moved = True
         if s + d > deadlines[g]:
-            raise _InfeasibleSchedule(g)
+            raise Infeasible(f"gate {g} cannot finish before its coherence deadline")
         return s
 
     def stamp(g):
@@ -1131,13 +1129,13 @@ def linear_scan_schedule(n_cells, durs, gcells, deadlines, preds, succs):
 
 def assert_matches_linear_scan(schedule, args):
     """schedule(*args) gives the linear scan's starts, which it returns, or
-    raises _InfeasibleSchedule for the linear scan's gate id, which it re-raises."""
+    raises Infeasible naming the linear scan's gate, which it re-raises."""
     try:
         want = linear_scan_schedule(*args)
-    except _InfeasibleSchedule as exc:
-        with pytest.raises(_InfeasibleSchedule) as got:
+    except Infeasible as exc:
+        with pytest.raises(Infeasible) as got:
             schedule(*args)
-        assert got.value.gate_id == exc.gate_id
+        assert str(got.value) == str(exc)
         raise
     assert schedule(*args) == want
     return want
@@ -1148,19 +1146,19 @@ class TestSchedulerOracle:
         """Every schedule that greedy compiles, exact solves and the
         enumerator ask for, on a seeded pool, gets the linear scan's starts,
         or its infeasible gate id."""
-        schedule = optimal._list_schedule
+        schedule = schedule_module._list_schedule
         seen = {"feasible": 0, "infeasible": 0}
 
         def both(*args):
             try:
                 want = assert_matches_linear_scan(schedule, args)
-            except _InfeasibleSchedule:
+            except Infeasible:
                 seen["infeasible"] += 1
                 raise
             seen["feasible"] += 1
             return want
 
-        monkeypatch.setattr(optimal, "_list_schedule", both)
+        monkeypatch.setattr(schedule_module, "_list_schedule", both)
         grids = [(1, 6), (2, 8), (3, 3), (4, 4)]
         cals = [{}, {"jitter_durations": True}, {"t2": 40}]
         for (mx, my), over, seed in itertools.product(grids, cals, (1, 2)):
@@ -1210,9 +1208,9 @@ class TestSchedulerOracle:
             deadlines = [rng.randint(d, sum(durs)) if rng.random() < 1 / 3 else 10 ** 9
                          for d in durs]
             try:
-                assert_matches_linear_scan(optimal._list_schedule,
+                assert_matches_linear_scan(schedule_module._list_schedule,
                                            (n_cells, durs, gcells, deadlines, preds, succs))
-            except _InfeasibleSchedule:
+            except Infeasible:
                 seen["infeasible"] += 1
             else:
                 seen["feasible"] += 1
@@ -1476,7 +1474,7 @@ class TestBudgetGoldenWideLeaves:
 
 
 class _ScheduleCountingClock(_ReadClock):
-    """A _ReadClock that also stands in for optimal._list_schedule and keeps
+    """A _ReadClock that also stands in for schedule._list_schedule and keeps
     the most schedules made between two clock reads."""
 
     def __init__(self, list_schedule):
@@ -1500,9 +1498,9 @@ class TestTimeLimit:
         """A time limit holds to within one leaf evaluation: between two
         clock reads the search schedules at most one assignment, on leaves
         with hundreds of junction combos too."""
-        clock = _ScheduleCountingClock(optimal._list_schedule)
+        clock = _ScheduleCountingClock(schedule_module._list_schedule)
         monkeypatch.setattr(optimal, "time", clock)
-        monkeypatch.setattr(optimal, "_list_schedule", clock.list_schedule)
+        monkeypatch.setattr(schedule_module, "_list_schedule", clock.list_schedule)
         variants = [(v, Routing.ONE_BEND) for v in (Variant.T_SMT, Variant.T_SMT_STAR,
                                                     Variant.R_SMT_STAR)]
         for m, c in _wide_leaf_pool():
