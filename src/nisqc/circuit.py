@@ -115,9 +115,9 @@ _RE_CX = re.compile(
 _RE_MEASURE = re.compile(
     r"measure\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$",
     re.ASCII)
-# A statement is the first of these that matches; its first word picks the
-# one to try before that order.
-_RE_STATEMENTS = (_RE_QREG, _RE_CREG, _RE_CX, _RE_MEASURE, _RE_1Q)
+# A statement's first word picks its regex, _RE_1Q for any other word. Each
+# keyword regex needs its keyword followed by ASCII whitespace, so after a
+# miss only _RE_1Q can still match: 'cx q[0]' is then an unknown gate kind.
 _RE_BY_WORD = {"qreg": _RE_QREG, "creg": _RE_CREG, "cx": _RE_CX, "measure": _RE_MEASURE}
 
 
@@ -161,11 +161,9 @@ def _parse_qasm(text: str) -> Circuit:
         rx = by_word.get(stmt.split(None, 1)[0] if stmt else "", _RE_1Q)
         m = rx.match(stmt)
         if m is None:
-            for rx in _RE_STATEMENTS:
-                m = rx.match(stmt)
-                if m:
-                    break
-            else:
+            rx = _RE_1Q
+            m = rx.match(stmt)
+            if m is None:
                 raise ParseError(f"cannot parse statement '{stmt}'", lineno, _column(raw))
         groups = m.groups()
         gid = len(gates)

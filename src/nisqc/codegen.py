@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -13,14 +13,13 @@ from .circuit import Circuit, GateKind, parse_circuit, to_qasm
 from .heuristic import GreedyPolicy, HeuristicConfig
 from .machine import GridMachine, price_walk
 from .schedule import (
-    Placement,
     ProblemConfig,
     Routing,
     Solution,
     Variant,
+    build_solution,
     check_joins,
     clashes,
-    schedule_walks,
 )
 
 
@@ -40,43 +39,29 @@ class PhysGate(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CompiledCircuit:
-    """A compiled program. eps_route and eps_strict are each gate's success
-    probability on machine m, without and with return swaps counted, as
-    expand prices them; the constructor, and nothing else, derives the
-    fields after them from the walks, the stream and those probabilities."""
-    m: InitVar[GridMachine]
+class CompiledCircuit(Solution):
+    """A compiled program: a Solution, its source circuit and the physical
+    stream expand makes of it on a machine of num_cells cells. eps_route and
+    eps_strict are each gate's success probability on that machine, without
+    and with return swaps counted, as expand prices them."""
     source: Circuit
-    placement: Placement
     expanded: tuple[PhysGate, ...]
-    gate_routes: dict[int, tuple[int, ...]] = field(repr=False)
-    variant: str
-    routing: str
-    omega: float
-    count_return_swaps: bool
-    objective_value: float
-    optimal: bool
     eps_route: dict[int, float] = field(repr=False)
     eps_strict: dict[int, float] = field(repr=False)
-    num_cells: int = field(init=False)
-    makespan: int = field(init=False)
-    swap_count: int = field(init=False)
-    reliability: float = field(init=False)
-
-    def __post_init__(self, m: GridMachine):
-        eps = self.per_gate_eps
-        derived = {
-            "num_cells": m.num_cells,
-            "makespan": max((s + d for _kind, _ops, s, d, _clbit in self.expanded), default=0),
-            "swap_count": sum(2 * (len(walk) - 2) for walk in self.gate_routes.values()),
-            "reliability": math.prod(eps[gid] for gid in sorted(eps)),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    num_cells: int
 
     @property
     def per_gate_eps(self) -> dict[int, float]:
         return self.eps_strict if self.count_return_swaps else self.eps_route
+
+    @property
+    def swap_count(self) -> int:
+        return sum(2 * (len(walk) - 2) for walk in self.gate_routes.values())
+
+    @property
+    def reliability(self) -> float:
+        eps = self.per_gate_eps
+        return math.prod(eps[gid] for gid in sorted(eps))
 
 
 def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
@@ -86,8 +71,9 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     restore the placement. Each walk is priced once, by price_walk, for its
     hop durations and its reliabilities; a readout's are 1 - its cell's
     readout error. Raises ValueError for a walk off the grid's edges or one
-    that does not join its CNOT's placed cells, and CodegenError when a walk
-    takes other than its scheduled duration or the expansion overlaps itself.
+    that does not join its CNOT's placed cells or visits a cell twice, and
+    CodegenError when a walk takes other than its scheduled duration or two
+    gates' windows overlap on a cell.
     """
     static = sol.variant == Variant.T_SMT.value
     cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
@@ -108,7 +94,8 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
             continue
         walk = routes[gid]
         hops, eps_route[gid], eps_strict[gid] = price_walk(m, walk, static)
-        for x in set(walk):
+        check_joins(gid, walk, cell, cells[operands[1]])
+        for x in walk:
             windows.setdefault(x, []).append((s, s + d, gid))
         # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
         # last edge, the CNOT runs there in its own direction, the SWAPs undo
@@ -130,27 +117,15 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
         if t - s != d:   # the walk took 6 * sum(hops[:-1]) + hops[-1]
             raise CodegenError(f"inconsistent schedule: CNOT {gid} walks its route in "
                                f"{t - s} timeslots, not {d}")
-        check_joins(gid, walk, cell, cells[operands[1]])
     # A gate's physical gates run one after another inside its window, on its
-    # own cell or its walk's, so the stream can overlap itself only where two
-    # windows do; only then are the physical gates' intervals compared.
-    if next(clashes(windows), None):
-        busy: dict[int, list[tuple[int, int, int]]] = {}
-        for idx, (_kind, ops, s, d, _clbit) in enumerate(phys):
-            for cell in ops:
-                busy.setdefault(cell, []).append((s, s + d, idx))
-        for cell, i1, i2 in clashes(busy):
-            raise CodegenError(f"inconsistent schedule: expanded gates {i1} and {i2} "
-                               f"overlap on cell {cell}")
-
-    cc = CompiledCircuit(m, c, sol.placement, tuple(phys), dict(sol.gate_routes),
-                         sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
-                         sol.objective_value, sol.optimal, eps_route, eps_strict)
-    if cc.makespan != sol.schedule.makespan:
-        raise CodegenError(
-            f"inconsistent schedule: expanded makespan {cc.makespan} != "
-            f"scheduled {sol.schedule.makespan}")
-    return cc
+    # own cell or its walk's, so the stream overlaps itself only if two
+    # windows do. The scheduler reserves a superset of every window.
+    for cell, g1, g2 in clashes(windows):
+        raise CodegenError(f"inconsistent schedule: gates {g1} and {g2} overlap on cell {cell}")
+    return CompiledCircuit(sol.placement, sol.schedule, sol.objective_value, sol.optimal,
+                           sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
+                           dict(sol.gate_routes), source=c, expanded=tuple(phys),
+                           eps_route=eps_route, eps_strict=eps_strict, num_cells=m.num_cells)
 
 
 def emit_qasm(cc: CompiledCircuit) -> str:
@@ -185,9 +160,9 @@ def to_record(cc: CompiledCircuit) -> dict:
     CNOT's walk, the moving qubit's cell first; eps_route and eps_strict are
     that walk's reliabilities, so each equals the product of 1 - error over
     the CNOTs emitted for its gate. The physical stream is not written: it is
-    in the .qasm file, and from_record rebuilds it from the walks. makespan,
-    swap_count, reliability, eps_route and eps_strict are written for readers
-    only.
+    in the .qasm file, and from_record rebuilds it from the walks. objective,
+    makespan, swap_count, reliability, eps_route and eps_strict are written
+    for readers only.
     """
     return {
         "placement": {str(q): list(pos) for q, pos in sorted(cc.placement.loc.items())},
@@ -217,21 +192,21 @@ def record_to_json(cc: CompiledCircuit) -> str:
 
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     """Rebuild a CompiledCircuit from a record produced by to_record, on m:
-    the source is parsed from source_qasm, the record's walks are scheduled
-    on m by the canonical scheduler and expanded, so the stream, its
-    durations, reliabilities, makespan and swap count are m's. Only the
-    record's objective and optimal flag are kept as written. The "gates" key
-    of older records is ignored.
+    the source is parsed from source_qasm, and the record's placement and
+    walks are assembled into a Solution on m by build_solution and expanded,
+    so the schedule, stream, objective, reliabilities, makespan and swap
+    count are m's. Only the record's optimal flag is kept as written. The
+    "gates" key of older records is ignored.
     Raises Infeasible when a gate misses its T2 deadline on m, and ValueError
     for a missing key, another cell count, a variant, routing, omega or
     count_return_swaps that ProblemConfig (HeuristicConfig and best-path
-    routing for a greedy variant) refuses, an objective not a finite number,
-    an optimal or count_return_swaps not a bool, a placement not a JSON
-    object, a placement key not a qubit number in canonical decimal, a
-    source_qasm not a string, a placed qubit's coordinates not two
-    integers, a placed qubit off the grid or on another's cell, a route's
-    cells not integers, or a route that is not a walk over m's edges joining
-    its CNOT's placed cells."""
+    routing for a greedy variant) refuses, an optimal or count_return_swaps
+    not a bool, a placement not a JSON object, a placement key not a qubit
+    number in canonical decimal, a source_qasm not a string, a placed
+    qubit's coordinates not two integers, a placed qubit off the grid or on
+    another's cell, a route's cells not integers, or a route that is not a
+    walk over m's edges joining its CNOT's placed cells and visiting no
+    cell twice."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -241,18 +216,16 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
                              f"the machine has {m.num_cells}")
         variant, routing = doc["variant"], config["routing"]
         omega, flag = config["omega"], config["count_return_swaps"]
-        objective, optimal = doc["objective"], doc.get("optimal", False)
-        if type(objective) not in (int, float) or not math.isfinite(objective):
-            raise ValueError(f"objective {objective!r} is not a finite number")
+        optimal = doc.get("optimal", False)
         if type(optimal) is not bool or type(flag) is not bool:
             raise ValueError(f"optimal and count_return_swaps must be bools, "
                              f"not {optimal!r} and {flag!r}")
         if variant in (GreedyPolicy.VERTEX.value, GreedyPolicy.EDGE.value):
-            HeuristicConfig(variant, omega, flag)
+            cfg = HeuristicConfig(variant, omega, flag)
             if routing != Routing.BEST_PATH.value:
                 raise ValueError(f"{variant} routes by best path, not {routing!r}")
         else:
-            ProblemConfig(variant, Routing(routing), omega, flag)
+            cfg = ProblemConfig(variant, Routing(routing), omega, flag)
         loc, source_qasm = doc["placement"], doc["source_qasm"]
         if not isinstance(loc, dict):
             raise ValueError(f"placement must be a JSON object, not {loc!r}")
@@ -261,25 +234,25 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         for q in loc:
             if not (q.isdecimal() and str(int(q)) == q):
                 raise ValueError(f"placement key {q!r} is not a qubit number")
-        placement = Placement(loc={int(q): tuple(pos) for q, pos in loc.items()})
-        for q, (x, y) in placement.loc.items():
+        cells = {}
+        for q, (x, y) in loc.items():
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"placement {q}: {[x, y]!r} is not two integers")
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
-        if len(set(placement.loc.values())) != len(placement.loc):
+            cells[int(q)] = m.cell_id((x, y))
+        if len(set(cells.values())) != len(cells):
             raise ValueError("placement puts two qubits on one cell")
         source = parse_circuit(source_qasm)
-        cells = {q: m.cell_id(pos) for q, pos in placement.loc.items()}
-        cnots = source.cnot_gates()
-        walks = [tuple(doc["gate_routes"][str(g.id)]) for g in cnots]
-        for g, walk in zip(cnots, walks):
+        walks = []
+        for g in source.cnot_gates():
+            walk = tuple(doc["gate_routes"][str(g.id)])
             if not set(map(type, walk)) <= {int}:
                 raise ValueError(f"gate_routes {g.id}: {list(walk)!r} is not a list of "
                                  f"integer cells")
-        schedule = schedule_walks(source, m, cells, walks, variant, routing)[0]
-        sol = Solution(placement, schedule, objective, optimal, variant, routing, omega, flag,
-                       gate_routes=dict(zip((g.id for g in cnots), walks)))
+            walks.append(walk)
+        sol = build_solution(source, m, cfg, cells, walks, variant=variant, routing=routing,
+                             optimal=optimal)
         return expand(sol, source, m)
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

@@ -342,6 +342,9 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             except ValueError as exc:
                 v.append(f"CNOT {gid} route is not a grid walk: {exc}")
                 continue
+            if len(set(walk)) != len(walk):
+                v.append(f"CNOT {gid} route visits a cell twice")
+                continue
             ln_cx.append(math.log(eps[flag]))
             region = set(region)
             t2 = min(qubits[a].t2, qubits[b].t2)

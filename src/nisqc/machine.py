@@ -52,7 +52,6 @@ class GridMachine:
     single_qubit_duration: int
     single_qubit_error: float
     static_tau_cnot: int
-    static_tau_swap: int
     static_coherence_bound: int
 
     def __post_init__(self):
@@ -94,10 +93,11 @@ def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 def static_cnot_duration(d: int, m: GridMachine) -> int:
-    """Duration in timeslots of a distance-d CNOT under the machine-wide constants."""
+    """Duration in timeslots of a distance-d CNOT under the machine-wide
+    constants: d - 1 SWAPs there and back, 3 CNOTs each, then the CNOT."""
     if d < 1:
         raise ValueError("CNOT endpoints mapped to the same cell (distance 0)")
-    return 2 * (d - 1) * m.static_tau_swap + m.static_tau_cnot
+    return (6 * (d - 1) + 1) * m.static_tau_cnot
 
 
 def _probability(value, name: str) -> float:
@@ -205,7 +205,6 @@ def _machine_from_doc(doc) -> GridMachine:
         single_qubit_duration=_duration(dft["single_qubit_duration"], "single_qubit_duration"),
         single_qubit_error=_probability(dft["single_qubit_error"], "single_qubit_error"),
         static_tau_cnot=tau_cnot,
-        static_tau_swap=3 * tau_cnot,
         static_coherence_bound=_duration(dft["static_coherence_bound"], "static_coherence_bound"),
     )
 

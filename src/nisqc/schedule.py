@@ -216,9 +216,11 @@ def weighted_log_sum(omega: float, ln_ro, ln_cx) -> float:
 
 def check_joins(gid: int, walk, a: int, b: int) -> None:
     """Raise ValueError unless CNOT gid's walk runs between its placed cells
-    a and b, either way."""
+    a and b, either way, and visits no cell twice."""
     if (walk[0], walk[-1]) not in ((a, b), (b, a)):
         raise ValueError(f"CNOT {gid} route {list(walk)} does not join its cells {a} and {b}")
+    if len(set(walk)) != len(walk):
+        raise ValueError(f"CNOT {gid} route {list(walk)} visits a cell twice")
 
 
 def clashes(by_cell: dict[int, list[tuple[int, int, int]]]):
@@ -237,55 +239,45 @@ def clashes(by_cell: dict[int, list[tuple[int, int, int]]]):
                 k += 1
 
 
-def schedule_walks(c: Circuit, m: GridMachine, cells, walks, variant: str,
-                   routing: str) -> tuple[Schedule, dict[int, float], dict[int, float]]:
-    """The canonical schedule of a placed circuit whose CNOTs take the given
-    walks, in CNOT order, and each gate's success probabilities on m without
-    and with return swaps counted: (schedule, eps_route, eps_strict). Each
-    walk is priced once, by walk_cost; a readout's probabilities are 1 - its
-    cell's readout error. cells are placement cells by qubit id. Raises
-    Infeasible, and ValueError for a walk that leaves the grid's edges or
-    does not join its CNOT's placed cells."""
+def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
+                   variant: str, routing: str, optimal: bool) -> Solution:
+    """The one place a Solution is assembled, for the exact solver, the
+    greedy mappers and from_record alike: a function of the placement and
+    the CNOT walks on m.
+
+    cells are placement cells by qubit id and walks the CNOTs' walks in
+    CNOT order, the moving qubit's cell first. Each walk is priced once, by
+    walk_cost, and the placed circuit is scheduled by schedule_gates.
+    Duration variants score the makespan; every other variant (the exact
+    reliability variant and both greedy mappers) scores weighted_log_sum of
+    each walk's ln reliability and each readout's ln(1 - readout error).
+    cfg supplies omega and count_return_swaps. Raises Infeasible, and
+    ValueError for a walk that leaves the grid's edges, does not join its
+    CNOT's placed cells or visits a cell twice.
+    """
     static = variant == Variant.T_SMT.value
+    flag = cfg.count_return_swaps
     costs: list[tuple[int, tuple[int, ...]]] = []
-    eps_route, eps_strict = {}, {}   # per gate id
+    eps_ro: list[float] = []
+    eps_cx: list[float] = []
+    gate_routes: dict[int, tuple[int, ...]] = {}
     cnot, measure, walk_of = GateKind.CNOT, GateKind.MEASURE, iter(walks)
     for gid, kind, operands, _clbit in c.gates:
         if kind is cnot:
-            walk = next(walk_of)
-            dur, reserved, eps_route[gid], eps_strict[gid] = walk_cost(m, walk, routing, static)
+            walk = gate_routes[gid] = next(walk_of)
+            dur, reserved, *eps = walk_cost(m, walk, routing, static)
             check_joins(gid, walk, cells[operands[0]], cells[operands[1]])
             costs.append((dur, reserved))
+            eps_cx.append(eps[flag])
         elif kind is measure:
-            eps_route[gid] = eps_strict[gid] = 1.0 - m.qubits[cells[operands[0]]].readout_error
+            eps_ro.append(1.0 - m.qubits[cells[operands[0]]].readout_error)
     starts, durs = schedule_gates(c, m, cells, costs, *dag_lists(c), static=static)
     # gate ids are positions in c.gates
-    return Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs))), \
-        eps_route, eps_strict
-
-
-def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
-                   variant: str, routing: str, optimal: bool) -> Solution:
-    """The one place a Solution is assembled, for the exact solver and the
-    greedy mappers alike: a function of the placement and the CNOT walks.
-
-    cells are placement cells by qubit id and walks the CNOTs' walks in
-    CNOT order, the moving qubit's cell first. They are scheduled by
-    schedule_walks. Duration variants score the makespan; every other
-    variant (the exact reliability variant and both greedy mappers) scores
-    weighted_log_sum of the ln reliabilities schedule_walks derives from
-    the walks. cfg supplies omega and count_return_swaps. Raises
-    Infeasible.
-    """
-    schedule, eps_route, eps_strict = schedule_walks(c, m, cells, walks, variant, routing)
-    gate_routes = {g.id: walk for g, walk in zip(c.cnot_gates(), walks)}
+    schedule = Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs)))
     if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
         value = float(schedule.makespan)
     else:
-        eps = eps_strict if cfg.count_return_swaps else eps_route
-        value = weighted_log_sum(cfg.omega,
-                                 [math.log(e) for g, e in eps.items() if g not in gate_routes],
-                                 [math.log(eps[g]) for g in gate_routes])
+        value = weighted_log_sum(cfg.omega, map(math.log, eps_ro), map(math.log, eps_cx))
     return Solution(
         placement=Placement(loc={q: m.pos(cells[q]) for q in range(c.num_qubits)}),
         schedule=schedule,
@@ -294,7 +286,7 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
         variant=variant,
         routing=routing,
         omega=cfg.omega,
-        count_return_swaps=cfg.count_return_swaps,
+        count_return_swaps=flag,
         gate_routes=gate_routes,
     )
 

@@ -231,8 +231,9 @@ def test_criterion_02_one_swap_route_reliability():
 def test_criterion_03_static_duration_formula():
     m = load_calibration(udoc(1, 6))
     got = [static_cnot_duration(d, m) for d in range(1, 6)]
-    assert got == [2 * (d - 1) * m.static_tau_swap + m.static_tau_cnot
-                   for d in range(1, 6)]
+    # the paper's 2 (d - 1) tau_swap + tau_cnot, a SWAP being three CNOTs
+    tau_swap = 3 * m.static_tau_cnot
+    assert got == [2 * (d - 1) * tau_swap + m.static_tau_cnot for d in range(1, 6)]
     assert got == [2, 14, 26, 38, 50]
 
 

@@ -615,28 +615,30 @@ class TestMalformedInputs:
 
     def test_seeded_record_sweep(self, tmp_path, capsys):
         # a record with a required key dropped, a walk that is not one over
-        # the grid's edges between its CNOT's cells, cells or coordinates
-        # that equal the right ones but are not JSON integers, or a config,
-        # objective or optimal flag that compile would not accept is refused
-        # before it is scored; every bad value is tried once
+        # the grid's edges between its CNOT's cells or that visits a cell
+        # twice, cells or coordinates that equal the right ones but are not
+        # JSON integers, or a config or optimal flag that compile would not
+        # accept is refused before it is scored; every bad value is tried
+        # once. The objective is recomputed on read, so it is not required.
         circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
         circuit.write_text(json.dumps(VALID_CIRCUIT))
         cal.write_text(json.dumps(VALID_CAL))
         assert run(capsys, "compile", str(circuit), str(cal), "--variant", "greedy-v",
                    "--out", str(tmp_path / "r"))[0] == 0
         valid = json.loads((tmp_path / "r.json").read_text())
-        required = [(k,) for k in ("placement", "variant", "objective", "config",
-                                   "gate_routes", "source_qasm")]
+        required = [(k,) for k in ("placement", "variant", "config", "gate_routes",
+                                   "source_qasm")]
         required += [("config", k) for k in ("routing", "omega", "count_return_swaps",
                                              "num_cells")]
         required += [("placement", q) for q in valid["placement"]]
         required += [("gate_routes", g) for g in valid["gate_routes"]]
-        bad = {"walk": [[], [0], None, 7, "01", [0, 4], [0, 3], [[0], [1]], [0, None]],
+        # the last walk joins the cells of the CNOT it is drawn for, 0 and 2
+        bad = {"walk": [[], [0], None, 7, "01", [0, 4], [0, 3], [[0], [1]], [0, None],
+                        [0, 1, 0, 2]],
                "omega": [math.nan, -0.5, 1.5, math.inf, None, "0.5"],
                "routing": ["rr", "1bp", "bogus", None, ["path"]],
                "count_return_swaps": ["no", 0, 1, None],
                "variant": ["bogus", "t-smt", "r-smt-star", None, ["greedy-v"]],
-               "objective": ["x", math.nan, math.inf, None, True],
                "optimal": ["yes", 1, None],
                "placement": [[], "x", 7, None],
                "source_qasm": [7, [], {}, None],

@@ -31,6 +31,7 @@ from nisqc.schedule import (
     Schedule,
     Variant,
     solution_from_assignment,
+    weighted_log_sum,
 )
 
 
@@ -452,6 +453,28 @@ class TestRecord:
         assert back.placement == cc.placement and back.gate_routes == cc.gate_routes
         if seeds == (1, 0, 2):
             assert (cc.makespan, back.makespan) == (8, 9)
+
+    @pytest.mark.parametrize("variant, jitter", [("greedy-e", True), ("r-smt-star", False),
+                                                 ("t-smt-star", True)])
+    def test_record_read_on_another_day_is_a_solution_there(self, variant, jitter):
+        # the placement and walks are scored on the calibration they are read
+        # on, objective included, so the program verifies on that day
+        c = gen_random(5, 16, 7)
+        m, other = (load_calibration(synth_calibration(2, 3, seed, jitter_durations=jitter))
+                    for seed in (1, 2))
+        sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(policy=variant)) \
+            if variant.startswith("greedy") else solve_exact(c, m, ProblemConfig(variant))
+        cc = expand(sol, c, m)
+        back = from_record(record_to_json(cc), other)
+        assert check_solution(back, c, other) == []
+        if variant == "t-smt-star":
+            expect = float(back.makespan)
+        else:
+            eps, cnots = back.per_gate_eps, back.gate_routes
+            expect = weighted_log_sum(back.omega,
+                                      [math.log(e) for g, e in eps.items() if g not in cnots],
+                                      [math.log(eps[g]) for g in cnots])
+        assert back.objective_value == expect != cc.objective_value
 
     def test_from_record_raises_infeasible_past_t2(self):
         c = gen_random(4, 12, 3)

@@ -214,8 +214,7 @@ class TestEquivalence:
         swaps = [i for i, pg in enumerate(cc.expanded)
                  if pg.kind is GateKind.CNOT and set(pg.hw_operands) == {0, 1}]
         broken = dataclasses.replace(
-            cc, m=m, expanded=tuple(pg for i, pg in enumerate(cc.expanded)
-                                    if i != swaps[1]))
+            cc, expanded=tuple(pg for i, pg in enumerate(cc.expanded) if i != swaps[1]))
         res = equivalence_check(c, broken)
         assert not res.passed
         assert res.max_deviation > 0.1

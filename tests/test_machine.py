@@ -22,6 +22,7 @@ from nisqc.machine import (
     static_cnot_duration,
     synth_calibration,
 )
+from nisqc.schedule import Routing, walk_cost
 
 
 def one_bend_junctions(c: tuple[int, int], t: tuple[int, int]) -> list[tuple[int, int]]:
@@ -105,10 +106,6 @@ class TestLoadCalibration:
         e = m.edge_between(0, 1)
         assert e.cnot_error == 0.25 and e.cnot_duration == 4
 
-    def test_static_swap_is_three_cnots(self):
-        m = load_calibration(uniform_doc(2, 2, cnot_duration=3))
-        assert m.static_tau_swap == 3 * m.static_tau_cnot
-
     def test_json_text_accepted(self):
         import json
         m = load_calibration(json.dumps(uniform_doc(2, 3)))
@@ -144,6 +141,17 @@ class TestStaticDuration:
     def test_formula_table(self):
         m = load_calibration(uniform_doc(3, 3, cnot_duration=2))
         assert [static_cnot_duration(d, m) for d in range(1, 6)] == [2, 14, 26, 38, 50]
+
+    def test_formula_is_a_straight_walks_static_cost(self):
+        # a SWAP is three CNOTs at static_tau_cnot, whatever the edges take
+        m = load_calibration(synth_calibration(4, 5, 3, jitter_durations=True))
+        for a, b in itertools.permutations(range(m.num_cells), 2):
+            pa, pb = m.pos(a), m.pos(b)
+            if pa[0] == pb[0] or pa[1] == pb[1]:
+                walk = route_cells(m, a, b, a)
+                for routing in (Routing.RR.value, Routing.ONE_BEND.value):
+                    assert walk_cost(m, walk, routing, True)[0] == \
+                        static_cnot_duration(manhattan(pa, pb), m), walk
 
     def test_distance_zero_rejected(self):
         m = load_calibration(uniform_doc(2, 2))

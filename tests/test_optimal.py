@@ -678,6 +678,19 @@ class TestCheckSolution:
         bad = dataclasses.replace(sol, placement=Placement(loc=loc))
         assert any("injective" in v for v in check_solution(bad, c, m, cfg))
 
+    def test_route_that_revisits_a_cell(self):
+        # a walk over the grid's edges that joins its CNOT's cells but visits
+        # one twice; some such walks expand into a stream that computes
+        # another circuit, so every one is refused
+        m = load_calibration(udoc(1, 4))
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(GreedyPolicy.EDGE))
+        a, b = sol.gate_routes[0][0], sol.gate_routes[0][-1]
+        bad = dataclasses.replace(sol, gate_routes={0: (a, b, a, b)})
+        assert check_solution(bad, c, m) == ["CNOT 0 route visits a cell twice"]
+        with pytest.raises(ValueError, match="visits a cell twice"):
+            expand(bad, c, m)
+
     def test_dependency(self):
         import dataclasses
         c, m, cfg, sol = self.good()
