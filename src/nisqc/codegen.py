@@ -41,14 +41,16 @@ class PhysGate(NamedTuple):
 @dataclass(frozen=True)
 class CompiledCircuit(Solution):
     """A compiled program: a Solution, its source circuit and the physical
-    stream expand makes of it on a machine of num_cells cells. eps_route and
-    eps_strict are each gate's success probability on that machine, without
-    and with return swaps counted, as expand prices them."""
+    stream expand makes of it on a machine of num_cells cells, on which
+    cells maps each placed qubit to its home cell. eps_route and eps_strict
+    are each gate's success probability on that machine, without and with
+    return swaps counted, as expand prices them."""
     source: Circuit
     expanded: tuple[PhysGate, ...]
     eps_route: dict[int, float] = field(repr=False)
     eps_strict: dict[int, float] = field(repr=False)
     num_cells: int
+    cells: dict[int, int] = field(repr=False)
 
     @property
     def per_gate_eps(self) -> dict[int, float]:
@@ -125,7 +127,8 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     return CompiledCircuit(sol.placement, sol.schedule, sol.objective_value, sol.optimal,
                            sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
                            dict(sol.gate_routes), source=c, expanded=tuple(phys),
-                           eps_route=eps_route, eps_strict=eps_strict, num_cells=m.num_cells)
+                           eps_route=eps_route, eps_strict=eps_strict, num_cells=m.num_cells,
+                           cells=cells)
 
 
 def emit_qasm(cc: CompiledCircuit) -> str:

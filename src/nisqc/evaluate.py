@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -173,15 +174,77 @@ def compiled_as_circuit(cc: CompiledCircuit) -> Circuit:
     return build_circuit(max(len(active), 1), cc.source.num_clbits, ops)
 
 
+def _wire_sequences(ops: list[tuple[GateKind, tuple[int, ...], int | None]],
+                    label: dict[int, int]) -> dict:
+    """The normal form of ops, gates run in order on cells that label maps
+    to logical qubits: each wire's sequence of (kind, qubits, clbit), where
+    a wire is a qubit or ("c", clbit). When cx u,v; cx v,u; cx u,v are the
+    next three gates on both u and v they are a SWAP: the two cells trade
+    labels and nothing is emitted. A cell no qubit occupies is labelled
+    None, so any other gate on it puts None among its qubits."""
+    after: dict[tuple[int, int], int] = {}   # (op, cell) -> the next op on that cell
+    last: dict[int, int] = {}
+    for i, (_, operands, _) in enumerate(ops):
+        for x in operands:
+            if x in last:
+                after[last[x], x] = i
+            last[x] = i
+    label, wires, swapped, nxt = dict(label), {}, set(), after.get
+    for i, (kind, operands, clbit) in enumerate(ops):
+        if i in swapped:
+            continue
+        if kind is GateKind.CNOT:
+            u, v = operands
+            j = nxt((i, u))
+            if j is not None and nxt((i, v)) == j and ops[j][1] == (v, u):
+                k = nxt((j, u))
+                if k is not None and nxt((j, v)) == k and ops[k][1] == operands:
+                    label[u], label[v] = label.get(v), label.get(u)
+                    swapped.update((j, k))
+                    continue
+            qubits = label.get(u), label.get(v)
+        else:
+            qubits = (label.get(operands[0]),)
+        gate = (kind, qubits, clbit)
+        for q in qubits:
+            wires.setdefault(q, []).append(gate)
+        if clbit is not None:
+            wires.setdefault(("c", clbit), []).append(gate)
+    return wires
+
+
+def _normal_forms_agree(source: Circuit, cc: CompiledCircuit) -> bool:
+    """Whether the stream, in time order on cells labelled by the qubits
+    placed on them, and the source, on the identity placement, have the same
+    normal form. The source leaves no cell empty, so a stream gate on an
+    empty cell never matches; a register of another width is another
+    distribution's support."""
+    stream = sorted(cc.expanded, key=itemgetter(2))   # by start, then stream index
+    want = _wire_sequences([(kind, ops, clbit) for _, kind, ops, clbit in source.gates],
+                           {q: q for q in range(source.num_qubits)})
+    got = _wire_sequences([(kind, ops, clbit) for kind, ops, _s, _d, clbit in stream],
+                          {cell: q for q, cell in cc.cells.items()})
+    return want == got and source.num_clbits == cc.source.num_clbits
+
+
 def equivalence_check(source: Circuit, cc: CompiledCircuit) -> EquivalenceResult:
     """Compare the source distribution against the expanded stream's.
 
-    SWAP chains move state between cells, and every expanded MEASURE already
-    targets the measured qubit's home cell with the source clbit, so simulating
-    the stream literally (time order) yields a distribution directly comparable
+    First by normal forms, at any size and without simulating: each side is
+    read as every wire's gate sequence on logical qubits, SWAP triples
+    moving qubits between cells instead (_wire_sequences). Equal sequences
+    give the same dependency DAG, hence the same distribution, and the
+    result is EquivalenceResult(True, 0.0, 0.0).
+
+    When that proves nothing, both sides are simulated. SWAP chains move
+    state between cells, and every expanded MEASURE already targets the
+    measured qubit's home cell with the source clbit, so simulating the
+    stream literally (time order) yields a distribution directly comparable
     to the source's. Raises SimulationCapExceeded, before simulating, when
     either side is over the cap.
     """
+    if _normal_forms_agree(source, cc):
+        return EquivalenceResult(True, 0.0, 0.0)
     compiled = compiled_as_circuit(cc)
     want = statevector_sim(source)
     got = statevector_sim(compiled)

@@ -291,6 +291,20 @@ class TestEvaluate:
                               "--out", str(tmp_path / "rep"))
         assert code == 0 and "equivalence=pass" in stdout
 
+    def test_equivalence_is_proved_over_the_simulation_cap(self, tmp_path, capsys):
+        # 64 qubits on a 12x12 grid: too many cells to simulate, but the
+        # normal forms of the read-back stream and its source agree
+        circ, cal, out = (str(tmp_path / n) for n in ("r64.qasm", "cal.json", "r64-e"))
+        assert run(capsys, "gen-circuit", "random", "--qubits", "64", "--gates", "1024",
+                   "--seed", "11", "--out", circ)[0] == 0
+        assert run(capsys, "gen-cal", "--mx", "12", "--my", "12", "--seed", "5",
+                   "--t2", "1000000", "--out", cal)[0] == 0
+        assert run(capsys, "compile", circ, cal, "--variant", "greedy-e", "--out", out)[0] == 0
+        code, stdout, _ = run(capsys, "evaluate", out + ".json", cal, "--trials", "1000",
+                              "--out", str(tmp_path / "rep"))
+        assert code == 0 and "equivalence=pass" in stdout
+        assert json.loads((tmp_path / "rep.json").read_text())[0]["equivalence_passed"] is True
+
 
 class TestCompare:
     def test_two_variants_two_rows(self, tmp_path, capsys, bv4):

@@ -20,7 +20,12 @@ from nisqc.codegen import (
     record_to_json,
     to_record,
 )
-from nisqc.evaluate import check_solution, equivalence_check
+from nisqc.evaluate import (
+    EquivalenceResult,
+    SimulationCapExceeded,
+    check_solution,
+    equivalence_check,
+)
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
 from nisqc.optimal import SolverTimeout, solve_exact
@@ -588,6 +593,22 @@ class TestGoldenAtScale:
             back = from_record(record, m)
             assert (back.expanded, back.placement, back.makespan, back.swap_count) == \
                 (cc.expanded, cc.placement, cc.makespan, cc.swap_count), policy
+            # 64 active cells are over the statevector's cap: only the normal form proves
+            for compiled in (cc, back):
+                assert equivalence_check(c, compiled) == EquivalenceResult(True, 0.0, 0.0)
+
+    def test_a_mutant_over_the_cap_is_not_proved(self):
+        # the stream with one CNOT reversed: the normal form proves nothing,
+        # and the statevector fallback refuses 64 active cells
+        m = load_calibration(synth_calibration(12, 12, 5, t2=10 ** 6))
+        c = gen_random(64, 1024, 11)
+        cc = expand(heuristic_compile(c, m, build_tables(m), HeuristicConfig("greedy-e")), c, m)
+        i = next(i for i, pg in enumerate(cc.expanded) if pg.kind is GateKind.CNOT)
+        pg = cc.expanded[i]
+        mutant = dataclasses.replace(cc, expanded=cc.expanded[:i] + (
+            pg._replace(hw_operands=pg.hw_operands[::-1]),) + cc.expanded[i + 1:])
+        with pytest.raises(SimulationCapExceeded):
+            equivalence_check(c, mutant)
 
 
 class TestGoldenSmallExact:

@@ -4,6 +4,7 @@ enumerator to the exact solver."""
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -17,6 +18,8 @@ from nisqc.codegen import expand
 from nisqc.evaluate import (
     EvalReport,
     _apply_single,
+    _normal_forms_agree,
+    _wire_sequences,
     brute_force_optimal,
     compiled_as_circuit,
     equivalence_check,
@@ -25,9 +28,12 @@ from nisqc.evaluate import (
     statevector_sim,
     write_report,
 )
-from nisqc.machine import build_tables, canonical_junction, load_calibration
+from nisqc.heuristic import GreedyPolicy, HeuristicConfig, heuristic_compile
+from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
 from nisqc.optimal import solve_exact
 from nisqc.schedule import Infeasible, ProblemConfig, solution_from_assignment
+
+from test_optimal import EXACT_VARIANTS, shared_clbit_instances, with_readouts
 
 
 def udoc(mx, my, **over):
@@ -218,6 +224,128 @@ class TestEquivalence:
         res = equivalence_check(c, broken)
         assert not res.passed
         assert res.max_deviation > 0.1
+
+    def test_a_source_with_a_wider_register_fails(self):
+        # the same gates, with one more clbit that nothing writes
+        m = load_calibration(udoc(1, 3))
+        c = self.bell()
+        wider = build_circuit(2, 3, [(g.kind, g.operands, g.classical_target) for g in c.gates])
+        cc = expand(assigned(c, m, (0, 2)), c, m)
+        assert equivalence_check(c, cc).passed
+        assert not equivalence_check(wider, cc).passed
+
+
+def simulated_passes(source, cc):
+    """The statevector verdict on cc, whatever the normal form says."""
+    want, got = statevector_sim(source), statevector_sim(compiled_as_circuit(cc))
+    return 0.5 * sum(abs(want.get(k, 0.0) - got.get(k, 0.0))
+                     for k in set(want) | set(got)) <= 1e-9
+
+
+def cross_check_instances():
+    """(machine, circuit) pairs: TestSharedClbitSweep's 40 instances, 20
+    random circuits with every qubit read into its own clbit on 1x4 to 3x3
+    grids, and a source holding its own cx 0,1; cx 1,0; cx 0,1 on 1x3, 2x2
+    and 2x3 grids."""
+    yield from shared_clbit_instances(40, 21)
+    rng = random.Random(7)
+    for i in range(20):
+        mx, my = rng.choice(((2, 3), (3, 3), (1, 4), (2, 4)))
+        nq = rng.randint(2, min(5, mx * my))
+        c = with_readouts(gen_random(nq, rng.randint(6, 14), rng.randrange(1000)), range(nq))
+        yield load_calibration(synth_calibration(mx, my, rng.randrange(10 ** 6),
+                                                 jitter_durations=i % 2 == 1)), c
+    cx = GateKind.CNOT
+    triple = build_circuit(3, 3, [("h", (0,)), (cx, (0, 1)), (cx, (1, 0)), (cx, (0, 1)),
+                                  ("t", (1,)), (cx, (1, 2)), (cx, (2, 0))]
+                           + [("measure", (q,), q) for q in range(3)])
+    for seed in range(3):
+        for mx, my in ((1, 3), (2, 2), (2, 3)):
+            yield load_calibration(synth_calibration(mx, my, seed)), triple
+
+
+_ONE_QUBIT = [GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
+              GateKind.T, GateKind.TDG]
+
+
+def stream_mutants(cc, num_clbits, rng):
+    """One seeded mutant of cc's stream per kind of fault that applies: a
+    dropped gate, a reversed CNOT, another single-qubit kind, another clbit,
+    two writes to one clbit run in the other order, and a dropped gate of
+    one of expand's SWAP triples."""
+    s = cc.expanded
+    writes = [(i, j) for i, j in itertools.combinations(range(len(s)), 2)
+              if s[i].kind is s[j].kind is GateKind.MEASURE and s[i].clbit == s[j].clbit]
+    if writes:
+        i, j = rng.choice(writes)
+        yield "order", dataclasses.replace(cc, expanded=(
+            s[:i] + (s[i]._replace(start=s[j].start),) + s[i + 1:j]
+            + (s[j]._replace(start=s[i].start),) + s[j + 1:]))
+    picks = {"drop": range(len(s)),
+             "reverse": [i for i, g in enumerate(s) if g.kind is GateKind.CNOT],
+             "kind": [i for i, g in enumerate(s) if g.kind in _ONE_QUBIT],
+             "clbit": [i for i, g in enumerate(s)
+                       if g.kind is GateKind.MEASURE and num_clbits > 1],
+             "swap": [i + rng.randrange(3) for i in range(len(s) - 2)
+                      if all(g.kind is GateKind.CNOT for g in s[i:i + 3])
+                      and s[i].hw_operands == s[i + 2].hw_operands == s[i + 1].hw_operands[::-1]]}
+    for fault, where in picks.items():
+        if not where:
+            continue
+        i = rng.choice(where)
+        g = s[i]
+        if fault == "reverse":
+            g = (g._replace(hw_operands=g.hw_operands[::-1]),)
+        elif fault == "kind":
+            g = (g._replace(kind=rng.choice([k for k in _ONE_QUBIT if k is not g.kind])),)
+        elif fault == "clbit":
+            g = (g._replace(clbit=rng.choice([b for b in range(num_clbits) if b != g.clbit])),)
+        else:
+            g = ()
+        yield fault, dataclasses.replace(cc, expanded=s[:i] + g + s[i + 1:])
+
+
+class TestNormalForm:
+    def test_proves_every_compile_and_no_mutant_the_simulation_rejects(self):
+        """Under every exact variant/routing pair and both greedy mappers, the
+        normal form proves each compile of the cross-check instances. On
+        seeded mutants of each stream, equivalence_check's verdict is the
+        statevector's, and no mutant the statevector rejects is proved."""
+        rng = random.Random(3)
+        compiles, verdicts, wrong = 0, {}, []
+        for i, (m, c) in enumerate(cross_check_instances()):
+            t = build_tables(m)
+            sols = [solve_exact(c, m, ProblemConfig(v, r), tables=t) for v, r in EXACT_VARIANTS]
+            sols += [heuristic_compile(c, m, t, HeuristicConfig(p)) for p in GreedyPolicy]
+            for sol in sols:
+                cc = expand(sol, c, m)
+                compiles += 1
+                if not (_normal_forms_agree(c, cc) and simulated_passes(c, cc)):
+                    wrong.append((i, sol.variant, sol.routing, "unmutated"))
+                for fault, mutant in stream_mutants(cc, c.num_clbits, rng):
+                    proved, passes = _normal_forms_agree(c, mutant), simulated_passes(c, mutant)
+                    if (proved and not passes) or equivalence_check(c, mutant).passed != passes:
+                        wrong.append((i, sol.variant, sol.routing, fault))
+                    verdicts.setdefault(fault, set()).add((proved, passes))
+        assert wrong == []
+        assert compiles == 414
+        # every fault is made, and the statevector rejects some of each kind
+        assert all((False, False) in verdicts[f]
+                   for f in ("drop", "reverse", "kind", "clbit", "order", "swap"))
+
+    def test_a_triple_is_a_swap_only_when_consecutive_on_both_cells(self):
+        cx, h = GateKind.CNOT, GateKind.H
+        triple = [(cx, (0, 1), None), (cx, (1, 0), None), (cx, (0, 1), None)]
+        assert _wire_sequences(triple + [(h, (0,), None)], {0: 0, 1: 1}) == \
+            {1: [(h, (1,), None)]}
+        for at, cell in itertools.product((1, 2), (0, 1)):
+            wires = _wire_sequences(triple[:at] + [(h, (cell,), None)] + triple[at:],
+                                    {0: 0, 1: 1})
+            assert [g[0] for g in wires[0]].count(cx) == 3, (at, cell)
+        # a SWAP with an empty cell moves the qubit; a gate on an empty cell
+        # has no qubit
+        assert _wire_sequences(triple + [(h, (0,), None)], {1: 1}) == {1: [(h, (1,), None)]}
+        assert _wire_sequences([(h, (0,), None)], {1: 1}) == {None: [(h, (None,), None)]}
 
 
 class TestReliabilityScore:
