@@ -232,6 +232,13 @@ def _parse_qasm(text: str) -> Circuit:
     return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
 
 
+def _json_int(value, name: str) -> int:
+    # A JSON integer: an integral float such as 3.0 is one; 0.7, "3" and true are not.
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{name} = {value!r} is not an integer", 1, 1)
+
+
 def _parse_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
@@ -242,8 +249,8 @@ def _parse_json(text: str) -> Circuit:
     if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
         raise ParseError("circuit JSON needs num_qubits and gates", 1, 1)
     try:
-        num_qubits = int(doc["num_qubits"])
-        num_clbits = int(doc.get("num_clbits", 0))
+        num_qubits = _json_int(doc["num_qubits"], "num_qubits")
+        num_clbits = _json_int(doc.get("num_clbits", 0), "num_clbits")
         kind_by_name = {k.value: k for k in GateKind}
         ops: list[tuple[GateKind, tuple[int, ...], int | None]] = []
         for i, entry in enumerate(doc["gates"]):
@@ -253,12 +260,13 @@ def _parse_json(text: str) -> Circuit:
             if name not in kind_by_name:
                 raise ParseError(f"unknown gate kind '{name}' at gates[{i}]", 1, 1)
             kind = kind_by_name[name]
-            operands = tuple(int(q) for q in entry["operands"])
+            operands = tuple(_json_int(q, f"gates[{i}].operands") for q in entry["operands"])
             if len(operands) != kind.n_qubits:
                 raise ParseError(f"gate '{name}' takes {kind.n_qubits} operand(s) at gates[{i}]",
                                  1, 1)
             clbit = entry.get("clbit")
-            ops.append((kind, operands, None if clbit is None else int(clbit)))
+            clbit = None if clbit is None else _json_int(clbit, f"gates[{i}].clbit")
+            ops.append((kind, operands, clbit))
     except ParseError:
         raise
     except (LookupError, TypeError, ValueError, OverflowError) as exc:

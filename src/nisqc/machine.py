@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -101,14 +102,20 @@ def static_cnot_duration(d: int, m: GridMachine) -> int:
 
 
 def _probability(value, name: str) -> float:
-    p = float(value)
-    if not 0.0 <= p < 1.0:
-        raise CalibrationError(f"{name} = {p} outside [0, 1)")
-    return p
+    if isinstance(value, (bool, str)) or not 0.0 <= value < 1.0:
+        raise CalibrationError(f"{name} = {value!r} is not a number in [0, 1)")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    # A JSON integer: an integral float such as 12.0 is one; 2.7, "2" and true are not.
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise CalibrationError(f"{name} = {value!r} is not an integer")
 
 
 def _duration(value, name: str) -> int:
-    d = int(value)
+    d = _integer(value, name)
     if d < 1:
         raise CalibrationError(f"{name} = {d} must be a positive timeslot count")
     return d
@@ -133,11 +140,7 @@ def load_calibration(doc) -> GridMachine:
 def _machine_from_doc(doc) -> GridMachine:
     if not isinstance(doc, dict) or "grid" not in doc:
         raise CalibrationError("calibration document needs a grid section")
-    grid = doc["grid"]
-    try:
-        mx, my = int(grid["mx"]), int(grid["my"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CalibrationError(f"bad grid section: {exc}") from exc
+    mx, my = _integer(doc["grid"]["mx"], "mx"), _integer(doc["grid"]["my"], "my")
     if mx < 1 or my < 1:
         raise CalibrationError("grid dimensions must be >= 1")
 
@@ -151,7 +154,7 @@ def _machine_from_doc(doc) -> GridMachine:
 
     qubit_over: dict[tuple[int, int], dict] = {}
     for entry in doc.get("qubits", []):
-        pos = (int(entry["x"]), int(entry["y"]))
+        pos = (_integer(entry["x"], "x"), _integer(entry["y"], "y"))
         if not (0 <= pos[0] < mx and 0 <= pos[1] < my):
             raise CalibrationError(f"qubit cell {pos} outside {mx}x{my} grid")
         if pos in qubit_over:
@@ -172,8 +175,8 @@ def _machine_from_doc(doc) -> GridMachine:
 
     edge_over: dict[tuple[int, int], dict] = {}
     for entry in doc.get("edges", []):
-        a = (int(entry["a"][0]), int(entry["a"][1]))
-        b = (int(entry["b"][0]), int(entry["b"][1]))
+        a = (_integer(entry["a"][0], "a"), _integer(entry["a"][1], "a"))
+        b = (_integer(entry["b"][0], "b"), _integer(entry["b"][1], "b"))
         for pos in (a, b):
             if not (0 <= pos[0] < mx and 0 <= pos[1] < my):
                 raise CalibrationError(f"edge endpoint {pos} outside {mx}x{my} grid")
@@ -275,69 +278,57 @@ def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> 
 def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
     # Most-reliable simple path per ordered pair, at swap exponents 3 and 6;
     # fac maps each directed edge to (r, r**3, r**6, duration), r = 1 - error.
-    # The last edge is scored once while interior edges are scored swap_exp
-    # times, so a single global Dijkstra cannot be optimal; instead, per target
-    # t, search from each neighbor u on the graph without t and append the
-    # closing edge (u, t). One search at exponent 3 serves exponent 6 too:
-    # doubling is exact in binary floating point, so 2.0 * dist is the
-    # exponent-6 distance bit for bit, with the same heap order and pred tree.
-    # Every distance is >= 0 (a zero-error edge weighs -0.0), so dist[t] = -1
-    # keeps t out of the search without a test in the inner loop.
+    # One Dijkstra per source s weighs the swap edges; target t closes at its
+    # first neighbour u, in adjacency order, that beats the best so far by
+    # more than 1e-15, skipping a u whose tree path passes through t (with
+    # positive errors it loses to t's tree parent). 2.0 * dist is exactly the
+    # exponent-6 distance. Walks and their r**3 and r**6 products (in walk
+    # order, as price_walk) extend the parent's that a heap entry carries.
+    # Entries are made target by target from [t][s] lists, so one target's lie
+    # together in memory: the greedy mappers read many sources' paths to one.
     n = m.num_cells
     adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
-    table3, table6 = {}, {}
-    for t in range(n):
-        best3, best6 = [math.inf] * n, [math.inf] * n
-        via3, via6 = [-1] * n, [-1] * n
-        preds = {}
-        for u in m.adjacency[t]:
-            close_w = -math.log(fac[(u, t)][0])
-            dist = [math.inf] * n
-            dist[t] = -1.0
-            pred = preds[u] = [-1] * n
-            dist[u] = 0.0
-            heap = [(0.0, u)]
-            while heap:
-                d, v = heapq.heappop(heap)
-                if d > dist[v]:
-                    continue
-                for w_, wt in adj[v]:
-                    nd = d + wt
-                    if nd < dist[w_]:
-                        dist[w_] = nd
-                        pred[w_] = v
-                        heapq.heappush(heap, (nd, w_))
-            dist[t] = math.inf
-            for s, d in enumerate(dist):
-                cost3, cost6 = d + close_w, 2.0 * d + close_w
-                if cost3 < best3[s] - 1e-15:
-                    best3[s], via3[s] = cost3, u
-                if cost6 < best6[s] - 1e-15:
-                    best6[s], via6[s] = cost6, u
-
-        def walk(s: int, u: int) -> tuple[tuple[int, ...], float, float]:
-            # pred chains point from u outward: walk s -> u, then close at t,
-            # multiplying r**3 and r**6 side by side in walk order, as
-            # price_walk does.
-            pred, path, p3, p6, v = preds[u], [s], 1.0, 1.0, s
-            while v != u:
-                _, r3, r6, _ = fac[(v, pred[v])]
-                p3, p6, v = p3 * r3, p6 * r6, pred[v]
-                path.append(v)
-            path.append(t)
-            r = fac[(u, t)][0]
-            return tuple(path), p3 * r, p6 * r
-
-        # Both exponents almost always close at the same u, and then one walk
-        # serves both tables.
-        for s, u in enumerate(via3):
-            if u == -1:
+    close = [[(u, -math.log(fac[(u, t)][0]), fac[(u, t)][0]) for u in m.adjacency[t]]
+             for t in range(n)]
+    path3, p3s, r3s, path6, p6s, r6s = ([[None] * n for _ in range(n)] for _ in range(6))
+    for s in range(n):
+        dist, walks = [math.inf] * n, [None] * n
+        dist[s], walks[s] = 0.0, ((s,), 1.0, 1.0)
+        heap = [(0.0, s, s)]
+        while heap:
+            d, v, p = heapq.heappop(heap)
+            if d > dist[v]:
                 continue
-            path, rel3, rel6 = walk(s, u)
-            table3[(s, t)] = (path, rel3)
-            if via6[s] != u:
-                path, _, rel6 = walk(s, via6[s])
-            table6[(s, t)] = (path, rel6)
+            if v != s:
+                cells, p3, p6 = walks[p]
+                _, r3, r6, _ = fac[(p, v)]
+                walks[v] = (cells + (v,), p3 * r3, p6 * r6)
+            for w_, wt in adj[v]:
+                nd = d + wt
+                if nd < dist[w_]:
+                    dist[w_] = nd
+                    heapq.heappush(heap, (nd, w_, v))
+        for t in range(n):
+            if t == s:
+                continue
+            best3 = best6 = math.inf
+            for u, w, r in close[t]:
+                if t in walks[u][0]:
+                    continue
+                cost3, cost6 = dist[u] + w, 2.0 * dist[u] + w
+                if cost3 < best3 - 1e-15:
+                    best3, via3, r3s[t][s] = cost3, u, r
+                if cost6 < best6 - 1e-15:
+                    best6, via6, r6s[t][s] = cost6, u, r
+            # both exponents almost always close at the same u: one walk
+            path3[t][s] = path6[t][s] = walks[via3][0] + (t,)
+            if via6 != via3:
+                path6[t][s] = walks[via6][0] + (t,)
+            p3s[t][s], p6s[t][s] = walks[via3][1], walks[via6][2]
+    table3, table6 = {}, {}
+    for t, s in itertools.permutations(range(n), 2):
+        table3[(s, t)] = (path3[t][s], p3s[t][s] * r3s[t][s])
+        table6[(s, t)] = (path6[t][s], p6s[t][s] * r6s[t][s])
     return table3, table6
 
 
@@ -354,10 +345,11 @@ def build_tables(m: GridMachine) -> DerivedTables:
     the other axis, carrying running products of r, r**3 and r**6 (r = 1 -
     cnot_error) and a running duration sum in walk order, so every entry is
     bitwise the price_walk of its cnot_walk; delta, the least duration over
-    a pair's junctions, is kept as the sweep writes them. One search per
-    closing edge serves the best paths of both swap exponents, and one walk
-    down a source's predecessor chain serves both tables' entries whenever
-    both exponents close at the same neighbour.
+    a pair's junctions, is kept as the sweep writes them. One best-path
+    search per source cell serves both swap exponents: each cell's walk and
+    its products grow along the search tree, an entry is that walk closed at
+    a target's neighbour, and both tables share the walk whenever both
+    exponents close at the same neighbour.
     """
     n, mx, my = m.num_cells, m.mx, m.my
     fac: dict[tuple[int, int], tuple[float, float, float, int]] = {}

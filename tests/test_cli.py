@@ -512,7 +512,8 @@ def _scalar_paths(doc, path=()):
 
 def _malformed(doc, required, rng):
     """A copy of doc with one required key dropped, or one number or string
-    replaced by a value of another type that no reader can take for it."""
+    replaced by a value of another type that no reader can take for it: a
+    non-integral number, a bool or a numeric string is not an integer."""
     doc = copy.deepcopy(doc)
     if rng.random() < 0.5:
         path = rng.choice(required)
@@ -521,7 +522,7 @@ def _malformed(doc, required, rng):
         path = rng.choice(_scalar_paths(doc))
         parent = _at(doc, path[:-1])
         old = parent[path[-1]]
-        parent[path[-1]] = rng.choice([v for v in (None, "x", 1, [1], {"v": 1})
+        parent[path[-1]] = rng.choice([v for v in (None, "x", 1, [1], {"v": 1}, 1.5, True, "1")
                                        if not isinstance(v, type(old))])
     return doc
 
@@ -539,6 +540,7 @@ def _compile_exits_1(tmp_path, capsys, circuit_doc, cal_doc, error):
     assert (code, stdout, len(lines)) == (1, "", 1), (circuit_doc, cal_doc, stderr)
     assert json.loads(lines[0])["error"] == error
     assert not (tmp_path / "x.json").exists()
+    return json.loads(lines[0])["message"]
 
 
 VALID_CIRCUIT = json.loads(to_json(gen_bv(3, "11")))
@@ -556,6 +558,47 @@ class TestMalformedInputs:
         _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, no_y, "CalibrationError")
         _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, no_b, "CalibrationError")
         _compile_exits_1(tmp_path, capsys, no_operands, VALID_CAL, "ParseError")
+
+    def test_non_integers_are_refused_not_truncated(self, tmp_path, capsys):
+        # int() once read each of these as an integer; now each is refused by
+        # a message naming its key, and an integral float such as 2.0 loads
+        gates = VALID_CIRCUIT["gates"]
+        cx = next(i for i, g in enumerate(gates) if g["kind"] == "cx")
+        h = next(i for i, g in enumerate(gates) if g["kind"] == "h")
+        measure = next(i for i, g in enumerate(gates) if "clbit" in g)
+        cal_cases = [(("grid", "my"), 2.9, "my"),
+                     (("defaults", "cnot_duration"), 2.7, "cnot_duration"),
+                     (("defaults", "t2"), "500", "t2"),
+                     (("defaults", "readout_duration"), True, "readout_duration"),
+                     (("qubits", 2, "x"), 1.5, "x"),
+                     (("edges", 0, "a", 1), 0.5, "a"),
+                     (("defaults", "cnot_error"), "0.04", "cnot_error"),
+                     (("qubits", 0, "readout_error"), False, "readout_error")]
+        circ_cases = [(("gates", cx, "operands"), [0.7, 2], f"gates[{cx}].operands"),
+                      (("gates", h, "operands"), [True], f"gates[{h}].operands"),
+                      (("gates", measure, "clbit"), 0.2, f"gates[{measure}].clbit"),
+                      (("num_qubits",), "3", "num_qubits")]
+
+        def replaced(doc, path, value):
+            doc = copy.deepcopy(doc)
+            _at(doc, path[:-1])[path[-1]] = value
+            return doc
+
+        for path, value, key in cal_cases:
+            message = _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT,
+                                       replaced(VALID_CAL, path, value), "CalibrationError")
+            assert message.startswith(f"{key} = {value!r} "), message
+        for path, value, key in circ_cases:
+            message = _compile_exits_1(tmp_path, capsys, replaced(VALID_CIRCUIT, path, value),
+                                       VALID_CAL, "ParseError")
+            assert f"{key} = " in message, message
+        circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
+        circuit.write_text(json.dumps(replaced(replaced(VALID_CIRCUIT, ("num_qubits",), 3.0),
+                                               ("gates", cx, "operands", 0), 0.0)))
+        cal.write_text(json.dumps(replaced(replaced(VALID_CAL, ("grid", "mx"), 2.0),
+                                           ("defaults", "t2"), 500.0)))
+        assert run(capsys, "compile", str(circuit), str(cal), "--variant", "greedy-v",
+                   "--out", str(tmp_path / "ok"))[0] == 0
 
     def test_infinite_duration_is_a_calibration_error(self, tmp_path, capsys):
         doc = copy.deepcopy(VALID_CAL)

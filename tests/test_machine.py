@@ -336,18 +336,28 @@ class TestTables:
         assert t.cnot_rel[(0, 1, 0)] == pytest.approx(0.9, abs=1e-12)
         assert t.best_paths[(0, 1)][0] == (0, 1)
 
-    @pytest.mark.parametrize("mx,my,seed", [(2, 3, 5), (3, 3, 6), (3, 3, 7)])
-    def test_best_paths_exhaustive_oracle(self, mx, my, seed):
-        m = load_calibration(jittered_doc(mx, my, seed, jitter_durations=False))
+    @pytest.mark.parametrize("mx,my,seed,zero", [(2, 3, 5, False), (3, 3, 6, False),
+                                                 (3, 3, 7, False), (3, 3, 8, True)],
+                             ids=["2-3-5", "3-3-6", "3-3-7", "3-3-all-zero"])
+    def test_best_paths_exhaustive_oracle(self, mx, my, seed, zero):
+        """Each entry is a simple walk of the best reliability; on an
+        all-zero grid every simple walk ties at reliability 1.0."""
+        doc = jittered_doc(mx, my, seed, jitter_durations=False)
+        for e in doc["edges"] if zero else ():
+            e["cnot_error"] = 0.0
+        m = load_calibration(doc)
         tables = build_tables(m)
         for s, t in itertools.permutations(range(m.num_cells), 2):
-            truth = max(path_reliability(p, m) for p in all_simple_paths(m, s, t))
+            walks = set(all_simple_paths(m, s, t))
+            truth = max(path_reliability(p, m) for p in walks)
             path, rel = tables.best_paths[(s, t)]
+            assert path in walks and tables.best_paths_return[(s, t)][0] in walks
             assert rel == pytest.approx(truth, abs=1e-12)
             assert path_reliability(path, m) == pytest.approx(rel, abs=1e-12)
-            truth_ret = max(path_reliability(p, m, count_return_swaps=True)
-                            for p in all_simple_paths(m, s, t))
+            truth_ret = max(path_reliability(p, m, count_return_swaps=True) for p in walks)
             assert tables.best_paths_return[(s, t)][1] == pytest.approx(truth_ret, abs=1e-12)
+            if zero:
+                assert rel == tables.best_paths_return[(s, t)][1] == 1.0
 
     def test_best_paths_beat_one_bend(self):
         m = load_calibration(jittered_doc(3, 4, 11, jitter_durations=False))
@@ -438,14 +448,69 @@ class TestTables:
         assert walk_duration(m, (2, 1, 0)) == 6 * 5 + 2
 
 
-def reference_best_paths(m, swap_exp):
-    """The best-path search build_tables used to run once per swap exponent."""
-    n = m.num_cells
+def _log_weights(m):
     log_w = {}
     for e in m.edges:
         w = -math.log(1.0 - e.cnot_error)
         log_w[e.endpoints] = w
         log_w[e.endpoints[::-1]] = w
+    return log_w
+
+
+def reference_best_paths(m, swap_exp):
+    """The best path per ordered pair by the per-source derivation: one
+    Dijkstra from each source s weighs every hop swap_exp times, and each
+    target t closes at the first neighbour u, in adjacency order, whose cost
+    beats the best so far by more than 1e-15, skipping a u whose tree path
+    passes through t. Reliabilities are path_reliability's."""
+    n = m.num_cells
+    log_w = _log_weights(m)
+    result = {}
+    for s in range(n):
+        dist, pred = [math.inf] * n, [-1] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            for w_ in m.adjacency[v]:
+                nd = d + swap_exp * log_w[(v, w_)]
+                if nd < dist[w_]:
+                    dist[w_] = nd
+                    pred[w_] = v
+                    heapq.heappush(heap, (nd, w_))
+
+        def tree_walk(u):
+            seq = [u]
+            while seq[-1] != s:
+                seq.append(pred[seq[-1]])
+            return tuple(reversed(seq))
+
+        for t in range(n):
+            if t == s:
+                continue
+            best, via = math.inf, None
+            for u in sorted(m.adjacency[t]):
+                walk = tree_walk(u)
+                if t in walk:
+                    continue
+                cost = dist[u] + log_w[(u, t)]
+                if cost < best - 1e-15:
+                    best, via = cost, walk
+            path = via + (t,)
+            result[(s, t)] = (path, path_reliability(path, m, count_return_swaps=swap_exp == 6))
+    return result
+
+
+def closing_edge_best_paths(m, swap_exp):
+    """The best path per ordered pair by the per-closing-edge derivation:
+    for each target t and neighbour u, one Dijkstra from u on the grid
+    without t; s closes at the first u, in adjacency order, whose cost beats
+    the best so far by more than 1e-15. It ties differently from the
+    per-source derivation only where many paths tie exactly."""
+    n = m.num_cells
+    log_w = _log_weights(m)
     result = {}
     best_cost = [[math.inf] * n for _ in range(n)]
     best_via = [[-1] * n for _ in range(n)]
@@ -517,6 +582,17 @@ def reference_tables(m):
 ORACLE_SHAPES = [(1, 1), (1, 5), (5, 1), (2, 2), (2, 8), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5)]
 
 
+def oracle_doc(shape, kind):
+    mx, my = shape
+    if kind == "uniform":
+        return uniform_doc(mx, my)
+    doc = jittered_doc(mx, my, 3 * mx + my, jitter_durations=kind != "synth")
+    for i, e in enumerate(doc["edges"]):
+        if kind == "all-zero" or (kind == "third-zero" and i % 3 == 0):
+            e["cnot_error"] = 0.0
+    return doc
+
+
 class TestTablesOracle:
     """build_tables equals the per-key derivation exactly, keys and values:
     the best-path tie-breaks feed the greedy placements."""
@@ -538,18 +614,32 @@ class TestTablesOracle:
     def test_small_grids(self, shape, kind):
         """Zero-error edges weigh -0.0 in the best-path search, so its paths
         tie everywhere and may not pass through their own target."""
-        mx, my = shape
-        if kind == "uniform":
-            doc = uniform_doc(mx, my)
-        else:
-            doc = jittered_doc(mx, my, 3 * mx + my, jitter_durations=kind != "synth")
-            for i, e in enumerate(doc["edges"]):
-                if kind == "all-zero" or (kind == "third-zero" and i % 3 == 0):
-                    e["cnot_error"] = 0.0
-        self.assert_equal(load_calibration(doc))
+        self.assert_equal(load_calibration(oracle_doc(shape, kind)))
 
     def test_hardware_scale_grid(self):
         self.assert_equal(load_calibration(jittered_doc(12, 12, 1)))
+
+    @staticmethod
+    def assert_closing_edge_agrees(m):
+        got = build_tables(m)
+        assert got.best_paths == closing_edge_best_paths(m, 3)
+        assert got.best_paths_return == closing_edge_best_paths(m, 6)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("kind", ["uniform", "synth", "synth-jittered", "third-zero"])
+    def test_closing_edge_derivation_agrees(self, shape, kind):
+        """The per-closing-edge derivation picks the same paths here: with
+        positive errors a walk through its own target loses to closing at the
+        target's tree parent. On an all-zero grid every path ties, and the two
+        derivations break the ties differently."""
+        self.assert_closing_edge_agrees(load_calibration(oracle_doc(shape, kind)))
+
+    def test_closing_edge_derivation_agrees_on_a_seeded_sweep(self):
+        rng = random.Random(4)
+        for case in range(200):
+            mx, my = rng.randint(1, 8), rng.randint(1, 8)
+            doc = synth_calibration(mx, my, rng.randrange(2 ** 31), jitter_durations=case % 2 == 1)
+            self.assert_closing_edge_agrees(load_calibration(doc))
 
 
 class TestSynthCalibration:
