@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, parse_circuit, to_qasm
@@ -85,36 +84,38 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     eps_route, eps_strict = {}, {}   # per gate id
     cnot, measure = GateKind.CNOT, GateKind.MEASURE
     new = tuple.__new__   # a PhysGate without NamedTuple's Python-level __new__
+    ones = {cell: (cell,) for cell in cells.values()}   # one operand tuple per cell
     for gid, kind, operands, clbit in c.gates:
         s, d = start[gid], dur[gid]
-        cell = cells[operands[0]]
+        window, cell = (s, s + d, gid), cells[operands[0]]   # one window for all its cells
         if kind is not cnot:
             if kind is measure:
                 eps_route[gid] = eps_strict[gid] = 1.0 - m.qubits[cell].readout_error
-            windows.setdefault(cell, []).append((s, s + d, gid))
-            phys.append(new(PhysGate, (kind, (cell,), s, d, clbit)))
+            windows.setdefault(cell, []).append(window)
+            phys.append(new(PhysGate, (kind, ones[cell], s, d, clbit)))
             continue
         walk = routes[gid]
         hops, eps_route[gid], eps_strict[gid] = price_walk(m, walk, static)
         check_joins(gid, walk, cell, cells[operands[1]])
         for x in walk:
-            windows.setdefault(x, []).append((s, s + d, gid))
+            windows.setdefault(x, []).append(window)
         # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
-        # last edge, the CNOT runs there in its own direction, the SWAPs undo
-        swaps = list(zip(walk, walk[1:-1], hops))
+        # last edge, the CNOT runs there in its own direction, the SWAPs undo;
+        # a hop's three CNOTs each way share its two operand tuples
+        swaps = [((u, v), (v, u), e) for u, v, e in zip(walk, walk[1:-1], hops)]
         t = s
-        for u, v, e in swaps:
-            phys += (new(PhysGate, (cnot, (u, v), t, e, None)),
-                     new(PhysGate, (cnot, (v, u), t + e, e, None)),
-                     new(PhysGate, (cnot, (u, v), t + 2 * e, e, None)))
+        for uv, vu, e in swaps:
+            phys += (new(PhysGate, (cnot, uv, t, e, None)),
+                     new(PhysGate, (cnot, vu, t + e, e, None)),
+                     new(PhysGate, (cnot, uv, t + 2 * e, e, None)))
             t += 3 * e
         phys.append(new(PhysGate, (cnot, (walk[-2], walk[-1]) if walk[0] == cell
                                    else (walk[-1], walk[-2]), t, hops[-1], None)))
         t += hops[-1]
-        for u, v, e in reversed(swaps):
-            phys += (new(PhysGate, (cnot, (v, u), t, e, None)),
-                     new(PhysGate, (cnot, (u, v), t + e, e, None)),
-                     new(PhysGate, (cnot, (v, u), t + 2 * e, e, None)))
+        for uv, vu, e in reversed(swaps):
+            phys += (new(PhysGate, (cnot, vu, t, e, None)),
+                     new(PhysGate, (cnot, uv, t + e, e, None)),
+                     new(PhysGate, (cnot, vu, t + 2 * e, e, None)))
             t += 3 * e
         if t - s != d:   # the walk took 6 * sum(hops[:-1]) + hops[-1]
             raise CodegenError(f"inconsistent schedule: CNOT {gid} walks its route in "
@@ -144,13 +145,21 @@ def emit_qasm(cc: CompiledCircuit) -> str:
     if cc.source.num_clbits:
         lines.append(f"creg c[{cc.source.num_clbits}];")
     cnot, measure, append = GateKind.CNOT, GateKind.MEASURE, lines.append
-    for kind, ops, _s, _d, clbit in sorted(cc.expanded, key=itemgetter(2, 1)):  # start, cells
+    qh = [f"qh[{i}]" for i in range(cc.num_cells)]
+    n1 = cc.num_cells + 1
+
+    def key(g: PhysGate) -> int:
+        # an int that sorts as (start, cells) does: (a,) before every (a, b), b ascending
+        ops = g[1]
+        return (g[2] * n1 + ops[0]) * n1 + (ops[1] + 1 if len(ops) > 1 else 0)
+
+    for kind, ops, _s, _d, clbit in sorted(cc.expanded, key=key):
         if kind is cnot:
-            append(f"cx qh[{ops[0]}],qh[{ops[1]}];")
+            append(f"cx {qh[ops[0]]},{qh[ops[1]]};")
         elif kind is measure:
-            append(f"measure qh[{ops[0]}] -> c[{clbit}];")
+            append(f"measure {qh[ops[0]]} -> c[{clbit}];")
         else:
-            append(f"{_QASM_NAMES[kind]} qh[{ops[0]}];")
+            append(f"{_QASM_NAMES[kind]} {qh[ops[0]]};")
     return "\n".join(lines) + "\n"
 
 

@@ -40,15 +40,15 @@ def _degree_order(pg) -> list[int]:
     return sorted(pg.nodes, key=lambda q: (-pg.vertex_degree.get(q, 0), q))
 
 
-def _best_free_cell(anchors: list[tuple[int, int]], free: list[int], bp) -> int:
+def _best_free_cell(anchors: list[tuple[list[float], int]], free: list[int]) -> int:
     """The free cell with the best sum of best-path log-reliabilities to the
-    anchor cells, each weighted by its CNOT multiplicity. `free` is ascending,
-    so the first of tied cells wins."""
+    anchors, each a column of them by cell, weighted by its CNOT multiplicity.
+    `free` is ascending, so the first of tied cells wins."""
     best_cell, best_score = None, None
     for cell in free:
         s = 0.0
-        for other, w in anchors:
-            s += w * math.log(bp[(cell, other)][1])
+        for col, w in anchors:
+            s += w * col[cell]
         if best_score is None or s > best_score + 1e-15:
             best_cell, best_score = cell, s
     return best_cell
@@ -77,6 +77,21 @@ def _greedy_map(pg, m: GridMachine, t: DerivedTables,
     placed: dict[int, int] = {}
     free = list(range(m.num_cells))
     frontier: list[tuple[int, int]] = []   # heap of (rank, qubit)
+    # per anchor cell, the log best-path reliability from each cell free when
+    # it first anchors; cells only leave the free list, so it stays complete
+    cols: dict[int, list[float]] = {}
+
+    def column(anchor: int) -> list[float]:
+        col = cols.get(anchor)
+        if col is None:
+            col = cols[anchor] = [0.0] * m.num_cells
+            for cell in free:
+                r = t.best_paths[(cell, anchor)][1]
+                if r <= 0.0:
+                    raise ValueError(f"best-path reliability from cell {cell} to cell "
+                                     f"{anchor} underflowed to {r!r}")
+                col[cell] = math.log(r)
+        return col
 
     def place(q: int, cell: int) -> None:
         placed[q] = cell
@@ -93,8 +108,8 @@ def _greedy_map(pg, m: GridMachine, t: DerivedTables,
                 place(q, cell)
             continue
         q = heapq.heappop(frontier)[1]
-        anchors = [(placed[o], w) for o, w in nbrs[q] if o in placed]
-        place(q, _best_free_cell(anchors, free, t.best_paths))
+        anchors = [(column(placed[o]), w) for o, w in nbrs[q] if o in placed]
+        place(q, _best_free_cell(anchors, free))
     isolated = [q for q in _degree_order(pg) if q not in placed]
     for q, cell in zip(isolated, _by_readout(m, free)):
         placed[q] = cell

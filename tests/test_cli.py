@@ -472,6 +472,25 @@ class TestErrorsAreOneJsonLine:
                                         "message": "300000 program qubits exceed 4 hardware cells"}
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("variant", ["greedy-v", "greedy-e"])
+    def test_underflowed_reliability_is_named_and_exits_1(self, tmp_path, capsys, variant):
+        # 39 hops of CNOT error 0.99999 take a best path's reliability below
+        # the smallest float, so placing qubit 39 next to qubit 0 cannot be scored
+        circuit = tmp_path / "chain.qasm"
+        circuit.write_text("OPENQASM 2.0;\nqreg q[40];\n"
+                           + "".join(f"cx q[{i}],q[{i + 1}];\n" for i in range(39))
+                           + "cx q[0],q[39];\n")
+        cal = uniform_cal(tmp_path, 1, 40, cnot_error=0.99999, t2=10 ** 9)
+        code, stdout, stderr = run(capsys, "compile", str(circuit), cal,
+                                   "--variant", variant, "--out", str(tmp_path / "x"))
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert re.fullmatch(r"best-path reliability from cell \d+ to cell \d+ underflowed "
+                            r"to 0\.0", err["message"])
+        assert not (tmp_path / "x.json").exists()
+
     def test_json_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
         circuit = tmp_path / "big.json"
         circuit.write_text('{"num_qubits": ' + "9" * 5000 + ', "gates": []}')

@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import json
 import math
+import random
+from operator import itemgetter
 
 import pytest
 
@@ -349,6 +351,35 @@ class TestEmitQasm:
         assert lines[3] == "OPENQASM 2.0;"
         assert lines[4] == "qreg qh[3];"
         assert sum(1 for ln in lines if ln.startswith("cx ")) == 7
+
+    def test_ties_at_one_start_order_by_cells(self):
+        # (a,) before (a, b) before (a, c > b) before (a + 1,), at cell
+        # numbers up to the last cell; equal (start, cells) keep stream order
+        m = load_calibration(udoc(4, 4))
+        c = gen_bv(4, "111")
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        H, X, CX, MEASURE = GateKind.H, GateKind.X, GateKind.CNOT, GateKind.MEASURE
+        gates = []
+        for s in (0, 3, 7):
+            for a, b, far in ((0, 1, 4), (5, 6, 9), (14, 11, 15), (13, 12, 15)):
+                gates += [PhysGate(H, (a,), s, 1), PhysGate(CX, (a, b), s, 2),
+                          PhysGate(CX, (a, far), s, 2), PhysGate(X, (a + 1,), s, 1),
+                          PhysGate(MEASURE, (a,), s, 12, 2), PhysGate(X, (a,), s, 1),
+                          PhysGate(CX, (b, a), s, 2)]
+        gates.append(PhysGate(MEASURE, (15,), 7, 12, 0))
+        random.Random(5).shuffle(gates)
+        mixed = dataclasses.replace(cc, expanded=tuple(gates))
+        want = []
+        for kind, ops, _s, _d, clbit in sorted(gates, key=itemgetter(2, 1)):
+            if kind is CX:
+                want.append(f"cx qh[{ops[0]}],qh[{ops[1]}];")
+            elif kind is MEASURE:
+                want.append(f"measure qh[{ops[0]}] -> c[{clbit}];")
+            else:
+                want.append(f"{kind.value} qh[{ops[0]}];")
+        assert emit_qasm(mixed).splitlines()[-len(gates):] == want
+        assert emit_qasm(mixed).splitlines()[:-len(gates)] == \
+            emit_qasm(cc).splitlines()[:-len(cc.expanded)]
 
     def test_empty_circuit_emits_registers_only(self):
         m = line_machine(2)

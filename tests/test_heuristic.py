@@ -2,7 +2,9 @@
 every compiled schedule must satisfy the same verifier as the exact solver."""
 
 import hashlib
+import heapq
 import json
+import math
 import random
 import statistics
 import tracemalloc
@@ -10,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nisqc import heuristic
 from nisqc.circuit import (
     build_circuit,
     build_program_graph,
@@ -30,7 +33,7 @@ from nisqc.heuristic import (
 )
 from nisqc.machine import build_tables, load_calibration, synth_calibration
 from nisqc.optimal import solve_exact
-from nisqc.schedule import Infeasible, ProblemConfig
+from nisqc.schedule import Infeasible, Placement, ProblemConfig
 
 
 def udoc(mx, my, **over):
@@ -309,3 +312,95 @@ class TestGoldenPlacements:
         assert [m.cell_id(pv.loc[q]) for q in range(6)] == [1, 4, 3, 0, 6, 5]
         pe = greedy_edge_map(pg, m, t)
         assert [m.cell_id(pe.loc[q]) for q in range(6)] == [0, 1, 4, 3, 5, 2]
+
+
+# ------------------------------------------------- scalar scoring oracle ---
+
+def scalar_best_free_cell(anchors, free, bp):
+    """The reference scorer: math.log of every best-path reliability, taken
+    anew at every placement, with the mapper's tie rule."""
+    best_cell, best_score = None, None
+    for cell in free:
+        s = 0.0
+        for other, w in anchors:
+            s += w * math.log(bp[(cell, other)][1])
+        if best_score is None or s > best_score + 1e-15:
+            best_cell, best_score = cell, s
+    return best_cell
+
+
+def scalar_greedy_map(pg, m, t, seed, rank):
+    """heuristic._greedy_map with anchors passed as cells to the scalar scorer."""
+    nbrs = {q: [] for q in pg.nodes}
+    for (a, b), w in pg.edges.items():
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    n_connected = sum(1 for q in pg.nodes if nbrs[q])
+    placed, free, frontier = {}, list(range(m.num_cells)), []
+
+    def place(q, cell):
+        placed[q] = cell
+        free.remove(cell)
+        for other, _w in nbrs[q]:
+            if other not in placed:
+                heapq.heappush(frontier, (rank(other, q), other))
+
+    while len(placed) < n_connected:
+        while frontier and frontier[0][1] in placed:
+            heapq.heappop(frontier)
+        if not frontier:
+            for q, cell in seed(placed, free):
+                place(q, cell)
+            continue
+        q = heapq.heappop(frontier)[1]
+        anchors = [(placed[o], w) for o, w in nbrs[q] if o in placed]
+        place(q, scalar_best_free_cell(anchors, free, t.best_paths))
+    isolated = [q for q in heuristic._degree_order(pg) if q not in placed]
+    for q, cell in zip(isolated, heuristic._by_readout(m, free)):
+        placed[q] = cell
+    return Placement(loc={q: m.pos(cl) for q, cl in placed.items()})
+
+
+def oracle_cases():
+    """(machine, tables, circuit) over 1xN, jittered 2x8 and nxn grids, an
+    all-zero-error grid, full occupancy and several components."""
+    for n in (2, 3, 5, 9, 16):
+        m = load_calibration(synth_calibration(1, n, n))
+        yield m, build_tables(m), gen_random(n, 4 * n, n)
+    for seed in range(3):
+        m = load_calibration(synth_calibration(2, 8, seed, jitter_durations=True))
+        t = build_tables(m)
+        yield m, t, gen_random(10 + seed, 40, seed)
+        yield m, t, gen_random(16, 64, seed)   # full occupancy
+    for n in range(3, 9):
+        m = load_calibration(synth_calibration(n, n, 7 * n, jitter_durations=True))
+        t = build_tables(m)
+        yield m, t, gen_random(n * n, 3 * n, n)   # components and isolated qubits
+        yield m, t, gen_random(n * n, 8 * n * n, n + 1)   # full occupancy
+        yield m, t, gen_random(n + 2, 10 * n, n + 2)
+    for n in (3, 6):
+        m, t = machine(n, n, cnot_error=0.0, readout_error=0.0)
+        yield m, t, gen_random(n * n - 1, 6 * n, n)
+        yield m, t, disjoint_pairs(n)
+    for seed in (1, 6, 9, 12):
+        m = load_calibration(synth_calibration(2, 3, seed))
+        yield m, build_tables(m), disjoint_pairs(seed)
+
+
+class TestScalarOracle:
+    def test_placements_match_the_scalar_scoring(self, monkeypatch):
+        placements = []
+        for m, t, c in oracle_cases():
+            pg = build_program_graph(c)
+            placements.append([(mapper(pg, m, t).loc, mapper)
+                               for mapper in (greedy_vertex_map, greedy_edge_map)])
+        monkeypatch.setattr(heuristic, "_greedy_map", scalar_greedy_map)
+        for (m, t, c), got in zip(oracle_cases(), placements):
+            pg = build_program_graph(c)
+            for loc, mapper in got:
+                assert loc == mapper(pg, m, t).loc, (m.mx, m.my, c.num_qubits, mapper)
+
+    def test_all_ties_go_to_the_lowest_free_cell(self):
+        free = [2, 3, 5, 8]
+        zeros = [0.0] * 9
+        assert heuristic._best_free_cell([(zeros, 3), (zeros, 1)], free) == 2
