@@ -2,8 +2,8 @@
 objective against exhaustive enumeration, audit the constraint system, check
 the compiled stream is semantically equivalent, and validate the analytic
 reliability with Monte Carlo. Then check the equivalence of a 64-qubit,
-1024-gate greedy compile, far over the statevector's cap: its normal form
-proves it.
+1024-gate greedy compile, far larger than any statevector holds: its normal
+form proves it.
 
 Run: python3 demos/verification_oracles.py
 """

@@ -2,12 +2,10 @@
 
 from .circuit import (
     Circuit,
-    DependencyDag,
     Gate,
     GateKind,
     ParseError,
     ProgramGraph,
-    build_dag,
     build_program_graph,
     gen_bv,
     gen_random,

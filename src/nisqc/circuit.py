@@ -69,11 +69,6 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class DependencyDag:
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class ProgramGraph:
     nodes: tuple[int, ...]
     edges: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -331,13 +326,6 @@ def predecessor_lists(c: Circuit) -> list[list[int]]:
         ps.sort()
         preds.append(ps)
     return preds
-
-
-def build_dag(c: Circuit) -> DependencyDag:
-    """The edges of predecessor_lists: gates that share a qubit or write one
-    clbit are ordered."""
-    return DependencyDag(edges=frozenset((p, g) for g, ps in enumerate(predecessor_lists(c))
-                                         for p in ps))
 
 
 def build_program_graph(c: Circuit) -> ProgramGraph:

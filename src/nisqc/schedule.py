@@ -57,9 +57,6 @@ class ProblemConfig:
 class Placement:
     loc: dict[int, tuple[int, int]]
 
-    def cells(self, m: GridMachine) -> tuple[int, ...]:
-        return tuple(m.cell_id(self.loc[q]) for q in sorted(self.loc))
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -1,5 +1,5 @@
-"""The tie rule of the exact solver, for tests that compare it with an
-enumerator's list of optima."""
+"""The tie rule of the exact solver, and a solution's placement in the form
+the enumerator lists it, for tests that compare the two."""
 
 from nisqc.circuit import build_program_graph
 
@@ -16,3 +16,9 @@ def first_in_search_order(c, argmax):
     degree = build_program_graph(c).vertex_degree
     order = sorted(range(c.num_qubits), key=lambda q: (-degree.get(q, 0), q))
     return min(argmax, key=lambda entry: (tuple(entry[0][q] for q in order), entry[1]))
+
+
+def placement_cells(sol, m):
+    """sol's placement as a tuple of cell ids by qubit id, the form of the
+    cells in a brute_force_optimal argmax entry."""
+    return tuple(m.cell_id(sol.placement.loc[q]) for q in sorted(sol.placement.loc))

@@ -8,7 +8,6 @@ from nisqc.circuit import (
     GateKind,
     ParseError,
     build_circuit,
-    build_dag,
     build_program_graph,
     gen_bv,
     gen_random,
@@ -201,18 +200,23 @@ class TestRoundTrip:
         assert parse_circuit(to_json(circuit), format="json") == circuit
 
 
+def dag_edges(c):
+    """Every (predecessor, gate) pair of predecessor_lists."""
+    return {(p, g) for g, ps in enumerate(predecessor_lists(c)) for p in ps}
+
+
 class TestDag:
     def test_single_gate(self):
         c = parse_circuit("qreg q[1];\nh q[0];\n")
-        assert build_dag(c).edges == frozenset()
+        assert dag_edges(c) == set()
 
     def test_same_qubit_chain(self):
         c = parse_circuit("qreg q[1];\nh q[0];\nh q[0];\n")
-        assert build_dag(c).edges == frozenset({(0, 1)})
+        assert dag_edges(c) == {(0, 1)}
 
     def test_bv4_structure(self):
         c = gen_bv(4, "111")
-        edges = build_dag(c).edges
+        edges = dag_edges(c)
         # Gate layout: 0 = X(q3), 1..4 = H(q0..q3), 5..7 = CNOTs onto q3.
         assert (1, 5) in edges and (4, 5) in edges
         assert (5, 6) in edges and (6, 7) in edges
@@ -221,7 +225,7 @@ class TestDag:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_acyclic_and_ordered(self, seed):
         c = with_shared_clbits(gen_random(5, 60, seed=seed), seed)
-        edges = build_dag(c).edges
+        edges = dag_edges(c)
         assert kahn_is_acyclic(len(c.gates), edges)
         assert all(a < b for a, b in edges)
         for a, b in edges:
@@ -232,7 +236,7 @@ class TestDag:
     @pytest.mark.parametrize("seed", range(8))
     def test_predecessor_lists_match_the_dag(self, seed):
         # each gate follows the last earlier gate on each of its qubits and
-        # on its clbit; build_dag's edges are the same pairs
+        # on its clbit
         for c in (gen_random(2 + seed % 5, 40 + 10 * seed, seed), gen_bv(5, "1011"),
                   with_shared_clbits(gen_random(2 + seed % 5, 30, seed), seed)):
             want = []
@@ -245,7 +249,6 @@ class TestDag:
                                   if h.classical_target == g.classical_target), default=None))
                 want.append(sorted(last - {None}))
             assert predecessor_lists(c) == want
-            assert build_dag(c).edges == {(p, g) for g, ps in enumerate(want) for p in ps}
 
 
 class TestProgramGraph:

@@ -1,6 +1,6 @@
 """The package's import structure: every nisqc module imports its siblings at
-the top, takes only their public names, and the layers below the exact search
-never import it."""
+the top, takes only their public names, uses every name it imports, and the
+layers below the exact search never import it."""
 
 import ast
 import time
@@ -49,6 +49,27 @@ def _offences(path: Path) -> list[str]:
 
 def test_modules_import_only_public_names_at_the_top():
     found = [o for path in sorted(SRC.glob("*.py")) for o in _offences(path)]
+    assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names path's imports bind that nothing in the module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or \
+                isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.stem}.py:{line}: imports {name} and never uses it"
+            for name, line in bound.items() if name not in read]
+
+
+def test_modules_use_every_name_they_import():
+    """__init__.py is exempt: it imports names to export them."""
+    found = [u for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for u in _unused_imports(path)]
     assert found == []
 
 

@@ -15,7 +15,6 @@ import pytest
 from nisqc.circuit import (
     GateKind,
     build_circuit,
-    build_dag,
     build_program_graph,
     gen_bv,
     gen_random,
@@ -55,7 +54,7 @@ from nisqc.schedule import (
 )
 from nisqc.smtlib import emit_smtlib
 
-from search_order import first_in_search_order
+from search_order import first_in_search_order, placement_cells
 
 
 def udoc(mx, my, **over):
@@ -109,9 +108,7 @@ def naive_starts(c, m, cfg, tables, cells, junctions):
                 else m.single_qubit_duration
             regions[g.id] = {cell}
             deadline[g.id] = m.static_coherence_bound - 1 if static else m.qubits[cell].t2
-    preds = {g.id: set() for g in c.gates}
-    for g1, g2 in build_dag(c).edges:
-        preds[g2].add(g1)
+    preds = {g.id: set(ps) for g, ps in zip(c.gates, predecessor_lists(c))}
     starts = {}
     while len(starts) < len(c.gates):
         best = None
@@ -183,7 +180,7 @@ def solution_key(sol, c, m):
     """A solution's (cells, junctions) key, each junction read back from its
     CNOT's walk: a walk is the cnot_walk of exactly one legal junction."""
     t = build_tables(m)
-    cells = sol.placement.cells(m)
+    cells = placement_cells(sol, m)
     junctions = []
     for g in c.cnot_gates():
         a, b = cells[g.operands[0]], cells[g.operands[1]]
@@ -1044,6 +1041,33 @@ class TestEmitSmtlib:
             assert int(dur) == t.cnot_dur[(a, b, legal)]
 
 
+class TestGoldenSmtlib:
+    """sha256 of emit_smtlib's script for BV4 and a Toffoli under every
+    variant/routing pair (return swaps scored or not) on a plain and a
+    jittered 2x3 grid, and for one circuit whose readouts share a clbit:
+    pinned so that a change to the encoding, or to the order its dependency
+    asserts come in, that alters one byte of a script fails here."""
+    DIGEST = "24b74def579c322a4b880efaebf6878d347f27b138c2b4b64959b795281cfdb3"
+    CONFIGS = ((Variant.T_SMT, Routing.RR, False), (Variant.T_SMT, Routing.ONE_BEND, False),
+               (Variant.T_SMT_STAR, Routing.RR, False),
+               (Variant.T_SMT_STAR, Routing.ONE_BEND, False),
+               (Variant.R_SMT_STAR, Routing.ONE_BEND, False),
+               (Variant.R_SMT_STAR, Routing.ONE_BEND, True))
+
+    def test_scripts_are_pinned(self):
+        cx, ms = GateKind.CNOT, GateKind.MEASURE
+        shared = build_circuit(3, 1, [("h", (0,)), (cx, (0, 1)), (ms, (1,), 0), ("x", (2,)),
+                                      (ms, (0,), 0), (cx, (1, 2)), (ms, (2,), 0)])
+        h = hashlib.sha256()
+        for m in (load_calibration(udoc(2, 3)),
+                  load_calibration(synth_calibration(2, 3, 4, jitter_durations=True))):
+            for c in (gen_bv(4, "111"), gen_toffoli(), shared):
+                for variant, routing, flag in self.CONFIGS:
+                    cfg = ProblemConfig(variant, routing, count_return_swaps=flag)
+                    h.update(emit_smtlib(c, m, cfg).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 def _z3_objective(text):
     z3 = pytest.importorskip("z3")
     opt = z3.Optimize()
@@ -1274,7 +1298,7 @@ def _pinned_solves(monkeypatch, pool, budget, variants=EXACT_VARIANTS):
             sol = solve_exact(c, m, ProblemConfig(variant, routing, time_limit=budget),
                               tables=t)
             walks = [sol.gate_routes[g.id] for g in c.cnot_gates()]
-            h.update(repr((sol.placement.cells(m), walks, sol.objective_value,
+            h.update(repr((placement_cells(sol, m), walks, sol.objective_value,
                            sol.optimal)).encode())
             proved += sol.optimal
     return h.hexdigest(), clock.reads, proved
