@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -67,6 +68,18 @@ class Circuit:
     def cnot_gates(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.kind is GateKind.CNOT)
 
+    @functools.cached_property
+    def dag(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Each gate's direct predecessors and successors, by gate id, as
+        predecessor_lists gives them, built once per circuit. Read-only: every
+        caller shares these lists."""
+        preds = predecessor_lists(self)
+        succs: list[list[int]] = [[] for _ in preds]
+        for g2, ps in enumerate(preds):
+            for g1 in ps:
+                succs[g1].append(g2)
+        return preds, succs
+
 
 @dataclass(frozen=True)
 class ProgramGraph:
@@ -99,26 +112,35 @@ def build_circuit(num_qubits: int, num_clbits: int,
     return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
 
 
-# OpenQASM is ASCII: under re.ASCII, \d takes no other script's digits (which
-# int() would read) and \s no Unicode spaces.
-_RE_QREG = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
-_RE_CREG = re.compile(r"creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
-_RE_1Q = re.compile(r"([A-Za-z]+)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
-_RE_CX = re.compile(
-    r"cx\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*,\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$",
-    re.ASCII)
-_RE_MEASURE = re.compile(
-    r"measure\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$",
-    re.ASCII)
-# A statement's first word picks its regex, _RE_1Q for any other word. Each
-# keyword regex needs its keyword followed by ASCII whitespace, so after a
-# miss only _RE_1Q can still match: 'cx q[0]' is then an unknown gate kind.
-_RE_BY_WORD = {"qreg": _RE_QREG, "creg": _RE_CREG, "cx": _RE_CX, "measure": _RE_MEASURE}
+# One line, one statement. The blanks around it and a trailing // comment
+# are taken as str.strip() takes them, any Unicode whitespace; the statement
+# itself is ASCII, as OpenQASM is: under (?a:...), \d takes no other script's
+# digits (which int() would read) and \s no Unicode spaces. The group that
+# closes last says which statement matched: 2 qreg, 4 creg, 8 cx, 12 measure,
+# 15 a single-qubit gate, and none for a blank line, the OPENQASM header or
+# the qelib1 include. A keyword branch needs its keyword followed by ASCII
+# whitespace, so 'cx q[0]' is read by the single-qubit branch as an unknown
+# gate kind.
+_REF = r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]"
+_RE_LINE = re.compile(
+    r"\s*(?:(?:OPENQASM(?:(?!//).)*|include \"qelib1\.inc\"|(?a:"
+    rf"qreg\s+{_REF}|creg\s+{_REF}|cx\s+{_REF}\s*,\s*{_REF}|measure\s+{_REF}\s*->\s*{_REF}"
+    rf"|([A-Za-z]+)\s+{_REF}))\s*;\s*)?(?://.*)?")
 
 
 def _column(raw: str) -> int:
     """1-based column of a source line's first non-blank character."""
     return len(raw) - len(raw.lstrip()) + 1
+
+
+def _misread(raw: str, lineno: int) -> NoReturn:
+    """Raise the ParseError of a line _RE_LINE does not match: with its
+    comment cut off and its blanks stripped, it does not end with ';', or it
+    holds no statement that the reader knows."""
+    line = raw.split("//", 1)[0].strip()
+    if not line.endswith(";"):
+        raise ParseError("statement must end with ';'", lineno, _column(raw) + len(line))
+    raise ParseError(f"cannot parse statement '{line[:-1].strip()}'", lineno, _column(raw))
 
 
 def _qasm_int(digits: str, line: int, col: int) -> int:
@@ -140,31 +162,25 @@ def _parse_qasm(text: str) -> Circuit:
     # any line wins over an earlier out-of-range operand.
     bad: list[tuple[int, int]] = []
     new = tuple.__new__   # a Gate without NamedTuple's Python-level __new__
-    one_qubit, by_word = _SINGLE_QUBIT_NAMES, _RE_BY_WORD
+    one_qubit, read = _SINGLE_QUBIT_NAMES, _RE_LINE.fullmatch
     cnot, measure = GateKind.CNOT, GateKind.MEASURE
     lines = text.splitlines()
+    ones: dict[str, tuple[int]] = {}   # one operand tuple per qubit, by its digits
+    matches: dict[str, re.Match] = {}   # one match per distinct line: gate lines repeat
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        if not line.endswith(";"):
-            raise ParseError("statement must end with ';'", lineno, _column(raw) + len(line))
-        stmt = line[:-1].strip()
-        if stmt.startswith("OPENQASM") or stmt == 'include "qelib1.inc"':
-            continue
-        rx = by_word.get(stmt.split(None, 1)[0] if stmt else "", _RE_1Q)
-        m = rx.match(stmt)
+        m = matches.get(raw)
         if m is None:
-            rx = _RE_1Q
-            m = rx.match(stmt)
+            m = matches[raw] = read(raw)
             if m is None:
-                raise ParseError(f"cannot parse statement '{stmt}'", lineno, _column(raw))
-        groups = m.groups()
+                _misread(raw, lineno)
+        which = m.lastindex
+        if which is None:
+            continue
         gid = len(gates)
         try:
-            if rx is _RE_1Q:
-                name, reg, q = groups
+            if which == 15:
+                name, reg, q = m.group(13, 14, 15)
                 kind = one_qubit.get(name)
                 if kind is None:
                     raise ParseError(f"unknown gate kind '{name}'", lineno, _column(raw))
@@ -172,12 +188,14 @@ def _parse_qasm(text: str) -> Circuit:
                     raise ParseError("gate before qreg declaration", lineno, _column(raw))
                 if reg != qreg:
                     raise ParseError(f"unknown register '{reg}'", lineno, _column(raw))
-                q = int(q)
-                if q >= num_qubits:
+                operands = ones.get(q)
+                if operands is None:
+                    operands = ones[q] = (int(q),)
+                if operands[0] >= num_qubits:
                     bad.append((gid, lineno))
-                gates.append(new(Gate, (gid, kind, (q,), None)))
-            elif rx is _RE_CX:
-                reg_a, a, reg_b, b = groups
+                gates.append(new(Gate, (gid, kind, operands, None)))
+            elif which == 8:
+                reg_a, a, reg_b, b = m.group(5, 6, 7, 8)
                 if qreg is None:
                     raise ParseError("gate before qreg declaration", lineno, _column(raw))
                 if reg_a != qreg or reg_b != qreg:
@@ -186,8 +204,8 @@ def _parse_qasm(text: str) -> Circuit:
                 if a >= num_qubits or b >= num_qubits or a == b:
                     bad.append((gid, lineno))
                 gates.append(new(Gate, (gid, cnot, (a, b), None)))
-            elif rx is _RE_MEASURE:
-                reg, q, reg_c, clbit = groups
+            elif which == 12:
+                reg, q, reg_c, clbit = m.group(9, 10, 11, 12)
                 if qreg is None:
                     raise ParseError("gate before qreg declaration", lineno, _column(raw))
                 if reg != qreg:
@@ -199,20 +217,20 @@ def _parse_qasm(text: str) -> Circuit:
                 if q >= num_qubits or clbit >= num_clbits:
                     bad.append((gid, lineno))
                 gates.append(new(Gate, (gid, measure, (q,), clbit)))
-            elif rx is _RE_QREG:
+            elif which == 2:
                 if qreg is not None:
                     raise ParseError("duplicate qreg declaration", lineno, _column(raw))
-                qreg, num_qubits = groups[0], int(groups[1])
+                qreg, num_qubits = m[1], int(m[2])
             else:
                 if creg is not None:
                     raise ParseError("duplicate creg declaration", lineno, _column(raw))
-                creg, num_clbits = groups[0], int(groups[1])
+                creg, num_clbits = m[3], int(m[4])
         except ParseError:
             raise
         except ValueError:
             # int() refused a digit group (names start with a letter or '_');
             # the first such group, in the order read, is the one reported
-            for digits in groups:
+            for digits in m.groups(""):
                 if digits.isdigit():
                     _qasm_int(digits, lineno, _column(raw))
             raise

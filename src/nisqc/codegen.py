@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,7 +81,8 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
     start, dur, routes = sol.schedule.start, sol.schedule.dur, sol.gate_routes
     phys: list[PhysGate] = []
-    windows: dict[int, list[tuple[int, int, int]]] = {}   # per cell: (start, end, gate id)
+    # per cell: (start, end, gate id)
+    windows: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     eps_route, eps_strict = {}, {}   # per gate id
     cnot, measure = GateKind.CNOT, GateKind.MEASURE
     new = tuple.__new__   # a PhysGate without NamedTuple's Python-level __new__
@@ -91,14 +93,14 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
         if kind is not cnot:
             if kind is measure:
                 eps_route[gid] = eps_strict[gid] = 1.0 - m.qubits[cell].readout_error
-            windows.setdefault(cell, []).append(window)
+            windows[cell].append(window)
             phys.append(new(PhysGate, (kind, ones[cell], s, d, clbit)))
             continue
         walk = routes[gid]
         hops, eps_route[gid], eps_strict[gid] = price_walk(m, walk, static)
         check_joins(gid, walk, cell, cells[operands[1]])
         for x in walk:
-            windows.setdefault(x, []).append(window)
+            windows[x].append(window)
         # walk[0]'s qubit SWAPs (3 CNOTs of alternating direction) up to the
         # last edge, the CNOT runs there in its own direction, the SWAPs undo;
         # a hop's three CNOTs each way share its two operand tuples

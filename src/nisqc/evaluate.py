@@ -10,15 +10,16 @@ import itertools
 import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, predecessor_lists
+from .circuit import Circuit, GateKind
 from .codegen import CompiledCircuit
-from .machine import DerivedTables, GridMachine, build_tables, canonical_junction, cnot_walk
+from .machine import DerivedTables, GridMachine, build_tables, route_cells
 from .optimal import Scorer
 from .schedule import (
     Infeasible,
@@ -193,11 +194,14 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                    cfg: ProblemConfig | None = None,
                    tables: DerivedTables | None = None) -> list[str]:
     """Independent re-verification of every constraint; returns violations (empty = valid).
-    Each CNOT's walk is priced once, by walk_cost, for its duration, its
-    reserved cells and its reliability. The objective must equal, exactly,
-    the makespan or weighted_log_sum of each walk's reliability and each
-    measured cell's readout_rel; it is not recomputed when a CNOT's walk is
-    rejected."""
+    Under 1bp and rr routing a CNOT's walk must be the one-bend route of one
+    of its cell pair's junctions, walked either way: which end moves, and
+    which junction rr takes, are the solver's choices on the day it ran, and
+    depend on that day's edge durations. Each CNOT's walk is priced once, by
+    walk_cost, for its duration, its reserved cells and its reliability. The
+    objective must equal, exactly, the makespan or weighted_log_sum of each
+    walk's reliability and each measured cell's readout_rel; it is not
+    recomputed when a CNOT's walk is rejected."""
     v: list[str] = []
     variant = cfg.variant.value if cfg is not None else sol.variant
     routing = cfg.routing.value if cfg is not None else sol.routing
@@ -224,7 +228,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     if missing:
         return v + [f"gates {missing} unscheduled"]
 
-    by_cell: dict[int, list[tuple[int, int, int]]] = {}   # reservations per cell
+    by_cell: dict[int, list[tuple[int, int, int]]] = defaultdict(list)   # reservations per cell
     ln_ro: list[float] = []
     ln_cx: list[float] = []
     is_static = variant == Variant.T_SMT.value
@@ -235,8 +239,13 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             return v + [f"solution config rejected: {exc}"]
 
     qubits, cnot, measure = m.qubits, GateKind.CNOT, GateKind.MEASURE
+    by_route = routing != Routing.BEST_PATH.value
+    sq_dur, static_deadline = m.single_qubit_duration, m.static_coherence_bound - 1
+    ones = [(cell,) for cell in range(m.num_cells)]   # a one-cell gate's region, per cell
+    n_cnots = 0
     for gid, kind, operands, _clbit in c.gates:
         if kind is cnot:
+            n_cnots += 1
             a, b = cells[operands[0]], cells[operands[1]]
             if a == b:
                 v.append(f"CNOT {gid} endpoints share cell {a}")
@@ -245,10 +254,9 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             if len(walk) < 2 or (walk[0], walk[-1]) not in ((a, b), (b, a)):
                 v.append(f"CNOT {gid} route does not join its endpoints")
                 continue
-            if routing != Routing.BEST_PATH.value:
-                legal = (canonical_junction(tables, a, b),) if routing == Routing.RR.value \
-                    else tables.junctions[(a, b)]
-                if all(walk != cnot_walk(m, a, b, j) for j in legal):
+            if by_route:
+                route = walk if walk[0] == a else walk[::-1]
+                if all(route != route_cells(m, a, b, j) for j in tables.junctions[(a, b)]):
                     v.append(f"CNOT {gid} route is not the walk of a junction "
                              f"legal under {routing} routing")
                     continue
@@ -261,7 +269,6 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                 v.append(f"CNOT {gid} route visits a cell twice")
                 continue
             ln_cx.append(math.log(eps[flag]))
-            region = set(region)
             t2 = min(qubits[a].t2, qubits[b].t2)
         else:
             cell = cells[operands[0]]
@@ -269,18 +276,19 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
                 expect_dur = qubits[cell].readout_duration
                 ln_ro.append(math.log(float(tables.readout_rel[cell])))
             else:
-                expect_dur = m.single_qubit_duration
-            region = (cell,)
+                expect_dur = sq_dur
+            region = ones[cell]
             t2 = qubits[cell].t2
         s, d = start[gid], dur[gid]
         if d != expect_dur:
             v.append(f"gate {gid} duration {d} != expected {expect_dur}")
-        if s + d > (m.static_coherence_bound - 1 if is_static else t2):
+        if s + d > (static_deadline if is_static else t2):
             v.append(f"gate {gid} breaks its coherence deadline")
+        window = (s, s + d, gid)   # one tuple for all its cells, which are distinct
         for cell in region:
-            by_cell.setdefault(cell, []).append((s, s + d, gid))
+            by_cell[cell].append(window)
 
-    late = [(g1, g2) for g2, ps in enumerate(predecessor_lists(c)) for g1 in ps
+    late = [(g1, g2) for g2, ps in enumerate(c.dag[0]) for g1 in ps
             if start[g2] < start[g1] + dur[g1]]
     v += [f"dependency violated: gate {g2} starts before gate {g1} finishes"
           for g1, g2 in sorted(late)]
@@ -290,7 +298,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
 
     if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
         expect_obj = float(sol.schedule.makespan)
-    elif len(ln_cx) == len(c.cnot_gates()):
+    elif len(ln_cx) == n_cnots:
         expect_obj = weighted_log_sum(omega, ln_ro, ln_cx)
     else:
         return v

@@ -58,10 +58,16 @@ class GridMachine:
     def __post_init__(self):
         self.num_cells = self.mx * self.my
         self.edge_map: dict[tuple[int, int], HardwareEdge] = {}
+        # per directed edge (u, v): (r, r**3, r**6, cnot_duration), r = 1 -
+        # cnot_error, the factors price_walk and build_tables price hops by
+        self.price_factors: dict[tuple[int, int], tuple[float, float, float, int]] = {}
         self.adjacency: list[list[int]] = [[] for _ in range(self.num_cells)]
         for e in self.edges:
             self.edge_map[e.endpoints] = e
             a, b = e.endpoints
+            r = 1.0 - e.cnot_error
+            self.price_factors[a, b] = self.price_factors[b, a] = \
+                (r, r ** 3, r ** 6, e.cnot_duration)
             self.adjacency[a].append(b)
             self.adjacency[b].append(a)
         for nbrs in self.adjacency:
@@ -249,24 +255,25 @@ def price_walk(m: GridMachine, walk, static: bool = False) -> tuple[list[int], f
     forward swap and, with return swaps, a 3-CNOT swap back. So the walk
     lasts 6 * sum(hops[:-1]) + hops[-1], and its reliabilities multiply, in
     walk order, r**3 (r**6) per swap hop and r on the CNOT hop, r = 1 -
-    cnot_error. The static model charges the machine-wide tau on every hop.
-    Raises ValueError for a walk of fewer than two cells or off an edge.
+    cnot_error, each read from m.price_factors. The static model charges the
+    machine-wide tau on every hop. Raises ValueError for a walk of fewer than
+    two cells or off an edge.
     """
     if len(walk) < 2:
         raise ValueError("path needs at least one edge")
-    edge_map, tau = m.edge_map, m.static_tau_cnot
+    factors, tau = m.price_factors, m.static_tau_cnot
     hops: list[int] = []
     route = strict = 1.0
     r = None   # the last hop's; a hop is a swap hop once another follows it
     for u, v in zip(walk, walk[1:]):
         if r is not None:
-            route *= r ** 3
-            strict *= r ** 6
-        e = edge_map.get((u, v) if u < v else (v, u))
-        if e is None:
+            route *= r3
+            strict *= r6
+        f = factors.get((u, v))
+        if f is None:
             raise ValueError(f"cells {u} and {v} not adjacent")
-        hops.append(tau if static else e.cnot_duration)
-        r = 1.0 - e.cnot_error
+        r, r3, r6, d = f
+        hops.append(tau if static else d)
     return hops, route * r, strict * r
 
 
@@ -275,18 +282,18 @@ def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> 
     return price_walk(m, path)[1 + count_return_swaps]
 
 
-def _best_paths(m: GridMachine, fac) -> tuple[dict, dict]:
-    # Most-reliable simple path per ordered pair, at swap exponents 3 and 6;
-    # fac maps each directed edge to (r, r**3, r**6, duration), r = 1 - error.
-    # One Dijkstra per source s weighs the swap edges; target t closes at its
-    # first neighbour u, in adjacency order, that beats the best so far by
-    # more than 1e-15, skipping a u whose tree path passes through t (with
-    # positive errors it loses to t's tree parent). 2.0 * dist is exactly the
-    # exponent-6 distance. Walks and their r**3 and r**6 products (in walk
-    # order, as price_walk) extend the parent's that a heap entry carries.
-    # Entries are made target by target from [t][s] lists, so one target's lie
-    # together in memory: the greedy mappers read many sources' paths to one.
-    n = m.num_cells
+def _best_paths(m: GridMachine) -> tuple[dict, dict]:
+    # Most-reliable simple path per ordered pair, at swap exponents 3 and 6,
+    # priced by m.price_factors. One Dijkstra per source s weighs the swap
+    # edges; target t closes at its first neighbour u, in adjacency order,
+    # that beats the best so far by more than 1e-15, skipping a u whose tree
+    # path passes through t (with positive errors it loses to t's tree
+    # parent). 2.0 * dist is exactly the exponent-6 distance. Walks and their
+    # r**3 and r**6 products (in walk order, as price_walk) extend the
+    # parent's that a heap entry carries. Entries are made target by target
+    # from [t][s] lists, so one target's lie together in memory: the greedy
+    # mappers read many sources' paths to one.
+    n, fac = m.num_cells, m.price_factors
     adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
     close = [[(u, -math.log(fac[(u, t)][0]), fac[(u, t)][0]) for u in m.adjacency[t]]
              for t in range(n)]
@@ -342,20 +349,16 @@ def build_tables(m: GridMachine) -> DerivedTables:
 
     One sweep per source cell prices every one-bend walk that starts there:
     it runs out along the cell's row and column and turns at each corner onto
-    the other axis, carrying running products of r, r**3 and r**6 (r = 1 -
-    cnot_error) and a running duration sum in walk order, so every entry is
-    bitwise the price_walk of its cnot_walk; delta, the least duration over
-    a pair's junctions, is kept as the sweep writes them. One best-path
-    search per source cell serves both swap exponents: each cell's walk and
-    its products grow along the search tree, an entry is that walk closed at
-    a target's neighbour, and both tables share the walk whenever both
-    exponents close at the same neighbour.
+    the other axis, carrying running products of r, r**3 and r**6 (the
+    machine's price_factors) and a running duration sum in walk order, so
+    every entry is bitwise the price_walk of its cnot_walk; delta, the least
+    duration over a pair's junctions, is kept as the sweep writes them. One
+    best-path search per source cell serves both swap exponents: each cell's
+    walk and its products grow along the search tree, an entry is that walk
+    closed at a target's neighbour, and both tables share the walk whenever
+    both exponents close at the same neighbour.
     """
-    n, mx, my = m.num_cells, m.mx, m.my
-    fac: dict[tuple[int, int], tuple[float, float, float, int]] = {}
-    for e in m.edges:
-        r = 1.0 - e.cnot_error
-        fac[e.endpoints] = fac[e.endpoints[::-1]] = (r, r ** 3, r ** 6, e.cnot_duration)
+    n, mx, my, fac = m.num_cells, m.mx, m.my, m.price_factors
     junctions, cnot_rel, cnot_dur, cnot_rel_return = {}, {}, {}, {}
     # delta[c][t], the least cnot_dur over (c, t)'s junctions, kept as written
     delta = [[0 if c == t else math.inf for t in range(n)] for c in range(n)]
@@ -397,7 +400,7 @@ def build_tables(m: GridMachine) -> DerivedTables:
                     k = s - s % my + y
                     junctions[(s, e)] = (corner, k) if corner < k else (k, corner)
                 a, x, y = e, x + dx, y + dy
-    best_paths, best_paths_return = _best_paths(m, fac)
+    best_paths, best_paths_return = _best_paths(m)
     return DerivedTables(
         delta=np.array(delta, dtype=np.int64),
         readout_rel=np.array([1.0 - q.readout_error for q in m.qubits]),

@@ -24,7 +24,6 @@ from .schedule import (
     Routing,
     Solution,
     Variant,
-    dag_lists,
     schedule_gates,
     solution_from_assignment,
     walk_cost,
@@ -130,7 +129,7 @@ class Scorer:
         self._ln_ec: dict[tuple[int, int, int], float] = {}
         self._choices: dict[tuple[int, int], tuple[int, ...]] = {}
         self.n_gates = len(c.gates)
-        self.preds, self.succs = dag_lists(c)
+        self.preds, self.succs = c.dag
         self.cnot_ops = [g.operands for g in c.gates if g.kind is GateKind.CNOT]
         self.measured = [g.operands[0] for g in c.gates if g.kind is GateKind.MEASURE]
         self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]

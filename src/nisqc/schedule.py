@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .circuit import Circuit, GateKind, predecessor_lists
+from .circuit import Circuit, GateKind
 from .machine import DerivedTables, GridMachine, build_tables, cnot_walk, price_walk
 
 
@@ -162,16 +162,6 @@ def walk_cost(m: GridMachine, walk, routing: str,
                       for y in range(min(ay, by), max(ay, by) + 1)), eps_route, eps_strict
 
 
-def dag_lists(c: Circuit) -> tuple[list[list[int]], list[list[int]]]:
-    """Predecessor and successor gate ids per gate."""
-    preds = predecessor_lists(c)
-    succs: list[list[int]] = [[] for _ in preds]
-    for g2, ps in enumerate(preds):
-        for g1 in ps:
-            succs[g1].append(g2)
-    return preds, succs
-
-
 def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
                    static: bool = False) -> tuple[list[int], list[int]]:
     """Starts and durations of a placed circuit under the canonical scheduler:
@@ -187,6 +177,7 @@ def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
     gc: list[tuple[int, ...]] = [()] * n
     dl = [m.static_coherence_bound - 1] * n
     qubits, costs = m.qubits, iter(cnot_costs)
+    ones = [(cell,) for cell in range(m.num_cells)]   # one cell tuple per cell
     cnot, measure = GateKind.CNOT, GateKind.MEASURE
     for i, kind, operands, _clbit in c.gates:
         if kind is cnot:
@@ -197,7 +188,7 @@ def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
             cell = cells[operands[0]]
             durs[i] = qubits[cell].readout_duration if kind is measure \
                 else m.single_qubit_duration
-            gc[i] = (cell,)
+            gc[i] = ones[cell]
             if not static:
                 dl[i] = qubits[cell].t2
     return _list_schedule(m.num_cells, durs, gc, dl, preds, succs), durs
@@ -268,7 +259,7 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
             eps_cx.append(eps[flag])
         elif kind is measure:
             eps_ro.append(1.0 - m.qubits[cells[operands[0]]].readout_error)
-    starts, durs = schedule_gates(c, m, cells, costs, *dag_lists(c), static=static)
+    starts, durs = schedule_gates(c, m, cells, costs, *c.dag, static=static)
     # gate ids are positions in c.gates
     schedule = Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs)))
     if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Circuit, GateKind, predecessor_lists
+from .circuit import Circuit, GateKind
 from .machine import GridMachine, build_tables
 from .schedule import ProblemConfig, Routing, Variant
 
@@ -163,7 +163,7 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
             else:
                 add(f"(assert (<= (+ t{i} d{i}) {t2_bound(f'cq{q}')}))")
 
-    for g1, g2 in sorted((p, g) for g, ps in enumerate(predecessor_lists(c)) for p in ps):
+    for g1, g2 in sorted((p, g) for g, ps in enumerate(c.dag[0]) for p in ps):
         add(f"(assert (>= t{g2} (+ t{g1} d{g1})))")
 
     n = len(c.gates)

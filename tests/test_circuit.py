@@ -1,5 +1,7 @@
 """Circuit IR: parsing, emission, DAG construction, generators."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ from nisqc.circuit import (
     to_json,
     to_qasm,
 )
+from nisqc import circuit as circuit_module
+from nisqc.evaluate import check_solution
+from nisqc.heuristic import HeuristicConfig, heuristic_compile
+from nisqc.machine import build_tables, load_calibration, synth_calibration
+from qasm_reference import parse_qasm as reference_parse_qasm
 
 BV4_QASM = """\
 OPENQASM 2.0;
@@ -186,6 +193,76 @@ class TestParse:
         assert str(exc.value) == f"line {line}, column {column}: {message}"
 
 
+def _mutated(text: str, rng: random.Random) -> str:
+    """text with one to three line edits: a ';' dropped or doubled, a
+    comment, tabs, a no-break space or form feed at the line's end or inside
+    it, an over-long number, an unknown gate, a mismatched register, a
+    duplicated declaration, an include line or a copy of another line."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        edit = rng.randrange(13)
+        if edit == 0:
+            line = line.replace(";", "", 1)
+        elif edit == 1:
+            line = line.replace(";", ";;", 1)
+        elif edit == 2:
+            at = rng.randrange(len(line) + 1)
+            line = line[:at] + rng.choice(("// x;", "//", " // c", "/")) + line[at:]
+        elif edit == 3:
+            line = rng.choice(("\t", " \t", "")) + line.replace(" ", rng.choice(("\t", " \t ")))
+        elif edit == 4:
+            at = rng.choice((len(line), len(line) - 1, rng.randrange(len(line) + 1)))
+            line = line[:at] + rng.choice(("\u00a0", "\f", " \u00a0", "\u2003")) + line[at:]
+        elif edit == 5:
+            line = line.replace("[", "[" + "9" * rng.choice((3, 4400, 5000)), 1)
+        elif edit == 6:
+            word = line.split(" ", 1)[0]
+            line = line.replace(word, rng.choice(("rx", "u3", "cz", "cx", "h")), 1)
+        elif edit == 7:
+            line = line.replace(rng.choice(("q[", "c[")), rng.choice(("r[", "d[", "q_1[")), 1)
+        elif edit == 8:
+            lines.insert(i, rng.choice(("qreg q[3];", "creg c[2];", "qreg r[1];")))
+        elif edit == 9:
+            lines.insert(i, rng.choice(('include "qelib1.inc";', 'include "other.inc";',
+                                        "include qelib1.inc;", 'include  "qelib1.inc" ;',
+                                        "OPENQASM 2.0;", "OPENQASM 3 // v;")))
+        elif edit == 10:
+            line = line.replace("1", rng.choice(("7", "0", "\u0661")), 1)
+        elif edit == 11:
+            lines.insert(i, rng.choice(lines))
+        else:
+            line = rng.choice(("", " ", ";", "h;", "measure q[0];", "// only")) + line
+        if edit not in (8, 9, 11):
+            lines[i] = line
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return ("ParseError", exc.line, exc.column, str(exc))
+
+
+class TestParseOracle:
+    """The reader against the line reader it replaced (tests/qasm_reference.py)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_texts_read_as_the_reference_reads_them(self, seed):
+        rng = random.Random(seed)
+        sources = [BV4_QASM, to_qasm(gen_toffoli()), to_qasm(gen_random(3, 12, seed)),
+                   'OPENQASM 2.0;\ninclude "qelib1.inc";\n' + to_qasm(gen_bv(4, "101"))[14:]]
+        errors = 0
+        for k in range(300):
+            text = _mutated(sources[k % len(sources)], rng)
+            got = _read(parse_circuit, text)
+            assert got == _read(reference_parse_qasm, text), text
+            errors += isinstance(got, tuple)
+        assert 0 < errors < 300
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("circuit", [
         gen_bv(4, "111"), gen_bv(5, "1011"), gen_toffoli(), gen_random(6, 40, seed=9),
@@ -249,6 +326,27 @@ class TestDag:
                                   if h.classical_target == g.classical_target), default=None))
                 want.append(sorted(last - {None}))
             assert predecessor_lists(c) == want
+            preds, succs = c.dag
+            assert preds == want
+            assert succs == [[g for g, ps in enumerate(want) if p in ps]
+                             for p in range(len(c.gates))]
+            assert c.dag is c.dag
+
+    def test_one_dag_per_circuit_from_compile_to_check(self, monkeypatch):
+        # check_solution reads the lists build_solution built for the circuit
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return predecessor_lists(c)
+
+        monkeypatch.setattr(circuit_module, "predecessor_lists", counted)
+        m = load_calibration(synth_calibration(3, 3, 1))
+        t = build_tables(m)
+        c = gen_random(6, 40, 2)
+        sol = heuristic_compile(c, m, t, HeuristicConfig("greedy-e"))
+        assert check_solution(sol, c, m, tables=t) == []
+        assert calls == [c]
 
 
 class TestProgramGraph:

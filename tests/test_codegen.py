@@ -510,6 +510,30 @@ class TestRecord:
                                       [math.log(eps[g]) for g in cnots])
         assert back.objective_value == expect != cc.objective_value
 
+    def test_records_verify_on_every_other_day(self):
+        # Which end of a CNOT walks, and which junction rr takes, follow the
+        # compile day's edge durations; a record read on another day's keeps
+        # its walks and must still be a solution there.
+        configs = [ProblemConfig(v, r) for v, r in (
+            (Variant.T_SMT, Routing.RR), (Variant.T_SMT, Routing.ONE_BEND),
+            (Variant.T_SMT_STAR, Routing.RR), (Variant.T_SMT_STAR, Routing.ONE_BEND),
+            (Variant.R_SMT_STAR, Routing.ONE_BEND))]
+        configs += [HeuristicConfig(policy) for policy in ("greedy-v", "greedy-e")]
+        read = 0
+        for seed in range(12):
+            m, other = (load_calibration(synth_calibration(2, 3, s, jitter_durations=True))
+                        for s in (seed, seed + 100))
+            t = build_tables(m)
+            c = gen_random(4, 10, seed)
+            for cfg in configs:
+                sol = heuristic_compile(c, m, t, cfg) if isinstance(cfg, HeuristicConfig) \
+                    else solve_exact(c, m, cfg, tables=t)
+                back = from_record(record_to_json(expand(sol, c, m)), other)
+                assert back.gate_routes == sol.gate_routes
+                assert check_solution(back, c, other) == [], (seed, back.variant, back.routing)
+                read += 1
+        assert read == 12 * 7
+
     def test_from_record_raises_infeasible_past_t2(self):
         c = gen_random(4, 12, 3)
         m, tight = line_machine(4), line_machine(4, t2=6)

@@ -73,6 +73,17 @@ def test_modules_use_every_name_they_import():
     assert found == []
 
 
+def test_only_the_circuit_module_calls_the_dependency_rule():
+    """Every other module reads a circuit's lists from Circuit.dag, which
+    builds them once per circuit."""
+    found = [f"{path.stem}.py:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "circuit.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).rsplit(".", 1)[-1] == "predecessor_lists"]
+    assert found == []
+
+
 def test_perfbench_clock_hook_is_the_solvers():
     """perfbench swaps nisqc.optimal.time for a read-counting clock, so the
     solver must read its clock through that module attribute."""

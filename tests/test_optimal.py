@@ -821,8 +821,8 @@ class TestCheckSolution:
         # A CNOT's stored route is what expand walks, and the objective is
         # recomputed from it. A route through the other legal junction is a
         # sound duration solution, but under r-smt-star it no longer earns
-        # the claimed objective; the first junction's route walked by the
-        # other qubit is the walk of no legal junction.
+        # the claimed objective. So does the first junction's route walked by
+        # the other qubit; a detour is the route of no junction.
         import dataclasses
         m = load_calibration(synth_calibration(3, 3, 5))
         t = build_tables(m)
@@ -848,25 +848,30 @@ class TestCheckSolution:
         assert check_solution(r_bad, c, m, r_cfg, tables=t) == [want]
         assert check_solution(r_bad, c, m) == [want]
         mover = dataclasses.replace(sol, gate_routes={0: (4, 1, 0)})
-        for got in (check_solution(mover, c, m, cfg, tables=t), check_solution(mover, c, m)):
-            assert any("walk of a junction legal under 1bp" in v for v in got)
-        # a rejected walk has no reliability, so the objective is not recomputed
+        assert check_solution(mover, c, m, cfg, tables=t) == check_solution(mover, c, m) == []
         r_mover = dataclasses.replace(r_sol, gate_routes={0: (4, 1, 0)})
-        assert check_solution(r_mover, c, m, r_cfg, tables=t) == \
+        want = (f"objective {r_sol.objective_value} != recomputed "
+                f"{0.5 * math.log(expand(r_mover, c, m).eps_route[0])}")
+        assert check_solution(r_mover, c, m, r_cfg, tables=t) == [want]
+        # a rejected walk has no reliability, so the objective is not recomputed
+        detour = dataclasses.replace(r_sol, gate_routes={0: (0, 1, 2, 5, 4)})
+        assert check_solution(detour, c, m, r_cfg, tables=t) == check_solution(detour, c, m) == \
             ["CNOT 0 route is not the walk of a junction legal under 1bp routing"]
 
     def test_rectangle_reservation_walks_the_canonical_junction(self):
+        # the solver walks the faster junction's route under rr; the slower
+        # one's is a valid program too, since the rectangle covers both
         m = slow_corner_machine()
         t = build_tables(m)
         cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.RR)
         c = build_circuit(2, 0, [("cx", (0, 1))])
         fast, slow = canonical_junction(t, 0, 3), m.cell_id((0, 1))
         assert fast != slow
-        assert check_solution(solution_from_assignment(c, m, cfg, (0, 3), (fast,), tables=t),
-                              c, m, cfg, tables=t) == []
-        sol = solution_from_assignment(c, m, cfg, (0, 3), (slow,), tables=t)
-        assert any("walk of a junction legal under rr" in v
-                   for v in check_solution(sol, c, m, cfg, tables=t))
+        assert optimal.Scorer(c, m, t, cfg).junction_choices(0, 3) == (fast,)
+        for j in (fast, slow):
+            sol = solution_from_assignment(c, m, cfg, (0, 3), (j,), tables=t)
+            assert sol.schedule.dur[0] == t.cnot_dur[(0, 3, j)]
+            assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_objective_consistency(self):
         import dataclasses
@@ -966,8 +971,8 @@ class TestCheckSolutionGolden:
     solution's config given and recovered from its echoes: each message
     and its order, pinned so that a change to the checker that alters one
     of them fails here."""
-    DIGEST = "c4ba1d219177d492bab9f8c9b82caff73427b2647090a4c140487376f11ca4c9"
-    LISTS = 2140
+    DIGEST = "2e36f77afe4a8a2f16294bb51e08e54781026db0600b97b7c7715cd9b9b5113a"
+    LISTS = 2110
 
     def test_violation_lists_are_pinned(self):
         rng = random.Random(20)
