@@ -25,7 +25,7 @@ from .evaluate import (
 from .heuristic import HeuristicConfig, heuristic_compile
 from .machine import GridMachine, build_tables, load_calibration, synth_calibration
 from .optimal import SolverTimeout, solve_exact
-from .schedule import Infeasible, ProblemConfig, Solution
+from .schedule import Infeasible, ProblemConfig
 from .smtlib import emit_smtlib
 
 EXACT_VARIANTS = ("t-smt", "t-smt-star", "r-smt-star")
@@ -63,53 +63,66 @@ def _load_circuit(path: str) -> Circuit:
     return parse_circuit(_read(path), format=fmt)
 
 
-def _load_machine(path: str) -> GridMachine:
-    return load_calibration(_read(path))
-
-
-def _compile_one(c: Circuit, m: GridMachine, tables, variant: str, args) -> Solution:
-    """Shared flag validation + dispatch for compile/compare/bench."""
-    omega = 0.5 if args.omega is None else args.omega
-    if args.omega is not None and variant not in RELIABILITY_VARIANTS:
-        raise UsageError(f"--omega only applies to {', '.join(RELIABILITY_VARIANTS)}")
-    if variant in GREEDY_VARIANTS:
-        if getattr(args, "routing", None):
-            raise UsageError("greedy variants always route along best paths; "
-                             "--routing only applies to exact variants")
-        if getattr(args, "emit_smtlib", None):
-            raise UsageError("--emit-smtlib only applies to exact variants")
-        try:
+def _compile_one(c: Circuit, m: GridMachine, tables, variant: str,
+                 args) -> tuple[CompiledCircuit, float]:
+    """The one compile path of compile, compare and bench: checks the flags
+    against the variant, builds its config, writes --emit-smtlib's script,
+    and maps and expands the circuit. Returns the compiled circuit and the
+    seconds spent in the mapper."""
+    routing, smtlib = getattr(args, "routing", None), getattr(args, "emit_smtlib", None)
+    try:
+        if args.omega is not None and variant not in RELIABILITY_VARIANTS:
+            raise ValueError(f"--omega only applies to {', '.join(RELIABILITY_VARIANTS)}")
+        omega = 0.5 if args.omega is None else args.omega
+        if variant in GREEDY_VARIANTS:
+            if routing:
+                raise ValueError("greedy variants always route along best paths; "
+                                 "--routing only applies to exact variants")
+            if smtlib:
+                raise ValueError("--emit-smtlib only applies to exact variants")
             cfg = HeuristicConfig(policy=variant, omega=omega,
                                   count_return_swaps=args.count_return_swaps)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return heuristic_compile(c, m, tables, cfg)
-    limit = DEFAULT_EXACT_TIME_LIMIT if args.time_limit is None else args.time_limit
-    try:
-        cfg = ProblemConfig(variant=variant, routing=getattr(args, "routing", None),
-                            omega=omega, count_return_swaps=args.count_return_swaps,
-                            time_limit=limit)
+        else:
+            limit = DEFAULT_EXACT_TIME_LIMIT if args.time_limit is None else args.time_limit
+            cfg = ProblemConfig(variant=variant, routing=routing, omega=omega,
+                                count_return_swaps=args.count_return_swaps, time_limit=limit)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if getattr(args, "emit_smtlib", None):
-        atomic_write(args.emit_smtlib, emit_smtlib(c, m, cfg))
-    return solve_exact(c, m, cfg, tables=tables)
+    if smtlib:
+        atomic_write(smtlib, emit_smtlib(c, m, cfg))
+    t0 = time.perf_counter()
+    sol = heuristic_compile(c, m, tables, cfg) if variant in GREEDY_VARIANTS \
+        else solve_exact(c, m, cfg, tables=tables)
+    dt = time.perf_counter() - t0
+    return expand(sol, c, m), dt
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
+def _variants(text: str) -> list[str]:
+    variants = [v.strip() for v in text.split(",") if v.strip()]
+    if not variants:
+        raise UsageError("--variants needs at least one variant")
+    for v in variants:
+        if v not in ALL_VARIANTS:
+            raise UsageError(f"unknown variant {v!r}; choose from {', '.join(ALL_VARIANTS)}")
+    return variants
+
+
+def _check_flags(args) -> None:
+    """The flags several subcommands share, checked before any work wherever
+    a subcommand has them. --time-limit is checked for every variant: bench's
+    default variant list mixes greedy and exact ones, and only the exact ones
+    use the value."""
+    trials, limit, seed = (getattr(args, k, None) for k in ("trials", "time_limit", "seed"))
+    if trials is not None and trials < 1:
         raise UsageError(f"--trials {trials}: at least 1 trial is needed")
-
-
-def _check_time_limit(limit: float | None) -> None:
-    # Checked for every variant, before any compile: bench's default variant
-    # list mixes greedy and exact ones, and only the exact ones use the value.
     if limit is not None and not limit > 0:
         raise UsageError(f"--time-limit {limit}: must be > 0 seconds")
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed {seed}: must be >= 0")
 
 
 def _evaluate_record(cc: CompiledCircuit, benchmark: str, trials: int, seed: int,
-                     compile_time_s: float, optimal: bool | None) -> EvalReport:
+                     compile_time_s: float) -> EvalReport:
     p, se = monte_carlo_success(cc, trials, seed)
     return EvalReport(
         benchmark=benchmark,
@@ -122,21 +135,16 @@ def _evaluate_record(cc: CompiledCircuit, benchmark: str, trials: int, seed: int
         swaps=cc.swap_count,
         compile_time_s=compile_time_s,
         equivalence_passed=equivalence_check(cc.source, cc).passed,
-        optimal=optimal,
+        optimal=cc.optimal,
     )
 
 
 # ----------------------------------------------------------- subcommands ---
 
 def cmd_compile(args) -> int:
-    _check_time_limit(args.time_limit)
     c = _load_circuit(args.circuit)
-    m = _load_machine(args.calibration)
-    tables = build_tables(m)
-    t0 = time.perf_counter()
-    sol = _compile_one(c, m, tables, args.variant, args)
-    dt = time.perf_counter() - t0
-    cc = expand(sol, c, m)
+    m = load_calibration(_read(args.calibration))
+    cc, dt = _compile_one(c, m, build_tables(m), args.variant, args)
     stem = args.out or f"{_stem(args.circuit)}-{args.variant}"
     if stem.endswith((".json", ".qasm")):
         stem = stem[:-5]
@@ -150,13 +158,14 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_trials(args.trials)
     doc = json.loads(_read(args.record))
-    m = _load_machine(args.calibration)
+    m = load_calibration(_read(args.calibration))
     cc = from_record(doc, m)
-    report = _evaluate_record(cc, args.benchmark or _stem(args.record),
-                              args.trials, args.seed,
-                              doc.get("compile_time_s", 0.0), doc.get("optimal"))
+    dt = doc.get("compile_time_s", 0.0)
+    if type(dt) not in (int, float) or not 0 <= dt < math.inf:
+        raise ValueError(f"compile_time_s must be a finite number >= 0, not {dt!r}")
+    report = _evaluate_record(cc, args.benchmark or _stem(args.record), args.trials,
+                              args.seed, dt)
     csv_path, json_path = write_report([report], args.out or _stem(args.record) + "-eval")
     print(f"wrote {csv_path} and {json_path}: reliability={report.reliability!r} "
           f"mc_success={report.mc_success!r} stderr={report.stderr:.6f} "
@@ -168,40 +177,23 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_trials(args.trials)
-    _check_time_limit(args.time_limit)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if not variants:
-        raise UsageError("--variants needs at least one variant")
-    for v in variants:
-        if v not in ALL_VARIANTS:
-            raise UsageError(f"unknown variant {v!r}; choose from {', '.join(ALL_VARIANTS)}")
+    variants = _variants(args.variants)
     c = _load_circuit(args.circuit)
-    m = _load_machine(args.calibration)
+    m = load_calibration(_read(args.calibration))
     tables = build_tables(m)
     benchmark = _stem(args.circuit)
-
-    def run(variant: str):
-        t0 = time.perf_counter()
-        sol = _compile_one(c, m, tables, variant, args)
-        dt = time.perf_counter() - t0
-        cc = expand(sol, c, m)
-        return _evaluate_record(cc, benchmark, args.trials, args.seed, dt, sol.optimal)
-
-    def run_safe(variant: str):
+    rows, first_error = [], None
+    for variant in variants:
         try:
-            return run(variant)
+            cc, dt = _compile_one(c, m, tables, variant, args)
         except (Infeasible, SolverTimeout) as exc:
-            return exc
-
-    results = [run_safe(v) for v in variants]
-    rows = [r for r in results if isinstance(r, EvalReport)]
-    first_error = next((r for r in results if not isinstance(r, EvalReport)), None)
+            first_error = first_error or exc
+            continue
+        rows.append(_evaluate_record(cc, benchmark, args.trials, args.seed, dt))
     if first_error is not None:
-        print(json.dumps({"error": type(first_error).__name__,
-                          "message": str(first_error)}), file=sys.stderr)
-    if not rows:
-        return 3 if isinstance(first_error, Infeasible) else 4
+        code = _fail(3 if isinstance(first_error, Infeasible) else 4, first_error)
+        if not rows:
+            return code
     csv_path, json_path = write_report(rows, args.out or f"{benchmark}-compare")
     print(f"wrote {csv_path} and {json_path}: {len(rows)} variants")
     return 0
@@ -228,41 +220,37 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_bench(args) -> int:
-    _check_trials(args.trials)
-    _check_time_limit(args.time_limit)
     sizes = _parse_sizes(args.sizes)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in ALL_VARIANTS:
-            raise UsageError(f"unknown variant {v!r}; choose from {', '.join(ALL_VARIANTS)}")
-    tasks = []
+    variants = _variants(args.variants)
+    rows = []
     for nq, ng in sizes:
-        side = math.isqrt(nq - 1) + 1
+        side, benchmark = math.isqrt(nq - 1) + 1, f"rand-{nq}-{ng}"
         m = load_calibration(synth_calibration(side, side, args.seed, t2=10 ** 6))
         tables = build_tables(m)
         c = gen_random(nq, ng, args.seed)
         for variant in variants:
-            tasks.append((f"rand-{nq}-{ng}", c, m, tables, variant))
-
-    def run(task):
-        benchmark, c, m, tables, variant = task
-        t0 = time.perf_counter()
-        try:
-            sol = _compile_one(c, m, tables, variant, args)
-        except (Infeasible, SolverTimeout):
-            dt = time.perf_counter() - t0
-            return EvalReport(benchmark=benchmark, variant=variant,
-                              reliability=math.nan, mc_success=math.nan,
-                              stderr=math.nan, trials=0, makespan=-1, swaps=-1,
-                              compile_time_s=dt, equivalence_passed=None,
-                              optimal=False)
-        dt = time.perf_counter() - t0
-        cc = expand(sol, c, m)
-        return _evaluate_record(cc, benchmark, args.trials, args.seed, dt, sol.optimal)
-
-    rows = [run(task) for task in tasks]
+            t0 = time.perf_counter()
+            try:
+                cc, dt = _compile_one(c, m, tables, variant, args)
+            except (Infeasible, SolverTimeout):
+                rows.append(EvalReport(
+                    benchmark=benchmark, variant=variant, reliability=math.nan,
+                    mc_success=math.nan, stderr=math.nan, trials=0, makespan=-1, swaps=-1,
+                    compile_time_s=time.perf_counter() - t0, equivalence_passed=None,
+                    optimal=False))
+                continue
+            rows.append(_evaluate_record(cc, benchmark, args.trials, args.seed, dt))
     csv_path, json_path = write_report(rows, args.out or "bench")
     print(f"wrote {csv_path} and {json_path}: {len(rows)} rows")
+    return 0
+
+
+def _write_or_print(text: str, out: str | None) -> int:
+    if out:
+        atomic_write(out, text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -270,19 +258,16 @@ def cmd_gen_circuit(args) -> int:
     if args.kind == "bv":
         _check_circuit_size(args.qubits, 0)
         secret = args.secret if args.secret is not None else "1" * (args.qubits - 1)
-        c = gen_bv(args.qubits, secret)
+        try:
+            c = gen_bv(args.qubits, secret)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     elif args.kind == "toffoli":
         c = gen_toffoli()
     else:
         _check_circuit_size(args.qubits, args.gates)
         c = gen_random(args.qubits, args.gates, args.seed)
-    text = to_qasm(c)
-    if args.out:
-        atomic_write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_or_print(to_qasm(c), args.out)
 
 
 def cmd_gen_cal(args) -> int:
@@ -291,13 +276,7 @@ def cmd_gen_cal(args) -> int:
                                 jitter_durations=args.jitter_durations)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        atomic_write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
 
 
 # ---------------------------------------------------------------- parser ---
@@ -386,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except UsageError as exc:
         return _fail(2, exc)

@@ -204,6 +204,25 @@ def record_to_json(cc: CompiledCircuit) -> str:
     return json.dumps(to_record(cc)) + "\n"
 
 
+def solution_config(variant, routing, omega,
+                    count_return_swaps) -> ProblemConfig | HeuristicConfig:
+    """The config a solution's own settings name: a HeuristicConfig for
+    greedy-v and greedy-e, which route by best path, a ProblemConfig for the
+    exact variants. Raises ValueError, never TypeError, for settings either
+    refuses, a greedy variant's other routing or a count_return_swaps not a
+    bool."""
+    if type(count_return_swaps) is not bool:
+        raise ValueError(f"count_return_swaps must be a bool, not {count_return_swaps!r}")
+    try:
+        if variant in (GreedyPolicy.VERTEX.value, GreedyPolicy.EDGE.value):
+            if routing != Routing.BEST_PATH.value:
+                raise ValueError(f"{variant} routes by best path, not {routing!r}")
+            return HeuristicConfig(variant, omega, count_return_swaps)
+        return ProblemConfig(variant, Routing(routing), omega, count_return_swaps)
+    except TypeError as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     """Rebuild a CompiledCircuit from a record produced by to_record, on m:
     the source is parsed from source_qasm, and the record's placement and
@@ -213,9 +232,8 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     "gates" key of older records is ignored.
     Raises Infeasible when a gate misses its T2 deadline on m, and ValueError
     for a missing key, another cell count, a variant, routing, omega or
-    count_return_swaps that ProblemConfig (HeuristicConfig and best-path
-    routing for a greedy variant) refuses, an optimal or count_return_swaps
-    not a bool, a placement not a JSON object, a placement key not a qubit
+    count_return_swaps that solution_config refuses, an optimal not a bool,
+    a placement not a JSON object, a placement key not a qubit
     number in canonical decimal, a source_qasm not a string, a placed
     qubit's coordinates not two integers, a placed qubit off the grid or on
     another's cell, a route's cells not integers, or a route that is not a
@@ -229,17 +247,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
             raise ValueError(f"record is for {config['num_cells']} cells, "
                              f"the machine has {m.num_cells}")
         variant, routing = doc["variant"], config["routing"]
-        omega, flag = config["omega"], config["count_return_swaps"]
         optimal = doc.get("optimal", False)
-        if type(optimal) is not bool or type(flag) is not bool:
-            raise ValueError(f"optimal and count_return_swaps must be bools, "
-                             f"not {optimal!r} and {flag!r}")
-        if variant in (GreedyPolicy.VERTEX.value, GreedyPolicy.EDGE.value):
-            cfg = HeuristicConfig(variant, omega, flag)
-            if routing != Routing.BEST_PATH.value:
-                raise ValueError(f"{variant} routes by best path, not {routing!r}")
-        else:
-            cfg = ProblemConfig(variant, Routing(routing), omega, flag)
+        if type(optimal) is not bool:
+            raise ValueError(f"optimal must be a bool, not {optimal!r}")
+        cfg = solution_config(variant, routing, config["omega"], config["count_return_swaps"])
         loc, source_qasm = doc["placement"], doc["source_qasm"]
         if not isinstance(loc, dict):
             raise ValueError(f"placement must be a JSON object, not {loc!r}")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .codegen import CompiledCircuit
+from .codegen import CompiledCircuit, solution_config
 from .machine import DerivedTables, GridMachine, build_tables, route_cells
 from .optimal import Scorer
 from .schedule import (
@@ -201,7 +201,14 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     walk_cost, for its duration, its reserved cells and its reliability. The
     objective must equal, exactly, the makespan or weighted_log_sum of each
     walk's reliability and each measured cell's readout_rel; it is not
-    recomputed when a CNOT's walk is rejected."""
+    recomputed when a CNOT's walk is rejected. Without cfg, the solution's
+    own settings are read by solution_config, as from_record reads a
+    record's, and settings it refuses are the one violation returned."""
+    if cfg is None:
+        try:
+            solution_config(sol.variant, sol.routing, sol.omega, sol.count_return_swaps)
+        except ValueError as exc:
+            return [f"solution config rejected: {exc}"]
     v: list[str] = []
     variant = cfg.variant.value if cfg is not None else sol.variant
     routing = cfg.routing.value if cfg is not None else sol.routing
@@ -232,11 +239,6 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     ln_ro: list[float] = []
     ln_cx: list[float] = []
     is_static = variant == Variant.T_SMT.value
-    if routing != Routing.BEST_PATH.value and cfg is None:
-        try:
-            ProblemConfig(variant, routing, omega=omega, count_return_swaps=flag)
-        except ValueError as exc:
-            return v + [f"solution config rejected: {exc}"]
 
     qubits, cnot, measure = m.qubits, GateKind.CNOT, GateKind.MEASURE
     by_route = routing != Routing.BEST_PATH.value

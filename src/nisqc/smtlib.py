@@ -15,11 +15,26 @@ def _smt_real(x: float) -> str:
     return f"(- {s})" if x < 0 else s
 
 
-def _ite_chain(entries: list[tuple[str, str]], fallback: str) -> str:
-    expr = fallback
-    for cond, val in reversed(entries):
+def _ite_chain(entries: list[tuple[str, str]]) -> str:
+    # the last entry's value is the fallback: its condition is never tested
+    expr = entries[-1][1]
+    for cond, val in reversed(entries[:-1]):
         expr = f"(ite {cond} {val} {expr})"
     return expr
+
+
+def _cell_switch(cell_expr: str, values: list, fmt=str) -> str:
+    """values[cell] at cell_expr: a constant when every cell's value is equal,
+    else an ite switch on the cell."""
+    if len(set(values)) == 1:
+        return fmt(values[0])
+    return _ite_chain([(f"(= {cell_expr} {cl})", fmt(v)) for cl, v in enumerate(values)])
+
+
+def _sum(terms: list[str]) -> str:
+    if not terms:
+        return "0.0"
+    return terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
 
 
 def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
@@ -41,8 +56,8 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
 
     edge_durs = {e.cnot_duration for e in m.edges}
     uniform_edge_dur = len(edge_durs) <= 1
-    ro_durs = {q.readout_duration for q in m.qubits}
-    t2s = {q.t2 for q in m.qubits}
+    ro_durs = [q.readout_duration for q in m.qubits]
+    t2s = [q.t2 for q in m.qubits]
     cells = range(m.num_cells)
 
     L: list[str] = []
@@ -70,14 +85,14 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
     if nq >= 2:
         add("(assert (distinct " + " ".join(f"cq{i}" for i in range(nq)) + "))")
 
-    def t2_bound(cell_expr: str) -> str:
-        if len(t2s) == 1:
-            return str(next(iter(t2s)))
-        return _ite_chain(
-            [(f"(= {cell_expr} {cl})", str(m.qubits[cl].t2)) for cl in cells][:-1],
-            str(m.qubits[m.num_cells - 1].t2))
-
     bboxes: dict[int, list[tuple[str, str, str, str]]] = {}
+
+    def bbox(name: str, ax: str, ay: str, bx: str, by: str) -> tuple[str, str, str, str]:
+        # the bounding box of points (ax, ay) and (bx, by)
+        for side, a, b in (("x", ax, bx), ("y", ay, by)):
+            add(f"(define-fun {name}l{side} () Int (ite (<= {a} {b}) {a} {b}))")
+            add(f"(define-fun {name}r{side} () Int (ite (<= {a} {b}) {b} {a}))")
+        return f"{name}lx", f"{name}rx", f"{name}ly", f"{name}ry"
 
     def junction_switch(i: int, qa: int, qb: int, value) -> str:
         # ite switch on CNOT i's (control, target, junction) cells; value maps a
@@ -95,7 +110,7 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
                     jc = m.cell_id(jpos)
                     entries.append((f"(and (= cq{qa} {a}) (= cq{qb} {b}) (= cj{i} {jc}))",
                                     value((a, b, jc if jc in legal else legal[0]))))
-        return _ite_chain(entries[:-1], entries[-1][1])
+        return _ite_chain(entries)
 
     for g in c.gates:
         i = g.id
@@ -111,57 +126,33 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
                 add(f"(define-fun cj{i} () Int (+ (* {my} jx{i}) jy{i}))")
             if is_static or uniform_edge_dur:
                 tau = m.static_tau_cnot if is_static else next(iter(edge_durs), m.static_tau_cnot)
-                add(f"(define-fun dx{i} () Int (ite (<= qx{qa} qx{qb}) "
-                    f"(- qx{qb} qx{qa}) (- qx{qa} qx{qb})))")
-                add(f"(define-fun dy{i} () Int (ite (<= qy{qa} qy{qb}) "
-                    f"(- qy{qb} qy{qa}) (- qy{qa} qy{qb})))")
+                for ax in "xy":
+                    a, b = f"q{ax}{qa}", f"q{ax}{qb}"
+                    add(f"(define-fun d{ax}{i} () Int (ite (<= {a} {b}) (- {b} {a}) (- {a} {b})))")
                 add(f"(define-fun d{i} () Int (- (* {6 * tau} (+ dx{i} dy{i})) {5 * tau}))")
             elif one_bend:
                 add(f"(define-fun d{i} () Int "
                     f"{junction_switch(i, qa, qb, lambda k: str(tables.cnot_dur[k]))})")
             else:
-                entries = []
-                for a in cells:
-                    for b in cells:
-                        if a != b:
-                            entries.append((f"(and (= cq{qa} {a}) (= cq{qb} {b}))",
-                                            str(int(tables.delta[a, b]))))
-                add(f"(define-fun d{i} () Int {_ite_chain(entries[:-1], entries[-1][1])})")
+                entries = [(f"(and (= cq{qa} {a}) (= cq{qb} {b}))", str(int(tables.delta[a, b])))
+                           for a in cells for b in cells if a != b]
+                add(f"(define-fun d{i} () Int {_ite_chain(entries)})")
             if one_bend:
-                for snum, (px, py) in ((1, (f"qx{qa}", f"qy{qa}")), (2, (f"qx{qb}", f"qy{qb}"))):
-                    add(f"(define-fun r{i}s{snum}lx () Int (ite (<= {px} jx{i}) {px} jx{i}))")
-                    add(f"(define-fun r{i}s{snum}rx () Int (ite (<= {px} jx{i}) jx{i} {px}))")
-                    add(f"(define-fun r{i}s{snum}ly () Int (ite (<= {py} jy{i}) {py} jy{i}))")
-                    add(f"(define-fun r{i}s{snum}ry () Int (ite (<= {py} jy{i}) jy{i} {py}))")
-                bboxes[i] = [(f"r{i}s1lx", f"r{i}s1rx", f"r{i}s1ly", f"r{i}s1ry"),
-                             (f"r{i}s2lx", f"r{i}s2rx", f"r{i}s2ly", f"r{i}s2ry")]
+                bboxes[i] = [bbox(f"r{i}s{snum}", f"qx{q}", f"qy{q}", f"jx{i}", f"jy{i}")
+                             for snum, q in ((1, qa), (2, qb))]
             else:
-                add(f"(define-fun r{i}lx () Int (ite (<= qx{qa} qx{qb}) qx{qa} qx{qb}))")
-                add(f"(define-fun r{i}rx () Int (ite (<= qx{qa} qx{qb}) qx{qb} qx{qa}))")
-                add(f"(define-fun r{i}ly () Int (ite (<= qy{qa} qy{qb}) qy{qa} qy{qb}))")
-                add(f"(define-fun r{i}ry () Int (ite (<= qy{qa} qy{qb}) qy{qb} qy{qa}))")
-                bboxes[i] = [(f"r{i}lx", f"r{i}rx", f"r{i}ly", f"r{i}ry")]
-            if is_static:
-                add(f"(assert (< (+ t{i} d{i}) {m.static_coherence_bound}))")
-            else:
-                add(f"(assert (<= (+ t{i} d{i}) {t2_bound(f'cq{qa}')}))")
-                add(f"(assert (<= (+ t{i} d{i}) {t2_bound(f'cq{qb}')}))")
+                bboxes[i] = [bbox(f"r{i}", f"qx{qa}", f"qy{qa}", f"qx{qb}", f"qy{qb}")]
         else:
             q = g.operands[0]
-            if g.kind is GateKind.MEASURE:
-                if len(ro_durs) == 1:
-                    add(f"(define-fun d{i} () Int {next(iter(ro_durs))})")
-                else:
-                    entries = [(f"(= cq{q} {cl})", str(m.qubits[cl].readout_duration))
-                               for cl in cells]
-                    add(f"(define-fun d{i} () Int {_ite_chain(entries[:-1], entries[-1][1])})")
-            else:
-                add(f"(define-fun d{i} () Int {m.single_qubit_duration})")
+            d = _cell_switch(f"cq{q}", ro_durs) if g.kind is GateKind.MEASURE \
+                else m.single_qubit_duration
+            add(f"(define-fun d{i} () Int {d})")
             bboxes[i] = [(f"qx{q}", f"qx{q}", f"qy{q}", f"qy{q}")]
-            if is_static:
-                add(f"(assert (< (+ t{i} d{i}) {m.static_coherence_bound}))")
-            else:
-                add(f"(assert (<= (+ t{i} d{i}) {t2_bound(f'cq{q}')}))")
+        if is_static:
+            add(f"(assert (< (+ t{i} d{i}) {m.static_coherence_bound}))")
+        else:
+            for q in g.operands:
+                add(f"(assert (<= (+ t{i} d{i}) {_cell_switch(f'cq{q}', t2s)}))")
 
     for g1, g2 in sorted((p, g) for g, ps in enumerate(c.dag[0]) for p in ps):
         add(f"(assert (>= t{g2} (+ t{g1} d{g1})))")
@@ -178,30 +169,21 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
             add(f"(assert (=> {ov} (or (<= (+ t{i} d{i}) t{j}) (<= (+ t{j} d{j}) t{i}))))")
 
     if reliability:
+        ln_ro = [math.log(float(tables.readout_rel[cl])) for cl in cells]
         ro_terms, cx_terms = [], []
         for g in c.gates:
             i = g.id
             if g.kind is GateKind.MEASURE:
-                q = g.operands[0]
-                vals = {cl: math.log(float(tables.readout_rel[cl])) for cl in cells}
-                if len(set(vals.values())) == 1:
-                    add(f"(define-fun lnro{i} () Real {_smt_real(vals[0])})")
-                else:
-                    entries = [(f"(= cq{q} {cl})", _smt_real(vals[cl])) for cl in cells]
-                    add(f"(define-fun lnro{i} () Real "
-                        f"{_ite_chain(entries[:-1], entries[-1][1])})")
+                add(f"(define-fun lnro{i} () Real "
+                    f"{_cell_switch(f'cq{g.operands[0]}', ln_ro, _smt_real)})")
                 ro_terms.append(f"lnro{i}")
             elif g.kind is GateKind.CNOT:
                 qa, qb = g.operands
                 lnec = junction_switch(i, qa, qb, lambda k: _smt_real(math.log(ec[k])))
                 add(f"(define-fun lnec{i} () Real {lnec})")
                 cx_terms.append(f"lnec{i}")
-        sum_ro = "0.0" if not ro_terms else ro_terms[0] if len(ro_terms) == 1 \
-            else "(+ " + " ".join(ro_terms) + ")"
-        sum_cx = "0.0" if not cx_terms else cx_terms[0] if len(cx_terms) == 1 \
-            else "(+ " + " ".join(cx_terms) + ")"
-        add(f"(define-fun obj () Real (+ (* {_smt_real(cfg.omega)} {sum_ro}) "
-            f"(* {_smt_real(1.0 - cfg.omega)} {sum_cx})))")
+        add(f"(define-fun obj () Real (+ (* {_smt_real(cfg.omega)} {_sum(ro_terms)}) "
+            f"(* {_smt_real(1.0 - cfg.omega)} {_sum(cx_terms)})))")
         add("(maximize obj)")
     else:
         add("(declare-const makespan Int)")

@@ -380,6 +380,15 @@ class TestBench:
         assert json.loads(stderr)["error"] == "UsageError"
         assert not (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize("variants", ["", " , "])
+    def test_empty_variant_list_exits_2(self, tmp_path, capsys, variants):
+        # as compare refuses it: a report of no rows answers nothing
+        code, stdout, stderr = run(capsys, "bench", "--sizes", "2:4", "--variants", variants,
+                                   "--out", str(tmp_path / "bench"))
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr)["error"] == "UsageError"
+        assert not (tmp_path / "bench.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["evaluate", "compare", "bench"])
 def test_trials_below_one_exit_2(tmp_path, capsys, bv4, command):
@@ -395,6 +404,27 @@ def test_trials_below_one_exit_2(tmp_path, capsys, bv4, command):
     assert not (tmp_path / "rep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare", "bench", "gen-circuit", "gen-cal"])
+def test_seed_below_zero_exits_2(tmp_path, capsys, monkeypatch, bv4, command):
+    # refused before any work: numpy's generators would refuse it only once
+    # they ran, after compare had compiled or evaluate had read the record
+    monkeypatch.setattr(cli, "from_record", lambda *a: pytest.fail("read the record"))
+    monkeypatch.setattr(cli, "heuristic_compile", lambda *a: pytest.fail("compiled"))
+    cal = uniform_cal(tmp_path, 3, 3)
+    record = str(tmp_path / "bv4-v.json")
+    with open(record, "w") as f:
+        f.write("{}")
+    inputs = {"evaluate": (record, cal), "compare": (bv4, cal, "--variants", "greedy-v"),
+              "bench": ("--sizes", "4:16", "--variants", "greedy-v"),
+              "gen-circuit": ("random",), "gen-cal": ("--mx", "2", "--my", "2")}[command]
+    code, stdout, stderr = run(capsys, command, *inputs, "--seed", "-1",
+                               "--out", str(tmp_path / "rep"))
+    lines = stderr.splitlines()
+    assert (code, stdout, len(lines)) == (2, "", 1)
+    assert json.loads(lines[0])["error"] == "UsageError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bv4-v.json", "bv4.qasm", "cal.json"]
+
+
 class TestGenerators:
     def test_gen_circuit_stdout_is_qasm(self, capsys):
         code, stdout, _ = run(capsys, "gen-circuit", "bv", "--qubits", "5",
@@ -405,7 +435,9 @@ class TestGenerators:
 
     @pytest.mark.parametrize("argv", [("random", "--qubits", "1"),
                                       ("random", "--qubits", "3", "--gates", "-2"),
-                                      ("bv", "--qubits", "1")])
+                                      ("bv", "--qubits", "1"),
+                                      ("bv", "--qubits", "4", "--secret", "10"),
+                                      ("bv", "--qubits", "4", "--secret", "1x1")])
     def test_gen_circuit_rejects_degenerate_sizes(self, capsys, argv):
         code, stdout, stderr = run(capsys, "gen-circuit", *argv)
         assert code == 2
@@ -693,9 +725,10 @@ class TestMalformedInputs:
         # a record with a required key dropped, a walk that is not one over
         # the grid's edges between its CNOT's cells or that visits a cell
         # twice, cells or coordinates that equal the right ones but are not
-        # JSON integers, or a config or optimal flag that compile would not
-        # accept is refused before it is scored; every bad value is tried
-        # once. The objective is recomputed on read, so it is not required.
+        # JSON integers, a config or optimal flag that compile would not
+        # accept, or a compile_time_s that is not a finite number >= 0 is
+        # refused before it is scored; every bad value is tried once. The
+        # objective is recomputed on read, so it is not required.
         circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
         circuit.write_text(json.dumps(VALID_CIRCUIT))
         cal.write_text(json.dumps(VALID_CAL))
@@ -716,6 +749,7 @@ class TestMalformedInputs:
                "count_return_swaps": ["no", 0, 1, None],
                "variant": ["bogus", "t-smt", "r-smt-star", None, ["greedy-v"]],
                "optimal": ["yes", 1, None],
+               "compile_time_s": ["1.5", -1.0, math.nan, math.inf, True, None],
                "placement": [[], "x", 7, None],
                "source_qasm": [7, [], {}, None],
                # every route cell or placement coordinate that the type can

@@ -1,6 +1,7 @@
 """Exact solver tests: every optimum is cross-checked against a test-local
 permutation enumerator with its own quadratic scheduler."""
 
+import copy
 import dataclasses
 import hashlib
 import heapq
@@ -21,7 +22,7 @@ from nisqc.circuit import (
     gen_toffoli,
     predecessor_lists,
 )
-from nisqc.codegen import CodegenError, expand
+from nisqc.codegen import CodegenError, expand, from_record, to_record
 from nisqc.machine import (
     build_tables,
     canonical_junction,
@@ -667,6 +668,34 @@ class TestCheckSolution:
         assert check_solution(sol, c, m, cfg) == []
         assert check_solution(sol, c, m) == []  # config recovered from echoes
 
+    def test_refuses_the_settings_from_record_refuses(self):
+        # each omega, routing, count_return_swaps and variant value that the
+        # CLI's record sweep tries, set on a greedy-e and an r-smt-star
+        # solution: without a cfg the checker reads the solution's own
+        # settings as from_record reads its record's, and never raises
+        m = load_calibration(udoc(2, 3))
+        c, t = gen_bv(3, "11"), build_tables(m)
+        values = {"omega": [math.nan, -0.5, 1.5, math.inf, None, "0.5"],
+                  "routing": ["rr", "1bp", "bogus", None, ["path"]],
+                  "count_return_swaps": ["no", 0, 1, None],
+                  "variant": ["bogus", "t-smt", "r-smt-star", None, ["greedy-v"]]}
+        for sol in (heuristic_compile(c, m, t, HeuristicConfig(GreedyPolicy.EDGE)),
+                    solve_exact(c, m, ProblemConfig(Variant.R_SMT_STAR), tables=t)):
+            record = to_record(expand(sol, c, m))
+            for key, vals in values.items():
+                for value in vals:
+                    doc = copy.deepcopy(record)
+                    (doc if key == "variant" else doc["config"])[key] = value
+                    try:
+                        from_record(doc, m)
+                        refused = False
+                    except ValueError:
+                        refused = True
+                    got = check_solution(dataclasses.replace(sol, **{key: value}), c, m)
+                    rejected = [v for v in got if v.startswith("solution config rejected: ")]
+                    assert len(rejected) == refused, (sol.variant, key, value, got)
+                    assert got == rejected or not refused, (sol.variant, key, value, got)
+
     def test_injectivity(self):
         import dataclasses
         c, m, cfg, sol = self.good()
@@ -1053,6 +1082,7 @@ class TestGoldenSmtlib:
     pinned so that a change to the encoding, or to the order its dependency
     asserts come in, that alters one byte of a script fails here."""
     DIGEST = "24b74def579c322a4b880efaebf6878d347f27b138c2b4b64959b795281cfdb3"
+    PER_CELL_DIGEST = "ded0a328605e3595f5dede9ab79d136caea495c2fddec61ce8a18c56faf2bb96"
     CONFIGS = ((Variant.T_SMT, Routing.RR, False), (Variant.T_SMT, Routing.ONE_BEND, False),
                (Variant.T_SMT_STAR, Routing.RR, False),
                (Variant.T_SMT_STAR, Routing.ONE_BEND, False),
@@ -1071,6 +1101,24 @@ class TestGoldenSmtlib:
                     cfg = ProblemConfig(variant, routing, count_return_swaps=flag)
                     h.update(emit_smtlib(c, m, cfg).encode())
         assert h.hexdigest() == self.DIGEST
+
+    def test_per_cell_readout_and_t2_scripts_are_pinned(self):
+        # each cell carries its own readout duration and T2, so every
+        # measure's duration and every deadline is an ite switch on its cell,
+        # a branch the plain and jittered grids above never take
+        doc = udoc(2, 3)
+        doc["qubits"] = [{"x": x, "y": y, "readout_duration": 10 + 3 * (3 * x + y),
+                          "t2": 900 + 40 * (3 * x + y)} for x in range(2) for y in range(3)]
+        m = load_calibration(doc)
+        cx, ms = GateKind.CNOT, GateKind.MEASURE
+        shared = build_circuit(3, 1, [("h", (0,)), (cx, (0, 1)), (ms, (1,), 0), ("x", (2,)),
+                                      (ms, (0,), 0), (cx, (1, 2)), (ms, (2,), 0)])
+        h = hashlib.sha256()
+        for c in (gen_bv(4, "111"), gen_toffoli(), shared):
+            for variant, routing, flag in self.CONFIGS:
+                cfg = ProblemConfig(variant, routing, count_return_swaps=flag)
+                h.update(emit_smtlib(c, m, cfg).encode())
+        assert h.hexdigest() == self.PER_CELL_DIGEST
 
 
 def _z3_objective(text):
