@@ -208,19 +208,13 @@ def solution_config(variant, routing, omega,
                     count_return_swaps) -> ProblemConfig | HeuristicConfig:
     """The config a solution's own settings name: a HeuristicConfig for
     greedy-v and greedy-e, which route by best path, a ProblemConfig for the
-    exact variants. Raises ValueError, never TypeError, for settings either
-    refuses, a greedy variant's other routing or a count_return_swaps not a
-    bool."""
-    if type(count_return_swaps) is not bool:
-        raise ValueError(f"count_return_swaps must be a bool, not {count_return_swaps!r}")
-    try:
-        if variant in (GreedyPolicy.VERTEX.value, GreedyPolicy.EDGE.value):
-            if routing != Routing.BEST_PATH.value:
-                raise ValueError(f"{variant} routes by best path, not {routing!r}")
-            return HeuristicConfig(variant, omega, count_return_swaps)
-        return ProblemConfig(variant, Routing(routing), omega, count_return_swaps)
-    except TypeError as exc:
-        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+    exact variants. Raises ValueError for settings either refuses and for a
+    greedy variant's other routing."""
+    if variant in (GreedyPolicy.VERTEX.value, GreedyPolicy.EDGE.value):
+        if routing != Routing.BEST_PATH.value:
+            raise ValueError(f"{variant} routes by best path, not {routing!r}")
+        return HeuristicConfig(variant, omega, count_return_swaps)
+    return ProblemConfig(variant, Routing(routing), omega, count_return_swaps)
 
 
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:

@@ -11,7 +11,7 @@ from enum import Enum
 
 from .circuit import Circuit, build_program_graph
 from .machine import DerivedTables, GridMachine
-from .schedule import Placement, Routing, Solution, build_solution
+from .schedule import Placement, Routing, Solution, build_solution, check_objective_settings
 
 
 class GreedyPolicy(str, Enum):
@@ -27,8 +27,7 @@ class HeuristicConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "policy", GreedyPolicy(self.policy))
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega = {self.omega} outside [0, 1]")
+        check_objective_settings(self.omega, self.count_return_swaps)
 
 
 def _by_readout(m: GridMachine, cells) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import time
 
 from .circuit import Circuit, GateKind, build_program_graph
@@ -46,8 +47,8 @@ def _cnot_floor(m: GridMachine, tables: DerivedTables, static: bool) -> list[lis
     if not static:
         return tables.delta.tolist()
     pos = [m.pos(a) for a in range(m.num_cells)]
-    return [[static_cnot_duration(manhattan(pa, pb), m) if pa != pb else 0 for pb in pos]
-            for pa in pos]
+    by_distance = [0] + [static_cnot_duration(d, m) for d in range(1, m.mx + m.my - 1)]
+    return [[by_distance[manhattan(pa, pb)] for pb in pos] for pa in pos]
 
 
 def _folded_rows(c: Circuit, preds, sq_dur: int) -> tuple[list[tuple], int]:
@@ -195,8 +196,9 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     by the machine-wide best entries; duration pruning uses a critical-path
     bound with placed CNOTs at their pair's fastest junction and unplaced
     ones at the fastest edge. Its durations are kept in place, only the new
-    qubit's change from child to child, and children whose new durations
-    agree share one bound. A leaf replaces the incumbent only when it is
+    qubit's change from child to child, and one solve prices each duration
+    vector once: node and combo bounds whose durations agree, anywhere in the
+    search, share one critical path. A leaf replaces the incumbent only when it is
     strictly better, so ties go to the first optimum in search order and the
     result is deterministic.
 
@@ -216,7 +218,8 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     variants the critical path at the combo's own CNOT durations, which no
     makespan is below. A duration node descends only when its bound is below
     the incumbent's objective. The clock is read once per node and once per
-    junction combo, so a time limit holds to within one leaf evaluation.
+    junction combo, at the same points whatever bounds are shared, so a time
+    limit holds to within one leaf evaluation.
     """
     nq, ncells = c.num_qubits, m.num_cells
     if nq > ncells:
@@ -241,16 +244,16 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     min_edge_err = min(e.cnot_error for e in m.edges) if m.edges else 0.0
     best_ln_cx = math.log(1.0 - min_edge_err)
     min_edge_dur = min((e.cnot_duration for e in m.edges), default=m.static_tau_cnot)
-    min_ro_dur = min(scorer.ro_dur)
+    ln_ro, ro_dur = scorer.ln_ro, scorer.ro_dur
+    min_ro_dur = min(ro_dur)
     opt_cx_dur = m.static_tau_cnot if cfg.variant is Variant.T_SMT else min_edge_dur
-    pair_best_ln: dict[tuple[int, int], float] = {}
+    # pair_ln[ctl][other][cell]: the best ln reliability over the legal
+    # junctions of the CNOT between two cells, cell its control when ctl and
+    # its target otherwise; rows and entries are filled as the search asks.
+    pair_ln: tuple[list, list] = ([None] * ncells, [None] * ncells)
 
     def best_pair_ln(a: int, b: int) -> float:
-        v = pair_best_ln.get((a, b))
-        if v is None:
-            v = max(scorer.ln_ec((a, b, j)) for j in tables.junctions[(a, b)])
-            pair_best_ln[(a, b)] = v
-        return v
+        return max(scorer.ln_ec((a, b, j)) for j in tables.junctions[(a, b)])
 
     cell_of = [-1] * nq
     used = [False] * ncells
@@ -262,7 +265,25 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             raise _SearchTimeout()
 
     cx_floor = _cnot_floor(m, tables, scorer.static)
+    # cx_floor_to[b][a] is cx_floor[a][b]: the floors of the CNOTs into b
+    cx_floor_to = [list(col) for col in zip(*cx_floor)]
     rows, const_path = _folded_rows(c, scorer.preds, m.single_qubit_duration)
+    # The critical path of every duration vector the search has priced. Grid
+    # translations of a partial placement, in different subtrees, give the
+    # same vector. A key packs the vector in the narrowest code that holds
+    # every duration a bound can take: a floor, any walk's or any readout's.
+    path_memo: dict[bytes, int] = {}
+    top = max(opt_cx_dur, max(ro_dur), max(map(max, cx_floor)),
+              max(tables.cnot_dur.values(), default=0))
+    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "q"
+    pack = struct.Struct(f"{len(cnot_ops) + nq}{code}").pack
+
+    def critical_path(cx_durs, ro_durs) -> int:
+        key = pack(*cx_durs, *ro_durs)
+        b = path_memo.get(key)
+        if b is None:
+            b = path_memo[key] = _critical_path(rows, const_path, cx_durs, ro_durs)
+        return b
 
     # The node bound's durations, kept in place as qubits are placed and
     # unplaced: placed CNOTs at their pair's floor, unplaced ones at the
@@ -304,7 +325,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             # t-smt, each combo's critical path is the node's bound.
             at_floor = all(scorer.cnot_cost(a, b, j)[0] == cx_floor[a][b]
                            for (a, b), js in zip(pairs, cand) for j in js)
-            ro_durs = [scorer.ro_dur[cell] for cell in cells]
+            ro_durs = [ro_dur[cell] for cell in cells]
         for combo in itertools.product(*cand):
             check_time()
             # Schedule only a combo whose bound beats the incumbent: the
@@ -316,9 +337,8 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             elif at_floor:
                 bound = node_lb
             else:
-                bound = _critical_path(rows, const_path,
-                                       [scorer.cnot_cost(a, b, j)[0]
-                                        for (a, b), j in zip(pairs, combo)], ro_durs)
+                bound = critical_path([scorer.cnot_cost(a, b, j)[0]
+                                       for (a, b), j in zip(pairs, combo)], ro_durs)
             if not beats(bound):
                 continue
             # Under r-smt-star the bound is bitwise the leaf's objective, so
@@ -340,47 +360,65 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             do_leaf(lb)
             return
         q = order[k]
-        memo: dict[tuple[int, ...], int] = {}  # the node bound by q's durations
-        for cell in range(ncells):
-            if used[cell]:
-                continue
-            cell_of[q] = cell
-            used[cell] = True
-            if maximize:
-                s_ro = sum_ro + n_meas[q] * scorer.ln_ro[cell]
-                r_open = n_ro_open - n_meas[q]
-                s_cx, c_open = sum_cx, n_cx_open
-                for ci in incident[q]:
-                    qa, qb = cnot_ops[ci]
-                    other = cell_of[qb] if qa == q else cell_of[qa]
-                    if other >= 0:
-                        a = cell if qa == q else other
-                        b = other if qa == q else cell
-                        s_cx += best_pair_ln(a, b)
-                        c_open -= 1
+        # q's CNOTs whose other end is placed: only their terms depend on q's
+        # cell, each read from the other end's row by q's cell.
+        placed = []
+        for ci in incident[q]:
+            qa, qb = cnot_ops[ci]
+            q_ctl = qa == q
+            other = cell_of[qb] if q_ctl else cell_of[qa]
+            if other >= 0:
+                if maximize:
+                    row = pair_ln[q_ctl][other]
+                    if row is None:
+                        row = pair_ln[q_ctl][other] = [None] * ncells
+                    placed.append((row, other, q_ctl))
+                else:
+                    placed.append((ci, cx_floor_to[other] if q_ctl else cx_floor[other]))
+        # A child takes its cell in cell_of and used only while it is searched.
+        if maximize:
+            nm = n_meas[q]
+            r_open, c_open = n_ro_open - nm, n_cx_open - len(placed)
+            ref = incumbent[0] or seed
+            for cell in range(ncells):
+                if used[cell]:
+                    continue
+                s_ro = sum_ro + nm * ln_ro[cell]
+                s_cx = sum_cx
+                for row, other, q_ctl in placed:
+                    v = row[cell]
+                    if v is None:
+                        v = row[cell] = best_pair_ln(cell, other) if q_ctl \
+                            else best_pair_ln(other, cell)
+                    s_cx += v
                 bound = omega * (s_ro + r_open * best_ln_ro) \
                     + (1.0 - omega) * (s_cx + c_open * best_ln_cx)
-                ref = incumbent[0] or seed
                 if ref is None or bound >= ref[0] - 1e-9:
+                    cell_of[q], used[cell] = cell, True
                     rec(k + 1, s_ro, r_open, s_cx, c_open, 0)
-            else:
-                ro_durs[q] = scorer.ro_dur[cell]
-                for ci in incident[q]:
-                    qa, qb = cnot_ops[ci]
-                    if cell_of[qa] >= 0 and cell_of[qb] >= 0:
-                        cx_durs[ci] = cx_floor[cell_of[qa]][cell_of[qb]]
+                    used[cell] = False
+                    ref = incumbent[0] or seed
+        else:
+            memo: dict[tuple[int, ...], int] = {}  # the node bound by q's durations
+            for cell in range(ncells):
+                if used[cell]:
+                    continue
+                ro_durs[q] = ro_dur[cell]
+                for ci, row in placed:
+                    cx_durs[ci] = row[cell]
                 # Only q's entries differ between the children of one node.
-                key = (ro_durs[q], *[cx_durs[ci] for ci in incident[q]])
+                key = (ro_durs[q], *[cx_durs[ci] for ci, _ in placed])
                 b = memo.get(key)
                 if b is None:
-                    b = memo[key] = _critical_path(rows, const_path, cx_durs, ro_durs)
+                    b = memo[key] = critical_path(cx_durs, ro_durs)
                 if beats(b):
+                    cell_of[q], used[cell] = cell, True
                     rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open, b)
-                for ci in incident[q]:
-                    cx_durs[ci] = opt_cx_dur
-                ro_durs[q] = min_ro_dur
-            used[cell] = False
-            cell_of[q] = -1
+                    used[cell] = False
+            for ci, _ in placed:
+                cx_durs[ci] = opt_cx_dur
+            ro_durs[q] = min_ro_dur
+        cell_of[q] = -1
 
     timed_out = False
     try:

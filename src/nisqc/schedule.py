@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,10 +48,24 @@ class ProblemConfig:
             raise ValueError("reliability variant requires one-bend routing")
         if self.routing is Routing.BEST_PATH:
             raise ValueError("best-path routing belongs to the heuristic mappers")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega = {self.omega} outside [0, 1]")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError(f"time_limit = {self.time_limit} must be > 0 seconds")
+        check_objective_settings(self.omega, self.count_return_swaps)
+        if self.time_limit is not None and not (_is_real(self.time_limit)
+                                                and self.time_limit > 0):
+            raise ValueError(f"time_limit = {self.time_limit!r} must be a number > 0 seconds")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_objective_settings(omega, count_return_swaps) -> None:
+    """The settings both configs take: raise ValueError for an omega that is
+    not a number in [0, 1], a bool or a string among them, and for a
+    count_return_swaps not a bool."""
+    if not (_is_real(omega) and 0.0 <= omega <= 1.0):
+        raise ValueError(f"omega = {omega!r} is not a number in [0, 1]")
+    if type(count_return_swaps) is not bool:
+        raise ValueError(f"count_return_swaps must be a bool, not {count_return_swaps!r}")
 
 
 @dataclass(frozen=True)

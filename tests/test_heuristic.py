@@ -79,6 +79,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             HeuristicConfig(policy="fastest")
 
+    @pytest.mark.parametrize("omega", ["0.5", None, True])
+    def test_non_numeric_omega_is_a_value_error(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            HeuristicConfig(policy="greedy-v", omega=omega)
+
+    @pytest.mark.parametrize("flag", ["yes", 0, None])
+    def test_count_return_swaps_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="count_return_swaps"):
+            HeuristicConfig(policy="greedy-e", count_return_swaps=flag)
+
 
 class TestGreedyVertex:
     def test_bv4_hub_takes_the_center(self):

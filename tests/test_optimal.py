@@ -214,6 +214,25 @@ class TestProblemConfig:
         with pytest.raises(ValueError):
             ProblemConfig(Variant.R_SMT_STAR, omega=1.5)
 
+    @pytest.mark.parametrize("omega", ["0.5", None, True, False])
+    def test_non_numeric_omega_is_a_value_error(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            ProblemConfig(Variant.R_SMT_STAR, omega=omega)
+
+    @pytest.mark.parametrize("limit", ["1", True, [1]])
+    def test_non_numeric_time_limit_is_a_value_error(self, limit):
+        with pytest.raises(ValueError, match="time_limit"):
+            ProblemConfig(Variant.T_SMT, time_limit=limit)
+
+    @pytest.mark.parametrize("limit", [1000, 0.25, None])
+    def test_time_limit_may_be_an_int_a_float_or_none(self, limit):
+        assert ProblemConfig(Variant.T_SMT, time_limit=limit).time_limit == limit
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None])
+    def test_count_return_swaps_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="count_return_swaps"):
+            ProblemConfig(Variant.T_SMT, count_return_swaps=flag)
+
 
 ONE_CX = build_circuit(2, 0, [("cx", (0, 1))])
 
@@ -1374,13 +1393,20 @@ class TestBudgetGolden:
         assert (digest, reads) == (self.DIGEST, self.READS)
 
 
-def varied_readouts(mx, my, seed):
+def varied_readouts(mx, my, seed, scale=1):
     """A jittered-duration calibration whose cells' readouts last from 2 to
-    24 timeslots, so cells whose CNOTs are equally fast differ in readout."""
+    24 timeslots, so cells whose CNOTs are equally fast differ in readout;
+    every duration and coherence time is multiplied by scale."""
     doc = synth_calibration(mx, my, seed, jitter_durations=True)
     rng = random.Random(seed)
     for q in doc["qubits"]:
         q["readout_duration"] = rng.randint(2, 24)
+        q["t2"] *= scale
+        q["readout_duration"] *= scale
+    for e in doc["edges"]:
+        e["cnot_duration"] *= scale
+    for key in ("t2", "single_qubit_duration", "static_tau_cnot", "static_coherence_bound"):
+        doc["defaults"][key] *= scale
     return load_calibration(doc)
 
 
@@ -1420,6 +1446,39 @@ class TestReadoutDurations:
                 assert solution_key(sol, c, m) == first_in_search_order(c, bf.argmax)
                 solved += 1
         assert solved == 48
+
+    def test_durations_of_any_width(self):
+        """Every duration and coherence time 300 or 70,000 times as long
+        (wider than one or two bytes): each solve keeps its solution, and a
+        duration variant's makespan is as many times as long."""
+        circuits = [gen_bv(4, "011"), gen_toffoli(), with_readouts(gen_random(3, 8, 5), range(3))]
+        for seed in (1, 2):
+            base = varied_readouts(2, 3, seed)
+            for scale in (300, 70_000):
+                m = varied_readouts(2, 3, seed, scale)
+                for c, (variant, routing) in itertools.product(circuits, EXACT_VARIANTS):
+                    cfg = ProblemConfig(variant, routing)
+                    want, sol = solve_exact(c, base, cfg), solve_exact(c, m, cfg)
+                    assert solution_key(sol, c, m) == solution_key(want, c, base)
+                    if variant is not Variant.R_SMT_STAR:
+                        assert sol.objective_value == scale * want.objective_value
+
+    def test_a_slow_junction_longer_than_every_floor(self):
+        """On a 2x2 grid whose edges at cell (0, 1) last 40 timeslots and the
+        others 1, a diagonal CNOT through (0, 1) lasts 280, longer than any
+        pair's floor. Three CNOTs in a triangle put one on a diagonal at
+        every leaf, so the search prices such combos."""
+        doc = synth_calibration(2, 2, 1)
+        for e in doc["edges"]:
+            e["cnot_duration"] = 40 if [0, 1] in (e["a"], e["b"]) else 1
+        m = load_calibration(doc)
+        t = build_tables(m)
+        assert max(t.delta.flat) < 256 <= max(t.cnot_dur.values())
+        c = build_circuit(3, 0, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
+        cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
+        bf, sol = brute_force_optimal(c, m, cfg, tables=t), solve_exact(c, m, cfg, tables=t)
+        assert sol.objective_value == bf.objective_value
+        assert solution_key(sol, c, m) == first_in_search_order(c, bf.argmax)
 
 
 def sweep_instances(n, seed):
@@ -1560,6 +1619,20 @@ class TestBudgetGoldenWideLeaves:
             monkeypatch, _wide_leaf_pool(), 400,
             ((Variant.T_SMT, Routing.ONE_BEND), (Variant.T_SMT_STAR, Routing.ONE_BEND)))
         assert 0 < proved < 20
+        assert (digest, reads) == (self.DIGEST, self.READS)
+
+
+class TestBudgetGoldenWideLeavesReliability:
+    """r-smt-star under one-bend routing on the wide-leaf pool: a pair's
+    best ln reliability depends on which end is the control, and its bent
+    walks make the junctions of a pair differ."""
+    DIGEST = "1a460ad57146bf95e9f49dc450ca108e47eb4c40753c770c4f1466217dc0f52d"
+    READS = 2199
+
+    def test_budget_limited_solves_are_pinned(self, monkeypatch):
+        digest, reads, proved = _pinned_solves(
+            monkeypatch, _wide_leaf_pool(), 400, ((Variant.R_SMT_STAR, Routing.ONE_BEND),))
+        assert 0 < proved < 10
         assert (digest, reads) == (self.DIGEST, self.READS)
 
 
