@@ -23,7 +23,6 @@ from .machine import (
     cnot_walk,
     load_calibration,
     manhattan,
-    path_reliability,
     static_cnot_duration,
     synth_calibration,
 )

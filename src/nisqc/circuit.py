@@ -315,16 +315,6 @@ def to_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(c: Circuit) -> str:
-    gates = []
-    for g in c.gates:
-        entry: dict = {"kind": g.kind.value, "operands": list(g.operands)}
-        if g.classical_target is not None:
-            entry["clbit"] = g.classical_target
-        gates.append(entry)
-    return json.dumps({"num_qubits": c.num_qubits, "num_clbits": c.num_clbits, "gates": gates})
-
-
 def predecessor_lists(c: Circuit) -> list[list[int]]:
     """The dependency rule: each gate's direct predecessors, by gate id, each
     list sorted ascending. A gate follows the last earlier gate on each wire

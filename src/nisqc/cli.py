@@ -23,7 +23,7 @@ from .evaluate import (
     write_report,
 )
 from .heuristic import HeuristicConfig, heuristic_compile
-from .machine import GridMachine, build_tables, load_calibration, synth_calibration
+from .machine import GridMachine, build_tables, check_grid_size, load_calibration, synth_calibration
 from .optimal import SolverTimeout, solve_exact
 from .schedule import Infeasible, ProblemConfig
 from .smtlib import emit_smtlib
@@ -206,16 +206,22 @@ def _check_circuit_size(nq: int, ng: int) -> None:
         raise UsageError(f"{ng} gates: the gate count cannot be negative")
 
 
-def _parse_sizes(text: str) -> list[tuple[int, int]]:
+def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
+    """(qubits, gates, side of the least square grid that holds them) per entry."""
     sizes = []
     for part in text.split(","):
         part = part.strip()
         try:
-            nq, ng = part.split(":")
-            sizes.append((int(nq), int(ng)))
+            nq, ng = map(int, part.split(":"))
         except ValueError as exc:
             raise UsageError(f"bad --sizes entry {part!r}; expected QUBITS:GATES") from exc
-        _check_circuit_size(*sizes[-1])
+        _check_circuit_size(nq, ng)
+        side = math.isqrt(nq - 1) + 1
+        try:
+            check_grid_size(side, side)
+        except ValueError as exc:
+            raise UsageError(f"--sizes entry {part!r}: {exc}") from exc
+        sizes.append((nq, ng, side))
     return sizes
 
 
@@ -223,8 +229,8 @@ def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
     variants = _variants(args.variants)
     rows = []
-    for nq, ng in sizes:
-        side, benchmark = math.isqrt(nq - 1) + 1, f"rand-{nq}-{ng}"
+    for nq, ng, side in sizes:
+        benchmark = f"rand-{nq}-{ng}"
         m = load_calibration(synth_calibration(side, side, args.seed, t2=10 ** 6))
         tables = build_tables(m)
         c = gen_random(nq, ng, args.seed)

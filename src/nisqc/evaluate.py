@@ -200,7 +200,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     depend on that day's edge durations. Each CNOT's walk is priced once, by
     walk_cost, for its duration, its reserved cells and its reliability. The
     objective must equal, exactly, the makespan or weighted_log_sum of each
-    walk's reliability and each measured cell's readout_rel; it is not
+    walk's reliability and each measured cell's 1 - readout_error; it is not
     recomputed when a CNOT's walk is rejected. Without cfg, the solution's
     own settings are read by solution_config, as from_record reads a
     record's, and settings it refuses are the one violation returned."""
@@ -276,7 +276,7 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
             cell = cells[operands[0]]
             if kind is measure:
                 expect_dur = qubits[cell].readout_duration
-                ln_ro.append(math.log(float(tables.readout_rel[cell])))
+                ln_ro.append(math.log(1.0 - qubits[cell].readout_error))
             else:
                 expect_dur = sq_dur
             region = ones[cell]

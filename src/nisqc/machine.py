@@ -24,8 +24,19 @@ _LIB_DEFAULTS = {
 }
 
 
+# The most cells a grid may have: the tables grow about as cells**2, and
+# a process that builds them at 20x20 peaks at about 240 MiB.
+MAX_CELLS = 400
+
+
 class CalibrationError(ValueError):
     """Calibration document rejected."""
+
+
+def check_grid_size(mx: int, my: int) -> None:
+    """Refuse, before anything is allocated, a side below 1 or over MAX_CELLS cells."""
+    if mx < 1 or my < 1 or mx * my > MAX_CELLS:
+        raise CalibrationError(f"grid {mx}x{my} must be at least 1x1 and at most {MAX_CELLS} cells")
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,8 @@ class GridMachine:
 
 @dataclass(frozen=True)
 class DerivedTables:
-    delta: np.ndarray = field(repr=False)
-    readout_rel: np.ndarray = field(repr=False)
+    """build_tables' plain lists and dicts, which every reader shares and none writes."""
+    delta: list[list[int]] = field(repr=False)
     cnot_rel: dict[tuple[int, int, int], float] = field(repr=False)
     cnot_dur: dict[tuple[int, int, int], int] = field(repr=False)
     cnot_rel_return: dict[tuple[int, int, int], float] = field(repr=False)
@@ -147,8 +158,7 @@ def _machine_from_doc(doc) -> GridMachine:
     if not isinstance(doc, dict) or "grid" not in doc:
         raise CalibrationError("calibration document needs a grid section")
     mx, my = _integer(doc["grid"]["mx"], "mx"), _integer(doc["grid"]["my"], "my")
-    if mx < 1 or my < 1:
-        raise CalibrationError("grid dimensions must be >= 1")
+    check_grid_size(mx, my)
 
     dft = dict(_LIB_DEFAULTS)
     dft.update(doc.get("defaults", {}))
@@ -277,11 +287,6 @@ def price_walk(m: GridMachine, walk, static: bool = False) -> tuple[list[int], f
     return hops, route * r, strict * r
 
 
-def path_reliability(path, m: GridMachine, count_return_swaps: bool = False) -> float:
-    """price_walk's reliability of the walk, with return swaps counted if asked."""
-    return price_walk(m, path)[1 + count_return_swaps]
-
-
 def _best_paths(m: GridMachine) -> tuple[dict, dict]:
     # Most-reliable simple path per ordered pair, at swap exponents 3 and 6,
     # priced by m.price_factors. One Dijkstra per source s weighs the swap
@@ -402,10 +407,9 @@ def build_tables(m: GridMachine) -> DerivedTables:
                 a, x, y = e, x + dx, y + dy
     best_paths, best_paths_return = _best_paths(m)
     return DerivedTables(
-        delta=np.array(delta, dtype=np.int64),
-        readout_rel=np.array([1.0 - q.readout_error for q in m.qubits]),
-        cnot_rel=cnot_rel, cnot_dur=cnot_dur, cnot_rel_return=cnot_rel_return,
-        junctions=junctions, best_paths=best_paths, best_paths_return=best_paths_return)
+        delta=delta, cnot_rel=cnot_rel, cnot_dur=cnot_dur,
+        cnot_rel_return=cnot_rel_return, junctions=junctions,
+        best_paths=best_paths, best_paths_return=best_paths_return)
 
 
 def synth_calibration(mx: int, my: int, seed: int, *,
@@ -414,8 +418,7 @@ def synth_calibration(mx: int, my: int, seed: int, *,
                       cnot_error: float = 0.04, cnot_sigma: float = 0.015,
                       jitter_durations: bool = False) -> dict:
     """Seeded synthetic calibration document mimicking day-to-day drift."""
-    if mx < 1 or my < 1:
-        raise ValueError(f"grid {mx}x{my} must be at least 1x1")
+    check_grid_size(mx, my)
     if t2 < 1:
         raise ValueError(f"t2 = {t2} must be a positive timeslot count")
     rng = np.random.default_rng(seed)

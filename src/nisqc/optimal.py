@@ -45,7 +45,7 @@ def _cnot_floor(m: GridMachine, tables: DerivedTables, static: bool) -> list[lis
     its legal junctions: the static formula, which every junction's walk
     takes, under the static model, and delta otherwise; 0 when a == b."""
     if not static:
-        return tables.delta.tolist()
+        return tables.delta
     pos = [m.pos(a) for a in range(m.num_cells)]
     by_distance = [0] + [static_cnot_duration(d, m) for d in range(1, m.mx + m.my - 1)]
     return [[by_distance[manhattan(pa, pb)] for pb in pos] for pa in pos]
@@ -133,7 +133,7 @@ class Scorer:
         self.preds, self.succs = c.dag
         self.cnot_ops = [g.operands for g in c.gates if g.kind is GateKind.CNOT]
         self.measured = [g.operands[0] for g in c.gates if g.kind is GateKind.MEASURE]
-        self.ln_ro = [math.log(r) for r in tables.readout_rel.tolist()]
+        self.ln_ro = [math.log(1.0 - q.readout_error) for q in m.qubits]
         self.ro_dur = [q.readout_duration for q in m.qubits]
 
     def cnot_cost(self, a: int, b: int, j: int) -> tuple[int, tuple[int, ...]]:

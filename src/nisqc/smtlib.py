@@ -134,7 +134,7 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
                 add(f"(define-fun d{i} () Int "
                     f"{junction_switch(i, qa, qb, lambda k: str(tables.cnot_dur[k]))})")
             else:
-                entries = [(f"(and (= cq{qa} {a}) (= cq{qb} {b}))", str(int(tables.delta[a, b])))
+                entries = [(f"(and (= cq{qa} {a}) (= cq{qb} {b}))", str(tables.delta[a][b]))
                            for a in cells for b in cells if a != b]
                 add(f"(define-fun d{i} () Int {_ite_chain(entries)})")
             if one_bend:
@@ -169,7 +169,7 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
             add(f"(assert (=> {ov} (or (<= (+ t{i} d{i}) t{j}) (<= (+ t{j} d{j}) t{i}))))")
 
     if reliability:
-        ln_ro = [math.log(float(tables.readout_rel[cl])) for cl in cells]
+        ln_ro = [math.log(1.0 - m.qubits[cl].readout_error) for cl in cells]
         ro_terms, cx_terms = [], []
         for g in c.gates:
             i = g.id

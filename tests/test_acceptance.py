@@ -29,7 +29,7 @@ from nisqc.machine import (
     build_tables,
     cnot_walk,
     load_calibration,
-    path_reliability,
+    price_walk,
     route_cells,
     static_cnot_duration,
     synth_calibration,
@@ -123,7 +123,7 @@ def pool_instances():
     return out
 
 
-def leaf_product_objective(tables, c, omega, cells, junctions):
+def leaf_product_objective(m, tables, c, omega, cells, junctions):
     """exp-domain counterpart of the weighted log objective: the same ε,
     multiplied in gate order, so it agrees with the log sum to within
     rounding and its argmax is compared with a relative tolerance."""
@@ -135,7 +135,7 @@ def leaf_product_objective(tables, c, omega, cells, junctions):
             prod_cx *= tables.cnot_rel[(a, b, junctions[ji])]
             ji += 1
         elif g.kind is GateKind.MEASURE:
-            prod_ro *= float(tables.readout_rel[cells[g.operands[0]]])
+            prod_ro *= 1.0 - m.qubits[cells[g.operands[0]]].readout_error
     return (prod_ro ** omega) * (prod_cx ** (1.0 - omega))
 
 
@@ -199,7 +199,7 @@ def pool():
                           if leaf.objective >= best_log - tol_log}
                 prods = {
                     (leaf.cells, leaf.junctions):
-                        leaf_product_objective(t, c, cfg.omega,
+                        leaf_product_objective(m, t, c, cfg.omega,
                                                leaf.cells, leaf.junctions)
                     for leaf in bf.leaves}
                 best_prod = max(prods.values())
@@ -225,7 +225,7 @@ def test_criterion_01_exact_solver_matches_enumeration(pool):
 
 def test_criterion_02_one_swap_route_reliability():
     m = load_calibration(udoc(1, 3))
-    assert abs(path_reliability((0, 1, 2), m) - 0.6561) <= 1e-12
+    assert abs(price_walk(m, (0, 1, 2))[1] - 0.6561) <= 1e-12
 
 
 def test_criterion_03_static_duration_formula():
@@ -267,7 +267,7 @@ def test_criterion_04_bv4_zero_movement_beats_every_swapped_placement(zero_movem
         for combo in itertools.product(*choice_sets):
             rel = 1.0
             for (a, b), j in zip(pairs, combo):
-                rel *= path_reliability(route_cells(m, cells[a], cells[b], j), m)
+                rel *= price_walk(m, route_cells(m, cells[a], cells[b], j))[1]
             for q in measured:
                 rel *= 1.0 - m.qubits[cells[q]].readout_error
             best_swapped = max(best_swapped, rel)
@@ -354,7 +354,7 @@ def test_criterion_06_reliability_variant_avoids_the_noisy_edge(bad_edge_setup):
                 sum_cx += math.log(t.cnot_rel[(a, b, junctions[ji])])
                 ji += 1
             elif g.kind is GateKind.MEASURE:
-                sum_ro += math.log(float(t.readout_rel[cells[g.operands[0]]]))
+                sum_ro += math.log(1.0 - m.qubits[cells[g.operands[0]]].readout_error)
         return omega * sum_ro + (1.0 - omega) * sum_cx
 
     assert max(map(lambda k: r_objective(*k), avoiders)) > \

@@ -1,5 +1,6 @@
 """Circuit IR: parsing, emission, DAG construction, generators."""
 
+import json
 import random
 
 import numpy as np
@@ -16,7 +17,6 @@ from nisqc.circuit import (
     gen_toffoli,
     parse_circuit,
     predecessor_lists,
-    to_json,
     to_qasm,
 )
 from nisqc import circuit as circuit_module
@@ -24,6 +24,18 @@ from nisqc.evaluate import check_solution
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
 from qasm_reference import parse_qasm as reference_parse_qasm
+
+
+def to_json(c: Circuit) -> str:
+    """The circuit as the JSON document parse_circuit(..., format="json") reads."""
+    gates = []
+    for g in c.gates:
+        entry: dict = {"kind": g.kind.value, "operands": list(g.operands)}
+        if g.classical_target is not None:
+            entry["clbit"] = g.classical_target
+        gates.append(entry)
+    return json.dumps({"num_qubits": c.num_qubits, "num_clbits": c.num_clbits, "gates": gates})
+
 
 BV4_QASM = """\
 OPENQASM 2.0;

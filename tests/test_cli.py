@@ -14,12 +14,14 @@ import sys
 import pytest
 
 import nisqc
-from nisqc.circuit import gen_bv, parse_circuit, to_json
+from nisqc.circuit import gen_bv, parse_circuit
 from nisqc import cli
 from nisqc.cli import main
 from nisqc.codegen import expand, to_record
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
+
+from test_circuit import to_json
 
 
 def run(capsys, *argv):
@@ -423,6 +425,26 @@ def test_seed_below_zero_exits_2(tmp_path, capsys, monkeypatch, bv4, command):
     assert (code, stdout, len(lines)) == (2, "", 1)
     assert json.loads(lines[0])["error"] == "UsageError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bv4-v.json", "bv4.qasm", "cal.json"]
+
+
+@pytest.mark.parametrize("command,code,error", [("compile", 1, "CalibrationError"),
+                                                ("gen-cal", 2, "UsageError"),
+                                                ("bench", 2, "UsageError")])
+def test_grid_one_cell_over_the_cap_exits_before_any_work(tmp_path, capsys, monkeypatch, bv4,
+                                                          command, code, error):
+    """machine.MAX_CELLS + 1 cells: a 1x401 calibration or gen-cal grid, and
+    bench's 401 qubits, whose square grid is 21x21. bench refuses the entry
+    before it runs the size listed first."""
+    monkeypatch.setattr(cli, "build_tables", lambda *a: pytest.fail("built tables"))
+    inputs = {"compile": (bv4, uniform_cal(tmp_path, 1, 401), "--variant", "greedy-v"),
+              "gen-cal": ("--mx", "1", "--my", "401"),
+              "bench": ("--sizes", "4:16,401:1", "--variants", "greedy-v")}[command]
+    got, stdout, stderr = run(capsys, command, *inputs, "--out", str(tmp_path / "x"))
+    lines = stderr.splitlines()
+    assert (got, stdout, len(lines)) == (code, "", 1)
+    err = json.loads(lines[0])
+    assert err["error"] == error and err["message"].endswith("at most 400 cells")
+    assert list(tmp_path.glob("x*")) == []
 
 
 class TestGenerators:

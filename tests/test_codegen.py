@@ -201,8 +201,8 @@ class TestExpandConsistency:
         if variant == "r-smt-star":
             # the most reliable route is the slower junction's
             cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
-            assert any(sol.schedule.dur[g] > t.delta[cells[c.gates[g].operands[0]],
-                                                      cells[c.gates[g].operands[1]]]
+            assert any(sol.schedule.dur[g] > t.delta[cells[c.gates[g].operands[0]]]
+                                                    [cells[c.gates[g].operands[1]]]
                        for g in sol.gate_routes)
         assert check_solution(sol, c, m, cfg, tables=t) == []
         cc = expand(sol, c, m)

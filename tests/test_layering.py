@@ -1,6 +1,7 @@
 """The package's import structure: every nisqc module imports its siblings at
 the top, takes only their public names, uses every name it imports, and the
-layers below the exact search never import it."""
+layers below the exact search never import it. Every public name in the
+package has a reader outside the tests."""
 
 import ast
 import time
@@ -9,7 +10,8 @@ from pathlib import Path
 import nisqc.optimal
 from nisqc.optimal import solve_exact
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nisqc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nisqc"
 # Modules the exact search builds on, so none of them may import it.
 BELOW_OPTIMAL = ("schedule", "heuristic", "codegen", "smtlib")
 
@@ -71,6 +73,32 @@ def test_modules_use_every_name_they_import():
     found = [u for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for u in _unused_imports(path)]
     assert found == []
+
+
+def _names_read(paths) -> set[str]:
+    """Every name and attribute the files read (load, not store)."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """Each public top-level def and class is read in the package (not
+    counting __init__.py's re-export), in demos/ or in perfbench/. A name
+    that only tests read belongs in the tests."""
+    read = _names_read([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                       + sorted((ROOT / "demos").glob("*.py"))
+                       + sorted((ROOT / "perfbench").rglob("*.py")))
+    unread = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text(), filename=str(path)).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
 
 
 def test_only_the_circuit_module_calls_the_dependency_rule():

@@ -35,6 +35,7 @@ from nisqc.machine import (
 )
 from nisqc import optimal
 from nisqc import schedule as schedule_module
+from nisqc import smtlib
 from nisqc.evaluate import brute_force_optimal, check_solution, equivalence_check
 from nisqc.heuristic import (
     GreedyPolicy,
@@ -154,7 +155,7 @@ def oracle_best(c, m, cfg):
                 continue
             starts, durs = got
             if maximize:
-                sum_ro = sum(math.log(float(tables.readout_rel[cells[g.operands[0]]]))
+                sum_ro = sum(math.log(1.0 - m.qubits[cells[g.operands[0]]].readout_error)
                              for g in c.gates if g.kind is GateKind.MEASURE)
                 sum_cx = 0.0
                 for ji, g in enumerate(cnots):
@@ -268,7 +269,7 @@ class TestGateDuration:
         m = load_calibration(udoc(1, 5))
         t = build_tables(m)
         got = one_cnot(m, t, ProblemConfig(Variant.T_SMT_STAR), 0, 4).schedule.dur[0]
-        assert got == int(t.delta[0, 4])
+        assert got == t.delta[0][4]
 
     def test_one_bend_uses_the_junction(self):
         m = slow_corner_machine()
@@ -276,7 +277,7 @@ class TestGateDuration:
         cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
         slow = m.cell_id((0, 1))
         assert one_cnot(m, t, cfg, 0, 3, slow).schedule.dur[0] == 21
-        assert one_cnot(m, t, cfg, 0, 3).schedule.dur[0] == int(t.delta[0, 3]) == 14
+        assert one_cnot(m, t, cfg, 0, 3).schedule.dur[0] == t.delta[0][3] == 14
 
     def test_measure_and_single(self):
         m = load_calibration(udoc(2, 2))
@@ -859,7 +860,7 @@ class TestCheckSolution:
         expand(sol, c, m)
         # priced at the faster junction's duration: too short to walk
         short = dataclasses.replace(sol, schedule=type(sol.schedule)(
-            start=dict(sol.schedule.start), dur={0: int(t.delta[0, 3])}))
+            start=dict(sol.schedule.start), dur={0: t.delta[0][3]}))
         assert any("duration" in v for v in check_solution(short, c, m, cfg, tables=t))
         assert any("duration" in v for v in check_solution(short, c, m))
         with pytest.raises(CodegenError):
@@ -1393,6 +1394,23 @@ class TestBudgetGolden:
         assert (digest, reads) == (self.DIGEST, self.READS)
 
 
+def test_shared_tables_stay_read_only(monkeypatch):
+    """The search reads the tables' own rows (delta) and dicts, which every
+    solve, check and script on one machine shares: none of them writes."""
+    m = load_calibration(synth_calibration(3, 3, 5, jitter_durations=True))
+    t = build_tables(m)
+    before = copy.deepcopy((t.delta, t.cnot_dur, t.junctions))
+    monkeypatch.setattr(smtlib, "build_tables", lambda _m: t)
+    c = with_readouts(gen_random(3, 8, 4), range(3))
+    for variant, routing in EXACT_VARIANTS:
+        cfg = ProblemConfig(variant, routing)
+        sol = solve_exact(c, m, cfg, tables=t)
+        brute_force_optimal(c, m, cfg, tables=t)
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+        emit_smtlib(c, m, cfg)
+    assert (t.delta, t.cnot_dur, t.junctions) == before
+
+
 def varied_readouts(mx, my, seed, scale=1):
     """A jittered-duration calibration whose cells' readouts last from 2 to
     24 timeslots, so cells whose CNOTs are equally fast differ in readout;
@@ -1473,7 +1491,7 @@ class TestReadoutDurations:
             e["cnot_duration"] = 40 if [0, 1] in (e["a"], e["b"]) else 1
         m = load_calibration(doc)
         t = build_tables(m)
-        assert max(t.delta.flat) < 256 <= max(t.cnot_dur.values())
+        assert max(map(max, t.delta)) < 256 <= max(t.cnot_dur.values())
         c = build_circuit(3, 0, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
         cfg = ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND)
         bf, sol = brute_force_optimal(c, m, cfg, tables=t), solve_exact(c, m, cfg, tables=t)
