@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -293,28 +292,33 @@ def _best_paths(m: GridMachine) -> tuple[dict, dict]:
     # edges; target t closes at its first neighbour u, in adjacency order,
     # that beats the best so far by more than 1e-15, skipping a u whose tree
     # path passes through t (with positive errors it loses to t's tree
-    # parent). 2.0 * dist is exactly the exponent-6 distance. Walks and their
-    # r**3 and r**6 products (in walk order, as price_walk) extend the
-    # parent's that a heap entry carries. Entries are made target by target
-    # from [t][s] lists, so one target's lie together in memory: the greedy
-    # mappers read many sources' paths to one.
+    # parent). 2.0 * dist is exactly the exponent-6 distance. Each settled
+    # cell's walk and its r**3 and r**6 products (in walk order, as
+    # price_walk) extend its parent's, in per-source lists. Heap entries stay
+    # (dist, cell, parent): entries that also carried the hop's factors
+    # saved little and raised recal-evaluate's gen-0 collections during
+    # verify from 0.29 to 0.37 per op.
+    # Entries are made target by target from [t][s] lists, so one target's
+    # lie together in memory: the greedy mappers read many sources' paths to
+    # one. Each entry's key, value tuple and closing product are made in
+    # that last pass for the same reason; made in the per-source loop, the
+    # same tables cost greedy-scale 7-8% of its ops per second.
     n, fac = m.num_cells, m.price_factors
     adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
     close = [[(u, -math.log(fac[(u, t)][0]), fac[(u, t)][0]) for u in m.adjacency[t]]
              for t in range(n)]
     path3, p3s, r3s, path6, p6s, r6s = ([[None] * n for _ in range(n)] for _ in range(6))
     for s in range(n):
-        dist, walks = [math.inf] * n, [None] * n
-        dist[s], walks[s] = 0.0, ((s,), 1.0, 1.0)
+        dist, cells, p3, p6 = [math.inf] * n, [None] * n, [1.0] * n, [1.0] * n
+        dist[s], cells[s] = 0.0, (s,)
         heap = [(0.0, s, s)]
         while heap:
             d, v, p = heapq.heappop(heap)
             if d > dist[v]:
                 continue
             if v != s:
-                cells, p3, p6 = walks[p]
                 _, r3, r6, _ = fac[(p, v)]
-                walks[v] = (cells + (v,), p3 * r3, p6 * r6)
+                cells[v], p3[v], p6[v] = cells[p] + (v,), p3[p] * r3, p6[p] * r6
             for w_, wt in adj[v]:
                 nd = d + wt
                 if nd < dist[w_]:
@@ -325,7 +329,7 @@ def _best_paths(m: GridMachine) -> tuple[dict, dict]:
                 continue
             best3 = best6 = math.inf
             for u, w, r in close[t]:
-                if t in walks[u][0]:
+                if t in cells[u]:
                     continue
                 cost3, cost6 = dist[u] + w, 2.0 * dist[u] + w
                 if cost3 < best3 - 1e-15:
@@ -333,15 +337,42 @@ def _best_paths(m: GridMachine) -> tuple[dict, dict]:
                 if cost6 < best6 - 1e-15:
                     best6, via6, r6s[t][s] = cost6, u, r
             # both exponents almost always close at the same u: one walk
-            path3[t][s] = path6[t][s] = walks[via3][0] + (t,)
+            path3[t][s] = path6[t][s] = cells[via3] + (t,)
             if via6 != via3:
-                path6[t][s] = walks[via6][0] + (t,)
-            p3s[t][s], p6s[t][s] = walks[via3][1], walks[via6][2]
+                path6[t][s] = cells[via6] + (t,)
+            p3s[t][s], p6s[t][s] = p3[via3], p6[via6]
     table3, table6 = {}, {}
-    for t, s in itertools.permutations(range(n), 2):
-        table3[(s, t)] = (path3[t][s], p3s[t][s] * r3s[t][s])
-        table6[(s, t)] = (path6[t][s], p6s[t][s] * r6s[t][s])
+    for t in range(n):
+        paths3, q3, rs3, paths6, q6, rs6 = path3[t], p3s[t], r3s[t], path6[t], p6s[t], r6s[t]
+        for s in range(n):
+            if s != t:
+                table3[(s, t)] = (paths3[s], q3[s] * rs3[s])
+                table6[(s, t)] = (paths6[s], q6[s] * rs6[s])
     return table3, table6
+
+
+def _rays(m: GridMachine) -> list[list[list[tuple[int, float, float, float, int]]]]:
+    # rays[a][k]: the hops from cell a straight to the grid's edge along
+    # direction k (+x, -x, +y, -y), nearest first, each (cell, r, r**3,
+    # r**6, d) from m.price_factors. A ray is its first hop followed by the
+    # next cell's ray, so each is built from the far end.
+    n, mx, my, fac = m.num_cells, m.mx, m.my, m.price_factors
+    rays = [[[], [], [], []] for _ in range(n)]
+    columns = [range(y, n, my) for y in range(my)]          # lines along x
+    rows = [range(x * my, (x + 1) * my) for x in range(mx)]  # lines along y
+    for k, lines in enumerate((columns, columns, rows, rows)):
+        for line in lines:
+            line = line if k % 2 else line[::-1]   # the far end first
+            ray = []
+            for b, a in zip(line, line[1:]):
+                ray = [(b, *fac[(a, b)])] + ray
+                rays[a][k] = ray
+    return rays
+
+
+# The order the sweep runs its straight legs in (rays' directions), each
+# with the two directions its bent legs take, in the order they run.
+_SWEEP = ((3, (0, 1)), (2, (1, 0)), (1, (2, 3)), (0, (3, 2)))
 
 
 def canonical_junction(t: DerivedTables, a: int, b: int) -> int:
@@ -354,8 +385,9 @@ def build_tables(m: GridMachine) -> DerivedTables:
 
     One sweep per source cell prices every one-bend walk that starts there:
     it runs out along the cell's row and column and turns at each corner onto
-    the other axis, carrying running products of r, r**3 and r**6 (the
-    machine's price_factors) and a running duration sum in walk order, so
+    the other axis along rays (each cell's hops to the grid's edge, built
+    once per call from the machine's price_factors), carrying running
+    products of r, r**3 and r**6 and a running duration sum in walk order, so
     every entry is bitwise the price_walk of its cnot_walk; delta, the least
     duration over a pair's junctions, is kept as the sweep writes them. One
     best-path search per source cell serves both swap exponents: each cell's
@@ -363,48 +395,61 @@ def build_tables(m: GridMachine) -> DerivedTables:
     closed at a target's neighbour, and both tables share the walk whenever
     both exponents close at the same neighbour.
     """
-    n, mx, my, fac = m.num_cells, m.mx, m.my, m.price_factors
+    n, rays = m.num_cells, _rays(m)
     junctions, cnot_rel, cnot_dur, cnot_rel_return = {}, {}, {}, {}
     # delta[c][t], the least cnot_dur over (c, t)'s junctions, kept as written
     delta = [[0 if c == t else math.inf for t in range(n)] for c in range(n)]
-    # A leg walks on from cell a along (dx, dy) with the running state of the
-    # walk from s. Each cell e it reaches ends the walk s -> corner -> e; a
-    # straight walk (corner None) turns at every cell it reaches. The walk is
-    # cnot_walk of (s, e, .) unless its first edge is the slower end edge, and
-    # also of (e, s, .) when its last edge is the slower one.
+    # A leg walks a ray from its corner with the running state of the walk
+    # from s. Each cell e it reaches ends the walk s -> corner -> e; a
+    # straight walk turns at every cell it reaches. The walk is cnot_walk of
+    # (s, e, .) unless its first edge is the slower end edge, and also of
+    # (e, s, .) when its last edge is the slower one.
     for s in range(n):
-        delta_s = delta[s]
-        legs = [(None, s, dx, dy, 1.0, 1.0, 0, 0)
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-        while legs:
-            corner, a, dx, dy, p3, p6, dsum, first = legs.pop()
-            x, y = a // my + dx, a % my + dy
-            while 0 <= x < mx and 0 <= y < my:
-                e = x * my + y
-                r, r3, r6, d = fac[(a, e)]
-                first = first or d
-                dur = 6 * dsum + d
-                entry = (p3 * r, p6 * r, dur)
+        delta_s, rays_s = delta[s], rays[s]
+        for k, bends in _SWEEP:
+            ray = rays_s[k]
+            if not ray:
+                continue
+            first = ray[0][4]   # the duration of every walk's first hop
+            p3 = p6 = 1.0
+            dsum = 0
+            corners = []
+            for e, r, r3, r6, d in ray:
+                rel, ret, dur = p3 * r, p6 * r, 6 * dsum + d
                 if first <= d:
-                    key = (s, e, s if corner is None else corner)
-                    cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = entry
+                    key = (s, e, s)
+                    cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = rel, ret, dur
                     if dur < delta_s[e]:
                         delta_s[e] = dur
                 if d > first:
-                    key = (e, s, e if corner is None else corner)
-                    cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = entry
+                    key = (e, s, e)
+                    cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = rel, ret, dur
                     if dur < delta[e][s]:
                         delta[e][s] = dur
                 p3, p6, dsum = p3 * r3, p6 * r6, dsum + d
-                if corner is None:
-                    junctions[(s, e)] = (s,)
-                    legs += [(e, e, dy, dx, p3, p6, dsum, first),
-                             (e, e, -dy, -dx, p3, p6, dsum, first)]
-                elif dx == 0:
-                    # the first leg ran along x, so the other corner is (sx, ey)
-                    k = s - s % my + y
-                    junctions[(s, e)] = (corner, k) if corner < k else (k, corner)
-                a, x, y = e, x + dx, y + dy
+                junctions[(s, e)] = (s,)
+                corners.append((e, p3, p6, dsum))
+            for c, p3c, p6c, dsumc in reversed(corners):
+                for b in bends:
+                    p3, p6, dsum = p3c, p6c, dsumc
+                    for e, r, r3, r6, d in rays[c][b]:
+                        rel, ret, dur = p3 * r, p6 * r, 6 * dsum + d
+                        if first <= d:
+                            key = (s, e, c)
+                            cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = rel, ret, dur
+                            if dur < delta_s[e]:
+                                delta_s[e] = dur
+                        if d > first:
+                            key = (e, s, c)
+                            cnot_rel[key], cnot_rel_return[key], cnot_dur[key] = rel, ret, dur
+                            if dur < delta[e][s]:
+                                delta[e][s] = dur
+                        p3, p6, dsum = p3 * r3, p6 * r6, dsum + d
+                        if b > 1:
+                            # the leg along y turned off x, so the other
+                            # corner is as far from s as e is from c
+                            o = e - c + s
+                            junctions[(s, e)] = (c, o) if c < o else (o, c)
     best_paths, best_paths_return = _best_paths(m)
     return DerivedTables(
         delta=delta, cnot_rel=cnot_rel, cnot_dur=cnot_dur,

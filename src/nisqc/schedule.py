@@ -3,6 +3,7 @@ assembly, shared by the exact and greedy mappers, expansion and verification."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -78,8 +79,9 @@ class Schedule:
     start: dict[int, int]
     dur: dict[int, int]
 
-    @property
+    @functools.cached_property
     def makespan(self) -> int:
+        """The latest end of any gate, computed once per schedule."""
         return max((self.start[g] + self.dur[g] for g in self.start), default=0)
 
 
@@ -124,38 +126,42 @@ def _list_schedule(n_cells, durs, gcells, deadlines, preds, succs):
     est = [0] * n_gates
     pending = [len(p) for p in preds]
     free = [0] * n_cells  # per cell, the end of its last reservation
+    # A gate is fitted where it is queued: at the latest of its earliest
+    # start and its cells' free-from times, checked against its deadline.
+    # With no reservation yet, a gate ready from the outset fits at 0.
     heap: list[tuple[int, int]] = []
-
-    def fit(g: int) -> int:
-        s = est[g]
-        for cell in gcells[g]:
-            f = free[cell]
-            if f > s:
-                s = f
-        if s + durs[g] > deadlines[g]:
-            raise Infeasible(f"gate {g} cannot finish before its coherence deadline")
-        return s
-
     for g in range(n_gates):
         if pending[g] == 0:
-            heapq.heappush(heap, (fit(g), g))
+            if durs[g] > deadlines[g]:
+                raise Infeasible(f"gate {g} cannot finish before its coherence deadline")
+            heap.append((0, g))   # in gate order, so already a heap
     while heap:
         s, g = heapq.heappop(heap)
+        f = s
         for cell in gcells[g]:
-            if free[cell] > s:
-                heapq.heappush(heap, (fit(g), g))
-                break
-        else:
-            starts[g] = s
-            end = s + durs[g]
-            for cell in gcells[g]:
-                free[cell] = end
-            for nxt in succs[g]:
-                if end > est[nxt]:
-                    est[nxt] = end
-                pending[nxt] -= 1
-                if pending[nxt] == 0:
-                    heapq.heappush(heap, (fit(nxt), nxt))
+            if free[cell] > f:
+                f = free[cell]
+        if f > s:   # stale, and f is its refit: s is already at or after est[g]
+            if f + durs[g] > deadlines[g]:
+                raise Infeasible(f"gate {g} cannot finish before its coherence deadline")
+            heapq.heappush(heap, (f, g))
+            continue
+        starts[g] = s
+        end = s + durs[g]
+        for cell in gcells[g]:
+            free[cell] = end
+        for nxt in succs[g]:
+            if end > est[nxt]:
+                est[nxt] = end
+            pending[nxt] -= 1
+            if pending[nxt] == 0:
+                f = est[nxt]
+                for cell in gcells[nxt]:
+                    if free[cell] > f:
+                        f = free[cell]
+                if f + durs[nxt] > deadlines[nxt]:
+                    raise Infeasible(f"gate {nxt} cannot finish before its coherence deadline")
+                heapq.heappush(heap, (f, nxt))
     # every gate was queued once ready, and left the heap only by committing
     assert not any(pending), "a gate never became ready"
     return starts

@@ -1,6 +1,7 @@
 """Hardware model: calibration loading, distance/duration formulas, derived tables."""
 
 import gc
+import hashlib
 import heapq
 import itertools
 import math
@@ -650,6 +651,38 @@ class TestTablesOracle:
             mx, my = rng.randint(1, 8), rng.randint(1, 8)
             doc = synth_calibration(mx, my, rng.randrange(2 ** 31), jitter_durations=case % 2 == 1)
             self.assert_closing_edge_agrees(load_calibration(doc))
+
+
+class TestTablesOrder:
+    """The order build_tables inserts its keys in, which TestTablesOracle's
+    == does not see: the greedy mappers' memory locality rests on it. The
+    digests (sha256 of repr of the key list, first 16 hex digits) were taken
+    from the sweep and search this build_tables replaced; the three one-bend
+    tables share one order, and so do the two best-path tables."""
+
+    DIGESTS = {
+        ((3, 3), "uniform"): ("e00382b5b868a6d6", "dc21b4fd032f5efb", "ac1146214494d433"),
+        ((5, 5), "synth-jittered"): ("425534da27fca088", "075154db44153685", "48fb486f07ca3028"),
+        ((2, 8), "synth"): ("a54a533503f01e3c", "3b7e578abe9a03c5", "bdc4972332a551a9"),
+    }
+
+    @pytest.mark.parametrize("grid", DIGESTS, ids=lambda g: f"{g[0][0]}x{g[0][1]}-{g[1]}")
+    def test_key_order_pinned(self, grid):
+        t = build_tables(load_calibration(oracle_doc(*grid)))
+        one_bend, junctions, best = self.DIGESTS[grid]
+        want = {"cnot_rel": one_bend, "cnot_dur": one_bend, "cnot_rel_return": one_bend,
+                "junctions": junctions, "best_paths": best, "best_paths_return": best}
+        got = {name: hashlib.sha256(repr(list(getattr(t, name))).encode()).hexdigest()[:16]
+               for name in want}
+        assert got == want
+
+    @pytest.mark.parametrize("grid", DIGESTS, ids=lambda g: f"{g[0][0]}x{g[0][1]}-{g[1]}")
+    def test_best_path_keys_run_target_by_target(self, grid):
+        m = load_calibration(oracle_doc(*grid))
+        t = build_tables(m)
+        n = m.num_cells
+        want = [(s, u) for u in range(n) for s in range(n) if s != u]
+        assert list(t.best_paths) == want == list(t.best_paths_return)
 
 
 class TestSynthCalibration:
