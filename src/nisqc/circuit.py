@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,7 +150,8 @@ def _qasm_int(digits: str, line: int, col: int) -> int:
         raise ParseError(f"integer of {len(digits)} digits is too long", line, col) from exc
 
 
-def _parse_qasm(text: str) -> Circuit:
+def parse_circuit(text: str) -> Circuit:
+    """Parse circuit source in the OpenQASM 2.0 subset that to_qasm writes."""
     qreg: str | None = None
     creg: str | None = None
     num_qubits = 0
@@ -243,62 +243,6 @@ def _parse_qasm(text: str) -> Circuit:
         _validate_gate(kind, operands, num_qubits, clbit, num_clbits, lineno,
                        _column(lines[lineno - 1]))
     return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
-
-
-def _json_int(value, name: str) -> int:
-    # A JSON integer: an integral float such as 3.0 is one; 0.7, "3" and true are not.
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParseError(f"{name} = {value!r} is not an integer", 1, 1)
-
-
-def _parse_json(text: str) -> Circuit:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    except ValueError as exc:   # a number past int()'s digit limit
-        raise ParseError(f"invalid JSON: {exc}", 1, 1) from exc
-    if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
-        raise ParseError("circuit JSON needs num_qubits and gates", 1, 1)
-    try:
-        num_qubits = _json_int(doc["num_qubits"], "num_qubits")
-        num_clbits = _json_int(doc.get("num_clbits", 0), "num_clbits")
-        kind_by_name = {k.value: k for k in GateKind}
-        ops: list[tuple[GateKind, tuple[int, ...], int | None]] = []
-        for i, entry in enumerate(doc["gates"]):
-            if not isinstance(entry, dict):
-                raise ParseError(f"gates[{i}] is not an object", 1, 1)
-            name = entry.get("kind")
-            if name not in kind_by_name:
-                raise ParseError(f"unknown gate kind '{name}' at gates[{i}]", 1, 1)
-            kind = kind_by_name[name]
-            operands = tuple(_json_int(q, f"gates[{i}].operands") for q in entry["operands"])
-            if len(operands) != kind.n_qubits:
-                raise ParseError(f"gate '{name}' takes {kind.n_qubits} operand(s) at gates[{i}]",
-                                 1, 1)
-            clbit = entry.get("clbit")
-            clbit = None if clbit is None else _json_int(clbit, f"gates[{i}].clbit")
-            ops.append((kind, operands, clbit))
-    except ParseError:
-        raise
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed circuit JSON: {type(exc).__name__}: {exc}", 1, 1) from exc
-    return build_circuit(num_qubits, num_clbits, ops)
-
-
-def parse_circuit(text: str, format: str = "qasm") -> Circuit:
-    """Parse circuit source in the qasm subset or the JSON layout.
-
-    Args:
-        text: circuit source.
-        format: "qasm" or "json".
-    """
-    if format == "qasm":
-        return _parse_qasm(text)
-    if format == "json":
-        return _parse_json(text)
-    raise ValueError(f"unknown circuit format '{format}'")
 
 
 def to_qasm(c: Circuit) -> str:

@@ -13,13 +13,14 @@ import sys
 import time
 
 from .circuit import Circuit, gen_bv, gen_random, gen_toffoli, parse_circuit, to_qasm
-from .codegen import CompiledCircuit, emit_qasm, expand, from_record, to_record
+from .codegen import CompiledCircuit, emit_qasm, expand, from_record, load_record, to_record
 from .evaluate import (
     EvalReport,
     atomic_write,
     equivalence_check,
     monte_carlo_success,
     reliability_score,
+    report_paths,
     write_report,
 )
 from .heuristic import HeuristicConfig, heuristic_compile
@@ -58,9 +59,12 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _load_circuit(path: str) -> Circuit:
-    fmt = "json" if path.endswith(".json") else "qasm"
-    return parse_circuit(_read(path), format=fmt)
+def _refuse_overwrite(inputs: tuple[str, ...], outputs: tuple[str | None, ...]) -> None:
+    """Raise UsageError if an output is the same file as an input; call before any read."""
+    for out in filter(None, outputs):
+        for path in inputs:
+            if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+                raise UsageError(f"output {out} would overwrite the input {path}")
 
 
 def _compile_one(c: Circuit, m: GridMachine, tables, variant: str,
@@ -142,13 +146,13 @@ def _evaluate_record(cc: CompiledCircuit, benchmark: str, trials: int, seed: int
 # ----------------------------------------------------------- subcommands ---
 
 def cmd_compile(args) -> int:
-    c = _load_circuit(args.circuit)
+    out = args.out or f"{_stem(args.circuit)}-{args.variant}"
+    stem = out[:-5] if out.endswith((".json", ".qasm")) else out
+    record_path, qasm_path = stem + ".json", stem + ".qasm"
+    _refuse_overwrite((args.circuit, args.calibration), (record_path, qasm_path, args.emit_smtlib))
+    c = parse_circuit(_read(args.circuit))
     m = load_calibration(_read(args.calibration))
     cc, dt = _compile_one(c, m, build_tables(m), args.variant, args)
-    stem = args.out or f"{_stem(args.circuit)}-{args.variant}"
-    if stem.endswith((".json", ".qasm")):
-        stem = stem[:-5]
-    record_path, qasm_path = stem + ".json", stem + ".qasm"
     atomic_write(record_path, json.dumps({**to_record(cc), "compile_time_s": dt}) + "\n")
     atomic_write(qasm_path, emit_qasm(cc))
     print(f"wrote {record_path} and {qasm_path}: objective={cc.objective_value!r} "
@@ -158,7 +162,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = json.loads(_read(args.record))
+    out = args.out or _stem(args.record) + "-eval"
+    _refuse_overwrite((args.record, args.calibration), report_paths(out))
+    doc = load_record(_read(args.record))
     m = load_calibration(_read(args.calibration))
     cc = from_record(doc, m)
     dt = doc.get("compile_time_s", 0.0)
@@ -166,7 +172,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"compile_time_s must be a finite number >= 0, not {dt!r}")
     report = _evaluate_record(cc, args.benchmark or _stem(args.record), args.trials,
                               args.seed, dt)
-    csv_path, json_path = write_report([report], args.out or _stem(args.record) + "-eval")
+    csv_path, json_path = write_report([report], out)
     print(f"wrote {csv_path} and {json_path}: reliability={report.reliability!r} "
           f"mc_success={report.mc_success!r} stderr={report.stderr:.6f} "
           f"equivalence={'pass' if report.equivalence_passed else 'FAIL'}")
@@ -178,10 +184,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     variants = _variants(args.variants)
-    c = _load_circuit(args.circuit)
+    benchmark = _stem(args.circuit)
+    out = args.out or f"{benchmark}-compare"
+    _refuse_overwrite((args.circuit, args.calibration), report_paths(out))
+    c = parse_circuit(_read(args.circuit))
     m = load_calibration(_read(args.calibration))
     tables = build_tables(m)
-    benchmark = _stem(args.circuit)
     rows, first_error = [], None
     for variant in variants:
         try:
@@ -194,7 +202,7 @@ def cmd_compare(args) -> int:
         code = _fail(3 if isinstance(first_error, Infeasible) else 4, first_error)
         if not rows:
             return code
-    csv_path, json_path = write_report(rows, args.out or f"{benchmark}-compare")
+    csv_path, json_path = write_report(rows, out)
     print(f"wrote {csv_path} and {json_path}: {len(rows)} variants")
     return 0
 
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("compile", help="map, route, and schedule one circuit")
-    p.add_argument("circuit", help="OpenQASM 2.0 (.qasm) or JSON (.json) circuit")
+    p.add_argument("circuit", help="OpenQASM 2.0 circuit")
     p.add_argument("calibration", help="calibration JSON")
     p.add_argument("--variant", required=True, choices=ALL_VARIANTS)
     p.add_argument("--routing", choices=["rr", "1bp"], default=None,

@@ -63,7 +63,7 @@ class CompiledCircuit(Solution):
     @property
     def reliability(self) -> float:
         eps = self.per_gate_eps
-        return math.prod(eps[gid] for gid in sorted(eps))
+        return math.prod((eps[gid] for gid in sorted(eps)), start=1.0)
 
 
 def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
@@ -217,13 +217,21 @@ def solution_config(variant, routing, omega,
     return ProblemConfig(variant, Routing(routing), omega, count_return_swaps)
 
 
+def load_record(text: str) -> dict:
+    """Decode a record's JSON text; ValueError unless it is a JSON object."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a record must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     """Rebuild a CompiledCircuit from a record produced by to_record, on m:
     the source is parsed from source_qasm, and the record's placement and
     walks are assembled into a Solution on m by build_solution and expanded,
     so the schedule, stream, objective, reliabilities, makespan and swap
     count are m's. Only the record's optimal flag is kept as written. The
-    "gates" key of older records is ignored.
+    "gates" key of older records is ignored. Text is read by load_record.
     Raises Infeasible when a gate misses its T2 deadline on m, and ValueError
     for a missing key, another cell count, a variant, routing, omega or
     count_return_swaps that solution_config refuses, an optimal not a bool,
@@ -234,7 +242,7 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     walk over m's edges joining its CNOT's placed cells and visiting no
     cell twice."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = load_record(doc)
     try:
         config = doc["config"]
         if config["num_cells"] != m.num_cells:

@@ -110,7 +110,7 @@ def equivalence_check(source: Circuit, cc: CompiledCircuit) -> EquivalenceResult
 def reliability_score(cc: CompiledCircuit, count_return_swaps: bool = False) -> float:
     """Product of per-gate success probabilities over routed CNOTs and readouts."""
     eps = cc.eps_strict if count_return_swaps else cc.eps_route
-    return math.prod(eps[gid] for gid in sorted(eps))
+    return math.prod((eps[gid] for gid in sorted(eps)), start=1.0)
 
 
 def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int) -> tuple[float, float]:
@@ -335,16 +335,15 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_report(reports: list[EvalReport], path: str) -> tuple[str, str]:
-    """Write the fixed-column CSV and a full JSON dump next to each other.
+def report_paths(path: str) -> tuple[str, str]:
+    """(csv_path, json_path) sharing path's stem: a .csv or .json suffix is dropped."""
+    stem = os.path.splitext(path)[0] if path.endswith((".csv", ".json")) else path
+    return stem + ".csv", stem + ".json"
 
-    `path` may carry a .csv or .json suffix or none; both files share the stem.
-    Returns (csv_path, json_path).
-    """
-    stem, ext = os.path.splitext(path)
-    if ext not in (".csv", ".json"):
-        stem = path
-    csv_path, json_path = stem + ".csv", stem + ".json"
+
+def write_report(reports: list[EvalReport], path: str) -> tuple[str, str]:
+    """Write the fixed-column CSV and a full JSON dump at report_paths(path); return them."""
+    csv_path, json_path = report_paths(path)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)

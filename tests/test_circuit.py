@@ -1,13 +1,11 @@
 """Circuit IR: parsing, emission, DAG construction, generators."""
 
-import json
 import random
 
 import numpy as np
 import pytest
 
 from nisqc.circuit import (
-    Circuit,
     GateKind,
     ParseError,
     build_circuit,
@@ -24,17 +22,6 @@ from nisqc.evaluate import check_solution
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
 from qasm_reference import parse_qasm as reference_parse_qasm
-
-
-def to_json(c: Circuit) -> str:
-    """The circuit as the JSON document parse_circuit(..., format="json") reads."""
-    gates = []
-    for g in c.gates:
-        entry: dict = {"kind": g.kind.value, "operands": list(g.operands)}
-        if g.classical_target is not None:
-            entry["clbit"] = g.classical_target
-        gates.append(entry)
-    return json.dumps({"num_qubits": c.num_qubits, "num_clbits": c.num_clbits, "gates": gates})
 
 
 BV4_QASM = """\
@@ -127,19 +114,6 @@ class TestParse:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError, match="';'"):
             parse_circuit("qreg q[1]\n")
-
-    def test_json_roundtrip_kinds(self):
-        text = '{"num_qubits": 2, "num_clbits": 1, "gates": [' \
-               '{"kind": "h", "operands": [0]}, {"kind": "cx", "operands": [0, 1]},' \
-               '{"kind": "measure", "operands": [1], "clbit": 0}]}'
-        c = parse_circuit(text, format="json")
-        assert [g.kind for g in c.gates] == [GateKind.H, GateKind.CNOT, GateKind.MEASURE]
-        assert c.gates[2].classical_target == 0
-
-    def test_json_bad_kind(self):
-        with pytest.raises(ParseError, match="unknown gate kind"):
-            parse_circuit('{"num_qubits": 1, "gates": [{"kind": "rx", "operands": [0]}]}',
-                          format="json")
 
     # Every message the QASM reader raises, at the (line, column) it is
     # reported: the column is that of the statement's first non-blank
@@ -281,12 +255,6 @@ class TestRoundTrip:
     ])
     def test_qasm_roundtrip(self, circuit):
         assert parse_circuit(to_qasm(circuit)) == circuit
-
-    @pytest.mark.parametrize("circuit", [
-        gen_bv(4, "101"), gen_toffoli(), gen_random(4, 25, seed=3),
-    ])
-    def test_json_roundtrip(self, circuit):
-        assert parse_circuit(to_json(circuit), format="json") == circuit
 
 
 def dag_edges(c):

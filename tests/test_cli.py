@@ -14,14 +14,12 @@ import sys
 import pytest
 
 import nisqc
-from nisqc.circuit import gen_bv, parse_circuit
+from nisqc.circuit import gen_bv, parse_circuit, to_qasm
 from nisqc import cli
 from nisqc.cli import main
 from nisqc.codegen import expand, to_record
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
-
-from test_circuit import to_json
 
 
 def run(capsys, *argv):
@@ -276,6 +274,38 @@ class TestEvaluate:
         assert (code, stdout) == (1, "")
         assert json.loads(stderr)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("kind", ["string", "list", "number", "wrapped record"])
+    def test_record_that_is_not_a_json_object_exits_1(self, tmp_path, capsys, bv4, kind):
+        # decoded once: a JSON string holding a valid record is not a record
+        cal = uniform_cal(tmp_path, 2, 2)
+        assert run(capsys, "compile", bv4, cal, "--variant", "greedy-e",
+                   "--out", str(tmp_path / "r"))[0] == 0
+        rec = tmp_path / "bad.json"
+        rec.write_text({"string": '"x"', "list": "[]", "number": "5",
+                        "wrapped record": json.dumps((tmp_path / "r.json").read_text())}[kind])
+        code, stdout, stderr = run(capsys, "evaluate", str(rec), cal,
+                                   "--out", str(tmp_path / "rep"))
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        name = {"string": "str", "list": "list", "number": "int", "wrapped record": "str"}[kind]
+        assert json.loads(lines[0]) == {
+            "error": "ValueError", "message": f"a record must be a JSON object, not {name}"}
+        assert not (tmp_path / "rep.csv").exists()
+
+    def test_reliability_of_a_circuit_with_no_cnot_or_readout_is_a_float(self, tmp_path,
+                                                                         capsys):
+        # math.prod of no factors is the int 1; the record and the CSV read 1.0
+        circuit, cal = tmp_path / "h.qasm", uniform_cal(tmp_path, 1, 1)
+        circuit.write_text("qreg q[1];\nh q[0];\n")
+        assert run(capsys, "compile", str(circuit), cal, "--variant", "greedy-e",
+                   "--out", str(tmp_path / "h-e"))[0] == 0
+        rec = json.loads((tmp_path / "h-e.json").read_text())
+        assert type(rec["reliability"]) is float and rec["reliability"] == 1.0
+        code, stdout, _ = run(capsys, "evaluate", str(tmp_path / "h-e.json"), cal,
+                              "--out", str(tmp_path / "rep"))
+        assert code == 0 and "reliability=1.0 " in stdout
+        assert next(csv.DictReader(open(tmp_path / "rep.csv")))["reliability"] == "1.0"
+
     @pytest.mark.parametrize("variant", ["greedy-v", "greedy-e", "t-smt", "t-smt-star",
                                          "r-smt-star"])
     def test_later_write_to_a_clbit_wins(self, tmp_path, capsys, variant):
@@ -447,6 +477,38 @@ def test_grid_one_cell_over_the_cap_exits_before_any_work(tmp_path, capsys, monk
     assert list(tmp_path.glob("x*")) == []
 
 
+@pytest.mark.parametrize("argv,victim", [
+    (("compile", "bv4.qasm", "cal.json", "--variant", "greedy-e", "--out", "bv4"), "bv4.qasm"),
+    (("compile", "bv4.qasm", "cal.json", "--variant", "greedy-e", "--out", "cal.json"),
+     "cal.json"),
+    (("compile", "bv4.qasm", "cal.json", "--variant", "t-smt", "--emit-smtlib", "bv4.qasm"),
+     "bv4.qasm"),
+    (("evaluate", "rec.json", "cal.json", "--out", "rec"), "rec.json"),
+    (("evaluate", "rec.json", "cal.json", "--out", "cal.csv"), "cal.json"),
+    (("compare", "bv4.qasm", "cal.json", "--variants", "greedy-e", "--out", "cal"), "cal.json"),
+    (("compare", "bv4.qasm", "cal.json", "--variants", "greedy-e", "--out", "link.json"),
+     "cal.json"),
+], ids=["compile-out-circuit", "compile-out-calibration", "compile-smtlib-circuit",
+        "evaluate-out-record", "evaluate-out-calibration", "compare-out-calibration",
+        "compare-out-symlink"])
+def test_output_that_is_an_input_exits_2(tmp_path, capsys, monkeypatch, bv4, argv, victim):
+    # refused before anything is read: by name, through write_report's
+    # suffix rule, or through a symlink, every file is left as it was
+    monkeypatch.chdir(tmp_path)
+    uniform_cal(tmp_path, 3, 3)
+    assert run(capsys, "compile", "bv4.qasm", "cal.json", "--variant", "greedy-e",
+               "--out", "rec")[0] == 0
+    os.symlink("cal.json", "link.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(cli, "_read", lambda path: pytest.fail(f"read {path}"))
+    code, stdout, stderr = run(capsys, *argv)
+    lines = stderr.splitlines()
+    assert (code, stdout, len(lines)) == (2, "", 1)
+    err = json.loads(lines[0])
+    assert err["error"] == "UsageError" and err["message"].endswith(f"the input {victim}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestGenerators:
     def test_gen_circuit_stdout_is_qasm(self, capsys):
         code, stdout, _ = run(capsys, "gen-circuit", "bv", "--qubits", "5",
@@ -545,14 +607,18 @@ class TestErrorsAreOneJsonLine:
                             r"to 0\.0", err["message"])
         assert not (tmp_path / "x.json").exists()
 
-    def test_json_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+    def test_json_circuit_is_read_as_qasm_and_exits_1(self, tmp_path, capsys):
+        # a circuit is OpenQASM whatever its suffix: a JSON document fails on line 1
         circuit = tmp_path / "big.json"
         circuit.write_text('{"num_qubits": ' + "9" * 5000 + ', "gates": []}')
         code, stdout, stderr = run(capsys, "compile", str(circuit), uniform_cal(tmp_path, 2, 2),
                                    "--variant", "greedy-v", "--out", str(tmp_path / "x"))
-        assert (code, stdout, len(stderr.splitlines())) == (1, "", 1)
-        assert json.loads(stderr)["error"] == "ParseError"
-        assert not (tmp_path / "x.json").exists()
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        err = json.loads(lines[0])
+        assert err["error"] == "ParseError"
+        assert re.fullmatch(r"line 1, column \d+: statement must end with ';'", err["message"])
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.qasm").exists()
 
     def test_non_ascii_digit_exits_1(self, tmp_path, capsys):
         # int() reads the Arabic-Indic two, but QASM digits are ASCII
@@ -600,23 +666,26 @@ def _malformed(doc, required, rng):
     return doc
 
 
-def _compile_exits_1(tmp_path, capsys, circuit_doc, cal_doc, error):
+def _compile_exits_1(tmp_path, capsys, cal_doc, error):
+    """Compile VALID_QASM on cal_doc: exit 1 with one JSON line naming error
+    and no record written. Returns the error's message."""
+    circuit = tmp_path / "bv3.qasm"
+    if not circuit.exists():
+        circuit.write_text(VALID_QASM)
     # fresh file names per case: on some file systems truncating a file costs
     # far more than creating one
-    case = len(list(tmp_path.iterdir()))
-    circuit, cal = tmp_path / f"c{case}.json", tmp_path / f"cal{case}.json"
-    circuit.write_text(json.dumps(circuit_doc))
+    cal = tmp_path / f"cal{len(list(tmp_path.iterdir()))}.json"
     cal.write_text(json.dumps(cal_doc))
     code, stdout, stderr = run(capsys, "compile", str(circuit), str(cal),
                                "--variant", "greedy-v", "--out", str(tmp_path / "x"))
     lines = stderr.splitlines()
-    assert (code, stdout, len(lines)) == (1, "", 1), (circuit_doc, cal_doc, stderr)
+    assert (code, stdout, len(lines)) == (1, "", 1), (cal_doc, stderr)
     assert json.loads(lines[0])["error"] == error
     assert not (tmp_path / "x.json").exists()
     return json.loads(lines[0])["message"]
 
 
-VALID_CIRCUIT = json.loads(to_json(gen_bv(3, "11")))
+VALID_QASM = to_qasm(gen_bv(3, "11"))
 VALID_CAL = synth_calibration(2, 2, 3)
 
 
@@ -626,19 +695,12 @@ class TestMalformedInputs:
         del no_y["qubits"][1]["y"]
         no_b = copy.deepcopy(VALID_CAL)
         del no_b["edges"][2]["b"]
-        no_operands = copy.deepcopy(VALID_CIRCUIT)
-        del no_operands["gates"][0]["operands"]
-        _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, no_y, "CalibrationError")
-        _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, no_b, "CalibrationError")
-        _compile_exits_1(tmp_path, capsys, no_operands, VALID_CAL, "ParseError")
+        _compile_exits_1(tmp_path, capsys, no_y, "CalibrationError")
+        _compile_exits_1(tmp_path, capsys, no_b, "CalibrationError")
 
     def test_non_integers_are_refused_not_truncated(self, tmp_path, capsys):
         # int() once read each of these as an integer; now each is refused by
         # a message naming its key, and an integral float such as 2.0 loads
-        gates = VALID_CIRCUIT["gates"]
-        cx = next(i for i, g in enumerate(gates) if g["kind"] == "cx")
-        h = next(i for i, g in enumerate(gates) if g["kind"] == "h")
-        measure = next(i for i, g in enumerate(gates) if "clbit" in g)
         cal_cases = [(("grid", "my"), 2.9, "my"),
                      (("defaults", "cnot_duration"), 2.7, "cnot_duration"),
                      (("defaults", "t2"), "500", "t2"),
@@ -647,10 +709,6 @@ class TestMalformedInputs:
                      (("edges", 0, "a", 1), 0.5, "a"),
                      (("defaults", "cnot_error"), "0.04", "cnot_error"),
                      (("qubits", 0, "readout_error"), False, "readout_error")]
-        circ_cases = [(("gates", cx, "operands"), [0.7, 2], f"gates[{cx}].operands"),
-                      (("gates", h, "operands"), [True], f"gates[{h}].operands"),
-                      (("gates", measure, "clbit"), 0.2, f"gates[{measure}].clbit"),
-                      (("num_qubits",), "3", "num_qubits")]
 
         def replaced(doc, path, value):
             doc = copy.deepcopy(doc)
@@ -658,16 +716,11 @@ class TestMalformedInputs:
             return doc
 
         for path, value, key in cal_cases:
-            message = _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT,
-                                       replaced(VALID_CAL, path, value), "CalibrationError")
+            message = _compile_exits_1(tmp_path, capsys, replaced(VALID_CAL, path, value),
+                                       "CalibrationError")
             assert message.startswith(f"{key} = {value!r} "), message
-        for path, value, key in circ_cases:
-            message = _compile_exits_1(tmp_path, capsys, replaced(VALID_CIRCUIT, path, value),
-                                       VALID_CAL, "ParseError")
-            assert f"{key} = " in message, message
-        circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
-        circuit.write_text(json.dumps(replaced(replaced(VALID_CIRCUIT, ("num_qubits",), 3.0),
-                                               ("gates", cx, "operands", 0), 0.0)))
+        circuit, cal = tmp_path / "bv3.qasm", tmp_path / "cal.json"
+        circuit.write_text(VALID_QASM)
         cal.write_text(json.dumps(replaced(replaced(VALID_CAL, ("grid", "mx"), 2.0),
                                            ("defaults", "t2"), 500.0)))
         assert run(capsys, "compile", str(circuit), str(cal), "--variant", "greedy-v",
@@ -676,21 +729,16 @@ class TestMalformedInputs:
     def test_infinite_duration_is_a_calibration_error(self, tmp_path, capsys):
         doc = copy.deepcopy(VALID_CAL)
         doc["defaults"]["t2"] = float("inf")
-        _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT, doc, "CalibrationError")
+        _compile_exits_1(tmp_path, capsys, doc, "CalibrationError")
 
     def test_seeded_sweep(self, tmp_path, capsys):
         rng = random.Random(11)
         cal_required = [("grid",), ("grid", "mx"), ("grid", "my")]
         cal_required += [("qubits", i, k) for i in range(4) for k in ("x", "y")]
         cal_required += [("edges", i, k) for i in range(4) for k in ("a", "b")]
-        circ_required = [("num_qubits",), ("num_clbits",), ("gates",)]
-        for i, g in enumerate(VALID_CIRCUIT["gates"]):
-            circ_required += [("gates", i, k) for k in g]
         for _ in range(40):
-            _compile_exits_1(tmp_path, capsys, VALID_CIRCUIT,
-                             _malformed(VALID_CAL, cal_required, rng), "CalibrationError")
-            _compile_exits_1(tmp_path, capsys, _malformed(VALID_CIRCUIT, circ_required, rng),
-                             VALID_CAL, "ParseError")
+            _compile_exits_1(tmp_path, capsys, _malformed(VALID_CAL, cal_required, rng),
+                             "CalibrationError")
 
     def test_seeded_qasm_sweep(self, tmp_path, capsys, bv4):
         # a bv4 program with one seeded fault: a dropped ';', a renamed
@@ -751,8 +799,8 @@ class TestMalformedInputs:
         # accept, or a compile_time_s that is not a finite number >= 0 is
         # refused before it is scored; every bad value is tried once. The
         # objective is recomputed on read, so it is not required.
-        circuit, cal = tmp_path / "c.json", tmp_path / "cal.json"
-        circuit.write_text(json.dumps(VALID_CIRCUIT))
+        circuit, cal = tmp_path / "c.qasm", tmp_path / "cal.json"
+        circuit.write_text(VALID_QASM)
         cal.write_text(json.dumps(VALID_CAL))
         assert run(capsys, "compile", str(circuit), str(cal), "--variant", "greedy-v",
                    "--out", str(tmp_path / "r"))[0] == 0
