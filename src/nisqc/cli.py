@@ -150,6 +150,11 @@ def cmd_compile(args) -> int:
     stem = out[:-5] if out.endswith((".json", ".qasm")) else out
     record_path, qasm_path = stem + ".json", stem + ".qasm"
     _refuse_overwrite((args.circuit, args.calibration), (record_path, qasm_path, args.emit_smtlib))
+    for path in (record_path, qasm_path):
+        # neither file need exist yet, so compare names, not files
+        if args.emit_smtlib and os.path.realpath(args.emit_smtlib) == os.path.realpath(path):
+            raise UsageError(f"--emit-smtlib {args.emit_smtlib} would be overwritten by "
+                             f"the output {path}")
     c = parse_circuit(_read(args.circuit))
     m = load_calibration(_read(args.calibration))
     cc, dt = _compile_one(c, m, build_tables(m), args.variant, args)

@@ -237,10 +237,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     count_return_swaps that solution_config refuses, an optimal not a bool,
     a placement not a JSON object, a placement key not a qubit
     number in canonical decimal, a source_qasm not a string, a placed
-    qubit's coordinates not two integers, a placed qubit off the grid or on
-    another's cell, a route's cells not integers, or a route that is not a
-    walk over m's edges joining its CNOT's placed cells and visiting no
-    cell twice."""
+    qubit's coordinates not two integers, a placed qubit off the grid, on
+    another's cell or not declared by the source, a route's cells not
+    integers, or a route that is not a walk over m's edges joining its
+    CNOT's placed cells and visiting no cell twice."""
     if isinstance(doc, str):
         doc = load_record(doc)
     try:
@@ -271,6 +271,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         if len(set(cells.values())) != len(cells):
             raise ValueError("placement puts two qubits on one cell")
         source = parse_circuit(source_qasm)
+        for q in cells:
+            if q >= source.num_qubits:
+                raise ValueError(f"placement qubit {q} out of range "
+                                 f"(register size {source.num_qubits})")
         walks = []
         for g in source.cnot_gates():
             walk = tuple(doc["gate_routes"][str(g.id)])

@@ -40,8 +40,6 @@ def check_grid_size(mx: int, my: int) -> None:
 
 @dataclass(frozen=True)
 class HardwareQubit:
-    id: int
-    pos: tuple[int, int]
     t2: int
     readout_error: float
     readout_duration: int
@@ -181,8 +179,6 @@ def _machine_from_doc(doc) -> GridMachine:
         for y in range(my):
             over = qubit_over.get((x, y), {})
             qubits.append(HardwareQubit(
-                id=x * my + y,
-                pos=(x, y),
                 t2=_duration(over.get("t2", t2_d), "t2"),
                 readout_error=_probability(over.get("readout_error", ro_err_d), "readout_error"),
                 readout_duration=_duration(over.get("readout_duration", ro_dur_d), "readout_duration"),

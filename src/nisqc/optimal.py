@@ -127,7 +127,6 @@ class Scorer:
         self.static = cfg.variant is Variant.T_SMT
         self.one_bend = cfg.routing is Routing.ONE_BEND
         self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
-        self._ln_ec: dict[tuple[int, int, int], float] = {}
         self._choices: dict[tuple[int, int], tuple[int, ...]] = {}
         self.n_gates = len(c.gates)
         self.preds, self.succs = c.dag
@@ -156,10 +155,7 @@ class Scorer:
         return choices
 
     def ln_ec(self, key: tuple[int, int, int]) -> float:
-        v = self._ln_ec.get(key)
-        if v is None:
-            v = self._ln_ec[key] = math.log(self.ec[key])
-        return v
+        return math.log(self.ec[key])
 
     def schedule_arrays(self, cells, junctions):
         """Starts and durations for one assignment; raises Infeasible."""
@@ -316,15 +312,11 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             return seed is None or (obj >= seed[0] if maximize else obj <= seed[0])
         return obj > inc[0] if maximize else obj < inc[0]
 
-    def do_leaf(node_lb):
+    def do_leaf():
         cells = tuple(cell_of)
         pairs = [(cells[qa], cells[qb]) for qa, qb in cnot_ops]
         cand = [scorer.junction_choices(a, b) for a, b in pairs]
         if not maximize:
-            # With every CNOT at its pair's floor, as always under rr and
-            # t-smt, each combo's critical path is the node's bound.
-            at_floor = all(scorer.cnot_cost(a, b, j)[0] == cx_floor[a][b]
-                           for (a, b), js in zip(pairs, cand) for j in js)
             ro_durs = [ro_dur[cell] for cell in cells]
         for combo in itertools.product(*cand):
             check_time()
@@ -334,8 +326,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             # makespan is below, under the duration variants.
             if maximize:
                 bound = scorer.log_objective(cells, combo)
-            elif at_floor:
-                bound = node_lb
             else:
                 bound = critical_path([scorer.cnot_cost(a, b, j)[0]
                                        for (a, b), j in zip(pairs, combo)], ro_durs)
@@ -354,10 +344,10 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             if beats(obj):
                 incumbent[0] = (obj, (cells, combo))
 
-    def rec(k, sum_ro, n_ro_open, sum_cx, n_cx_open, lb):
+    def rec(k, sum_ro, n_ro_open, sum_cx, n_cx_open):
         check_time()
         if k == nq:
-            do_leaf(lb)
+            do_leaf()
             return
         q = order[k]
         # q's CNOTs whose other end is placed: only their terms depend on q's
@@ -395,25 +385,19 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                     + (1.0 - omega) * (s_cx + c_open * best_ln_cx)
                 if ref is None or bound >= ref[0] - 1e-9:
                     cell_of[q], used[cell] = cell, True
-                    rec(k + 1, s_ro, r_open, s_cx, c_open, 0)
+                    rec(k + 1, s_ro, r_open, s_cx, c_open)
                     used[cell] = False
                     ref = incumbent[0] or seed
         else:
-            memo: dict[tuple[int, ...], int] = {}  # the node bound by q's durations
             for cell in range(ncells):
                 if used[cell]:
                     continue
                 ro_durs[q] = ro_dur[cell]
                 for ci, row in placed:
                     cx_durs[ci] = row[cell]
-                # Only q's entries differ between the children of one node.
-                key = (ro_durs[q], *[cx_durs[ci] for ci, _ in placed])
-                b = memo.get(key)
-                if b is None:
-                    b = memo[key] = critical_path(cx_durs, ro_durs)
-                if beats(b):
+                if beats(critical_path(cx_durs, ro_durs)):
                     cell_of[q], used[cell] = cell, True
-                    rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open, b)
+                    rec(k + 1, sum_ro, n_ro_open, sum_cx, n_cx_open)
                     used[cell] = False
             for ci, _ in placed:
                 cx_durs[ci] = opt_cx_dur
@@ -422,7 +406,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
     timed_out = False
     try:
-        rec(0, 0.0, len(scorer.measured), 0.0, len(cnot_ops), 0)
+        rec(0, 0.0, len(scorer.measured), 0.0, len(cnot_ops))
     except _SearchTimeout:
         timed_out = True
     inc = incumbent[0] or seed

@@ -97,7 +97,8 @@ def parse_qasm(text: str) -> Circuit:
                 if qreg is None:
                     raise ParseError("gate before qreg declaration", lineno, _column(raw))
                 if reg_a != qreg or reg_b != qreg:
-                    raise ParseError(f"unknown register '{reg_a}'", lineno, _column(raw))
+                    reg = reg_a if reg_a != qreg else reg_b
+                    raise ParseError(f"unknown register '{reg}'", lineno, _column(raw))
                 a, b = int(a), int(b)
                 if a >= num_qubits or b >= num_qubits or a == b:
                     bad.append((gid, lineno))

@@ -142,7 +142,7 @@ class TestParse:
         ("\n\tcx q[0],q[1];\n", 2, 2, "gate before qreg declaration"),
         ("measure q[0] -> c[0];\n", 1, 1, "gate before qreg declaration"),
         ("qreg q[1];\n // c\n  h r[0];\n", 3, 3, "unknown register 'r'"),
-        ("qreg q[2];\n  cx q[0],r[1];\n", 2, 3, "unknown register 'q'"),
+        ("qreg q[2];\n  cx q[0],r[1];\n", 2, 3, "unknown register 'r'"),
         ("qreg q[2];\n  cx r[0],q[1];\n", 2, 3, "unknown register 'r'"),
         ("qreg q[1];\ncreg c[1];\n measure r[0] -> c[0];\n", 3, 2, "unknown register 'r'"),
         ("qreg q[1];\n  measure q[0] -> c[0];\n", 2, 3, "unknown classical register 'c'"),

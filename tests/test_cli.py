@@ -14,12 +14,13 @@ import sys
 import pytest
 
 import nisqc
-from nisqc.circuit import gen_bv, parse_circuit, to_qasm
+from nisqc.circuit import gen_bv, gen_toffoli, parse_circuit, to_qasm
 from nisqc import cli
 from nisqc.cli import main
 from nisqc.codegen import expand, to_record
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
+from nisqc.optimal import SolverTimeout
 
 
 def run(capsys, *argv):
@@ -292,6 +293,25 @@ class TestEvaluate:
             "error": "ValueError", "message": f"a record must be a JSON object, not {name}"}
         assert not (tmp_path / "rep.csv").exists()
 
+    def test_record_placing_a_qubit_the_source_does_not_declare_exits_1(self, tmp_path,
+                                                                        capsys, bv4):
+        cal = uniform_cal(tmp_path, 3, 3)
+        rec = tmp_path / "r.json"
+        assert run(capsys, "compile", bv4, cal, "--variant", "greedy-e",
+                   "--out", str(tmp_path / "r"))[0] == 0
+        doc = json.loads(rec.read_text())
+        taken = {tuple(xy) for xy in doc["placement"].values()}
+        doc["placement"]["7"] = next([x, y] for x in range(3) for y in range(3)
+                                     if (x, y) not in taken)
+        rec.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "evaluate", str(rec), cal,
+                                   "--out", str(tmp_path / "rep"))
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (1, "", 1)
+        assert json.loads(lines[0]) == {
+            "error": "ValueError", "message": "placement qubit 7 out of range (register size 4)"}
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_reliability_of_a_circuit_with_no_cnot_or_readout_is_a_float(self, tmp_path,
                                                                          capsys):
         # math.prod of no factors is the int 1; the record and the CSV read 1.0
@@ -385,6 +405,30 @@ class TestCompare:
         assert code == 2
         assert "qiskit" in json.loads(stderr)["message"]
 
+    def test_one_infeasible_variant_is_reported_and_the_rest_written(self, tmp_path, capsys,
+                                                                     bv4):
+        # a static coherence bound of 5 leaves t-smt no placement; greedy-e
+        # does not read it and compiles
+        cal = uniform_cal(tmp_path, 3, 3, static_coherence_bound=5)
+        out = str(tmp_path / "cmp")
+        code, stdout, stderr = run(capsys, "compare", bv4, cal, "--variants", "t-smt,greedy-e",
+                                   "--trials", "100", "--out", out)
+        lines = stderr.splitlines()
+        assert (code, len(lines)) == (0, 1)
+        assert json.loads(lines[0]) == {"error": "Infeasible",
+                                        "message": "every placement violates a coherence deadline"}
+        assert stdout.endswith(": 1 variants\n")
+        rows = list(csv.DictReader(open(out + ".csv")))
+        assert [r["variant"] for r in rows] == ["greedy-e"]
+
+    def test_every_variant_infeasible_exits_3_and_writes_nothing(self, tmp_path, capsys, bv4):
+        cal = uniform_cal(tmp_path, 3, 3, static_coherence_bound=5)
+        code, stdout, stderr = run(capsys, "compare", bv4, cal, "--variants", "t-smt",
+                                   "--out", str(tmp_path / "cmp"))
+        assert (code, stdout) == (3, "")
+        assert json.loads(stderr)["error"] == "Infeasible"
+        assert list(tmp_path.glob("cmp*")) == []
+
 
 class TestBench:
     def test_row_count_is_sizes_times_variants(self, tmp_path, capsys):
@@ -404,7 +448,24 @@ class TestBench:
                 assert d["optimal"] is True
 
 
-    @pytest.mark.parametrize("sizes", ["0:4", "1:4", "4:-1", "2:4,1:4"])
+    def test_failed_compile_is_a_row_of_nan_scores(self, tmp_path, capsys, monkeypatch):
+        def timeout(*args, **kwargs):
+            raise SolverTimeout("no feasible solution within 1 s")
+        monkeypatch.setattr(cli, "solve_exact", timeout)
+        out = str(tmp_path / "bench")
+        code, stdout, stderr = run(capsys, "bench", "--sizes", "2:4", "--variants", "t-smt-star",
+                                   "--out", out)
+        assert (code, stderr) == (0, "")
+        assert stdout.endswith(": 1 rows\n")
+        [doc] = json.loads((tmp_path / "bench.json").read_text())
+        assert all(math.isnan(doc[k]) for k in ("reliability", "mc_success", "stderr"))
+        assert (doc["benchmark"], doc["variant"], doc["trials"], doc["makespan"],
+                doc["swaps"]) == ("rand-2-4", "t-smt-star", 0, -1, -1)
+        assert doc["optimal"] is False and doc["equivalence_passed"] is None
+        [row] = csv.DictReader(open(out + ".csv"))
+        assert (row["reliability"], row["mc_success"]) == ("nan", "nan")
+
+    @pytest.mark.parametrize("sizes", ["0:4", "1:4", "4:-1", "2:4,1:4", "4:x"])
     def test_sizes_it_cannot_run_exit_2(self, tmp_path, capsys, sizes):
         code, _, stderr = run(capsys, "bench", "--sizes", sizes, "--variants", "greedy-v",
                               "--out", str(tmp_path / "bench"))
@@ -509,6 +570,28 @@ def test_output_that_is_an_input_exits_2(tmp_path, capsys, monkeypatch, bv4, arg
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("smtlib,out,clash", [("x.json", "x", "x.json"),
+                                              ("x.qasm", "x", "x.qasm"),
+                                              ("./sub/../x.json", "x.qasm", "x.json")])
+def test_smtlib_script_that_is_another_output_exits_2(tmp_path, capsys, monkeypatch, bv4,
+                                                       smtlib, out, clash):
+    # the SMT-LIB script would be replaced by the record or the program;
+    # refused before anything is read or written, though no output exists yet
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    uniform_cal(tmp_path, 3, 3)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    monkeypatch.setattr(cli, "_read", lambda path: pytest.fail(f"read {path}"))
+    code, stdout, stderr = run(capsys, "compile", "bv4.qasm", "cal.json", "--variant", "t-smt",
+                               "--emit-smtlib", smtlib, "--out", out)
+    lines = stderr.splitlines()
+    assert (code, stdout, len(lines)) == (2, "", 1)
+    err = json.loads(lines[0])
+    assert err["error"] == "UsageError" and err["message"].endswith(f"the output {clash}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
 class TestGenerators:
     def test_gen_circuit_stdout_is_qasm(self, capsys):
         code, stdout, _ = run(capsys, "gen-circuit", "bv", "--qubits", "5",
@@ -516,6 +599,11 @@ class TestGenerators:
         assert code == 0
         assert stdout.startswith("OPENQASM 2.0;")
         assert stdout.count("cx ") == 2
+
+    def test_gen_circuit_toffoli_is_the_library_circuit(self, capsys):
+        code, stdout, stderr = run(capsys, "gen-circuit", "toffoli")
+        assert (code, stderr) == (0, "")
+        assert stdout == to_qasm(gen_toffoli())
 
     @pytest.mark.parametrize("argv", [("random", "--qubits", "1"),
                                       ("random", "--qubits", "3", "--gates", "-2"),

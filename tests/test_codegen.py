@@ -418,7 +418,7 @@ class TestRecord:
 
     @pytest.mark.parametrize("tamper", ["missing key", "off the grid", "not adjacent",
                                         "cell count", "placement off the grid",
-                                        "route off its cells"])
+                                        "route off its cells", "undeclared qubit"])
     def test_from_record_rejects_with_value_error(self, tamper):
         m = line_machine(3)
         c = build_circuit(2, 1, [("cx", (0, 1)), ("measure", (1,), 0)])
@@ -433,6 +433,8 @@ class TestRecord:
             rec["placement"]["0"] = [-1, 0]
         elif tamper == "route off its cells":
             rec["gate_routes"]["0"] = [0, 1]
+        elif tamper == "undeclared qubit":
+            rec["placement"]["7"] = list(m.pos(1))  # the free cell
         else:
             rec["config"]["num_cells"] = 9
         with pytest.raises(ValueError):

@@ -102,6 +102,25 @@ class TestLoadCalibration:
         with pytest.raises(CalibrationError, match="non-adjacent"):
             load_calibration(doc)
 
+    @pytest.mark.parametrize("key,entries,message", [
+        ("defaults", {"cnot_duration": 0}, "cnot_duration = 0 must be a positive timeslot count"),
+        ("qubits", [{"x": 2, "y": 0, "t2": 10}], "qubit cell (2, 0) outside 2x2 grid"),
+        ("edges", [{"a": [0, 1], "b": [0, 2], "cnot_error": 0.1}],
+         "edge endpoint (0, 2) outside 2x2 grid"),
+        ("edges", [{"a": [0, 0], "b": [0, 1], "cnot_error": 0.1},
+                   {"a": [0, 1], "b": [0, 0], "cnot_error": 0.2}],
+         "duplicate edge (0, 1), (0, 0)"),
+    ], ids=["zero-cnot-duration", "qubit-off-grid", "edge-endpoint-off-grid", "duplicate-edge"])
+    def test_refused_entries_are_named(self, key, entries, message):
+        doc = uniform_doc(2, 2)
+        if key == "defaults":
+            doc["defaults"].update(entries)
+        else:
+            doc[key] = entries
+        with pytest.raises(CalibrationError) as info:
+            load_calibration(doc)
+        assert str(info.value) == message
+
     def test_overrides_apply(self):
         doc = uniform_doc(2, 2)
         doc["qubits"] = [{"x": 1, "y": 1, "readout_error": 0.2}]

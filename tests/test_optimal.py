@@ -724,6 +724,22 @@ class TestCheckSolution:
         bad = dataclasses.replace(sol, placement=Placement(loc=loc))
         assert any("injective" in v for v in check_solution(bad, c, m, cfg))
 
+    def test_placement_and_schedule_faults_are_named(self):
+        # each is returned alone: the checks that follow need every qubit on
+        # the grid and every gate scheduled
+        c, m, cfg, sol = self.good()
+        loc = dict(sol.placement.loc)
+        del loc[2]
+        unmapped = dataclasses.replace(sol, placement=Placement(loc=loc))
+        assert check_solution(unmapped, c, m, cfg) == ["qubit 2 unmapped"]
+        loc = {**sol.placement.loc, 0: (5, 0)}
+        off = dataclasses.replace(sol, placement=Placement(loc=loc))
+        assert check_solution(off, c, m, cfg) == ["qubit 0 at (5, 0) off the 2x3 grid"]
+        start = {g: t for g, t in sol.schedule.start.items() if g not in (0, 3)}
+        unscheduled = dataclasses.replace(sol, schedule=Schedule(
+            start=start, dur=dict(sol.schedule.dur)))
+        assert check_solution(unscheduled, c, m, cfg) == ["gates [0, 3] unscheduled"]
+
     def test_route_that_revisits_a_cell(self):
         # a walk over the grid's edges that joins its CNOT's cells but visits
         # one twice; some such walks expand into a stream that computes
