@@ -233,21 +233,24 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     count are m's. Only the record's optimal flag is kept as written. The
     "gates" key of older records is ignored. Text is read by load_record.
     Raises Infeasible when a gate misses its T2 deadline on m, and ValueError
-    for a missing key, another cell count, a variant, routing, omega or
-    count_return_swaps that solution_config refuses, an optimal not a bool,
-    a placement not a JSON object, a placement key not a qubit
-    number in canonical decimal, a source_qasm not a string, a placed
+    for a missing key, a cell count not an integer or not m's, a variant,
+    routing, omega or count_return_swaps that solution_config refuses, an
+    optimal not a bool, a placement not a JSON object, a placement key not a
+    qubit number in canonical decimal, a source_qasm not a string, a placed
     qubit's coordinates not two integers, a placed qubit off the grid, on
-    another's cell or not declared by the source, a route's cells not
-    integers, or a route that is not a walk over m's edges joining its
+    another's cell or not declared by the source, a source qubit left
+    unplaced, a gate_routes key not a CNOT of the source, a route's cells
+    not integers, or a route that is not a walk over m's edges joining its
     CNOT's placed cells and visiting no cell twice."""
     if isinstance(doc, str):
         doc = load_record(doc)
     try:
         config = doc["config"]
-        if config["num_cells"] != m.num_cells:
-            raise ValueError(f"record is for {config['num_cells']} cells, "
-                             f"the machine has {m.num_cells}")
+        num_cells = config["num_cells"]
+        if type(num_cells) is not int:
+            raise ValueError(f"num_cells {num_cells!r} is not an integer")
+        if num_cells != m.num_cells:
+            raise ValueError(f"record is for {num_cells} cells, the machine has {m.num_cells}")
         variant, routing = doc["variant"], config["routing"]
         optimal = doc.get("optimal", False)
         if type(optimal) is not bool:
@@ -262,9 +265,10 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
             if not (q.isdecimal() and str(int(q)) == q):
                 raise ValueError(f"placement key {q!r} is not a qubit number")
         cells = {}
-        for q, (x, y) in loc.items():
-            if type(x) is not int or type(y) is not int:
-                raise ValueError(f"placement {q}: {[x, y]!r} is not two integers")
+        for q, pos in loc.items():
+            if type(pos) is not list or len(pos) != 2 or set(map(type, pos)) != {int}:
+                raise ValueError(f"placement {q}: {pos!r} is not two integers")
+            x, y = pos
             if not (0 <= x < m.mx and 0 <= y < m.my):
                 raise ValueError(f"qubit {q} at {(x, y)}, off the {m.mx}x{m.my} grid")
             cells[int(q)] = m.cell_id((x, y))
@@ -275,13 +279,19 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
             if q >= source.num_qubits:
                 raise ValueError(f"placement qubit {q} out of range "
                                  f"(register size {source.num_qubits})")
-        walks = []
-        for g in source.cnot_gates():
-            walk = tuple(doc["gate_routes"][str(g.id)])
+        unplaced = set(range(source.num_qubits)) - set(cells)
+        if unplaced:
+            raise ValueError(f"placement leaves qubit {min(unplaced)} of the source unplaced")
+        routes, cnots, walks = doc["gate_routes"], source.cnot_gates(), []
+        for g in cnots:
+            walk = tuple(routes[str(g.id)])
             if not set(map(type, walk)) <= {int}:
                 raise ValueError(f"gate_routes {g.id}: {list(walk)!r} is not a list of "
                                  f"integer cells")
             walks.append(walk)
+        stray = set(routes) - {str(g.id) for g in cnots}
+        if stray:
+            raise ValueError(f"gate_routes {min(stray)!r} is not a CNOT of the source")
         sol = build_solution(source, m, cfg, cells, walks, variant=variant, routing=routing,
                              optimal=optimal)
         return expand(sol, source, m)

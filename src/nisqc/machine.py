@@ -24,7 +24,7 @@ _LIB_DEFAULTS = {
 
 
 # The most cells a grid may have: the tables grow about as cells**2, and
-# a process that builds them at 20x20 peaks at about 240 MiB.
+# a process that builds them at 20x20 peaks at about 216 MiB.
 MAX_CELLS = 400
 
 
@@ -282,23 +282,26 @@ def price_walk(m: GridMachine, walk, static: bool = False) -> tuple[list[int], f
     return hops, route * r, strict * r
 
 
-def _best_paths(m: GridMachine) -> tuple[dict, dict]:
-    # Most-reliable simple path per ordered pair, at swap exponents 3 and 6,
-    # priced by m.price_factors. One Dijkstra per source s weighs the swap
-    # edges; target t closes at its first neighbour u, in adjacency order,
-    # that beats the best so far by more than 1e-15, skipping a u whose tree
-    # path passes through t (with positive errors it loses to t's tree
-    # parent). 2.0 * dist is exactly the exponent-6 distance. Each settled
-    # cell's walk and its r**3 and r**6 products (in walk order, as
-    # price_walk) extend its parent's, in per-source lists. Heap entries stay
-    # (dist, cell, parent): entries that also carried the hop's factors
-    # saved little and raised recal-evaluate's gen-0 collections during
-    # verify from 0.29 to 0.37 per op.
+def _best_paths(m: GridMachine, pair: list[list[tuple[int, int]]]) -> tuple[dict, dict]:
+    # Most-reliable simple path per ordered pair, keyed by pair[t][s], at
+    # swap exponents 3 and 6, priced by m.price_factors. One Dijkstra per
+    # source s weighs the swap edges; target t closes at its first neighbour
+    # u, in adjacency order, that beats the best so far by more than 1e-15,
+    # skipping a u whose tree path passes through t (with positive errors it
+    # loses to t's tree parent). 2.0 * dist is exactly the exponent-6
+    # distance. Each settled cell's walk and its r**3 and r**6 products (in
+    # walk order, as price_walk) extend its parent's, in per-source lists.
+    # Heap entries stay (dist, cell, parent): entries that also carried the
+    # hop's factors saved little and raised recal-evaluate's gen-0
+    # collections during verify from 0.29 to 0.37 per op.
     # Entries are made target by target from [t][s] lists, so one target's
     # lie together in memory: the greedy mappers read many sources' paths to
-    # one. Each entry's key, value tuple and closing product are made in
-    # that last pass for the same reason; made in the per-source loop, the
-    # same tables cost greedy-scale 7-8% of its ops per second.
+    # one. Each entry's value tuple and closing product are made in that
+    # last pass for the same reason (its key, in pair, was made target by
+    # target too); made in the per-source loop, the same tables cost
+    # greedy-scale 7-8% of its ops per second. A target's scratch rows go as
+    # soon as its entries are made, which keeps the build's peak near the
+    # finished tables' size.
     n, fac = m.num_cells, m.price_factors
     adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
     close = [[(u, -math.log(fac[(u, t)][0]), fac[(u, t)][0]) for u in m.adjacency[t]]
@@ -339,11 +342,14 @@ def _best_paths(m: GridMachine) -> tuple[dict, dict]:
             p3s[t][s], p6s[t][s] = p3[via3], p6[via6]
     table3, table6 = {}, {}
     for t in range(n):
-        paths3, q3, rs3, paths6, q6, rs6 = path3[t], p3s[t], r3s[t], path6[t], p6s[t], r6s[t]
+        keys, paths3, q3, rs3 = pair[t], path3[t], p3s[t], r3s[t]
+        paths6, q6, rs6 = path6[t], p6s[t], r6s[t]
         for s in range(n):
             if s != t:
-                table3[(s, t)] = (paths3[s], q3[s] * rs3[s])
-                table6[(s, t)] = (paths6[s], q6[s] * rs6[s])
+                key = keys[s]
+                table3[key] = (paths3[s], q3[s] * rs3[s])
+                table6[key] = (paths6[s], q6[s] * rs6[s])
+        path3[t] = p3s[t] = r3s[t] = path6[t] = p6s[t] = r6s[t] = None
     return table3, table6
 
 
@@ -389,9 +395,12 @@ def build_tables(m: GridMachine) -> DerivedTables:
     best-path search per source cell serves both swap exponents: each cell's
     walk and its products grow along the search tree, an entry is that walk
     closed at a target's neighbour, and both tables share the walk whenever
-    both exponents close at the same neighbour.
+    both exponents close at the same neighbour. junctions and both best-path
+    tables share one key tuple per ordered pair.
     """
     n, rays = m.num_cells, _rays(m)
+    # pair[t][s] is the key (s, t), made once, target by target
+    pair = [[(s, t) for s in range(n)] for t in range(n)]
     junctions, cnot_rel, cnot_dur, cnot_rel_return = {}, {}, {}, {}
     # delta[c][t], the least cnot_dur over (c, t)'s junctions, kept as written
     delta = [[0 if c == t else math.inf for t in range(n)] for c in range(n)]
@@ -423,7 +432,7 @@ def build_tables(m: GridMachine) -> DerivedTables:
                     if dur < delta[e][s]:
                         delta[e][s] = dur
                 p3, p6, dsum = p3 * r3, p6 * r6, dsum + d
-                junctions[(s, e)] = (s,)
+                junctions[pair[e][s]] = (s,)
                 corners.append((e, p3, p6, dsum))
             for c, p3c, p6c, dsumc in reversed(corners):
                 for b in bends:
@@ -445,8 +454,8 @@ def build_tables(m: GridMachine) -> DerivedTables:
                             # the leg along y turned off x, so the other
                             # corner is as far from s as e is from c
                             o = e - c + s
-                            junctions[(s, e)] = (c, o) if c < o else (o, c)
-    best_paths, best_paths_return = _best_paths(m)
+                            junctions[pair[e][s]] = (c, o) if c < o else (o, c)
+    best_paths, best_paths_return = _best_paths(m, pair)
     return DerivedTables(
         delta=delta, cnot_rel=cnot_rel, cnot_dur=cnot_dur,
         cnot_rel_return=cnot_rel_return, junctions=junctions,

@@ -7,11 +7,13 @@ import itertools
 import json
 import math
 import random
+import re
 from operator import itemgetter
 
 import pytest
 
 from nisqc.circuit import GateKind, build_circuit, gen_bv, gen_random, gen_toffoli, parse_circuit
+from nisqc.cli import main
 from nisqc.codegen import (
     CodegenError,
     CompiledCircuit,
@@ -449,6 +451,42 @@ class TestRecord:
         rec["placement"]["1"] = rec["placement"]["0"]
         with pytest.raises(ValueError, match="one cell"):
             from_record(rec, m)
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("route for a gate that is no CNOT", "gate_routes '0' is not a CNOT of the source"),
+        ("route for no gate", "gate_routes '999' is not a CNOT of the source"),
+        ("num_cells not an integer", "num_cells 6.0 is not an integer"),
+        ("three coordinates", "placement 0: [0, 1, 0] is not two integers"),
+        ("qubit left unplaced", "placement leaves qubit 0 of the source unplaced"),
+    ])
+    def test_malformed_record_exits_1_with_one_json_line(self, tmp_path, capsys, tamper,
+                                                         message):
+        # BV3 on a 2x3 grid: gate 0 is the x on q[2], qubit 0 sits at (0, 1)
+        doc = synth_calibration(2, 3, 0)
+        m, c = load_calibration(doc), gen_bv(3, "11")
+        rec = to_record(expand(heuristic_compile(c, m, build_tables(m),
+                                                 HeuristicConfig(policy="greedy-e")), c, m))
+        assert c.gates[0].kind is GateKind.X and rec["placement"]["0"] == [0, 1]
+        if tamper == "route for a gate that is no CNOT":
+            rec["gate_routes"]["0"] = [0, 1]
+        elif tamper == "route for no gate":
+            rec["gate_routes"]["999"] = [0, 1]
+        elif tamper == "num_cells not an integer":
+            rec["config"]["num_cells"] = 6.0
+        elif tamper == "three coordinates":
+            rec["placement"]["0"].append(0)
+        else:
+            del rec["placement"]["0"]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_record(rec, m)
+        (tmp_path / "rec.json").write_text(json.dumps(rec))
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code = main(["evaluate", str(tmp_path / "rec.json"), str(tmp_path / "cal.json"),
+                     "--out", str(tmp_path / "rep")])
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert (code, out.out, len(lines)) == (1, "", 1)
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
 
     def test_from_record_accepts_dict(self):
         m = line_machine(3)

@@ -704,6 +704,31 @@ class TestTablesOrder:
         assert list(t.best_paths) == want == list(t.best_paths_return)
 
 
+class TestTablesKeySharing:
+    """build_tables makes one (s, t) key tuple per ordered cell pair, and
+    junctions, best_paths and best_paths_return all hold that one object;
+    sharing is safe because no reader writes to the tables."""
+
+    GRIDS = [((1, 1), "uniform"), ((3, 3), "uniform"), ((4, 5), "synth-jittered"),
+             ((3, 3), "third-zero"), ((2, 4), "all-zero")]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0][0]}x{g[0][1]}-{g[1]}")
+    def test_one_key_object_per_ordered_pair(self, grid):
+        m = load_calibration(oracle_doc(*grid))
+        t = build_tables(m)
+        n = m.num_cells
+        tables = (t.junctions, t.best_paths, t.best_paths_return)
+        assert [len(table) for table in tables] == [n * (n - 1)] * 3
+        # the tables keep every key alive, so distinct ids are distinct objects
+        assert len({id(k) for table in tables for k in table}) == n * (n - 1)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0][0]}x{g[0][1]}-{g[1]}")
+    def test_best_path_tables_yield_the_same_key_object_in_turn(self, grid):
+        t = build_tables(load_calibration(oracle_doc(*grid)))
+        assert len(t.best_paths) == len(t.best_paths_return)
+        assert all(a is b for a, b in zip(t.best_paths, t.best_paths_return))
+
+
 class TestSynthCalibration:
     def test_deterministic(self):
         assert synth_calibration(3, 3, 42) == synth_calibration(3, 3, 42)
