@@ -17,7 +17,6 @@ from .machine import (
     CalibrationError,
     DerivedTables,
     GridMachine,
-    HardwareEdge,
     HardwareQubit,
     build_tables,
     cnot_walk,

@@ -40,6 +40,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, that raises its usage errors
+    as UsageError, so main prints them as one JSON line too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 class EquivalenceError(Exception):
     """The compiled stream's output distribution differs from its source's."""
 
@@ -311,7 +319,7 @@ def _add_shared_compile_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nisqc",
         description="Noise-adaptive compiler for grid-coupled NISQ machines.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -382,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
     except UsageError as exc:

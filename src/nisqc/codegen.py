@@ -233,19 +233,21 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
     count are m's. Only the record's optimal flag is kept as written. The
     "gates" key of older records is ignored. Text is read by load_record.
     Raises Infeasible when a gate misses its T2 deadline on m, and ValueError
-    for a missing key, a cell count not an integer or not m's, a variant,
-    routing, omega or count_return_swaps that solution_config refuses, an
-    optimal not a bool, a placement not a JSON object, a placement key not a
-    qubit number in canonical decimal, a source_qasm not a string, a placed
-    qubit's coordinates not two integers, a placed qubit off the grid, on
-    another's cell or not declared by the source, a source qubit left
-    unplaced, a gate_routes key not a CNOT of the source, a route's cells
-    not integers, or a route that is not a walk over m's edges joining its
-    CNOT's placed cells and visiting no cell twice."""
+    for a missing key, a config, placement or gate_routes not a JSON object,
+    a cell count not an integer or not m's, a variant, routing, omega or
+    count_return_swaps that solution_config refuses, an optimal not a bool,
+    a placement key not a qubit number in canonical decimal, a source_qasm
+    not a string, a placed qubit's coordinates not two integers, a placed
+    qubit off the grid, on another's cell or not declared by the source, a
+    source qubit left unplaced, a gate_routes key not a CNOT of the source,
+    a route not a JSON list of integers, or a route that is not a walk over
+    m's edges joining its CNOT's placed cells and visiting no cell twice."""
     if isinstance(doc, str):
         doc = load_record(doc)
     try:
         config = doc["config"]
+        if not isinstance(config, dict):
+            raise ValueError(f"config must be a JSON object, not {config!r}")
         num_cells = config["num_cells"]
         if type(num_cells) is not int:
             raise ValueError(f"num_cells {num_cells!r} is not an integer")
@@ -283,12 +285,13 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         if unplaced:
             raise ValueError(f"placement leaves qubit {min(unplaced)} of the source unplaced")
         routes, cnots, walks = doc["gate_routes"], source.cnot_gates(), []
+        if not isinstance(routes, dict):
+            raise ValueError(f"gate_routes must be a JSON object, not {routes!r}")
         for g in cnots:
-            walk = tuple(routes[str(g.id)])
-            if not set(map(type, walk)) <= {int}:
-                raise ValueError(f"gate_routes {g.id}: {list(walk)!r} is not a list of "
-                                 f"integer cells")
-            walks.append(walk)
+            walk = routes[str(g.id)]
+            if type(walk) is not list or not set(map(type, walk)) <= {int}:
+                raise ValueError(f"gate_routes {g.id}: {walk!r} is not a list of integer cells")
+            walks.append(tuple(walk))
         stray = set(routes) - {str(g.id) for g in cnots}
         if stray:
             raise ValueError(f"gate_routes {min(stray)!r} is not a CNOT of the source")

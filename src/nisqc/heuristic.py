@@ -143,12 +143,11 @@ def greedy_edge_map(pg, m: GridMachine, t: DerivedTables) -> Placement:
     def seed(placed, free):
         qa, qb = next(e for e in edges if e[0] not in placed and e[1] not in placed)
         best = None
-        for e in m.edges:
-            u, v = e.endpoints
-            if u not in free or v not in free:
+        # each edge once, as (u, v) with u < v, in the calibration's edge order
+        for (u, v), f in m.price_factors.items():
+            if u > v or u not in free or v not in free:
                 continue
-            score = (1.0 - e.cnot_error) \
-                * (1.0 - m.qubits[u].readout_error) \
+            score = f[0] * (1.0 - m.qubits[u].readout_error) \
                 * (1.0 - m.qubits[v].readout_error)
             if best is None or score > best[0] + 1e-15 \
                     or (abs(score - best[0]) <= 1e-15 and (u, v) < best[1:]):

@@ -45,39 +45,23 @@ class HardwareQubit:
     readout_duration: int
 
 
-@dataclass(frozen=True)
-class HardwareEdge:
-    endpoints: tuple[int, int]
-    cnot_error: float
-    cnot_duration: int
-
-
 @dataclass(eq=False)
 class GridMachine:
     mx: int
     my: int
     qubits: list[HardwareQubit]
-    edges: list[HardwareEdge]
+    # The machine's one record of an edge: (r, r**3, r**6, cnot_duration),
+    # r = 1 - cnot_error, one tuple keyed by both (u, v) and (v, u).
+    price_factors: dict[tuple[int, int], tuple[float, float, float, int]]
     single_qubit_duration: int
-    single_qubit_error: float
     static_tau_cnot: int
     static_coherence_bound: int
 
     def __post_init__(self):
         self.num_cells = self.mx * self.my
-        self.edge_map: dict[tuple[int, int], HardwareEdge] = {}
-        # per directed edge (u, v): (r, r**3, r**6, cnot_duration), r = 1 -
-        # cnot_error, the factors price_walk and build_tables price hops by
-        self.price_factors: dict[tuple[int, int], tuple[float, float, float, int]] = {}
         self.adjacency: list[list[int]] = [[] for _ in range(self.num_cells)]
-        for e in self.edges:
-            self.edge_map[e.endpoints] = e
-            a, b = e.endpoints
-            r = 1.0 - e.cnot_error
-            self.price_factors[a, b] = self.price_factors[b, a] = \
-                (r, r ** 3, r ** 6, e.cnot_duration)
+        for a, b in self.price_factors:
             self.adjacency[a].append(b)
-            self.adjacency[b].append(a)
         for nbrs in self.adjacency:
             nbrs.sort()
 
@@ -86,9 +70,6 @@ class GridMachine:
 
     def pos(self, cell: int) -> tuple[int, int]:
         return divmod(cell, self.my)
-
-    def edge_between(self, a: int, b: int) -> HardwareEdge:
-        return self.edge_map[(a, b) if a < b else (b, a)]
 
 
 @dataclass(frozen=True)
@@ -198,7 +179,7 @@ def _machine_from_doc(doc) -> GridMachine:
             raise CalibrationError(f"duplicate edge {a}, {b}")
         edge_over[key] = entry
 
-    edges = []
+    factors: dict[tuple[int, int], tuple[float, float, float, int]] = {}
     for x in range(mx):
         for y in range(my):
             a = x * my + y
@@ -207,18 +188,16 @@ def _machine_from_doc(doc) -> GridMachine:
                     continue
                 b = nx * my + ny
                 over = edge_over.get((a, b), {})
-                edges.append(HardwareEdge(
-                    endpoints=(a, b),
-                    cnot_error=_probability(over.get("cnot_error", cx_err_d), "cnot_error"),
-                    cnot_duration=_duration(over.get("cnot_duration", cx_dur_d), "cnot_duration"),
-                ))
+                r = 1.0 - _probability(over.get("cnot_error", cx_err_d), "cnot_error")
+                d = _duration(over.get("cnot_duration", cx_dur_d), "cnot_duration")
+                factors[a, b] = factors[b, a] = (r, r ** 3, r ** 6, d)
 
     tau_cnot = _duration(dft["static_tau_cnot"], "static_tau_cnot")
+    sq_dur = _duration(dft["single_qubit_duration"], "single_qubit_duration")
+    _probability(dft["single_qubit_error"], "single_qubit_error")   # checked, not stored
     return GridMachine(
-        mx=mx, my=my, qubits=qubits, edges=edges,
-        single_qubit_duration=_duration(dft["single_qubit_duration"], "single_qubit_duration"),
-        single_qubit_error=_probability(dft["single_qubit_error"], "single_qubit_error"),
-        static_tau_cnot=tau_cnot,
+        mx=mx, my=my, qubits=qubits, price_factors=factors,
+        single_qubit_duration=sq_dur, static_tau_cnot=tau_cnot,
         static_coherence_bound=_duration(dft["static_coherence_bound"], "static_coherence_bound"),
     )
 
@@ -246,8 +225,8 @@ def cnot_walk(m: GridMachine, a: int, b: int, junction: int) -> tuple[int, ...]:
     walk (see price_walk) runs its CNOT over the slower end edge; on a tie
     the control walks."""
     route = route_cells(m, a, b, junction)
-    first = m.edge_between(route[0], route[1]).cnot_duration
-    last = m.edge_between(route[-2], route[-1]).cnot_duration
+    first = m.price_factors[route[0], route[1]][3]
+    last = m.price_factors[route[-2], route[-1]][3]
     return route[::-1] if first > last else route
 
 

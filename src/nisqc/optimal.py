@@ -237,9 +237,8 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         incident[qb].append(ci)
 
     best_ln_ro = max(scorer.ln_ro) if scorer.measured else 0.0
-    min_edge_err = min(e.cnot_error for e in m.edges) if m.edges else 0.0
-    best_ln_cx = math.log(1.0 - min_edge_err)
-    min_edge_dur = min((e.cnot_duration for e in m.edges), default=m.static_tau_cnot)
+    best_ln_cx = math.log(max((f[0] for f in m.price_factors.values()), default=1.0))
+    min_edge_dur = min((f[3] for f in m.price_factors.values()), default=m.static_tau_cnot)
     ln_ro, ro_dur = scorer.ln_ro, scorer.ro_dur
     min_ro_dur = min(ro_dur)
     opt_cx_dur = m.static_tau_cnot if cfg.variant is Variant.T_SMT else min_edge_dur

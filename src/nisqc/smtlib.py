@@ -54,7 +54,7 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
     if reliability:
         ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel
 
-    edge_durs = {e.cnot_duration for e in m.edges}
+    edge_durs = {f[3] for f in m.price_factors.values()}
     uniform_edge_dur = len(edge_durs) <= 1
     ro_durs = [q.readout_duration for q in m.qubits]
     t2s = [q.t2 for q in m.qubits]

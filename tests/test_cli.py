@@ -652,7 +652,30 @@ def test_python_dash_m_runs_the_cli():
 
 
 class TestErrorsAreOneJsonLine:
-    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("missing")],
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: subcommand"),
+        (("compile", "x.qasm"), "the following arguments are required: calibration, --variant"),
+        (("evaluate", "r.json", "c.json", "--trials", "abc"),
+         "argument --trials: invalid int value: 'abc'"),
+        (("compile", "x.qasm", "c.json", "--variant", "zz"),
+         "argument --variant: invalid choice: 'zz'"),
+    ], ids=["no-subcommand", "missing-positional", "trials-not-an-int", "unknown-variant"])
+    def test_argparse_usage_error_exits_2(self, capsys, argv, message):
+        # argparse's own refusals, before any file is read
+        code, stdout, stderr = run(capsys, *argv)
+        lines = stderr.splitlines()
+        assert (code, stdout, len(lines)) == (2, "", 1)
+        err = json.loads(lines[0])
+        assert err["error"] == "UsageError" and err["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [("-h",), ("compile", "-h")])
+    def test_help_still_prints_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert info.value.code == 0 and out.out.startswith("usage: nisqc") and out.err == ""
+
+    @pytest.mark.parametrize("exc",[RuntimeError("boom"), KeyError("missing")],
                              ids=["RuntimeError", "KeyError"])
     def test_unexpected_exception_exits_1(self, tmp_path, capsys, monkeypatch, bv4, exc):
         def explode(_args):

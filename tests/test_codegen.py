@@ -313,7 +313,7 @@ class TestRecordedReliability:
                           if set(pg.hw_operands) <= set(walk)
                           and start[g] <= pg.start < start[g] + dur[g]]
                 assert len(owners) == 1, (sol.variant, pg)
-                emitted[owners[0]] *= 1.0 - m.edge_between(*pg.hw_operands).cnot_error
+                emitted[owners[0]] *= m.price_factors[pg.hw_operands][0]
             for g, rel in emitted.items():
                 assert abs(eps_strict[str(g)] - rel) <= 1e-12, (sol.variant, sol.routing, g)
             target_walks += sum(walk[0] != cc.cells[c.gates[g].operands[0]]
@@ -479,6 +479,38 @@ class TestRecord:
             del rec["placement"]["0"]
         with pytest.raises(ValueError, match=re.escape(message)):
             from_record(rec, m)
+        (tmp_path / "rec.json").write_text(json.dumps(rec))
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code = main(["evaluate", str(tmp_path / "rec.json"), str(tmp_path / "cal.json"),
+                     "--out", str(tmp_path / "rep")])
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert (code, out.out, len(lines)) == (1, "", 1)
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("config", [1], "config must be a JSON object, not [1]"),
+        ("gate_routes", [1, 2], "gate_routes must be a JSON object, not [1, 2]"),
+        ("route", 5, "gate_routes {g}: 5 is not a list of integer cells"),
+        ("route", "12", "gate_routes {g}: '12' is not a list of integer cells"),
+        ("route", {"a": 1}, "gate_routes {g}: {{'a': 1}} is not a list of integer cells"),
+    ], ids=["config-list", "gate-routes-list", "route-int", "route-string", "route-object"])
+    def test_misshapen_record_exits_1_with_one_json_line(self, tmp_path, capsys, key, value,
+                                                         message):
+        # BV3 greedy-e on a 2x3 grid, a record section or one route of the wrong JSON type
+        doc = synth_calibration(2, 3, 0)
+        m, c = load_calibration(doc), gen_bv(3, "11")
+        rec = to_record(expand(heuristic_compile(c, m, build_tables(m),
+                                                 HeuristicConfig(policy="greedy-e")), c, m))
+        g = min(rec["gate_routes"], key=int)
+        if key == "route":
+            rec["gate_routes"][g] = value
+        else:
+            rec[key] = value
+        message = message.format(g=g)
+        with pytest.raises(ValueError) as info:
+            from_record(rec, m)
+        assert str(info.value) == message
         (tmp_path / "rec.json").write_text(json.dumps(rec))
         (tmp_path / "cal.json").write_text(json.dumps(doc))
         code = main(["evaluate", str(tmp_path / "rec.json"), str(tmp_path / "cal.json"),

@@ -77,7 +77,7 @@ class TestLoadCalibration:
     def test_grid_2x8_edge_count(self):
         m = load_calibration(uniform_doc(2, 8))
         assert len(m.qubits) == 16
-        assert len(m.edges) == 22
+        assert len(m.price_factors) == 2 * 22
 
     def test_probability_out_of_range(self):
         doc = uniform_doc(2, 2)
@@ -87,7 +87,7 @@ class TestLoadCalibration:
 
     def test_mean_errors_match_defaults(self):
         m = load_calibration(uniform_doc(4, 4, cnot_error=0.04, readout_error=0.07))
-        assert np.isclose(np.mean([e.cnot_error for e in m.edges]), 0.04)
+        assert np.isclose(np.mean([1.0 - f[0] for f in m.price_factors.values()]), 0.04)
         assert np.isclose(np.mean([q.readout_error for q in m.qubits]), 0.07)
 
     def test_duplicate_cell(self):
@@ -128,8 +128,24 @@ class TestLoadCalibration:
         m = load_calibration(doc)
         assert m.qubits[m.cell_id((1, 1))].readout_error == 0.2
         assert m.qubits[0].readout_error == 0.07
-        e = m.edge_between(0, 1)
-        assert e.cnot_error == 0.25 and e.cnot_duration == 4
+        r, _, _, d = m.price_factors[0, 1]
+        assert r == 1.0 - 0.25 and d == 4
+
+    def test_price_factors_is_the_edge_record(self):
+        # one tuple per grid edge, keyed both ways: (1 - err, r**3, r**6, dur)
+        doc = uniform_doc(2, 3)
+        doc["edges"] = [{"a": [0, 1], "b": [1, 1], "cnot_error": 0.25, "cnot_duration": 4}]
+        m = load_calibration(doc)
+        edges = [(a, b) for a, b in itertools.combinations(range(6), 2)
+                 if manhattan(m.pos(a), m.pos(b)) == 1]
+        assert len(edges) == 7 and len(m.price_factors) == 2 * len(edges)
+        for a, b in edges:
+            err, dur = (0.25, 4) if (a, b) == (1, 4) else (0.1, 2)
+            r = 1 - err
+            assert m.price_factors[a, b] is m.price_factors[b, a]
+            assert m.price_factors[a, b] == (r, r ** 3, r ** 6, dur)
+        assert m.adjacency == [sorted({b for e in edges if a in e for b in e} - {a})
+                               for a in range(6)]
 
     def test_grid_at_the_cap_accepted(self):
         assert load_calibration(uniform_doc(1, MAX_CELLS)).num_cells == 400
@@ -218,11 +234,11 @@ def reference_price(m, walk, static=False):
     hops, route, strict = [], 1.0, 1.0
     for i in range(len(walk) - 1):
         u, v = walk[i], walk[i + 1]
-        e = m.edge_map.get((min(u, v), max(u, v)))
-        if e is None:
+        f = m.price_factors.get((u, v))
+        if f is None:
             raise ValueError(f"cells {u} and {v} not adjacent")
-        hops.append(m.static_tau_cnot if static else e.cnot_duration)
-        r = 1.0 - e.cnot_error
+        hops.append(m.static_tau_cnot if static else f[3])
+        r = f[0]
         if i == len(walk) - 2:
             route, strict = route * r, strict * r
         else:
@@ -307,7 +323,7 @@ class TestTables:
             cands = []
             for jp in one_bend_junctions(m.pos(a), m.pos(b)):
                 cells = route_cells(m, a, b, m.cell_id(jp))
-                durs = [m.edge_between(cells[i], cells[i + 1]).cnot_duration
+                durs = [m.price_factors[cells[i], cells[i + 1]][3]
                         for i in range(len(cells) - 1)]
                 total = 6 * sum(durs)
                 cands += [total - 5 * durs[-1], total - 5 * durs[0]]
@@ -480,12 +496,7 @@ class TestTables:
 
 
 def _log_weights(m):
-    log_w = {}
-    for e in m.edges:
-        w = -math.log(1.0 - e.cnot_error)
-        log_w[e.endpoints] = w
-        log_w[e.endpoints[::-1]] = w
-    return log_w
+    return {uv: -math.log(f[0]) for uv, f in m.price_factors.items()}
 
 
 def reference_best_paths(m, swap_exp):
@@ -735,5 +746,5 @@ class TestSynthCalibration:
 
     def test_loads_clean(self):
         m = load_calibration(synth_calibration(2, 8, 7))
-        assert len(m.edges) == 22
-        assert all(0 < e.cnot_error < 1 for e in m.edges)
+        assert len(m.price_factors) == 2 * 22
+        assert all(0 < 1.0 - f[0] < 1 for f in m.price_factors.values())

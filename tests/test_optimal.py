@@ -92,7 +92,7 @@ def naive_starts(c, m, cfg, tables, cells, junctions):
             if static:
                 durs[g.id] = static_cnot_duration(manhattan(m.pos(a), m.pos(b)), m)
             else:
-                hops = [m.edge_between(u, v).cnot_duration for u, v in zip(route, route[1:])]
+                hops = [m.price_factors[u, v][3] for u, v in zip(route, route[1:])]
                 durs[g.id] = 6 * sum(hops) - 5 * max(hops[0], hops[-1])
             if cfg.routing is Routing.ONE_BEND:
                 regions[g.id] = set(route)
@@ -1709,3 +1709,34 @@ class TestTimeLimit:
                 solve_exact(c, m, ProblemConfig(variant, routing, time_limit=400), tables=t)
         assert clock.schedules > 1000
         assert clock.most == 1
+
+
+class TestGridWithoutEdges:
+    """A 1x1 grid has no edge, so every edge bound, seed and duration set
+    falls back to its default; H and a measure still compile."""
+
+    @pytest.fixture(scope="class")
+    def one_cell(self):
+        c = build_circuit(1, 1, [("h", (0,)), ("measure", (0,), 0)])
+        return c, load_calibration({"grid": {"mx": 1, "my": 1}})
+
+    @pytest.mark.parametrize("variant, routing, objective", [
+        ("t-smt", "rr", 13.0),
+        ("t-smt-star", "rr", 13.0),
+        ("t-smt-star", "1bp", 13.0),
+        ("r-smt-star", "1bp", -0.03628534641741775),
+    ])
+    def test_exact_variants(self, one_cell, variant, routing, objective):
+        c, m = one_cell
+        cfg = ProblemConfig(variant=variant, routing=routing)
+        sol = solve_exact(c, m, cfg)
+        assert (sol.objective_value, sol.optimal) == (objective, True)
+        assert check_solution(sol, c, m) == []
+        assert "(check-sat)" in emit_smtlib(c, m, cfg)
+
+    @pytest.mark.parametrize("policy", ["greedy-v", "greedy-e"])
+    def test_greedy_policies(self, one_cell, policy):
+        c, m = one_cell
+        sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(policy=policy))
+        assert expand(sol, c, m).reliability == 0.9299999999999999
+        assert check_solution(sol, c, m) == []
