@@ -273,7 +273,7 @@ def predecessor_lists(c: Circuit) -> list[list[int]]:
         ps = []
         for w in wires:
             p = last.get(w)
-            if p is not None and p not in ps:
+            if p is not None and p != g.id and p not in ps:   # a repeated wire is no edge
                 ps.append(p)
             last[w] = g.id
         ps.sort()

@@ -75,12 +75,10 @@ def _refuse_overwrite(inputs: tuple[str, ...], outputs: tuple[str | None, ...]) 
                 raise UsageError(f"output {out} would overwrite the input {path}")
 
 
-def _compile_one(c: Circuit, m: GridMachine, tables, variant: str,
-                 args) -> tuple[CompiledCircuit, float]:
-    """The one compile path of compile, compare and bench: checks the flags
-    against the variant, builds its config, writes --emit-smtlib's script,
-    and maps and expands the circuit. Returns the compiled circuit and the
-    seconds spent in the mapper."""
+def _config(variant: str, args):
+    """The variant's config from the flags; raises UsageError for a flag the
+    variant does not take. compile, compare and bench build the config of
+    every listed variant before they read any input."""
     routing, smtlib = getattr(args, "routing", None), getattr(args, "emit_smtlib", None)
     try:
         if args.omega is not None and variant not in RELIABILITY_VARIANTS:
@@ -92,18 +90,21 @@ def _compile_one(c: Circuit, m: GridMachine, tables, variant: str,
                                  "--routing only applies to exact variants")
             if smtlib:
                 raise ValueError("--emit-smtlib only applies to exact variants")
-            cfg = HeuristicConfig(policy=variant, omega=omega,
-                                  count_return_swaps=args.count_return_swaps)
-        else:
-            limit = DEFAULT_EXACT_TIME_LIMIT if args.time_limit is None else args.time_limit
-            cfg = ProblemConfig(variant=variant, routing=routing, omega=omega,
-                                count_return_swaps=args.count_return_swaps, time_limit=limit)
+            return HeuristicConfig(policy=variant, omega=omega,
+                                   count_return_swaps=args.count_return_swaps)
+        limit = DEFAULT_EXACT_TIME_LIMIT if args.time_limit is None else args.time_limit
+        return ProblemConfig(variant=variant, routing=routing, omega=omega,
+                             count_return_swaps=args.count_return_swaps, time_limit=limit)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if smtlib:
-        atomic_write(smtlib, emit_smtlib(c, m, cfg))
+
+
+def _compile_one(c: Circuit, m: GridMachine, tables, cfg) -> tuple[CompiledCircuit, float]:
+    """The one compile path of compile, compare and bench: maps and expands
+    the circuit. Returns the compiled circuit and the seconds spent in the
+    mapper."""
     t0 = time.perf_counter()
-    sol = heuristic_compile(c, m, tables, cfg) if variant in GREEDY_VARIANTS \
+    sol = heuristic_compile(c, m, tables, cfg) if isinstance(cfg, HeuristicConfig) \
         else solve_exact(c, m, cfg, tables=tables)
     dt = time.perf_counter() - t0
     return expand(sol, c, m), dt
@@ -163,9 +164,13 @@ def cmd_compile(args) -> int:
         if args.emit_smtlib and os.path.realpath(args.emit_smtlib) == os.path.realpath(path):
             raise UsageError(f"--emit-smtlib {args.emit_smtlib} would be overwritten by "
                              f"the output {path}")
+    cfg = _config(args.variant, args)
     c = parse_circuit(_read(args.circuit))
     m = load_calibration(_read(args.calibration))
-    cc, dt = _compile_one(c, m, build_tables(m), args.variant, args)
+    tables = build_tables(m)
+    if args.emit_smtlib:
+        atomic_write(args.emit_smtlib, emit_smtlib(c, m, cfg, tables))
+    cc, dt = _compile_one(c, m, tables, cfg)
     atomic_write(record_path, json.dumps({**to_record(cc), "compile_time_s": dt}) + "\n")
     atomic_write(qasm_path, emit_qasm(cc))
     print(f"wrote {record_path} and {qasm_path}: objective={cc.objective_value!r} "
@@ -200,13 +205,14 @@ def cmd_compare(args) -> int:
     benchmark = _stem(args.circuit)
     out = args.out or f"{benchmark}-compare"
     _refuse_overwrite((args.circuit, args.calibration), report_paths(out))
+    cfgs = [_config(v, args) for v in variants]
     c = parse_circuit(_read(args.circuit))
     m = load_calibration(_read(args.calibration))
     tables = build_tables(m)
     rows, first_error = [], None
-    for variant in variants:
+    for cfg in cfgs:
         try:
-            cc, dt = _compile_one(c, m, tables, variant, args)
+            cc, dt = _compile_one(c, m, tables, cfg)
         except (Infeasible, SolverTimeout) as exc:
             first_error = first_error or exc
             continue
@@ -249,16 +255,17 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
     variants = _variants(args.variants)
+    cfgs = [_config(v, args) for v in variants]
     rows = []
     for nq, ng, side in sizes:
         benchmark = f"rand-{nq}-{ng}"
         m = load_calibration(synth_calibration(side, side, args.seed, t2=10 ** 6))
         tables = build_tables(m)
         c = gen_random(nq, ng, args.seed)
-        for variant in variants:
+        for variant, cfg in zip(variants, cfgs):
             t0 = time.perf_counter()
             try:
-                cc, dt = _compile_one(c, m, tables, variant, args)
+                cc, dt = _compile_one(c, m, tables, cfg)
             except (Infeasible, SolverTimeout):
                 rows.append(EvalReport(
                     benchmark=benchmark, variant=variant, reliability=math.nan,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, GateKind
 from .codegen import CompiledCircuit, solution_config
-from .machine import DerivedTables, GridMachine, build_tables, route_cells
+from .machine import DerivedTables, GridMachine, route_cells
 from .optimal import Scorer
 from .schedule import (
     Infeasible,
@@ -149,8 +149,7 @@ _LEAF_BUDGET = 2_000_000
 
 
 def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
-                        tables: DerivedTables | None = None,
-                        collect_leaves: bool = False) -> BruteForceResult:
+                        tables: DerivedTables, collect_leaves: bool = False) -> BruteForceResult:
     """Exhaustive sweep of every injective placement x junction assignment,
     scored through the same leaf evaluator as solve_exact (objectives agree
     bitwise). argmax lists every assignment attaining the optimum."""
@@ -162,7 +161,6 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     if size > _LEAF_BUDGET:
         raise ValueError(f"instance too large: {size} assignments exceed the "
                          f"{_LEAF_BUDGET} enumeration budget")
-    tables = tables if tables is not None else build_tables(m)
     scorer = Scorer(c, m, tables, cfg)
     maximize = cfg.variant.value == "r-smt-star"
     cnots = [g for g in c.gates if g.kind is GateKind.CNOT]
@@ -191,8 +189,7 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
 
 def check_solution(sol: Solution, c: Circuit, m: GridMachine,
-                   cfg: ProblemConfig | None = None,
-                   tables: DerivedTables | None = None) -> list[str]:
+                   cfg: ProblemConfig | None = None, *, tables: DerivedTables) -> list[str]:
     """Independent re-verification of every constraint; returns violations (empty = valid).
     Under 1bp and rr routing a CNOT's walk must be the one-bend route of one
     of its cell pair's junctions, walked either way: which end moves, and
@@ -228,7 +225,6 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     if v:
         return v
 
-    tables = tables if tables is not None else build_tables(m)
     cells = {q: m.cell_id(loc[q]) for q in loc}
     start, dur = sol.schedule.start, sol.schedule.dur
     missing = [g.id for g in c.gates if g.id not in start or g.id not in dur]

@@ -13,7 +13,6 @@ from .heuristic import greedy_edge_map
 from .machine import (
     DerivedTables,
     GridMachine,
-    build_tables,
     canonical_junction,
     cnot_walk,
     manhattan,
@@ -43,7 +42,8 @@ class _SearchTimeout(Exception):
 def _cnot_floor(m: GridMachine, tables: DerivedTables, static: bool) -> list[list[int]]:
     """Per (a, b) cell pair, the fewest timeslots the CNOT a -> b takes over
     its legal junctions: the static formula, which every junction's walk
-    takes, under the static model, and delta otherwise; 0 when a == b."""
+    takes, under the static model, and delta otherwise; 0 when a == b. Both
+    are symmetric, so row a holds the floors of the CNOTs out of a and into a."""
     if not static:
         return tables.delta
     pos = [m.pos(a) for a in range(m.num_cells)]
@@ -127,7 +127,6 @@ class Scorer:
         self.static = cfg.variant is Variant.T_SMT
         self.one_bend = cfg.routing is Routing.ONE_BEND
         self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
-        self._choices: dict[tuple[int, int], tuple[int, ...]] = {}
         self.n_gates = len(c.gates)
         self.preds, self.succs = c.dag
         self.cnot_ops = [g.operands for g in c.gates if g.kind is GateKind.CNOT]
@@ -146,13 +145,10 @@ class Scorer:
         return cost
 
     def junction_choices(self, a: int, b: int) -> tuple[int, ...]:
-        choices = self._choices.get((a, b))
-        if choices is None:
-            # Rectangle reservation does not search junctions; expansion later
-            # walks the canonical one.
-            choices = self._choices[(a, b)] = self.tables.junctions[(a, b)] if self.one_bend \
-                else (canonical_junction(self.tables, a, b),)
-        return choices
+        # Rectangle reservation does not search junctions; expansion later
+        # walks the canonical one.
+        return self.tables.junctions[(a, b)] if self.one_bend \
+            else (canonical_junction(self.tables, a, b),)
 
     def ln_ec(self, key: tuple[int, int, int]) -> float:
         return math.log(self.ec[key])
@@ -182,7 +178,7 @@ class Scorer:
 
 
 def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
-                tables: DerivedTables | None = None) -> Solution:
+                tables: DerivedTables) -> Solution:
     """Branch-and-bound over injective placements and junction assignments.
 
     Placements extend qubit by qubit in descending program-graph degree order
@@ -220,7 +216,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     nq, ncells = c.num_qubits, m.num_cells
     if nq > ncells:
         raise ValueError(f"{nq} program qubits exceed {ncells} hardware cells")
-    tables = tables if tables is not None else build_tables(m)
     scorer = Scorer(c, m, tables, cfg)
     pg = build_program_graph(c)
     order = sorted(range(nq), key=lambda q: (-pg.vertex_degree.get(q, 0), q))
@@ -260,8 +255,6 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             raise _SearchTimeout()
 
     cx_floor = _cnot_floor(m, tables, scorer.static)
-    # cx_floor_to[b][a] is cx_floor[a][b]: the floors of the CNOTs into b
-    cx_floor_to = [list(col) for col in zip(*cx_floor)]
     rows, const_path = _folded_rows(c, scorer.preds, m.single_qubit_duration)
     # The critical path of every duration vector the search has priced. Grid
     # translations of a partial placement, in different subtrees, give the
@@ -363,7 +356,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                         row = pair_ln[q_ctl][other] = [None] * ncells
                     placed.append((row, other, q_ctl))
                 else:
-                    placed.append((ci, cx_floor_to[other] if q_ctl else cx_floor[other]))
+                    placed.append((ci, cx_floor[other]))
         # A child takes its cell in cell_of and used only while it is searched.
         if maximize:
             nm = n_meas[q]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .circuit import Circuit, GateKind
-from .machine import DerivedTables, GridMachine, build_tables, cnot_walk, price_walk
+from .machine import DerivedTables, GridMachine, cnot_walk, price_walk
 
 
 class Variant(str, Enum):
@@ -301,12 +301,11 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
 
 
 def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
-                             cells, junctions, *, tables: DerivedTables | None = None,
+                             cells, junctions, *, tables: DerivedTables,
                              optimal: bool = True) -> Solution:
     """Materialize a full Solution from placement cells (by qubit id) and junction
     cells (by CNOT order): each CNOT walks its junction's cnot_walk. Raises
     ValueError for a junction not legal for its CNOT, and Infeasible."""
-    tables = tables if tables is not None else build_tables(m)
     walks = []
     for g, j in zip(c.cnot_gates(), junctions):
         a, b = cells[g.operands[0]], cells[g.operands[1]]

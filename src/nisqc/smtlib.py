@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .circuit import Circuit, GateKind
-from .machine import GridMachine, build_tables
+from .machine import DerivedTables, GridMachine
 from .schedule import ProblemConfig, Routing, Variant
 
 
@@ -37,7 +37,7 @@ def _sum(terms: list[str]) -> str:
     return terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
 
 
-def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
+def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig, tables: DerivedTables) -> str:
     """SMT-LIB2 script for the joint placement/routing/scheduling problem.
 
     Unlike solve_exact, which fixes start times with the canonical scheduler,
@@ -49,7 +49,6 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig) -> str:
     is_static = cfg.variant is Variant.T_SMT
     reliability = cfg.variant is Variant.R_SMT_STAR
     one_bend = cfg.routing is Routing.ONE_BEND
-    tables = None if is_static else build_tables(m)
     ec = None
     if reliability:
         ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel

@@ -411,7 +411,7 @@ def test_criterion_10_product_reliability_threshold():
     scores = {}
     for n in (16, 17):
         c = build_circuit(2, 0, [(GateKind.CNOT, (0, 1), None)] * n)
-        sol = solve_exact(c, m, ProblemConfig(variant="t-smt-star"))
+        sol = solve_exact(c, m, ProblemConfig(variant="t-smt-star"), tables=build_tables(m))
         scores[n] = reliability_score(expand(sol, c, m))
     assert scores[17] < 0.5 - 1e-9
     assert scores[16] > 0.5 + 1e-9

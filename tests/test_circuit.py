@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nisqc.circuit import (
+    Circuit,
+    Gate,
     GateKind,
     ParseError,
     build_circuit,
@@ -21,6 +23,8 @@ from nisqc import circuit as circuit_module
 from nisqc.evaluate import check_solution
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
+from nisqc.optimal import solve_exact
+from nisqc.schedule import ProblemConfig
 from qasm_reference import parse_qasm as reference_parse_qasm
 
 
@@ -311,6 +315,17 @@ class TestDag:
             assert succs == [[g for g, ps in enumerate(want) if p in ps]
                              for p in range(len(c.gates))]
             assert c.dag is c.dag
+
+    def test_repeated_wire_is_not_its_own_predecessor(self):
+        # only a hand-built Circuit repeats a wire: the parser and
+        # build_circuit refuse cx q[0],q[0]
+        bad = Circuit(2, 0, (Gate(0, GateKind.CNOT, (0, 0)),))
+        assert predecessor_lists(bad) == [[]]
+        m = load_calibration(synth_calibration(2, 2, 1))
+        t = build_tables(m)
+        cfg = ProblemConfig("t-smt-star")
+        sol = solve_exact(build_circuit(2, 0, [("cx", (0, 1))]), m, cfg, tables=t)
+        assert check_solution(sol, bad, m, cfg, tables=t) == ["CNOT 0 endpoints share cell 0"]
 
     def test_one_dag_per_circuit_from_compile_to_check(self, monkeypatch):
         # check_solution reads the lists build_solution built for the circuit

@@ -21,6 +21,8 @@ from nisqc.codegen import expand, to_record
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
 from nisqc.optimal import SolverTimeout
+from nisqc.schedule import ProblemConfig
+from nisqc.smtlib import emit_smtlib
 
 
 def run(capsys, *argv):
@@ -125,6 +127,25 @@ class TestCompile:
         code, _, stderr = run(capsys, "compile", "--variant", "greedy-v", bv4, cal,
                               "--emit-smtlib", str(script), "--out", str(tmp_path / "z"))
         assert code == 2
+
+    @pytest.mark.parametrize("variant", ["t-smt-star", "r-smt-star"])
+    def test_emit_smtlib_reuses_the_compile_tables(self, tmp_path, capsys, monkeypatch, bv4,
+                                                   variant):
+        builds = []
+
+        def counted(m):
+            builds.append(m)
+            return build_tables(m)
+
+        monkeypatch.setattr(cli, "build_tables", counted)
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(synth_calibration(2, 3, 1, jitter_durations=True)))
+        script = tmp_path / "bv4.smt2"
+        code, _, _ = run(capsys, "compile", "--variant", variant, bv4, str(cal),
+                         "--emit-smtlib", str(script), "--out", str(tmp_path / "y"))
+        assert (code, len(builds)) == (0, 1)
+        c, m = parse_circuit(open(bv4).read()), load_calibration(cal.read_text())
+        assert script.read_text() == emit_smtlib(c, m, ProblemConfig(variant), build_tables(m))
 
     def test_infeasible_exits_3(self, tmp_path, capsys, bv4):
         cal = uniform_cal(tmp_path, 3, 3, name="tight.json", t2=5)
@@ -481,6 +502,34 @@ class TestBench:
         assert (code, stdout) == (2, "")
         assert json.loads(stderr)["error"] == "UsageError"
         assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("compile", "--variant", "greedy-e", "--routing", "rr"),
+     "greedy variants always route along best paths"),
+    (("compile", "--variant", "greedy-v", "--emit-smtlib", "x.smt2"),
+     "--emit-smtlib only applies to exact variants"),
+    (("compare", "--routing", "1bp"), "greedy variants always route along best paths"),
+    (("compare", "--variants", "t-smt,r-smt-star", "--routing", "rr"),
+     "reliability variant requires one-bend routing"),
+    (("bench", "--sizes", "4:16,8:64", "--variants", "r-smt-star,t-smt-star", "--omega", "0.7"),
+     "--omega only applies to"),
+], ids=["compile-greedy-routing", "compile-greedy-smtlib", "compare-default-variants-routing",
+        "compare-second-variant-routing", "bench-second-variant-omega"])
+def test_flag_a_listed_variant_refuses_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               bv4, argv, message):
+    # every listed variant's config is built before any input is read, so no
+    # variant listed before the one that refuses the flag compiles
+    for name in ("parse_circuit", "load_calibration", "solve_exact", "heuristic_compile"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"ran {name}"))
+    cal = uniform_cal(tmp_path, 2, 3)
+    command, *flags = argv
+    inputs = () if command == "bench" else (bv4, cal)
+    code, stdout, stderr = run(capsys, command, *inputs, *flags, "--out", str(tmp_path / "x"))
+    assert (code, stdout) == (2, "")
+    err = json.loads(stderr)
+    assert err["error"] == "UsageError" and message in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bv4.qasm", "cal.json"]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "compare", "bench"])

@@ -156,7 +156,7 @@ class TestExpandStreams:
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
         cfg = ProblemConfig(variant="r-smt-star")
-        sol = solve_exact(c, m, cfg)
+        sol = solve_exact(c, m, cfg, tables=build_tables(m))
         cc = expand(sol, c, m)
         measures = [pg for pg in cc.expanded if pg.kind is GateKind.MEASURE]
         assert sorted(pg.clbit for pg in measures) == [0, 1, 2]
@@ -286,7 +286,7 @@ class TestRecordedReliability:
         rel = assigned(c, m, (0, 2), variant="r-smt-star")
         assert rel.gate_routes == sol.gate_routes
         assert rel.objective_value == 0.5 * math.log(cc.eps_route[0])
-        assert check_solution(rel, c, m) == []
+        assert check_solution(rel, c, m, tables=build_tables(m)) == []
 
     @pytest.mark.parametrize("case", sorted(WALK_CASES))
     def test_eps_strict_is_the_emitted_product(self, case):
@@ -325,7 +325,7 @@ class TestEmitQasm:
     def test_reparses_with_matching_gate_count(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"))
+        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"), tables=build_tables(m))
         cc = expand(sol, c, m)
         text = emit_qasm(cc)
         back = parse_circuit(text)
@@ -336,7 +336,7 @@ class TestEmitQasm:
     def test_adjacent_bv4_has_three_cx_lines(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"))
+        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"), tables=build_tables(m))
         cc = expand(sol, c, m)
         assert cc.swap_count == 0
         cx = [ln for ln in emit_qasm(cc).splitlines() if ln.startswith("cx ")]
@@ -357,7 +357,8 @@ class TestEmitQasm:
         # numbers up to the last cell; equal (start, cells) keep stream order
         m = load_calibration(udoc(4, 4))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         H, X, CX, MEASURE = GateKind.H, GateKind.X, GateKind.CNOT, GateKind.MEASURE
         gates = []
         for s in (0, 3, 7):
@@ -393,7 +394,7 @@ class TestRecord:
     def test_documented_keys_present(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"))
+        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"), tables=build_tables(m))
         rec = to_record(expand(sol, c, m))
         for key in ("placement", "variant", "objective", "makespan",
                     "swap_count", "reliability"):
@@ -404,7 +405,7 @@ class TestRecord:
     def test_json_round_trip(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "101")
-        sol = solve_exact(c, m, ProblemConfig(variant="t-smt-star"))
+        sol = solve_exact(c, m, ProblemConfig(variant="t-smt-star"), tables=build_tables(m))
         cc = expand(sol, c, m)
         text = record_to_json(cc)
         back = from_record(text, m)
@@ -569,10 +570,11 @@ class TestRecord:
         m, other = (load_calibration(synth_calibration(2, 3, seed, jitter_durations=jitter))
                     for seed in (1, 2))
         sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(policy=variant)) \
-            if variant.startswith("greedy") else solve_exact(c, m, ProblemConfig(variant))
+            if variant.startswith("greedy") \
+            else solve_exact(c, m, ProblemConfig(variant), tables=build_tables(m))
         cc = expand(sol, c, m)
         back = from_record(record_to_json(cc), other)
-        assert check_solution(back, c, other) == []
+        assert check_solution(back, c, other, tables=build_tables(other)) == []
         if variant == "t-smt-star":
             expect = float(back.makespan)
         else:
@@ -602,7 +604,8 @@ class TestRecord:
                     else solve_exact(c, m, cfg, tables=t)
                 back = from_record(record_to_json(expand(sol, c, m)), other)
                 assert back.gate_routes == sol.gate_routes
-                assert check_solution(back, c, other) == [], (seed, back.variant, back.routing)
+                assert check_solution(back, c, other, tables=build_tables(other)) == [], \
+                    (seed, back.variant, back.routing)
                 read += 1
         assert read == 12 * 7
 
@@ -620,7 +623,8 @@ class TestRecord:
         # the key is ignored and the stream is rebuilt
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         rec = to_record(cc)
         rec["gates"] = [{"kind": pg.kind.value, "hw_operands": list(pg.hw_operands),
                          "start": pg.start, **({"clbit": pg.clbit} if pg.clbit is not None

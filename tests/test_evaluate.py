@@ -193,7 +193,8 @@ class TestEquivalence:
     def test_zero_swap_compilation_passes(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         assert cc.swap_count == 0
         res = equivalence_check(c, cc)
         assert res.passed and res.total_variation <= 1e-9
@@ -357,7 +358,8 @@ class TestReliabilityScore:
     def test_bv4_zero_swap_value(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         assert reliability_score(cc) == pytest.approx(0.586376253, abs=1e-9)
 
     def test_return_swap_flag(self):
@@ -382,13 +384,15 @@ class TestMonteCarlo:
     def test_perfect_gates_always_succeed(self):
         m = load_calibration(udoc(3, 3, cnot_error=0.0, readout_error=0.0))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         assert monte_carlo_success(cc, 2000, seed=1) == (1.0, 0.0)
 
     def test_tracks_analytic_reliability(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         p, se = monte_carlo_success(cc, 100_000, seed=7)
         assert abs(p - cc.reliability) <= 3 * se
 
@@ -403,7 +407,8 @@ class TestMonteCarlo:
     def test_deterministic_per_seed(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         assert monte_carlo_success(cc, 50_000, seed=3) == \
             monte_carlo_success(cc, 50_000, seed=3)
 
@@ -418,7 +423,8 @@ class TestMonteCarlo:
     def test_a_billion_trials_is_one_draw(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")
-        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star")), c, m)
+        cc = expand(solve_exact(c, m, ProblemConfig(variant="r-smt-star"),
+                                tables=build_tables(m)), c, m)
         t0 = time.perf_counter()
         p, se = monte_carlo_success(cc, 10 ** 9, seed=2)
         assert time.perf_counter() - t0 < 0.5
@@ -442,14 +448,16 @@ class TestBruteForce:
         ]
         m = load_calibration(doc)
         c = build_circuit(1, 1, [("measure", (0,), 0)])
-        res = brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"))
+        res = brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"),
+                                  tables=build_tables(m))
         assert res.objective_value == pytest.approx(0.5 * math.log(0.95), abs=1e-15)
         assert res.argmax == (((1,), ()),)
 
     def test_bv4_target_takes_a_high_degree_cell(self):
         m = load_calibration(udoc(2, 3))
         c = gen_bv(4, "111")
-        res = brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"))
+        res = brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"),
+                                  tables=build_tables(m))
         for cells, _ in res.argmax:
             assert cells[3] in (1, 4)
 
@@ -467,14 +475,15 @@ class TestBruteForce:
 
     def test_relabeling_keeps_the_optimum(self):
         m = load_calibration(udoc(2, 3))
+        t = build_tables(m)
         cfg = ProblemConfig(variant="r-smt-star")
-        base = brute_force_optimal(gen_bv(4, "111"), m, cfg)
+        base = brute_force_optimal(gen_bv(4, "111"), m, cfg, tables=t)
         perm = {0: 2, 1: 0, 2: 3, 3: 1}
         c = gen_bv(4, "111")
         relabeled = build_circuit(4, 3, [
             (g.kind, tuple(perm[q] for q in g.operands), g.classical_target)
             for g in c.gates])
-        res = brute_force_optimal(relabeled, m, cfg)
+        res = brute_force_optimal(relabeled, m, cfg, tables=t)
         assert res.objective_value == base.objective_value
 
     def test_budget_guard(self):
@@ -482,19 +491,19 @@ class TestBruteForce:
         ops = [("cx", (i % 4, (i + 1) % 4)) for i in range(6)]
         c = build_circuit(4, 0, ops)
         with pytest.raises(ValueError, match="instance too large"):
-            brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"))
+            brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"), tables=build_tables(m))
 
     def test_more_qubits_than_cells(self):
         m = load_calibration(udoc(1, 2))
         with pytest.raises(ValueError, match="exceed"):
             brute_force_optimal(build_circuit(3, 0, []), m,
-                                ProblemConfig(variant="t-smt"))
+                                ProblemConfig(variant="t-smt"), tables=build_tables(m))
 
     def test_collect_leaves(self):
         m = load_calibration(udoc(1, 2))
         c = build_circuit(2, 0, [("cx", (0, 1))])
         res = brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"),
-                                  collect_leaves=True)
+                                  collect_leaves=True, tables=build_tables(m))
         assert len(res.leaves) == 2
         assert {leaf.cells for leaf in res.leaves} == {(0, 1), (1, 0)}
         assert all(leaf.makespan == 2 for leaf in res.leaves)

@@ -329,6 +329,13 @@ class TestTables:
                 cands += [total - 5 * durs[-1], total - 5 * durs[0]]
             assert t.delta[a][b] == min(cands)
 
+    @pytest.mark.parametrize("shape, jitter", [((2, 8), False), ((2, 8), True), ((1, 7), True)])
+    def test_delta_symmetric_on_search_grids(self, shape, jitter):
+        # solve_exact reads the floors of the CNOTs out of a cell and into it
+        # from the cell's one row of delta
+        t = build_tables(load_calibration(jittered_doc(*shape, 3, jitter_durations=jitter)))
+        assert t.delta == [list(column) for column in zip(*t.delta)]
+
     @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_per_junction_durations(self, shape, seed):

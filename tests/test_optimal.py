@@ -35,7 +35,6 @@ from nisqc.machine import (
 )
 from nisqc import optimal
 from nisqc import schedule as schedule_module
-from nisqc import smtlib
 from nisqc.evaluate import brute_force_optimal, check_solution, equivalence_check
 from nisqc.heuristic import (
     GreedyPolicy,
@@ -343,19 +342,20 @@ class TestObjective:
     def test_weighted_log_value(self):
         # 3 CNOTs at 0.9 and 4 readouts at 0.93 with omega 0.5
         m = load_calibration(udoc(3, 3))
+        t = build_tables(m)
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         c = three_cnot_four_readout()
-        sol = solve_exact(c, m, cfg)
+        sol = solve_exact(c, m, cfg, tables=t)
         want = 0.5 * 4 * math.log(0.93) + 0.5 * 3 * math.log(0.9)
         assert abs(want - -0.30318215915641026) < 1e-14
         assert abs(sol.objective_value - want) < 1e-12
         # the verifier's sum of the walks' reliabilities is bitwise the solver's
-        assert check_solution(sol, c, m, cfg) == []
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_omega_one_ignores_cnots(self):
         m = load_calibration(udoc(3, 3))
         cfg = ProblemConfig(Variant.R_SMT_STAR, omega=1.0)
-        sol = solve_exact(three_cnot_four_readout(), m, cfg)
+        sol = solve_exact(three_cnot_four_readout(), m, cfg, tables=build_tables(m))
         assert abs(sol.objective_value - 4 * math.log(0.93)) < 1e-12
 
     def test_does_not_depend_on_gate_order(self):
@@ -380,11 +380,12 @@ class TestObjective:
 
     def test_single_gate_duration(self):
         m = load_calibration(udoc(1, 2))
+        t = build_tables(m)
         cfg = ProblemConfig(Variant.T_SMT)
         c = build_circuit(1, 0, [("h", (0,))])
-        sol = solve_exact(c, m, cfg)
+        sol = solve_exact(c, m, cfg, tables=t)
         assert sol.objective_value == 1.0 == float(sol.makespan)
-        assert check_solution(sol, c, m, cfg) == []
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
 
 class TestCanonicalSchedule:
@@ -575,30 +576,32 @@ class TestSolveExact:
     ])
     def test_matches_enumerator_on_random_instances(self, variant, routing):
         m = load_calibration(udoc(2, 2))
+        t = build_tables(m)
         for seed in (1, 2, 3):
             c = gen_random(3, 8, seed=seed)
             cfg = ProblemConfig(variant, routing)
-            sol = solve_exact(c, m, cfg)
+            sol = solve_exact(c, m, cfg, tables=t)
             want = oracle_best(c, m, cfg)
             assert sol.objective_value == want[0]
             assert solution_key(sol, c, m) == want[1]
             assert sol.optimal
-            assert check_solution(sol, c, m, cfg) == []
+            assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_bv4_reliability_on_2x3(self):
         m = load_calibration(udoc(2, 3))
+        t = build_tables(m)
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         c = gen_bv(4, "111")
-        sol = solve_exact(c, m, cfg)
+        sol = solve_exact(c, m, cfg, tables=t)
         want = oracle_best(c, m, cfg)
         assert sol.objective_value == want[0]
         assert solution_key(sol, c, m) == want[1]
-        assert check_solution(sol, c, m, cfg) == []
+        assert check_solution(sol, c, m, cfg, tables=t) == []
 
     def test_hub_qubit_gets_high_degree_cell(self):
         m = load_calibration(udoc(3, 3))
         cfg = ProblemConfig(Variant.R_SMT_STAR)
-        sol = solve_exact(three_cnot_four_readout(), m, cfg)
+        sol = solve_exact(three_cnot_four_readout(), m, cfg, tables=build_tables(m))
         hub = sol.placement.loc[3]
         degree = len(m.adjacency[m.cell_id(hub)])
         assert degree >= 3
@@ -611,7 +614,7 @@ class TestSolveExact:
         m = load_calibration(doc)
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         c = build_circuit(1, 1, [("measure", (0,), 0)])
-        sol = solve_exact(c, m, cfg)
+        sol = solve_exact(c, m, cfg, tables=build_tables(m))
         assert sol.placement.loc[0] == (0, 1)
         assert sol.makespan == 12
 
@@ -619,26 +622,28 @@ class TestSolveExact:
         # grid adjacency is triangle-free, so one CNOT of the triangle sits at
         # distance >= 2 under every placement
         m = load_calibration(udoc(2, 2))
+        t = build_tables(m)
         cfg = ProblemConfig(Variant.T_SMT)
-        sol = solve_exact(gen_toffoli(), m, cfg)
+        sol = solve_exact(gen_toffoli(), m, cfg, tables=t)
         cnot_durs = [sol.schedule.dur[g] for g in sol.gate_routes]
         assert max(cnot_durs) >= static_cnot_duration(2, m)
-        assert check_solution(sol, gen_toffoli(), m, cfg) == []
+        assert check_solution(sol, gen_toffoli(), m, cfg, tables=t) == []
 
     def test_too_many_qubits(self):
         m = load_calibration(udoc(1, 2))
         with pytest.raises(ValueError):
-            solve_exact(gen_bv(4, "101"), m, ProblemConfig(Variant.T_SMT))
+            solve_exact(gen_bv(4, "101"), m, ProblemConfig(Variant.T_SMT), tables=build_tables(m))
 
     def test_infeasible_vs_timeout(self):
         # The greedy seed misses the readout's deadline too, so a search cut
         # before it proves anything has nothing to return.
         tight = load_calibration(udoc(1, 2, t2=5))
+        t = build_tables(tight)
         c = build_circuit(1, 1, [("measure", (0,), 0)])
         with pytest.raises(Infeasible):
-            solve_exact(c, tight, ProblemConfig(Variant.T_SMT_STAR))
+            solve_exact(c, tight, ProblemConfig(Variant.T_SMT_STAR), tables=t)
         with pytest.raises(SolverTimeout):
-            solve_exact(c, tight, ProblemConfig(Variant.T_SMT_STAR, time_limit=1e-9))
+            solve_exact(c, tight, ProblemConfig(Variant.T_SMT_STAR, time_limit=1e-9), tables=t)
 
     def test_timeout_returns_the_greedy_seed(self):
         """A limit that expires before the first node returns the greedy-e
@@ -652,7 +657,7 @@ class TestSolveExact:
             sol = solve_exact(c, m, ProblemConfig(variant, routing, time_limit=1e-9), tables=t)
             assert sol.optimal is False
             assert sol.placement == greedy
-            assert check_solution(sol, c, m) == []
+            assert check_solution(sol, c, m, tables=t) == []
             best = solve_exact(c, m, ProblemConfig(variant, routing), tables=t)
             assert best.optimal is True
             if variant is Variant.R_SMT_STAR:
@@ -662,17 +667,19 @@ class TestSolveExact:
 
     def test_deterministic(self):
         m = load_calibration(udoc(2, 3))
+        t = build_tables(m)
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         c = gen_bv(3, "11")
-        a = solve_exact(c, m, cfg)
-        b = solve_exact(c, m, cfg)
+        a = solve_exact(c, m, cfg, tables=t)
+        b = solve_exact(c, m, cfg, tables=t)
         assert a.placement.loc == b.placement.loc
         assert a.schedule.start == b.schedule.start
         assert a.objective_value == b.objective_value
 
     def test_empty_circuit(self):
         m = load_calibration(udoc(2, 2))
-        sol = solve_exact(build_circuit(2, 0, []), m, ProblemConfig(Variant.T_SMT))
+        sol = solve_exact(build_circuit(2, 0, []), m, ProblemConfig(Variant.T_SMT),
+                          tables=build_tables(m))
         assert sol.makespan == 0 and sol.objective_value == 0.0
 
 
@@ -681,12 +688,13 @@ class TestCheckSolution:
         m = load_calibration(udoc(2, 3))
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         c = gen_bv(3, "11")
-        return c, m, cfg, solve_exact(c, m, cfg)
+        return c, m, cfg, solve_exact(c, m, cfg, tables=build_tables(m))
 
     def test_clean_solution_passes(self):
         c, m, cfg, sol = self.good()
-        assert check_solution(sol, c, m, cfg) == []
-        assert check_solution(sol, c, m) == []  # config recovered from echoes
+        t = build_tables(m)
+        assert check_solution(sol, c, m, cfg, tables=t) == []
+        assert check_solution(sol, c, m, tables=t) == []  # config recovered from echoes
 
     def test_refuses_the_settings_from_record_refuses(self):
         # each omega, routing, count_return_swaps and variant value that the
@@ -711,7 +719,7 @@ class TestCheckSolution:
                         refused = False
                     except ValueError:
                         refused = True
-                    got = check_solution(dataclasses.replace(sol, **{key: value}), c, m)
+                    got = check_solution(dataclasses.replace(sol, **{key: value}), c, m, tables=t)
                     rejected = [v for v in got if v.startswith("solution config rejected: ")]
                     assert len(rejected) == refused, (sol.variant, key, value, got)
                     assert got == rejected or not refused, (sol.variant, key, value, got)
@@ -722,23 +730,27 @@ class TestCheckSolution:
         loc = dict(sol.placement.loc)
         loc[0] = loc[1]
         bad = dataclasses.replace(sol, placement=Placement(loc=loc))
-        assert any("injective" in v for v in check_solution(bad, c, m, cfg))
+        assert any("injective" in v
+                   for v in check_solution(bad, c, m, cfg, tables=build_tables(m)))
 
     def test_placement_and_schedule_faults_are_named(self):
         # each is returned alone: the checks that follow need every qubit on
         # the grid and every gate scheduled
         c, m, cfg, sol = self.good()
+        tables = build_tables(m)
         loc = dict(sol.placement.loc)
         del loc[2]
         unmapped = dataclasses.replace(sol, placement=Placement(loc=loc))
-        assert check_solution(unmapped, c, m, cfg) == ["qubit 2 unmapped"]
+        assert check_solution(unmapped, c, m, cfg, tables=tables) == ["qubit 2 unmapped"]
         loc = {**sol.placement.loc, 0: (5, 0)}
         off = dataclasses.replace(sol, placement=Placement(loc=loc))
-        assert check_solution(off, c, m, cfg) == ["qubit 0 at (5, 0) off the 2x3 grid"]
+        assert check_solution(off, c, m, cfg, tables=tables) == [
+            "qubit 0 at (5, 0) off the 2x3 grid"]
         start = {g: t for g, t in sol.schedule.start.items() if g not in (0, 3)}
         unscheduled = dataclasses.replace(sol, schedule=Schedule(
             start=start, dur=dict(sol.schedule.dur)))
-        assert check_solution(unscheduled, c, m, cfg) == ["gates [0, 3] unscheduled"]
+        assert check_solution(unscheduled, c, m, cfg, tables=tables) == [
+            "gates [0, 3] unscheduled"]
 
     def test_route_that_revisits_a_cell(self):
         # a walk over the grid's edges that joins its CNOT's cells but visits
@@ -749,7 +761,8 @@ class TestCheckSolution:
         sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(GreedyPolicy.EDGE))
         a, b = sol.gate_routes[0][0], sol.gate_routes[0][-1]
         bad = dataclasses.replace(sol, gate_routes={0: (a, b, a, b)})
-        assert check_solution(bad, c, m) == ["CNOT 0 route visits a cell twice"]
+        assert check_solution(bad, c, m, tables=build_tables(m)) == [
+            "CNOT 0 route visits a cell twice"]
         with pytest.raises(ValueError, match="visits a cell twice"):
             expand(bad, c, m)
 
@@ -762,19 +775,20 @@ class TestCheckSolution:
         bad = dataclasses.replace(sol, schedule=type(sol.schedule)(
             start=start, dur=dict(sol.schedule.dur)))
         assert any("dependency" in v or "overlap" in v
-                   for v in check_solution(bad, c, m, cfg))
+                   for v in check_solution(bad, c, m, cfg, tables=build_tables(m)))
 
     def test_swapped_clbit_writes_break_a_dependency(self):
         """Two readouts into one clbit run in program order: a schedule that
         runs the later write first is reported."""
         m = load_calibration(udoc(2, 2))
+        t = build_tables(m)
         cfg = ProblemConfig(Variant.R_SMT_STAR)
         c = build_circuit(2, 1, [("measure", (0,), 0), ("measure", (1,), 0)])
-        sol = solve_exact(c, m, cfg)
-        assert check_solution(sol, c, m, cfg) == []
+        sol = solve_exact(c, m, cfg, tables=t)
+        assert check_solution(sol, c, m, cfg, tables=t) == []
         dur = dict(sol.schedule.dur)
         bad = dataclasses.replace(sol, schedule=Schedule(start={0: dur[1], 1: 0}, dur=dur))
-        assert check_solution(bad, c, m, cfg) == [
+        assert check_solution(bad, c, m, cfg, tables=t) == [
             "dependency violated: gate 1 starts before gate 0 finishes"]
 
     def test_overlap_names_both_gates(self):
@@ -791,7 +805,7 @@ class TestCheckSolution:
         start[0] = start[1] = 0
         bad = dataclasses.replace(sol, schedule=type(sol.schedule)(
             start=start, dur=dict(sol.schedule.dur)))
-        msgs = check_solution(bad, c, m, cfg)
+        msgs = check_solution(bad, c, m, cfg, tables=t)
         assert any("0" in v and "1" in v and "overlap" in v for v in msgs)
 
     def test_zero_durations_follow_the_pairwise_rule(self):
@@ -799,11 +813,12 @@ class TestCheckSolution:
         m = load_calibration(udoc(1, 2))
         cfg = ProblemConfig(Variant.T_SMT_STAR)
         c = build_circuit(2, 0, [("h", (0,)), ("x", (0,)), ("h", (1,))])
-        sol = solution_from_assignment(c, m, cfg, (0, 1), ())
+        sol = solution_from_assignment(c, m, cfg, (0, 1), (), tables=build_tables(m))
 
         def overlaps(start, dur):
             bad = dataclasses.replace(sol, schedule=type(sol.schedule)(start=start, dur=dur))
-            return [v for v in check_solution(bad, c, m, cfg) if "overlap" in v]
+            return [v for v in check_solution(bad, c, m, cfg, tables=build_tables(m))
+                    if "overlap" in v]
 
         # two empty intervals at one instant never clash
         assert overlaps({0: 3, 1: 3, 2: 0}, {0: 0, 1: 0, 2: 1}) == []
@@ -861,7 +876,7 @@ class TestCheckSolution:
             want = (f"CNOT 0 route is not the walk of a junction legal under "
                     f"{cfg.routing.value} routing")
             assert want in check_solution(bad, c, m, cfg, tables=t)
-            assert want in check_solution(bad, c, m)
+            assert want in check_solution(bad, c, m, tables=t)
 
     def test_one_bend_duration_follows_the_junction(self):
         import dataclasses
@@ -878,7 +893,7 @@ class TestCheckSolution:
         short = dataclasses.replace(sol, schedule=type(sol.schedule)(
             start=dict(sol.schedule.start), dur={0: t.delta[0][3]}))
         assert any("duration" in v for v in check_solution(short, c, m, cfg, tables=t))
-        assert any("duration" in v for v in check_solution(short, c, m))
+        assert any("duration" in v for v in check_solution(short, c, m, tables=t))
         with pytest.raises(CodegenError):
             expand(short, c, m)
 
@@ -900,7 +915,7 @@ class TestCheckSolution:
         assert other == (0, 3, 4)
         bad = dataclasses.replace(sol, gate_routes={0: other})
         assert check_solution(bad, c, m, cfg, tables=t) == []
-        assert check_solution(bad, c, m) == []
+        assert check_solution(bad, c, m, tables=t) == []
         assert expand(sol, c, m).eps_route[0] == pytest.approx(0.9214, abs=1e-4)
         assert expand(bad, c, m).eps_route[0] == pytest.approx(0.8507, abs=1e-4)
         r_cfg = ProblemConfig(Variant.R_SMT_STAR)
@@ -911,16 +926,18 @@ class TestCheckSolution:
                 f"{0.5 * math.log(expand(r_bad, c, m).eps_route[0])}")
         assert r_sol.objective_value == pytest.approx(-0.0409, abs=1e-4)
         assert check_solution(r_bad, c, m, r_cfg, tables=t) == [want]
-        assert check_solution(r_bad, c, m) == [want]
+        assert check_solution(r_bad, c, m, tables=t) == [want]
         mover = dataclasses.replace(sol, gate_routes={0: (4, 1, 0)})
-        assert check_solution(mover, c, m, cfg, tables=t) == check_solution(mover, c, m) == []
+        assert check_solution(mover, c, m, cfg, tables=t) == \
+            check_solution(mover, c, m, tables=t) == []
         r_mover = dataclasses.replace(r_sol, gate_routes={0: (4, 1, 0)})
         want = (f"objective {r_sol.objective_value} != recomputed "
                 f"{0.5 * math.log(expand(r_mover, c, m).eps_route[0])}")
         assert check_solution(r_mover, c, m, r_cfg, tables=t) == [want]
         # a rejected walk has no reliability, so the objective is not recomputed
         detour = dataclasses.replace(r_sol, gate_routes={0: (0, 1, 2, 5, 4)})
-        assert check_solution(detour, c, m, r_cfg, tables=t) == check_solution(detour, c, m) == \
+        assert check_solution(detour, c, m, r_cfg, tables=t) == \
+            check_solution(detour, c, m, tables=t) == \
             ["CNOT 0 route is not the walk of a junction legal under 1bp routing"]
 
     def test_rectangle_reservation_walks_the_canonical_junction(self):
@@ -942,7 +959,8 @@ class TestCheckSolution:
         import dataclasses
         c, m, cfg, sol = self.good()
         bad = dataclasses.replace(sol, objective_value=sol.objective_value + 0.5)
-        assert any("objective" in v for v in check_solution(bad, c, m, cfg))
+        assert any("objective" in v
+                   for v in check_solution(bad, c, m, cfg, tables=build_tables(m)))
 
     def test_objective_off_by_one_ulp_is_rejected(self):
         # The solver, the mappers and the verifier sum the same reliabilities
@@ -1066,7 +1084,7 @@ class TestCheckSolutionGolden:
                         assert check_solution(sol, c, m, cfg, tables=t) == []
                         for bad in _mutants(sol, c, m, rng):
                             for got in (check_solution(bad, c, m, cfg, tables=t),
-                                        check_solution(bad, c, m)):
+                                        check_solution(bad, c, m, tables=t)):
                                 h.update(repr(got).encode())
                                 lists += bool(got)
         assert (h.hexdigest(), lists) == (self.DIGEST, self.LISTS)
@@ -1076,7 +1094,7 @@ class TestEmitSmtlib:
     def test_bv4_variable_counts(self):
         m = load_calibration(udoc(2, 3))
         c = gen_bv(4, "111")
-        text = emit_smtlib(c, m, ProblemConfig(Variant.T_SMT))
+        text = emit_smtlib(c, m, ProblemConfig(Variant.T_SMT), build_tables(m))
         assert sum(1 for i in range(4) if f"(declare-const qx{i} Int)" in text) == 4
         assert sum(1 for i in range(4) if f"(declare-const qy{i} Int)" in text) == 4
         for g in c.gates:
@@ -1085,13 +1103,14 @@ class TestEmitSmtlib:
 
     def test_empty_circuit(self):
         m = load_calibration(udoc(2, 2))
-        text = emit_smtlib(build_circuit(1, 0, []), m, ProblemConfig(Variant.T_SMT))
+        text = emit_smtlib(build_circuit(1, 0, []), m, ProblemConfig(Variant.T_SMT),
+                           build_tables(m))
         assert "(assert (= makespan 0))" in text
         assert "(minimize makespan)" in text
 
     def test_reliability_script_shape(self):
         m = load_calibration(udoc(2, 2))
-        text = emit_smtlib(gen_bv(2, "1"), m, ProblemConfig(Variant.R_SMT_STAR))
+        text = emit_smtlib(gen_bv(2, "1"), m, ProblemConfig(Variant.R_SMT_STAR), build_tables(m))
         assert "(maximize obj)" in text
         assert "lnec" in text and "lnro" in text
         assert "jx" in text and "jy" in text
@@ -1100,7 +1119,7 @@ class TestEmitSmtlib:
         m = slow_corner_machine()
         t = build_tables(m)
         c = build_circuit(2, 0, [("cx", (0, 1))])
-        text = emit_smtlib(c, m, ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND))
+        text = emit_smtlib(c, m, ProblemConfig(Variant.T_SMT_STAR, Routing.ONE_BEND), t)
         assert text.index("(define-fun cj0 ") < text.index("(define-fun d0 ")
         d0 = next(line for line in text.splitlines() if line.startswith("(define-fun d0 "))
         cases = re.findall(r"\(= cq0 (\d+)\) \(= cq1 (\d+)\) \(= cj0 (\d+)\)\) (\d+)", d0)
@@ -1135,7 +1154,7 @@ class TestGoldenSmtlib:
             for c in (gen_bv(4, "111"), gen_toffoli(), shared):
                 for variant, routing, flag in self.CONFIGS:
                     cfg = ProblemConfig(variant, routing, count_return_swaps=flag)
-                    h.update(emit_smtlib(c, m, cfg).encode())
+                    h.update(emit_smtlib(c, m, cfg, build_tables(m)).encode())
         assert h.hexdigest() == self.DIGEST
 
     def test_per_cell_readout_and_t2_scripts_are_pinned(self):
@@ -1153,7 +1172,7 @@ class TestGoldenSmtlib:
         for c in (gen_bv(4, "111"), gen_toffoli(), shared):
             for variant, routing, flag in self.CONFIGS:
                 cfg = ProblemConfig(variant, routing, count_return_swaps=flag)
-                h.update(emit_smtlib(c, m, cfg).encode())
+                h.update(emit_smtlib(c, m, cfg, build_tables(m)).encode())
         assert h.hexdigest() == self.PER_CELL_DIGEST
 
 
@@ -1175,19 +1194,21 @@ def _z3_objective(text):
 class TestSmtCrossCheck:
     def test_duration_chain_matches_exact(self):
         m = load_calibration(udoc(2, 2))
+        t = build_tables(m)
         c = build_circuit(2, 1, [("h", (0,)), ("cx", (0, 1)), ("measure", (1,), 0)])
         cfg = ProblemConfig(Variant.T_SMT)
-        sol = solve_exact(c, m, cfg)
-        assert _z3_objective(emit_smtlib(c, m, cfg)) == sol.objective_value
+        sol = solve_exact(c, m, cfg, tables=t)
+        assert _z3_objective(emit_smtlib(c, m, cfg, t)) == sol.objective_value
 
     def test_reliability_matches_exact(self):
         doc = udoc(2, 2)
         doc["edges"] = [{"a": [0, 0], "b": [0, 1], "cnot_error": 0.3}]
         m = load_calibration(doc)
+        t = build_tables(m)
         c = gen_bv(2, "1")
         cfg = ProblemConfig(Variant.R_SMT_STAR)
-        sol = solve_exact(c, m, cfg)
-        assert abs(_z3_objective(emit_smtlib(c, m, cfg)) - sol.objective_value) < 1e-9
+        sol = solve_exact(c, m, cfg, tables=t)
+        assert abs(_z3_objective(emit_smtlib(c, m, cfg, t)) - sol.objective_value) < 1e-9
 
 
 # ------------------------------------------------------- scheduler oracle ---
@@ -1410,20 +1431,19 @@ class TestBudgetGolden:
         assert (digest, reads) == (self.DIGEST, self.READS)
 
 
-def test_shared_tables_stay_read_only(monkeypatch):
+def test_shared_tables_stay_read_only():
     """The search reads the tables' own rows (delta) and dicts, which every
     solve, check and script on one machine shares: none of them writes."""
     m = load_calibration(synth_calibration(3, 3, 5, jitter_durations=True))
     t = build_tables(m)
     before = copy.deepcopy((t.delta, t.cnot_dur, t.junctions))
-    monkeypatch.setattr(smtlib, "build_tables", lambda _m: t)
     c = with_readouts(gen_random(3, 8, 4), range(3))
     for variant, routing in EXACT_VARIANTS:
         cfg = ProblemConfig(variant, routing)
         sol = solve_exact(c, m, cfg, tables=t)
         brute_force_optimal(c, m, cfg, tables=t)
         assert check_solution(sol, c, m, cfg, tables=t) == []
-        emit_smtlib(c, m, cfg)
+        emit_smtlib(c, m, cfg, t)
     assert (t.delta, t.cnot_dur, t.junctions) == before
 
 
@@ -1492,7 +1512,8 @@ class TestReadoutDurations:
                 m = varied_readouts(2, 3, seed, scale)
                 for c, (variant, routing) in itertools.product(circuits, EXACT_VARIANTS):
                     cfg = ProblemConfig(variant, routing)
-                    want, sol = solve_exact(c, base, cfg), solve_exact(c, m, cfg)
+                    want, sol = solve_exact(c, base, cfg, tables=build_tables(base)), \
+                        solve_exact(c, m, cfg, tables=build_tables(m))
                     assert solution_key(sol, c, m) == solution_key(want, c, base)
                     if variant is not Variant.R_SMT_STAR:
                         assert sol.objective_value == scale * want.objective_value
@@ -1728,15 +1749,16 @@ class TestGridWithoutEdges:
     ])
     def test_exact_variants(self, one_cell, variant, routing, objective):
         c, m = one_cell
+        t = build_tables(m)
         cfg = ProblemConfig(variant=variant, routing=routing)
-        sol = solve_exact(c, m, cfg)
+        sol = solve_exact(c, m, cfg, tables=t)
         assert (sol.objective_value, sol.optimal) == (objective, True)
-        assert check_solution(sol, c, m) == []
-        assert "(check-sat)" in emit_smtlib(c, m, cfg)
+        assert check_solution(sol, c, m, tables=t) == []
+        assert "(check-sat)" in emit_smtlib(c, m, cfg, t)
 
     @pytest.mark.parametrize("policy", ["greedy-v", "greedy-e"])
     def test_greedy_policies(self, one_cell, policy):
         c, m = one_cell
         sol = heuristic_compile(c, m, build_tables(m), HeuristicConfig(policy=policy))
         assert expand(sol, c, m).reliability == 0.9299999999999999
-        assert check_solution(sol, c, m) == []
+        assert check_solution(sol, c, m, tables=build_tables(m)) == []
