@@ -51,6 +51,15 @@ class ParseError(ValueError):
         self.column = column
 
 
+class GateError(ValueError):
+    """A gate that breaks a Circuit's rules; carries its index and the reason."""
+
+    def __init__(self, gate: int, reason: str):
+        super().__init__(f"gate {gate}: {reason}")
+        self.gate = gate
+        self.reason = reason
+
+
 class Gate(NamedTuple):
     id: int
     kind: GateKind
@@ -63,6 +72,28 @@ class Circuit:
     num_qubits: int
     num_clbits: int
     gates: tuple[Gate, ...]
+
+    def __post_init__(self) -> None:
+        """Check every gate: gate i has id i and its kind's operand count, its
+        operands are in range and a CNOT's two differ, and a measure writes a
+        clbit in range and no other gate writes one. Raises GateError."""
+        nq, nc = self.num_qubits, self.num_clbits
+        cnot, measure = GateKind.CNOT, GateKind.MEASURE
+        for i, (gid, kind, operands, clbit) in enumerate(self.gates):
+            if gid != i:
+                raise GateError(i, f"id {gid} is not the gate's index")
+            if len(operands) != kind.n_qubits:
+                raise GateError(i, f"{len(operands)} operands, not {kind.value}'s {kind.n_qubits}")
+            for q in operands:
+                if not 0 <= q < nq:
+                    raise GateError(i, f"operand q[{q}] out of range (register size {nq})")
+            if kind is cnot and operands[0] == operands[1]:
+                raise GateError(i, "CNOT operands distinct")
+            if kind is measure:
+                if clbit is None or not 0 <= clbit < nc:
+                    raise GateError(i, f"classical bit {clbit} out of range (register size {nc})")
+            elif clbit is not None:
+                raise GateError(i, f"{kind.value} writes no classical bit")
 
     def cnot_gates(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.kind is GateKind.CNOT)
@@ -87,18 +118,6 @@ class ProgramGraph:
     vertex_degree: dict[int, int] = field(default_factory=dict)
 
 
-def _validate_gate(kind: GateKind, operands: tuple[int, ...], num_qubits: int,
-                   clbit: int | None, num_clbits: int, line: int, col: int) -> None:
-    for q in operands:
-        if not 0 <= q < num_qubits:
-            raise ParseError(f"operand q[{q}] out of range (register size {num_qubits})", line, col)
-    if kind is GateKind.CNOT and operands[0] == operands[1]:
-        raise ParseError("CNOT operands distinct", line, col)
-    if kind is GateKind.MEASURE:
-        if clbit is None or not 0 <= clbit < num_clbits:
-            raise ParseError(f"classical bit {clbit} out of range (register size {num_clbits})", line, col)
-
-
 def build_circuit(num_qubits: int, num_clbits: int,
                   ops: list[tuple[GateKind, tuple[int, ...], int | None]]) -> Circuit:
     """Assemble a Circuit from (kind, operands[, classical_target]) tuples, assigning gate ids."""
@@ -106,7 +125,6 @@ def build_circuit(num_qubits: int, num_clbits: int,
     for i, op in enumerate(ops):
         kind, operands = GateKind(op[0]), op[1]
         clbit = op[2] if len(op) > 2 else None
-        _validate_gate(kind, operands, num_qubits, clbit, num_clbits, line=i + 1, col=1)
         gates.append(Gate(id=i, kind=kind, operands=tuple(operands), classical_target=clbit))
     return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
 
@@ -157,10 +175,6 @@ def parse_circuit(text: str) -> Circuit:
     num_qubits = 0
     num_clbits = 0
     gates: list[Gate] = []
-    # (gate id, line) of each gate _validate_gate refuses; the conditions
-    # below are its own. It runs after the loop, so that a syntax error on
-    # any line wins over an earlier out-of-range operand.
-    bad: list[tuple[int, int]] = []
     new = tuple.__new__   # a Gate without NamedTuple's Python-level __new__
     one_qubit, read = _SINGLE_QUBIT_NAMES, _RE_LINE.fullmatch
     cnot, measure = GateKind.CNOT, GateKind.MEASURE
@@ -191,8 +205,6 @@ def parse_circuit(text: str) -> Circuit:
                 operands = ones.get(q)
                 if operands is None:
                     operands = ones[q] = (int(q),)
-                if operands[0] >= num_qubits:
-                    bad.append((gid, lineno))
                 gates.append(new(Gate, (gid, kind, operands, None)))
             elif which == 8:
                 reg_a, a, reg_b, b = m.group(5, 6, 7, 8)
@@ -202,8 +214,6 @@ def parse_circuit(text: str) -> Circuit:
                     reg = reg_a if reg_a != qreg else reg_b
                     raise ParseError(f"unknown register '{reg}'", lineno, _column(raw))
                 a, b = int(a), int(b)
-                if a >= num_qubits or b >= num_qubits or a == b:
-                    bad.append((gid, lineno))
                 gates.append(new(Gate, (gid, cnot, (a, b), None)))
             elif which == 12:
                 reg, q, reg_c, clbit = m.group(9, 10, 11, 12)
@@ -215,8 +225,6 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(f"unknown classical register '{reg_c}'", lineno,
                                      _column(raw))
                 q, clbit = int(q), int(clbit)
-                if q >= num_qubits or clbit >= num_clbits:
-                    bad.append((gid, lineno))
                 gates.append(new(Gate, (gid, measure, (q,), clbit)))
             elif which == 2:
                 if qreg is not None:
@@ -238,12 +246,11 @@ def parse_circuit(text: str) -> Circuit:
 
     if qreg is None:
         raise ParseError("missing qreg declaration", 1, 1)
-    if bad:
-        gid, lineno = bad[0]
-        _id, kind, operands, clbit = gates[gid]
-        _validate_gate(kind, operands, num_qubits, clbit, num_clbits, lineno,
-                       _column(lines[lineno - 1]))
-    return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
+    try:   # checked only now, so that a syntax error on any line wins over a range error
+        return Circuit(num_qubits=num_qubits, num_clbits=num_clbits, gates=tuple(gates))
+    except GateError as exc:   # the refused gate's line: the exc.gate-th line holding a gate
+        at = [n for n, raw in enumerate(lines, 1) if matches[raw].lastindex in (8, 12, 15)]
+        raise ParseError(exc.reason, at[exc.gate], _column(lines[at[exc.gate] - 1])) from None
 
 
 def to_qasm(c: Circuit) -> str:
@@ -273,7 +280,7 @@ def predecessor_lists(c: Circuit) -> list[list[int]]:
         ps = []
         for w in wires:
             p = last.get(w)
-            if p is not None and p != g.id and p not in ps:   # a repeated wire is no edge
+            if p is not None and p not in ps:
                 ps.append(p)
             last[w] = g.id
         ps.sort()

@@ -2,7 +2,8 @@
 test side as an oracle: each line is trimmed and cut at '//' by string
 methods, and its first word picks one of five regexes. Tests require both
 readers to give an equal Circuit or the identical ParseError on every
-input."""
+input. It keeps its own copy of the gate range rules, as the reader once
+checked them, so that it stays independent of Circuit's check."""
 
 import re
 
@@ -12,7 +13,6 @@ from nisqc.circuit import (
     Gate,
     GateKind,
     ParseError,
-    _validate_gate,
 )
 
 # OpenQASM is ASCII: under re.ASCII, \d takes no other script's digits (which
@@ -35,6 +35,19 @@ _RE_BY_WORD = {"qreg": _RE_QREG, "creg": _RE_CREG, "cx": _RE_CX, "measure": _RE_
 def _column(raw: str) -> int:
     """1-based column of a source line's first non-blank character."""
     return len(raw) - len(raw.lstrip()) + 1
+
+
+def _validate_gate(kind: GateKind, operands: tuple[int, ...], num_qubits: int,
+                   clbit: int | None, num_clbits: int, line: int, col: int) -> None:
+    for q in operands:
+        if not 0 <= q < num_qubits:
+            raise ParseError(f"operand q[{q}] out of range (register size {num_qubits})", line, col)
+    if kind is GateKind.CNOT and operands[0] == operands[1]:
+        raise ParseError("CNOT operands distinct", line, col)
+    if kind is GateKind.MEASURE:
+        if clbit is None or not 0 <= clbit < num_clbits:
+            raise ParseError(f"classical bit {clbit} out of range (register size {num_clbits})",
+                             line, col)
 
 
 def _qasm_int(digits: str, line: int, col: int) -> int:

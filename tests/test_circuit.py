@@ -8,6 +8,7 @@ import pytest
 from nisqc.circuit import (
     Circuit,
     Gate,
+    GateError,
     GateKind,
     ParseError,
     build_circuit,
@@ -23,8 +24,6 @@ from nisqc import circuit as circuit_module
 from nisqc.evaluate import check_solution
 from nisqc.heuristic import HeuristicConfig, heuristic_compile
 from nisqc.machine import build_tables, load_calibration, synth_calibration
-from nisqc.optimal import solve_exact
-from nisqc.schedule import ProblemConfig
 from qasm_reference import parse_qasm as reference_parse_qasm
 
 
@@ -316,16 +315,15 @@ class TestDag:
                              for p in range(len(c.gates))]
             assert c.dag is c.dag
 
-    def test_repeated_wire_is_not_its_own_predecessor(self):
-        # only a hand-built Circuit repeats a wire: the parser and
-        # build_circuit refuse cx q[0],q[0]
-        bad = Circuit(2, 0, (Gate(0, GateKind.CNOT, (0, 0)),))
-        assert predecessor_lists(bad) == [[]]
-        m = load_calibration(synth_calibration(2, 2, 1))
-        t = build_tables(m)
-        cfg = ProblemConfig("t-smt-star")
-        sol = solve_exact(build_circuit(2, 0, [("cx", (0, 1))]), m, cfg, tables=t)
-        assert check_solution(sol, bad, m, cfg, tables=t) == ["CNOT 0 endpoints share cell 0"]
+    def test_repeated_wire_is_refused_where_the_circuit_is_made(self):
+        # no gate repeats a wire, so no gate is its own predecessor and no
+        # mapper looks up a cell pair (a, a); build_circuit, which has no
+        # source text, names the gate, not a line and column
+        with pytest.raises(GateError) as exc:
+            build_circuit(2, 0, [("cx", (0, 0))])
+        assert not isinstance(exc.value, ParseError)
+        assert (exc.value.gate, exc.value.reason) == (0, "CNOT operands distinct")
+        assert str(exc.value) == "gate 0: CNOT operands distinct"
 
     def test_one_dag_per_circuit_from_compile_to_check(self, monkeypatch):
         # check_solution reads the lists build_solution built for the circuit
@@ -370,6 +368,33 @@ class TestProgramGraph:
         assert sum(pg.vertex_degree.values()) == 2 * n_cnots
 
 
+class TestCheck:
+    """Circuit checks its gates where it is made, however it is built."""
+
+    H, CX, MEASURE = GateKind.H, GateKind.CNOT, GateKind.MEASURE
+    REFUSED = [
+        ("cnot on one wire", 2, 0, Gate(0, CX, (1, 1)), "CNOT operands distinct"),
+        ("operand out of range", 2, 0, Gate(0, CX, (0, 2)),
+         "operand q[2] out of range (register size 2)"),
+        ("id not its index", 2, 0, Gate(5, H, (0,)), "id 5 is not the gate's index"),
+        ("h with two operands", 2, 0, Gate(0, H, (0, 1)), "2 operands, not h's 1"),
+        ("measure with no clbit", 2, 1, Gate(0, MEASURE, (0,)),
+         "classical bit None out of range (register size 1)"),
+        ("measure clbit out of range", 2, 1, Gate(0, MEASURE, (0,), 1),
+         "classical bit 1 out of range (register size 1)"),
+        ("h writes a clbit", 2, 1, Gate(0, H, (0,), 0), "h writes no classical bit"),
+    ]
+
+    @pytest.mark.parametrize("case, nq, nc, gate, reason", REFUSED,
+                             ids=[r[0] for r in REFUSED])
+    def test_invalid_gate_is_refused_at_construction(self, case, nq, nc, gate, reason):
+        with pytest.raises(ValueError) as exc:
+            Circuit(nq, nc, (gate,))
+        assert isinstance(exc.value, GateError)
+        assert (exc.value.gate, exc.value.reason) == (0, reason)
+        assert str(exc.value) == f"gate 0: {reason}"
+
+
 class TestGenerators:
     def test_bv_shape(self):
         c = gen_bv(4, "111")
@@ -394,6 +419,11 @@ class TestGenerators:
     def test_random_deterministic(self):
         assert gen_random(4, 50, seed=11) == gen_random(4, 50, seed=11)
         assert gen_random(4, 50, seed=11) != gen_random(4, 50, seed=12)
+
+    @pytest.mark.parametrize("num_qubits", [0, 1])
+    def test_random_needs_two_qubits(self, num_qubits):
+        with pytest.raises(ValueError, match="need at least 2 qubits"):
+            gen_random(num_qubits, 10, seed=0)
 
     def test_random_bounds(self):
         c = gen_random(128, 2048, seed=7)

@@ -683,6 +683,34 @@ class TestSolveExact:
         assert sol.makespan == 0 and sol.objective_value == 0.0
 
 
+class TestReliabilityOverStatic:
+    """The invariant behind the paper's headline comparison: a proved
+    r-smt-star solve (omega 0.5, return swaps not counted) is never less
+    reliable, on its own objective, than t-smt's assignment scored under it
+    with each CNOT at its canonical junction, wherever that is feasible."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mx, my", [(2, 3), (2, 4)])
+    def test_proved_r_smt_star_is_never_less_reliable_than_t_smt(self, mx, my, seed):
+        m = load_calibration(synth_calibration(mx, my, seed))
+        t = build_tables(m)
+        cfg = ProblemConfig(Variant.R_SMT_STAR, omega=0.5, count_return_swaps=False)
+        compared = 0
+        for c in (gen_bv(4, "111"), gen_bv(5, "1011"), gen_toffoli()):
+            best = solve_exact(c, m, cfg, tables=t)
+            assert best.optimal
+            static = solve_exact(c, m, ProblemConfig(Variant.T_SMT), tables=t)
+            cells = placement_cells(static, m)
+            try:
+                rescored = solution_from_assignment(c, m, cfg, cells,
+                                                    canonical_junctions(c, t, cells), tables=t)
+            except Infeasible:
+                continue
+            assert best.objective_value >= rescored.objective_value, (mx, my, seed, c)
+            compared += 1
+        assert compared
+
+
 class TestCheckSolution:
     def good(self):
         m = load_calibration(udoc(2, 3))
