@@ -40,6 +40,8 @@ RANDOM_GATE_KINDS = (
 )
 
 _SINGLE_QUBIT_NAMES = {k.value: k for k in GateKind if k.n_qubits == 1 and k is not GateKind.MEASURE}
+# Each kind's operand count; a kind that is not a GateKind has none.
+_ARITY = {k: k.n_qubits for k in GateKind}
 
 
 class ParseError(ValueError):
@@ -74,22 +76,31 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        """Check every gate: gate i has id i and its kind's operand count, its
-        operands are in range and a CNOT's two differ, and a measure writes a
-        clbit in range and no other gate writes one. Raises GateError."""
+        """Check every gate: gate i has id i, a GateKind and its kind's operand
+        count, its operands are ints in range and a CNOT's two differ, and a
+        measure writes an int clbit in range and no other gate writes one.
+        Raises GateError."""
         nq, nc = self.num_qubits, self.num_clbits
         cnot, measure = GateKind.CNOT, GateKind.MEASURE
         for i, (gid, kind, operands, clbit) in enumerate(self.gates):
             if gid != i:
                 raise GateError(i, f"id {gid} is not the gate's index")
-            if len(operands) != kind.n_qubits:
-                raise GateError(i, f"{len(operands)} operands, not {kind.value}'s {kind.n_qubits}")
+            try:
+                arity = _ARITY[kind]
+            except (KeyError, TypeError):
+                raise GateError(i, f"kind {kind!r} is not a GateKind") from None
+            if len(operands) != arity:
+                raise GateError(i, f"{len(operands)} operands, not {kind.value}'s {arity}")
             for q in operands:
+                if type(q) is not int:
+                    raise GateError(i, f"operand {q!r} is not an int")
                 if not 0 <= q < nq:
                     raise GateError(i, f"operand q[{q}] out of range (register size {nq})")
             if kind is cnot and operands[0] == operands[1]:
                 raise GateError(i, "CNOT operands distinct")
             if kind is measure:
+                if clbit is not None and type(clbit) is not int:
+                    raise GateError(i, f"classical bit {clbit!r} is not an int")
                 if clbit is None or not 0 <= clbit < nc:
                     raise GateError(i, f"classical bit {clbit} out of range (register size {nc})")
             elif clbit is not None:

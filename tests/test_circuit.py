@@ -383,6 +383,10 @@ class TestCheck:
         ("measure clbit out of range", 2, 1, Gate(0, MEASURE, (0,), 1),
          "classical bit 1 out of range (register size 1)"),
         ("h writes a clbit", 2, 1, Gate(0, H, (0,), 0), "h writes no classical bit"),
+        ("kind not a GateKind", 2, 0, Gate(0, "h", (0,)), "kind 'h' is not a GateKind"),
+        ("float operand", 2, 0, Gate(0, CX, (0.0, 1)), "operand 0.0 is not an int"),
+        ("bool operand", 2, 0, Gate(0, H, (True,)), "operand True is not an int"),
+        ("float clbit", 2, 1, Gate(0, MEASURE, (0,), 0.0), "classical bit 0.0 is not an int"),
     ]
 
     @pytest.mark.parametrize("case, nq, nc, gate, reason", REFUSED,

@@ -746,6 +746,15 @@ class TestTablesKeySharing:
         assert len(t.best_paths) == len(t.best_paths_return)
         assert all(a is b for a, b in zip(t.best_paths, t.best_paths_return))
 
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0][0]}x{g[0][1]}-{g[1]}")
+    def test_a_two_corner_junction_is_its_corner_pairs_key_object(self, grid):
+        t = build_tables(load_calibration(oracle_doc(*grid)))
+        key = {k: k for k in t.junctions}
+        corners = [j for j in t.junctions.values() if len(j) == 2]
+        assert all(key[j] is j for j in corners)
+        mx, my = grid[0]
+        assert bool(corners) == (mx > 1 and my > 1)
+
 
 class TestSynthCalibration:
     def test_deterministic(self):

@@ -1239,6 +1239,81 @@ class TestSmtCrossCheck:
         assert abs(_z3_objective(emit_smtlib(c, m, cfg, t)) - sol.objective_value) < 1e-9
 
 
+def smt_model(script, sol, c, m) -> dict:
+    """solve_exact's solution as a model of its emit_smtlib script: each
+    qubit's position, each gate's start, each one-bend CNOT's junction (the
+    rectangle corner its walk passes; colinear cells pass both) and, under a
+    duration variant, the makespan as the script's own durations give it."""
+    model = {}
+    for q, (x, y) in sol.placement.loc.items():
+        model[f"qx{q}"], model[f"qy{q}"] = x, y
+    for g in c.gates:
+        model[f"t{g.id}"] = sol.schedule.start[g.id]
+        if f"jx{g.id}" in script.consts:
+            (ax, ay), (bx, by) = (sol.placement.loc[q] for q in g.operands)
+            walk = sol.gate_routes[g.id]
+            corners = sorted(p for p in {(ax, by), (bx, ay)} if m.cell_id(p) in walk)
+            assert len(corners) == 1 or ax == bx or ay == by
+            model[f"jx{g.id}"], model[f"jy{g.id}"] = corners[0]
+    if "makespan" in script.consts:
+        model["makespan"] = max((model[f"t{g.id}"] + script.value(f"d{g.id}", model)
+                                 for g in c.gates), default=0)
+    return model
+
+
+class TestSmtlibModel:
+    """Without a solver: every solve_exact solution, taken as a model of its
+    emit_smtlib script, satisfies every assert, and the script's objective
+    under it is the solution's objective_value; the same model with the last
+    gate one slot earlier breaks an assert."""
+
+    GRIDS = {"plain": udoc(2, 3), "jittered": synth_calibration(2, 3, 4, jitter_durations=True)}
+    CONFIGS = TestGoldenSmtlib.CONFIGS
+
+    @staticmethod
+    def circuits():
+        cx, ms = GateKind.CNOT, GateKind.MEASURE
+        shared = build_circuit(3, 1, [("h", (0,)), (cx, (0, 1)), (ms, (1,), 0), ("x", (2,)),
+                                      (ms, (0,), 0), (cx, (1, 2)), (ms, (2,), 0)])
+        rand = gen_random(4, 10, seed=3)
+        rand = build_circuit(4, 4, [(g.kind, g.operands) for g in rand.gates]
+                             + [(ms, (q,), q) for q in range(4)])
+        return {"bv4": gen_bv(4, "111"), "toffoli": gen_toffoli(), "rand4": rand,
+                "shared-clbit": shared}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("variant, routing, flag", CONFIGS,
+                             ids=[f"{v.value}-{r.value}{'-ret' if f else ''}"
+                                  for v, r, f in CONFIGS])
+    def test_solutions_are_models_of_their_scripts(self, grid, variant, routing, flag):
+        from smtlib_eval import Script
+        m = load_calibration(self.GRIDS[grid])
+        t = build_tables(m)
+        cfg = ProblemConfig(variant, routing, count_return_swaps=flag)
+        for name, c in self.circuits().items():
+            sol = solve_exact(c, m, cfg, tables=t)
+            script = Script(emit_smtlib(c, m, cfg, t))
+            model = smt_model(script, sol, c, m)
+            assert script.failed(model) == [], name
+            sense, objective = script.objective
+            got = script.value(objective, model)
+            if variant is Variant.R_SMT_STAR:
+                assert sense == "maximize" and abs(got - sol.objective_value) < 1e-9, name
+            else:
+                assert sense == "minimize" and got == sol.objective_value, name
+            last = f"t{len(c.gates) - 1}"
+            assert script.failed({**model, last: model[last] - 1}), name
+
+    def test_the_evaluator_refuses_what_it_cannot_read(self):
+        from smtlib_eval import Script
+        with pytest.raises(ValueError, match="unknown command"):
+            Script("(push 1)")
+        with pytest.raises(ValueError, match="unknown operator"):
+            Script("(declare-const x Int)\n(assert (div x 2))").failed({"x": 1})
+        with pytest.raises(ValueError, match="model and declarations differ"):
+            Script("(declare-const x Int)").failed({})
+
+
 # ------------------------------------------------------- scheduler oracle ---
 
 def linear_scan_schedule(n_cells, durs, gcells, deadlines, preds, succs):
