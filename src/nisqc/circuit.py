@@ -76,19 +76,30 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        """Check every gate: gate i has id i, a GateKind and its kind's operand
-        count, its operands are ints in range and a CNOT's two differ, and a
-        measure writes an int clbit in range and no other gate writes one.
-        Raises GateError."""
-        nq, nc = self.num_qubits, self.num_clbits
+        """Check the circuit: its sizes are ints >= 0 and its gates a tuple,
+        else ValueError; and every gate, else GateError: gate i is a Gate with
+        id i, a GateKind and a tuple of its kind's operand count, its operands
+        are ints in range and a CNOT's two differ, and a measure writes an int
+        clbit in range and no other gate writes one."""
+        nq, nc, gates = self.num_qubits, self.num_clbits, self.gates
+        for name, n in (("num_qubits", nq), ("num_clbits", nc)):
+            if type(n) is not int or n < 0:
+                raise ValueError(f"{name} {n!r} is not an int >= 0")
+        if type(gates) is not tuple:
+            raise ValueError(f"gates must be a tuple, not {type(gates).__name__}")
         cnot, measure = GateKind.CNOT, GateKind.MEASURE
-        for i, (gid, kind, operands, clbit) in enumerate(self.gates):
+        for i, g in enumerate(gates):
+            if type(g) is not Gate:
+                raise GateError(i, f"{g!r} is not a Gate")
+            gid, kind, operands, clbit = g
             if gid != i:
                 raise GateError(i, f"id {gid} is not the gate's index")
             try:
                 arity = _ARITY[kind]
             except (KeyError, TypeError):
                 raise GateError(i, f"kind {kind!r} is not a GateKind") from None
+            if type(operands) is not tuple:
+                raise GateError(i, f"operands {operands!r} are not a tuple")
             if len(operands) != arity:
                 raise GateError(i, f"{len(operands)} operands, not {kind.value}'s {arity}")
             for q in operands:

@@ -19,7 +19,6 @@ from .evaluate import (
     atomic_write,
     equivalence_check,
     monte_carlo_success,
-    reliability_score,
     report_paths,
     write_report,
 )
@@ -140,7 +139,7 @@ def _evaluate_record(cc: CompiledCircuit, benchmark: str, trials: int, seed: int
     return EvalReport(
         benchmark=benchmark,
         variant=cc.variant,
-        reliability=reliability_score(cc, cc.count_return_swaps),
+        reliability=cc.reliability,
         mc_success=p,
         stderr=se,
         trials=trials,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, GateKind
 from .codegen import CompiledCircuit, solution_config
+from .heuristic import HeuristicConfig
 from .machine import DerivedTables, GridMachine, route_cells
 from .optimal import Scorer
 from .schedule import (
@@ -118,15 +119,14 @@ def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int) -> tuple[fl
     routed CNOT (swaps included) and each readout is one event with its ε in
     cc.per_gate_eps, derived on the machine cc was built or read on. A trial
     succeeds when every event does, so the hit count is one draw from
-    Binomial(trials, ∏ε).
+    Binomial(trials, cc.reliability).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    eps = [cc.per_gate_eps[g] for g in sorted(cc.per_gate_eps)]
-    if not eps:
+    if not cc.per_gate_eps:
         return 1.0, 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    p = int(rng.binomial(trials, math.prod(eps))) / trials
+    p = int(rng.binomial(trials, cc.reliability)) / trials
     return p, math.sqrt(p * (1.0 - p) / trials)
 
 
@@ -153,23 +153,17 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     """Exhaustive sweep of every injective placement x junction assignment,
     scored through the same leaf evaluator as solve_exact (objectives agree
     bitwise). argmax lists every assignment attaining the optimum."""
-    nq, ncells = c.num_qubits, m.num_cells
-    if nq > ncells:
-        raise ValueError(f"{nq} program qubits exceed {ncells} hardware cells")
-    n_cnots = sum(1 for g in c.gates if g.kind is GateKind.CNOT)
-    size = math.perm(ncells, nq) * (2 ** n_cnots)
+    scorer = Scorer(c, m, tables, cfg)
+    size = math.perm(m.num_cells, c.num_qubits) * (2 ** len(scorer.cnot_ops))
     if size > _LEAF_BUDGET:
         raise ValueError(f"instance too large: {size} assignments exceed the "
                          f"{_LEAF_BUDGET} enumeration budget")
-    scorer = Scorer(c, m, tables, cfg)
-    maximize = cfg.variant.value == "r-smt-star"
-    cnots = [g for g in c.gates if g.kind is GateKind.CNOT]
+    maximize = scorer.maximize
     best = None
     argmax: list = []
     leaves: list[LeafRecord] = []
-    for cells in itertools.permutations(range(ncells), nq):
-        choices = [scorer.junction_choices(cells[g.operands[0]], cells[g.operands[1]])
-                   for g in cnots]
+    for cells in itertools.permutations(range(m.num_cells), c.num_qubits):
+        choices = [scorer.junction_choices(cells[qa], cells[qb]) for qa, qb in scorer.cnot_ops]
         for combo in itertools.product(*choices):
             try:
                 obj, makespan = scorer.leaf(cells, combo)
@@ -189,7 +183,8 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
 
 
 def check_solution(sol: Solution, c: Circuit, m: GridMachine,
-                   cfg: ProblemConfig | None = None, *, tables: DerivedTables) -> list[str]:
+                   cfg: ProblemConfig | HeuristicConfig | None = None, *,
+                   tables: DerivedTables) -> list[str]:
     """Independent re-verification of every constraint; returns violations (empty = valid).
     Under 1bp and rr routing a CNOT's walk must be the one-bend route of one
     of its cell pair's junctions, walked either way: which end moves, and
@@ -198,19 +193,21 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     walk_cost, for its duration, its reserved cells and its reliability. The
     objective must equal, exactly, the makespan or weighted_log_sum of each
     walk's reliability and each measured cell's 1 - readout_error; it is not
-    recomputed when a CNOT's walk is rejected. Without cfg, the solution's
-    own settings are read by solution_config, as from_record reads a
-    record's, and settings it refuses are the one violation returned."""
+    recomputed when a CNOT's walk is rejected. A HeuristicConfig names its
+    policy as the variant and routes by best path. Without cfg, the
+    solution's own settings are read by solution_config, as from_record
+    reads a record's, and settings it refuses are the one violation returned."""
     if cfg is None:
         try:
-            solution_config(sol.variant, sol.routing, sol.omega, sol.count_return_swaps)
+            cfg = solution_config(sol.variant, sol.routing, sol.omega, sol.count_return_swaps)
         except ValueError as exc:
             return [f"solution config rejected: {exc}"]
     v: list[str] = []
-    variant = cfg.variant.value if cfg is not None else sol.variant
-    routing = cfg.routing.value if cfg is not None else sol.routing
-    flag = cfg.count_return_swaps if cfg is not None else sol.count_return_swaps
-    omega = cfg.omega if cfg is not None else sol.omega
+    if isinstance(cfg, HeuristicConfig):
+        variant, routing = cfg.policy.value, Routing.BEST_PATH.value
+    else:
+        variant, routing = cfg.variant.value, cfg.routing.value
+    flag, omega = cfg.count_return_swaps, cfg.omega
     loc = sol.placement.loc
 
     for q in range(c.num_qubits):

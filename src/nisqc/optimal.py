@@ -112,23 +112,24 @@ def _critical_path(rows, const_path: int, cx_durs, ro_durs) -> int:
 
 
 class Scorer:
-    """Shared leaf evaluator: the exact solver and the brute-force enumerator both
-    score a (placement, junctions) assignment through this one code path. It
-    takes the circuit, the machine, its tables and the problem config; a CNOT
-    is priced by walk_cost of its junction's cnot_walk, once per (cells,
-    junction), and its reliability is read from the tables, which hold
-    price_walk's. Its objective is weighted_log_sum of these ln
-    reliabilities, so it is bitwise the value that build_solution and
-    check_solution compute from the walks."""
+    """Shared leaf evaluator and the one description of an exact instance: the
+    exact solver and the brute-force enumerator score every (placement,
+    junctions) assignment through it and read its cnot_ops, maximize and static.
+    It raises ValueError for more program qubits than cells. A CNOT is priced by
+    walk_cost of its junction's cnot_walk, once per (cells, junction), and its
+    reliability is read from the tables, which hold price_walk's. Its objective
+    is weighted_log_sum of these ln reliabilities, so it is bitwise the value
+    that build_solution and check_solution compute from the walks."""
 
     def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
+        if c.num_qubits > m.num_cells:
+            raise ValueError(f"{c.num_qubits} program qubits exceed {m.num_cells} hardware cells")
         self.c, self.m, self.tables, self.cfg = c, m, tables, cfg
         self.ec = tables.cnot_rel_return if cfg.count_return_swaps else tables.cnot_rel
         self.static = cfg.variant is Variant.T_SMT
+        self.maximize = cfg.variant is Variant.R_SMT_STAR
         self.one_bend = cfg.routing is Routing.ONE_BEND
         self._cost: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
-        self.n_gates = len(c.gates)
-        self.preds, self.succs = c.dag
         self.cnot_ops = [g.operands for g in c.gates if g.kind is GateKind.CNOT]
         self.measured = [g.operands[0] for g in c.gates if g.kind is GateKind.MEASURE]
         self.ln_ro = [math.log(1.0 - q.readout_error) for q in m.qubits]
@@ -150,29 +151,25 @@ class Scorer:
         return self.tables.junctions[(a, b)] if self.one_bend \
             else (canonical_junction(self.tables, a, b),)
 
-    def ln_ec(self, key: tuple[int, int, int]) -> float:
-        return math.log(self.ec[key])
-
     def schedule_arrays(self, cells, junctions):
         """Starts and durations for one assignment; raises Infeasible."""
         cost = self.cnot_cost
         return schedule_gates(self.c, self.m, cells,
                                [cost(cells[qa], cells[qb], j)
-                                for (qa, qb), j in zip(self.cnot_ops, junctions)],
-                               self.preds, self.succs, self.static)
+                                for (qa, qb), j in zip(self.cnot_ops, junctions)], self.static)
 
     def log_objective(self, cells, junctions) -> float:
         """The reliability objective of one assignment."""
-        ln_ec = self.ln_ec
+        ec, log = self.ec, math.log
         return weighted_log_sum(
             self.cfg.omega, [self.ln_ro[cells[q]] for q in self.measured],
-            [ln_ec((cells[qa], cells[qb], j)) for (qa, qb), j in zip(self.cnot_ops, junctions)])
+            [log(ec[cells[qa], cells[qb], j]) for (qa, qb), j in zip(self.cnot_ops, junctions)])
 
     def leaf(self, cells, junctions):
         """(objective, makespan) for one assignment; raises Infeasible."""
         starts, durs = self.schedule_arrays(cells, junctions)
-        makespan = max((starts[i] + durs[i] for i in range(self.n_gates)), default=0)
-        if self.cfg.variant is Variant.R_SMT_STAR:
+        makespan = max((s + d for s, d in zip(starts, durs)), default=0)
+        if self.maximize:
             return self.log_objective(cells, junctions), makespan
         return float(makespan), makespan
 
@@ -213,14 +210,11 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     junction combo, at the same points whatever bounds are shared, so a time
     limit holds to within one leaf evaluation.
     """
-    nq, ncells = c.num_qubits, m.num_cells
-    if nq > ncells:
-        raise ValueError(f"{nq} program qubits exceed {ncells} hardware cells")
     scorer = Scorer(c, m, tables, cfg)
+    nq, ncells = c.num_qubits, m.num_cells
     pg = build_program_graph(c)
     order = sorted(range(nq), key=lambda q: (-pg.vertex_degree.get(q, 0), q))
-    maximize = cfg.variant is Variant.R_SMT_STAR
-    omega = cfg.omega
+    maximize, omega = scorer.maximize, cfg.omega
 
     n_meas = [0] * nq
     for q in scorer.measured:
@@ -236,14 +230,14 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
     min_edge_dur = min((f[3] for f in m.price_factors.values()), default=m.static_tau_cnot)
     ln_ro, ro_dur = scorer.ln_ro, scorer.ro_dur
     min_ro_dur = min(ro_dur)
-    opt_cx_dur = m.static_tau_cnot if cfg.variant is Variant.T_SMT else min_edge_dur
+    opt_cx_dur = m.static_tau_cnot if scorer.static else min_edge_dur
     # pair_ln[ctl][other][cell]: the best ln reliability over the legal
     # junctions of the CNOT between two cells, cell its control when ctl and
     # its target otherwise; rows and entries are filled as the search asks.
     pair_ln: tuple[list, list] = ([None] * ncells, [None] * ncells)
 
     def best_pair_ln(a: int, b: int) -> float:
-        return max(scorer.ln_ec((a, b, j)) for j in tables.junctions[(a, b)])
+        return max(math.log(scorer.ec[a, b, j]) for j in tables.junctions[(a, b)])
 
     cell_of = [-1] * nq
     used = [False] * ncells
@@ -255,7 +249,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
             raise _SearchTimeout()
 
     cx_floor = _cnot_floor(m, tables, scorer.static)
-    rows, const_path = _folded_rows(c, scorer.preds, m.single_qubit_duration)
+    rows, const_path = _folded_rows(c, c.dag[0], m.single_qubit_duration)
     # The critical path of every duration vector the search has priced. Grid
     # translations of a partial placement, in different subtrees, give the
     # same vector. A key packs the vector in the narrowest code that holds
@@ -288,7 +282,7 @@ def solve_exact(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
         # max and min keep the first of tied junctions
         js = scorer.junction_choices(a, b)
         if maximize:
-            return max(js, key=lambda j: scorer.ln_ec((a, b, j)))
+            return max(js, key=lambda j: math.log(scorer.ec[a, b, j]))
         return min(js, key=lambda j: scorer.cnot_cost(a, b, j)[0])
 
     seed_combo = tuple(best_junction(seed_cells[qa], seed_cells[qb]) for qa, qb in cnot_ops)

@@ -183,10 +183,10 @@ def walk_cost(m: GridMachine, walk, routing: str,
                       for y in range(min(ay, by), max(ay, by) + 1)), eps_route, eps_strict
 
 
-def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
-                   static: bool = False) -> tuple[list[int], list[int]]:
-    """Starts and durations of a placed circuit under the canonical scheduler:
-    the one builder of its arrays.
+def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs,
+                   static: bool) -> tuple[list[int], list[int]]:
+    """Starts and durations of a placed circuit under the canonical scheduler,
+    dependencies read from c.dag: the one builder of its arrays.
 
     cnot_costs lists each CNOT's (duration, reserved cells), in CNOT order;
     every other gate holds its own cell. Deadlines are the endpoints' T2, or
@@ -212,7 +212,7 @@ def schedule_gates(c: Circuit, m: GridMachine, cells, cnot_costs, preds, succs,
             gc[i] = ones[cell]
             if not static:
                 dl[i] = qubits[cell].t2
-    return _list_schedule(m.num_cells, durs, gc, dl, preds, succs), durs
+    return _list_schedule(m.num_cells, durs, gc, dl, *c.dag), durs
 
 
 def weighted_log_sum(omega: float, ln_ro, ln_cx) -> float:
@@ -280,7 +280,7 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
             eps_cx.append(eps[flag])
         elif kind is measure:
             eps_ro.append(1.0 - m.qubits[cells[operands[0]]].readout_error)
-    starts, durs = schedule_gates(c, m, cells, costs, *c.dag, static=static)
+    starts, durs = schedule_gates(c, m, cells, costs, static)
     # gate ids are positions in c.gates
     schedule = Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs)))
     if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):

@@ -387,6 +387,10 @@ class TestCheck:
         ("float operand", 2, 0, Gate(0, CX, (0.0, 1)), "operand 0.0 is not an int"),
         ("bool operand", 2, 0, Gate(0, H, (True,)), "operand True is not an int"),
         ("float clbit", 2, 1, Gate(0, MEASURE, (0,), 0.0), "classical bit 0.0 is not an int"),
+        ("operands an int", 2, 0, Gate(0, H, 0), "operands 0 are not a tuple"),
+        ("operands a list", 2, 0, Gate(0, CX, [0, 1]), "operands [0, 1] are not a tuple"),
+        ("plain tuple for a gate", 2, 0, (0, H, (0,), None),
+         "(0, <GateKind.H: 'h'>, (0,), None) is not a Gate"),
     ]
 
     @pytest.mark.parametrize("case, nq, nc, gate, reason", REFUSED,
@@ -397,6 +401,24 @@ class TestCheck:
         assert isinstance(exc.value, GateError)
         assert (exc.value.gate, exc.value.reason) == (0, reason)
         assert str(exc.value) == f"gate 0: {reason}"
+
+    FIELDS = [
+        ("float num_qubits", 2.0, 0, (), "num_qubits 2.0 is not an int >= 0"),
+        ("negative num_qubits", -1, 0, (), "num_qubits -1 is not an int >= 0"),
+        ("bool num_qubits", True, 0, (), "num_qubits True is not an int >= 0"),
+        ("float num_clbits", 2, 1.0, (), "num_clbits 1.0 is not an int >= 0"),
+        ("negative num_clbits", 2, -1, (), "num_clbits -1 is not an int >= 0"),
+        ("bool num_clbits", 2, False, (), "num_clbits False is not an int >= 0"),
+        ("gates a list", 2, 0, [Gate(0, H, (0,))], "gates must be a tuple, not list"),
+    ]
+
+    @pytest.mark.parametrize("case, nq, nc, gates, message", FIELDS,
+                             ids=[r[0] for r in FIELDS])
+    def test_invalid_size_or_container_is_refused_by_name(self, case, nq, nc, gates, message):
+        with pytest.raises(ValueError) as exc:
+            Circuit(nq, nc, gates)
+        assert not isinstance(exc.value, GateError)
+        assert str(exc.value) == message
 
 
 class TestGenerators:

@@ -1,6 +1,7 @@
 """CLI tests: every subcommand is driven in-process through main(argv) and
 checked on its files, stdout summary, and exit code."""
 
+import argparse
 import copy
 import csv
 import json
@@ -10,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -1019,3 +1021,26 @@ class TestMalformedInputs:
             assert (code, stdout, len(lines)) == (1, "", 1), (what, doc, stderr)
             assert json.loads(lines[0])["error"] == "ValueError"
             assert not (tmp_path / f"rep{case}.csv").exists()
+
+
+def test_readme_names_every_subcommand_option_and_exit_code():
+    # the CLI reference in README.md keeps up with build_parser() and with the
+    # exit codes cli's docstring lists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def named(word):
+        return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", readme) is not None
+
+    subparsers = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    missing = []
+    for name, p in subparsers[0].choices.items():
+        if not named(f"nisqc {name}"):
+            missing.append(f"nisqc {name}")
+        missing += [f"{name} {opt}" for a in p._actions if not isinstance(a, argparse._HelpAction)
+                    for opt in a.option_strings if opt.startswith("--") and not named(opt)]
+    assert missing == []
+    codes = re.findall(r"(\d) \w", cli.__doc__.split("Exit codes:")[1].split(".")[0])
+    assert codes, "no exit code read from cli's docstring"
+    listed = readme.split("Exit codes:")[1].split("\n\n")[0]
+    assert [c for c in codes if not re.search(rf"\b{c} \w", listed)] == []

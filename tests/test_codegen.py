@@ -323,15 +323,22 @@ class TestRecordedReliability:
 
 class TestEmitQasm:
     def test_reparses_with_matching_gate_count(self):
+        # the program reads back gate for gate: the stream's (kind, operands,
+        # clbit) in (start, hardware operands) order, a greedy walk's swaps too
         m = load_calibration(udoc(3, 3))
-        c = gen_bv(4, "111")
-        sol = solve_exact(c, m, ProblemConfig(variant="r-smt-star"), tables=build_tables(m))
-        cc = expand(sol, c, m)
-        text = emit_qasm(cc)
-        back = parse_circuit(text)
-        assert len(back.gates) == len(cc.expanded)
-        assert back.num_qubits == m.num_cells
-        assert back.num_clbits == 3
+        t = build_tables(m)
+        bv, tof = gen_bv(4, "111"), gen_toffoli()
+        exact = expand(solve_exact(bv, m, ProblemConfig(variant="r-smt-star"), tables=t), bv, m)
+        greedy = expand(heuristic_compile(tof, m, t, HeuristicConfig("greedy-e")), tof, m)
+        assert greedy.swap_count > 0
+        for cc in (exact, greedy):
+            back = parse_circuit(emit_qasm(cc))
+            assert len(back.gates) == len(cc.expanded)
+            assert back.num_qubits == m.num_cells
+            assert back.num_clbits == 3
+            stream = sorted(cc.expanded, key=lambda g: (g.start, g.hw_operands))
+            assert [(g.kind, g.operands, g.classical_target) for g in back.gates] == \
+                [(g.kind, g.hw_operands, g.clbit) for g in stream]
 
     def test_adjacent_bv4_has_three_cx_lines(self):
         m = load_calibration(udoc(3, 3))

@@ -388,6 +388,13 @@ class TestMonteCarlo:
                                 tables=build_tables(m)), c, m)
         assert monte_carlo_success(cc, 2000, seed=1) == (1.0, 0.0)
 
+    def test_no_scored_gate_is_a_sure_success(self):
+        # no CNOT and no readout: no event to draw, whatever the error rates
+        m = load_calibration(udoc(1, 2))
+        c = build_circuit(1, 0, [("h", (0,))])
+        assert monte_carlo_success(expand(assigned(c, m, (0,)), c, m), 1000, seed=1) == \
+            (1.0, 0.0)
+
     def test_tracks_analytic_reliability(self):
         m = load_calibration(udoc(3, 3))
         c = gen_bv(4, "111")

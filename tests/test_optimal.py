@@ -724,6 +724,18 @@ class TestCheckSolution:
         assert check_solution(sol, c, m, cfg, tables=t) == []
         assert check_solution(sol, c, m, tables=t) == []  # config recovered from echoes
 
+    def test_a_greedy_solution_checks_under_its_own_config(self):
+        # a HeuristicConfig is read as its policy's variant, routed by best path
+        m = load_calibration(synth_calibration(2, 3, 1))
+        c, t = gen_bv(3, "11"), build_tables(m)
+        sol = heuristic_compile(c, m, t, HeuristicConfig(GreedyPolicy.EDGE))
+        own = check_solution(sol, c, m, HeuristicConfig(GreedyPolicy.EDGE), tables=t)
+        assert own == check_solution(sol, c, m, tables=t) == []
+        other = check_solution(sol, c, m, HeuristicConfig(GreedyPolicy.EDGE, omega=0.7),
+                               tables=t)
+        assert len(other) == 1
+        assert other[0].startswith(f"objective {sol.objective_value!r} != recomputed ")
+
     def test_refuses_the_settings_from_record_refuses(self):
         # each omega, routing, count_return_swaps and variant value that the
         # CLI's record sweep tries, set on a greedy-e and an r-smt-star
