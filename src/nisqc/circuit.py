@@ -364,9 +364,12 @@ def gen_toffoli() -> Circuit:
 
 
 def gen_random(num_qubits: int, num_gates: int, seed: int) -> Circuit:
-    """Random benchmark: kinds uniform over the 7-kind set, operands uniform without replacement."""
+    """Random benchmark: kinds uniform over the 7-kind set, operands uniform without
+    replacement. Raises ValueError for fewer than 2 qubits or a negative gate count."""
     if num_qubits < 2:
         raise ValueError("need at least 2 qubits")
+    if num_gates < 0:
+        raise ValueError(f"{num_gates} gates: the gate count cannot be negative")
     rng = np.random.default_rng(seed)
     ops: list[tuple[GateKind, tuple[int, ...], int | None]] = []
     for _ in range(num_gates):

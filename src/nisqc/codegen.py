@@ -77,7 +77,7 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     CodegenError when a walk takes other than its scheduled duration or two
     gates' windows overlap on a cell.
     """
-    static = sol.variant == Variant.T_SMT.value
+    static = sol.config.variant is Variant.T_SMT
     cells = {q: m.cell_id(pos) for q, pos in sol.placement.loc.items()}
     start, dur, routes = sol.schedule.start, sol.schedule.dur, sol.gate_routes
     phys: list[PhysGate] = []
@@ -128,8 +128,7 @@ def expand(sol: Solution, c: Circuit, m: GridMachine) -> CompiledCircuit:
     for cell, g1, g2 in clashes(windows):
         raise CodegenError(f"inconsistent schedule: gates {g1} and {g2} overlap on cell {cell}")
     return CompiledCircuit(sol.placement, sol.schedule, sol.objective_value, sol.optimal,
-                           sol.variant, sol.routing, sol.omega, sol.count_return_swaps,
-                           dict(sol.gate_routes), source=c, expanded=tuple(phys),
+                           sol.config, dict(sol.gate_routes), source=c, expanded=tuple(phys),
                            eps_route=eps_route, eps_strict=eps_strict, num_cells=m.num_cells,
                            cells=cells)
 
@@ -295,8 +294,7 @@ def from_record(doc: dict | str, m: GridMachine) -> CompiledCircuit:
         stray = set(routes) - {str(g.id) for g in cnots}
         if stray:
             raise ValueError(f"gate_routes {min(stray)!r} is not a CNOT of the source")
-        sol = build_solution(source, m, cfg, cells, walks, variant=variant, routing=routing,
-                             optimal=optimal)
+        sol = build_solution(source, m, cfg, cells, walks, optimal=optimal)
         return expand(sol, source, m)
     except (LookupError, TypeError) as exc:
         raise ValueError(f"malformed record: {type(exc).__name__}: {exc}") from exc

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .codegen import CompiledCircuit, solution_config
+from .codegen import CompiledCircuit
 from .heuristic import HeuristicConfig
 from .machine import DerivedTables, GridMachine, route_cells
 from .optimal import Scorer
@@ -119,10 +119,11 @@ def monte_carlo_success(cc: CompiledCircuit, trials: int, seed: int) -> tuple[fl
     routed CNOT (swaps included) and each readout is one event with its ε in
     cc.per_gate_eps, derived on the machine cc was built or read on. A trial
     succeeds when every event does, so the hit count is one draw from
-    Binomial(trials, cc.reliability).
+    Binomial(trials, cc.reliability). Raises ValueError unless trials is an
+    int of at least 1 (a bool is not).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, not {trials!r}")
     if not cc.per_gate_eps:
         return 1.0, 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -152,12 +153,20 @@ def brute_force_optimal(c: Circuit, m: GridMachine, cfg: ProblemConfig, *,
                         tables: DerivedTables, collect_leaves: bool = False) -> BruteForceResult:
     """Exhaustive sweep of every injective placement x junction assignment,
     scored through the same leaf evaluator as solve_exact (objectives agree
-    bitwise). argmax lists every assignment attaining the optimum."""
+    bitwise). argmax lists every assignment attaining the optimum. Raises
+    ValueError for an instance of more than _LEAF_BUDGET leaves."""
     scorer = Scorer(c, m, tables, cfg)
-    size = math.perm(m.num_cells, c.num_qubits) * (2 ** len(scorer.cnot_ops))
-    if size > _LEAF_BUDGET:
-        raise ValueError(f"instance too large: {size} assignments exceed the "
-                         f"{_LEAF_BUDGET} enumeration budget")
+    # every placement has a leaf; the leaves are counted until they pass the budget
+    n_leaves = math.perm(m.num_cells, c.num_qubits)
+    if n_leaves <= _LEAF_BUDGET:
+        n_leaves = 0
+        for cells in itertools.permutations(range(m.num_cells), c.num_qubits):
+            n_leaves += math.prod(len(scorer.junction_choices(cells[qa], cells[qb]))
+                                  for qa, qb in scorer.cnot_ops)
+            if n_leaves > _LEAF_BUDGET:
+                break
+    if n_leaves > _LEAF_BUDGET:
+        raise ValueError(f"instance too large: over the {_LEAF_BUDGET}-leaf enumeration budget")
     maximize = scorer.maximize
     best = None
     argmax: list = []
@@ -193,20 +202,10 @@ def check_solution(sol: Solution, c: Circuit, m: GridMachine,
     walk_cost, for its duration, its reserved cells and its reliability. The
     objective must equal, exactly, the makespan or weighted_log_sum of each
     walk's reliability and each measured cell's 1 - readout_error; it is not
-    recomputed when a CNOT's walk is rejected. A HeuristicConfig names its
-    policy as the variant and routes by best path. Without cfg, the
-    solution's own settings are read by solution_config, as from_record
-    reads a record's, and settings it refuses are the one violation returned."""
-    if cfg is None:
-        try:
-            cfg = solution_config(sol.variant, sol.routing, sol.omega, sol.count_return_swaps)
-        except ValueError as exc:
-            return [f"solution config rejected: {exc}"]
+    recomputed when a CNOT's walk is rejected. Without cfg, sol.config is read."""
+    cfg = sol.config if cfg is None else cfg
     v: list[str] = []
-    if isinstance(cfg, HeuristicConfig):
-        variant, routing = cfg.policy.value, Routing.BEST_PATH.value
-    else:
-        variant, routing = cfg.variant.value, cfg.routing.value
+    variant, routing = cfg.variant.value, cfg.routing.value
     flag, omega = cfg.count_return_swaps, cfg.omega
     loc = sol.placement.loc
 

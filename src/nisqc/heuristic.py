@@ -6,7 +6,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .circuit import Circuit, build_program_graph
@@ -24,6 +24,8 @@ class HeuristicConfig:
     policy: GreedyPolicy
     omega: float = 0.5
     count_return_swaps: bool = False
+    variant = property(lambda self: self.policy)
+    routing = Routing.BEST_PATH
 
     def __post_init__(self):
         object.__setattr__(self, "policy", GreedyPolicy(self.policy))
@@ -165,11 +167,12 @@ def greedy_edge_map(pg, m: GridMachine, t: DerivedTables) -> Placement:
 def compile_with_placement(c: Circuit, m: GridMachine, t: DerivedTables,
                            cells: tuple[int, ...], cfg: HeuristicConfig,
                            variant_label: str) -> Solution:
-    """Best-path routing + earliest-ready scheduling for a fixed placement."""
+    """Best-path routing + earliest-ready scheduling for a fixed placement, under
+    cfg with variant_label as its policy; ValueError unless it names a GreedyPolicy."""
+    cfg = replace(cfg, policy=variant_label)
     bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
     walks = [bp[(cells[g.operands[0]], cells[g.operands[1]])][0] for g in c.cnot_gates()]
-    return build_solution(c, m, cfg, cells, walks, variant=variant_label,
-                          routing=Routing.BEST_PATH.value, optimal=False)
+    return build_solution(c, m, cfg, cells, walks, optimal=False)
 
 
 def heuristic_compile(c: Circuit, m: GridMachine, t: DerivedTables,

@@ -115,13 +115,16 @@ class Scorer:
     """Shared leaf evaluator and the one description of an exact instance: the
     exact solver and the brute-force enumerator score every (placement,
     junctions) assignment through it and read its cnot_ops, maximize and static.
-    It raises ValueError for more program qubits than cells. A CNOT is priced by
-    walk_cost of its junction's cnot_walk, once per (cells, junction), and its
-    reliability is read from the tables, which hold price_walk's. Its objective
-    is weighted_log_sum of these ln reliabilities, so it is bitwise the value
-    that build_solution and check_solution compute from the walks."""
+    It raises ValueError for a config that is not a ProblemConfig and for more
+    program qubits than cells. A CNOT is priced by walk_cost of its junction's
+    cnot_walk, once per (cells, junction), and its reliability is read from the
+    tables, which hold price_walk's. Its objective is weighted_log_sum of these
+    ln reliabilities, so it is bitwise the value that build_solution and
+    check_solution compute from the walks."""
 
     def __init__(self, c: Circuit, m: GridMachine, tables: DerivedTables, cfg: ProblemConfig):
+        if not isinstance(cfg, ProblemConfig):
+            raise ValueError(f"the exact layer takes a ProblemConfig, not {type(cfg).__name__}")
         if c.num_qubits > m.num_cells:
             raise ValueError(f"{c.num_qubits} program qubits exceed {m.num_cells} hardware cells")
         self.c, self.m, self.tables, self.cfg = c, m, tables, cfg

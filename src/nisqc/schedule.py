@@ -7,7 +7,7 @@ import functools
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .circuit import Circuit, GateKind
@@ -91,11 +91,12 @@ class Solution:
     schedule: Schedule
     objective_value: float
     optimal: bool
-    variant: str
-    routing: str
-    omega: float
-    count_return_swaps: bool
+    config: ProblemConfig  # or the HeuristicConfig of a greedy mapper
     gate_routes: dict[int, tuple[int, ...]] = field(repr=False)  # CNOT walks, mover first
+    variant = property(lambda self: self.config.variant.value)
+    routing = property(lambda self: self.config.routing.value)
+    omega = property(lambda self: self.config.omega)
+    count_return_swaps = property(lambda self: self.config.count_return_swaps)
 
     @property
     def makespan(self) -> int:
@@ -249,7 +250,7 @@ def clashes(by_cell: dict[int, list[tuple[int, int, int]]]):
 
 
 def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
-                   variant: str, routing: str, optimal: bool) -> Solution:
+                   optimal: bool) -> Solution:
     """The one place a Solution is assembled, for the exact solver, the
     greedy mappers and from_record alike: a function of the placement and
     the CNOT walks on m.
@@ -260,11 +261,11 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
     Duration variants score the makespan; every other variant (the exact
     reliability variant and both greedy mappers) scores weighted_log_sum of
     each walk's ln reliability and each readout's ln(1 - readout error).
-    cfg supplies omega and count_return_swaps. Raises Infeasible, and
-    ValueError for a walk that leaves the grid's edges, does not join its
-    CNOT's placed cells or visits a cell twice.
+    cfg, kept as the solution's config, supplies every setting. Raises
+    Infeasible, and ValueError for a walk that leaves the grid's edges, does
+    not join its CNOT's placed cells or visits a cell twice.
     """
-    static = variant == Variant.T_SMT.value
+    static, routing = cfg.variant is Variant.T_SMT, cfg.routing
     flag = cfg.count_return_swaps
     costs: list[tuple[int, tuple[int, ...]]] = []
     eps_ro: list[float] = []
@@ -283,7 +284,7 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
     starts, durs = schedule_gates(c, m, cells, costs, static)
     # gate ids are positions in c.gates
     schedule = Schedule(start=dict(enumerate(starts)), dur=dict(enumerate(durs)))
-    if variant in (Variant.T_SMT.value, Variant.T_SMT_STAR.value):
+    if cfg.variant in (Variant.T_SMT, Variant.T_SMT_STAR):
         value = float(schedule.makespan)
     else:
         value = weighted_log_sum(cfg.omega, map(math.log, eps_ro), map(math.log, eps_cx))
@@ -292,10 +293,7 @@ def build_solution(c: Circuit, m: GridMachine, cfg, cells, walks, *,
         schedule=schedule,
         objective_value=value,
         optimal=optimal,
-        variant=variant,
-        routing=routing,
-        omega=cfg.omega,
-        count_return_swaps=flag,
+        config=cfg,
         gate_routes=gate_routes,
     )
 
@@ -304,8 +302,9 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
                              cells, junctions, *, tables: DerivedTables,
                              optimal: bool = True) -> Solution:
     """Materialize a full Solution from placement cells (by qubit id) and junction
-    cells (by CNOT order): each CNOT walks its junction's cnot_walk. Raises
-    ValueError for a junction not legal for its CNOT, and Infeasible."""
+    cells (by CNOT order): each CNOT walks its junction's cnot_walk, under cfg
+    without its time limit, which no record carries. Raises ValueError for a
+    junction not legal for its CNOT, and Infeasible."""
     walks = []
     for g, j in zip(c.cnot_gates(), junctions):
         a, b = cells[g.operands[0]], cells[g.operands[1]]
@@ -313,5 +312,4 @@ def solution_from_assignment(c: Circuit, m: GridMachine, cfg: ProblemConfig,
             raise ValueError(f"junction {m.pos(j)} not legal for a CNOT "
                              f"from {m.pos(a)} to {m.pos(b)}")
         walks.append(cnot_walk(m, a, b, j))
-    return build_solution(c, m, cfg, cells, walks, variant=cfg.variant.value,
-                          routing=cfg.routing.value, optimal=optimal)
+    return build_solution(c, m, replace(cfg, time_limit=None), cells, walks, optimal=optimal)

@@ -45,6 +45,8 @@ def emit_smtlib(c: Circuit, m: GridMachine, cfg: ProblemConfig, tables: DerivedT
     full joint space. Intended for desk-scale external verification; lookup
     tables are emitted as ite switches, so script size grows with cell count.
     """
+    if not isinstance(cfg, ProblemConfig):
+        raise ValueError(f"the exact layer takes a ProblemConfig, not {type(cfg).__name__}")
     nq, my = c.num_qubits, m.my
     is_static = cfg.variant is Variant.T_SMT
     reliability = cfg.variant is Variant.R_SMT_STAR

@@ -451,6 +451,13 @@ class TestGenerators:
         with pytest.raises(ValueError, match="need at least 2 qubits"):
             gen_random(num_qubits, 10, seed=0)
 
+    @pytest.mark.parametrize("num_gates", [-1, -2])
+    def test_random_refuses_a_negative_gate_count(self, num_gates):
+        # as the CLI's gen-circuit random --gates does, before any draw
+        with pytest.raises(ValueError, match="the gate count cannot be negative"):
+            gen_random(3, num_gates, seed=0)
+        assert gen_random(3, 0, seed=0).gates == ()
+
     def test_random_bounds(self):
         c = gen_random(128, 2048, seed=7)
         assert len(c.gates) == 2048

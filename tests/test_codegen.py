@@ -9,6 +9,7 @@ import math
 import random
 import re
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -780,3 +781,18 @@ class TestGoldenSmallExact:
                     assert from_record(record, m).expanded == cc.expanded
                     solves += 1
         assert (h.hexdigest(), solves) == (self.DIGEST, 120)
+
+
+def test_readme_lists_every_record_key():
+    # README's Outputs list keeps up with to_record's layout: every top-level
+    # key, every key of its config, and the compile_time_s the CLI adds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    outputs = readme.split("\n## Outputs\n")[1].split("\n## ")[0]
+    items = outputs.split("contains:\n\n")[1].split("\n\n")[0]
+    assert items.startswith("- "), "README's Outputs list was not found"
+    named = {w for span in re.findall(r"`([^`]*)`", items) for w in re.findall(r"\w+", span)}
+    c, m = gen_bv(3, "11"), load_calibration(synth_calibration(2, 3, 1))
+    record = to_record(expand(heuristic_compile(c, m, build_tables(m),
+                                                HeuristicConfig("greedy-e")), c, m))
+    keys = set(record) | set(record["config"]) | {"compile_time_s"}
+    assert sorted(keys - named) == []

@@ -444,6 +444,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_success(cc, 0, seed=1)
 
+    @pytest.mark.parametrize("trials", [10.5, 1.0, True, False, -3, "10", None])
+    def test_trials_must_be_an_int_of_at_least_one(self, trials):
+        # 10.5 used to divide 10 hits of a 10-trial draw by 10.5; True drew once
+        m = load_calibration(udoc(3, 3))
+        c = gen_bv(3, "11")
+        cc = expand(assigned(c, m, (0, 1, 2)), c, m)
+        with pytest.raises(ValueError, match=r"trials must be an int >= 1"):
+            monte_carlo_success(cc, trials, seed=0)
+
 
 class TestBruteForce:
     def test_single_measure_lands_on_best_readout(self):
@@ -495,10 +504,26 @@ class TestBruteForce:
 
     def test_budget_guard(self):
         m = load_calibration(udoc(4, 4))
-        ops = [("cx", (i % 4, (i + 1) % 4)) for i in range(6)]
-        c = build_circuit(4, 0, ops)
-        with pytest.raises(ValueError, match="instance too large"):
-            brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"), tables=build_tables(m))
+        t = build_tables(m)
+        # 5 qubits on 16 cells under r-smt-star: the leaf count passes the
+        # budget after 115,005 of the 524,160 placements
+        ring = build_circuit(5, 0, [("cx", (i % 5, (i + 1) % 5)) for i in range(6)])
+        # 6 qubits: the 5,765,760 placements alone exceed it
+        idle = build_circuit(6, 0, [])
+        for c in (ring, idle):
+            with pytest.raises(ValueError, match="instance too large"):
+                brute_force_optimal(c, m, ProblemConfig(variant="r-smt-star"), tables=t)
+
+    def test_sizes_an_instance_by_its_leaves(self):
+        # 8 CNOTs on 5 qubits over 9 cells: 15,120 placements, one leaf each
+        # under t-smt, where rr takes one junction; not 15,120 * 2 ** 8
+        m = load_calibration(synth_calibration(3, 3, 1))
+        t = build_tables(m)
+        c = build_circuit(5, 0, [("cx", (i % 5, (i + 1) % 5)) for i in range(8)])
+        cfg = ProblemConfig(variant="t-smt")
+        res = brute_force_optimal(c, m, cfg, tables=t, collect_leaves=True)
+        assert len(res.leaves) == 15_120
+        assert res.objective_value == solve_exact(c, m, cfg, tables=t).objective_value
 
     def test_more_qubits_than_cells(self):
         m = load_calibration(udoc(1, 2))

@@ -1,6 +1,7 @@
 """Greedy mapper tests: placements are pinned on hand-built calibrations and
 every compiled schedule must satisfy the same verifier as the exact solver."""
 
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -33,7 +34,7 @@ from nisqc.heuristic import (
 )
 from nisqc.machine import build_tables, load_calibration, synth_calibration
 from nisqc.optimal import solve_exact
-from nisqc.schedule import Infeasible, Placement, ProblemConfig
+from nisqc.schedule import Infeasible, Placement, ProblemConfig, Routing
 
 
 def udoc(mx, my, **over):
@@ -88,6 +89,17 @@ class TestConfig:
     def test_count_return_swaps_must_be_a_bool(self, flag):
         with pytest.raises(ValueError, match="count_return_swaps"):
             HeuristicConfig(policy="greedy-e", count_return_swaps=flag)
+
+    def test_names_its_variant_and_routing_as_a_problem_config_does(self):
+        # both are read-only class attributes, not fields: the policy is the
+        # variant, and the greedy mappers route by best path
+        cfg = HeuristicConfig(policy="greedy-e")
+        assert cfg.variant is GreedyPolicy.EDGE and cfg.routing is Routing.BEST_PATH
+        assert [f.name for f in dataclasses.fields(cfg)] == \
+            ["policy", "omega", "count_return_swaps"]
+        for name in ("variant", "routing"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, "t-smt")
 
 
 class TestGreedyVertex:
@@ -187,6 +199,18 @@ class TestCompileWithPlacement:
         sol = compile_with_placement(c, m, t, (0, 1, 2, 3), cfg, "greedy-v")
         assert sol.schedule.start == {0: 0, 1: 0}
         assert sol.makespan == 2
+
+    def test_the_label_is_the_policy_the_solution_is_built_under(self):
+        m = load_calibration(synth_calibration(2, 3, 1))
+        c, t = gen_bv(3, "11"), build_tables(m)
+        cfg = HeuristicConfig("greedy-v", omega=0.7)
+        for label in ("t-smt", "r-smt-star", "bogus", "path"):
+            with pytest.raises(ValueError, match="GreedyPolicy"):
+                compile_with_placement(c, m, t, (0, 1, 2), cfg, label)
+        sol = compile_with_placement(c, m, t, (0, 1, 2), cfg, "greedy-e")
+        assert sol.config == HeuristicConfig("greedy-e", omega=0.7)
+        assert sol == compile_with_placement(c, m, t, (0, 1, 2), sol.config, "greedy-e")
+        assert check_solution(sol, c, m, tables=t) == []
 
     def test_solutions_verify_clean(self):
         m, t = machine(2, 3)
