@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,8 @@ class GridMachine:
 
 @dataclass(frozen=True)
 class DerivedTables:
-    """build_tables' plain lists and dicts, which every reader shares and none writes."""
+    """build_tables' plain lists and dicts and two read-only arrays, which
+    every reader shares and none writes."""
     delta: list[list[int]] = field(repr=False)
     cnot_rel: dict[tuple[int, int, int], float] = field(repr=False)
     cnot_dur: dict[tuple[int, int, int], int] = field(repr=False)
@@ -82,6 +84,11 @@ class DerivedTables:
     junctions: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
     best_paths: dict[tuple[int, int], tuple[tuple[int, ...], float]] = field(repr=False)
     best_paths_return: dict[tuple[int, int], tuple[tuple[int, ...], float]] = field(repr=False)
+    # ln columns: row t holds, by source s, math.log of best_paths[(s, t)]'s
+    # reliability (best_paths_return's in the second); 0.0 at s == t, and
+    # -inf where the reliability underflowed to 0.0
+    ln_best_paths: np.ndarray = field(repr=False, compare=False)
+    ln_best_paths_return: np.ndarray = field(repr=False, compare=False)
 
 
 def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -261,7 +268,15 @@ def price_walk(m: GridMachine, walk, static: bool = False) -> tuple[list[int], f
     return hops, route * r, strict * r
 
 
-def _best_paths(m: GridMachine, pair: list[list[tuple[int, int]]]) -> tuple[dict, dict]:
+def _ln(rel: list[float]):
+    # math.log of each reliability, as an iterator; -inf for one that
+    # underflowed to 0.0, where math.log would raise
+    if 0.0 in rel:
+        return (math.log(v) if v > 0.0 else -math.inf for v in rel)
+    return map(math.log, rel)
+
+
+def _best_paths(m: GridMachine, pair: list[list[tuple[int, int]]]) -> tuple[dict, ...]:
     # Most-reliable simple path per ordered pair, keyed by pair[t][s], at
     # swap exponents 3 and 6, priced by m.price_factors. One Dijkstra per
     # source s weighs the swap edges; target t closes at its first neighbour
@@ -280,12 +295,17 @@ def _best_paths(m: GridMachine, pair: list[list[tuple[int, int]]]) -> tuple[dict
     # target too); made in the per-source loop, the same tables cost
     # greedy-scale 7-8% of its ops per second. A target's scratch rows go as
     # soon as its entries are made, which keeps the build's peak near the
-    # finished tables' size.
+    # finished tables' size. That pass also lists every reliability, target
+    # by target with the diagonal's 1.0, and the ln columns are their logs,
+    # taken straight into one array so that no float object outlives its log.
     n, fac = m.num_cells, m.price_factors
     adj = [[(w_, 3 * -math.log(fac[(v, w_)][0])) for w_ in m.adjacency[v]] for v in range(n)]
     close = [[(u, -math.log(fac[(u, t)][0]), fac[(u, t)][0]) for u in m.adjacency[t]]
              for t in range(n)]
     path3, p3s, r3s, path6, p6s, r6s = ([[None] * n for _ in range(n)] for _ in range(6))
+    for rows in (p3s, r3s, p6s, r6s):
+        for t in range(n):
+            rows[t][t] = 1.0
     for s in range(n):
         dist, cells, p3, p6 = [math.inf] * n, [None] * n, [1.0] * n, [1.0] * n
         dist[s], cells[s] = 0.0, (s,)
@@ -319,17 +339,23 @@ def _best_paths(m: GridMachine, pair: list[list[tuple[int, int]]]) -> tuple[dict
             if via6 != via3:
                 path6[t][s] = cells[via6] + (t,)
             p3s[t][s], p6s[t][s] = p3[via3], p6[via6]
-    table3, table6 = {}, {}
+    table3, table6, rels3, rels6 = {}, {}, [], []
     for t in range(n):
-        keys, paths3, q3, rs3 = pair[t], path3[t], p3s[t], r3s[t]
-        paths6, q6, rs6 = path6[t], p6s[t], r6s[t]
+        keys, paths3, paths6 = pair[t], path3[t], path6[t]
+        rel3 = list(map(operator.mul, p3s[t], r3s[t]))
+        rel6 = list(map(operator.mul, p6s[t], r6s[t]))
         for s in range(n):
             if s != t:
                 key = keys[s]
-                table3[key] = (paths3[s], q3[s] * rs3[s])
-                table6[key] = (paths6[s], q6[s] * rs6[s])
+                table3[key] = (paths3[s], rel3[s])
+                table6[key] = (paths6[s], rel6[s])
+        rels3 += rel3
+        rels6 += rel6
         path3[t] = p3s[t] = r3s[t] = path6[t] = p6s[t] = r6s[t] = None
-    return table3, table6
+    ln3 = np.fromiter(_ln(rels3), float, n * n).reshape(n, n)
+    ln6 = np.fromiter(_ln(rels6), float, n * n).reshape(n, n)
+    ln3.flags.writeable = ln6.flags.writeable = False
+    return table3, table6, ln3, ln6
 
 
 def _rays(m: GridMachine) -> list[list[list[tuple[int, float, float, float, int]]]]:
@@ -376,6 +402,8 @@ def build_tables(m: GridMachine) -> DerivedTables:
     closed at a target's neighbour, and both tables share the walk whenever
     both exponents close at the same neighbour. junctions and both best-path
     tables share one key tuple per ordered pair, a two-corner junction too.
+    The last pass of that search also keeps the ln of every best-path
+    reliability, per target, in the ln columns the mappers score with.
     """
     n, rays = m.num_cells, _rays(m)
     # pair[t][s] is the key (s, t), made once, target by target
@@ -434,11 +462,12 @@ def build_tables(m: GridMachine) -> DerivedTables:
                             # corner is as far from s as e is from c
                             o = e - c + s
                             junctions[pair[e][s]] = pair[o][c] if c < o else pair[c][o]
-    best_paths, best_paths_return = _best_paths(m, pair)
+    best_paths, best_paths_return, ln_best, ln_best_return = _best_paths(m, pair)
     return DerivedTables(
         delta=delta, cnot_rel=cnot_rel, cnot_dur=cnot_dur,
         cnot_rel_return=cnot_rel_return, junctions=junctions,
-        best_paths=best_paths, best_paths_return=best_paths_return)
+        best_paths=best_paths, best_paths_return=best_paths_return,
+        ln_best_paths=ln_best, ln_best_paths_return=ln_best_return)
 
 
 def synth_calibration(mx: int, my: int, seed: int, *,

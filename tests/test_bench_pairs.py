@@ -162,3 +162,60 @@ def test_read_runs_refuses_a_run_without_its_side(tmp_path):
                                           "metrics": {}}]}))
     with pytest.raises(ValueError, match="side"):
         bench_pairs.read_runs(path)
+
+
+def by_side(digest_of):
+    """A fake bench whose digest line is digest_of(cwd, workload, seed)."""
+    def fake_bench(cwd, workload, seed, seconds):
+        return bench_pairs.parse_run(canned(metrics(), digest=digest_of(cwd, workload, seed)))
+    return fake_bench
+
+
+def side(cwd):
+    return "1" if cwd == bench_pairs.ROOT else "2"
+
+
+def test_a_named_workload_may_change_its_outputs(tmp_path, monkeypatch):
+    # greedy-scale's digests differ between sides, and agree within each
+    monkeypatch.setattr(bench_pairs, "bench", by_side(
+        lambda cwd, w, s: (side(cwd) if w == "greedy-scale" else "3") * 16))
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: "f" * 40)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--outputs-change", "greedy-scale", "--set", "greedy-scale:4",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["checks"]["outputs_change"] == ["greedy-scale"]
+    assert doc["pairs"]["greedy-scale seed 4"]["identity"]["4"]["digest_lines_identical"]
+    cells = {c["workload"]: c for c in doc["checks"]["cells"]}
+    assert set(cells["greedy-scale"]["quality"]) == {"parent", "change"}
+    assert "quality" not in cells["recal-evaluate"]
+
+
+def test_a_named_workload_fails_when_one_side_disagrees_with_itself(tmp_path, monkeypatch):
+    calls = []
+
+    def digest(cwd, workload, seed):
+        calls.append(cwd)
+        # the change's own runs of greedy-scale seed 4 differ from each other
+        if workload == "greedy-scale" and cwd == bench_pairs.ROOT:
+            return f"{len(calls):016d}"
+        return side(cwd) * 16 if workload == "greedy-scale" else "3" * 16
+
+    monkeypatch.setattr(bench_pairs, "bench", by_side(digest))
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: "f" * 40)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--outputs-change", "greedy-scale", "--set", "greedy-scale:4",
+                             "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert not doc["pairs"]["greedy-scale seed 4"]["identity"]["4"]["digest_lines_identical"]
+
+
+def test_an_unnamed_workload_must_still_agree_across_sides(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "bench", by_side(lambda cwd, w, s: side(cwd) * 16))
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: "f" * 40)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--outputs-change", "greedy-scale", "--out", str(out)]) == 1
+    cells = json.loads(out.read_text())["checks"]["cells"]
+    for c in cells:
+        agree = c["identity"][str(c["seed"])]["digest_lines_identical"]
+        assert agree is (c["workload"] == "greedy-scale"), c

@@ -275,8 +275,8 @@ class TestEvaluate:
             row = next(csv.DictReader(open(rep + ".csv")))
             rows[seed] = [row[k] for k in ("reliability", "mc_success", "stderr",
                                            "makespan", "swaps")]
-        assert rows == {"0": ["0.486069998020987", "0.48529", "0.0015804544153502182", "58", "4"],
-                        "7": ["0.5820641579210737", "0.58283", "0.0015592921185589312", "58", "4"]}
+        assert rows == {"0": ["0.5840956557359521", "0.58487", "0.0015581947346208047", "35", "2"],
+                        "7": ["0.6517160366648829", "0.65246", "0.001505841785846043", "35", "2"]}
 
     def test_deadline_missed_on_the_calibration_given_exits_3(self, tmp_path, capsys):
         # the record's walks are rescheduled on CAL, whose T2 the stream outlasts

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from nisqc.circuit import GateKind, build_circuit, gen_bv, gen_random, gen_toffoli, parse_circuit
+from nisqc.circuit import (
+    GateKind,
+    build_circuit,
+    build_program_graph,
+    gen_bv,
+    gen_random,
+    gen_toffoli,
+    parse_circuit,
+)
 from nisqc.cli import main
 from nisqc.codegen import (
     CodegenError,
@@ -30,7 +38,13 @@ from nisqc.evaluate import (
     check_solution,
     equivalence_check,
 )
-from nisqc.heuristic import HeuristicConfig, heuristic_compile
+from nisqc.heuristic import (
+    GreedyPolicy,
+    HeuristicConfig,
+    greedy_edge_map,
+    greedy_vertex_map,
+    heuristic_compile,
+)
 from nisqc.machine import build_tables, canonical_junction, load_calibration, synth_calibration
 from nisqc.optimal import SolverTimeout, solve_exact
 from nisqc.schedule import (
@@ -39,6 +53,7 @@ from nisqc.schedule import (
     Routing,
     Schedule,
     Variant,
+    build_solution,
     solution_from_assignment,
     weighted_log_sum,
 )
@@ -546,7 +561,7 @@ class TestRecord:
         assert back.makespan == max(pg.start + pg.dur for pg in back.expanded)
         assert (cc.makespan, back.makespan) == (28, 33)
 
-    @pytest.mark.parametrize("seeds", [(1, 0, 2), (2, 1, 0), (5, 3, 4)])
+    @pytest.mark.parametrize("seeds", [(1, 3, 0), (2, 1, 0), (5, 3, 4)])
     def test_from_record_on_another_calibration_runs(self, seeds):
         # a stream read on slower CNOTs no longer keeps the old start times:
         # no two physical gates share a cell at once, and it ends at its
@@ -566,7 +581,7 @@ class TestRecord:
             assert all(e1 <= s2 for (_s1, e1), (s2, _e2) in zip(spans, spans[1:]))
         assert back.makespan == max(pg.start + pg.dur for pg in back.expanded)
         assert back.placement == cc.placement and back.gate_routes == cc.gate_routes
-        if seeds == (1, 0, 2):
+        if seeds == (1, 3, 0):
             assert (cc.makespan, back.makespan) == (8, 9)
 
     @pytest.mark.parametrize("variant, jitter", [("greedy-e", True), ("r-smt-star", False),
@@ -701,14 +716,35 @@ class TestPipelineRoundTrip:
             assert outcomes["no solution"] == 0 and outcomes["solved"] > 0
 
 
+def plain_greedy(c, m, t, cfg):
+    """The paper's plain greedy: the mapper's cells, unrefined, each CNOT on
+    its best-path walk, assembled by build_solution."""
+    mapper = greedy_vertex_map if cfg.policy is GreedyPolicy.VERTEX else greedy_edge_map
+    p = mapper(build_program_graph(c), m, t)
+    cells = tuple(m.cell_id(p.loc[q]) for q in range(c.num_qubits))
+    bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
+    walks = [bp[(cells[g.operands[0]], cells[g.operands[1]])][0] for g in c.cnot_gates()]
+    return build_solution(c, m, cfg, cells, walks, optimal=False)
+
+
 class TestGoldenAtScale:
     """A 64-qubit, 1024-gate circuit on a 12x12 grid under both greedy
-    mappers: sha256 of the emitted QASM, the record and the repr of the
-    physical stream, pinned so that a change to expand, emit_qasm or the
-    record that alters one byte of output at size fails here."""
+    mappers, refined by heuristic_compile and plain (plain_greedy): sha256
+    of the emitted QASM, the record and the repr of the physical stream,
+    pinned so that a change to expand, emit_qasm or the record that alters
+    one byte of output at size fails here."""
 
-    # policy: (emit_qasm, record_to_json, repr(expanded))
+    # policy: (emit_qasm, record_to_json, repr(expanded)) of heuristic_compile
     GOLDEN = {
+        "greedy-v": ("9c9c47508914d1c63fa9604dcffa0e19b996d2f10d93d0c782f075a2cb1d6e29",
+                     "317207ea14264af03fa6b80b59c977581d71bb5dfb0a9e0fdfc17cf19274c3bb",
+                     "e29f6ba924666861f83d3aec1f3252c384c643a6a62341858535ff268189ce15"),
+        "greedy-e": ("ecdbca224d0c60f7ee950dc7e67880473371177020cb8763d4d7b833b0d6db59",
+                     "147e5cdb9f06832f2df9c8b192a4b88c0d5faca7767197df9e656993aad26925",
+                     "2d2e7d9544370a36a394809c5c193c1451af50385ae795342b8e4a0bc034e43e"),
+    }
+    # the same of plain_greedy, heuristic_compile's outputs before the exchange
+    PLAIN = {
         "greedy-v": ("efe8194d7a2efc05e3d3675215383a79e6186cfc052a1d86d508668cf326290d",
                      "03e6de82f60f1e6f71118a3b8a8c4d5947d8a63c5fecdeb8bd50bd1fee31223a",
                      "5fbb3fe0a16a41b03f66c73b48bde12aa81610dee6d50a38b6388a424287d2a8"),
@@ -717,12 +753,13 @@ class TestGoldenAtScale:
                      "817fc71e1d7d424f80ce923f3f7b1ebac8e8524dcfc1bbecb488a3818cd875b8"),
     }
 
-    def test_outputs_are_pinned(self):
+    @staticmethod
+    def assert_pinned(compile_, goldens):
         m = load_calibration(synth_calibration(12, 12, 5, t2=10 ** 6))
         t = build_tables(m)
         c = gen_random(64, 1024, 11)
-        for policy, golden in self.GOLDEN.items():
-            cc = expand(heuristic_compile(c, m, t, HeuristicConfig(policy)), c, m)
+        for policy, golden in goldens.items():
+            cc = expand(compile_(c, m, t, HeuristicConfig(policy)), c, m)
             record = record_to_json(cc)
             digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                             for text in (emit_qasm(cc), record, repr(cc.expanded)))
@@ -733,6 +770,12 @@ class TestGoldenAtScale:
             # 64 active cells: the normal form proves at any size
             for compiled in (cc, back):
                 assert equivalence_check(c, compiled) == EquivalenceResult(True, 0.0, 0.0)
+
+    def test_outputs_are_pinned(self):
+        self.assert_pinned(heuristic_compile, self.GOLDEN)
+
+    def test_plain_greedy_outputs_are_pinned(self):
+        self.assert_pinned(plain_greedy, self.PLAIN)
 
     def test_a_mutant_over_the_cap_is_not_proved(self):
         # the stream with one CNOT reversed, on 64 active cells, more than a

@@ -15,6 +15,7 @@ import pytest
 
 from nisqc import heuristic
 from nisqc.circuit import (
+    GateKind,
     build_circuit,
     build_program_graph,
     gen_bv,
@@ -34,7 +35,7 @@ from nisqc.heuristic import (
 )
 from nisqc.machine import build_tables, load_calibration, synth_calibration
 from nisqc.optimal import solve_exact
-from nisqc.schedule import Infeasible, Placement, ProblemConfig, Routing
+from nisqc.schedule import Infeasible, Placement, ProblemConfig, Routing, build_solution
 
 
 def udoc(mx, my, **over):
@@ -242,12 +243,18 @@ class TestCompileWithPlacement:
         assert sol.objective_value == 0.8 * math.fsum(ln_ro) + 0.2 * math.fsum(ln_cx)
 
     def test_count_return_swaps_routes_by_strict_reliability(self):
+        # the fixed placement (0, 3), unrefined, on its best_paths_return walk
         m, t = machine(1, 4)
         c = build_circuit(2, 0, [("cx", (0, 1))])
         cfg = HeuristicConfig(policy="greedy-v", count_return_swaps=True)
-        sol = compile_with_placement(c, m, t, (0, 3), cfg, "greedy-v")
+        sol = build_solution(c, m, cfg, (0, 3), [t.best_paths_return[(0, 3)][0]], optimal=False)
         assert expand(sol, c, m).eps_strict[0] == pytest.approx(0.9 ** 13, abs=1e-15)
         assert check_solution(sol, c, m, tables=t) == []
+        # compile_with_placement moves the pair next to each other first
+        sol = compile_with_placement(c, m, t, (0, 3), cfg, "greedy-v")
+        (a, b) = (m.cell_id(sol.placement.loc[q]) for q in (0, 1))
+        assert abs(a - b) == 1 and sol.gate_routes[0] == t.best_paths_return[(a, b)][0]
+        assert expand(sol, c, m).eps_strict[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_coherence_violation_raises(self):
         m, t = machine(3, 3, t2=5)
@@ -276,6 +283,146 @@ class TestCompileWithPlacement:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+# ------------------------------------------------------ pairwise exchange ---
+
+def measured(c):
+    """c followed by a readout of every qubit."""
+    ops = [(g.kind, g.operands) for g in c.gates]
+    ops += [(GateKind.MEASURE, (q,), q) for q in range(c.num_qubits)]
+    return build_circuit(c.num_qubits, c.num_qubits, ops)
+
+
+def mapper_cells(c, m, t, policy):
+    mapper = greedy_vertex_map if GreedyPolicy(policy) is GreedyPolicy.VERTEX else greedy_edge_map
+    p = mapper(build_program_graph(c), m, t)
+    return tuple(m.cell_id(p.loc[q]) for q in range(c.num_qubits))
+
+
+def plain(c, m, t, cells, cfg):
+    """The placement as given, unrefined: each CNOT on its best-path walk."""
+    bp = t.best_paths_return if cfg.count_return_swaps else t.best_paths
+    walks = [bp[(cells[g.operands[0]], cells[g.operands[1]])][0] for g in c.cnot_gates()]
+    return build_solution(c, m, cfg, cells, walks, optimal=False)
+
+
+def exchange_cases():
+    """(machine, tables, circuit) on 3x3 to 6x6 grids and a 1xN grid, sparse
+    and at full occupancy, with readouts on every other circuit."""
+    for n in (3, 4, 5, 6):
+        m = load_calibration(synth_calibration(n, n, 3 * n, t2=10 ** 6,
+                                               jitter_durations=n % 2 == 0))
+        t = build_tables(m)
+        yield m, t, measured(gen_random(n + 2, 8 * n, n))
+        yield m, t, gen_random(n * n, 6 * n * n, n + 1)          # full occupancy
+        yield m, t, measured(gen_random(n * n, 4 * n * n, n + 2))  # full, with readouts
+    m = load_calibration(synth_calibration(1, 9, 4, t2=10 ** 6))
+    t = build_tables(m)
+    yield m, t, measured(gen_random(6, 30, 4))
+    yield m, t, gen_random(9, 40, 5)
+
+
+class TestExchange:
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("ret", [False, True], ids=["best", "return"])
+    def test_never_lowers_the_mappers_objective(self, omega, ret):
+        raised = 0
+        for m, t, c in exchange_cases():
+            for policy in GreedyPolicy:
+                cfg = HeuristicConfig(policy, omega=omega, count_return_swaps=ret)
+                base = plain(c, m, t, mapper_cells(c, m, t, policy), cfg)
+                sol = heuristic_compile(c, m, t, cfg)
+                assert sol.objective_value >= base.objective_value, (m.mx, m.my, policy)
+                assert check_solution(sol, c, m, tables=t) == []
+                raised += sol.objective_value > base.objective_value
+        assert raised >= 10
+
+    def test_full_occupancy_moves_only_by_swaps(self):
+        m = load_calibration(synth_calibration(3, 3, 1, t2=10 ** 6))
+        t = build_tables(m)
+        c = gen_random(9, 60, 2)
+        cells = mapper_cells(c, m, t, "greedy-e")
+        got = heuristic.exchange(c, m, t.ln_best_paths, cells, 0.5)
+        assert sorted(got) == list(range(9)) and got != cells
+
+    def test_a_local_optimum_comes_back_unchanged(self):
+        m = load_calibration(synth_calibration(3, 3, 5, t2=10 ** 6))
+        t = build_tables(m)
+        c = measured(gen_random(5, 30, 6))
+        cfg = HeuristicConfig("greedy-e")
+        cells = mapper_cells(c, m, t, "greedy-e")
+        for _ in range(20):   # to a fixed point, 4 sweeps a call
+            nxt = heuristic.exchange(c, m, t.ln_best_paths, cells, cfg.omega)
+            if nxt == cells:
+                break
+            cells = nxt
+        assert heuristic.exchange(c, m, t.ln_best_paths, cells, cfg.omega) == cells
+        # no single move or swap raises the objective of the fixed point
+        value = plain(c, m, t, cells, cfg).objective_value
+        for q in range(c.num_qubits):
+            for cell in range(m.num_cells):
+                other = list(cells)
+                if cell in cells:
+                    other[cells.index(cell)] = cells[q]
+                other[q] = cell
+                assert plain(c, m, t, tuple(other), cfg).objective_value <= value + 1e-12
+        # and neither does the exchange move a placement no move improves
+        line = load_calibration(udoc(1, 5))
+        chain = build_circuit(5, 0, [("cx", (q, q + 1)) for q in range(4)])
+        assert heuristic.exchange(chain, line, build_tables(line).ln_best_paths,
+                                  (0, 1, 2, 3, 4), 0.5) == (0, 1, 2, 3, 4)
+
+    def test_two_calls_give_the_same_solution(self):
+        m = load_calibration(synth_calibration(5, 5, 9, t2=10 ** 6, jitter_durations=True))
+        t = build_tables(m)
+        c = measured(gen_random(14, 80, 9))
+        for policy in GreedyPolicy:
+            cfg = HeuristicConfig(policy, count_return_swaps=True)
+            assert heuristic_compile(c, m, t, cfg) == heuristic_compile(c, m, t, cfg)
+            cells = tuple(range(3, 17))
+            assert compile_with_placement(c, m, t, cells, cfg, policy.value) == \
+                compile_with_placement(c, m, t, cells, cfg, policy.value)
+
+    def test_two_qubits_on_one_cell_are_refused(self):
+        m, t = machine(2, 2)
+        c = build_circuit(2, 0, [("cx", (0, 1))])
+        with pytest.raises(ValueError, match="two qubits on one cell"):
+            compile_with_placement(c, m, t, (1, 1), HeuristicConfig("greedy-v"), "greedy-v")
+
+
+class TestExchangeUnderflow:
+    """On a 1x40 grid of CNOT error 0.99999 a best path of 23 or more hops
+    underflows to 0.0: its ln column entry is -inf."""
+
+    @staticmethod
+    def line():
+        m = load_calibration(udoc(1, 40, cnot_error=0.99999, t2=10 ** 9))
+        return m, build_tables(m)
+
+    def test_no_move_into_an_underflowed_path(self):
+        m, t = self.line()
+        c = build_circuit(3, 0, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 1))])
+        def ln_terms(cells):
+            return [t.ln_best_paths[cells[b], cells[a]] for a, b in
+                    (g.operands for g in c.cnot_gates())]
+
+        # 19 hops from cell 11 to cell 30 is finite; most moves from there read -inf
+        for cells in ((0, 1, 2), (10, 11, 30), (20, 39, 21)):
+            assert all(math.isfinite(v) for v in ln_terms(cells))
+            got = heuristic.exchange(c, m, t.ln_best_paths, cells, 0.5)
+            assert all(math.isfinite(v) for v in ln_terms(got)), (cells, got)
+            assert sum(ln_terms(got)) >= sum(ln_terms(cells))
+        # a placement that already reads -inf is left as it is: its gains are not finite
+        assert -math.inf in ln_terms((5, 30, 6))
+        assert heuristic.exchange(c, m, t.ln_best_paths, (5, 30, 6), 0.5) == (5, 30, 6)
+
+    def test_the_mapper_still_names_the_underflow(self):
+        m, t = self.line()
+        ops = [("cx", (i, i + 1)) for i in range(39)] + [("cx", (0, 39))]
+        with pytest.raises(ValueError, match=r"best-path reliability from cell \d+ to cell "
+                                             r"\d+ underflowed to 0\.0"):
+            heuristic_compile(build_circuit(40, 0, ops), m, t, HeuristicConfig("greedy-v"))
 
 
 class TestQuality:

@@ -690,6 +690,38 @@ class TestTablesOracle:
             self.assert_closing_edge_agrees(load_calibration(doc))
 
 
+class TestLnColumns:
+    """build_tables' ln columns: row t holds, by source s, math.log of the
+    best-path reliability s -> t, bitwise; 0.0 on the diagonal, -inf where
+    the reliability underflowed to 0.0, and read-only."""
+
+    @pytest.mark.parametrize("grid", [((1, 1), "uniform"), ((1, 5), "synth"),
+                                      ((3, 3), "third-zero"), ((4, 5), "synth-jittered"),
+                                      ((2, 4), "all-zero")],
+                             ids=lambda g: f"{g[0][0]}x{g[0][1]}-{g[1]}")
+    def test_each_entry_is_the_log_of_its_best_path(self, grid):
+        t = build_tables(load_calibration(oracle_doc(*grid)))
+        for ln, table in ((t.ln_best_paths, t.best_paths),
+                          (t.ln_best_paths_return, t.best_paths_return)):
+            n = len(ln)
+            assert ln.shape == (n, n) and ln.dtype == np.float64
+            want = [[0.0 if s == u else math.log(table[(s, u)][1]) for s in range(n)]
+                    for u in range(n)]
+            assert ln.tolist() == want
+            assert not ln.flags.writeable
+
+    def test_an_underflowed_path_is_kept_as_minus_inf(self):
+        # 23 or more hops of CNOT error 0.99999 underflow to 0.0, and 12 or
+        # more with return swaps
+        t = build_tables(load_calibration(uniform_doc(1, 40, cnot_error=0.99999, t2=10 ** 9)))
+        for ln, table, hops in ((t.ln_best_paths, t.best_paths, 23),
+                                (t.ln_best_paths_return, t.best_paths_return, 12)):
+            under = {(s, u) for (s, u), (_path, rel) in table.items() if rel == 0.0}
+            assert min(abs(s - u) for s, u in under) == hops
+            assert {(s, u) for u, s in zip(*np.nonzero(np.isneginf(ln)))} == under
+            assert np.isfinite(ln[~np.isneginf(ln)]).all()
+
+
 class TestTablesOrder:
     """The order build_tables inserts its keys in, which TestTablesOracle's
     == does not see: the greedy mappers' memory locality rests on it. The

@@ -17,6 +17,10 @@ BENCHMARK.json's run_seconds.
   side alternating.
 - Runs of one workload and seed must print identical digest lines, failure
   lines and quality metrics on both sides, and fail no op.
+- ``--outputs-change WORKLOAD`` (repeatable) names a workload whose outputs
+  the change means to change: its runs of one seed must agree within each
+  side only, and its check cells record both sides' quality metrics side by
+  side. No failed op and the bounds still hold for it.
 - Each gated metric's change median must not be worse than the parent's by
   more than its BENCHMARK.json bound in every pair set. A check cell is one
   run per side, too few to gate a timing, so it keeps only its identity.
@@ -118,13 +122,19 @@ def claim_rule(summary: dict, better: str) -> bool:
             and gain > summary["parent_iqr"])
 
 
-def identical(runs: list[dict]) -> dict:
-    """Whether runs of one workload and seed, of both sides, agree on
-    everything the program outputs, and failed no op."""
-    return {"digest_lines_identical": len({r["digests"] for r in runs}) == 1,
-            "failure_lines_identical": len({json.dumps(r["failure_lines"]) for r in runs}) == 1,
-            "quality_identical": len({json.dumps(r["quality"], sort_keys=True)
-                                      for r in runs}) == 1,
+def identical(runs: list[dict], per_side: bool = False) -> dict:
+    """Whether runs of one workload and seed, of both sides (of each side
+    apart, if per_side), agree on everything the program outputs, and
+    failed no op."""
+    groups = [[r for r in runs if r["side"] == side] for side in ("parent", "change")] \
+        if per_side else [runs]
+
+    def same(key) -> bool:
+        return all(len({key(r) for r in group}) <= 1 for group in groups)
+
+    return {"digest_lines_identical": same(lambda r: r["digests"]),
+            "failure_lines_identical": same(lambda r: json.dumps(r["failure_lines"])),
+            "quality_identical": same(lambda r: json.dumps(r["quality"], sort_keys=True)),
             "no_failed_op": all(r["failed"] == 0 and r["correct"] for r in runs)}
 
 
@@ -137,11 +147,11 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             for m in spec["end_to_end"]}
 
 
-def by_seed(runs: list[dict]) -> dict:
+def by_seed(runs: list[dict], per_side: bool = False) -> dict:
     """identical() per seed of a list of runs of one workload."""
     out = {}
     for seed in sorted({r["seed"] for r in runs}):
-        out[str(seed)] = identical([r for r in runs if r["seed"] == seed])
+        out[str(seed)] = identical([r for r in runs if r["seed"] == seed], per_side)
     return out
 
 
@@ -187,6 +197,13 @@ def _spec_pair(text: str, what: str) -> tuple[str, str]:
     return workload, rest
 
 
+def _workload(text: str) -> str:
+    if text not in WORKLOADS:
+        raise argparse.ArgumentTypeError(f"--outputs-change takes one of "
+                                         f"{', '.join(WORKLOADS)}; got {text!r}")
+    return text
+
+
 def _pair_set(text: str) -> tuple[str, list[int]]:
     workload, seeds = _spec_pair(text, "--set")
     return workload, [int(s) for s in seeds.split(",")]
@@ -200,6 +217,10 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         type=_pair_set,
                         help="WORKLOAD:SEED[,SEED...], one alternating pair set (repeatable)")
+    parser.add_argument("--outputs-change", dest="changed", action="append", default=[],
+                        type=_workload,
+                        help="WORKLOAD whose outputs the change means to change: its runs "
+                             "must agree within each side only (repeatable)")
     parser.add_argument("--extra", help="a JSON file whose object is written as extra")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -219,7 +240,8 @@ def main(argv=None) -> int:
                           f"{platform.python_implementation()} {platform.python_version()}; "
                           f"each run in its side's directory, one at a time, "
                           f"PYTHONDONTWRITEBYTECODE=1",
-               "claimed": {}, "runs": [], "pairs": {}, "checks": {"cells": []},
+               "claimed": {}, "runs": [], "pairs": {},
+               "checks": {"cells": [], "outputs_change": sorted(set(args.changed))},
                "extra": extra}
         sides = {"parent": Path(tmp), "change": ROOT}
 
@@ -238,13 +260,17 @@ def main(argv=None) -> int:
                 run(label, i, workload, seeds[i % len(seeds)], ("parent", "change")[i % 2])
             mine = [r for r in doc["runs"] if r["set"] == label]
             doc["pairs"][label] = {"workload": workload, "seeds": seeds, "pairs": PAIRS,
-                                   "identity": by_seed(mine), "summary": summarize(mine, spec)}
+                                   "identity": by_seed(mine, workload in args.changed),
+                                   "summary": summarize(mine, spec)}
         for k, (workload, seed) in enumerate((w, s) for w in WORKLOADS for s in CHECK_SEEDS):
             label = f"check {workload} seed {seed}"
             run(label, 0, workload, seed, ("parent", "change")[k % 2])
             mine = [r for r in doc["runs"] if r["set"] == label]
-            doc["checks"]["cells"].append({"workload": workload, "seed": seed,
-                                           "identity": by_seed(mine)})
+            cell = {"workload": workload, "seed": seed,
+                    "identity": by_seed(mine, workload in args.changed)}
+            if workload in args.changed:
+                cell["quality"] = {r["side"]: r["quality"] for r in mine}
+            doc["checks"]["cells"].append(cell)
     if args.claim:
         workload, metric = args.claim
         better = metrics[metric]["better"]
